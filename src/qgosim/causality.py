@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 from . import executions, sysmodel
 from .executions import Execution, Receive, Send, replay, step
+from .qcore import EPS_EXACT  # tolerance for one freshly checked identity
 
-# Tolerance for a single freshly-checked algebraic identity.
-EPS_EXACT = 1e-12
 # Tolerance for identities accumulated over long transformation chains.
 EPS_CHAIN = 1e-9
 

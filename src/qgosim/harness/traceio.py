@@ -306,6 +306,8 @@ def parse_run(text: str):
         raise TraceError("trace has no header")
     if not state_recs:
         raise TraceError("trace has no initial state")
+    if not any(d["t"] == "procs" for d in state_recs):
+        raise TraceError("trace has no procs record")
     initial = _decode_state(state_recs)
     cfg = header.get("config")
     config = ScenarioConfig.from_dict(cfg) if cfg else None

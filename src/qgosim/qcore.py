@@ -33,6 +33,8 @@ __all__ = [
     "tensor_product",
     "partial_trace",
     "apply_outcome",
+    "outcome_probabilities",
+    "draw_outcome",
     "sample_outcome",
     "validate_operation",
     "canonical_form",
@@ -297,17 +299,33 @@ def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(space, np.kron(a.entries, b.entries))
 
 
-def _basis_permutation(dims: Sequence[int], order: Sequence[int]) -> np.ndarray:
-    """Index array mapping permuted-register basis indices to original ones.
-
-    ``perm[j]`` is the original flat index of the j-th basis vector of the
-    space whose registers are reordered by ``order``.
-    """
+def _permute_registers(mat: np.ndarray, dims: Sequence[int], order: Sequence[int]) -> np.ndarray:
+    """Entries of ``mat`` with its registers reordered: new register ``j`` is
+    old register ``order[j]``.  Returns ``mat`` itself for the identity order."""
     n = len(dims)
-    if n == 0:
-        return np.array([0], dtype=np.intp)
-    idx = np.arange(int(np.prod(dims))).reshape(dims)
-    return np.ascontiguousarray(np.transpose(idx, order)).reshape(-1)
+    order = list(order)
+    if order == list(range(n)):
+        return mat
+    d = mat.shape[0]
+    axes = order + [n + i for i in order]
+    return mat.reshape(tuple(dims) * 2).transpose(axes).reshape(d, d)
+
+
+def _reduced_state(rho: DensityMatrix, regs: Sequence[RegisterId]) -> np.ndarray:
+    """The reduced state on ``regs``, in their order, as a plain matrix.
+
+    One reshape to the (d₁…dₙ, d₁…dₙ) tensor view and one trace over the
+    other registers; it reads O(D·d) entries for d the dimension of ``regs``.
+    """
+    dims = rho.space.dims
+    slot = {rho.space.registers.index(r): j for j, r in enumerate(regs)}
+    axes = [i for i, dim in enumerate(dims) if dim > 1]  # unit registers add no axis
+    n = len(axes)
+    cols = [n + a if i in slot else a for a, i in enumerate(axes)]
+    keep = [a for _, a in sorted((slot[i], a) for a, i in enumerate(axes) if i in slot)]
+    d = int(np.prod([r.dim for r in regs]))
+    t = rho.entries.reshape([dims[i] for i in axes] * 2)
+    return np.einsum(t, list(range(n)) + cols, keep + [n + a for a in keep]).reshape(d, d)
 
 
 def partial_trace(rho: DensityMatrix, discard: Iterable[RegisterId]) -> DensityMatrix:
@@ -316,30 +334,45 @@ def partial_trace(rho: DensityMatrix, discard: Iterable[RegisterId]) -> DensityM
     for reg in discard:
         if reg not in rho.space:
             raise UnknownRegister(f"register {reg} not in space")
-    regs = list(rho.space.registers)
-    mat = rho.entries
-    for reg in discard:
-        k = regs.index(reg)
-        dims = [r.dim for r in regs]
-        p = int(np.prod(dims[:k])) if k else 1
-        d = dims[k]
-        s = int(np.prod(dims[k + 1:])) if k + 1 < len(dims) else 1
-        m6 = mat.reshape(p, d, s, p, d, s)
-        mat = np.einsum("aibcid->abcd", m6).reshape(p * s, p * s)
-        regs.pop(k)
-    return DensityMatrix(RegisterSpace(tuple(regs)), mat)
+    keep = tuple(r for r in rho.space.registers if r not in discard)
+    return DensityMatrix(RegisterSpace(keep), _reduced_state(rho, keep))
 
 
-def _embed_front(rho: DensityMatrix, mapped: Sequence[RegisterId]):
-    """Permute the state so the mapped registers come first, in slot order."""
-    regs = list(rho.space.registers)
-    positions = [regs.index(r) for r in mapped]
-    rest = [i for i in range(len(regs)) if i not in positions]
-    order = positions + rest
-    perm = _basis_permutation([r.dim for r in regs], order)
-    front = rho.entries[np.ix_(perm, perm)]
-    rest_regs = [regs[i] for i in rest]
-    return front, rest_regs
+def _check_regmap(rho: DensityMatrix, op: QuantumOperation, regmap: RegisterMap) -> None:
+    if tuple(r.dim for r in regmap.in_regs) != op.in_dims:
+        raise ShapeError("mapped register dims do not match operation input dims")
+    if tuple(r.dim for r in regmap.out_regs) != op.out_dims:
+        raise ShapeError("output register dims do not match operation output dims")
+    for reg in regmap.in_regs:
+        if reg not in rho.space:
+            raise UnknownRegister(f"register {reg} not in space")
+    for reg in regmap.out_regs:
+        if reg not in regmap.in_regs and reg in rho.space:
+            raise IdCollision(f"output register {reg} already present in space")
+
+
+# For s below this, a batched matmul over (-1, d_in, s) makes one BLAS call
+# per tiny d_in x s slice; moving the d_in axis last and making one call is
+# faster (measured on a 2-vCPU x86 VM with OpenBLAS, D=1024 and D=4096).
+_MIN_BATCH_COLS = 16
+
+
+# apply_outcome works on blocks of about this many entries of ρ (4 MB), so
+# its temporaries stay small whatever D is.
+_BLOCK_ENTRIES = 1 << 18
+
+
+def _contract_middle(k: np.ndarray, x: np.ndarray, s: int) -> np.ndarray:
+    """``k`` (o x i) applied to the middle axis of ``x`` viewed as (-1, i, s).
+
+    Returns the (-1, o, s) result, possibly as a non-contiguous view.
+    """
+    din, dout = k.shape[1], k.shape[0]
+    x = x.reshape(-1, din, s)
+    if s >= _MIN_BATCH_COLS:
+        return np.matmul(k, x)
+    y = x.transpose(0, 2, 1).reshape(-1, din) @ k.T
+    return y.reshape(-1, s, dout).transpose(0, 2, 1)
 
 
 def apply_outcome(
@@ -354,42 +387,98 @@ def apply_outcome(
     given ``rho``.  Output registers replace the inputs; when dimensions are
     unchanged the register order of the space is preserved exactly, otherwise
     the output registers are placed first followed by the untouched rest.
+
+    Each Kraus matrix K acts as the operator-sum term on a subsystem: with the
+    mapped registers as the middle factor of a (p, d_in, s) split of the row
+    index, K contracts that factor, and K̄ then contracts the matching factor
+    of the column index.  A Kraus matrix costs D²·d_out + D'²·d_in
+    multiply-adds, within O(D²·d_in·d_out), for input dimension D and output
+    dimension D'.  Rows are done in blocks of about 4 MB, so there are no D×D
+    temporaries besides the result, with two exceptions: the state is copied
+    into a new register order when the mapped registers are not adjacent in
+    the space, and the result is copied when its registers must then be put
+    into the order given above.
     """
     if outcome not in op.outcome_set:
         raise BadOutcome(f"outcome {outcome!r} not in {op.outcome_set}")
-    if tuple(r.dim for r in regmap.in_regs) != op.in_dims:
-        raise ShapeError("mapped register dims do not match operation input dims")
-    if tuple(r.dim for r in regmap.out_regs) != op.out_dims:
-        raise ShapeError("output register dims do not match operation output dims")
-    for reg in regmap.in_regs:
-        if reg not in rho.space:
-            raise UnknownRegister(f"register {reg} not in space")
-    for reg in regmap.out_regs:
-        if reg not in regmap.in_regs and reg in rho.space:
-            raise IdCollision(f"output register {reg} already present in space")
+    _check_regmap(rho, op, regmap)
 
-    front, rest_regs = _embed_front(rho, regmap.in_regs)
-    rest_dim = 1
-    for r in rest_regs:
-        rest_dim *= r.dim
-    eye = np.eye(rest_dim, dtype=np.complex128)
-    out = np.zeros(
-        (op.out_dim * rest_dim, op.out_dim * rest_dim), dtype=np.complex128
-    )
-    for k in op.kraus_by_outcome[outcome]:
-        big = np.kron(k, eye)
-        out += big @ front @ big.conj().T
+    regs = rho.space.registers
+    dims = rho.space.dims
+    pos = [regs.index(r) for r in regmap.in_regs]
+    # Slots sorted by their register's place in the space.
+    slots = sorted(range(len(pos)), key=pos.__getitem__)
+    first = pos[slots[0]] if pos else 0
+    before = [i for i in range(first) if i not in pos]
+    after = [i for i in range(first, len(regs)) if i not in pos]
+    mat = _permute_registers(rho.entries, dims, before + sorted(pos) + after)
 
-    out_regs = list(regmap.out_regs)
-    if regmap.out_regs == regmap.in_regs:
-        # Restore the original register order of the space.
-        orig = list(rho.space.registers)
-        cur = out_regs + rest_regs
-        order = [cur.index(r) for r in orig]
-        perm = _basis_permutation([r.dim for r in cur], order)
-        out = out[np.ix_(perm, perm)]
-        return DensityMatrix(rho.space, out)
-    return DensityMatrix(RegisterSpace(tuple(out_regs + rest_regs)), out)
+    # Reorder the Kraus axes to match: inputs in space order, and outputs too
+    # when they take the inputs' place.
+    same = regmap.out_regs == regmap.in_regs
+    out_slots = slots if same else list(range(len(op.out_dims)))
+    axes = out_slots + [len(op.out_dims) + j for j in slots]
+    p = int(np.prod([dims[i] for i in before]))
+    s = int(np.prod([dims[i] for i in after]))
+    d, din, dout = mat.shape[0], op.in_dim, op.out_dim
+    d_new = p * dout * s
+    kraus = [k.reshape(op.out_dims + op.in_dims).transpose(axes).reshape(dout, din)
+             for k in op.kraus_by_outcome[outcome]]
+    # A block of rows of ρ, split as (p, d_in, s), takes whole values of the
+    # first index when they fit, else a run of the last index.
+    per_a = din * s * d
+    if per_a <= _BLOCK_ENTRIES:
+        ab, cb = _BLOCK_ENTRIES // per_a, s
+    else:
+        ab, cb = 1, max(1, _BLOCK_ENTRIES // (din * d))
+    mat4 = mat.reshape(p, din, s, d)
+    out = np.empty((d_new, d_new), dtype=np.complex128)
+    out4 = out.reshape(p, dout, s, d_new)
+    for a in range(0, p, ab):
+        for c in range(0, s, cb):
+            rows = mat4[a:a + ab, :, c:c + cb]
+            na, nc = rows.shape[0], rows.shape[2]
+            rows = rows.reshape(na, din, nc * d)
+            terms = [_contract_middle(k.conj(), np.matmul(k, rows), s) for k in kraus]
+            out4[a:a + ab, :, c:c + cb] = (
+                sum(terms[1:], terms[0]).reshape(na, dout, nc, d_new) if terms else 0)
+
+    cur = ([regs[i] for i in before] + [regmap.out_regs[j] for j in out_slots]
+           + [regs[i] for i in after])
+    target = list(regs) if same else list(regmap.out_regs) + [regs[i] for i in before + after]
+    out = _permute_registers(out, [r.dim for r in cur], [cur.index(r) for r in target])
+    space = rho.space if same else RegisterSpace(tuple(target))
+    return DensityMatrix(space, out)
+
+
+def outcome_probabilities(
+    rho: DensityMatrix, op: QuantumOperation, regmap: RegisterMap
+) -> np.ndarray:
+    """p(r) = Σ_K tr(K ρ_A K†) for each outcome r, in outcome-set order.
+
+    ρ_A is the reduced state on the mapped registers, so no outcome is
+    applied to the whole state: the cost is O(D·d_in) for ρ_A plus
+    O(d_in²·d_out) per Kraus matrix.  Each p(r) equals the trace of
+    ``apply_outcome(rho, op, regmap, r)`` and is clipped at 0.
+    """
+    _check_regmap(rho, op, regmap)
+    rho_a = _reduced_state(rho, regmap.in_regs)
+    return np.array([
+        max(sum(float(np.vdot(k, k @ rho_a).real) for k in op.kraus_by_outcome[r]), 0.0)
+        for r in op.outcome_set
+    ])
+
+
+def draw_outcome(
+    rho: DensityMatrix,
+    op: QuantumOperation,
+    regmap: RegisterMap,
+    rng: np.random.Generator,
+) -> str:
+    """Draw an outcome label with its physical probability; nothing is applied."""
+    probs = outcome_probabilities(rho, op, regmap)
+    probs = probs / probs.sum()
+    return op.outcome_set[rng.choice(len(op.outcome_set), p=probs)]
 
 
 def sample_outcome(
@@ -401,17 +490,13 @@ def sample_outcome(
     """Draw an outcome with its physical probability and return the new state.
 
     The returned state is not renormalized; its trace is the joint probability
-    of the full outcome history so far.
+    of the full outcome history so far.  Only the drawn outcome is applied.
     """
     tr = rho.trace
     if tr <= 1e-15:
         raise ZeroProbabilityHistory(f"state trace {tr} is numerically zero")
-    results = {r: apply_outcome(rho, op, regmap, r) for r in op.outcome_set}
-    probs = np.array([max(results[r].trace, 0.0) for r in op.outcome_set])
-    probs = probs / probs.sum()
-    choice = rng.choice(len(op.outcome_set), p=probs)
-    r = op.outcome_set[choice]
-    return r, results[r]
+    r = draw_outcome(rho, op, regmap, rng)
+    return r, apply_outcome(rho, op, regmap, r)
 
 
 def validate_operation(op: QuantumOperation, eps: float = EPS_VALIDATE) -> ValidationReport:
@@ -436,10 +521,9 @@ def canonical_form(rho: DensityMatrix) -> DensityMatrix:
     order = sorted(range(len(regs)), key=lambda i: regs[i].id)
     if order == list(range(len(regs))):
         return rho
-    perm = _basis_permutation([r.dim for r in regs], order)
     return DensityMatrix(
         RegisterSpace(tuple(regs[i] for i in order)),
-        rho.entries[np.ix_(perm, perm)],
+        _permute_registers(rho.entries, [r.dim for r in regs], order),
     )
 
 

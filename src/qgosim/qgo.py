@@ -268,13 +268,7 @@ def choose_outcome(state: SystemState, spec: LocalOpSpec, ctx: GenContext) -> st
     if len(spec.qop.outcome_set) == 1:
         return spec.qop.outcome_set[0]
     regmap = RegisterMap(spec.in_regs, spec.out_regs)
-    probs = np.array([
-        max(qcore.apply_outcome(state.quantum, spec.qop, regmap, r).trace, 0.0)
-        for r in spec.qop.outcome_set
-    ])
-    probs = probs / probs.sum()
-    idx = ctx.rng.choice(len(spec.qop.outcome_set), p=probs)
-    return spec.qop.outcome_set[idx]
+    return qcore.draw_outcome(state.quantum, spec.qop, regmap, ctx.rng)
 
 
 def same_operation(a: QuantumOperation | None, b: QuantumOperation | None) -> bool:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -196,6 +197,18 @@ class TestCli:
         r = self.run_cli("verify", str(trace))
         assert r.returncode == 1
 
+    def test_trace_without_procs_record_exits_2(self, tmp_path):
+        cfg = ScenarioConfig(base="ping", procs=2, base_params={"n_msgs": 1}, seed=0)
+        res = run_simulation(cfg)
+        text = traceio.serialize_run(res.execution, res.config, res.decisions)
+        trace = tmp_path / "noprocs.jsonl"
+        trace.write_text("".join(l for l in text.splitlines(keepends=True)
+                                 if '"t": "procs"' not in l))
+        r = self.run_cli("verify", str(trace))
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        assert r.stderr.strip() == "error: trace has no procs record"
+
     def test_bad_input_exit_code(self, tmp_path):
         junk = tmp_path / "junk.jsonl"
         junk.write_text("definitely not a trace\n")
@@ -217,3 +230,35 @@ class TestCli:
         r = self.run_cli("batch", "--config", str(cfg), "--seeds", "0:4")
         assert r.returncode == 0
         assert "4/4 accepted" in r.stdout
+
+
+# sha256 of ``serialize_run`` for pinned configurations.  The kernels may
+# change how they compute a state, but never which outcomes a seed draws:
+# the same seed must give a byte-identical trace.
+GOLDEN_TRACES = {
+    # ROADMAP scenario (a): 44 events, D=4.
+    "scenario-a": (
+        dict(base="token-ring", procs=2,
+             base_params={"epr_pair": True, "max_hops": 6},
+             invocations=[{"gid": "snapshot-measure", "leader": "p0", "after_step": 2},
+                          {"gid": "snapshot-measure", "leader": "p0", "after_step": 6}],
+             seed=0),
+        "459a3c4efab440a2a06acc69c05e752559d7c42b56b53a1c7e7d8b3bf40e7b1b",
+    ),
+    # D=64, 16 outcomes per global-encrypt component.
+    "global-encrypt-d64": (
+        dict(base="token-ring", procs=3,
+             base_params={"qubits_per_proc": 2, "max_hops": 6},
+             invocations=[{"gid": "global-encrypt", "leader": "p0", "after_step": 2}],
+             seed=0),
+        "116623447b9381fe8341776df3030d03fcbeb2bc134db4c5a6e70c5eeb11abae",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TRACES))
+def test_golden_trace(name):
+    cfg, digest = GOLDEN_TRACES[name]
+    res = run_simulation(ScenarioConfig.from_dict(cfg))
+    text = traceio.serialize_run(res.execution, res.config, res.decisions)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -1,5 +1,7 @@
 """Property-based checks of the algebraic invariants."""
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -69,3 +71,117 @@ def test_classical_encoding_is_stable(d):
        st.from_regex(r"[a-z]{1,4}", fullmatch=True))
 def test_channel_key_roundtrip(src, dst):
     assert sysmodel.chan_endpoints(sysmodel.chan_key(src, dst)) == (src, dst)
+
+
+# ---------------------------------------------------------------------------
+# The local-contraction kernel against the Kronecker-product definition
+# ---------------------------------------------------------------------------
+
+def _oracle_apply(rho, op, regmap, outcome):
+    """kron(K, I_rest) · ρ · kron(K, I_rest)† on the full basis: O(D³), kept
+    here as the reference definition of ``apply_outcome``."""
+    regs = list(rho.space.registers)
+    dims = [r.dim for r in regs]
+
+    def perm_of(dims, order):
+        if not dims:
+            return np.array([0])
+        idx = np.arange(int(np.prod(dims))).reshape(dims)
+        return np.transpose(idx, order).reshape(-1)
+
+    positions = [regs.index(r) for r in regmap.in_regs]
+    rest = [i for i in range(len(regs)) if i not in positions]
+    perm = perm_of(dims, positions + rest)
+    front = rho.entries[np.ix_(perm, perm)]
+    rest_regs = [regs[i] for i in rest]
+    eye = np.eye(int(np.prod([r.dim for r in rest_regs])))
+    out = np.zeros((op.out_dim * len(eye),) * 2, dtype=complex)
+    for k in op.kraus_by_outcome[outcome]:
+        big = np.kron(k, eye)
+        out = out + big @ front @ big.conj().T
+    cur = list(regmap.out_regs) + rest_regs
+    if regmap.out_regs == regmap.in_regs:
+        order = [cur.index(r) for r in regs]
+        perm = perm_of([r.dim for r in cur], order)
+        return DensityMatrix(rho.space, out[np.ix_(perm, perm)])
+    return DensityMatrix(RegisterSpace(tuple(cur)), out)
+
+
+@st.composite
+def kernel_cases(draw):
+    """A random state on 1-4 registers of dimension 2 or 3, and a random
+    multi-Kraus operation (an outcome may have no Kraus matrix at all) on
+    registers at random positions in random slot order; the operation keeps,
+    discards, reorders or grows its registers."""
+    dims = draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=4))
+    regs = tuple(RegisterId(10 + i, d) for i, d in enumerate(dims))
+    order = draw(st.permutations(range(len(regs))))
+    kind = draw(st.sampled_from(["same", "discard", "reorder", "grow"]))
+    m = draw(st.integers(0 if kind == "grow" else 1, len(regs)))
+    in_regs = tuple(regs[i] for i in order[:m])
+    if kind == "same":
+        out_regs = in_regs
+    elif kind == "discard":
+        out_regs = ()
+    elif kind == "reorder":
+        out_regs = in_regs[::-1]
+    else:
+        out_regs = in_regs + (RegisterId(99, draw(st.sampled_from([2, 3]))),)
+    n_kraus = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    d = int(np.prod(dims))
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = a @ a.conj().T
+    rho = DensityMatrix(RegisterSpace(regs), rho / np.trace(rho).real)
+    in_dims = tuple(r.dim for r in in_regs)
+    out_dims = tuple(r.dim for r in out_regs)
+    din, dout = int(np.prod(in_dims)), int(np.prod(out_dims))
+    outcomes = tuple(str(i) for i in range(len(n_kraus)))
+    scale = 1 / np.sqrt(din * max(sum(n_kraus), 1))
+    kraus = {
+        r: tuple(scale * (rng.normal(size=(dout, din)) + 1j * rng.normal(size=(dout, din)))
+                 for _ in range(c))
+        for r, c in zip(outcomes, n_kraus)
+    }
+    op = qcore.QuantumOperation(outcomes, kraus, in_dims, out_dims)
+    return rho, op, RegisterMap(in_regs, out_regs)
+
+
+@given(kernel_cases())
+@settings(max_examples=150, deadline=None)
+def test_apply_outcome_matches_kronecker_oracle(case):
+    rho, op, regmap = case
+    for r in op.outcome_set:
+        got = qcore.apply_outcome(rho, op, regmap, r)
+        want = _oracle_apply(rho, op, regmap, r)
+        assert got.space.registers == want.space.registers
+        assert np.allclose(got.entries, want.entries, atol=qcore.EPS_EXACT, rtol=0)
+
+
+def test_apply_outcome_row_blocks_cover_every_row():
+    """Every block size, including those that leave a partial last block in
+    either index around the mapped register, gives the oracle's result."""
+    regs = (RegisterId(0, 3), RegisterId(1, 2), RegisterId(2, 3))
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(18, 18)) + 1j * rng.normal(size=(18, 18))
+    rho = DensityMatrix(RegisterSpace(regs), a @ a.conj().T / np.trace(a @ a.conj().T).real)
+    kraus = tuple(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2))
+    op = qcore.QuantumOperation(("k",), {"k": kraus}, (2,), (2,))
+    regmap = RegisterMap((regs[1],))
+    want = _oracle_apply(rho, op, regmap, "k")
+    for block_entries in range(1, 18 * 18 + 1):
+        with mock.patch.object(qcore, "_BLOCK_ENTRIES", block_entries):
+            got = qcore.apply_outcome(rho, op, regmap, "k")
+        assert np.allclose(got.entries, want.entries, atol=qcore.EPS_EXACT, rtol=0)
+
+
+@given(kernel_cases())
+@settings(max_examples=150, deadline=None)
+def test_outcome_probabilities_are_outcome_traces(case):
+    rho, op, regmap = case
+    probs = qcore.outcome_probabilities(rho, op, regmap)
+    assert probs.shape == (len(op.outcome_set),)
+    for i, r in enumerate(op.outcome_set):
+        assert abs(probs[i] - qcore.apply_outcome(rho, op, regmap, r).trace) \
+            < qcore.EPS_EXACT
