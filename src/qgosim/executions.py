@@ -9,17 +9,12 @@ fully deterministic and needs no random source.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace as dc_replace
-from typing import Any, Callable, Sequence
-
-import numpy as np
+from dataclasses import dataclass, replace as dc_replace
+from typing import Any, Callable
 
 from . import qcore, sysmodel
-from .qcore import QuantumOperation, RegisterId
+from .qcore import ZERO_TRACE, QuantumOperation, RegisterId
 from .sysmodel import MessageInstance, SystemState
-
-# Traces below this are treated as physically impossible histories.
-ZERO_TRACE = 1e-15
 
 
 class ReplayError(Exception):
@@ -176,7 +171,15 @@ class Execution:
 Fragment = Execution
 
 
-def _with_proc_classical(state: SystemState, proc: str, sigma, ext) -> SystemState:
+# What an invalid step raises: a replay reports any of these as a ReplayError.
+STEP_ERRORS = (sysmodel.SysmodelError, qcore.QcoreError, KeyError)
+
+
+def _run_on(state: SystemState, proc: str, update, outcome) -> SystemState:
+    """Run ``update`` on ``proc``'s (sigma, ext) and store the result."""
+    if update is None:
+        return state
+    sigma, ext = run_update(update, state.classical[proc], state.ext[proc], outcome)
     classical = dict(state.classical)
     extmap = dict(state.ext)
     classical[proc] = sigma
@@ -185,56 +188,36 @@ def _with_proc_classical(state: SystemState, proc: str, sigma, ext) -> SystemSta
 
 
 def step(state: SystemState, event: Event) -> SystemState:
-    """Apply a single event under the distributed-algorithm semantics."""
+    """Apply a single event under the distributed-algorithm semantics.
+
+    Each event's own classical update runs once, at the end, on the
+    processor named by its label (an Apply's ``proc``).
+    """
     if isinstance(event, Invoke):
         # Invocation touches only the extension state; the bookkeeping is
         # carried by the operation event that follows it.
         return state
 
-    if isinstance(event, Respond):
-        sigma, ext = run_update(
-            event.update, state.classical[event.label], state.ext[event.label], None
-        )
-        return _with_proc_classical(state, event.label, sigma, ext)
-
+    proc, outcome = event.label, None
     if isinstance(event, Apply):
-        msg_in_flight = (
+        proc, outcome = event.proc, event.outcome
+        in_flight = (
             event.target_msg is not None
             and state.find_message(event.target_msg) is not None
         )
-        new_state = sysmodel.apply_local(
-            state,
-            event.proc,
-            event.qop,
-            event.in_regs,
-            event.out_regs,
-            event.outcome,
+        state = sysmodel.apply_local(
+            state, proc, event.qop, event.in_regs, event.out_regs, outcome,
             target_msg=event.target_msg,
         )
-        if event.qop is not None and new_state.quantum.trace < ZERO_TRACE:
-            raise sysmodel.SysmodelError(
-                f"outcome {event.outcome!r} has zero probability"
-            )
-        if msg_in_flight:
-            # Outcome parked in the message's pending slot; the classical
-            # update runs when the message is received.
-            return new_state
-        sigma, ext = run_update(
-            event.update,
-            new_state.classical[event.proc],
-            new_state.ext[event.proc],
-            event.outcome,
-        )
-        return _with_proc_classical(new_state, event.proc, sigma, ext)
-
-    if isinstance(event, Send):
-        new_state = sysmodel.send(state, event.label, event.msg)
-        sigma, ext = run_update(
-            event.update, new_state.classical[event.label], new_state.ext[event.label], None
-        )
-        return _with_proc_classical(new_state, event.label, sigma, ext)
-
-    if isinstance(event, Receive):
+        if event.qop is not None and state.quantum.trace < ZERO_TRACE:
+            raise sysmodel.SysmodelError(f"outcome {outcome!r} has zero probability")
+        if in_flight:
+            # Outcome parked in the message's pending slot; it is filed in
+            # the receiver's channel record when the message is received.
+            return state
+    elif isinstance(event, Send):
+        state = sysmodel.send(state, proc, event.msg)
+    elif isinstance(event, Receive):
         contents = state.channels.get(event.chan, ())
         if not contents:
             raise sysmodel.EmptyChannel(f"channel {event.chan} is empty")
@@ -243,27 +226,27 @@ def step(state: SystemState, event: Event) -> SystemState:
                 f"expected message {event.msg_id} at head of {event.chan}, "
                 f"found {contents[0].msg_id}"
             )
-        new_state, msg = sysmodel.receive(state, event.label, event.chan)
-        sigma, ext = run_update(
-            event.update, new_state.classical[event.label], new_state.ext[event.label], None
-        )
-        return _with_proc_classical(new_state, event.label, sigma, ext)
-
-    if isinstance(event, AtomicExecute):
-        from .specmachine import apply_atomic  # spec-only semantics
-        return apply_atomic(state, event)
-
-    raise TypeError(f"unknown event type {type(event)!r}")
+        state, msg = sysmodel.receive(state, proc, event.chan)
+        if msg.pending is not None:
+            # The outcome recorded in flight, filed as if recorded now.
+            record = ClassicalUpdate("qgo.record", (event.chan,))
+            state = _run_on(state, proc, record, msg.pending)
+    elif not isinstance(event, Respond):
+        raise TypeError(f"unknown event type {type(event)!r}")
+    return _run_on(state, proc, event.update, outcome)
 
 
-def replay(x: Execution) -> list[SystemState]:
+def replay(x: Execution, step_fn: Callable | None = None) -> list[SystemState]:
     """Replay, returning the full state sequence Ψ^0 .. Ψ^n.
 
-    Deterministic: every outcome is fixed inside its event.  Raises
-    ReplayError (with the failing index) on any invalid step, including
-    receive-before-send, FIFO violations, reused message ids, and
-    zero-probability outcomes.
+    ``step_fn`` is the machine's step function: ``step`` unless given, so
+    the specification machine passes its own.  Deterministic: every outcome
+    is fixed inside its event.  Raises ReplayError (with the failing index)
+    on any invalid step, including receive-before-send, FIFO violations,
+    reused message ids, and zero-probability outcomes.
     """
+    if step_fn is None:
+        step_fn = step
     states = [x.initial]
     seen_ids = set(x.initial.message_ids())
     state = x.initial
@@ -273,8 +256,8 @@ def replay(x: Execution) -> list[SystemState]:
                 raise ReplayError(i, f"message id {event.msg.msg_id} reused")
             seen_ids.add(event.msg.msg_id)
         try:
-            state = step(state, event)
-        except (sysmodel.SysmodelError, qcore.QcoreError, KeyError) as exc:
+            state = step_fn(state, event)
+        except STEP_ERRORS as exc:
             raise ReplayError(i, str(exc)) from exc
         states.append(state)
     return states

@@ -7,11 +7,10 @@ trace round-trips to bit-identical states and events.
 from __future__ import annotations
 
 import json
-from dataclasses import replace as dc_replace
 
 import numpy as np
 
-from .. import executions, sysmodel
+from .. import sysmodel
 from ..executions import (
     Apply,
     AtomicExecute,
@@ -193,20 +192,6 @@ def decode_event(d: dict) -> Event:
         return Receive(
             eid=d["eid"], label=d["label"], chan=d["chan"], msg_id=d["msg"],
             update=_parse_update(d["update"]), protocol=d["protocol"],
-        )
-    if k == "atomic":
-        return AtomicExecute(
-            eid=d["eid"], label=d["label"], gid=d["gid"],
-            proc_comps=tuple(
-                (p, _parse_qop(q), tuple(_parse_reg(r) for r in i),
-                 tuple(_parse_reg(r) for r in o), out, _parse_update(u))
-                for p, q, i, o, out, u in d["procs"]
-            ),
-            msg_comps=tuple(
-                (m, _parse_qop(q), tuple(_parse_reg(r) for r in i),
-                 tuple(_parse_reg(r) for r in o), out)
-                for m, q, i, o, out in d["msgs"]
-            ),
         )
     raise TraceError(f"unknown event kind {k!r}")
 

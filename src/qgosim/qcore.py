@@ -48,10 +48,15 @@ __all__ = [
 # Outcome label meaning "no measurement was performed".
 NO_OUTCOME = "⊥"
 
-# Tolerance for validation of accumulated quantities (hermiticity, PSD,
-# trace preservation) versus freshly computed algebraic identities.
+# Numeric tolerances, all in one place.
+# Validation of accumulated quantities: hermiticity, PSD, trace preservation.
 EPS_VALIDATE = 1e-9
+# One freshly computed algebraic identity, such as a single checked swap.
 EPS_EXACT = 1e-12
+# Identities accumulated over long chains of transformations.
+EPS_CHAIN = 1e-9
+# A trace below this (in sample_outcome, at or below) is an impossible history.
+ZERO_TRACE = 1e-15
 
 DEFAULT_DIM_CAP = 4096
 
@@ -493,7 +498,7 @@ def sample_outcome(
     of the full outcome history so far.  Only the drawn outcome is applied.
     """
     tr = rho.trace
-    if tr <= 1e-15:
+    if tr <= ZERO_TRACE:
         raise ZeroProbabilityHistory(f"state trace {tr} is numerically zero")
     r = draw_outcome(rho, op, regmap, rng)
     return r, apply_outcome(rho, op, regmap, r)

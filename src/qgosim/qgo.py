@@ -11,9 +11,8 @@ a block of events that is atomic on its processor.
 
 from __future__ import annotations
 
-import copy
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,13 +66,6 @@ def incoming_channels(procs, proc) -> list[str]:
 
 def outgoing_channels(procs, proc) -> list[str]:
     return sorted(chan_key(proc, p) for p in procs)
-
-
-def append_record(ext, chan, outcome):
-    """Pure helper: new ext with ``outcome`` appended to the channel record."""
-    ext = copy.deepcopy(ext)
-    ext["res"].setdefault(chan, []).append(outcome)
-    return ext
 
 
 def record_from_ext(proc, ext):

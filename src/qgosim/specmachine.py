@@ -9,10 +9,9 @@ towards it, per channel in FIFO order.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import replace as dc_replace
 
-from . import executions, qcore, sysmodel
+from . import executions
 from .executions import (
     Apply,
     AtomicExecute,
@@ -25,33 +24,17 @@ from .executions import (
     ValidationResult,
     run_update,
 )
-from .qcore import RegisterMap
-from .sysmodel import SystemState, chan_key
+from .qcore import ZERO_TRACE
+from .sysmodel import SysmodelError, SystemState, apply_quantum, chan_key
 
 
-class SpecViolation(Exception):
-    pass
+class SpecViolation(SysmodelError):
+    """A step the specification machine does not allow; a replay reports it
+    as a ReplayError, like any other invalid step."""
 
 
 def spec_idle_ext(procs) -> dict:
     return {p: None for p in procs}
-
-
-def _apply_component(state: SystemState, qop, in_regs, out_regs, outcome, owner):
-    """One quantum component; ownership follows any register change."""
-    if qop is None:
-        return state
-    quantum = qcore.apply_outcome(
-        state.quantum, qop, RegisterMap(tuple(in_regs), tuple(out_regs)), outcome
-    )
-    ownership = dict(state.ownership)
-    for reg in in_regs:
-        if reg not in out_regs:
-            del ownership[reg]
-    for reg in out_regs:
-        if reg not in in_regs:
-            ownership[reg] = owner
-    return dc_replace(state, quantum=quantum, ownership=ownership)
 
 
 def apply_atomic(state: SystemState, event: AtomicExecute) -> SystemState:
@@ -77,14 +60,14 @@ def apply_atomic(state: SystemState, event: AtomicExecute) -> SystemState:
 
     classical = dict(state.classical)
     for proc, qop, in_regs, out_regs, outcome, cop_update in event.proc_comps:
-        state = _apply_component(state, qop, in_regs, out_regs, outcome, proc)
+        state = apply_quantum(state, qop, in_regs, out_regs, outcome, proc)
         sigma, _ = run_update(cop_update, classical[proc], None, outcome)
         classical[proc] = sigma
     for msg_id, qop, in_regs, out_regs, outcome in event.msg_comps:
         msg = state.find_message(msg_id)
-        state = _apply_component(state, qop, in_regs, out_regs, outcome, msg.owner_token)
+        state = apply_quantum(state, qop, in_regs, out_regs, outcome, msg.owner_token)
 
-    if state.quantum.trace < executions.ZERO_TRACE:
+    if state.quantum.trace < ZERO_TRACE:
         raise SpecViolation("atomic outcome combination has zero probability")
 
     self_outcome = {c[0]: c[4] for c in event.proc_comps}
@@ -142,26 +125,12 @@ def spec_step(state: SystemState, event: Event) -> SystemState:
     raise SpecViolation(f"event type {type(event).__name__} not allowed here")
 
 
-def replay_spec(x: Execution) -> list[SystemState]:
-    states = [x.initial]
-    state = x.initial
-    for i, event in enumerate(x.events):
-        try:
-            state = spec_step(state, event)
-        except (sysmodel.SysmodelError, qcore.QcoreError, KeyError) as exc:
-            raise SpecViolation(f"invalid step at index {i}: {exc}") from exc
-        states.append(state)
-    return states
-
-
 def validate_spec_execution(x: Execution) -> ValidationResult:
     """Replay under the specification machine, reporting the first failure."""
-    state = x.initial
-    for i, event in enumerate(x.events):
-        try:
-            state = spec_step(state, event)
-        except (SpecViolation, sysmodel.SysmodelError, qcore.QcoreError, KeyError) as exc:
-            return ValidationResult(False, i, str(exc))
+    try:
+        state = executions.replay(x, spec_step)[-1]
+    except executions.ReplayError as exc:
+        return ValidationResult(False, exc.index, exc.reason)
     for p in x.initial.procs:
         if state.ext.get(p) is not None:
             return ValidationResult(False, None, f"{p} ends with an open operation")

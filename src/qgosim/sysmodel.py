@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import copy
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
 import numpy as np
@@ -74,7 +74,7 @@ class MessageInstance:
     quantum_regs: tuple[RegisterId, ...] = ()
     marker: str | None = None
     # Transient slot for the outcome of a global operation applied to this
-    # message while it is still in flight; cleared on reception.
+    # message while it is still in flight; filed on reception.
     pending: str | None = None
 
     @property
@@ -153,9 +153,13 @@ def send(state: SystemState, sender: str, msg: MessageInstance) -> SystemState:
     """Append ``msg`` to the channel sender->dst, moving register ownership.
 
     The quantum matrix entries are unchanged; only the ownership labels move.
+    A sent message carries no pending outcome: only an operation applied in
+    flight sets one.
     """
     if msg.src != sender:
         raise OwnershipViolation(f"message src {msg.src} does not match sender {sender}")
+    if msg.pending is not None:
+        raise SysmodelError(f"message {msg.msg_id} is sent with a pending outcome")
     if msg.msg_id in state.message_ids():
         raise DuplicateMessage(f"message id {msg.msg_id} already in flight")
     for reg in msg.quantum_regs:
@@ -176,9 +180,9 @@ def receive(state: SystemState, receiver: str, chan: ChannelKey) -> tuple[System
     """Pop the head of ``chan`` and deliver it to ``receiver``.
 
     Ownership of the message's registers moves to the receiver.  Non-marker
-    classical contents are appended to the receiver's inbox; a pending
-    global-operation outcome carried by the message is moved into the
-    receiver's channel record.
+    classical contents are appended to the receiver's inbox.  The message is
+    returned as it left the channel, so the caller files any pending outcome
+    it carries.
     """
     _, dst = chan_endpoints(chan)
     if dst != receiver:
@@ -194,21 +198,38 @@ def receive(state: SystemState, receiver: str, chan: ChannelKey) -> tuple[System
     channels[chan] = rest
 
     classical = dict(state.classical)
-    ext = dict(state.ext)
     if msg.marker is None:
         sigma = copy.deepcopy(classical[receiver])
         sigma.setdefault("inbox", []).append([chan, copy.deepcopy(msg.classical)])
         classical[receiver] = sigma
-    if msg.pending is not None:
-        # A recorded outcome travelling with the message lands in the
-        # receiver's channel record, exactly as if it had been recorded
-        # on reception.
-        from .qgo import append_record  # local import to avoid a cycle
-        ext[receiver] = append_record(ext[receiver], chan, msg.pending)
-        msg = replace(msg, pending=None)
+    return replace(state, classical=classical, channels=channels, ownership=ownership), msg
 
-    new_state = replace(state, classical=classical, ext=ext, channels=channels, ownership=ownership)
-    return new_state, msg
+
+def apply_quantum(
+    state: SystemState,
+    qop: QuantumOperation | None,
+    in_regs: tuple[RegisterId, ...],
+    out_regs: tuple[RegisterId, ...],
+    outcome: str,
+    owner: str,
+) -> SystemState:
+    """Apply one outcome of ``qop`` with no locality check.
+
+    Ownership follows the register change: consumed registers are dropped
+    and created ones go to ``owner``.  A None ``qop`` leaves the state as is.
+    """
+    if qop is None:
+        return state
+    regmap = RegisterMap(tuple(in_regs), tuple(out_regs))
+    quantum = qcore.apply_outcome(state.quantum, qop, regmap, outcome)
+    ownership = dict(state.ownership)
+    for reg in in_regs:
+        if reg not in out_regs:
+            del ownership[reg]
+    for reg in out_regs:
+        if reg not in in_regs:
+            ownership[reg] = owner
+    return replace(state, quantum=quantum, ownership=ownership)
 
 
 def apply_local(
@@ -242,51 +263,14 @@ def apply_local(
                 f"{state.ownership.get(reg)})"
             )
 
-    if qop is None:
-        quantum = state.quantum
-        ownership = dict(state.ownership)
-    else:
-        regmap = RegisterMap(in_regs, out_regs)
-        quantum = qcore.apply_outcome(state.quantum, qop, regmap, outcome)
-        ownership = dict(state.ownership)
-        for reg in in_regs:
-            if reg not in out_regs:
-                del ownership[reg]
-        for reg in out_regs:
-            if reg not in in_regs:
-                ownership[reg] = required_owner
-
-    new_state = replace(state, quantum=quantum, ownership=ownership)
+    new_state = apply_quantum(state, qop, in_regs, out_regs, outcome, required_owner)
     if msg_in_flight is not None:
-        new_state = _set_message_pending(new_state, target_msg, outcome)
+        channels = {
+            key: tuple(replace(m, pending=outcome) if m is msg_in_flight else m for m in chan)
+            for key, chan in new_state.channels.items()
+        }
+        new_state = replace(new_state, channels=channels)
     return new_state
-
-
-def _set_message_pending(state: SystemState, msg_id: int, outcome: str) -> SystemState:
-    channels = dict(state.channels)
-    for key, contents in channels.items():
-        for i, m in enumerate(contents):
-            if m.msg_id == msg_id:
-                updated = replace(m, pending=outcome)
-                channels[key] = contents[:i] + (updated,) + contents[i + 1:]
-                return replace(state, channels=channels)
-    raise SysmodelError(f"message {msg_id} not found in any channel")
-
-
-def _channels_structurally_equal(a, b) -> bool:
-    if set(a) != set(b):
-        return False
-    for key in a:
-        if len(a[key]) != len(b[key]):
-            return False
-        for m1, m2 in zip(a[key], b[key]):
-            if (m1.msg_id, m1.src, m1.dst, m1.marker, m1.pending) != (
-                m2.msg_id, m2.src, m2.dst, m2.marker, m2.pending
-            ):
-                return False
-            if m1.classical != m2.classical or m1.quantum_regs != m2.quantum_regs:
-                return False
-    return True
 
 
 def states_equal(a: SystemState, b: SystemState, tol: float) -> bool:
@@ -297,7 +281,7 @@ def states_equal(a: SystemState, b: SystemState, tol: float) -> bool:
         return False
     if dict(a.ext) != dict(b.ext):
         return False
-    if not _channels_structurally_equal(a.channels, b.channels):
+    if dict(a.channels) != dict(b.channels):
         return False
     if dict(a.ownership) != dict(b.ownership):
         return False

@@ -17,16 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace as dc_replace
 
-from . import causality, executions, specmachine, sysmodel
+from . import executions, specmachine, sysmodel
 from .causality import (
     CausalDependency,
-    EPS_CHAIN,
-    EPS_EXACT,
+    CausalRelation,
     compute_causality,
     equicausal,
     swap_adjacent_cached,
 )
 from .executions import (
+    STEP_ERRORS,
     Apply,
     AtomicExecute,
     Event,
@@ -38,6 +38,7 @@ from .executions import (
     in_filter,
     replay,
 )
+from .qcore import EPS_CHAIN, EPS_EXACT
 
 
 class VerifierError(Exception):
@@ -179,16 +180,16 @@ _RANK = {"pre": 0, "op": 1, "post": 2}
 
 
 def eliminate_inversions(
-    x: Execution, states: list, frag: FragmentInfo
+    x: Execution, states: list, frag: FragmentInfo, rel: CausalRelation
 ) -> tuple[Execution, list, int]:
     """Sort the fragment's events by class with adjacent independent swaps.
 
     Repeatedly swaps the leftmost adjacent pair whose classes are out of
     order.  A causal dependency across such a pair means the execution does
-    not tripartition and is reported as a ClaimViolation.
+    not tripartition and is reported as a ClaimViolation.  ``rel`` is the
+    causal relation of ``x``; valid swaps leave it unchanged.
     """
     nswaps = 0
-    rel = compute_causality(x)
     while True:
         pos = None
         for i in range(frag.lo, frag.hi):
@@ -243,7 +244,7 @@ def reorder_message_ops(
         try:
             mid = executions.step(states[pos - 1], moved)
             end = executions.step(mid, recv)
-        except (sysmodel.SysmodelError, executions.ReplayError) as exc:
+        except STEP_ERRORS as exc:
             raise ClaimViolation(f"reception swap failed to replay: {exc}") from exc
         if not sysmodel.states_equal(end, states[pos + 1], EPS_EXACT):
             raise ClaimViolation(
@@ -322,10 +323,6 @@ def build_spec_execution(z: Execution, frags: list[FragmentInfo]) -> Execution:
         for i in range(frag.lo, frag.hi + 1):
             if frag.classes.get(z.events[i].eid) == "op":
                 last_pos = max(last_pos, i)
-        last_pos = max(
-            last_pos,
-            max((z.index_of(e) for e in frag.msg_apply_eids), default=last_pos),
-        )
         insert_after[last_pos] = AtomicExecute(
             eid=next_eid,
             label=frag.leader,
@@ -393,19 +390,22 @@ def verify(x: Execution) -> Certificate:
         return fail("decompose", str(exc))
     verdicts["decompose"] = True
 
+    x_final = states[-1]
     y = x
     nswaps = 0
+    rel = compute_causality(x)
     try:
         for frag in frags:
-            y, states, n = eliminate_inversions(y, states, frag)
+            y, states, n = eliminate_inversions(y, states, frag, rel)
             nswaps += n
     except ClaimViolation as exc:
         return fail("sort-classes", str(exc))
+    # Release the relation first, so at most two are held at once.
+    del rel
     if not equicausal(x, y):
         return fail("sort-classes", "sorted execution is not equicausal")
-    if not sysmodel.states_equal(
-        replay(y)[-1], replay(x)[-1], EPS_CHAIN
-    ):
+    y_final = replay(y)[-1]
+    if not sysmodel.states_equal(y_final, x_final, EPS_CHAIN):
         return fail("sort-classes", "sorted execution ends in a different state")
     verdicts["sort-classes"] = True
 
@@ -416,8 +416,7 @@ def verify(x: Execution) -> Certificate:
             nswaps += n
     except ClaimViolation as exc:
         return fail("move-message-ops", str(exc))
-    z_states = replay(z)
-    if not sysmodel.states_equal(z_states[-1], replay(y)[-1], EPS_CHAIN):
+    if not sysmodel.states_equal(replay(z)[-1], y_final, EPS_CHAIN):
         return fail("move-message-ops", "moved operations changed the final state")
     if not histories_correspond(history(y), history(z)):
         return fail("move-message-ops", "moving operations changed the history")

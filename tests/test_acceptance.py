@@ -324,7 +324,7 @@ def test_acceptance_7_classical_snapshot():
             x = run_simulation(cfg).execution
             cert = verifier.verify(x)
             assert cert.accepted
-            states = specmachine.replay_spec(cert.spec)
+            states = executions.replay(cert.spec, specmachine.spec_step)
             pos = next(i for i, e in enumerate(cert.spec.events)
                        if isinstance(e, executions.AtomicExecute))
             snap = states[pos + 1]

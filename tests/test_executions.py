@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qgosim import executions, qcore, sysmodel
+from qgosim import executions, qcore, qgo, sysmodel
 from qgosim.executions import (
     Apply,
     ClassicalUpdate,
@@ -130,6 +130,32 @@ class TestSliceConcat:
             executions.slice_execution(x, 0, 2)
         with pytest.raises(IndexError):
             executions.slice_execution(x, 2, 9)
+
+
+class TestInFlightRecord:
+    def test_apply_in_flight_then_receive_matches_receive_then_apply(self):
+        """An outcome parked on an in-flight message is filed in the
+        receiver's channel record at reception, as if recorded after it."""
+        st, r0, r1 = make_state()
+        recording = dict(qgo.idle_ext(), op="g", res={"p0->p1": []},
+                         waitset=["p0->p1"])
+        st = sysmodel.initial_state(st.procs, st.classical, st.quantum,
+                                    st.ownership, ext={"p0": None, "p1": recording})
+        msg = MessageInstance(0, "p0", "p1", classical={"kind": "half"}, quantum_regs=(r1,))
+        send = Send(eid=0, label="p0", msg=msg)
+        recv = Receive(eid=1, label="p1", chan="p0->p1", msg_id=0)
+        apply = Apply(eid=2, label="p1", proc="p1", name="gop-msg:g", outcome="1",
+                      qop=qcore.standard_basis_measurement([2]),
+                      in_regs=(r1,), out_regs=(r1,),
+                      update=ClassicalUpdate("qgo.record", ("p0->p1",)),
+                      target_msg=0)
+        after = replay(Execution(st, (send, recv, apply)))
+        before = replay(Execution(st, (send, apply, recv)))
+        assert before[2].find_message(0).pending == "1"
+        assert before[2].ext["p1"]["res"] == {"p0->p1": []}
+        assert after[-1].ext["p1"]["res"] == {"p0->p1": ["1"]}
+        assert before[-1].ext == after[-1].ext
+        assert sysmodel.states_equal(before[-1], after[-1], qcore.EPS_EXACT)
 
 
 class TestFilter:

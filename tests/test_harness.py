@@ -209,6 +209,46 @@ class TestCli:
         assert "Traceback" not in r.stderr
         assert r.stderr.strip() == "error: trace has no procs record"
 
+    def test_atomic_record_in_run_trace_exits_2(self, tmp_path):
+        cfg = ScenarioConfig(
+            base="ping", procs=2, base_params={"n_msgs": 1},
+            invocations=[{"gid": "record-only", "leader": "p0", "after_step": 1}],
+            seed=0,
+        )
+        res = run_simulation(cfg)
+        text = traceio.serialize_run(res.execution, cfg, res.decisions)
+        atomic = executions.AtomicExecute(eid=999, label="p0", gid="record-only")
+        trace = tmp_path / "atomic.jsonl"
+        trace.write_text(text + json.dumps(
+            {"t": "ev", **traceio.encode_event(atomic)}, sort_keys=True) + "\n")
+        r = self.run_cli("verify", str(trace))
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        assert r.stderr.strip() == "error: unknown event kind 'atomic'"
+
+    def test_send_with_forged_pending_outcome_rejected(self, tmp_path):
+        cfg = ScenarioConfig(
+            base="ping", procs=2, base_params={"n_msgs": 1},
+            invocations=[{"gid": "record-only", "leader": "p0", "after_step": 1}],
+            seed=0,
+        )
+        res = run_simulation(cfg)
+        lines = traceio.serialize_run(res.execution, cfg, res.decisions).splitlines()
+        k = next(i for i, line in enumerate(lines)
+                 if json.loads(line).get("k") == "send"
+                 and not json.loads(line)["protocol"])
+        rec = json.loads(lines[k])
+        rec["msg"]["pending"] = "forged"
+        lines[k] = json.dumps(rec, sort_keys=True)
+        trace = tmp_path / "pending.jsonl"
+        trace.write_text("\n".join(lines) + "\n")
+        r = self.run_cli("verify", str(trace))
+        assert r.returncode == 1
+        assert "Traceback" not in r.stderr
+        assert "well-formed: FAIL" in r.stdout
+        (reason,) = [l for l in r.stdout.splitlines() if l.startswith("rejected:")]
+        assert "sent with a pending outcome" in reason
+
     def test_bad_input_exit_code(self, tmp_path):
         junk = tmp_path / "junk.jsonl"
         junk.write_text("definitely not a trace\n")

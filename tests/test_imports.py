@@ -1,0 +1,102 @@
+"""The package's own import graph: every qgosim import is at module level,
+and no chain of imports leads from a module back to itself."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+PKG = SRC / "qgosim"
+
+
+def module_name(path: Path) -> str:
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+MODULES = {module_name(p): p for p in sorted(PKG.rglob("*.py"))}
+
+
+def imported_modules(node, module: str) -> list[str]:
+    """The qgosim modules an import statement in ``module`` names."""
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names if a.name.split(".")[0] == "qgosim"]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    if node.level:
+        base = module.split(".")
+        if MODULES[module].name != "__init__.py":
+            base = base[:-1]
+        base = base[: len(base) - node.level + 1]
+        target = ".".join(base + ([node.module] if node.module else []))
+    else:
+        target = node.module or ""
+    if target.split(".")[0] != "qgosim":
+        return []
+    # ``from . import a, b`` names submodules; ``from .a import f`` names a.
+    subs = [f"{target}.{a.name}" for a in node.names if f"{target}.{a.name}" in MODULES]
+    return subs or [target]
+
+
+def scan():
+    """(edges, function-level imports) over every module of the package."""
+    edges: dict[str, set[str]] = {m: set() for m in MODULES}
+    local: list[str] = []
+    for module, path in MODULES.items():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            edges[module].update(imported_modules(node, module))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for inner in ast.walk(node):
+                    for target in imported_modules(inner, module):
+                        local.append(f"{module}.{node.name} imports {target}")
+    return edges, local
+
+
+def find_cycle(edges: dict[str, set[str]]) -> list[str] | None:
+    """One cycle of the graph as a path that ends where it starts, or None."""
+    state: dict[str, int] = {}  # 1 on the current path, 2 finished
+    path: list[str] = []
+
+    def visit(m):
+        state[m] = 1
+        path.append(m)
+        for n in sorted(edges.get(m, ())):
+            if state.get(n) == 1:
+                return path[path.index(n):] + [n]
+            if n not in state:
+                cycle = visit(n)
+                if cycle:
+                    return cycle
+        path.pop()
+        state[m] = 2
+        return None
+
+    for m in sorted(edges):
+        if m not in state:
+            cycle = visit(m)
+            if cycle:
+                return cycle
+    return None
+
+
+def test_scan_sees_the_package_imports():
+    edges, _ = scan()
+    assert "qgosim.sysmodel" in edges["qgosim.executions"]
+    assert "qgosim.executions" in edges["qgosim.specmachine"]
+    assert "qgosim.harness.scenarios" in edges["qgosim.harness.traceio"]
+    assert "qgosim.verifier" in edges["qgosim.harness.traceio"]
+
+
+def test_find_cycle_reports_a_cycle():
+    assert find_cycle({"a": {"b"}, "b": {"c"}, "c": set()}) is None
+    assert find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
+
+
+def test_no_function_level_imports_of_qgosim():
+    _, local = scan()
+    assert local == []
+
+
+def test_import_graph_is_acyclic():
+    edges, _ = scan()
+    assert find_cycle(edges) is None

@@ -41,12 +41,15 @@ def drain(state, library, ctx, rng):
 
 
 class TestExtState:
-    def test_append_record_is_pure(self):
+    def test_record_update_is_pure(self):
+        sigma = {"inbox": []}
         ext = qgo.idle_ext()
         ext["res"] = {"a->b": []}
-        out = qgo.append_record(ext, "a->b", "r")
+        record = executions.ClassicalUpdate("qgo.record", ("a->b",))
+        out_sigma, out = executions.run_update(record, sigma, ext, "r")
         assert ext["res"]["a->b"] == []
         assert out["res"]["a->b"] == ["r"]
+        assert out_sigma == sigma and out_sigma is not sigma
 
     def test_incoming_channels_include_self(self):
         chans = qgo.incoming_channels(("p0", "p1"), "p1")

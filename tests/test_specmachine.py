@@ -54,7 +54,7 @@ class TestAtomicExecute:
 
     def test_records_assigned(self):
         x = self.full_exec()
-        states = specmachine.replay_spec(x)
+        states = executions.replay(x, spec_step)
         final = states[-1]
         assert final.quantum.trace == pytest.approx(0.5)
         r0rec = final.ext["p0"]["record"]
@@ -66,7 +66,7 @@ class TestAtomicExecute:
 
     def test_responds_must_match_records(self):
         x = self.full_exec()
-        final = specmachine.replay_spec(x)[-1]
+        final = executions.replay(x, spec_step)[-1]
         good = Respond(eid=3, label="p0", record=final.ext["p0"]["record"])
         spec_step(final, good)
         bad = Respond(eid=3, label="p0", record={"forged": True})
@@ -90,7 +90,7 @@ class TestAtomicExecute:
     def test_message_components_must_cover_in_flight(self):
         x = self.full_exec()
         incomplete = atomic(proc_comps=x.events[2].proc_comps, msg_comps=())
-        st = specmachine.replay_spec(Execution(x.initial, x.events[:2]))[-1]
+        st = executions.replay(Execution(x.initial, x.events[:2]), spec_step)[-1]
         with pytest.raises(SpecViolation):
             spec_step(st, incomplete)
 
@@ -113,7 +113,7 @@ class TestSpecValidation:
                 ("p1", None, (), (), "none", None),
             ], msg_comps=[(0, meas(r1), (r1,), (r1,), "1")]),
         )
-        mid = specmachine.replay_spec(Execution(st, head))[-1]
+        mid = executions.replay(Execution(st, head), spec_step)[-1]
         tail = (
             Respond(eid=4, label="p0", record=mid.ext["p0"]["record"]),
             Respond(eid=5, label="p1", record=mid.ext["p1"]["record"]),
@@ -127,6 +127,17 @@ class TestSpecValidation:
         x = Execution(st, (Send(eid=0, label="p0", msg=marker, protocol=True),))
         res = validate_spec_execution(x)
         assert not res and res.first_failure == 0
+
+    def test_violation_is_a_replay_error_with_its_index(self):
+        st, *_ = spec_state()
+        x = Execution(st, (Invoke(eid=0, label="p0", gid="g"),
+                           Invoke(eid=1, label="p1", gid="g")))
+        with pytest.raises(executions.ReplayError) as err:
+            executions.replay(x, spec_step)
+        assert err.value.index == 1
+        assert isinstance(err.value.__cause__, SpecViolation)
+        res = validate_spec_execution(x)
+        assert not res and res.first_failure == 1
 
     def test_open_operation_at_end_rejected(self):
         st, *_ = spec_state()

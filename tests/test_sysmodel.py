@@ -74,6 +74,11 @@ class TestSendReceive:
         with pytest.raises(sysmodel.DuplicateMessage):
             sysmodel.send(st, "p0", MessageInstance(7, "p0", "p1"))
 
+    def test_send_with_pending_outcome_rejected(self):
+        st, _ = two_proc_state()
+        with pytest.raises(sysmodel.SysmodelError):
+            sysmodel.send(st, "p0", MessageInstance(0, "p0", "p1", pending="0"))
+
     def test_receive_wrong_recipient(self):
         st, _ = two_proc_state()
         st = sysmodel.send(st, "p0", MessageInstance(0, "p0", "p1"))
