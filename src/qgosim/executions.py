@@ -28,6 +28,10 @@ class ConcatMismatch(Exception):
     pass
 
 
+class UpdateFailed(sysmodel.SysmodelError):
+    """A classical update raised on the state it was given."""
+
+
 # ---------------------------------------------------------------------------
 # Classical updates
 # ---------------------------------------------------------------------------
@@ -57,7 +61,10 @@ def run_update(update: ClassicalUpdate | None, sigma, ext, outcome):
     fn = _UPDATES.get(update.name)
     if fn is None:
         raise KeyError(f"unknown classical update {update.name!r}")
-    return fn(copy.deepcopy(sigma), copy.deepcopy(ext), outcome, update.params)
+    try:
+        return fn(copy.deepcopy(sigma), copy.deepcopy(ext), outcome, update.params)
+    except (TypeError, ValueError, KeyError, IndexError, AttributeError) as exc:
+        raise UpdateFailed(f"classical update {update.name!r} failed: {exc!r}") from exc
 
 
 @register_update("noop")

@@ -1,7 +1,8 @@
 """Command line: run scenarios, verify traces, batch over seeds, inspect.
 
 Exit codes: 0 success (verification accepted), 1 verification rejected,
-2 malformed input or usage error.
+2 malformed input or usage error.  A trace naming an unknown classical
+update, or one that fails on its state, does not replay: a rejection (exit 1).
 """
 
 from __future__ import annotations

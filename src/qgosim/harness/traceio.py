@@ -10,7 +10,7 @@ import json
 
 import numpy as np
 
-from .. import sysmodel
+from .. import qcore, sysmodel
 from ..executions import (
     Apply,
     AtomicExecute,
@@ -218,7 +218,7 @@ def encode_state(state: SystemState) -> list[dict]:
 def _decode_state(recs: list[dict]) -> SystemState:
     procs, classical, ext = None, {}, {}
     channels = {}
-    regs, own, rows = [], {}, {}
+    quantum, rows = None, {}
     for d in recs:
         t = d["t"]
         if t == "procs":
@@ -229,22 +229,31 @@ def _decode_state(recs: list[dict]) -> SystemState:
         elif t == "chan":
             channels[d["key"]] = tuple(_parse_msg(m) for m in d["msgs"])
         elif t == "quantum":
-            regs = [_parse_reg(r) for r in d["regs"]]
-            own = d["own"]
+            quantum = d
         elif t == "qrow":
             rows[d["i"]] = [_parse_c(s) for s in d["v"]]
+    if procs is None:
+        raise TraceError("trace has no procs record")
+    if quantum is None:
+        raise TraceError("trace has no quantum record")
+    regs = [_parse_reg(r) for r in quantum["regs"]]
     space = RegisterSpace(tuple(regs))
-    dim = space.total_dim
-    entries = np.array([rows[i] for i in range(dim)], dtype=np.complex128) \
-        if rows else np.array([[1.0 + 0j]])
-    quantum = DensityMatrix(space, entries)
+    missing = [i for i in range(space.total_dim) if i not in rows]
+    if missing:
+        raise TraceError(f"quantum state has no row {missing[0]}")
+    unowned = [r.id for r in regs if str(r.id) not in quantum["own"]]
+    if unowned:
+        raise TraceError(f"register {unowned[0]} has no owner")
+    entries = np.array([rows[i] for i in range(space.total_dim)], dtype=np.complex128)
     full_channels = {c: () for c in sysmodel.all_channels(procs)}
     full_channels.update(channels)
-    ownership = {r: own[str(r.id)] for r in regs}
-    return SystemState(
+    state = SystemState(
         procs=procs, classical=classical, ext=ext, channels=full_channels,
-        ownership=ownership, quantum=quantum,
+        ownership={r: quantum["own"][str(r.id)] for r in regs},
+        quantum=DensityMatrix(space, entries),
     )
+    state.check_ownership_partition()
+    return state
 
 
 def serialize_run(x: Execution, config: ScenarioConfig | None = None,
@@ -289,11 +298,11 @@ def parse_run(text: str):
             raise TraceError(f"line {lineno}: unknown record type {t!r}")
     if header is None:
         raise TraceError("trace has no header")
-    if not state_recs:
-        raise TraceError("trace has no initial state")
-    if not any(d["t"] == "procs" for d in state_recs):
-        raise TraceError("trace has no procs record")
-    initial = _decode_state(state_recs)
+    try:
+        initial = _decode_state(state_recs)
+    except (KeyError, TypeError, ValueError, IndexError,
+            qcore.QcoreError, sysmodel.SysmodelError) as exc:
+        raise TraceError(f"bad initial state: {exc!r}") from exc
     cfg = header.get("config")
     config = ScenarioConfig.from_dict(cfg) if cfg else None
     return Execution(initial, tuple(events)), config, header.get("decisions")

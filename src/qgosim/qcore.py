@@ -120,10 +120,6 @@ class RegisterAllocator:
         self._next += 1
         return reg
 
-    @property
-    def next_id(self) -> int:
-        return self._next
-
 
 @dataclass(frozen=True)
 class RegisterSpace:
@@ -236,8 +232,7 @@ class QuantumOperation:
         object.__setattr__(self, "outcome_set", tuple(self.outcome_set))
         object.__setattr__(self, "in_dims", tuple(self.in_dims))
         object.__setattr__(self, "out_dims", tuple(self.out_dims))
-        din = int(np.prod(self.in_dims)) if self.in_dims else 1
-        dout = int(np.prod(self.out_dims)) if self.out_dims else 1
+        din, dout = self.in_dim, self.out_dim
         fixed = {}
         for r in self.outcome_set:
             ks = tuple(

@@ -64,10 +64,6 @@ def incoming_channels(procs, proc) -> list[str]:
     return sorted(chan_key(p, proc) for p in procs)
 
 
-def outgoing_channels(procs, proc) -> list[str]:
-    return sorted(chan_key(proc, p) for p in procs)
-
-
 def record_from_ext(proc, ext):
     """The response a processor gives once all its channels are closed."""
     return {
@@ -150,10 +146,6 @@ class DecomposableGlobalOp:
 
 def outcome_label(classical_part, quantum_part) -> str:
     return json.dumps({"c": classical_part, "q": quantum_part}, sort_keys=True)
-
-
-def parse_outcome(label: str) -> dict:
-    return json.loads(label)
 
 
 class SnapshotMeasure(DecomposableGlobalOp):
@@ -370,12 +362,6 @@ def qgo_augment(base, library: dict[str, DecomposableGlobalOp]) -> AugmentedPred
     return AugmentedPredicate(base, library)
 
 
-def _apply_events(state: SystemState, events: list[Event]) -> SystemState:
-    for ev in events:
-        state = step(state, ev)
-    return state
-
-
 # ---------------------------------------------------------------------------
 # The three protocol procedures
 # ---------------------------------------------------------------------------
@@ -420,7 +406,9 @@ def qgo_process_new_global_op(
             marker=gop.gid,
         )
         events.append(Send(eid=ctx.eid(), label=proc, msg=msg, protocol=True))
-    return events, _apply_events(state, events)
+    for ev in events:
+        state = step(state, ev)
+    return events, state
 
 
 def qgo_invoke(

@@ -21,12 +21,12 @@ from . import executions, specmachine, sysmodel
 from .causality import (
     CausalDependency,
     CausalRelation,
+    LemmaViolation,
     compute_causality,
     equicausal,
     swap_adjacent_cached,
 )
 from .executions import (
-    STEP_ERRORS,
     Apply,
     AtomicExecute,
     Event,
@@ -38,7 +38,7 @@ from .executions import (
     in_filter,
     replay,
 )
-from .qcore import EPS_CHAIN, EPS_EXACT
+from .qcore import EPS_CHAIN
 
 
 class VerifierError(Exception):
@@ -184,29 +184,30 @@ def eliminate_inversions(
 ) -> tuple[Execution, list, int]:
     """Sort the fragment's events by class with adjacent independent swaps.
 
-    Repeatedly swaps the leftmost adjacent pair whose classes are out of
-    order.  A causal dependency across such a pair means the execution does
-    not tripartition and is reported as a ClaimViolation.  ``rel`` is the
-    causal relation of ``x``; valid swaps leave it unchanged.
+    One insertion pass: each event moves left past every neighbour of a
+    higher class.  A sort by adjacent swaps of inverted pairs swaps each
+    inverted pair exactly once, so the result is the stable class order and
+    the swap count is the inversion count.  A causal dependency across an
+    inverted pair means the execution does not tripartition and is reported
+    as a ClaimViolation.  ``rel`` is the causal relation of ``x``; valid
+    swaps leave it unchanged.
     """
     nswaps = 0
-    while True:
-        pos = None
-        for i in range(frag.lo, frag.hi):
-            a = frag.classes[x.events[i].eid]
-            b = frag.classes[x.events[i + 1].eid]
-            if _RANK[a] > _RANK[b]:
-                pos = i
-                break
-        if pos is None:
-            return x, states, nswaps
-        try:
-            x, states = swap_adjacent_cached(x, states, pos, rel)
-        except CausalDependency as exc:
-            raise ClaimViolation(
-                f"cannot sort fragment at {frag.lo}: {exc}"
-            ) from exc
-        nswaps += 1
+    for j in range(frag.lo + 1, frag.hi + 1):
+        i = j
+        while i > frag.lo and (
+            _RANK[frag.classes[x.events[i - 1].eid]]
+            > _RANK[frag.classes[x.events[i].eid]]
+        ):
+            try:
+                x, states = swap_adjacent_cached(x, states, i - 1, rel)
+            except CausalDependency as exc:
+                raise ClaimViolation(
+                    f"cannot sort fragment at {frag.lo}: {exc}"
+                ) from exc
+            nswaps += 1
+            i -= 1
+    return x, states, nswaps
 
 
 def reorder_message_ops(
@@ -215,10 +216,11 @@ def reorder_message_ops(
     """Commute each recorded message's operation before its reception and
     bubble it back to the end of the snapshot region.
 
-    The reception swap changes the causal order, so it is justified not by
-    independence but by an explicit check: applying the operation while the
-    message is still in flight, then delivering it, reaches the same state
-    (within EPS_EXACT) as delivering first and applying after.
+    Relabelling the operation as acting on the message detaches it from the
+    processor's causal chain.  That changes the causal order, so the first
+    swap's state check must justify it: applying the operation in flight,
+    then delivering the message, reaches the same state (within EPS_EXACT)
+    as delivering first and applying after.
     """
     nswaps = 0
     op_end = 1 + max(
@@ -235,29 +237,17 @@ def reorder_message_ops(
                 f"recorded-message operation {apply_eid} is not adjacent to "
                 f"its reception"
             )
-        # Relabel the operation as acting on the message, not the processor,
-        # so it detaches from the processor's causal chain.
         moved = dc_replace(apply_ev, label=f"msg:{apply_ev.target_msg}")
-        ev = list(x.events)
-        ev[pos - 1], ev[pos] = moved, recv
-        x = Execution(x.initial, tuple(ev))
+        x = Execution(x.initial, x.events[:pos] + (moved,) + x.events[pos + 1:])
+        rel = compute_causality(x)
         try:
-            mid = executions.step(states[pos - 1], moved)
-            end = executions.step(mid, recv)
-        except STEP_ERRORS as exc:
-            raise ClaimViolation(f"reception swap failed to replay: {exc}") from exc
-        if not sysmodel.states_equal(end, states[pos + 1], EPS_EXACT):
+            x, states = swap_adjacent_cached(x, states, pos - 1, rel)
+        except (CausalDependency, LemmaViolation) as exc:
             raise ClaimViolation(
                 f"applying to message {apply_ev.target_msg} in flight does "
-                f"not commute with its reception"
-            )
-        states = list(states)
-        states[pos] = mid
-        states[pos + 1] = end
+                f"not commute with its reception: {exc}"
+            ) from exc
         nswaps += 1
-        # The relabeled operation has no incoming causal edges; bubble it
-        # back to its slot at the end of the snapshot region.
-        rel = compute_causality(x)
         for k in range(pos - 1, op_end + j, -1):
             try:
                 x, states = swap_adjacent_cached(x, states, k - 1, rel)
@@ -380,6 +370,8 @@ def verify(x: Execution) -> Certificate:
         states = replay(x)
     except executions.ReplayError as exc:
         return fail("well-formed", str(exc))
+    if len({e.eid for e in x.events}) != len(x.events):
+        return fail("well-formed", "event ids are not unique")
     verdicts["well-formed"] = True
 
     try:
@@ -400,8 +392,6 @@ def verify(x: Execution) -> Certificate:
             nswaps += n
     except ClaimViolation as exc:
         return fail("sort-classes", str(exc))
-    # Release the relation first, so at most two are held at once.
-    del rel
     if not equicausal(x, y):
         return fail("sort-classes", "sorted execution is not equicausal")
     y_final = replay(y)[-1]

@@ -267,6 +267,27 @@ def test_acceptance_5_lemma_suite(corpus):
             move_to_end(x, 0, len(x.events))
 
 
+def test_class_sort_is_stable_with_one_swap_per_inversion(corpus):
+    rank = {"pre": 0, "op": 1, "post": 2}
+    sorted_frags = 0
+    for x in corpus:
+        frags = verifier.decompose(x)
+        states, rel = executions.replay(x), compute_causality(x)
+        y = x
+        for frag in frags:
+            verifier.classify(x, frag)
+            before = [frag.classes[e.eid] for e in y.events[frag.lo: frag.hi + 1]]
+            eids = [e.eid for e in y.events[frag.lo: frag.hi + 1]]
+            inversions = sum(rank[a] > rank[b]
+                             for a, b in itertools.combinations(before, 2))
+            y, states, nswaps = verifier.eliminate_inversions(y, states, frag, rel)
+            assert nswaps == inversions
+            assert [e.eid for e in y.events[frag.lo: frag.hi + 1]] == sorted(
+                eids, key=lambda eid: rank[frag.classes[eid]])
+            sorted_frags += nswaps > 0
+    assert sorted_frags > 0
+
+
 # ---------------------------------------------------------------------------
 # 6. End-to-end verification batch
 # ---------------------------------------------------------------------------

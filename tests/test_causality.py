@@ -83,13 +83,15 @@ class TestCausality:
         assert not rel.prec(1, 0)
         assert not rel.prec(4, 5)
 
-    def test_oracle_on_random_shuffles(self):
+    def test_oracle_on_every_permutation(self):
         x = three_proc_execution()
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            order = rng.permutation(len(x.events))
-            y = Execution(x.initial, tuple(x.events[i] for i in order))
-            assert set(compute_causality(y).pairs) == closure_oracle(y)
+        eids = [e.eid for e in x.events]
+        for order in itertools.permutations(x.events):
+            y = Execution(x.initial, order)
+            rel, oracle = compute_causality(y), closure_oracle(y)
+            assert rel.pairs == oracle
+            for a, b in itertools.product(eids, eids):
+                assert rel.prec(a, b) == ((a, b) in oracle), (order, a, b)
 
 
 class TestEquicausal:
@@ -104,6 +106,16 @@ class TestEquicausal:
         ev = list(x.events)
         ev[0], ev[2] = ev[2], ev[0]
         assert not equicausal(x, Execution(x.initial, tuple(ev)))
+
+    def test_agrees_with_closure_on_every_permutation(self):
+        x = three_proc_execution()
+        base = closure_oracle(x)
+        same = 0
+        for order in itertools.permutations(x.events):
+            y = Execution(x.initial, order)
+            assert equicausal(x, y) == (closure_oracle(y) == base), order
+            same += equicausal(x, y)
+        assert 1 < same < 720
 
     def test_different_event_sets_not_comparable(self):
         x = three_proc_execution()

@@ -60,6 +60,18 @@ class TestReplay:
             replay(swapped)
         assert err.value.index == 0
 
+    def test_failing_update_is_an_invalid_step(self):
+        x = quantum_ping()
+        recv = x.events[1]
+        bad = Receive(eid=recv.eid, label=recv.label, chan=recv.chan,
+                      msg_id=recv.msg_id,
+                      update=executions.ClassicalUpdate("qgo.marker_close", ("c",)))
+        # p1's extension state is None, which marker_close cannot index.
+        with pytest.raises(ReplayError, match="'qgo.marker_close' failed") as err:
+            replay(Execution(x.initial, (x.events[0], bad) + x.events[2:]))
+        assert err.value.index == 1
+        assert isinstance(err.value.__cause__, executions.UpdateFailed)
+
     def test_fifo_violation_detected(self):
         st, r0, r1 = make_state()
         m0 = MessageInstance(0, "p0", "p1", classical=0)

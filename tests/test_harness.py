@@ -249,6 +249,81 @@ class TestCli:
         (reason,) = [l for l in r.stdout.splitlines() if l.startswith("rejected:")]
         assert "sent with a pending outcome" in reason
 
+    def epr_trace_records(self):
+        cfg = ScenarioConfig(base="token-ring", procs=2,
+                             base_params={"max_hops": 3, "epr_pair": True}, seed=0)
+        res = run_simulation(cfg)
+        text = traceio.serialize_run(res.execution, cfg, res.decisions)
+        return [json.loads(line) for line in text.splitlines()]
+
+    @staticmethod
+    def _drop_quantum(recs):
+        return [d for d in recs if d["t"] != "quantum"]
+
+    @staticmethod
+    def _bad_qrow_value(recs):
+        next(d for d in recs if d["t"] == "qrow")["v"][0] = "2 0"
+        return recs
+
+    @staticmethod
+    def _drop_row(recs):
+        return [d for d in recs if not (d["t"] == "qrow" and d["i"] == 1)]
+
+    @staticmethod
+    def _unowned_register(recs):
+        del next(d for d in recs if d["t"] == "quantum")["own"]["1"]
+        return recs
+
+    @staticmethod
+    def _message_register_owned_by_proc(recs):
+        msg = {"id": 99, "src": "p0", "dst": "p1", "classical": None,
+               "regs": [[0, 2]], "marker": None, "pending": None}
+        k = next(i for i, d in enumerate(recs) if d["t"] == "quantum")
+        return recs[:k] + [{"t": "chan", "key": "p0->p1", "msgs": [msg]}] + recs[k:]
+
+    @pytest.mark.parametrize("mutate, message", [
+        ("_drop_quantum", "error: trace has no quantum record"),
+        ("_bad_qrow_value", "error: bad initial state: ValueError("),
+        ("_drop_row", "error: quantum state has no row 1"),
+        ("_unowned_register", "error: register 1 has no owner"),
+        ("_message_register_owned_by_proc", "error: bad initial state: OwnershipViolation("),
+    ], ids=["no-quantum", "bad-qrow-value", "missing-row", "unowned-register",
+            "ownership-partition"])
+    def test_malformed_initial_state_exits_2(self, tmp_path, mutate, message):
+        recs = getattr(self, mutate)(self.epr_trace_records())
+        trace = tmp_path / "bad.jsonl"
+        trace.write_text("".join(json.dumps(d, sort_keys=True) + "\n" for d in recs))
+        r = self.run_cli("verify", str(trace))
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        assert len(r.stderr.strip().splitlines()) == 1
+        assert r.stderr.startswith(message)
+
+    @pytest.mark.parametrize("null_ext, update, stage", [
+        (False, "qgo.marker_close", "spec-replay"),
+        (True, "qgo.marker_close", "well-formed"),
+        (False, "no.such.update", "well-formed"),
+    ], ids=["idle-ext", "null-ext", "unknown-update"])
+    def test_failing_classical_update_is_a_rejection(self, tmp_path, null_ext,
+                                                     update, stage):
+        cfg = ScenarioConfig(base="ping", procs=2, base_params={"n_msgs": 1}, seed=0)
+        res = run_simulation(cfg)
+        recs = [json.loads(line) for line in
+                traceio.serialize_run(res.execution, cfg, res.decisions).splitlines()]
+        for d in recs:
+            if d.get("k") == "receive":
+                d["update"] = [update, [d["chan"]]]
+            if d["t"] == "proc" and null_ext:
+                d["ext"] = None
+        trace = tmp_path / "update.jsonl"
+        trace.write_text("".join(json.dumps(d, sort_keys=True) + "\n" for d in recs))
+        r = self.run_cli("verify", str(trace))
+        assert r.returncode == 1
+        assert "Traceback" not in r.stderr
+        assert f"{stage}: FAIL" in r.stdout
+        (reason,) = [l for l in r.stdout.splitlines() if l.startswith("rejected:")]
+        assert repr(update) in reason
+
     def test_bad_input_exit_code(self, tmp_path):
         junk = tmp_path / "junk.jsonl"
         junk.write_text("definitely not a trace\n")

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from qgosim import causality, executions, specmachine, sysmodel, verifier
+from qgosim import causality, executions, qcore, specmachine, sysmodel, verifier
 from qgosim.executions import Apply, Execution, Invoke, Respond, Send
 from qgosim.harness.scenarios import ScenarioConfig
 from qgosim.harness.scheduler import run_simulation
@@ -138,6 +140,49 @@ class TestReject:
                 break
         cert = verifier.verify(Execution(x.initial, tuple(ev)))
         assert not cert.accepted
+
+    def test_dependent_inverted_pair_stops_the_class_sort(self):
+        procs = ("p0", "p1")
+        st = sysmodel.initial_state(
+            procs, {p: {"inbox": []} for p in procs}, qcore.DensityMatrix.empty(), {},
+        )
+        # eid 0 (post) and eid 2 (pre) share p0, so 0 happens before 2; the
+        # independent pair (0, 1) is swapped first.
+        events = tuple(
+            Apply(eid=i, label=p, proc=p, name=f"a{i}", outcome=qcore.NO_OUTCOME)
+            for i, p in enumerate(("p0", "p1", "p0"))
+        )
+        x = Execution(st, events)
+        frag = verifier.FragmentInfo(lo=0, hi=2, classes={0: "post", 1: "pre", 2: "pre"})
+        with pytest.raises(verifier.ClaimViolation, match="event 0 happens before 2"):
+            verifier.eliminate_inversions(
+                x, executions.replay(x), frag, causality.compute_causality(x)
+            )
+
+    def test_repeated_event_id(self):
+        x = generate(seed=4)
+        ev = list(x.events)
+        ev[0] = dataclasses.replace(ev[0], eid=ev[-1].eid)
+        cert = verifier.verify(Execution(x.initial, tuple(ev)))
+        assert cert.verdicts == {"well-formed": False}
+        assert cert.reason == "event ids are not unique"
+
+    def test_message_operation_on_a_processor_register(self):
+        # The recorded-message operation acts on the receiver's own register:
+        # fine after the reception, but not while the message is in flight.
+        x = generate(seed=1)
+        ev = list(x.events)
+        i = next(k for k, e in enumerate(ev)
+                 if isinstance(e, Apply) and e.name.startswith("gop-msg:"))
+        reg = next(r for r, p in x.initial.ownership.items() if p == ev[i].proc)
+        qop = qcore.relabel_outcomes(qcore.identity_operation((2,)),
+                                     lambda _: ev[i].outcome)
+        ev[i] = dataclasses.replace(ev[i], qop=qop, in_regs=(reg,), out_regs=(reg,))
+        cert = verifier.verify(Execution(x.initial, tuple(ev)))
+        assert cert.verdicts["sort-classes"]
+        assert cert.verdicts["move-message-ops"] is False
+        assert "in flight does not commute with its reception" in cert.reason
+        assert "not owned by msg:" in cert.reason
 
     def test_ill_formed_input(self):
         x = generate(seed=4)
