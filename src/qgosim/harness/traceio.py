@@ -1,7 +1,11 @@
 """Line-delimited JSON traces for executions and verification certificates.
 
 Complex numbers are written as "re,im" with 17 significant digits, so a
-trace round-trips to bit-identical states and events.
+trace round-trips to bit-identical states and events.  One matrix codec,
+``_matrix`` / ``_parse_matrix``, writes Kraus matrices and the rows of the
+initial state: an entry whose bits are exactly +0,+0 is the string "0,0",
+and only the other entries are formatted or parsed one by one.  (-0.0 is
+"-0,0", so the test is on bits, not on value.)
 """
 
 from __future__ import annotations
@@ -44,11 +48,31 @@ def _parse_c(s: str) -> complex:
 
 
 def _matrix(m: np.ndarray) -> list:
-    return [[_c(z) for z in row] for row in m]
+    m = np.ascontiguousarray(m, dtype=np.complex128)
+    nonzero = m.view(np.int64).reshape(*m.shape, 2).any(-1)
+    out = []
+    for row, mask in zip(m.tolist(), nonzero):
+        enc = ["0,0"] * m.shape[1]
+        for j in np.flatnonzero(mask).tolist():
+            enc[j] = _c(row[j])
+        out.append(enc)
+    return out
 
 
-def _parse_matrix(rows: list) -> np.ndarray:
-    return np.array([[_parse_c(s) for s in row] for row in rows], dtype=np.complex128)
+def _parse_matrix(rows: list, n: int | None = None) -> np.ndarray:
+    """Decode ``rows``; each must be a list of ``n`` entries (default: as
+    many as the first row).  Raises ``ValueError`` naming a bad row."""
+    if n is None:
+        n = len(rows[0]) if rows else 0
+    out = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != n:
+            raise ValueError(f"row {i} is not a list of {n} entries")
+        try:
+            out.append([0j if s == "0,0" else _parse_c(s) for s in row])
+        except (AttributeError, ValueError):
+            raise ValueError(f'row {i} holds a value that is not "re,im"') from None
+    return np.array(out, dtype=np.complex128).reshape(len(rows), n)
 
 
 def _reg(r: RegisterId) -> list:
@@ -210,8 +234,8 @@ def encode_state(state: SystemState) -> list[dict]:
         "regs": [_reg(r) for r in state.quantum.space.registers],
         "own": {str(r.id): state.ownership[r] for r in state.quantum.space.registers},
     })
-    for i, row in enumerate(state.quantum.entries):
-        recs.append({"t": "qrow", "i": i, "v": [_c(z) for z in row]})
+    for i, row in enumerate(_matrix(state.quantum.entries)):
+        recs.append({"t": "qrow", "i": i, "v": row})
     return recs
 
 
@@ -222,6 +246,8 @@ def _decode_state(recs: list[dict]) -> SystemState:
     for d in recs:
         t = d["t"]
         if t == "procs":
+            if procs is not None:
+                raise TraceError("trace has two procs records")
             procs = tuple(d["names"])
         elif t == "proc":
             classical[d["name"]] = d["sigma"]
@@ -229,22 +255,33 @@ def _decode_state(recs: list[dict]) -> SystemState:
         elif t == "chan":
             channels[d["key"]] = tuple(_parse_msg(m) for m in d["msgs"])
         elif t == "quantum":
+            if quantum is not None:
+                raise TraceError("trace has two quantum records")
             quantum = d
         elif t == "qrow":
-            rows[d["i"]] = [_parse_c(s) for s in d["v"]]
+            if d["i"] in rows:
+                raise TraceError(f"bad initial state: row {d['i']} is repeated")
+            rows[d["i"]] = d["v"]
     if procs is None:
         raise TraceError("trace has no procs record")
     if quantum is None:
         raise TraceError("trace has no quantum record")
     regs = [_parse_reg(r) for r in quantum["regs"]]
     space = RegisterSpace(tuple(regs))
-    missing = [i for i in range(space.total_dim) if i not in rows]
+    dim = space.total_dim
+    stray = [i for i in rows if i not in range(dim)]
+    if stray:
+        raise TraceError(f"bad initial state: row {stray[0]!r} is outside 0..{dim - 1}")
+    missing = [i for i in range(dim) if i not in rows]
     if missing:
         raise TraceError(f"quantum state has no row {missing[0]}")
     unowned = [r.id for r in regs if str(r.id) not in quantum["own"]]
     if unowned:
         raise TraceError(f"register {unowned[0]} has no owner")
-    entries = np.array([rows[i] for i in range(space.total_dim)], dtype=np.complex128)
+    try:
+        entries = _parse_matrix([rows[i] for i in range(dim)], dim)
+    except ValueError as exc:
+        raise TraceError(f"bad initial state: {exc}") from None
     full_channels = {c: () for c in sysmodel.all_channels(procs)}
     full_channels.update(channels)
     state = SystemState(
@@ -300,6 +337,7 @@ def parse_run(text: str):
         raise TraceError("trace has no header")
     try:
         initial = _decode_state(state_recs)
+        initial.quantum.validate()
     except (KeyError, TypeError, ValueError, IndexError,
             qcore.QcoreError, sysmodel.SysmodelError) as exc:
         raise TraceError(f"bad initial state: {exc!r}") from exc

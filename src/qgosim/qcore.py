@@ -180,12 +180,24 @@ class DensityMatrix:
         return float(np.real(np.trace(self.entries)))
 
     def validate(self, eps: float = EPS_VALIDATE) -> None:
-        """Raise if the matrix is not Hermitian, PSD, and subnormalized."""
-        if not np.allclose(self.entries, self.entries.conj().T, atol=eps, rtol=0):
+        """Raise if the matrix is not Hermitian, PSD, and subnormalized.
+
+        ρ + eps·I has a Cholesky factor when no eigenvalue of ρ is at or
+        below -eps; ``eigvalsh`` runs only when it has none, to name the
+        lowest eigenvalue.
+        """
+        if not np.isfinite(self.entries).all():
+            raise ShapeError("matrix has an entry that is not finite")
+        if np.abs(self.entries - self.entries.conj().T).max() > eps:
             raise ShapeError("matrix is not Hermitian within tolerance")
-        evals = np.linalg.eigvalsh(self.entries)
-        if evals.min(initial=0.0) < -eps:
-            raise ShapeError(f"matrix has eigenvalue {evals.min()} below -{eps}")
+        shifted = self.entries.copy()
+        shifted.flat[:: shifted.shape[0] + 1] += eps
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            lowest = np.linalg.eigvalsh(self.entries).min(initial=0.0)
+            if lowest < -eps:
+                raise ShapeError(f"matrix has eigenvalue {lowest} below -{eps}") from None
         if not (-eps <= self.trace <= 1 + eps):
             raise ShapeError(f"trace {self.trace} outside [0, 1]")
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import subprocess
@@ -5,9 +6,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qgosim import executions, qcore, verifier
-from qgosim.harness import traceio
+from qgosim.harness import cli, traceio
 from qgosim.harness.scenarios import (
     BASE_ALGORITHMS,
     ScenarioConfig,
@@ -275,6 +277,39 @@ class TestCli:
         return recs
 
     @staticmethod
+    def _repeated_procs(recs):
+        return recs + [{"t": "procs", "names": ["p1", "p0"]}]
+
+    @staticmethod
+    def _repeated_quantum(recs):
+        quantum = next(d for d in recs if d["t"] == "quantum")
+        return recs + [{**quantum, "own": {"0": "p1", "1": "p0"}}]
+
+    @staticmethod
+    def _stray_row(recs):
+        row = next(d for d in recs if d["t"] == "qrow")
+        return recs + [{**row, "i": 99}]
+
+    @staticmethod
+    def _repeated_row(recs):
+        row = next(d for d in recs if d["t"] == "qrow" and d["i"] == 3)
+        return recs + [{**row, "v": ["1,0"] * 4}]
+
+    @staticmethod
+    def _short_row(recs):
+        next(d for d in recs if d["t"] == "qrow" and d["i"] == 2)["v"].pop()
+        return recs
+
+    @staticmethod
+    def _indefinite_state(recs):
+        # Hermitian with trace 1, but eigenvalues {2, -1, 0, 0}
+        for d in recs:
+            if d["t"] == "qrow":
+                d["v"] = ["0,0"] * 4
+                d["v"][d["i"]] = {0: "2,0", 1: "-1,0"}.get(d["i"], "0,0")
+        return recs
+
+    @staticmethod
     def _message_register_owned_by_proc(recs):
         msg = {"id": 99, "src": "p0", "dst": "p1", "classical": None,
                "regs": [[0, 2]], "marker": None, "pending": None}
@@ -283,12 +318,19 @@ class TestCli:
 
     @pytest.mark.parametrize("mutate, message", [
         ("_drop_quantum", "error: trace has no quantum record"),
-        ("_bad_qrow_value", "error: bad initial state: ValueError("),
+        ("_repeated_procs", "error: trace has two procs records"),
+        ("_repeated_quantum", "error: trace has two quantum records"),
+        ("_bad_qrow_value", 'error: bad initial state: row 0 holds a value that is not "re,im"'),
         ("_drop_row", "error: quantum state has no row 1"),
+        ("_stray_row", "error: bad initial state: row 99 is outside 0..3"),
+        ("_repeated_row", "error: bad initial state: row 3 is repeated"),
+        ("_short_row", "error: bad initial state: row 2 is not a list of 4 entries"),
+        ("_indefinite_state", "error: bad initial state: ShapeError('matrix has eigenvalue -1"),
         ("_unowned_register", "error: register 1 has no owner"),
         ("_message_register_owned_by_proc", "error: bad initial state: OwnershipViolation("),
-    ], ids=["no-quantum", "bad-qrow-value", "missing-row", "unowned-register",
-            "ownership-partition"])
+    ], ids=["no-quantum", "repeated-procs", "repeated-quantum", "bad-qrow-value",
+            "missing-row", "stray-row", "repeated-row", "short-row", "indefinite-state",
+            "unowned-register", "ownership-partition"])
     def test_malformed_initial_state_exits_2(self, tmp_path, mutate, message):
         recs = getattr(self, mutate)(self.epr_trace_records())
         trace = tmp_path / "bad.jsonl"
@@ -368,6 +410,15 @@ GOLDEN_TRACES = {
              seed=0),
         "116623447b9381fe8341776df3030d03fcbeb2bc134db4c5a6e70c5eeb11abae",
     ),
+    # ROADMAP scenario (d): 91 events, D=1024; its initial state is all
+    # "0,0" but one entry.
+    "ring-quantum-wide": (
+        dict(base="token-ring", procs=5,
+             base_params={"qubits_per_proc": 2, "max_hops": 10},
+             invocations=[{"gid": "snapshot-measure", "leader": "p0", "after_step": 2}],
+             seed=1),
+        "8e642da8520d03b949852f4800aa83285ae447f6aca17f3e9c360b31729104a2",
+    ),
 }
 
 
@@ -377,3 +428,63 @@ def test_golden_trace(name):
     res = run_simulation(ScenarioConfig.from_dict(cfg))
     text = traceio.serialize_run(res.execution, res.config, res.decisions)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+# ---------------------------------------------------------------------------
+# Hostile initial states: any edit of the state records parses and is
+# verified, or is refused with an exit code; nothing escapes.
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _scenario_a_text():
+    cfg, _ = GOLDEN_TRACES["scenario-a"]
+    res = run_simulation(ScenarioConfig.from_dict(cfg))
+    return traceio.serialize_run(res.execution, res.config, res.decisions)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 99) | st.floats(allow_nan=False)
+    | st.sampled_from(["p0", "p1", "0,0", "1,0", "-0,0", "nan,0", "inf,inf", "2 0"])
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["0", "1", "2", "p0"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def hostile_traces(draw):
+    """Scenario (a) with up to three edits inside its procs, quantum (regs
+    and own) and qrow records: a value replaced, an entry deleted, or a
+    record repeated or dropped."""
+    recs = [json.loads(line) for line in _scenario_a_text().splitlines()]
+    for _ in range(draw(st.integers(1, 3))):
+        targets = [k for k, d in enumerate(recs)
+                   if d["t"] in ("procs", "quantum", "qrow") and len(d) > 1]
+        if not targets:
+            break
+        k = draw(st.sampled_from(targets))
+        action = draw(st.sampled_from(["replace", "replace", "delete", "repeat", "drop"]))
+        if action == "repeat":
+            recs.append(json.loads(json.dumps(recs[k])))
+        elif action == "drop":
+            del recs[k]
+        else:
+            node, key = recs[k], draw(st.sampled_from(sorted(set(recs[k]) - {"t"})))
+            while isinstance(node[key], (list, dict)) and node[key] and draw(st.booleans()):
+                node = node[key]
+                key = draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                           else range(len(node))))
+            if action == "delete":
+                del node[key]
+            else:
+                node[key] = draw(_json_values)
+    return "".join(json.dumps(d, sort_keys=True) + "\n" for d in recs)
+
+
+@given(hostile_traces())
+@settings(max_examples=50, deadline=None)
+def test_hostile_state_records_exit_0_1_or_2(tmp_path_factory, text):
+    trace = tmp_path_factory.mktemp("fuzz") / "t.jsonl"
+    trace.write_text(text)
+    assert cli.main(["verify", str(trace)]) in (0, 1, 2)

@@ -6,6 +6,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from qgosim import qcore, sysmodel
+from qgosim.harness import traceio
 from qgosim.qcore import DensityMatrix, RegisterId, RegisterMap, RegisterSpace
 
 amplitudes = st.lists(
@@ -185,3 +186,47 @@ def test_outcome_probabilities_are_outcome_traces(case):
     for i, r in enumerate(op.outcome_set):
         assert abs(probs[i] - qcore.apply_outcome(rho, op, regmap, r).trace) \
             < qcore.EPS_EXACT
+
+
+# ---------------------------------------------------------------------------
+# The zero-aware matrix codec against the per-entry comprehensions
+# ---------------------------------------------------------------------------
+
+def _oracle_matrix(m):
+    return [[traceio._c(z) for z in row] for row in m]
+
+
+def _oracle_parse_matrix(rows):
+    return np.array([[traceio._parse_c(s) for s in row] for row in rows],
+                    dtype=np.complex128)
+
+
+_SPECIAL = [0.0, -0.0, float("nan"), float("inf"), float("-inf"),
+            5e-324, -5e-324, 1.1125369292536007e-308, 1.0, -1.0]
+_parts = st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=True))
+
+
+@st.composite
+def codec_matrices(draw):
+    """Matrices of 0x0 to 5x5, some as transposed or sliced views."""
+    r, c = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    view = draw(st.sampled_from(["plain", "transposed", "sliced", "reversed"]))
+    shape = {"plain": (r, c), "transposed": (c, r), "sliced": (2 * r, 2 * c),
+             "reversed": (r, c)}[view]
+    n = shape[0] * shape[1]
+    z = draw(st.lists(st.builds(complex, _parts, _parts), min_size=n, max_size=n))
+    base = np.array(z, dtype=np.complex128).reshape(shape)
+    return {"plain": base, "transposed": base.T, "sliced": base[::2, 1::2],
+            "reversed": base[::-1, ::-1]}[view]
+
+
+@given(codec_matrices())
+@settings(max_examples=200, deadline=None)
+def test_matrix_codec_matches_per_entry_oracle(m):
+    rows = traceio._matrix(m)
+    assert rows == _oracle_matrix(m)
+    got = traceio._parse_matrix(rows)
+    # a matrix with no rows is written as [], whatever its width
+    assert got.shape == (m.shape if m.shape[0] else (0, 0))
+    want = _oracle_parse_matrix(rows).reshape(got.shape)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))

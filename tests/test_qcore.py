@@ -285,6 +285,41 @@ class TestValidateOperation:
         assert validate_operation(qcore.pauli_pad_operation(2)).valid
 
 
+class TestValidateState:
+    SPACE = RegisterSpace((RegisterId(0, 2), RegisterId(1, 2)))
+
+    def state(self, diag):
+        # the diagonal, rotated by a random unitary
+        q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)) + 0j)
+        return DensityMatrix(self.SPACE, q @ np.diag(diag) @ q.conj().T)
+
+    def test_states_within_tolerance_pass(self):
+        epr_state().validate()
+        self.state([0.5, 0.5, 0.0, 0.0]).validate()
+        self.state([0.5, 0.5, -0.5e-9, 0.0]).validate()
+        DensityMatrix(self.SPACE, np.zeros((4, 4))).validate()
+
+    @pytest.mark.parametrize("diag, message", [
+        ([2.0, -1.0, 0.0, 0.0], r"eigenvalue -(0\.99|1)"),
+        ([0.5, 0.5, -2e-9, 0.0], r"eigenvalue -(1\.99|2)"),
+        ([0.75, 0.75, 0.0, 0.0], r"trace 1\.(49|5)"),
+    ])
+    def test_indefinite_or_overfull_state_rejected(self, diag, message):
+        with pytest.raises(qcore.ShapeError, match=message):
+            self.state(diag).validate()
+
+    @pytest.mark.parametrize("entry, message", [
+        (0.1j, "not Hermitian"),
+        (np.inf, "not finite"),
+        (np.nan, "not finite"),
+    ])
+    def test_bad_entry_rejected(self, entry, message):
+        a = np.diag([0.5, 0.5, 0, 0]).astype(complex)
+        a[0, 1] = a[1, 0] = entry
+        with pytest.raises(qcore.ShapeError, match=message):
+            DensityMatrix(self.SPACE, a).validate()
+
+
 class TestCanonicalForm:
     def test_sorted_space_unchanged(self):
         rho = epr_state()
