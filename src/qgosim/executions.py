@@ -8,7 +8,6 @@ fully deterministic and needs no random source.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, replace as dc_replace
 from typing import Any, Callable
 
@@ -48,6 +47,9 @@ _UPDATES: dict[str, Callable] = {}
 
 
 def register_update(name: str):
+    """Register ``fn(sigma, ext, outcome, params) -> (sigma, ext)`` as
+    ``name``.  An update is pure: it builds its results from its arguments
+    and never mutates them, so states may share classical values."""
     def deco(fn):
         _UPDATES[name] = fn
         return fn
@@ -55,21 +57,16 @@ def register_update(name: str):
 
 
 def run_update(update: ClassicalUpdate | None, sigma, ext, outcome):
-    """Apply an update to deep copies of one processor's (sigma, ext)."""
+    """Apply a pure update (see ``register_update``) to (sigma, ext) as given."""
     if update is None:
         return sigma, ext
     fn = _UPDATES.get(update.name)
     if fn is None:
         raise KeyError(f"unknown classical update {update.name!r}")
     try:
-        return fn(copy.deepcopy(sigma), copy.deepcopy(ext), outcome, update.params)
+        return fn(sigma, ext, outcome, update.params)
     except (TypeError, ValueError, KeyError, IndexError, AttributeError) as exc:
         raise UpdateFailed(f"classical update {update.name!r} failed: {exc!r}") from exc
-
-
-@register_update("noop")
-def _noop(sigma, ext, outcome, params):
-    return sigma, ext
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +184,8 @@ def _run_on(state: SystemState, proc: str, update, outcome) -> SystemState:
     if update is None:
         return state
     sigma, ext = run_update(update, state.classical[proc], state.ext[proc], outcome)
-    classical = dict(state.classical)
-    extmap = dict(state.ext)
-    classical[proc] = sigma
-    extmap[proc] = ext
-    return dc_replace(state, classical=classical, ext=extmap)
+    return dc_replace(state, classical={**state.classical, proc: sigma},
+                      ext={**state.ext, proc: ext})
 
 
 def step(state: SystemState, event: Event) -> SystemState:

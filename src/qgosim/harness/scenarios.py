@@ -8,7 +8,6 @@ through the marker-protocol reception handler.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,8 +84,21 @@ def _classical_initial(cfg: ScenarioConfig, sigmas: dict) -> SystemState:
     )
 
 
+def _is_kind(entry, kind: str) -> bool:
+    return isinstance(entry[1], dict) and entry[1].get("kind") == kind
+
+
 def _inbox_entries(sigma, kind: str):
-    return [e for e in sigma.get("inbox", []) if isinstance(e[1], dict) and e[1].get("kind") == kind]
+    return [e for e in sigma.get("inbox", []) if _is_kind(e, kind)]
+
+
+def _take_from_inbox(sigma, kind: str):
+    """The first inbox entry of ``kind`` and ``sigma`` without it."""
+    inbox = sigma.get("inbox", [])
+    for i, entry in enumerate(inbox):
+        if _is_kind(entry, kind):
+            return entry, {**sigma, "inbox": inbox[:i] + inbox[i + 1:]}
+    raise KeyError(f"no {kind} in inbox")
 
 
 # ---------------------------------------------------------------------------
@@ -131,20 +143,13 @@ class EmptyAlgorithm(BaseAlgorithm):
 
 @register_update("token.pass")
 def _token_pass(sigma, ext, outcome, params):
-    sigma["has_token"] = False
-    return sigma, ext
+    return {**sigma, "has_token": False}, ext
 
 
 @register_update("token.take")
 def _token_take(sigma, ext, outcome, params):
-    inbox = sigma.get("inbox", [])
-    for i, entry in enumerate(inbox):
-        if isinstance(entry[1], dict) and entry[1].get("kind") == "token":
-            sigma["has_token"] = True
-            sigma["hops"] = entry[1]["hops"]
-            del inbox[i]
-            return sigma, ext
-    raise KeyError("no token in inbox")
+    entry, sigma = _take_from_inbox(sigma, "token")
+    return {**sigma, "has_token": True, "hops": entry[1]["hops"]}, ext
 
 
 class TokenRing(BaseAlgorithm):
@@ -245,43 +250,29 @@ class TokenRing(BaseAlgorithm):
 
 @register_update("tp.sent_half")
 def _tp_sent_half(sigma, ext, outcome, params):
-    sigma["phase"] = "measure"
-    return sigma, ext
+    return {**sigma, "phase": "measure"}, ext
 
 
 @register_update("tp.measured")
 def _tp_measured(sigma, ext, outcome, params):
-    sigma["meas"] = outcome
-    sigma["phase"] = "send_fix"
-    return sigma, ext
+    return {**sigma, "meas": outcome, "phase": "send_fix"}, ext
 
 
 @register_update("tp.sent_fix")
 def _tp_sent_fix(sigma, ext, outcome, params):
-    sigma["phase"] = "done"
-    return sigma, ext
+    return {**sigma, "phase": "done"}, ext
 
 
 @register_update("tp.got_half")
 def _tp_got_half(sigma, ext, outcome, params):
-    inbox = sigma["inbox"]
-    for i, entry in enumerate(inbox):
-        if isinstance(entry[1], dict) and entry[1].get("kind") == "epr-half":
-            del inbox[i]
-            sigma["phase"] = "wait_fix"
-            return sigma, ext
-    raise KeyError("no epr half in inbox")
+    _, sigma = _take_from_inbox(sigma, "epr-half")
+    return {**sigma, "phase": "wait_fix"}, ext
 
 
 @register_update("tp.fixed")
 def _tp_fixed(sigma, ext, outcome, params):
-    inbox = sigma["inbox"]
-    for i, entry in enumerate(inbox):
-        if isinstance(entry[1], dict) and entry[1].get("kind") == "fix":
-            del inbox[i]
-            sigma["phase"] = "done"
-            return sigma, ext
-    raise KeyError("no fix in inbox")
+    _, sigma = _take_from_inbox(sigma, "fix")
+    return {**sigma, "phase": "done"}, ext
 
 
 _BELL_VECS = {}
@@ -418,8 +409,7 @@ class Teleport(BaseAlgorithm):
 
 @register_update("pp.sent")
 def _pp_sent(sigma, ext, outcome, params):
-    sigma["sent"] += 1
-    return sigma, ext
+    return {**sigma, "sent": sigma["sent"] + 1}, ext
 
 
 class Ping(BaseAlgorithm):

@@ -250,8 +250,15 @@ def _decode_state(recs: list[dict]) -> SystemState:
                 raise TraceError("trace has two procs records")
             procs = tuple(d["names"])
         elif t == "proc":
-            classical[d["name"]] = d["sigma"]
-            ext[d["name"]] = d["ext"]
+            name, sigma = d["name"], d["sigma"]
+            if name in classical:
+                raise TraceError(f"trace has two proc records for {name!r}")
+            if not isinstance(sigma, dict):
+                raise TraceError(f"proc record of {name!r}: sigma is not a JSON object")
+            if not isinstance(sigma.get("inbox", []), list):
+                raise TraceError(f"proc record of {name!r}: inbox is not a list")
+            classical[name] = sigma
+            ext[name] = d["ext"]
         elif t == "chan":
             channels[d["key"]] = tuple(_parse_msg(m) for m in d["msgs"])
         elif t == "quantum":
@@ -264,6 +271,12 @@ def _decode_state(recs: list[dict]) -> SystemState:
             rows[d["i"]] = d["v"]
     if procs is None:
         raise TraceError("trace has no procs record")
+    unknown = [p for p in classical if p not in procs]
+    if unknown:
+        raise TraceError(f"proc record names unknown processor {unknown[0]!r}")
+    absent = [p for p in procs if p not in classical]
+    if absent:
+        raise TraceError(f"trace has no proc record for {absent[0]!r}")
     if quantum is None:
         raise TraceError("trace has no quantum record")
     regs = [_parse_reg(r) for r in quantum["regs"]]

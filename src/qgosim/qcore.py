@@ -57,6 +57,11 @@ EPS_EXACT = 1e-12
 EPS_CHAIN = 1e-9
 # A trace below this (in sample_outcome, at or below) is an impossible history.
 ZERO_TRACE = 1e-15
+# Relative tolerance of same_operation: Kraus entries a, b agree when
+# |a - b| <= OP_ATOL + OP_RTOL * |b| (numpy's allclose defaults).
+OP_RTOL = 1e-5
+# Absolute tolerance of same_operation: the bound's floor for entries near zero.
+OP_ATOL = 1e-8
 
 DEFAULT_DIM_CAP = 4096
 

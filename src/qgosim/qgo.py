@@ -28,7 +28,7 @@ from .executions import (
     register_update,
     step,
 )
-from .qcore import QuantumOperation, RegisterId, RegisterMap
+from .qcore import OP_ATOL, OP_RTOL, QuantumOperation, RegisterId, RegisterMap
 from .sysmodel import MessageInstance, SystemState, chan_key, encode_classical
 
 
@@ -70,7 +70,7 @@ def record_from_ext(proc, ext):
         "proc": proc,
         "gid": ext["op"],
         "self": ext["self"],
-        "channels": {c: list(v) for c, v in sorted(ext["res"].items())},
+        "channels": dict(sorted(ext["res"].items())),
     }
 
 
@@ -90,15 +90,14 @@ def _qgo_start(sigma, ext, outcome, params):
 @register_update("qgo.marker_close")
 def _qgo_marker_close(sigma, ext, outcome, params):
     (chan,) = params
-    ext["waitset"] = [c for c in ext["waitset"] if c != chan]
-    return sigma, ext
+    return sigma, {**ext, "waitset": [c for c in ext["waitset"] if c != chan]}
 
 
 @register_update("qgo.record")
 def _qgo_record(sigma, ext, outcome, params):
     (chan,) = params
-    ext["res"].setdefault(chan, []).append(outcome)
-    return sigma, ext
+    res = ext["res"]
+    return sigma, {**ext, "res": {**res, chan: res.get(chan, []) + [outcome]}}
 
 
 @register_update("qgo.respond")
@@ -264,7 +263,7 @@ def same_operation(a: QuantumOperation | None, b: QuantumOperation | None) -> bo
         ka, kb = a.kraus_by_outcome[r], b.kraus_by_outcome[r]
         if len(ka) != len(kb):
             return False
-        if not all(np.allclose(x, y) for x, y in zip(ka, kb)):
+        if not all(np.allclose(x, y, rtol=OP_RTOL, atol=OP_ATOL) for x, y in zip(ka, kb)):
             return False
     return True
 

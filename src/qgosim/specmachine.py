@@ -96,9 +96,8 @@ def spec_step(state: SystemState, event: Event) -> SystemState:
                 raise SpecViolation(
                     f"invocation while {p} has an operation in progress"
                 )
-        ext = dict(state.ext)
-        ext[event.label] = {"phase": "invoked", "gid": event.gid}
-        return dc_replace(state, ext=ext)
+        invoked = {"phase": "invoked", "gid": event.gid}
+        return dc_replace(state, ext={**state.ext, event.label: invoked})
 
     if isinstance(event, AtomicExecute):
         return apply_atomic(state, event)
@@ -111,9 +110,7 @@ def spec_step(state: SystemState, event: Event) -> SystemState:
             raise SpecViolation(
                 f"response record of {event.label} differs from its share"
             )
-        ext = dict(state.ext)
-        ext[event.label] = None
-        return dc_replace(state, ext=ext)
+        return dc_replace(state, ext={**state.ext, event.label: None})
 
     if isinstance(event, (Apply, Send, Receive)):
         if event.protocol:

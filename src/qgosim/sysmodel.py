@@ -9,7 +9,6 @@ touching the matrix entries.
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass, replace
 from typing import Any, Mapping
@@ -94,6 +93,8 @@ class SystemState:
     holding at least an "inbox" list).  ``ext`` holds the per-processor
     protocol or specification extension state.  ``ownership`` maps every
     register of ``quantum`` to a processor name or a message owner token.
+    Nothing mutates a state's values: steps and classical updates build new
+    ones, so states, events and messages share structure without copies.
     """
 
     procs: tuple[str, ...]
@@ -199,9 +200,9 @@ def receive(state: SystemState, receiver: str, chan: ChannelKey) -> tuple[System
 
     classical = dict(state.classical)
     if msg.marker is None:
-        sigma = copy.deepcopy(classical[receiver])
-        sigma.setdefault("inbox", []).append([chan, copy.deepcopy(msg.classical)])
-        classical[receiver] = sigma
+        sigma = classical[receiver]
+        inbox = sigma.get("inbox", []) + [[chan, msg.classical]]
+        classical[receiver] = {**sigma, "inbox": inbox}
     return replace(state, classical=classical, channels=channels, ownership=ownership), msg
 
 
@@ -274,28 +275,28 @@ def apply_local(
 
 
 def states_equal(a: SystemState, b: SystemState, tol: float) -> bool:
-    """Structural equality of the classical side, quantum within ``tol``."""
+    """Structural equality of the classical side, quantum within ``tol``
+    (absolute difference; a NaN or infinite entry never compares equal)."""
     if a.procs != b.procs:
         return False
-    if dict(a.classical) != dict(b.classical):
+    if a.classical != b.classical:
         return False
-    if dict(a.ext) != dict(b.ext):
+    if a.ext != b.ext:
         return False
-    if dict(a.channels) != dict(b.channels):
+    if a.channels != b.channels:
         return False
-    if dict(a.ownership) != dict(b.ownership):
+    if a.ownership != b.ownership:
         return False
     ca = qcore.canonical_form(a.quantum)
     cb = qcore.canonical_form(b.quantum)
     if ca.space.registers != cb.space.registers:
         return False
-    return bool(np.allclose(ca.entries, cb.entries, atol=tol, rtol=0))
+    return bool(np.abs(ca.entries - cb.entries).max() <= tol)
 
 
 def states_identical(a: SystemState, b: SystemState) -> bool:
     """Bitwise equality, used for fragment concatenation boundaries."""
     return (
-        states_equal(a, b, 0.0)
-        and a.quantum.space.registers == b.quantum.space.registers
-        and np.array_equal(a.quantum.entries, b.quantum.entries)
+        a.quantum.space.registers == b.quantum.space.registers
+        and states_equal(a, b, 0.0)
     )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qgosim import executions, qcore, qgo, sysmodel
+from qgosim import executions, qcore, qgo, specmachine, sysmodel, verifier
 from qgosim.executions import (
     Apply,
     ClassicalUpdate,
@@ -11,6 +11,8 @@ from qgosim.executions import (
     Send,
     replay,
 )
+from qgosim.harness.scenarios import ScenarioConfig
+from qgosim.harness.scheduler import run_simulation
 from qgosim.qcore import NO_OUTCOME, DensityMatrix, RegisterAllocator, RegisterSpace
 from qgosim.sysmodel import MessageInstance
 
@@ -202,3 +204,67 @@ class TestValidate:
 
         res = executions.validate(Anything(), bad)
         assert not res and res.first_failure == 0
+
+
+# ---------------------------------------------------------------------------
+# Purity: no step or classical update changes a state that already exists
+# ---------------------------------------------------------------------------
+
+def _inv(gid, leader, after_step):
+    return {"gid": gid, "leader": leader, "after_step": after_step}
+
+
+# One execution of each configuration kind of the batch-small benchmark
+# workload, with its scenario seed: between them they run every classical
+# update the package registers.
+PURITY_CORPUS = [
+    dict(base="token-ring", procs=2, base_params={"epr_pair": True, "max_hops": 6},
+         invocations=[_inv("snapshot-measure", "p0", 2),
+                      _inv("snapshot-measure", "p0", 6)], seed=0),
+    dict(base="teleport", procs=2,
+         invocations=[_inv("snapshot-measure", "p1", 1),
+                      _inv("global-encrypt", "p0", 3)], seed=1),
+    dict(base="token-ring", procs=3, base_params={"qubits_per_proc": 2, "max_hops": 6},
+         invocations=[_inv("global-encrypt", "p0", 2)], seed=2),
+    dict(base="ping", procs=3, base_params={"n_msgs": 6},
+         invocations=[_inv("record-only", "p2", 2),
+                      _inv("snapshot-measure", "p1", 5)], seed=3),
+]
+
+
+def _encoded(state):
+    """The classical side of ``state`` as text: sigma, ext and messages."""
+    enc = sysmodel.encode_classical
+    messages = {c: [m.classical for m in msgs] for c, msgs in state.channels.items()}
+    return enc(state.classical), enc(state.ext), enc(messages)
+
+
+def test_replay_never_mutates_an_earlier_state(monkeypatch):
+    ran = set()
+    for name, fn in list(executions._UPDATES.items()):
+        def counted(*args, name=name, fn=fn):
+            ran.add(name)
+            return fn(*args)
+        monkeypatch.setitem(executions._UPDATES, name, counted)
+
+    def check(x, step_fn):
+        seen = [(x.initial, _encoded(x.initial))]
+
+        def recording_step(state, event):
+            new = step_fn(state, event)
+            seen.append((new, _encoded(new)))
+            return new
+
+        replay(x, step_fn=recording_step)
+        assert len(seen) == len(x.events) + 1
+        for i, (state, encoded) in enumerate(seen):
+            assert _encoded(state) == encoded, f"state {i} changed after it was built"
+
+    for cfg in PURITY_CORPUS:
+        x = run_simulation(ScenarioConfig.from_dict(cfg)).execution
+        check(x, executions.step)
+        cert = verifier.verify(x)
+        assert cert.accepted, cert.reason
+        check(cert.z, executions.step)
+        check(cert.spec, specmachine.spec_step)
+    assert ran == set(executions._UPDATES)

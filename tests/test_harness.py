@@ -310,6 +310,30 @@ class TestCli:
         return recs
 
     @staticmethod
+    def _sigma_not_object(recs):
+        next(d for d in recs if d["t"] == "proc" and d["name"] == "p1")["sigma"] = ["inbox"]
+        return recs
+
+    @staticmethod
+    def _inbox_not_list(recs):
+        next(d for d in recs if d["t"] == "proc" and d["name"] == "p1")["sigma"]["inbox"] = {}
+        return recs
+
+    @staticmethod
+    def _repeated_proc(recs):
+        proc = next(d for d in recs if d["t"] == "proc" and d["name"] == "p0")
+        return recs + [{**proc, "sigma": {"inbox": [], "has_token": False}}]
+
+    @staticmethod
+    def _unknown_proc(recs):
+        proc = next(d for d in recs if d["t"] == "proc" and d["name"] == "p0")
+        return recs + [{**proc, "name": "p9"}]
+
+    @staticmethod
+    def _drop_proc(recs):
+        return [d for d in recs if not (d["t"] == "proc" and d["name"] == "p1")]
+
+    @staticmethod
     def _message_register_owned_by_proc(recs):
         msg = {"id": 99, "src": "p0", "dst": "p1", "classical": None,
                "regs": [[0, 2]], "marker": None, "pending": None}
@@ -328,9 +352,15 @@ class TestCli:
         ("_indefinite_state", "error: bad initial state: ShapeError('matrix has eigenvalue -1"),
         ("_unowned_register", "error: register 1 has no owner"),
         ("_message_register_owned_by_proc", "error: bad initial state: OwnershipViolation("),
+        ("_sigma_not_object", "error: proc record of 'p1': sigma is not a JSON object"),
+        ("_inbox_not_list", "error: proc record of 'p1': inbox is not a list"),
+        ("_repeated_proc", "error: trace has two proc records for 'p0'"),
+        ("_unknown_proc", "error: proc record names unknown processor 'p9'"),
+        ("_drop_proc", "error: trace has no proc record for 'p1'"),
     ], ids=["no-quantum", "repeated-procs", "repeated-quantum", "bad-qrow-value",
             "missing-row", "stray-row", "repeated-row", "short-row", "indefinite-state",
-            "unowned-register", "ownership-partition"])
+            "unowned-register", "ownership-partition", "sigma-not-object",
+            "inbox-not-list", "repeated-proc", "unknown-proc", "missing-proc"])
     def test_malformed_initial_state_exits_2(self, tmp_path, mutate, message):
         recs = getattr(self, mutate)(self.epr_trace_records())
         trace = tmp_path / "bad.jsonl"
@@ -454,13 +484,13 @@ _json_values = st.recursive(
 
 @st.composite
 def hostile_traces(draw):
-    """Scenario (a) with up to three edits inside its procs, quantum (regs
-    and own) and qrow records: a value replaced, an entry deleted, or a
-    record repeated or dropped."""
+    """Scenario (a) with up to three edits inside its procs, proc (name,
+    sigma and ext), quantum (regs and own) and qrow records: a value
+    replaced, an entry deleted, or a record repeated or dropped."""
     recs = [json.loads(line) for line in _scenario_a_text().splitlines()]
     for _ in range(draw(st.integers(1, 3))):
         targets = [k for k, d in enumerate(recs)
-                   if d["t"] in ("procs", "quantum", "qrow") and len(d) > 1]
+                   if d["t"] in ("procs", "proc", "quantum", "qrow") and len(d) > 1]
         if not targets:
             break
         k = draw(st.sampled_from(targets))
@@ -483,7 +513,7 @@ def hostile_traces(draw):
 
 
 @given(hostile_traces())
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=200, deadline=None)
 def test_hostile_state_records_exit_0_1_or_2(tmp_path_factory, text):
     trace = tmp_path_factory.mktemp("fuzz") / "t.jsonl"
     trace.write_text(text)

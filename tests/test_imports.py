@@ -1,5 +1,6 @@
 """The package's own import graph: every qgosim import is at module level,
-and no chain of imports leads from a module back to itself."""
+and no chain of imports leads from a module back to itself.  Also a scan
+of the package's tolerance calls."""
 
 import ast
 from pathlib import Path
@@ -100,3 +101,19 @@ def test_no_function_level_imports_of_qgosim():
 def test_import_graph_is_acyclic():
     edges, _ = scan()
     assert find_cycle(edges) is None
+
+
+def test_tolerance_calls_name_both_tolerances():
+    """Every ``allclose``/``isclose`` call in the package passes ``rtol`` and
+    ``atol`` by keyword, so no comparison falls back to numpy's defaults."""
+    bare = []
+    for module, path in MODULES.items():
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            given = {k.arg for k in node.keywords}
+            if name in ("allclose", "isclose") and not {"rtol", "atol"} <= given:
+                bare.append(f"{module}:{node.lineno}")
+    assert bare == []

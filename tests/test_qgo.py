@@ -49,7 +49,7 @@ class TestExtState:
         out_sigma, out = executions.run_update(record, sigma, ext, "r")
         assert ext["res"]["a->b"] == []
         assert out["res"]["a->b"] == ["r"]
-        assert out_sigma == sigma and out_sigma is not sigma
+        assert out_sigma == sigma
 
     def test_incoming_channels_include_self(self):
         chans = qgo.incoming_channels(("p0", "p1"), "p1")
