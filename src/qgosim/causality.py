@@ -52,6 +52,11 @@ class CausalRelation:
         return a != b and self.clock[b].get(label, 0) >= k
 
     @property
+    def pair_count(self) -> int:
+        """len(pairs) in O(n·L): clock[b] sums to b's causal past plus b."""
+        return sum(sum(vc.values()) for vc in self.clock.values()) - len(self.clock)
+
+    @property
     def pairs(self) -> frozenset:
         """Every (a, b) with a happening before b, in O(|pairs| + n·L)."""
         chains: dict[str, list[int]] = {}
@@ -109,11 +114,26 @@ def equicausal(x: Execution, y: Execution) -> bool:
 
 
 def lightcones(x: Execution, eids) -> tuple[set[int], set[int]]:
-    """(past, future) of the event set: everything causally before/after it."""
+    """(past, future) of the event set: everything causally before/after it.
+
+    From the clocks in O(n·L): a is in the past when some event of the set
+    reaches it, so when the set's largest clock entry for a's label does;
+    b is in the future when its clock reaches the set's earliest event of
+    some label.
+    """
     eids = set(eids)
     rel = compute_causality(x)
-    past = {a for (a, b) in rel.pairs if b in eids and a not in eids}
-    fut = {b for (a, b) in rel.pairs if a in eids and b not in eids}
+    reach: dict[str, int] = {}
+    first: dict[str, int] = {}
+    for e in eids & rel.seq.keys():
+        for label, c in rel.clock[e].items():
+            reach[label] = max(c, reach.get(label, 0))
+        label, k = rel.seq[e]
+        first[label] = min(k, first.get(label, k))
+    past = {a for a, (label, k) in rel.seq.items()
+            if a not in eids and k <= reach.get(label, 0)}
+    fut = {b for b, vc in rel.clock.items()
+           if b not in eids and any(vc.get(label, 0) >= k for label, k in first.items())}
     return past, fut
 
 

@@ -115,7 +115,7 @@ def cmd_inspect(args) -> int:
         print(f"  {i:4d} eid={ev.eid:<4d} {ev.label:<8s} {kind:<8s} {extra}")
     if args.causality:
         rel = causality.compute_causality(x)
-        print(f"{len(rel.pairs)} causal pairs")
+        print(f"{rel.pair_count} causal pairs")
     states = executions.replay(x)
     print(f"final trace: {states[-1].quantum.trace:.6g}")
     return EXIT_OK

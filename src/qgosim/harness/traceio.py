@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-from .. import qcore, sysmodel
+from .. import qcore, qgo, sysmodel
 from ..executions import (
     Apply,
     AtomicExecute,
@@ -75,12 +75,33 @@ def _parse_matrix(rows: list, n: int | None = None) -> np.ndarray:
     return np.array(out, dtype=np.complex128).reshape(len(rows), n)
 
 
+_KINDS = {int: "an int", str: "a string", bool: "a bool", list: "a list", dict: "an object"}
+
+
+def _field(d: dict, key: str, kind: type, optional: bool = False):
+    """``d[key]``, which must be of type ``kind`` exactly (so no bool passes
+    as an int), or null when ``optional``; raises ``ValueError``."""
+    v = d[key]
+    if type(v) is kind or (optional and v is None):
+        return v
+    raise ValueError(f"{key!r} is not {_KINDS[kind]}{' or null' if optional else ''}")
+
+
 def _reg(r: RegisterId) -> list:
     return [r.id, r.dim]
 
 
-def _parse_reg(v: list) -> RegisterId:
-    return RegisterId(int(v[0]), int(v[1]))
+def _parse_reg(v) -> RegisterId:
+    if not (type(v) is list and len(v) == 2 and all(type(x) is int for x in v)
+            and v[1] >= 1):
+        raise ValueError(f"register {v!r} is not an [id, dim] pair with dim >= 1")
+    return RegisterId(v[0], v[1])
+
+
+def _parse_dims(v) -> tuple[int, ...]:
+    if not (type(v) is list and all(type(x) is int and x >= 1 for x in v)):
+        raise ValueError(f"dims {v!r} are not a list of ints >= 1")
+    return tuple(v)
 
 
 def _qop(op: QuantumOperation | None):
@@ -97,11 +118,15 @@ def _qop(op: QuantumOperation | None):
 def _parse_qop(d) -> QuantumOperation | None:
     if d is None:
         return None
+    outs = _field(d, "outs", list)
+    if not all(type(r) is str for r in outs):
+        raise ValueError("'outs' holds an outcome that is not a string")
+    kraus = _field(d, "kraus", dict)
     return QuantumOperation(
-        tuple(d["outs"]),
-        {r: tuple(_parse_matrix(k) for k in d["kraus"][r]) for r in d["outs"]},
-        tuple(d["in_dims"]),
-        tuple(d["out_dims"]),
+        tuple(outs),
+        {r: tuple(_parse_matrix(k) for k in _field(kraus, r, list)) for r in outs},
+        _parse_dims(d["in_dims"]),
+        _parse_dims(d["out_dims"]),
     )
 
 
@@ -120,6 +145,8 @@ def _as_tuple(v):
 def _parse_update(v) -> ClassicalUpdate | None:
     if v is None:
         return None
+    if not (type(v) is list and len(v) == 2 and type(v[0]) is str and type(v[1]) is list):
+        raise ValueError(f"update {v!r} is not a [name, params] pair")
     return ClassicalUpdate(v[0], _as_tuple(v[1]))
 
 
@@ -136,14 +163,19 @@ def _msg(m: MessageInstance) -> dict:
 
 
 def _parse_msg(d: dict) -> MessageInstance:
+    if type(d) is not dict:
+        raise ValueError(f"message {d!r} is not an object")
+    marker, pending = d.get("marker"), d.get("pending")
+    if not all(v is None or type(v) is str for v in (marker, pending)):
+        raise ValueError("a message's 'marker' or 'pending' is not a string or null")
     return MessageInstance(
-        msg_id=d["id"],
-        src=d["src"],
-        dst=d["dst"],
+        msg_id=_field(d, "id", int),
+        src=_field(d, "src", str),
+        dst=_field(d, "dst", str),
         classical=d["classical"],
-        quantum_regs=tuple(_parse_reg(r) for r in d["regs"]),
-        marker=d.get("marker"),
-        pending=d.get("pending"),
+        quantum_regs=tuple(_parse_reg(r) for r in _field(d, "regs", list)),
+        marker=marker,
+        pending=pending,
     )
 
 
@@ -190,34 +222,35 @@ def encode_event(ev: Event) -> dict:
 
 
 def decode_event(d: dict) -> Event:
+    """The event of an ``ev`` record; a field of the wrong type raises
+    ``ValueError`` (``KeyError`` when it is missing)."""
     k = d["k"]
+    if k not in ("invoke", "respond", "apply", "send", "receive"):
+        raise TraceError(f"unknown event kind {k!r}")
+    eid, label = _field(d, "eid", int), _field(d, "label", str)
     if k == "invoke":
-        return Invoke(eid=d["eid"], label=d["label"], gid=d["gid"])
+        return Invoke(eid=eid, label=label, gid=_field(d, "gid", str))
+    update = _parse_update(d["update"])
     if k == "respond":
-        return Respond(
-            eid=d["eid"], label=d["label"], record=d["record"],
-            update=_parse_update(d["update"]),
-        )
+        return Respond(eid=eid, label=label, record=d["record"], update=update)
+    protocol = _field(d, "protocol", bool)
     if k == "apply":
         return Apply(
-            eid=d["eid"], label=d["label"], proc=d["proc"], name=d["name"],
-            outcome=d["outcome"], qop=_parse_qop(d["qop"]),
-            in_regs=tuple(_parse_reg(r) for r in d["in"]),
-            out_regs=tuple(_parse_reg(r) for r in d["out"]),
-            update=_parse_update(d["update"]), target_msg=d["target"],
-            protocol=d["protocol"],
+            eid=eid, label=label, proc=_field(d, "proc", str),
+            name=_field(d, "name", str), outcome=_field(d, "outcome", str),
+            qop=_parse_qop(_field(d, "qop", dict, optional=True)),
+            in_regs=tuple(_parse_reg(r) for r in _field(d, "in", list)),
+            out_regs=tuple(_parse_reg(r) for r in _field(d, "out", list)),
+            update=update, target_msg=_field(d, "target", int, optional=True),
+            protocol=protocol,
         )
     if k == "send":
-        return Send(
-            eid=d["eid"], label=d["label"], msg=_parse_msg(d["msg"]),
-            update=_parse_update(d["update"]), protocol=d["protocol"],
-        )
-    if k == "receive":
-        return Receive(
-            eid=d["eid"], label=d["label"], chan=d["chan"], msg_id=d["msg"],
-            update=_parse_update(d["update"]), protocol=d["protocol"],
-        )
-    raise TraceError(f"unknown event kind {k!r}")
+        return Send(eid=eid, label=label, msg=_parse_msg(d["msg"]), update=update,
+                    protocol=protocol)
+    return Receive(
+        eid=eid, label=label, chan=_field(d, "chan", str),
+        msg_id=_field(d, "msg", int), update=update, protocol=protocol,
+    )
 
 
 def encode_state(state: SystemState) -> list[dict]:
@@ -239,6 +272,15 @@ def encode_state(state: SystemState) -> list[dict]:
     return recs
 
 
+def _is_initial_ext(ext) -> bool:
+    """Null, or shaped like ``qgo.idle_ext()``: the same keys, each value of
+    the same type."""
+    idle = qgo.idle_ext()
+    return ext is None or (
+        type(ext) is dict and ext.keys() == idle.keys()
+        and all(type(ext[k]) is type(v) for k, v in idle.items()))
+
+
 def _decode_state(recs: list[dict]) -> SystemState:
     procs, classical, ext = None, {}, {}
     channels = {}
@@ -257,6 +299,9 @@ def _decode_state(recs: list[dict]) -> SystemState:
                 raise TraceError(f"proc record of {name!r}: sigma is not a JSON object")
             if not isinstance(sigma.get("inbox", []), list):
                 raise TraceError(f"proc record of {name!r}: inbox is not a list")
+            if not _is_initial_ext(d["ext"]):
+                raise TraceError(f"proc record of {name!r}: ext is neither null "
+                                 f"nor an idle protocol register")
             classical[name] = sigma
             ext[name] = d["ext"]
         elif t == "chan":
@@ -340,7 +385,7 @@ def parse_run(text: str):
         elif t == "ev":
             try:
                 events.append(decode_event(d))
-            except (KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, IndexError, qcore.QcoreError) as exc:
                 raise TraceError(f"line {lineno}: bad event record: {exc}") from exc
         elif t in ("procs", "proc", "chan", "quantum", "qrow"):
             state_recs.append(d)

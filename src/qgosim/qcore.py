@@ -1,16 +1,23 @@
-"""Dense complex linear algebra over a dynamically labeled tensor-product register space.
+"""Complex linear algebra over a dynamically labeled tensor-product register space.
 
 States are subnormalized density matrices: Hermitian, positive semidefinite,
 trace at most one.  The trace of a state carries the probability of the
 measurement-outcome history that produced it.  Basis indices decompose
 big-endian in register-list order, so ``np.kron`` in list order is the
 canonical tensor product.
+
+A state is held as a factor V of shape D×r with ρ = V·V† (r ≤ D), the
+quantum-trajectory picture: every builtin outcome has one Kraus matrix and
+every scenario starts from a vector, so r stays 1.  Applying an outcome,
+reading outcome probabilities, permuting registers, tracing out and
+comparing two states cost O(D·r) times the local dimensions, not O(D²) or
+more; the D×D matrix is formed only when ``DensityMatrix.entries`` is read.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -28,16 +35,15 @@ __all__ = [
     "UnknownRegister",
     "BadOutcome",
     "ShapeError",
-    "ZeroProbabilityHistory",
     "CapacityError",
     "tensor_product",
     "partial_trace",
     "apply_outcome",
     "outcome_probabilities",
     "draw_outcome",
-    "sample_outcome",
     "validate_operation",
     "canonical_form",
+    "states_close",
     "standard_basis_measurement",
     "unitary_channel",
     "identity_operation",
@@ -55,7 +61,8 @@ EPS_VALIDATE = 1e-9
 EPS_EXACT = 1e-12
 # Identities accumulated over long chains of transformations.
 EPS_CHAIN = 1e-9
-# A trace below this (in sample_outcome, at or below) is an impossible history.
+# A state whose trace (its history's probability) is below this is an
+# impossible history: replay and the atomic step refuse it.
 ZERO_TRACE = 1e-15
 # Relative tolerance of same_operation: Kraus entries a, b agree when
 # |a - b| <= OP_ATOL + OP_RTOL * |b| (numpy's allclose defaults).
@@ -92,10 +99,6 @@ class BadOutcome(QcoreError):
 
 class ShapeError(QcoreError):
     """Operator dimensions are incompatible with the mapped registers."""
-
-
-class ZeroProbabilityHistory(QcoreError):
-    """An operation was applied to a state of (numerically) zero trace."""
 
 
 class CapacityError(QcoreError):
@@ -163,55 +166,78 @@ class RegisterSpace:
         return reg in self.registers
 
 
-@dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Subnormalized density matrix over a register space."""
+    """Subnormalized density matrix ρ = V·V† over a register space.
 
-    space: RegisterSpace
-    entries: np.ndarray
+    The factor V has one row per basis state and r ≤ D columns, so
+    ``trace`` = ‖V‖_F².  ``entries`` is ρ itself, D×D: a state built from
+    dense rows (``DensityMatrix(space, entries)``, ``from_vector``) keeps
+    those exact rows, any other state computes V·V† once, when asked.  A
+    state built from rows is factored when ``factor`` is first read.
+    """
 
-    def __post_init__(self):
-        d = self.space.total_dim
-        if self.entries.shape != (d, d):
-            raise ShapeError(
-                f"entries shape {self.entries.shape} does not match dim {d}"
-            )
-        object.__setattr__(
-            self, "entries", np.ascontiguousarray(self.entries, dtype=np.complex128)
-        )
+    __slots__ = ("space", "_factor", "_entries")
+
+    def __init__(self, space: RegisterSpace, entries: np.ndarray | None = None,
+                 factor: np.ndarray | None = None):
+        d = space.total_dim
+        if entries is not None:
+            entries = np.ascontiguousarray(entries, dtype=np.complex128)
+            if entries.shape != (d, d):
+                raise ShapeError(f"entries shape {entries.shape} does not match dim {d}")
+        if factor is not None:
+            factor = np.ascontiguousarray(factor, dtype=np.complex128)
+            if factor.ndim != 2 or factor.shape[0] != d:
+                raise ShapeError(f"factor shape {factor.shape} does not match dim {d}")
+        elif entries is None:
+            raise ShapeError("a state needs its entries or its factor")
+        self.space = space
+        self._factor = factor
+        self._entries = entries
+
+    @property
+    def factor(self) -> np.ndarray:
+        if self._factor is None:
+            self._factor = _factorize(self._entries, EPS_VALIDATE)[0]
+        return self._factor
+
+    @property
+    def entries(self) -> np.ndarray:
+        if self._entries is None:
+            self._entries = _gram(self._factor)
+        return self._entries
 
     @property
     def trace(self) -> float:
-        return float(np.real(np.trace(self.entries)))
+        v = self.factor
+        return float(np.vdot(v, v).real)
 
     def validate(self, eps: float = EPS_VALIDATE) -> None:
-        """Raise if the matrix is not Hermitian, PSD, and subnormalized.
+        """Raise if the entries are not Hermitian, PSD, and subnormalized.
 
-        ρ + eps·I has a Cholesky factor when no eigenvalue of ρ is at or
-        below -eps; ``eigvalsh`` runs only when it has none, to name the
-        lowest eigenvalue.
+        The PSD test is the factorization: it proves that no eigenvalue is
+        below -eps, or else ``eigh`` finds one (see ``_factorize``).
         """
-        if not np.isfinite(self.entries).all():
+        m = self.entries
+        if not np.isfinite(m).all():
             raise ShapeError("matrix has an entry that is not finite")
-        if np.abs(self.entries - self.entries.conj().T).max() > eps:
+        if np.abs(m - m.conj().T).max() > eps:
             raise ShapeError("matrix is not Hermitian within tolerance")
-        shifted = self.entries.copy()
-        shifted.flat[:: shifted.shape[0] + 1] += eps
-        try:
-            np.linalg.cholesky(shifted)
-        except np.linalg.LinAlgError:
-            lowest = np.linalg.eigvalsh(self.entries).min(initial=0.0)
-            if lowest < -eps:
-                raise ShapeError(f"matrix has eigenvalue {lowest} below -{eps}") from None
-        if not (-eps <= self.trace <= 1 + eps):
-            raise ShapeError(f"trace {self.trace} outside [0, 1]")
+        v, lowest = _factorize(m, eps)
+        if lowest < -eps:
+            raise ShapeError(f"matrix has eigenvalue {lowest} below -{eps}")
+        if self._factor is None:
+            self._factor = v
+        trace = float(np.real(np.trace(m)))
+        if not (-eps <= trace <= 1 + eps):
+            raise ShapeError(f"trace {trace} outside [0, 1]")
 
     @classmethod
     def from_vector(cls, space: RegisterSpace, vec: Sequence[complex]) -> "DensityMatrix":
-        v = np.asarray(vec, dtype=np.complex128).reshape(-1)
+        v = np.array(vec, dtype=np.complex128).reshape(-1)  # the factor keeps it
         if v.shape[0] != space.total_dim:
             raise ShapeError("vector length does not match space dimension")
-        return cls(space, np.outer(v, v.conj()))
+        return cls(space, np.outer(v, v.conj()), v[:, None])
 
     @classmethod
     def basis_state(cls, space: RegisterSpace, index: int = 0) -> "DensityMatrix":
@@ -227,7 +253,90 @@ class DensityMatrix:
     @classmethod
     def empty(cls) -> "DensityMatrix":
         """The trivial state over zero registers (a 1x1 matrix holding 1)."""
-        return cls(RegisterSpace(()), np.array([[1.0 + 0j]]))
+        return cls.from_vector(RegisterSpace(()), [1.0])
+
+
+# Row blocks of D×D products hold about this many entries (4 MB), so no
+# D×D temporary is made besides a result that is asked for.
+_BLOCK_ENTRIES = 1 << 18
+
+
+def _row_blocks(d: int):
+    step = max(1, _BLOCK_ENTRIES // d)
+    return (slice(i, i + step) for i in range(0, d, step))
+
+
+def _gram(v: np.ndarray) -> np.ndarray:
+    """V·V†, the dense matrix of a factor."""
+    return v @ v.conj().T
+
+
+def _factorize(m: np.ndarray, eps: float) -> tuple[np.ndarray, float]:
+    """A factor V of the Hermitian ``m`` and a lower bound on its lowest eigenvalue.
+
+    Pivoted Cholesky (Higham 1990) pivots on the largest remaining diagonal
+    entry and stops once none is above D·ε·max diag (the rank tolerance of
+    LAPACK's ?pstrf), so VV† keeps ``m`` to rounding.  It costs O(D²·r) for
+    rank r.  By Weyl's inequality, λ_min(m) ≥ -‖m - VV†‖_F, and that is the
+    bound returned when it is at least -eps.  Otherwise ``eigh`` decides:
+    the bound is the lowest eigenvalue, and the factor holds the
+    eigenvectors scaled by the square roots of the positive eigenvalues.
+    """
+    d = m.shape[0]
+    diag = m.diagonal().real.copy()
+    stop = d * np.finfo(float).eps * max(diag.max(), 0.0)
+    cols: list[np.ndarray] = []
+    for _ in range(d):
+        j = int(diag.argmax())
+        if not diag[j] > stop:
+            break
+        col = m[:, j].copy()
+        if cols:
+            done = np.array(cols).T
+            col -= done @ done[j].conj()
+        col /= np.sqrt(diag[j])
+        diag -= np.abs(col) ** 2
+        cols.append(col)
+    v = np.array(cols, dtype=np.complex128).T.reshape(d, len(cols))
+    vh = v.conj().T
+    residual = np.sqrt(sum(float(np.sum(np.abs(m[b] - v[b] @ vh) ** 2))
+                           for b in _row_blocks(d)))
+    if residual <= eps:
+        return v, -residual
+    w, u = np.linalg.eigh(m)
+    keep = w > 0
+    return u[:, keep] * np.sqrt(w[keep]), float(w.min())
+
+
+def _capped(v: np.ndarray) -> np.ndarray:
+    """A factor of V·V† with at most D columns: for r > D, V† = QR gives
+    V·V† = R†R, and R† has D columns."""
+    if v.shape[1] <= v.shape[0]:
+        return v
+    return np.linalg.qr(v.conj().T, mode="r").conj().T
+
+
+def states_close(a: DensityMatrix, b: DensityMatrix, tol: float) -> bool:
+    """max |ρ_a - ρ_b| <= tol for two states over the same space; a NaN or
+    infinite entry never compares close.
+
+    ‖V - W‖_F·(‖V‖_F + ‖W‖_F) bounds max |VV† - WW†|, so factors of the
+    same shape that agree or nearly agree pass in O(D·r).  Otherwise
+    VV† - WW† is formed as [V W]·[V -W]†, one block of rows at a time.
+    """
+    v, w = a.factor, b.factor
+    if v.shape == w.shape:
+        diff = v - w
+        if not np.count_nonzero(diff):  # NaN - NaN and inf - inf are NaN
+            return True
+        bound = np.sqrt(np.vdot(diff, diff).real) * (
+            np.sqrt(np.vdot(v, v).real) + np.sqrt(np.vdot(w, w).real))
+        if bound <= tol:
+            return True
+    left = np.concatenate([v, w], axis=1)
+    right = np.concatenate([v, -w], axis=1).conj().T
+    return all(np.abs(left[b] @ right).max(initial=0.0) <= tol
+               for b in _row_blocks(left.shape[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,41 +417,36 @@ class ValidationReport:
 
 
 def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    """Kronecker product of two states; register lists are concatenated."""
+    """Kronecker product of two states; register lists are concatenated.
+    V_a ⊗ V_b is a factor of ρ_a ⊗ ρ_b."""
     shared = {r.id for r in a.space.registers} & {r.id for r in b.space.registers}
     if shared:
         raise IdCollision(f"register ids {sorted(shared)} appear on both sides")
     space = RegisterSpace(a.space.registers + b.space.registers)
-    return DensityMatrix(space, np.kron(a.entries, b.entries))
+    return DensityMatrix(space, factor=np.kron(a.factor, b.factor))
 
 
-def _permute_registers(mat: np.ndarray, dims: Sequence[int], order: Sequence[int]) -> np.ndarray:
-    """Entries of ``mat`` with its registers reordered: new register ``j`` is
-    old register ``order[j]``.  Returns ``mat`` itself for the identity order."""
+def _permute_rows(v: np.ndarray, dims: Sequence[int], order: Sequence[int]) -> np.ndarray:
+    """Rows of the factor ``v`` with its registers reordered: new register
+    ``j`` is old register ``order[j]``.  Returns ``v`` itself for the
+    identity order."""
     n = len(dims)
     order = list(order)
     if order == list(range(n)):
-        return mat
-    d = mat.shape[0]
-    axes = order + [n + i for i in order]
-    return mat.reshape(tuple(dims) * 2).transpose(axes).reshape(d, d)
+        return v
+    return v.reshape(*dims, v.shape[1]).transpose(order + [n]).reshape(v.shape)
 
 
-def _reduced_state(rho: DensityMatrix, regs: Sequence[RegisterId]) -> np.ndarray:
-    """The reduced state on ``regs``, in their order, as a plain matrix.
-
-    One reshape to the (d₁…dₙ, d₁…dₙ) tensor view and one trace over the
-    other registers; it reads O(D·d) entries for d the dimension of ``regs``.
-    """
-    dims = rho.space.dims
-    slot = {rho.space.registers.index(r): j for j, r in enumerate(regs)}
-    axes = [i for i, dim in enumerate(dims) if dim > 1]  # unit registers add no axis
-    n = len(axes)
-    cols = [n + a if i in slot else a for a, i in enumerate(axes)]
-    keep = [a for _, a in sorted((slot[i], a) for a, i in enumerate(axes) if i in slot)]
+def _fold(rho: DensityMatrix, regs: Sequence[RegisterId]) -> np.ndarray:
+    """The factor with ``regs``, in their order, as the row index and every
+    other register folded into the columns: M with M·M† the reduced state
+    on ``regs``.  One O(D·r) copy at most."""
+    space = rho.space
+    pos = [space.registers.index(r) for r in regs]
+    rest = [i for i in range(len(space.registers)) if i not in pos]
+    v = _permute_rows(rho.factor, space.dims, pos + rest)
     d = int(np.prod([r.dim for r in regs]))
-    t = rho.entries.reshape([dims[i] for i in axes] * 2)
-    return np.einsum(t, list(range(n)) + cols, keep + [n + a for a in keep]).reshape(d, d)
+    return v.reshape(d, v.size // d)
 
 
 def partial_trace(rho: DensityMatrix, discard: Iterable[RegisterId]) -> DensityMatrix:
@@ -352,7 +456,7 @@ def partial_trace(rho: DensityMatrix, discard: Iterable[RegisterId]) -> DensityM
         if reg not in rho.space:
             raise UnknownRegister(f"register {reg} not in space")
     keep = tuple(r for r in rho.space.registers if r not in discard)
-    return DensityMatrix(RegisterSpace(keep), _reduced_state(rho, keep))
+    return DensityMatrix(RegisterSpace(keep), factor=_capped(_fold(rho, keep)))
 
 
 def _check_regmap(rho: DensityMatrix, op: QuantumOperation, regmap: RegisterMap) -> None:
@@ -372,11 +476,6 @@ def _check_regmap(rho: DensityMatrix, op: QuantumOperation, regmap: RegisterMap)
 # per tiny d_in x s slice; moving the d_in axis last and making one call is
 # faster (measured on a 2-vCPU x86 VM with OpenBLAS, D=1024 and D=4096).
 _MIN_BATCH_COLS = 16
-
-
-# apply_outcome works on blocks of about this many entries of ρ (4 MB), so
-# its temporaries stay small whatever D is.
-_BLOCK_ENTRIES = 1 << 18
 
 
 def _contract_middle(k: np.ndarray, x: np.ndarray, s: int) -> np.ndarray:
@@ -405,16 +504,15 @@ def apply_outcome(
     unchanged the register order of the space is preserved exactly, otherwise
     the output registers are placed first followed by the untouched rest.
 
-    Each Kraus matrix K acts as the operator-sum term on a subsystem: with the
-    mapped registers as the middle factor of a (p, d_in, s) split of the row
-    index, K contracts that factor, and K̄ then contracts the matching factor
-    of the column index.  A Kraus matrix costs D²·d_out + D'²·d_in
-    multiply-adds, within O(D²·d_in·d_out), for input dimension D and output
-    dimension D'.  Rows are done in blocks of about 4 MB, so there are no D×D
-    temporaries besides the result, with two exceptions: the state is copied
-    into a new register order when the mapped registers are not adjacent in
-    the space, and the result is copied when its registers must then be put
-    into the order given above.
+    The outcome's Kraus matrices K₁…Kₖ map the factor V to [K₁V, …, KₖV]:
+    with the mapped registers as the middle factor of a (p, d_in, s) split
+    of the row index, each K contracts that factor of V viewed as
+    (p, d_in, s·r).  That costs D·r·d_out multiply-adds per Kraus matrix,
+    O(D·r·d_in·d_out) in all, for input dimension D and rank r, and needs
+    no D×D array.  The rows of V are copied into a new register order when
+    the mapped registers are not adjacent in the space, and the result's
+    rows when they must then be put into the order given above.  When k·r
+    exceeds the output dimension D', a QR step cuts the rank back to D'.
     """
     if outcome not in op.outcome_set:
         raise BadOutcome(f"outcome {outcome!r} not in {op.outcome_set}")
@@ -428,7 +526,7 @@ def apply_outcome(
     first = pos[slots[0]] if pos else 0
     before = [i for i in range(first) if i not in pos]
     after = [i for i in range(first, len(regs)) if i not in pos]
-    mat = _permute_registers(rho.entries, dims, before + sorted(pos) + after)
+    v = _permute_rows(rho.factor, dims, before + sorted(pos) + after)
 
     # Reorder the Kraus axes to match: inputs in space order, and outputs too
     # when they take the inputs' place.
@@ -437,35 +535,20 @@ def apply_outcome(
     axes = out_slots + [len(op.out_dims) + j for j in slots]
     p = int(np.prod([dims[i] for i in before]))
     s = int(np.prod([dims[i] for i in after]))
-    d, din, dout = mat.shape[0], op.in_dim, op.out_dim
-    d_new = p * dout * s
+    din, dout, r = op.in_dim, op.out_dim, v.shape[1]
     kraus = [k.reshape(op.out_dims + op.in_dims).transpose(axes).reshape(dout, din)
              for k in op.kraus_by_outcome[outcome]]
-    # A block of rows of ρ, split as (p, d_in, s), takes whole values of the
-    # first index when they fit, else a run of the last index.
-    per_a = din * s * d
-    if per_a <= _BLOCK_ENTRIES:
-        ab, cb = _BLOCK_ENTRIES // per_a, s
-    else:
-        ab, cb = 1, max(1, _BLOCK_ENTRIES // (din * d))
-    mat4 = mat.reshape(p, din, s, d)
-    out = np.empty((d_new, d_new), dtype=np.complex128)
-    out4 = out.reshape(p, dout, s, d_new)
-    for a in range(0, p, ab):
-        for c in range(0, s, cb):
-            rows = mat4[a:a + ab, :, c:c + cb]
-            na, nc = rows.shape[0], rows.shape[2]
-            rows = rows.reshape(na, din, nc * d)
-            terms = [_contract_middle(k.conj(), np.matmul(k, rows), s) for k in kraus]
-            out4[a:a + ab, :, c:c + cb] = (
-                sum(terms[1:], terms[0]).reshape(na, dout, nc, d_new) if terms else 0)
+    out = np.empty((p, dout, s, len(kraus), r), dtype=np.complex128)
+    for i, k in enumerate(kraus):
+        out[:, :, :, i] = _contract_middle(k, v, s * r).reshape(p, dout, s, r)
+    out = out.reshape(p * dout * s, len(kraus) * r)
 
     cur = ([regs[i] for i in before] + [regmap.out_regs[j] for j in out_slots]
            + [regs[i] for i in after])
     target = list(regs) if same else list(regmap.out_regs) + [regs[i] for i in before + after]
-    out = _permute_registers(out, [r.dim for r in cur], [cur.index(r) for r in target])
+    out = _permute_rows(out, [r.dim for r in cur], [cur.index(r) for r in target])
     space = rho.space if same else RegisterSpace(tuple(target))
-    return DensityMatrix(space, out)
+    return DensityMatrix(space, factor=_capped(out))
 
 
 def outcome_probabilities(
@@ -473,13 +556,14 @@ def outcome_probabilities(
 ) -> np.ndarray:
     """p(r) = Σ_K tr(K ρ_A K†) for each outcome r, in outcome-set order.
 
-    ρ_A is the reduced state on the mapped registers, so no outcome is
-    applied to the whole state: the cost is O(D·d_in) for ρ_A plus
-    O(d_in²·d_out) per Kraus matrix.  Each p(r) equals the trace of
-    ``apply_outcome(rho, op, regmap, r)`` and is clipped at 0.
+    ρ_A = M·M† is the reduced state on the mapped registers (see ``_fold``),
+    so no outcome is applied to the whole state: the cost is O(D·r·d_in)
+    for ρ_A plus O(d_in²·d_out) per Kraus matrix.  Each p(r) equals the
+    trace of ``apply_outcome(rho, op, regmap, r)`` and is clipped at 0.
     """
     _check_regmap(rho, op, regmap)
-    rho_a = _reduced_state(rho, regmap.in_regs)
+    m = _fold(rho, regmap.in_regs)
+    rho_a = m @ m.conj().T
     return np.array([
         max(sum(float(np.vdot(k, k @ rho_a).real) for k in op.kraus_by_outcome[r]), 0.0)
         for r in op.outcome_set
@@ -496,24 +580,6 @@ def draw_outcome(
     probs = outcome_probabilities(rho, op, regmap)
     probs = probs / probs.sum()
     return op.outcome_set[rng.choice(len(op.outcome_set), p=probs)]
-
-
-def sample_outcome(
-    rho: DensityMatrix,
-    op: QuantumOperation,
-    regmap: RegisterMap,
-    rng: np.random.Generator,
-) -> tuple[str, DensityMatrix]:
-    """Draw an outcome with its physical probability and return the new state.
-
-    The returned state is not renormalized; its trace is the joint probability
-    of the full outcome history so far.  Only the drawn outcome is applied.
-    """
-    tr = rho.trace
-    if tr <= ZERO_TRACE:
-        raise ZeroProbabilityHistory(f"state trace {tr} is numerically zero")
-    r = draw_outcome(rho, op, regmap, rng)
-    return r, apply_outcome(rho, op, regmap, r)
 
 
 def validate_operation(op: QuantumOperation, eps: float = EPS_VALIDATE) -> ValidationReport:
@@ -533,14 +599,14 @@ def validate_operation(op: QuantumOperation, eps: float = EPS_VALIDATE) -> Valid
 
 
 def canonical_form(rho: DensityMatrix) -> DensityMatrix:
-    """Sort registers by id and permute the entries accordingly; idempotent."""
+    """Sort registers by id and permute the factor's rows accordingly; idempotent."""
     regs = list(rho.space.registers)
     order = sorted(range(len(regs)), key=lambda i: regs[i].id)
     if order == list(range(len(regs))):
         return rho
     return DensityMatrix(
         RegisterSpace(tuple(regs[i] for i in order)),
-        _permute_registers(rho.entries, [r.dim for r in regs], order),
+        factor=_permute_rows(rho.factor, [r.dim for r in regs], order),
     )
 
 

@@ -13,8 +13,6 @@ import json
 from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
-import numpy as np
-
 from . import qcore
 from .qcore import DensityMatrix, RegisterId, RegisterMap, QuantumOperation
 
@@ -276,7 +274,8 @@ def apply_local(
 
 def states_equal(a: SystemState, b: SystemState, tol: float) -> bool:
     """Structural equality of the classical side, quantum within ``tol``
-    (absolute difference; a NaN or infinite entry never compares equal)."""
+    (``qcore.states_close``: max absolute difference of the density
+    matrices; a NaN or infinite entry never compares equal)."""
     if a.procs != b.procs:
         return False
     if a.classical != b.classical:
@@ -291,7 +290,7 @@ def states_equal(a: SystemState, b: SystemState, tol: float) -> bool:
     cb = qcore.canonical_form(b.quantum)
     if ca.space.registers != cb.space.registers:
         return False
-    return bool(np.abs(ca.entries - cb.entries).max() <= tol)
+    return qcore.states_close(ca, cb, tol)
 
 
 def states_identical(a: SystemState, b: SystemState) -> bool:

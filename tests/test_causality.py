@@ -93,6 +93,20 @@ class TestCausality:
             for a, b in itertools.product(eids, eids):
                 assert rel.prec(a, b) == ((a, b) in oracle), (order, a, b)
 
+    def test_pair_count_and_lightcones_on_every_permutation(self):
+        """The clock-derived pair count and light cones against the pair set."""
+        x = three_proc_execution()
+        sets = [set(c) for n in range(4) for c in itertools.combinations(range(6), n)]
+        for order in itertools.permutations(x.events):
+            y = Execution(x.initial, order)
+            rel = compute_causality(y)
+            pairs = rel.pairs
+            assert rel.pair_count == len(pairs)
+            for eids in sets:
+                past = {a for a, b in pairs if b in eids and a not in eids}
+                fut = {b for a, b in pairs if a in eids and b not in eids}
+                assert lightcones(y, eids) == (past, fut), (order, eids)
+
 
 class TestEquicausal:
     def test_swap_of_independent_pair(self):

@@ -3,6 +3,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -251,11 +252,15 @@ class TestCli:
         (reason,) = [l for l in r.stdout.splitlines() if l.startswith("rejected:")]
         assert "sent with a pending outcome" in reason
 
-    def epr_trace_records(self):
+    @staticmethod
+    def _epr_run():
         cfg = ScenarioConfig(base="token-ring", procs=2,
                              base_params={"max_hops": 3, "epr_pair": True}, seed=0)
         res = run_simulation(cfg)
-        text = traceio.serialize_run(res.execution, cfg, res.decisions)
+        return res.execution, cfg, res.decisions
+
+    def epr_trace_records(self):
+        text = traceio.serialize_run(*self._epr_run())
         return [json.loads(line) for line in text.splitlines()]
 
     @staticmethod
@@ -334,6 +339,16 @@ class TestCli:
         return [d for d in recs if not (d["t"] == "proc" and d["name"] == "p1")]
 
     @staticmethod
+    def _ext_not_register(recs):
+        next(d for d in recs if d["t"] == "proc" and d["name"] == "p1")["ext"] = [1]
+        return recs
+
+    @staticmethod
+    def _ext_res_list(recs):
+        next(d for d in recs if d["t"] == "proc" and d["name"] == "p1")["ext"]["res"] = []
+        return recs
+
+    @staticmethod
     def _message_register_owned_by_proc(recs):
         msg = {"id": 99, "src": "p0", "dst": "p1", "classical": None,
                "regs": [[0, 2]], "marker": None, "pending": None}
@@ -357,10 +372,15 @@ class TestCli:
         ("_repeated_proc", "error: trace has two proc records for 'p0'"),
         ("_unknown_proc", "error: proc record names unknown processor 'p9'"),
         ("_drop_proc", "error: trace has no proc record for 'p1'"),
+        ("_ext_not_register", "error: proc record of 'p1': ext is neither null nor an "
+                              "idle protocol register"),
+        ("_ext_res_list", "error: proc record of 'p1': ext is neither null nor an "
+                          "idle protocol register"),
     ], ids=["no-quantum", "repeated-procs", "repeated-quantum", "bad-qrow-value",
             "missing-row", "stray-row", "repeated-row", "short-row", "indefinite-state",
             "unowned-register", "ownership-partition", "sigma-not-object",
-            "inbox-not-list", "repeated-proc", "unknown-proc", "missing-proc"])
+            "inbox-not-list", "repeated-proc", "unknown-proc", "missing-proc",
+            "ext-not-register", "ext-res-list"])
     def test_malformed_initial_state_exits_2(self, tmp_path, mutate, message):
         recs = getattr(self, mutate)(self.epr_trace_records())
         trace = tmp_path / "bad.jsonl"
@@ -370,6 +390,20 @@ class TestCli:
         assert "Traceback" not in r.stderr
         assert len(r.stderr.strip().splitlines()) == 1
         assert r.stderr.startswith(message)
+
+    def test_null_eid_on_send_exits_2(self, tmp_path):
+        lines = traceio.serialize_run(*self._epr_run()).splitlines()
+        k = next(i for i, line in enumerate(lines) if json.loads(line).get("k") == "send")
+        rec = json.loads(lines[k])
+        rec["eid"] = None
+        lines[k] = json.dumps(rec, sort_keys=True)
+        trace = tmp_path / "eid.jsonl"
+        trace.write_text("\n".join(lines) + "\n")
+        r = self.run_cli("verify", str(trace))
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        assert r.stderr.strip() == (
+            f"error: line {k + 1}: bad event record: 'eid' is not an int")
 
     @pytest.mark.parametrize("null_ext, update, stage", [
         (False, "qgo.marker_close", "spec-replay"),
@@ -452,25 +486,53 @@ GOLDEN_TRACES = {
 }
 
 
+@functools.cache
+def _golden_trace_text(name):
+    cfg, _ = GOLDEN_TRACES[name]
+    res = run_simulation(ScenarioConfig.from_dict(cfg))
+    return traceio.serialize_run(res.execution, res.config, res.decisions)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_TRACES))
 def test_golden_trace(name):
-    cfg, digest = GOLDEN_TRACES[name]
-    res = run_simulation(ScenarioConfig.from_dict(cfg))
-    text = traceio.serialize_run(res.execution, res.config, res.decisions)
-    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    text = _golden_trace_text(name)
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_TRACES[name][1]
+
+
+# sha256 of ``serialize_certificate`` for the golden traces, each parsed back
+# and verified: they pin the verdicts, swap counts, event orders and
+# specification events, whatever representation the quantum state has.
+GOLDEN_CERTIFICATES = {
+    "scenario-a": "e45d42d4fc7d0e2f803719dc89564a2d84d92211b67a9c9a1e71bbef4c423886",
+    "global-encrypt-d64":
+        "9694e419836ed81eebb2ebd5b7df48b609b461cbb8efd0599b40eea0997b3e76",
+    "ring-quantum-wide":
+        "991154c509dd99716dd1369d66aeab18e63a5f8014bf5a4ab421ac32f5faa200",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CERTIFICATES))
+def test_golden_certificate(name):
+    x, _, _ = traceio.parse_run(_golden_trace_text(name))
+    cert = traceio.serialize_certificate(verifier.verify(x))
+    assert hashlib.sha256(cert.encode()).hexdigest() == GOLDEN_CERTIFICATES[name]
+
+
+def test_verifying_a_wide_trace_builds_no_dense_derived_state():
+    """On scenario (d), D=1024, only the parsed initial state has a D×D
+    matrix (its rows).  Every state verify derives stays a factor: no
+    V·V† is formed, whole (``_gram``) or a block of rows at a time
+    (``_row_blocks``, the exact branch of ``states_close``)."""
+    x, _, _ = traceio.parse_run(_golden_trace_text("ring-quantum-wide"))
+    with mock.patch.object(qcore, "_gram", side_effect=AssertionError("V·V†")), \
+            mock.patch.object(qcore, "_row_blocks", side_effect=AssertionError("rows")):
+        assert verifier.verify(x).accepted
 
 
 # ---------------------------------------------------------------------------
 # Hostile initial states: any edit of the state records parses and is
 # verified, or is refused with an exit code; nothing escapes.
 # ---------------------------------------------------------------------------
-
-@functools.cache
-def _scenario_a_text():
-    cfg, _ = GOLDEN_TRACES["scenario-a"]
-    res = run_simulation(ScenarioConfig.from_dict(cfg))
-    return traceio.serialize_run(res.execution, res.config, res.decisions)
-
 
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 99) | st.floats(allow_nan=False)
@@ -483,14 +545,14 @@ _json_values = st.recursive(
 
 
 @st.composite
-def hostile_traces(draw):
-    """Scenario (a) with up to three edits inside its procs, proc (name,
-    sigma and ext), quantum (regs and own) and qrow records: a value
-    replaced, an entry deleted, or a record repeated or dropped."""
-    recs = [json.loads(line) for line in _scenario_a_text().splitlines()]
+def hostile_traces(draw, kinds=("procs", "proc", "quantum", "qrow")):
+    """Scenario (a) with up to three edits inside its records of the given
+    kinds (by default procs, proc (name, sigma and ext), quantum (regs and
+    own) and qrow): a value replaced, an entry deleted, or a record repeated
+    or dropped."""
+    recs = [json.loads(line) for line in _golden_trace_text("scenario-a").splitlines()]
     for _ in range(draw(st.integers(1, 3))):
-        targets = [k for k, d in enumerate(recs)
-                   if d["t"] in ("procs", "proc", "quantum", "qrow") and len(d) > 1]
+        targets = [k for k, d in enumerate(recs) if d["t"] in kinds and len(d) > 1]
         if not targets:
             break
         k = draw(st.sampled_from(targets))
@@ -515,6 +577,14 @@ def hostile_traces(draw):
 @given(hostile_traces())
 @settings(max_examples=200, deadline=None)
 def test_hostile_state_records_exit_0_1_or_2(tmp_path_factory, text):
+    trace = tmp_path_factory.mktemp("fuzz") / "t.jsonl"
+    trace.write_text(text)
+    assert cli.main(["verify", str(trace)]) in (0, 1, 2)
+
+
+@given(hostile_traces(kinds=("ev",)))
+@settings(max_examples=200, deadline=None)
+def test_hostile_event_records_exit_0_1_or_2(tmp_path_factory, text):
     trace = tmp_path_factory.mktemp("fuzz") / "t.jsonl"
     trace.write_text(text)
     assert cli.main(["verify", str(trace)]) in (0, 1, 2)

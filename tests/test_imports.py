@@ -117,3 +117,15 @@ def test_tolerance_calls_name_both_tolerances():
             if name in ("allclose", "isclose") and not {"rtol", "atol"} <= given:
                 bare.append(f"{module}:{node.lineno}")
     assert bare == []
+
+
+def test_only_qcore_and_traceio_read_dense_entries():
+    """A state is its factor; its D×D ``entries`` are read by ``qcore`` and
+    by the trace serializer, and nowhere else in the package."""
+    readers = set()
+    for module, path in MODULES.items():
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr == "entries":
+                readers.add(module)
+    assert readers <= {"qgosim.qcore", "qgosim.harness.traceio"}
+    assert "qgosim.harness.traceio" in readers

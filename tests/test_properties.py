@@ -110,12 +110,14 @@ def _oracle_apply(rho, op, regmap, outcome):
 
 @st.composite
 def kernel_cases(draw):
-    """A random state on 1-4 registers of dimension 2 or 3, and a random
-    multi-Kraus operation (an outcome may have no Kraus matrix at all) on
+    """A random state of random rank on 1-4 registers of dimension 2 or 3
+    (ids in random order), built from its rows or from a factor, and a
+    random multi-Kraus operation (an outcome may have no Kraus matrix at all) on
     registers at random positions in random slot order; the operation keeps,
     discards, reorders or grows its registers."""
     dims = draw(st.lists(st.sampled_from([2, 3]), min_size=1, max_size=4))
-    regs = tuple(RegisterId(10 + i, d) for i, d in enumerate(dims))
+    ids = draw(st.permutations(range(len(dims))))
+    regs = tuple(RegisterId(10 + i, d) for i, d in zip(ids, dims))
     order = draw(st.permutations(range(len(regs))))
     kind = draw(st.sampled_from(["same", "discard", "reorder", "grow"]))
     m = draw(st.integers(0 if kind == "grow" else 1, len(regs)))
@@ -132,9 +134,13 @@ def kernel_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
 
     d = int(np.prod(dims))
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    rho = a @ a.conj().T
-    rho = DensityMatrix(RegisterSpace(regs), rho / np.trace(rho).real)
+    rank = draw(st.integers(1, d))
+    a = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+    a /= np.linalg.norm(a)
+    if draw(st.booleans()):
+        rho = DensityMatrix(RegisterSpace(regs), a @ a.conj().T)
+    else:
+        rho = DensityMatrix(RegisterSpace(regs), factor=a)
     in_dims = tuple(r.dim for r in in_regs)
     out_dims = tuple(r.dim for r in out_regs)
     din, dout = int(np.prod(in_dims)), int(np.prod(out_dims))
@@ -160,21 +166,36 @@ def test_apply_outcome_matches_kronecker_oracle(case):
         assert np.allclose(got.entries, want.entries, atol=qcore.EPS_EXACT, rtol=0)
 
 
-def test_apply_outcome_row_blocks_cover_every_row():
-    """Every block size, including those that leave a partial last block in
-    either index around the mapped register, gives the oracle's result."""
-    regs = (RegisterId(0, 3), RegisterId(1, 2), RegisterId(2, 3))
+def test_row_blocks_cover_every_row():
+    """Every block size, including those that leave a partial last block,
+    gives the dense results: the factorization's residual and both
+    branches of ``states_close``.  Each check below fails if the last row
+    block is skipped."""
+    space = RegisterSpace((RegisterId(0, 3), RegisterId(1, 2), RegisterId(2, 3)))
     rng = np.random.default_rng(5)
-    a = rng.normal(size=(18, 18)) + 1j * rng.normal(size=(18, 18))
-    rho = DensityMatrix(RegisterSpace(regs), a @ a.conj().T / np.trace(a @ a.conj().T).real)
-    kraus = tuple(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(2))
-    op = qcore.QuantumOperation(("k",), {"k": kraus}, (2,), (2,))
-    regmap = RegisterMap((regs[1],))
-    want = _oracle_apply(rho, op, regmap, "k")
+    v = rng.normal(size=(18, 2)) + 1j * rng.normal(size=(18, 2))
+    v /= np.linalg.norm(v)
+    m = v @ v.conj().T
+    # Pivoted Cholesky never pivots on a negative diagonal entry, so the
+    # residual of this one is nonzero at [17, 17] only.
+    indefinite = m.copy()
+    indefinite[17, 17] -= 0.5
+    u, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    far = v.copy()
+    far[17, 1] += 10  # the largest change is at ρ[17, 17]
+    gap = np.abs(m - far @ far.conj().T).max()
+    a = DensityMatrix(space, factor=v)
+    # one more column than ``a``, so only the exact branch can compare them
+    b = DensityMatrix(space, factor=np.concatenate([far, far[:, :1] * 0], axis=1))
     for block_entries in range(1, 18 * 18 + 1):
         with mock.patch.object(qcore, "_BLOCK_ENTRIES", block_entries):
-            got = qcore.apply_outcome(rho, op, regmap, "k")
-        assert np.allclose(got.entries, want.entries, atol=qcore.EPS_EXACT, rtol=0)
+            f, bound = qcore._factorize(m, qcore.EPS_VALIDATE)
+            assert np.abs(f @ f.conj().T - m).max() <= qcore.EPS_EXACT
+            assert -qcore.EPS_EXACT <= bound <= 0
+            assert qcore._factorize(indefinite, qcore.EPS_VALIDATE)[1] < -0.1
+            assert qcore.states_close(a, DensityMatrix(space, factor=v @ u), qcore.EPS_EXACT)
+            assert qcore.states_close(a, b, 2 * gap)
+            assert not qcore.states_close(a, b, gap / 2)
 
 
 @given(kernel_cases())
@@ -230,3 +251,115 @@ def test_matrix_codec_matches_per_entry_oracle(m):
     assert got.shape == (m.shape if m.shape[0] else (0, 0))
     want = _oracle_parse_matrix(rows).reshape(got.shape)
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# ---------------------------------------------------------------------------
+# The factored state against the dense kernel it replaced
+# ---------------------------------------------------------------------------
+
+def _dense_permute(mat, dims, order):
+    n = len(dims)
+    order = list(order)
+    if order == list(range(n)):
+        return mat
+    d = mat.shape[0]
+    return mat.reshape(tuple(dims) * 2).transpose(order + [n + i for i in order]).reshape(d, d)
+
+
+def _dense_reduced(rho, regs):
+    """The reduced state on ``regs``, in their order, from the D×D entries."""
+    dims = rho.space.dims
+    slot = {rho.space.registers.index(r): j for j, r in enumerate(regs)}
+    n = len(dims)
+    cols = [n + i if i in slot else i for i in range(n)]
+    keep = [i for _, i in sorted((slot[i], i) for i in slot)]
+    d = int(np.prod([r.dim for r in regs]))
+    t = rho.entries.reshape(list(dims) * 2)
+    return np.einsum(t, list(range(n)) + cols, keep + [n + i for i in keep]).reshape(d, d)
+
+
+def _dense_apply(rho, op, regmap, outcome):
+    """The D×D local-contraction kernel: each Kraus matrix K contracts the
+    middle factor of a (p, d_in, s) split of the row index, and K̄ the
+    matching factor of the column index; returns (registers, entries)."""
+    regs, dims = rho.space.registers, rho.space.dims
+    pos = [regs.index(r) for r in regmap.in_regs]
+    slots = sorted(range(len(pos)), key=pos.__getitem__)
+    first = pos[slots[0]] if pos else 0
+    before = [i for i in range(first) if i not in pos]
+    after = [i for i in range(first, len(regs)) if i not in pos]
+    mat = _dense_permute(rho.entries, dims, before + sorted(pos) + after)
+    same = regmap.out_regs == regmap.in_regs
+    out_slots = slots if same else list(range(len(op.out_dims)))
+    axes = out_slots + [len(op.out_dims) + j for j in slots]
+    p = int(np.prod([dims[i] for i in before]))
+    s = int(np.prod([dims[i] for i in after]))
+    d, din, dout = mat.shape[0], op.in_dim, op.out_dim
+    d_new = p * dout * s
+    out = np.zeros((p, dout, s, d_new), dtype=complex)
+    for k in op.kraus_by_outcome[outcome]:
+        k = k.reshape(op.out_dims + op.in_dims).transpose(axes).reshape(dout, din)
+        rows = np.matmul(k, mat.reshape(p, din, s * d)).reshape(p * dout * s, d)
+        out += np.matmul(k.conj(), rows.reshape(-1, din, s)).reshape(p, dout, s, d_new)
+    cur = ([regs[i] for i in before] + [regmap.out_regs[j] for j in out_slots]
+           + [regs[i] for i in after])
+    target = list(regs) if same else list(regmap.out_regs) + [regs[i] for i in before + after]
+    out = _dense_permute(out.reshape(d_new, d_new), [r.dim for r in cur],
+                         [cur.index(r) for r in target])
+    return tuple(target), out
+
+
+def _system(rho):
+    return sysmodel.initial_state(("p0",), {"p0": {"inbox": []}}, rho,
+                                  {r: "p0" for r in rho.space.registers})
+
+
+def _close(a, b):
+    return np.abs(a - b).max() <= qcore.EPS_EXACT
+
+
+@given(kernel_cases(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_factored_state_matches_dense_kernel(case, data):
+    """apply_outcome, outcome_probabilities, canonical_form, partial_trace
+    and the states_equal verdicts agree with the dense kernel at EPS_EXACT."""
+    rho, op, regmap = case
+    probs = qcore.outcome_probabilities(rho, op, regmap)
+    rho_a = _dense_reduced(rho, regmap.in_regs)
+    for i, r in enumerate(op.outcome_set):
+        want = sum((float(np.vdot(k, k @ rho_a).real) for k in op.kraus_by_outcome[r]), 0.0)
+        assert abs(probs[i] - max(want, 0.0)) <= qcore.EPS_EXACT
+        got = qcore.apply_outcome(rho, op, regmap, r)
+        regs, entries = _dense_apply(rho, op, regmap, r)
+        assert got.space.registers == regs
+        assert got.factor.shape[1] <= got.space.total_dim
+        assert _close(got.entries, entries)
+
+    canon = qcore.canonical_form(got)
+    assert list(canon.space.registers) == sorted(regs, key=lambda reg: reg.id)
+    order = [regs.index(reg) for reg in canon.space.registers]
+    assert _close(canon.entries, _dense_permute(entries, [reg.dim for reg in regs], order))
+
+    keep = [reg for reg in rho.space.registers if data.draw(st.booleans())]
+    reduced = qcore.partial_trace(rho, [reg for reg in rho.space.registers if reg not in keep])
+    assert reduced.space.registers == tuple(keep)
+    assert reduced.factor.shape[1] <= reduced.space.total_dim
+    assert _close(reduced.entries, _dense_reduced(rho, keep))
+
+    # The same state from another factor (mixed columns, one more zero
+    # column) and in another register order: equal, by the exact branch.
+    v = got.factor
+    u, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(v.shape[1],) * 2) + 0j)
+    mixed = DensityMatrix(got.space, factor=np.concatenate([v @ u, v[:, :1] * 0], axis=1))
+    assert sysmodel.states_equal(_system(got), _system(mixed), qcore.EPS_EXACT)
+    assert sysmodel.states_equal(_system(got), _system(canon), qcore.EPS_EXACT)
+    assert sysmodel.states_equal(_system(got), _system(got), 0.0)
+    # A perturbed state: the verdict at tolerances on either side of the
+    # dense difference is the dense verdict.
+    noise = np.random.default_rng(1).normal(size=v.shape) * data.draw(
+        st.sampled_from([1e-4, 1e-7, 1e-10]))
+    other = DensityMatrix(got.space, factor=v + noise)
+    gap = np.abs(got.entries - other.entries).max()
+    if gap > 1e-13:
+        for tol in (gap / 2, 2 * gap):
+            assert sysmodel.states_equal(_system(got), _system(other), tol) == (gap <= tol)
