@@ -12,7 +12,7 @@ import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .. import causality, executions, verifier
+from .. import causality, executions, qgo, verifier
 from . import scenarios, scheduler, traceio
 
 EXIT_OK = 0
@@ -74,7 +74,10 @@ def cmd_batch(args) -> int:
     try:
         lo, hi = (int(v) for v in args.seeds.split(":"))
     except ValueError:
-        print(f"bad seed range {args.seeds!r}, expected LO:HI", file=sys.stderr)
+        lo = hi = 0
+    if lo >= hi:
+        print(f"error: bad seed range {args.seeds!r}, expected LO:HI with LO < HI",
+              file=sys.stderr)
         return EXIT_BAD_INPUT
     work = [(cfg.to_dict(), s) for s in range(lo, hi)]
     if args.jobs > 1:
@@ -154,7 +157,8 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (FileNotFoundError, json.JSONDecodeError, traceio.TraceError,
-            scenarios.UnknownScenario, KeyError) as exc:
+            scenarios.UnknownScenario, scenarios.ConfigError, scheduler.SchedulerError,
+            qgo.UnknownGlobalOp, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -2,25 +2,53 @@
 
 A base algorithm exposes the actions each processor can take in a given
 state and builds the corresponding event block; the scheduler picks among
-them.  Receptions are not base actions — they are driven by the scheduler
+them, and the step predicate accepts exactly the events they build.
+Receptions are not base actions — they are driven by the scheduler
 through the marker-protocol reception handler.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .. import qcore, qgo, sysmodel
 from ..executions import Apply, ClassicalUpdate, Event, Send, register_update
 from ..qcore import NO_OUTCOME, DensityMatrix, RegisterAllocator, RegisterSpace
-from ..qgo import GenContext, LocalOpSpec, choose_outcome
+from ..qgo import GenContext, LocalOpSpec, choose_outcome, same_event
 from ..sysmodel import MessageInstance, SystemState
 
 
 class UnknownScenario(Exception):
     pass
+
+
+class ConfigError(ValueError):
+    """A scenario config that is not of the documented form."""
+
+
+_TYPE_NAMES = {str: "a string", int: "an int", dict: "a JSON object", list: "a list"}
+
+
+def _check_record(what: str, d, types: dict, required: tuple) -> None:
+    """Raise ConfigError unless ``d`` is a JSON object with the ``required``
+    keys and no others than ``types`` names, each of its type (a bool is
+    not an int here)."""
+    if type(d) is not dict:
+        raise ConfigError(f"{what} is not a JSON object")
+    unknown = sorted(set(d) - set(types))
+    if unknown:
+        raise ConfigError(f"{what} has unknown key {unknown[0]!r}")
+    for key in required:
+        if key not in d:
+            raise ConfigError(f"{what} has no {key!r}")
+    for key, value in d.items():
+        if type(value) is not types[key]:
+            raise ConfigError(f"{what}: {key!r} is not {_TYPE_NAMES[types[key]]}")
+
+
+_INVOCATION_TYPES = {"gid": str, "leader": str, "after_step": int}
 
 
 @dataclass
@@ -36,20 +64,18 @@ class ScenarioConfig:
     max_steps: int = 2000
 
     def to_dict(self) -> dict:
-        return {
-            "base": self.base,
-            "procs": self.procs,
-            "base_params": dict(self.base_params),
-            "invocations": [dict(i) for i in self.invocations],
-            "policy": self.policy,
-            "seed": self.seed,
-            "fairness": self.fairness,
-            "max_steps": self.max_steps,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
-        return cls(**{k: d[k] for k in d if k in cls.__dataclass_fields__})
+        """The config a JSON object describes; ConfigError names the first
+        unknown key, missing ``base`` or mistyped field."""
+        # Each field has the type of its value in a default config.
+        types = {f: type(v) for f, v in cls("").to_dict().items()}
+        _check_record("config", d, types, ("base",))
+        for i, inv in enumerate(d.get("invocations", [])):
+            _check_record(f"invocation {i}", inv, _INVOCATION_TYPES, ("gid", "leader"))
+        return cls(**d)
 
 
 def proc_names(n: int) -> list[str]:
@@ -69,19 +95,28 @@ class BaseAlgorithm:
         raise NotImplementedError
 
     def allows(self, pre: SystemState, event: Event, post: SystemState) -> bool:
-        """Local step predicate: does the algorithm permit this event?"""
-        raise NotImplementedError
+        """Local step predicate: the algorithm permits ``event`` iff one of
+        the actions enabled at its label in ``pre`` builds that event."""
+        if event.label not in pre.procs:
+            return False
+        for action in self.enabled(pre, event.label):
+            block = self.build(pre, event.label, action, GenContext.rebuilding(event))
+            if len(block) == 1 and same_event(block[0], event):
+                return True
+        return False
 
 
-def _classical_initial(cfg: ScenarioConfig, sigmas: dict) -> SystemState:
-    procs = proc_names(cfg.procs)
-    return sysmodel.initial_state(
-        procs,
-        sigmas,
-        DensityMatrix.empty(),
-        {},
-        ext={p: qgo.idle_ext() for p in procs},
-    )
+def _initial(procs, sigmas: dict, quantum: DensityMatrix, ownership: dict) -> SystemState:
+    """The initial state: no processor runs a global operation yet."""
+    return sysmodel.initial_state(procs, sigmas, quantum, ownership,
+                                  ext={p: qgo.idle_ext() for p in procs})
+
+
+def _local_qubits(cfg: ScenarioConfig, procs, alloc: RegisterAllocator) -> dict:
+    """``qubits_per_proc`` fresh qubits for each processor, as an ownership
+    map in allocation order."""
+    per_proc = int(cfg.base_params.get("qubits_per_proc", 0))
+    return {alloc.fresh(2): p for p in procs for _ in range(per_proc)}
 
 
 def _is_kind(entry, kind: str) -> bool:
@@ -110,31 +145,15 @@ class EmptyAlgorithm(BaseAlgorithm):
 
     def initial(self, cfg):
         procs = proc_names(cfg.procs)
-        qubits = int(cfg.base_params.get("qubits_per_proc", 0))
-        alloc = RegisterAllocator()
-        regs, ownership = [], {}
-        for p in procs:
-            for _ in range(qubits):
-                r = alloc.fresh(2)
-                regs.append(r)
-                ownership[r] = p
-        if regs:
-            quantum = DensityMatrix.basis_state(RegisterSpace(tuple(regs)))
-        else:
-            quantum = DensityMatrix.empty()
-        return sysmodel.initial_state(
-            procs, {p: {"inbox": []} for p in procs}, quantum, ownership,
-            ext={p: qgo.idle_ext() for p in procs},
-        )
+        ownership = _local_qubits(cfg, procs, RegisterAllocator())
+        quantum = DensityMatrix.basis_state(RegisterSpace(tuple(ownership)))
+        return _initial(procs, {p: {"inbox": []} for p in procs}, quantum, ownership)
 
     def enabled(self, state, proc):
         return []
 
     def build(self, state, proc, action, ctx):
         raise UnknownScenario(f"empty algorithm has no action {action!r}")
-
-    def allows(self, pre, event, post):
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -165,40 +184,19 @@ class TokenRing(BaseAlgorithm):
             p: {"inbox": [], "has_token": p == "p0", "hops": 0, "max_hops": max_hops}
             for p in procs
         }
-        qubits = int(cfg.base_params.get("qubits_per_proc", 0))
-        epr = cfg.base_params.get("epr_pair", False)
         alloc = RegisterAllocator()
-        regs, ownership = [], {}
-        for p in procs:
-            for _ in range(qubits):
-                r = alloc.fresh(2)
-                regs.append(r)
-                ownership[r] = p
-        if epr and cfg.procs >= 2:
-            ra, rb = alloc.fresh(2), alloc.fresh(2)
-            regs += [ra, rb]
-            ownership[ra] = "p0"
-            ownership[rb] = "p1"
-        if regs:
-            dim = int(np.prod([r.dim for r in regs]))
-            vec = np.zeros(dim, complex)
-            if epr and cfg.procs >= 2:
-                # |0..0> on local qubits, EPR on the last two registers.
-                vec[0] = 1 / np.sqrt(2)
-                vec[3] = 1 / np.sqrt(2)
-            else:
-                vec[0] = 1.0
-            quantum = DensityMatrix.from_vector(RegisterSpace(tuple(regs)), vec)
+        ownership = _local_qubits(cfg, procs, alloc)
+        epr = cfg.base_params.get("epr_pair", False) and cfg.procs >= 2
+        if epr:
+            ownership.update({alloc.fresh(2): "p0", alloc.fresh(2): "p1"})
+        regs = tuple(ownership)
+        vec = np.zeros(int(np.prod([r.dim for r in regs])), complex)
+        if epr:  # |0..0> on local qubits, EPR on the last two registers.
+            vec[0] = vec[3] = 1 / np.sqrt(2)
         else:
-            quantum = DensityMatrix.empty()
-        return sysmodel.initial_state(
-            procs, sigmas, quantum, ownership,
-            ext={p: qgo.idle_ext() for p in procs},
-        )
-
-    def _next(self, procs, proc):
-        i = procs.index(proc)
-        return procs[(i + 1) % len(procs)]
+            vec[0] = 1.0
+        quantum = DensityMatrix.from_vector(RegisterSpace(regs), vec)
+        return _initial(procs, sigmas, quantum, ownership)
 
     def enabled(self, state, proc):
         sigma = state.classical[proc]
@@ -212,7 +210,8 @@ class TokenRing(BaseAlgorithm):
     def build(self, state, proc, action, ctx):
         sigma = state.classical[proc]
         if action == "pass":
-            dest = self._next(list(state.procs), proc)
+            procs = state.procs
+            dest = procs[(procs.index(proc) + 1) % len(procs)]
             msg = MessageInstance(
                 msg_id=ctx.msg_id(), src=proc, dst=dest,
                 classical={"kind": "token", "hops": sigma["hops"] + 1},
@@ -223,25 +222,6 @@ class TokenRing(BaseAlgorithm):
             return [Apply(eid=ctx.eid(), label=proc, proc=proc, name="token.take",
                           outcome=NO_OUTCOME, update=ClassicalUpdate("token.take"))]
         raise UnknownScenario(f"token ring has no action {action!r}")
-
-    def allows(self, pre, event, post):
-        sigma = pre.classical[event.label]
-        if isinstance(event, Send):
-            return (
-                event.update == ClassicalUpdate("token.pass")
-                and sigma.get("has_token")
-                and sigma["hops"] < sigma["max_hops"]
-                and event.msg.classical == {"kind": "token", "hops": sigma["hops"] + 1}
-                and event.msg.dst == self._next(list(pre.procs), event.label)
-                and event.msg.quantum_regs == ()
-            )
-        if isinstance(event, Apply):
-            return (
-                event.name == "token.take"
-                and event.qop is None
-                and bool(_inbox_entries(sigma, "token"))
-            )
-        return False
 
 
 # ---------------------------------------------------------------------------
@@ -320,11 +300,7 @@ class Teleport(BaseAlgorithm):
             "p0": {"inbox": [], "phase": "send_half"},
             "p1": {"inbox": [], "phase": "wait_half"},
         }
-        return sysmodel.initial_state(
-            ("p0", "p1"), sigmas, quantum,
-            {d: "p0", e1: "p0", e2: "p0"},
-            ext={p: qgo.idle_ext() for p in ("p0", "p1")},
-        )
+        return _initial(("p0", "p1"), sigmas, quantum, {d: "p0", e1: "p0", e2: "p0"})
 
     def enabled(self, state, proc):
         sigma = state.classical[proc]
@@ -378,30 +354,6 @@ class Teleport(BaseAlgorithm):
                           update=ClassicalUpdate("tp.fixed"))]
         raise UnknownScenario(f"teleport has no action {action!r}")
 
-    def allows(self, pre, event, post):
-        sigma = pre.classical[event.label]
-        if isinstance(event, Send):
-            if event.update == ClassicalUpdate("tp.sent_half"):
-                return sigma.get("phase") == "send_half" and len(event.msg.quantum_regs) == 1
-            if event.update == ClassicalUpdate("tp.sent_fix"):
-                return (
-                    sigma.get("phase") == "send_fix"
-                    and event.msg.classical == {"kind": "fix", "bits": sigma["meas"]}
-                )
-            return False
-        if isinstance(event, Apply):
-            if event.name == "tp.bell":
-                return sigma.get("phase") == "measure"
-            if event.name == "tp.got_half":
-                return sigma.get("phase") == "wait_half" and bool(
-                    _inbox_entries(sigma, "epr-half")
-                )
-            if event.name == "tp.fix":
-                return sigma.get("phase") == "wait_fix" and bool(
-                    _inbox_entries(sigma, "fix")
-                )
-        return False
-
 
 # ---------------------------------------------------------------------------
 # ping: a fixed number of one-way classical messages, for tiny executions
@@ -422,7 +374,7 @@ class Ping(BaseAlgorithm):
         sigmas = {p: {"inbox": []} for p in procs}
         sigmas["p0"]["sent"] = 0
         sigmas["p0"]["n_msgs"] = int(cfg.base_params.get("n_msgs", 1))
-        return _classical_initial(cfg, sigmas)
+        return _initial(procs, sigmas, DensityMatrix.empty(), {})
 
     def enabled(self, state, proc):
         sigma = state.classical[proc]
@@ -438,15 +390,6 @@ class Ping(BaseAlgorithm):
         )
         return [Send(eid=ctx.eid(), label="p0", msg=msg,
                      update=ClassicalUpdate("pp.sent"))]
-
-    def allows(self, pre, event, post):
-        sigma = pre.classical[event.label]
-        return (
-            isinstance(event, Send)
-            and event.update == ClassicalUpdate("pp.sent")
-            and sigma.get("sent", 0) < sigma.get("n_msgs", 0)
-            and event.msg.classical == {"kind": "ping", "i": sigma["sent"]}
-        )
 
 
 BASE_ALGORITHMS = {

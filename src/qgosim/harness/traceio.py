@@ -29,7 +29,7 @@ from ..executions import (
 from ..qcore import DensityMatrix, QuantumOperation, RegisterId, RegisterSpace
 from ..sysmodel import MessageInstance, SystemState
 from ..verifier import Certificate
-from .scenarios import ScenarioConfig
+from .scenarios import ConfigError, ScenarioConfig
 
 FORMAT_VERSION = 1
 
@@ -377,6 +377,8 @@ def parse_run(text: str):
             d = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TraceError(f"line {lineno}: {exc}") from exc
+        if type(d) is not dict:
+            raise TraceError(f"line {lineno}: record is not a JSON object")
         t = d.get("t")
         if t == "header":
             if d.get("version") != FORMAT_VERSION:
@@ -400,7 +402,10 @@ def parse_run(text: str):
             qcore.QcoreError, sysmodel.SysmodelError) as exc:
         raise TraceError(f"bad initial state: {exc!r}") from exc
     cfg = header.get("config")
-    config = ScenarioConfig.from_dict(cfg) if cfg else None
+    try:
+        config = ScenarioConfig.from_dict(cfg) if cfg is not None else None
+    except ConfigError as exc:
+        raise TraceError(f"bad header: {exc}") from exc
     return Execution(initial, tuple(events)), config, header.get("decisions")
 
 

@@ -12,7 +12,7 @@ a block of events that is atomic on its processor.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -64,13 +64,14 @@ def incoming_channels(procs, proc) -> list[str]:
     return sorted(chan_key(p, proc) for p in procs)
 
 
-def record_from_ext(proc, ext):
-    """The response a processor gives once all its channels are closed."""
+def response_record(proc, gid, self_outcome, channels) -> dict:
+    """A processor's response: its own outcome and, per incoming channel,
+    the outcomes of the messages recorded on it."""
     return {
         "proc": proc,
-        "gid": ext["op"],
-        "self": ext["self"],
-        "channels": dict(sorted(ext["res"].items())),
+        "gid": gid,
+        "self": self_outcome,
+        "channels": dict(sorted(channels.items())),
     }
 
 
@@ -226,11 +227,29 @@ def global_op_library(gids) -> dict[str, DecomposableGlobalOp]:
 
 @dataclass
 class GenContext:
-    """Counters and the outcome RNG used while generating events."""
+    """Counters and the outcome RNG used while generating events.
+
+    ``outcome`` is set only to rebuild a given event (``rebuilding``); it
+    then replaces the random draw.  Generation leaves it None.
+    """
 
     rng: np.random.Generator
     next_eid: int = 0
     next_msg_id: int = 0
+    outcome: str | None = None
+
+    @classmethod
+    def rebuilding(cls, event: Event) -> "GenContext":
+        """Counters that start at the event's ids, and its outcome forced.
+        The RNG draws only for an outcome the operation cannot give; any
+        draw then differs from the event's."""
+        msg = getattr(event, "msg", None)
+        return cls(
+            np.random.default_rng(0),
+            next_eid=event.eid,
+            next_msg_id=msg.msg_id if msg is not None else 0,
+            outcome=getattr(event, "outcome", None),
+        )
 
     def eid(self) -> int:
         e = self.next_eid
@@ -244,10 +263,13 @@ class GenContext:
 
 
 def choose_outcome(state: SystemState, spec: LocalOpSpec, ctx: GenContext) -> str:
-    """Draw an outcome with its physical probability (or take the fixed one)."""
+    """Draw an outcome with its physical probability (or take the fixed one).
+    A forced outcome replaces the draw when the operation can give it."""
     if spec.qop is None:
         assert spec.fixed_outcome is not None
         return spec.fixed_outcome
+    if ctx.outcome is not None and ctx.outcome in spec.qop.outcome_set:
+        return ctx.outcome
     if len(spec.qop.outcome_set) == 1:
         return spec.qop.outcome_set[0]
     regmap = RegisterMap(spec.in_regs, spec.out_regs)
@@ -256,7 +278,7 @@ def choose_outcome(state: SystemState, spec: LocalOpSpec, ctx: GenContext) -> st
 
 def same_operation(a: QuantumOperation | None, b: QuantumOperation | None) -> bool:
     if a is None or b is None:
-        return a is b or (a is None and b is None)
+        return a is b
     if a.outcome_set != b.outcome_set or a.in_dims != b.in_dims or a.out_dims != b.out_dims:
         return False
     for r in a.outcome_set:
@@ -268,10 +290,69 @@ def same_operation(a: QuantumOperation | None, b: QuantumOperation | None) -> bo
     return True
 
 
+def same_event(a: Event, b: Event) -> bool:
+    """Field-by-field equality, with ``same_operation`` for the quantum
+    operation."""
+    if type(a) is not type(b):
+        return False
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if not (same_operation(x, y) if f.name == "qop" else x == y):
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# The protocol's events, built once for generation and for the predicate
+# ---------------------------------------------------------------------------
+
+def gop_self_apply(
+    state: SystemState,
+    proc: str,
+    gop: DecomposableGlobalOp,
+    trigger: str | None,
+    ctx: GenContext,
+) -> Apply:
+    """The local component of ``gop`` on ``proc``, opening its records;
+    ``trigger`` is the channel of the marker that started it, if any."""
+    spec = gop.proc_component(state, proc)
+    incoming = tuple(incoming_channels(state.procs, proc))
+    return Apply(
+        eid=ctx.eid(),
+        label=proc,
+        proc=proc,
+        name=f"gop-self:{gop.gid}",
+        outcome=choose_outcome(state, spec, ctx),
+        qop=spec.qop,
+        in_regs=spec.in_regs,
+        out_regs=spec.out_regs,
+        update=ClassicalUpdate("qgo.start", (gop.gid, trigger, incoming)),
+        protocol=True,
+    )
+
+
+def marker_send(proc: str, dest: str, gid: str, ctx: GenContext) -> Send:
+    msg = MessageInstance(
+        msg_id=ctx.msg_id(),
+        src=proc,
+        dst=dest,
+        classical={"kind": "marker", "gid": gid},
+        marker=gid,
+    )
+    return Send(eid=ctx.eid(), label=proc, msg=msg, protocol=True)
+
+
+def respond(proc: str, ext, ctx: GenContext) -> Respond:
+    """The response of ``proc`` once all its channels are closed."""
+    record = response_record(proc, ext["op"], ext["self"], ext["res"])
+    return Respond(eid=ctx.eid(), label=proc, record=record,
+                   update=ClassicalUpdate("qgo.respond"))
+
+
 class AugmentedPredicate(executions.TransitionPredicate):
     """Step predicate of the base algorithm augmented with the marker
-    protocol: protocol events must follow the protocol's guards with
-    components recomputed from the pre-state, everything else must be
+    protocol: a protocol event must pass its guards on the pre-state and
+    be the event the protocol builds there; everything else must be
     allowed by the base algorithm."""
 
     def __init__(self, base, library: dict[str, DecomposableGlobalOp]):
@@ -282,20 +363,13 @@ class AugmentedPredicate(executions.TransitionPredicate):
         gid = event.name.split(":", 1)[1]
         if gid not in self.library or is_active(pre.ext[event.proc]):
             return False
-        u = event.update
-        if u is None or u.name != "qgo.start" or u.params[0] != gid:
+        params = event.update.params if event.update is not None else ()
+        trigger = params[1] if len(params) == 3 else None
+        if trigger is not None and trigger not in incoming_channels(pre.procs, event.proc):
             return False
-        trigger = u.params[1]
-        if tuple(u.params[2]) != tuple(incoming_channels(pre.procs, event.proc)):
-            return False
-        if trigger is not None and trigger not in u.params[2]:
-            return False
-        spec = self.library[gid].proc_component(pre, event.proc)
-        return (
-            same_operation(spec.qop, event.qop)
-            and tuple(spec.in_regs) == tuple(event.in_regs)
-            and (spec.qop is not None or event.outcome == spec.fixed_outcome)
-        )
+        built = gop_self_apply(pre, event.proc, self.library[gid], trigger,
+                               GenContext.rebuilding(event))
+        return same_event(built, event)
 
     def _check_gop_msg(self, pre, event) -> bool:
         gid = event.name.split(":", 1)[1]
@@ -318,8 +392,7 @@ class AugmentedPredicate(executions.TransitionPredicate):
             return (
                 is_active(ext)
                 and not ext["waitset"]
-                and event.record == record_from_ext(event.label, ext)
-                and event.update == ClassicalUpdate("qgo.respond")
+                and same_event(respond(event.label, ext, GenContext.rebuilding(event)), event)
             )
         if isinstance(event, Apply) and event.protocol:
             if event.name.startswith("gop-self:"):
@@ -329,11 +402,11 @@ class AugmentedPredicate(executions.TransitionPredicate):
             return False
         if isinstance(event, Send) and event.protocol:
             ext = pre.ext[event.label]
-            return (
-                is_active(ext)
-                and event.msg.marker == ext["op"]
-                and event.msg.quantum_regs == ()
-            )
+            if not is_active(ext):
+                return False
+            built = marker_send(event.label, event.msg.dst, ext["op"],
+                                GenContext.rebuilding(event))
+            return same_event(built, event)
         if isinstance(event, Receive):
             contents = pre.channels.get(event.chan, ())
             if not contents or contents[0].msg_id != event.msg_id:
@@ -379,32 +452,8 @@ def qgo_process_new_global_op(
     """
     if is_active(state.ext[proc]):
         raise AlreadyActive(f"processor {proc} already running {state.ext[proc]['op']}")
-    incoming = incoming_channels(state.procs, proc)
-    spec = gop.proc_component(state, proc)
-    outcome = choose_outcome(state, spec, ctx)
-    events: list[Event] = [
-        Apply(
-            eid=ctx.eid(),
-            label=proc,
-            proc=proc,
-            name=f"gop-self:{gop.gid}",
-            outcome=outcome,
-            qop=spec.qop,
-            in_regs=spec.in_regs,
-            out_regs=spec.out_regs,
-            update=ClassicalUpdate("qgo.start", (gop.gid, chan, tuple(incoming))),
-            protocol=True,
-        )
-    ]
-    for dest in sorted(state.procs):
-        msg = MessageInstance(
-            msg_id=ctx.msg_id(),
-            src=proc,
-            dst=dest,
-            classical={"kind": "marker", "gid": gop.gid},
-            marker=gop.gid,
-        )
-        events.append(Send(eid=ctx.eid(), label=proc, msg=msg, protocol=True))
+    events: list[Event] = [gop_self_apply(state, proc, gop, chan, ctx)]
+    events += [marker_send(proc, dest, gop.gid, ctx) for dest in sorted(state.procs)]
     for ev in events:
         state = step(state, ev)
     return events, state
@@ -446,35 +495,20 @@ def qgo_receive(
         gop = library.get(msg.marker)
         if gop is None:
             raise UnknownGlobalOp(f"marker names unknown operation {msg.marker!r}")
-        if not is_active(ext):
-            recv = Receive(
-                eid=ctx.eid(), label=proc, chan=chan, msg_id=msg.msg_id, protocol=True
-            )
-            state = step(state, recv)
+        # The first marker starts the operation.  A later one closes its
+        # channel, and the processor responds once all are closed.
+        first = not is_active(ext)
+        close = None if first else ClassicalUpdate("qgo.marker_close", (chan,))
+        recv = Receive(eid=ctx.eid(), label=proc, chan=chan, msg_id=msg.msg_id,
+                       update=close, protocol=True)
+        state = step(state, recv)
+        if first:
             block, state = qgo_process_new_global_op(state, proc, gop, chan, ctx)
             return [recv] + block, state
-        # Ongoing operation: close this channel, respond if it was the last.
-        recv = Receive(
-            eid=ctx.eid(),
-            label=proc,
-            chan=chan,
-            msg_id=msg.msg_id,
-            update=ClassicalUpdate("qgo.marker_close", (chan,)),
-            protocol=True,
-        )
-        state = step(state, recv)
-        events: list[Event] = [recv]
-        if not state.ext[proc]["waitset"]:
-            record = record_from_ext(proc, state.ext[proc])
-            resp = Respond(
-                eid=ctx.eid(),
-                label=proc,
-                record=record,
-                update=ClassicalUpdate("qgo.respond"),
-            )
-            state = step(state, resp)
-            events.append(resp)
-        return events, state
+        if state.ext[proc]["waitset"]:
+            return [recv], state
+        resp = respond(proc, state.ext[proc], ctx)
+        return [recv, resp], step(state, resp)
 
     # Regular message.
     recording = is_active(ext) and chan in ext["waitset"]

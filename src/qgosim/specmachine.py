@@ -25,7 +25,8 @@ from .executions import (
     run_update,
 )
 from .qcore import ZERO_TRACE
-from .sysmodel import SysmodelError, SystemState, apply_quantum, chan_key
+from .qgo import incoming_channels, response_record
+from .sysmodel import SysmodelError, SystemState, apply_quantum
 
 
 class SpecViolation(SysmodelError):
@@ -74,16 +75,9 @@ def apply_atomic(state: SystemState, event: AtomicExecute) -> SystemState:
     msg_outcome = {c[0]: c[4] for c in event.msg_comps}
     ext = {}
     for p in state.procs:
-        channels = {}
-        for q in state.procs:
-            c = chan_key(q, p)
-            channels[c] = [msg_outcome[m.msg_id] for m in state.channels[c]]
-        record = {
-            "proc": p,
-            "gid": event.gid,
-            "self": self_outcome[p],
-            "channels": dict(sorted(channels.items())),
-        }
+        channels = {c: [msg_outcome[m.msg_id] for m in state.channels[c]]
+                    for c in incoming_channels(state.procs, p)}
+        record = response_record(p, event.gid, self_outcome[p], channels)
         ext[p] = {"phase": "executed", "gid": event.gid, "record": record}
     return dc_replace(state, classical=classical, ext=ext)
 

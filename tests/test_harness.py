@@ -13,6 +13,7 @@ from qgosim import executions, qcore, verifier
 from qgosim.harness import cli, traceio
 from qgosim.harness.scenarios import (
     BASE_ALGORITHMS,
+    ConfigError,
     ScenarioConfig,
     build_scenario,
     correction_unitary,
@@ -63,6 +64,31 @@ class TestScenarios:
                              base_params={"qubits_per_proc": 1}, seed=0)
         res = run_simulation(cfg)
         assert res.execution.events == ()
+
+    def test_config_round_trips_through_its_dict(self):
+        cfg = ScenarioConfig(base="ping", procs=3, base_params={"n_msgs": 2},
+                             invocations=[{"gid": "record-only", "leader": "p0",
+                                           "after_step": 1}], seed=4)
+        assert ScenarioConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("d, message", [
+        ([], "config is not a JSON object"),
+        ({"base": "ping", "seed": True}, "config: 'seed' is not an int"),
+        ({"base": "ping", "base_params": []}, "config: 'base_params' is not a JSON object"),
+        ({"base": "ping", "invocations": {}}, "config: 'invocations' is not a list"),
+        ({"base": "ping", "invocations": ["record-only"]},
+         "invocation 0 is not a JSON object"),
+        ({"base": "ping", "invocations": [{"gid": "record-only"}]},
+         "invocation 0 has no 'leader'"),
+        ({"base": "ping", "invocations": [{"gid": "record-only", "leader": "p0",
+                                           "after": 1}]},
+         "invocation 0 has unknown key 'after'"),
+    ], ids=["not-object", "bool-seed", "params-list", "invocations-object",
+            "invocation-string", "no-leader", "invocation-key"])
+    def test_malformed_config_rejected(self, d, message):
+        with pytest.raises(ConfigError) as exc:
+            ScenarioConfig.from_dict(d)
+        assert str(exc.value) == message
 
     def test_scheduled_invocation_runs_even_without_base_activity(self):
         cfg = ScenarioConfig(
@@ -429,6 +455,64 @@ class TestCli:
         assert f"{stage}: FAIL" in r.stdout
         (reason,) = [l for l in r.stdout.splitlines() if l.startswith("rejected:")]
         assert repr(update) in reason
+
+    @pytest.mark.parametrize("config, message", [
+        ({}, "error: config has no 'base'"),
+        ({"base": "token-ring", "procs": "2"}, "error: config: 'procs' is not an int"),
+        ({"base": "ping", "invocatons": [{"gid": "record-only", "leader": "p0"}]},
+         "error: config has unknown key 'invocatons'"),
+        ({"base": "ping", "invocations": [{"gid": "record-only", "leader": "p0",
+                                           "after_step": "1"}]},
+         "error: invocation 0: 'after_step' is not an int"),
+    ], ids=["empty", "procs-string", "misspelt-key", "after-step-string"])
+    @pytest.mark.parametrize("cmd", ["run", "batch"])
+    def test_malformed_config_exits_2(self, tmp_path, cmd, config, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        r = self.run_cli(cmd, "--config", str(path))
+        assert r.returncode == 2
+        assert r.stderr == message + "\n"
+
+    @pytest.mark.parametrize("cmd", ["verify", "inspect"])
+    def test_header_config_without_base_exits_2(self, tmp_path, cmd):
+        lines = traceio.serialize_run(*self._epr_run()).splitlines()
+        header = json.loads(lines[0])
+        del header["config"]["base"]
+        lines[0] = json.dumps(header, sort_keys=True)
+        trace = tmp_path / "nobase.jsonl"
+        trace.write_text("\n".join(lines) + "\n")
+        r = self.run_cli(cmd, str(trace))
+        assert r.returncode == 2
+        assert r.stderr == "error: bad header: config has no 'base'\n"
+
+    def test_record_that_is_not_an_object_exits_2(self, tmp_path):
+        trace = tmp_path / "list.jsonl"
+        trace.write_text("[1]\n" + traceio.serialize_run(*self._epr_run()))
+        r = self.run_cli("verify", str(trace))
+        assert r.returncode == 2
+        assert r.stderr == "error: line 1: record is not a JSON object\n"
+
+    @pytest.mark.parametrize("seeds", ["5:2", "5:5"], ids=["reversed", "empty"])
+    def test_empty_seed_range_exits_2(self, tmp_path, seeds):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"base": "ping", "procs": 2}))
+        r = self.run_cli("batch", "--config", str(path), "--seeds", seeds)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr == (f"error: bad seed range {seeds!r}, "
+                            "expected LO:HI with LO < HI\n")
+
+    @pytest.mark.parametrize("config, message", [
+        ({"base": "ping", "policy": "lifo"}, "error: unknown policy 'lifo'"),
+        ({"base": "ping", "invocations": [{"gid": "nonesuch", "leader": "p0"}]},
+         "error: unknown global operation 'nonesuch'"),
+    ], ids=["unknown-policy", "unknown-gid"])
+    def test_config_that_cannot_run_exits_2(self, tmp_path, config, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        r = self.run_cli("run", "--config", str(path))
+        assert r.returncode == 2
+        assert r.stderr == message + "\n"
 
     def test_bad_input_exit_code(self, tmp_path):
         junk = tmp_path / "junk.jsonl"

@@ -1,11 +1,19 @@
 """The package's own import graph: every qgosim import is at module level,
 and no chain of imports leads from a module back to itself.  Also a scan
-of the package's tolerance calls."""
+of the package's tolerance calls, and the names the benchmark's tooling
+and the step predicates rely on."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from qgosim.harness.scenarios import BaseAlgorithm
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 PKG = SRC / "qgosim"
 
 
@@ -129,3 +137,40 @@ def test_only_qcore_and_traceio_read_dense_entries():
                 readers.add(module)
     assert readers <= {"qgosim.qcore", "qgosim.harness.traceio"}
     assert "qgosim.harness.traceio" in readers
+
+
+def load_tracer(monkeypatch):
+    """``bench/tracer.py`` as a module, loaded without writing under ``bench``."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_targets_name_functions(monkeypatch):
+    """Every function the benchmark's traced run wraps still exists under
+    its name, so a refactor cannot silently drop a layer from
+    ``bench.py --trace 1``."""
+    tracer = load_tracer(monkeypatch)
+    missing = [
+        t.name for t in tracer.TARGETS
+        if not inspect.isfunction(getattr(importlib.import_module(t.module), t.func, None))
+    ]
+    assert tracer.TARGETS
+    assert missing == []
+
+
+def all_subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from all_subclasses(sub)
+
+
+def test_no_base_algorithm_restates_its_step_predicate():
+    """``BaseAlgorithm.allows`` rebuilds the event with the algorithm's own
+    ``build``; a subclass that overrides it would restate the rules."""
+    subclasses = list(all_subclasses(BaseAlgorithm))
+    assert subclasses
+    assert [c.__qualname__ for c in subclasses if "allows" in vars(c)] == []

@@ -1,15 +1,16 @@
-import copy
 import json
+from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
 
-from qgosim import executions, qgo, sysmodel
-from qgosim.executions import Receive, Respond, Send
+from qgosim import executions, qcore, qgo, sysmodel
+from qgosim.executions import Apply, Respond, Send
 from qgosim.harness.scenarios import ScenarioConfig, build_scenario
 from qgosim.harness.scheduler import run_simulation
 from qgosim.qcore import DensityMatrix, RegisterAllocator, RegisterSpace
 from qgosim.sysmodel import MessageInstance
+from test_executions import PURITY_CORPUS
 
 
 def epr_two_procs():
@@ -169,45 +170,93 @@ class TestGlobalOps:
             qgo.global_op_library(["nonesuch"])
 
 
+def forge(x, pick, change):
+    """``x`` with its first event that ``pick`` accepts replaced by
+    ``change(event)``, and that event's index; None if ``pick`` accepts
+    no event."""
+    i = next((i for i, e in enumerate(x.events) if pick(e)), None)
+    if i is None:
+        return None
+    events = list(x.events)
+    events[i] = change(events[i])
+    return executions.Execution(x.initial, tuple(events)), i
+
+
+def is_correction(e):
+    """A teleport correction other than the identity, which bits "00" ask for."""
+    return isinstance(e, Apply) and e.name == "tp.fix" and e.outcome != "00"
+
+
+def identity_fix(e):
+    """The teleport correction with the identity in place of its unitary,
+    relabelled to the same bits."""
+    ident = qcore.relabel_outcomes(qcore.identity_operation([2]), lambda _: e.outcome)
+    return dc_replace(e, qop=ident)
+
+
+def marker_for_another_gid(e):
+    return dc_replace(e, msg=dc_replace(e.msg, classical={"kind": "marker",
+                                                          "gid": "global-encrypt"}))
+
+
+def token_skipping_a_hop(e):
+    hops = e.msg.classical["hops"]
+    return dc_replace(e, msg=dc_replace(e.msg, classical={"kind": "token", "hops": hops + 1}))
+
+
+# Scenario (a) and the teleport configuration of the batch-small benchmark.
+SCENARIO_A, TELEPORT = PURITY_CORPUS[0], PURITY_CORPUS[1]
+TOKEN_RING_EPR = dict(
+    base="token-ring", procs=2, base_params={"max_hops": 3, "epr_pair": True},
+    invocations=[{"gid": "snapshot-measure", "leader": "p0", "after_step": 2}],
+)
+EMPTY_WITH_QUBITS = dict(
+    base="empty", procs=3, base_params={"qubits_per_proc": 1},
+    invocations=[{"gid": "snapshot-measure", "leader": "p0", "after_step": 0},
+                 {"gid": "global-encrypt", "leader": "p2", "after_step": 0}],
+)
+
+
 class TestAugmentedPredicate:
-    def scenario(self, seed=0):
-        cfg = ScenarioConfig(
-            base="token-ring", procs=2,
-            base_params={"max_hops": 3, "epr_pair": True},
-            invocations=[{"gid": "snapshot-measure", "leader": "p0", "after_step": 2}],
-            seed=seed,
-        )
+    def scenario(self, cfg, seed):
+        cfg = ScenarioConfig.from_dict({**cfg, "seed": seed})
         res = run_simulation(cfg)
         _, base, lib = build_scenario(cfg)
         return res.execution, qgo.qgo_augment(base, lib)
 
-    def test_generated_execution_validates(self):
-        for seed in range(5):
-            x, pred = self.scenario(seed)
-            assert executions.validate(pred, x)
+    # The four batch-small kinds cover scenario seeds 0-399 between them:
+    # kind k runs the seeds s with s % 4 == k, as the benchmark does.
+    @pytest.mark.parametrize("cfg, seeds", [
+        (TOKEN_RING_EPR, range(5)),
+        *((PURITY_CORPUS[k], range(k, 400, 4)) for k in range(4)),
+        (EMPTY_WITH_QUBITS, range(20)),
+    ], ids=["token-ring-epr", "scenario-a", "teleport", "encrypt-d64", "ping", "empty"])
+    def test_generated_execution_validates(self, cfg, seeds):
+        for seed in seeds:
+            x, pred = self.scenario(cfg, seed)
+            res = executions.validate(pred, x)
+            assert res, (seed, res.reason)
 
-    def test_tampered_record_rejected(self):
-        x, pred = self.scenario()
-        ev = []
-        for e in x.events:
-            if isinstance(e, Respond):
-                bad = copy.deepcopy(e.record)
-                bad["self"] = "forged"
-                e = Respond(eid=e.eid, label=e.label, record=bad, update=e.update)
-            ev.append(e)
-        res = executions.validate(pred, executions.Execution(x.initial, tuple(ev)))
-        assert not res
-
-    def test_foreign_protocol_apply_rejected(self):
-        x, pred = self.scenario()
-        ev = list(x.events)
-        for i, e in enumerate(ev):
-            if isinstance(e, executions.Apply) and e.name.startswith("gop-self:"):
-                ev[i] = executions.Apply(
-                    eid=e.eid, label=e.label, proc=e.proc, name="gop-self:record-only",
-                    outcome=e.outcome, qop=e.qop, in_regs=e.in_regs,
-                    out_regs=e.out_regs, update=e.update, protocol=True,
-                )
-                break
-        res = executions.validate(pred, executions.Execution(x.initial, tuple(ev)))
-        assert not res
+    # Each forged step still replays, so only the predicate can refuse it.
+    @pytest.mark.parametrize("cfg, pick, change", [
+        (TELEPORT, is_correction, identity_fix),
+        (SCENARIO_A, lambda e: isinstance(e, Send) and e.protocol, marker_for_another_gid),
+        (SCENARIO_A, lambda e: isinstance(e, Send) and not e.protocol, token_skipping_a_hop),
+        (SCENARIO_A, lambda e: isinstance(e, Respond),
+         lambda e: dc_replace(e, record={**e.record, "self": "forged"})),
+        (SCENARIO_A, lambda e: isinstance(e, Apply) and e.name.startswith("gop-self:"),
+         lambda e: dc_replace(e, name="gop-self:record-only")),
+    ], ids=["identity-correction", "marker-payload", "token-hops", "forged-record",
+            "foreign-gop-self"])
+    def test_forged_step_rejected_at_its_index(self, cfg, pick, change):
+        forged_runs = 0
+        for seed in range(10):
+            x, pred = self.scenario(cfg, seed)
+            if (case := forge(x, pick, change)) is None:
+                continue
+            forged, i = case
+            assert executions.well_formed(forged), seed
+            res = executions.validate(pred, forged)
+            assert not res and res.first_failure == i, (seed, res)
+            forged_runs += 1
+        assert forged_runs >= 5
