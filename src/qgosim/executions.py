@@ -65,7 +65,7 @@ def run_update(update: ClassicalUpdate | None, sigma, ext, outcome):
         raise KeyError(f"unknown classical update {update.name!r}")
     try:
         return fn(sigma, ext, outcome, update.params)
-    except (TypeError, ValueError, KeyError, IndexError, AttributeError) as exc:
+    except DATA_ERRORS as exc:
         raise UpdateFailed(f"classical update {update.name!r} failed: {exc!r}") from exc
 
 
@@ -124,18 +124,17 @@ class Receive:
     protocol: bool = False
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class AtomicExecute:
     """Specification-only event: the global operation hits every processor
-    and every in-flight message in one step."""
+    and every in-flight message in one step.  It carries the outcomes only;
+    the specification machine builds the components from the operation."""
 
     eid: int
     label: str  # leader processor
     gid: str
-    # (proc, qop, in_regs, out_regs, outcome, cop_update)
-    proc_comps: tuple = ()
-    # (msg_id, qop, in_regs, out_regs, outcome)
-    msg_comps: tuple = ()
+    proc_outcomes: tuple = ()  # (proc, outcome) pairs
+    msg_outcomes: tuple = ()  # (msg_id, outcome) pairs
     protocol: bool = True
 
 
@@ -177,6 +176,8 @@ Fragment = Execution
 
 # What an invalid step raises: a replay reports any of these as a ReplayError.
 STEP_ERRORS = (sysmodel.SysmodelError, qcore.QcoreError, KeyError)
+# What an update or a predicate raises on a state it cannot read: a refused step.
+DATA_ERRORS = (TypeError, ValueError, KeyError, IndexError, AttributeError)
 
 
 def _run_on(state: SystemState, proc: str, update, outcome) -> SystemState:
@@ -306,6 +307,7 @@ class ValidationResult:
     valid: bool
     first_failure: int | None = None
     reason: str = ""
+    final: SystemState | None = None  # the replay's last state, once it completed
 
     def __bool__(self):
         return self.valid
@@ -318,6 +320,9 @@ def validate(predicate: TransitionPredicate, x: Execution) -> ValidationResult:
     except ReplayError as exc:
         return ValidationResult(False, exc.index, f"not well formed: {exc.reason}")
     for i, event in enumerate(x.events):
-        if not predicate.allows(states[i], event, states[i + 1]):
-            return ValidationResult(False, i, f"step {i} not allowed by predicate")
-    return ValidationResult(True)
+        try:
+            if not predicate.allows(states[i], event, states[i + 1]):
+                return ValidationResult(False, i, f"step {i} not allowed by predicate")
+        except DATA_ERRORS as exc:
+            return ValidationResult(False, i, f"step {i} not allowed by predicate: {exc!r}")
+    return ValidationResult(True, final=states[-1])

@@ -28,7 +28,8 @@ class ConfigError(ValueError):
     """A scenario config that is not of the documented form."""
 
 
-_TYPE_NAMES = {str: "a string", int: "an int", dict: "a JSON object", list: "a list"}
+_TYPE_NAMES = {str: "a string", int: "an int", bool: "a bool", dict: "a JSON object",
+               list: "a list"}
 
 
 def _check_record(what: str, d, types: dict, required: tuple) -> None:
@@ -69,10 +70,15 @@ class ScenarioConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ScenarioConfig":
         """The config a JSON object describes; ConfigError names the first
-        unknown key, missing ``base`` or mistyped field."""
+        unknown key or base parameter, missing ``base``, or bad field."""
         # Each field has the type of its value in a default config.
         types = {f: type(v) for f, v in cls("").to_dict().items()}
         _check_record("config", d, types, ("base",))
+        if d.get("procs", 1) < 1:
+            raise ConfigError("config: 'procs' is less than 1")
+        base = BASE_ALGORITHMS.get(d["base"])
+        if base is not None:  # an unknown base is reported when it is built
+            _check_record("base_params", d.get("base_params", {}), base.params, ())
         for i, inv in enumerate(d.get("invocations", [])):
             _check_record(f"invocation {i}", inv, _INVOCATION_TYPES, ("gid", "leader"))
         return cls(**d)
@@ -84,6 +90,7 @@ def proc_names(n: int) -> list[str]:
 
 class BaseAlgorithm:
     name: str
+    params: dict = {}  # each base_params key the algorithm reads, and its type
 
     def initial(self, cfg: ScenarioConfig) -> SystemState:
         raise NotImplementedError
@@ -142,6 +149,7 @@ def _take_from_inbox(sigma, kind: str):
 
 class EmptyAlgorithm(BaseAlgorithm):
     name = "empty"
+    params = {"qubits_per_proc": int}
 
     def initial(self, cfg):
         procs = proc_names(cfg.procs)
@@ -176,6 +184,7 @@ class TokenRing(BaseAlgorithm):
     processor on the ring until it has travelled ``max_hops`` hops."""
 
     name = "token-ring"
+    params = {"max_hops": int, "epr_pair": bool, "qubits_per_proc": int}
 
     def initial(self, cfg):
         procs = proc_names(cfg.procs)
@@ -281,6 +290,7 @@ class Teleport(BaseAlgorithm):
     bits; p1 applies the correction to the received half."""
 
     name = "teleport"
+    params = {"data_state": list}
 
     def initial(self, cfg):
         if cfg.procs != 2:
@@ -368,6 +378,7 @@ class Ping(BaseAlgorithm):
     """p0 sends ``n_msgs`` classical messages to p1, which only receives."""
 
     name = "ping"
+    params = {"n_msgs": int}
 
     def initial(self, cfg):
         procs = proc_names(cfg.procs)

@@ -207,17 +207,8 @@ def encode_event(ev: Event) -> dict:
             "msg": ev.msg_id, "update": _update(ev.update), "protocol": ev.protocol,
         }
     if isinstance(ev, AtomicExecute):
-        return {
-            "k": "atomic", "eid": ev.eid, "label": ev.label, "gid": ev.gid,
-            "procs": [
-                [p, _qop(q), [_reg(r) for r in i], [_reg(r) for r in o], out, _update(u)]
-                for p, q, i, o, out, u in ev.proc_comps
-            ],
-            "msgs": [
-                [m, _qop(q), [_reg(r) for r in i], [_reg(r) for r in o], out]
-                for m, q, i, o, out in ev.msg_comps
-            ],
-        }
+        return {"k": "atomic", "eid": ev.eid, "label": ev.label, "gid": ev.gid,
+                "procs": ev.proc_outcomes, "msgs": ev.msg_outcomes}
     raise TraceError(f"cannot encode event {ev!r}")
 
 

@@ -11,6 +11,7 @@ a block of events that is atomic on its processor.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, fields
 
@@ -136,13 +137,6 @@ class DecomposableGlobalOp:
     def msg_component(self, state: SystemState, msg: MessageInstance) -> LocalOpSpec:
         raise NotImplementedError
 
-    def validate(self, state: SystemState) -> bool:
-        for proc in state.procs:
-            spec = self.proc_component(state, proc)
-            if spec.qop is not None and not qcore.validate_operation(spec.qop).valid:
-                return False
-        return True
-
 
 def outcome_label(classical_part, quantum_part) -> str:
     return json.dumps({"c": classical_part, "q": quantum_part}, sort_keys=True)
@@ -189,14 +183,19 @@ class GlobalEncrypt(DecomposableGlobalOp):
 
     gid = "global-encrypt"
 
+    @staticmethod
+    @functools.cache
+    def _pad(n_qubits: int) -> QuantumOperation:
+        """The pad on ``n_qubits`` qubits, built once per count."""
+        pad = qcore.pauli_pad_operation(n_qubits)
+        return qcore.relabel_outcomes(pad, lambda k: outcome_label(None, k))
+
     def _component(self, regs):
-        if not regs or any(r.dim != 2 for r in regs):
-            if regs:
-                raise QgoError("pauli pad requires qubit registers")
+        if any(r.dim != 2 for r in regs):
+            raise QgoError("pauli pad requires qubit registers")
+        if not regs:
             return LocalOpSpec(None, fixed_outcome=outcome_label(None, ""))
-        pad = qcore.pauli_pad_operation(len(regs))
-        pad = qcore.relabel_outcomes(pad, lambda k: outcome_label(None, k))
-        return LocalOpSpec(pad, tuple(regs), tuple(regs))
+        return LocalOpSpec(self._pad(len(regs)), tuple(regs), tuple(regs))
 
     def proc_component(self, state, proc):
         return self._component(state.owned_by(proc))

@@ -4,7 +4,8 @@ In the specification machine, a leader invokes the operation, a single
 AtomicExecute event applies every per-processor and per-in-flight-message
 component in one step, and each processor then responds with its share of
 the outcomes: its own plus those of the messages that were in flight
-towards it, per channel in FIFO order.
+towards it, per channel in FIFO order.  The event supplies the outcomes
+only: each component is built from the operation on the pre-state.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ from .executions import (
     Respond,
     Send,
     ValidationResult,
-    run_update,
 )
 from .qcore import ZERO_TRACE
-from .qgo import incoming_channels, response_record
+from .qgo import QgoError, global_op_library, incoming_channels, response_record
 from .sysmodel import SysmodelError, SystemState, apply_quantum
 
 
@@ -40,46 +40,46 @@ def spec_idle_ext(procs) -> dict:
 
 def apply_atomic(state: SystemState, event: AtomicExecute) -> SystemState:
     """Apply every component of the global operation in one step and hand
-    each processor its response record."""
+    each processor its response record.  The event's outcome for each
+    component must be one the component can give."""
     leader = event.label
     if state.ext.get(leader) != {"phase": "invoked", "gid": event.gid}:
         raise SpecViolation(f"leader {leader} has no pending invocation of {event.gid}")
     for p in state.procs:
         if p != leader and state.ext.get(p) is not None:
             raise SpecViolation(f"processor {p} busy during atomic execution")
-
-    comp_procs = [c[0] for c in event.proc_comps]
-    if sorted(comp_procs) != sorted(state.procs) or len(set(comp_procs)) != len(comp_procs):
-        raise SpecViolation("per-processor components do not cover the processors")
-    in_flight = state.message_ids()
-    comp_msgs = [c[0] for c in event.msg_comps]
-    if set(comp_msgs) != in_flight or len(set(comp_msgs)) != len(comp_msgs):
+    if sorted(p for p, _ in event.proc_outcomes) != sorted(state.procs):
+        raise SpecViolation("per-processor outcomes do not cover the processors")
+    msg_ids, in_flight = sorted(m for m, _ in event.msg_outcomes), sorted(state.message_ids())
+    if msg_ids != in_flight:
         raise SpecViolation(
-            f"message components {sorted(comp_msgs)} do not cover the "
-            f"in-flight messages {sorted(in_flight)}"
-        )
+            f"message outcomes {msg_ids} do not cover the in-flight messages {in_flight}")
 
-    classical = dict(state.classical)
-    for proc, qop, in_regs, out_regs, outcome, cop_update in event.proc_comps:
-        state = apply_quantum(state, qop, in_regs, out_regs, outcome, proc)
-        sigma, _ = run_update(cop_update, classical[proc], None, outcome)
-        classical[proc] = sigma
-    for msg_id, qop, in_regs, out_regs, outcome in event.msg_comps:
-        msg = state.find_message(msg_id)
-        state = apply_quantum(state, qop, in_regs, out_regs, outcome, msg.owner_token)
-
+    try:
+        gop = global_op_library([event.gid])[event.gid]
+        comps = [(p, gop.proc_component(state, p), out) for p, out in event.proc_outcomes]
+        for m, out in event.msg_outcomes:
+            msg = state.find_message(m)
+            comps.append((msg.owner_token, gop.msg_component(state, msg), out))
+    except QgoError as exc:  # an unknown gid, or a component it cannot build
+        raise SpecViolation(str(exc)) from exc
+    for owner, spec, outcome in comps:
+        outcomes = spec.qop.outcome_set if spec.qop is not None else (spec.fixed_outcome,)
+        if outcome not in outcomes:
+            raise SpecViolation(f"{event.gid} on {owner} cannot give outcome {outcome!r}")
+        state = apply_quantum(state, spec.qop, spec.in_regs, spec.out_regs, outcome, owner)
     if state.quantum.trace < ZERO_TRACE:
         raise SpecViolation("atomic outcome combination has zero probability")
 
-    self_outcome = {c[0]: c[4] for c in event.proc_comps}
-    msg_outcome = {c[0]: c[4] for c in event.msg_comps}
+    self_outcome = dict(event.proc_outcomes)
+    msg_outcome = dict(event.msg_outcomes)
     ext = {}
     for p in state.procs:
         channels = {c: [msg_outcome[m.msg_id] for m in state.channels[c]]
                     for c in incoming_channels(state.procs, p)}
         record = response_record(p, event.gid, self_outcome[p], channels)
         ext[p] = {"phase": "executed", "gid": event.gid, "record": record}
-    return dc_replace(state, classical=classical, ext=ext)
+    return dc_replace(state, ext=ext)
 
 
 def spec_step(state: SystemState, event: Event) -> SystemState:
@@ -117,7 +117,8 @@ def spec_step(state: SystemState, event: Event) -> SystemState:
 
 
 def validate_spec_execution(x: Execution) -> ValidationResult:
-    """Replay under the specification machine, reporting the first failure."""
+    """Replay under the specification machine, reporting the first failure;
+    a valid result carries the final state."""
     try:
         state = executions.replay(x, spec_step)[-1]
     except executions.ReplayError as exc:
@@ -125,4 +126,4 @@ def validate_spec_execution(x: Execution) -> ValidationResult:
     for p in x.initial.procs:
         if state.ext.get(p) is not None:
             return ValidationResult(False, None, f"{p} ends with an open operation")
-    return ValidationResult(True)
+    return ValidationResult(True, final=state)

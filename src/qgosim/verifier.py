@@ -8,9 +8,10 @@ them by class using only checked causally-independent adjacent swaps,
 the one step that changes the causal order, justified by an explicit state
 comparison — and bubbles it to the end of the snapshot region, and (4)
 replaces the snapshot region by a single AtomicExecute event and replays
-the result under the specification machine.  The histories (invocations,
-responses, base events) of the original and the specification execution
-correspond event for event.
+the result under the specification machine, which builds every component
+from the named operation and must end where the reordered execution ends.
+The histories (invocations, responses, base events) of the
+original and the specification execution correspond event for event.
 """
 
 from __future__ import annotations
@@ -289,36 +290,23 @@ def histories_correspond(h1: list[Event], h2: list[Event]) -> bool:
 
 def build_spec_execution(z: Execution, frags: list[FragmentInfo]) -> Execution:
     """Project the reordered execution onto the specification: drop protocol
-    events, replace each snapshot region by one AtomicExecute."""
+    events, replace each snapshot region by one AtomicExecute that carries
+    the outcomes of the region's component applications."""
     next_eid = max((e.eid for e in z.events), default=-1) + 1
     insert_after: dict[int, AtomicExecute] = {}
     for frag in frags:
-        proc_comps = []
-        msg_comps = []
-        last_pos = frag.lo
-        for p in sorted(frag.proc_apply_eids):
-            pos = z.index_of(frag.proc_apply_eids[p])
-            ev = z.events[pos]
-            proc_comps.append((p, ev.qop, ev.in_regs, ev.out_regs, ev.outcome, None))
-            last_pos = max(last_pos, pos)
-        for eid in frag.msg_apply_eids:
-            pos = z.index_of(eid)
-            ev = z.events[pos]
-            msg_comps.append(
-                (ev.target_msg, ev.qop, ev.in_regs, ev.out_regs, ev.outcome)
-            )
-            last_pos = max(last_pos, pos)
-        # Marker broadcasts can sit after the last application in the
-        # snapshot region; the atomic point goes after all of them.
-        for i in range(frag.lo, frag.hi + 1):
-            if frag.classes.get(z.events[i].eid) == "op":
-                last_pos = max(last_pos, i)
+        procs = [z.events[z.index_of(eid)] for _, eid in sorted(frag.proc_apply_eids.items())]
+        msg_pos = [z.index_of(eid) for eid in frag.msg_apply_eids]
+        # The atomic point follows the last message operation and the last
+        # event of the snapshot blocks, marker broadcasts included.
+        last_pos = max(msg_pos + [i for i in range(frag.lo, frag.hi + 1)
+                                  if frag.classes.get(z.events[i].eid) == "op"])
         insert_after[last_pos] = AtomicExecute(
             eid=next_eid,
             label=frag.leader,
             gid=frag.gid,
-            proc_comps=tuple(proc_comps),
-            msg_comps=tuple(msg_comps),
+            proc_outcomes=tuple((e.proc, e.outcome) for e in procs),
+            msg_outcomes=tuple((z.events[i].target_msg, z.events[i].outcome) for i in msg_pos),
         )
         next_eid += 1
 
@@ -329,9 +317,7 @@ def build_spec_execution(z: Execution, frags: list[FragmentInfo]) -> Execution:
             out.append(ev)
         if i in insert_after:
             out.append(insert_after[i])
-    initial = dc_replace(
-        z.initial, ext=specmachine.spec_idle_ext(z.initial.procs)
-    )
+    initial = dc_replace(z.initial, ext=specmachine.spec_idle_ext(z.initial.procs))
     return Execution(initial, tuple(out))
 
 
@@ -406,7 +392,8 @@ def verify(x: Execution) -> Certificate:
             nswaps += n
     except ClaimViolation as exc:
         return fail("move-message-ops", str(exc))
-    if not sysmodel.states_equal(replay(z)[-1], y_final, EPS_CHAIN):
+    z_final = replay(z)[-1]
+    if not sysmodel.states_equal(z_final, y_final, EPS_CHAIN):
         return fail("move-message-ops", "moved operations changed the final state")
     if not histories_correspond(history(y), history(z)):
         return fail("move-message-ops", "moving operations changed the history")
@@ -419,6 +406,9 @@ def verify(x: Execution) -> Certificate:
             "spec-replay",
             f"specification machine rejects step {res.first_failure}: {res.reason}",
         )
+    # Each machine keeps its own phases in ext; the rest of the state must agree.
+    if not sysmodel.states_equal(dc_replace(res.final, ext=z_final.ext), z_final, EPS_CHAIN):
+        return fail("spec-replay", "specification ends in a different state")
     verdicts["spec-replay"] = True
 
     if not histories_correspond(history(z), history(spec_x)):

@@ -381,20 +381,20 @@ def test_acceptance_8_encrypt_roundtrip():
             assert enc.decisions == plain.decisions
             cert = verifier.verify(enc.execution)
             assert cert.accepted
-            atomic = next(e for e in cert.spec.events
-                          if isinstance(e, executions.AtomicExecute))
+            # every pad the execution applied, each undone with its key
             rho = enc.final_state.quantum
-            comps = [(c[1], c[2], c[4]) for c in atomic.proc_comps] + \
-                    [(c[1], c[2], c[4]) for c in atomic.msg_comps]
-            for qop, regs, outcome in comps:
-                if qop is None:
+            pads = [e for e in enc.execution.events
+                    if isinstance(e, executions.Apply) and e.name.startswith("gop-")]
+            assert len(pads) >= 2
+            for pad in pads:
+                if pad.qop is None:
                     continue
-                key = json.loads(outcome)["q"]
+                key = json.loads(pad.outcome)["q"]
                 undo = qcore.unitary_channel(
-                    qcore.pauli_string_matrix(key), [r.dim for r in regs]
+                    qcore.pauli_string_matrix(key), [r.dim for r in pad.in_regs]
                 )
                 rho = qcore.apply_outcome(
-                    rho, undo, RegisterMap(tuple(regs)), qcore.NO_OUTCOME
+                    rho, undo, RegisterMap(pad.in_regs), qcore.NO_OUTCOME
                 )
             a = qcore.canonical_form(rho)
             b = qcore.canonical_form(plain.final_state.quantum)

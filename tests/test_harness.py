@@ -20,6 +20,7 @@ from qgosim.harness.scenarios import (
     bell_measurement,
 )
 from qgosim.harness.scheduler import SchedulerError, run_simulation
+from test_verifier import REFUSED_ATOMIC_STEPS, trace_text
 
 
 class TestScenarios:
@@ -83,8 +84,18 @@ class TestScenarios:
         ({"base": "ping", "invocations": [{"gid": "record-only", "leader": "p0",
                                            "after": 1}]},
          "invocation 0 has unknown key 'after'"),
+        ({"base": "token-ring", "procs": 0}, "config: 'procs' is less than 1"),
+        ({"base": "token-ring", "procs": 2, "base_params": {"qubit_per_proc": 2}},
+         "base_params has unknown key 'qubit_per_proc'"),
+        ({"base": "token-ring", "base_params": {"max_hops": "x"}},
+         "base_params: 'max_hops' is not an int"),
+        ({"base": "token-ring", "base_params": {"epr_pair": 1}},
+         "base_params: 'epr_pair' is not a bool"),
+        ({"base": "teleport", "base_params": {"n_msgs": 2}},
+         "base_params has unknown key 'n_msgs'"),
     ], ids=["not-object", "bool-seed", "params-list", "invocations-object",
-            "invocation-string", "no-leader", "invocation-key"])
+            "invocation-string", "no-leader", "invocation-key", "no-procs",
+            "misspelt-param", "param-string", "param-not-bool", "param-of-another-base"])
     def test_malformed_config_rejected(self, d, message):
         with pytest.raises(ConfigError) as exc:
             ScenarioConfig.from_dict(d)
@@ -464,7 +475,13 @@ class TestCli:
         ({"base": "ping", "invocations": [{"gid": "record-only", "leader": "p0",
                                            "after_step": "1"}]},
          "error: invocation 0: 'after_step' is not an int"),
-    ], ids=["empty", "procs-string", "misspelt-key", "after-step-string"])
+        ({"base": "token-ring", "procs": 0}, "error: config: 'procs' is less than 1"),
+        ({"base": "token-ring", "procs": 2, "base_params": {"qubit_per_proc": 2}},
+         "error: base_params has unknown key 'qubit_per_proc'"),
+        ({"base": "token-ring", "base_params": {"max_hops": "x"}},
+         "error: base_params: 'max_hops' is not an int"),
+    ], ids=["empty", "procs-string", "misspelt-key", "after-step-string", "no-procs",
+            "misspelt-param", "param-string"])
     @pytest.mark.parametrize("cmd", ["run", "batch"])
     def test_malformed_config_exits_2(self, tmp_path, cmd, config, message):
         path = tmp_path / "cfg.json"
@@ -513,6 +530,17 @@ class TestCli:
         r = self.run_cli("run", "--config", str(path))
         assert r.returncode == 2
         assert r.stderr == message + "\n"
+
+    @REFUSED_ATOMIC_STEPS
+    def test_atomic_step_the_operation_refuses_exits_1(self, tmp_path, edit, cfg, reason):
+        trace = tmp_path / "atomic.jsonl"
+        trace.write_text(edit(trace_text(cfg)))
+        r = self.run_cli("verify", str(trace))
+        assert r.returncode == 1
+        assert "Traceback" not in r.stderr
+        assert "spec-replay: FAIL" in r.stdout
+        (line,) = [l for l in r.stdout.splitlines() if l.startswith("rejected:")]
+        assert reason in line
 
     def test_bad_input_exit_code(self, tmp_path):
         junk = tmp_path / "junk.jsonl"
@@ -587,11 +615,11 @@ def test_golden_trace(name):
 # and verified: they pin the verdicts, swap counts, event orders and
 # specification events, whatever representation the quantum state has.
 GOLDEN_CERTIFICATES = {
-    "scenario-a": "e45d42d4fc7d0e2f803719dc89564a2d84d92211b67a9c9a1e71bbef4c423886",
+    "scenario-a": "15aae863b151575092b4cdd2e007846b53299b53f2658a44872bcb973256a854",
     "global-encrypt-d64":
-        "9694e419836ed81eebb2ebd5b7df48b609b461cbb8efd0599b40eea0997b3e76",
+        "3f0ce22269ea942108fb12d862b74d7afd91afdb3c7ec3d207bf44b24568d1ed",
     "ring-quantum-wide":
-        "991154c509dd99716dd1369d66aeab18e63a5f8014bf5a4ab421ac32f5faa200",
+        "49aeabe1047e233491f8d3d44d302b5e44f9c0e91f6267a4ba8daf6452d9c646",
 }
 
 

@@ -260,3 +260,17 @@ class TestAugmentedPredicate:
             assert not res and res.first_failure == i, (seed, res)
             forged_runs += 1
         assert forged_runs >= 5
+
+    def test_predicate_that_raises_refuses_the_step(self):
+        # p0 starts with the hop count "0": the execution still replays, but
+        # the token ring cannot compare it with its bound when p0 passes.
+        x, pred = self.scenario(TOKEN_RING_EPR, 0)
+        p0 = {**x.initial.classical["p0"], "hops": "0"}
+        x = executions.Execution(
+            dc_replace(x.initial, classical={**x.initial.classical, "p0": p0}), x.events)
+        assert executions.well_formed(x)
+        i = next(k for k, e in enumerate(x.events)
+                 if e.label == "p0" and not getattr(e, "protocol", False))
+        res = executions.validate(pred, x)
+        assert not res and res.first_failure == i
+        assert res.reason.startswith(f"step {i} not allowed by predicate: TypeError(")

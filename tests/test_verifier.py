@@ -1,12 +1,16 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from qgosim import causality, executions, qcore, specmachine, sysmodel, verifier
 from qgosim.executions import Apply, Execution, Invoke, Respond, Send
+from qgosim.harness import traceio
 from qgosim.harness.scenarios import ScenarioConfig
 from qgosim.harness.scheduler import run_simulation
+from qgosim.qgo import outcome_label
+from qgosim.sysmodel import encode_classical
 
 
 def generate(seed=0, base="token-ring", gid="snapshot-measure", invocations=1,
@@ -64,6 +68,95 @@ class TestAccept:
         x = generate(seed=9, procs=3, gid="snapshot-measure",
                      params={"max_hops": 5})
         assert verifier.verify(x).accepted
+
+
+def relabelled_identity(x, i, outcome):
+    """``x`` with event ``i``, an Apply, replaced by the identity on its
+    registers that gives ``outcome``."""
+    ev = list(x.events)
+    qop = qcore.relabel_outcomes(qcore.identity_operation(ev[i].qop.in_dims),
+                                 lambda _: outcome)
+    ev[i] = dataclasses.replace(ev[i], qop=qop, outcome=outcome)
+    return Execution(x.initial, tuple(ev))
+
+
+def anticorrelated_epr_snapshot(seed):
+    """Token ring with an EPR pair shared by p0 and p1, snapshot-measured by
+    p0.  p0's own measurement is replaced by the identity that reports the
+    flipped bit, and its response agrees: the two halves of the pair then
+    seem to measure differently, which no execution of the operation can
+    give."""
+    cfg = ScenarioConfig(
+        base="token-ring", procs=2, base_params={"epr_pair": True, "max_hops": 6},
+        invocations=[{"gid": "snapshot-measure", "leader": "p0", "after_step": 2}],
+        seed=seed,
+    )
+    x = run_simulation(cfg).execution
+    i = next(k for k, e in enumerate(x.events)
+             if isinstance(e, Apply) and e.name.startswith("gop-self:") and e.proc == "p0")
+    label = json.loads(x.events[i].outcome)
+    flipped = json.dumps({**label, "q": "1" if label["q"] == "0" else "0"}, sort_keys=True)
+    x = relabelled_identity(x, i, flipped)
+    ev = [dataclasses.replace(e, record={**e.record, "self": flipped})
+          if isinstance(e, Respond) and e.label == "p0" else e for e in x.events]
+    return Execution(x.initial, tuple(ev))
+
+
+def unmeasured_teleport_message(seed):
+    """Teleport, snapshot-measured by p1 after one step: event 7 measures the
+    qubit that was in flight.  It is replaced by the identity reporting the
+    same outcome, so the execution never collapses that qubit."""
+    cfg = ScenarioConfig(
+        base="teleport", procs=2,
+        invocations=[{"gid": "snapshot-measure", "leader": "p1", "after_step": 1}],
+        seed=seed,
+    )
+    x = run_simulation(cfg).execution
+    assert x.events[7].name == "gop-msg:snapshot-measure"
+    return relabelled_identity(x, 7, x.events[7].outcome)
+
+
+def renamed_operation(text, gid="nonesuch"):
+    """A trace whose invocation, markers, records and component names all
+    name ``gid``, an operation that does not exist."""
+    return text.replace('"snapshot-measure"', f'"{gid}"').replace(
+        "gop-self:snapshot-measure", f"gop-self:{gid}").replace(
+        "gop-msg:snapshot-measure", f"gop-msg:{gid}")
+
+
+def forged_fixed_outcome(text):
+    """A record-only trace whose leader reports a classical state it never
+    had, in its local application and in its response."""
+    recs = [json.loads(line) for line in text.splitlines()]
+    apply = next(d for d in recs if d.get("name") == "gop-self:record-only")
+    forged = outcome_label(encode_classical({"forged": True}), None)
+    for d in recs:
+        if d is apply:
+            d["outcome"] = forged
+        if d.get("k") == "respond" and d["label"] == apply["proc"]:
+            d["record"]["self"] = forged
+    return "".join(json.dumps(d, sort_keys=True) + "\n" for d in recs)
+
+
+def trace_text(cfg):
+    res = run_simulation(cfg)
+    return traceio.serialize_run(res.execution, cfg, res.decisions)
+
+
+SNAPSHOT_RING = ScenarioConfig(
+    base="token-ring", procs=2, base_params={"epr_pair": True, "max_hops": 3},
+    invocations=[{"gid": "snapshot-measure", "leader": "p0", "after_step": 2}], seed=1,
+)
+RECORD_PING = ScenarioConfig(
+    base="ping", procs=2, base_params={"n_msgs": 2},
+    invocations=[{"gid": "record-only", "leader": "p0", "after_step": 1}], seed=0,
+)
+# Trace edits that only the specification machine can refuse: the atomic
+# step names no operation, or an outcome its component cannot give.
+REFUSED_ATOMIC_STEPS = pytest.mark.parametrize("edit, cfg, reason", [
+    (renamed_operation, SNAPSHOT_RING, "unknown global operation 'nonesuch'"),
+    (forged_fixed_outcome, RECORD_PING, "record-only on p0 cannot give outcome"),
+], ids=["unknown-gid", "outcome-outside-component"])
 
 
 class TestDecompose:
@@ -183,6 +276,25 @@ class TestReject:
         assert cert.verdicts["move-message-ops"] is False
         assert "in flight does not commute with its reception" in cert.reason
         assert "not owned by msg:" in cert.reason
+
+    @pytest.mark.parametrize("forge, seeds", [
+        (anticorrelated_epr_snapshot, range(20)),
+        (unmeasured_teleport_message, [0]),
+    ], ids=["anticorrelated-epr", "unmeasured-teleport-message"])
+    def test_forged_component_rejected_at_spec_replay(self, forge, seeds):
+        for seed in seeds:
+            x = forge(seed)
+            assert executions.well_formed(x), seed
+            cert = verifier.verify(x)
+            assert cert.verdicts["spec-replay"] is False, (seed, cert.verdicts)
+            assert all(cert.verdicts[k] for k in cert.verdicts if k != "spec-replay")
+
+    @REFUSED_ATOMIC_STEPS
+    def test_atomic_step_the_operation_refuses(self, edit, cfg, reason):
+        x, _, _ = traceio.parse_run(edit(trace_text(cfg)))
+        cert = verifier.verify(x)
+        assert cert.verdicts["spec-replay"] is False, cert.verdicts
+        assert reason in cert.reason
 
     def test_ill_formed_input(self):
         x = generate(seed=4)
