@@ -159,20 +159,20 @@ def swap_adjacent(x: Execution, i: int, relation: CausalRelation | None = None) 
     return y
 
 
-def swap_adjacent_cached(
-    x: Execution,
-    states: list,
-    i: int,
-    relation: CausalRelation,
-) -> tuple[Execution, list]:
-    """Adjacent swap with an O(1) local state check instead of full replay.
+def swap_in_place(events: list, states: list, i: int, relation: CausalRelation) -> None:
+    """Swap the causally independent events at positions i and i+1 of
+    ``events``, updating ``states``, its replay, to the replay of the result.
 
-    ``states`` is the replay of ``x``; the returned list is the replay of
-    the swapped execution, with entries after i+1 reused (they agree with a
-    fresh replay to floating-point noise, far below EPS_EXACT).  The causal
-    relation is unchanged by a valid swap, so ``relation`` stays usable.
+    The checks come first and mutate nothing: events[i] does not happen
+    before events[i+1] (CausalDependency otherwise), and both steps of the
+    swapped pair are valid from states[i] and end in states[i+2] within
+    EPS_EXACT (LemmaViolation otherwise).  So a raise leaves both lists as
+    they were.  Only the two events and the two states after them change;
+    the later states are reused (they agree with a fresh replay to
+    floating-point noise, far below EPS_EXACT).  A valid swap leaves the
+    causal relation unchanged, so ``relation`` stays usable.
     """
-    a, b = x.events[i], x.events[i + 1]
+    a, b = events[i], events[i + 1]
     if relation.prec(a.eid, b.eid):
         raise CausalDependency(f"event {a.eid} happens before {b.eid}")
     try:
@@ -182,10 +182,20 @@ def swap_adjacent_cached(
         raise LemmaViolation(f"swap produced invalid step: {exc}") from exc
     if not sysmodel.states_equal(end, states[i + 2], EPS_EXACT):
         raise LemmaViolation("swap changed the state after the pair")
-    new_states = list(states)
-    new_states[i + 1] = mid
-    new_states[i + 2] = end
-    events = x.events[:i] + (b, a) + x.events[i + 2:]
+    events[i], events[i + 1] = b, a
+    states[i + 1], states[i + 2] = mid, end
+
+
+def swap_adjacent_cached(
+    x: Execution,
+    states: list,
+    i: int,
+    relation: CausalRelation,
+) -> tuple[Execution, list]:
+    """``swap_in_place`` on copies: the swapped execution and its replay,
+    leaving ``x`` and ``states`` (the replay of ``x``) as they were."""
+    events, new_states = list(x.events), list(states)
+    swap_in_place(events, new_states, i, relation)
     return Execution(x.initial, events), new_states
 
 

@@ -8,7 +8,7 @@ fully deterministic and needs no random source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from . import qcore, sysmodel
@@ -185,8 +185,8 @@ def _run_on(state: SystemState, proc: str, update, outcome) -> SystemState:
     if update is None:
         return state
     sigma, ext = run_update(update, state.classical[proc], state.ext[proc], outcome)
-    return dc_replace(state, classical={**state.classical, proc: sigma},
-                      ext={**state.ext, proc: ext})
+    return sysmodel.evolve(state, classical={**state.classical, proc: sigma},
+                           ext={**state.ext, proc: ext})
 
 
 def step(state: SystemState, event: Event) -> SystemState:

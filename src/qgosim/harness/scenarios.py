@@ -9,6 +9,7 @@ through the marker-protocol reception handler.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -78,7 +79,9 @@ class ScenarioConfig:
             raise ConfigError("config: 'procs' is less than 1")
         base = BASE_ALGORITHMS.get(d["base"])
         if base is not None:  # an unknown base is reported when it is built
-            _check_record("base_params", d.get("base_params", {}), base.params, ())
+            params = d.get("base_params", {})
+            _check_record("base_params", params, base.params, ())
+            base.check_params(params)
         for i, inv in enumerate(d.get("invocations", [])):
             _check_record(f"invocation {i}", inv, _INVOCATION_TYPES, ("gid", "leader"))
         return cls(**d)
@@ -91,6 +94,10 @@ def proc_names(n: int) -> list[str]:
 class BaseAlgorithm:
     name: str
     params: dict = {}  # each base_params key the algorithm reads, and its type
+
+    def check_params(self, params: dict) -> None:
+        """Raise ConfigError on a ``base_params`` value of the right type
+        that the algorithm still cannot use."""
 
     def initial(self, cfg: ScenarioConfig) -> SystemState:
         raise NotImplementedError
@@ -284,6 +291,36 @@ def correction_unitary(bits: str) -> np.ndarray:
     return np.linalg.matrix_power(z, a) @ np.linalg.matrix_power(x, b)
 
 
+_DATA_STATE = [0.6, [0.0, 0.8]]
+
+
+def _finite_real(v) -> bool:
+    return type(v) in (int, float) and math.isfinite(v)
+
+
+def _data_state(amps) -> np.ndarray:
+    """The data qubit's state, normalised, from its two amplitudes: each a
+    finite real or a [re, im] pair of finite reals, not both zero;
+    ConfigError otherwise."""
+    what = "base_params: 'data_state'"
+    if not (type(amps) is list and len(amps) == 2):
+        raise ConfigError(f"{what} is not a list of two amplitudes")
+    psi = np.zeros(2, complex)
+    for i, a in enumerate(amps):
+        if _finite_real(a):
+            psi[i] = a
+        elif type(a) is list and len(a) == 2 and all(map(_finite_real, a)):
+            psi[i] = complex(a[0], a[1])
+        else:
+            raise ConfigError(f"{what}: amplitude {i} is not a finite real "
+                              f"or a [re, im] pair of finite reals")
+    if not psi.any():
+        raise ConfigError(f"{what} has both amplitudes zero")
+    parts = psi.view(float)  # scaled part by part, so no step overflows or underflows
+    parts /= np.abs(parts).max()
+    return psi / np.linalg.norm(psi)
+
+
 class Teleport(BaseAlgorithm):
     """Two processors; p0 sends one half of an entangled pair, measures its
     data qubit with that pair in the Bell basis, and sends the correction
@@ -292,16 +329,15 @@ class Teleport(BaseAlgorithm):
     name = "teleport"
     params = {"data_state": list}
 
+    def check_params(self, params):
+        _data_state(params.get("data_state", _DATA_STATE))
+
     def initial(self, cfg):
         if cfg.procs != 2:
             raise UnknownScenario("teleport needs exactly 2 processors")
         alloc = RegisterAllocator()
         d, e1, e2 = alloc.fresh(2), alloc.fresh(2), alloc.fresh(2)
-        amps = cfg.base_params.get("data_state", [0.6, [0.0, 0.8]])
-        a0 = complex(amps[0]) if np.isscalar(amps[0]) else complex(amps[0][0], amps[0][1])
-        a1 = complex(amps[1]) if np.isscalar(amps[1]) else complex(amps[1][0], amps[1][1])
-        psi = np.array([a0, a1], complex)
-        psi /= np.linalg.norm(psi)
+        psi = _data_state(cfg.base_params.get("data_state", _DATA_STATE))
         epr = np.zeros(4, complex)
         epr[0] = epr[3] = 1 / np.sqrt(2)
         vec = np.kron(psi, epr)

@@ -281,7 +281,13 @@ def _decode_state(recs: list[dict]) -> SystemState:
         if t == "procs":
             if procs is not None:
                 raise TraceError("trace has two procs records")
-            procs = tuple(d["names"])
+            names = d["names"]
+            if not (type(names) is list and all(type(p) is str and "->" not in p
+                                                 for p in names)
+                    and len(set(names)) == len(names)):
+                raise TraceError("procs record: names are not distinct strings "
+                                 "without '->'")
+            procs = tuple(names)
         elif t == "proc":
             name, sigma = d["name"], d["sigma"]
             if name in classical:
@@ -332,6 +338,14 @@ def _decode_state(recs: list[dict]) -> SystemState:
     except ValueError as exc:
         raise TraceError(f"bad initial state: {exc}") from None
     full_channels = {c: () for c in sysmodel.all_channels(procs)}
+    for key, msgs in channels.items():
+        if key not in full_channels:
+            raise TraceError(f"chan record names unknown channel {key!r}")
+        stray = [m.msg_id for m in msgs
+                 if (m.src, m.dst) != sysmodel.chan_endpoints(key)]
+        if stray:
+            raise TraceError(f"chan record of {key!r} holds message {stray[0]} "
+                             f"of another channel")
     full_channels.update(channels)
     state = SystemState(
         procs=procs, classical=classical, ext=ext, channels=full_channels,
@@ -340,6 +354,26 @@ def _decode_state(recs: list[dict]) -> SystemState:
     )
     state.check_ownership_partition()
     return state
+
+
+def _check_names(procs: tuple, events: list, linenos: list) -> None:
+    """Refuse an event that names a processor or a channel the trace does
+    not have: its label, an Apply's ``proc``, a sent message's ends, a
+    Receive's channel."""
+    channels = set(sysmodel.all_channels(procs))
+    for lineno, ev in zip(linenos, events):
+        names = [ev.label]
+        if isinstance(ev, Apply):
+            names.append(ev.proc)
+        elif isinstance(ev, Send):
+            names += [ev.msg.src, ev.msg.dst]
+        unknown = [p for p in names if p not in procs]
+        if unknown:
+            raise TraceError(f"line {lineno}: event {ev.eid} names unknown "
+                             f"processor {unknown[0]!r}")
+        if isinstance(ev, Receive) and ev.chan not in channels:
+            raise TraceError(f"line {lineno}: event {ev.eid} names unknown "
+                             f"channel {ev.chan!r}")
 
 
 def serialize_run(x: Execution, config: ScenarioConfig | None = None,
@@ -359,7 +393,7 @@ def serialize_run(x: Execution, config: ScenarioConfig | None = None,
 
 def parse_run(text: str):
     """Parse a trace; returns (execution, config or None, decisions or None)."""
-    state_recs, events = [], []
+    state_recs, events, linenos = [], [], []
     header = None
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
@@ -378,6 +412,7 @@ def parse_run(text: str):
         elif t == "ev":
             try:
                 events.append(decode_event(d))
+                linenos.append(lineno)
             except (KeyError, TypeError, ValueError, IndexError, qcore.QcoreError) as exc:
                 raise TraceError(f"line {lineno}: bad event record: {exc}") from exc
         elif t in ("procs", "proc", "chan", "quantum", "qrow"):
@@ -392,6 +427,7 @@ def parse_run(text: str):
     except (KeyError, TypeError, ValueError, IndexError,
             qcore.QcoreError, sysmodel.SysmodelError) as exc:
         raise TraceError(f"bad initial state: {exc!r}") from exc
+    _check_names(initial.procs, events, linenos)
     cfg = header.get("config")
     try:
         config = ScenarioConfig.from_dict(cfg) if cfg is not None else None

@@ -10,8 +10,6 @@ only: each component is built from the operation on the pre-state.
 
 from __future__ import annotations
 
-from dataclasses import replace as dc_replace
-
 from . import executions
 from .executions import (
     Apply,
@@ -26,7 +24,7 @@ from .executions import (
 )
 from .qcore import ZERO_TRACE
 from .qgo import QgoError, global_op_library, incoming_channels, response_record
-from .sysmodel import SysmodelError, SystemState, apply_quantum
+from .sysmodel import SysmodelError, SystemState, apply_quantum, evolve
 
 
 class SpecViolation(SysmodelError):
@@ -79,7 +77,7 @@ def apply_atomic(state: SystemState, event: AtomicExecute) -> SystemState:
                     for c in incoming_channels(state.procs, p)}
         record = response_record(p, event.gid, self_outcome[p], channels)
         ext[p] = {"phase": "executed", "gid": event.gid, "record": record}
-    return dc_replace(state, ext=ext)
+    return evolve(state, ext=ext)
 
 
 def spec_step(state: SystemState, event: Event) -> SystemState:
@@ -91,7 +89,7 @@ def spec_step(state: SystemState, event: Event) -> SystemState:
                     f"invocation while {p} has an operation in progress"
                 )
         invoked = {"phase": "invoked", "gid": event.gid}
-        return dc_replace(state, ext={**state.ext, event.label: invoked})
+        return evolve(state, ext={**state.ext, event.label: invoked})
 
     if isinstance(event, AtomicExecute):
         return apply_atomic(state, event)
@@ -104,7 +102,7 @@ def spec_step(state: SystemState, event: Event) -> SystemState:
             raise SpecViolation(
                 f"response record of {event.label} differs from its share"
             )
-        return dc_replace(state, ext={**state.ext, event.label: None})
+        return evolve(state, ext={**state.ext, event.label: None})
 
     if isinstance(event, (Apply, Send, Receive)):
         if event.protocol:

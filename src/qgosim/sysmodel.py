@@ -10,7 +10,7 @@ touching the matrix entries.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Mapping
 
 from . import qcore
@@ -148,6 +148,21 @@ def initial_state(procs, classical, quantum, ownership, ext=None) -> SystemState
     return state
 
 
+def evolve(state: SystemState, *, classical=None, ext=None, channels=None,
+           ownership=None, quantum=None) -> SystemState:
+    """``state`` with the given parts replaced: the one constructor of every
+    step's next state (a plain constructor call, cheaper per step than
+    ``dataclasses.replace``)."""
+    return SystemState(
+        state.procs,
+        state.classical if classical is None else classical,
+        state.ext if ext is None else ext,
+        state.channels if channels is None else channels,
+        state.ownership if ownership is None else ownership,
+        state.quantum if quantum is None else quantum,
+    )
+
+
 def send(state: SystemState, sender: str, msg: MessageInstance) -> SystemState:
     """Append ``msg`` to the channel sender->dst, moving register ownership.
 
@@ -172,7 +187,7 @@ def send(state: SystemState, sender: str, msg: MessageInstance) -> SystemState:
         ownership[reg] = msg.owner_token
     channels = dict(state.channels)
     channels[key] = channels[key] + (msg,)
-    return replace(state, channels=channels, ownership=ownership)
+    return evolve(state, channels=channels, ownership=ownership)
 
 
 def receive(state: SystemState, receiver: str, chan: ChannelKey) -> tuple[SystemState, MessageInstance]:
@@ -201,7 +216,7 @@ def receive(state: SystemState, receiver: str, chan: ChannelKey) -> tuple[System
         sigma = classical[receiver]
         inbox = sigma.get("inbox", []) + [[chan, msg.classical]]
         classical[receiver] = {**sigma, "inbox": inbox}
-    return replace(state, classical=classical, channels=channels, ownership=ownership), msg
+    return evolve(state, classical=classical, channels=channels, ownership=ownership), msg
 
 
 def apply_quantum(
@@ -228,7 +243,7 @@ def apply_quantum(
     for reg in out_regs:
         if reg not in in_regs:
             ownership[reg] = owner
-    return replace(state, quantum=quantum, ownership=ownership)
+    return evolve(state, quantum=quantum, ownership=ownership)
 
 
 def apply_local(
@@ -264,11 +279,14 @@ def apply_local(
 
     new_state = apply_quantum(state, qop, in_regs, out_regs, outcome, required_owner)
     if msg_in_flight is not None:
+        msg = msg_in_flight
+        parked = MessageInstance(msg.msg_id, msg.src, msg.dst, msg.classical,
+                                 msg.quantum_regs, msg.marker, pending=outcome)
         channels = {
-            key: tuple(replace(m, pending=outcome) if m is msg_in_flight else m for m in chan)
+            key: tuple(parked if m is msg_in_flight else m for m in chan)
             for key, chan in new_state.channels.items()
         }
-        new_state = replace(new_state, channels=channels)
+        new_state = evolve(new_state, channels=channels)
     return new_state
 
 

@@ -25,7 +25,7 @@ from .causality import (
     LemmaViolation,
     compute_causality,
     equicausal,
-    swap_adjacent_cached,
+    swap_in_place,
 )
 from .executions import (
     Apply,
@@ -192,23 +192,31 @@ def eliminate_inversions(
     inverted pair means the execution does not tripartition and is reported
     as a ClaimViolation.  ``rel`` is the causal relation of ``x``; valid
     swaps leave it unchanged.
+
+    ``states`` is the replay of ``x``.  Each swap is checked by
+    ``swap_in_place`` on one copy of the event list and of ``states``;
+    the sorted execution is built once, and with no swap ``x`` and
+    ``states`` come back as given.
     """
+    events, new_states = list(x.events), list(states)
     nswaps = 0
     for j in range(frag.lo + 1, frag.hi + 1):
         i = j
         while i > frag.lo and (
-            _RANK[frag.classes[x.events[i - 1].eid]]
-            > _RANK[frag.classes[x.events[i].eid]]
+            _RANK[frag.classes[events[i - 1].eid]]
+            > _RANK[frag.classes[events[i].eid]]
         ):
             try:
-                x, states = swap_adjacent_cached(x, states, i - 1, rel)
+                swap_in_place(events, new_states, i - 1, rel)
             except CausalDependency as exc:
                 raise ClaimViolation(
                     f"cannot sort fragment at {frag.lo}: {exc}"
                 ) from exc
             nswaps += 1
             i -= 1
-    return x, states, nswaps
+    if nswaps == 0:
+        return x, states, 0
+    return Execution(x.initial, events), new_states, nswaps
 
 
 def reorder_message_ops(
@@ -222,27 +230,33 @@ def reorder_message_ops(
     swap's state check must justify it: applying the operation in flight,
     then delivering the message, reaches the same state (within EPS_EXACT)
     as delivering first and applying after.
+
+    Like ``eliminate_inversions``, it swaps in place on one copy of the
+    event list and of ``states`` (the replay of ``x``), builds the result
+    once, and returns ``x`` and ``states`` as given when it makes no swap.
     """
+    if not frag.msg_apply_eids:
+        return x, states, 0
+    events, new_states = list(x.events), list(states)
     nswaps = 0
     op_end = 1 + max(
         (i for i in range(frag.lo, frag.hi + 1)
-         if frag.classes[x.events[i].eid] == "op"),
+         if frag.classes[events[i].eid] == "op"),
         default=frag.lo - 1,
     )
     for j, apply_eid in enumerate(frag.msg_apply_eids):
-        pos = x.index_of(apply_eid)
-        apply_ev = x.events[pos]
-        recv = x.events[pos - 1]
+        pos = [e.eid for e in events].index(apply_eid)
+        apply_ev = events[pos]
+        recv = events[pos - 1]
         if not (isinstance(recv, Receive) and recv.msg_id == apply_ev.target_msg):
             raise ClaimViolation(
                 f"recorded-message operation {apply_eid} is not adjacent to "
                 f"its reception"
             )
-        moved = dc_replace(apply_ev, label=f"msg:{apply_ev.target_msg}")
-        x = Execution(x.initial, x.events[:pos] + (moved,) + x.events[pos + 1:])
-        rel = compute_causality(x)
+        events[pos] = dc_replace(apply_ev, label=f"msg:{apply_ev.target_msg}")
+        rel = compute_causality(Execution(x.initial, events))
         try:
-            x, states = swap_adjacent_cached(x, states, pos - 1, rel)
+            swap_in_place(events, new_states, pos - 1, rel)
         except (CausalDependency, LemmaViolation) as exc:
             raise ClaimViolation(
                 f"applying to message {apply_ev.target_msg} in flight does "
@@ -251,13 +265,13 @@ def reorder_message_ops(
         nswaps += 1
         for k in range(pos - 1, op_end + j, -1):
             try:
-                x, states = swap_adjacent_cached(x, states, k - 1, rel)
+                swap_in_place(events, new_states, k - 1, rel)
             except CausalDependency as exc:
                 raise ClaimViolation(
                     f"cannot move message operation {apply_eid} back: {exc}"
                 ) from exc
             nswaps += 1
-    return x, states, nswaps
+    return Execution(x.initial, events), new_states, nswaps
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +406,8 @@ def verify(x: Execution) -> Certificate:
             nswaps += n
     except ClaimViolation as exc:
         return fail("move-message-ops", str(exc))
-    z_final = replay(z)[-1]
+    # Replay is deterministic: when no operation moved, z is y and ends in y_final.
+    z_final = y_final if z is y else replay(z)[-1]
     if not sysmodel.states_equal(z_final, y_final, EPS_CHAIN):
         return fail("move-message-ops", "moved operations changed the final state")
     if not histories_correspond(history(y), history(z)):

@@ -6,6 +6,7 @@ import pytest
 from qgosim import causality, executions, sysmodel
 from qgosim.causality import (
     CausalDependency,
+    CausalRelation,
     LemmaViolation,
     NotComparable,
     SubstitutionMismatch,
@@ -14,6 +15,8 @@ from qgosim.causality import (
     lightcones,
     move_to_end,
     swap_adjacent,
+    swap_adjacent_cached,
+    swap_in_place,
     substitute,
 )
 from qgosim.executions import Apply, Execution, Receive, Send
@@ -177,6 +180,80 @@ class TestSwapAdjacent:
             except CausalDependency:
                 continue
         assert causality.check_equiv_theorem(x, y)
+
+
+def blind_relation(x):
+    """A relation in which no event happens before another, so only the
+    state checks can refuse a swap."""
+    return CausalRelation({e.eid: (e.label, 1) for e in x.events},
+                          {e.eid: {} for e in x.events})
+
+
+def same_items(a, b):
+    return len(a) == len(b) and all(u is v for u, v in zip(a, b))
+
+
+def refused_swaps():
+    """(execution, its states, i, relation, error) for each way a swap of
+    positions i and i+1 is refused:
+    a causal pair; a step that cannot run (a receive moved before its send);
+    a pair that ends in another state than the cached one."""
+    x = three_proc_execution()
+    states = executions.replay(x)
+    rel = compute_causality(x)
+    sent_then_received = Execution(x.initial, (x.events[0], x.events[2], x.events[1])
+                                   + x.events[3:])
+    stale = list(states)
+    stale[2] = states[0]
+    return [
+        (x, states, 2, rel, CausalDependency),
+        (sent_then_received, executions.replay(sent_then_received), 0,
+         blind_relation(x), LemmaViolation),
+        (x, stale, 0, rel, LemmaViolation),
+    ]
+
+
+REFUSED = pytest.mark.parametrize("case", range(3), ids=["causal", "invalid-step",
+                                                        "other-state"])
+
+
+class TestSwapInPlace:
+    def test_valid_swap_changes_the_pair_and_the_two_states_after_it(self):
+        x = three_proc_execution()
+        states = executions.replay(x)
+        events, new_states = list(x.events), list(states)
+        swap_in_place(events, new_states, 0, compute_causality(x))
+        assert [e.eid for e in events] == [1, 0, 2, 3, 4, 5]
+        assert same_items(new_states[:1] + new_states[3:], states[:1] + states[3:])
+        assert sysmodel.states_equal(new_states[1], executions.step(states[0], x.events[1]),
+                                     0.0)
+        assert sysmodel.states_equal(new_states[2], states[2], 1e-12)
+
+    @REFUSED
+    def test_refused_swap_leaves_both_lists_unchanged(self, case):
+        x, states, i, rel, error = refused_swaps()[case]
+        events, work = list(x.events), list(states)
+        with pytest.raises(error):
+            swap_in_place(events, work, i, rel)
+        assert same_items(events, x.events)
+        assert same_items(work, states)
+
+    def test_copying_adapter_leaves_its_inputs_unchanged(self):
+        x = three_proc_execution()
+        states = executions.replay(x)
+        before_events, before_states = x.events, list(states)
+        y, y_states = swap_adjacent_cached(x, states, 0, compute_causality(x))
+        assert [e.eid for e in y.events][:2] == [1, 0]
+        assert x.events is before_events and same_items(states, before_states)
+        assert not same_items(y_states, states)
+
+    @REFUSED
+    def test_refused_copying_adapter_leaves_its_inputs_unchanged(self, case):
+        x, states, i, rel, error = refused_swaps()[case]
+        before_events, before_states = x.events, list(states)
+        with pytest.raises(error):
+            swap_adjacent_cached(x, states, i, rel)
+        assert x.events is before_events and same_items(states, before_states)
 
 
 class TestMoveToEnd:

@@ -93,13 +93,38 @@ class TestScenarios:
          "base_params: 'epr_pair' is not a bool"),
         ({"base": "teleport", "base_params": {"n_msgs": 2}},
          "base_params has unknown key 'n_msgs'"),
+        ({"base": "teleport", "procs": 2, "base_params": {"data_state": [1]}},
+         "base_params: 'data_state' is not a list of two amplitudes"),
+        ({"base": "teleport", "procs": 2, "base_params": {"data_state": [0, 0]}},
+         "base_params: 'data_state' has both amplitudes zero"),
+        ({"base": "teleport", "procs": 2, "base_params": {"data_state": ["a", 1]}},
+         "base_params: 'data_state': amplitude 0 is not a finite real or a [re, im] "
+         "pair of finite reals"),
+        ({"base": "teleport", "procs": 2, "base_params": {"data_state": [1, [0, True]]}},
+         "base_params: 'data_state': amplitude 1 is not a finite real or a [re, im] "
+         "pair of finite reals"),
+        ({"base": "teleport", "procs": 2,
+          "base_params": {"data_state": [float("nan"), 1]}},
+         "base_params: 'data_state': amplitude 0 is not a finite real or a [re, im] "
+         "pair of finite reals"),
     ], ids=["not-object", "bool-seed", "params-list", "invocations-object",
             "invocation-string", "no-leader", "invocation-key", "no-procs",
-            "misspelt-param", "param-string", "param-not-bool", "param-of-another-base"])
+            "misspelt-param", "param-string", "param-not-bool", "param-of-another-base",
+            "data-state-one-amplitude", "data-state-zero", "data-state-string",
+            "data-state-bool", "data-state-nan"])
     def test_malformed_config_rejected(self, d, message):
         with pytest.raises(ConfigError) as exc:
             ScenarioConfig.from_dict(d)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("amps", [[1e308, 1e308], [[1.7e308, -1.7e308], 1e-320],
+                                      [5e-324, 0], [[0, 5e-324], [5e-324, 0]]])
+    def test_extreme_data_state_amplitudes_normalise(self, amps):
+        cfg = ScenarioConfig.from_dict(
+            {"base": "teleport", "procs": 2, "base_params": {"data_state": amps}})
+        rho = build_scenario(cfg)[0].quantum
+        assert np.isfinite(rho.entries).all()
+        assert abs(rho.trace - 1) < 1e-12
 
     def test_scheduled_invocation_runs_even_without_base_activity(self):
         cfg = ScenarioConfig(
@@ -392,6 +417,23 @@ class TestCli:
         k = next(i for i, d in enumerate(recs) if d["t"] == "quantum")
         return recs[:k] + [{"t": "chan", "key": "p0->p1", "msgs": [msg]}] + recs[k:]
 
+    @staticmethod
+    def _message_on_unknown_channel(recs):
+        msg = {"id": 99, "src": "p0", "dst": "p9", "classical": None,
+               "regs": [], "marker": None, "pending": None}
+        return recs + [{"t": "chan", "key": "p0->p9", "msgs": [msg]}]
+
+    @staticmethod
+    def _message_of_another_channel(recs):
+        msg = {"id": 99, "src": "p1", "dst": "p0", "classical": None,
+               "regs": [], "marker": None, "pending": None}
+        return recs + [{"t": "chan", "key": "p0->p1", "msgs": [msg]}]
+
+    @staticmethod
+    def _repeated_proc_name(recs):
+        next(d for d in recs if d["t"] == "procs")["names"] = ["p0", "p1", "p0"]
+        return recs
+
     @pytest.mark.parametrize("mutate, message", [
         ("_drop_quantum", "error: trace has no quantum record"),
         ("_repeated_procs", "error: trace has two procs records"),
@@ -413,11 +455,18 @@ class TestCli:
                               "idle protocol register"),
         ("_ext_res_list", "error: proc record of 'p1': ext is neither null nor an "
                           "idle protocol register"),
+        ("_message_on_unknown_channel", "error: chan record names unknown channel "
+                                        "'p0->p9'"),
+        ("_message_of_another_channel", "error: chan record of 'p0->p1' holds message "
+                                        "99 of another channel"),
+        ("_repeated_proc_name", "error: procs record: names are not distinct strings "
+                                "without '->'"),
     ], ids=["no-quantum", "repeated-procs", "repeated-quantum", "bad-qrow-value",
             "missing-row", "stray-row", "repeated-row", "short-row", "indefinite-state",
             "unowned-register", "ownership-partition", "sigma-not-object",
             "inbox-not-list", "repeated-proc", "unknown-proc", "missing-proc",
-            "ext-not-register", "ext-res-list"])
+            "ext-not-register", "ext-res-list", "unknown-channel", "another-channel",
+            "repeated-proc-name"])
     def test_malformed_initial_state_exits_2(self, tmp_path, mutate, message):
         recs = getattr(self, mutate)(self.epr_trace_records())
         trace = tmp_path / "bad.jsonl"
@@ -441,6 +490,26 @@ class TestCli:
         assert "Traceback" not in r.stderr
         assert r.stderr.strip() == (
             f"error: line {k + 1}: bad event record: 'eid' is not an int")
+
+    @pytest.mark.parametrize("kind, path, value, message", [
+        ("send", ["label"], "p9", "names unknown processor 'p9'"),
+        ("receive", ["label"], "p9", "names unknown processor 'p9'"),
+        ("apply", ["proc"], "p9", "names unknown processor 'p9'"),
+        ("send", ["msg", "dst"], "p9", "names unknown processor 'p9'"),
+        ("receive", ["chan"], "p0->p9", "names unknown channel 'p0->p9'"),
+    ], ids=["send-label", "receive-label", "apply-proc", "message-dst", "receive-chan"])
+    def test_event_naming_no_processor_or_channel_exits_2(self, tmp_path, kind, path,
+                                                          value, message):
+        lines = traceio.serialize_run(*self._epr_run()).splitlines()
+        k = next(i for i, line in enumerate(lines) if json.loads(line).get("k") == kind)
+        rec = json.loads(lines[k])
+        functools.reduce(dict.__getitem__, path[:-1], rec)[path[-1]] = value
+        lines[k] = json.dumps(rec, sort_keys=True)
+        trace = tmp_path / "names.jsonl"
+        trace.write_text("\n".join(lines) + "\n")
+        r = self.run_cli("verify", str(trace))
+        assert r.returncode == 2
+        assert r.stderr == f"error: line {k + 1}: event {rec['eid']} {message}\n"
 
     @pytest.mark.parametrize("null_ext, update, stage", [
         (False, "qgo.marker_close", "spec-replay"),
@@ -480,8 +549,16 @@ class TestCli:
          "error: base_params has unknown key 'qubit_per_proc'"),
         ({"base": "token-ring", "base_params": {"max_hops": "x"}},
          "error: base_params: 'max_hops' is not an int"),
+        ({"base": "teleport", "procs": 2, "base_params": {"data_state": [1]}},
+         "error: base_params: 'data_state' is not a list of two amplitudes"),
+        ({"base": "teleport", "procs": 2, "base_params": {"data_state": [0, 0]}},
+         "error: base_params: 'data_state' has both amplitudes zero"),
+        ({"base": "teleport", "procs": 2, "base_params": {"data_state": ["a", 1]}},
+         "error: base_params: 'data_state': amplitude 0 is not a finite real or a "
+         "[re, im] pair of finite reals"),
     ], ids=["empty", "procs-string", "misspelt-key", "after-step-string", "no-procs",
-            "misspelt-param", "param-string"])
+            "misspelt-param", "param-string", "data-state-one-amplitude",
+            "data-state-zero", "data-state-string"])
     @pytest.mark.parametrize("cmd", ["run", "batch"])
     def test_malformed_config_exits_2(self, tmp_path, cmd, config, message):
         path = tmp_path / "cfg.json"
@@ -628,6 +705,61 @@ def test_golden_certificate(name):
     x, _, _ = traceio.parse_run(_golden_trace_text(name))
     cert = traceio.serialize_certificate(verifier.verify(x))
     assert hashlib.sha256(cert.encode()).hexdigest() == GOLDEN_CERTIFICATES[name]
+
+
+# Calls of ``executions.step`` one ``verify`` makes, as (full replays, events,
+# swaps, specification steps): every full replay takes one step per event,
+# every checked swap two, and the specification replay one per base event.
+# The replay of the message-ops-moved execution is made only when an
+# operation moved; in the golden traces none does.
+STEP_BUDGETS = {
+    "scenario-a": (2, 44, 8, 18),  # 2*44 + 2*8 + 18 = 122
+    "global-encrypt-d64": (2, 43, 15, 18),  # 2*43 + 2*15 + 18 = 134
+    "ring-quantum-wide": (2, 91, 14, 30),  # 2*91 + 2*14 + 30 = 240
+    # Teleport, seed 5: p1's snapshot measures the teleported qubit in flight.
+    "moved-message-op": (3, 34, 25, 7),  # 3*34 + 2*25 + 7 = 159
+}
+MOVED_MESSAGE_OP = dict(
+    base="teleport", procs=2,
+    invocations=[{"gid": "snapshot-measure", "leader": "p1", "after_step": 1},
+                 {"gid": "global-encrypt", "leader": "p0", "after_step": 3}],
+    seed=5)
+
+
+def counting_steps(monkeypatch) -> list:
+    """Count each call of ``executions.step``, at every module binding of it;
+    the returned list grows by one per call."""
+    calls, real = [], executions.step
+
+    def step(state, event):
+        calls.append(event)
+        return real(state, event)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("qgosim") and \
+                getattr(module, "step", None) is real:
+            monkeypatch.setattr(module, "step", step)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(STEP_BUDGETS))
+def test_verify_step_budget(monkeypatch, name):
+    if name in GOLDEN_TRACES:
+        text = _golden_trace_text(name)
+    else:
+        res = run_simulation(ScenarioConfig.from_dict(MOVED_MESSAGE_OP))
+        text = traceio.serialize_run(res.execution, res.config, res.decisions)
+    x, _, _ = traceio.parse_run(text)
+    replays, n, swaps, spec_steps = STEP_BUDGETS[name]
+    calls = counting_steps(monkeypatch)
+    cert = verifier.verify(x)
+    assert cert.accepted and (cert.z is cert.y) == (replays == 2)
+    assert (len(x.events), cert.swaps) == (n, swaps)
+    base_events = [e for e in cert.spec.events
+                   if isinstance(e, (executions.Apply, executions.Send, executions.Receive))
+                   and not e.protocol]
+    assert len(base_events) == spec_steps
+    assert len(calls) == replays * n + 2 * swaps + spec_steps
 
 
 def test_verifying_a_wide_trace_builds_no_dense_derived_state():

@@ -1,7 +1,7 @@
 """The package's own import graph: every qgosim import is at module level,
 and no chain of imports leads from a module back to itself.  Also a scan
-of the package's tolerance calls, and the names the benchmark's tooling
-and the step predicates rely on."""
+of the package's tolerance calls and of how the replay step builds states,
+and the names the benchmark's tooling and the step predicates rely on."""
 
 import ast
 import importlib
@@ -137,6 +137,34 @@ def test_only_qcore_and_traceio_read_dense_entries():
                 readers.add(module)
     assert readers <= {"qgosim.qcore", "qgosim.harness.traceio"}
     assert "qgosim.harness.traceio" in readers
+
+
+STEP_MODULES = ("qgosim.sysmodel", "qgosim.executions", "qgosim.specmachine")
+
+
+def test_step_path_builds_states_with_one_helper():
+    """The modules of the replay step never call ``dataclasses.replace``,
+    and build a ``SystemState`` only in ``sysmodel.initial_state`` and in
+    ``sysmodel.evolve``, the one constructor of every step's next state."""
+    found = []
+    for module in STEP_MODULES:
+        tree = ast.parse(MODULES[module].read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
+                found += [f"{module}:{node.lineno} imports replace"
+                          for a in node.names if a.name == "replace"]
+            elif isinstance(node, ast.Attribute) and node.attr == "replace" and \
+                    getattr(node.value, "id", "") == "dataclasses":
+                found.append(f"{module}:{node.lineno} calls dataclasses.replace")
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", "") == \
+                        "SystemState" and f"{module}.{func.name}" not in (
+                            "qgosim.sysmodel.initial_state", "qgosim.sysmodel.evolve"):
+                    found.append(f"{module}.{func.name}:{node.lineno} builds a SystemState")
+    assert found == []
 
 
 def load_tracer(monkeypatch):
