@@ -203,32 +203,21 @@ def step(state: SystemState, event: Event) -> SystemState:
     proc, outcome = event.label, None
     if isinstance(event, Apply):
         proc, outcome = event.proc, event.outcome
-        in_flight = (
-            event.target_msg is not None
-            and state.find_message(event.target_msg) is not None
-        )
+        in_flight = (None if event.target_msg is None
+                     else state.find_message(event.target_msg))
         state = sysmodel.apply_local(
-            state, proc, event.qop, event.in_regs, event.out_regs, outcome,
-            target_msg=event.target_msg,
+            state, proc, event.qop, event.in_regs, event.out_regs, outcome, in_flight,
         )
         if event.qop is not None and state.quantum.trace < ZERO_TRACE:
             raise sysmodel.SysmodelError(f"outcome {outcome!r} has zero probability")
-        if in_flight:
+        if in_flight is not None:
             # Outcome parked in the message's pending slot; it is filed in
             # the receiver's channel record when the message is received.
             return state
     elif isinstance(event, Send):
         state = sysmodel.send(state, proc, event.msg)
     elif isinstance(event, Receive):
-        contents = state.channels.get(event.chan, ())
-        if not contents:
-            raise sysmodel.EmptyChannel(f"channel {event.chan} is empty")
-        if contents[0].msg_id != event.msg_id:
-            raise sysmodel.SysmodelError(
-                f"expected message {event.msg_id} at head of {event.chan}, "
-                f"found {contents[0].msg_id}"
-            )
-        state, msg = sysmodel.receive(state, proc, event.chan)
+        state, msg = sysmodel.receive(state, proc, event.chan, event.msg_id)
         if msg.pending is not None:
             # The outcome recorded in flight, filed as if recorded now.
             record = ClassicalUpdate("qgo.record", (event.chan,))
@@ -246,6 +235,10 @@ def replay(x: Execution, step_fn: Callable | None = None) -> list[SystemState]:
     is fixed inside its event.  Raises ReplayError (with the failing index)
     on any invalid step, including receive-before-send, FIFO violations,
     reused message ids, and zero-probability outcomes.
+
+    Replay owns message-id uniqueness, a rule of the whole execution: no
+    Send reuses an id in flight initially or sent before.  ``sysmodel.send``
+    checks no ids; only the scheduler's generation loop repeats this check.
     """
     if step_fn is None:
         step_fn = step

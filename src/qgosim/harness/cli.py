@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -70,6 +71,9 @@ def _batch_one(arg):
 
 
 def cmd_batch(args) -> int:
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     cfg = _load_config(args.config)
     try:
         lo, hi = (int(v) for v in args.seeds.split(":"))
@@ -80,8 +84,9 @@ def cmd_batch(args) -> int:
               file=sys.stderr)
         return EXIT_BAD_INPUT
     work = [(cfg.to_dict(), s) for s in range(lo, hi)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, len(work), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_batch_one, work))
     else:
         results = [_batch_one(w) for w in work]
@@ -145,7 +150,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("batch", help="run and verify a range of seeds")
     p.add_argument("--config", required=True)
     p.add_argument("--seeds", default="0:20", help="seed range LO:HI")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="capped at seeds and CPUs")
     p.set_defaults(fn=cmd_batch)
 
     p = sub.add_parser("inspect", help="print a human-readable trace summary")

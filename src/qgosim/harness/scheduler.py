@@ -82,7 +82,9 @@ def run_simulation(cfg: ScenarioConfig, decisions=None) -> SimulationResult:
     """Generate one execution of the configured scenario.
 
     With ``decisions`` (and policy "replay") the recorded schedule is
-    followed exactly; otherwise the policy drives the choices.
+    followed exactly; otherwise the policy drives the choices.  Generation
+    steps Sends outside ``executions.replay``, so it repeats replay's
+    message-id check: a block that reuses an id raises SchedulerError.
     """
     state, base, library = build_scenario(cfg)
     initial = state
@@ -92,6 +94,7 @@ def run_simulation(cfg: ScenarioConfig, decisions=None) -> SimulationResult:
     ctx = GenContext(np.random.default_rng(outcome_seed))
 
     events: list[Event] = []
+    seen_ids = initial.message_ids()
     chosen: list = []
     next_inv = 0
     starved: dict = {}
@@ -119,6 +122,11 @@ def run_simulation(cfg: ScenarioConfig, decisions=None) -> SimulationResult:
             block = base.build(state, pick[1], pick[2], ctx)
             for ev in block:
                 state = executions.step(state, ev)
+        for ev in block:
+            if isinstance(ev, executions.Send):
+                if ev.msg.msg_id in seen_ids:
+                    raise SchedulerError(f"message id {ev.msg.msg_id} reused")
+                seen_ids.add(ev.msg.msg_id)
         events.extend(block)
     else:
         raise SchedulerError(f"no quiescence within {cfg.max_steps} steps")

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import executions, qcore, sysmodel
+from . import executions, qcore
 from .executions import (
     Apply,
     ClassicalUpdate,
@@ -483,11 +483,9 @@ def qgo_receive(
     library: dict[str, DecomposableGlobalOp],
     ctx: GenContext,
 ) -> tuple[list[Event], SystemState]:
-    """Reception handling for the head of ``chan``, per the marker protocol."""
-    contents = state.channels[chan]
-    if not contents:
-        raise sysmodel.EmptyChannel(f"channel {chan} is empty")
-    msg = contents[0]
+    """Reception handling for the head of non-empty ``chan``, per the marker
+    protocol; the step of the Receive checks the channel."""
+    msg = state.channels[chan][0]
     ext = state.ext[proc]
 
     if msg.marker is not None:

@@ -27,10 +27,6 @@ class OwnershipViolation(SysmodelError):
     pass
 
 
-class DuplicateMessage(SysmodelError):
-    pass
-
-
 class EmptyChannel(SysmodelError):
     pass
 
@@ -166,16 +162,15 @@ def evolve(state: SystemState, *, classical=None, ext=None, channels=None,
 def send(state: SystemState, sender: str, msg: MessageInstance) -> SystemState:
     """Append ``msg`` to the channel sender->dst, moving register ownership.
 
-    The quantum matrix entries are unchanged; only the ownership labels move.
-    A sent message carries no pending outcome: only an operation applied in
-    flight sets one.
+    Checks that ``sender`` is the source, that no outcome is pending (only
+    an operation applied in flight sets one) and that ``sender`` owns each
+    register sent.  Ids are not checked here: see ``executions.replay``.
+    The quantum matrix entries are unchanged; only ownership labels move.
     """
     if msg.src != sender:
         raise OwnershipViolation(f"message src {msg.src} does not match sender {sender}")
     if msg.pending is not None:
         raise SysmodelError(f"message {msg.msg_id} is sent with a pending outcome")
-    if msg.msg_id in state.message_ids():
-        raise DuplicateMessage(f"message id {msg.msg_id} already in flight")
     for reg in msg.quantum_regs:
         if state.ownership.get(reg) != sender:
             raise OwnershipViolation(
@@ -190,21 +185,27 @@ def send(state: SystemState, sender: str, msg: MessageInstance) -> SystemState:
     return evolve(state, channels=channels, ownership=ownership)
 
 
-def receive(state: SystemState, receiver: str, chan: ChannelKey) -> tuple[SystemState, MessageInstance]:
-    """Pop the head of ``chan`` and deliver it to ``receiver``.
+def receive(state: SystemState, receiver: str, chan: ChannelKey,
+            msg_id: int) -> tuple[SystemState, MessageInstance]:
+    """Pop message ``msg_id``, the head of ``chan``, and deliver it to ``receiver``.
 
-    Ownership of the message's registers moves to the receiver.  Non-marker
-    classical contents are appended to the receiver's inbox.  The message is
-    returned as it left the channel, so the caller files any pending outcome
-    it carries.
+    Checks that ``chan`` is a channel of ``state``, ends at ``receiver`` and
+    is not empty, and that its head is ``msg_id``.  Ownership of the
+    message's registers moves to the receiver; non-marker classical contents
+    join its inbox.  The message is returned as it left the channel, so the
+    caller files any pending outcome it carries.
     """
-    _, dst = chan_endpoints(chan)
-    if dst != receiver:
+    contents = state.channels.get(chan)
+    if contents is None:
+        raise SysmodelError(f"no channel {chan!r}")
+    if chan_endpoints(chan)[1] != receiver:
         raise NotRecipient(f"channel {chan} does not end at {receiver}")
-    contents = state.channels[chan]
     if not contents:
         raise EmptyChannel(f"channel {chan} is empty")
     msg, rest = contents[0], contents[1:]
+    if msg.msg_id != msg_id:
+        raise SysmodelError(f"expected message {msg_id} at head of {chan}, "
+                            f"found {msg.msg_id}")
     ownership = dict(state.ownership)
     for reg in msg.quantum_regs:
         ownership[reg] = receiver
@@ -253,23 +254,17 @@ def apply_local(
     in_regs: tuple[RegisterId, ...],
     out_regs: tuple[RegisterId, ...],
     outcome: str,
-    target_msg: int | None = None,
+    in_flight: MessageInstance | None = None,
 ) -> SystemState:
     """Apply one outcome of a local operation and update the quantum state.
 
-    When ``target_msg`` names an in-flight message, the operation acts on
-    that message's registers and the outcome is parked in its pending slot;
-    otherwise the registers must belong to ``proc`` (or to the named message
-    already delivered to ``proc``).  Classical updates are applied by the
-    caller, which knows the event's classical-update descriptor.
+    When ``in_flight`` is given (a message of ``state``'s channels), the
+    operation acts on that message's registers and the outcome is parked in
+    its pending slot; otherwise the registers must belong to ``proc``.
+    Classical updates are applied by the caller, which knows the event's
+    classical-update descriptor.
     """
-    msg_in_flight = None
-    if target_msg is not None:
-        msg_in_flight = state.find_message(target_msg)
-
-    required_owner = proc
-    if msg_in_flight is not None:
-        required_owner = msg_in_flight.owner_token
+    required_owner = proc if in_flight is None else in_flight.owner_token
     for reg in in_regs:
         if state.ownership.get(reg) != required_owner:
             raise LocalityViolation(
@@ -278,14 +273,13 @@ def apply_local(
             )
 
     new_state = apply_quantum(state, qop, in_regs, out_regs, outcome, required_owner)
-    if msg_in_flight is not None:
-        msg = msg_in_flight
+    if in_flight is not None:
+        msg = in_flight
         parked = MessageInstance(msg.msg_id, msg.src, msg.dst, msg.classical,
                                  msg.quantum_regs, msg.marker, pending=outcome)
-        channels = {
-            key: tuple(parked if m is msg_in_flight else m for m in chan)
-            for key, chan in new_state.channels.items()
-        }
+        queue = new_state.channels[msg.channel]
+        channels = {**new_state.channels,
+                    msg.channel: tuple(parked if m is msg else m for m in queue)}
         new_state = evolve(new_state, channels=channels)
     return new_state
 

@@ -87,16 +87,34 @@ class TestReplay:
             replay(Execution(st, events))
         assert err.value.index == 2
 
-    def test_reused_message_id(self):
+    @pytest.mark.parametrize("second", [
+        Receive(eid=1, label="p1", chan="p0->p1", msg_id=0),
+        Send(eid=1, label="p0", msg=MessageInstance(1, "p0", "p1")),
+    ], ids=["after-reception", "in-flight"])
+    def test_reused_message_id(self, second):
+        """Message 0 is sent again after it was received, or while it is
+        still in flight: replay refuses the reuse at the second Send."""
         st, *_ = make_state()
         events = (
             Send(eid=0, label="p0", msg=MessageInstance(0, "p0", "p1")),
-            Receive(eid=1, label="p1", chan="p0->p1", msg_id=0),
+            second,
             Send(eid=2, label="p0", msg=MessageInstance(0, "p0", "p1")),
+        )
+        with pytest.raises(ReplayError, match="message id 0 reused") as err:
+            replay(Execution(st, events))
+        assert err.value.index == 2
+
+    @pytest.mark.parametrize("chan", ["p0->p9", "bogus"])
+    def test_receive_on_no_channel(self, chan):
+        st, *_ = make_state()
+        events = (
+            Send(eid=0, label="p0", msg=MessageInstance(0, "p0", "p1")),
+            Receive(eid=1, label="p1", chan=chan, msg_id=0),
         )
         with pytest.raises(ReplayError) as err:
             replay(Execution(st, events))
-        assert err.value.index == 2
+        assert err.value.index == 1
+        assert isinstance(err.value.__cause__, sysmodel.SysmodelError)
 
     def test_zero_probability_outcome(self):
         st, r0, r1 = make_state()

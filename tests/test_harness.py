@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import json
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgosim import executions, qcore, verifier
+from qgosim import executions, qcore, sysmodel, verifier
 from qgosim.harness import cli, traceio
 from qgosim.harness.scenarios import (
     BASE_ALGORITHMS,
@@ -181,6 +182,21 @@ class TestScheduler:
         with pytest.raises(SchedulerError):
             run_simulation(self.cfg(policy="lifo"))
 
+    def test_reused_message_id_refused(self, monkeypatch):
+        class ForgedPing(type(BASE_ALGORITHMS["ping"])):
+            """Ping whose every message carries the same forged id."""
+            name = "forged-ping"
+
+            def build(self, state, proc, action, ctx):
+                (send,) = super().build(state, proc, action, ctx)
+                return [dataclasses.replace(
+                    send, msg=dataclasses.replace(send.msg, msg_id=7))]
+
+        monkeypatch.setitem(BASE_ALGORITHMS, "forged-ping", ForgedPing())
+        cfg = ScenarioConfig(base="forged-ping", procs=2, base_params={"n_msgs": 2})
+        with pytest.raises(SchedulerError, match="message id 7 reused"):
+            run_simulation(cfg)
+
 
 class TestTraceIO:
     def any_run(self, seed=0, gid="snapshot-measure"):
@@ -313,6 +329,40 @@ class TestCli:
         assert "well-formed: FAIL" in r.stdout
         (reason,) = [l for l in r.stdout.splitlines() if l.startswith("rejected:")]
         assert "sent with a pending outcome" in reason
+
+    @staticmethod
+    def _reuse_message_id(text):
+        """``text`` with the first message sent after a reception renamed,
+        wherever an event names it, to the id of the message received."""
+        recs = [json.loads(line) for line in text.splitlines()]
+        evs = [d for d in recs if d["t"] == "ev"]
+        first = next(i for i, d in enumerate(evs) if d["k"] == "receive")
+        reused = evs[first]["msg"]
+        later = next(d["msg"]["id"] for d in evs[first:] if d["k"] == "send")
+        for d in evs:
+            if d["k"] == "send" and d["msg"]["id"] == later:
+                d["msg"]["id"] = reused
+            elif d["k"] == "receive" and d["msg"] == later:
+                d["msg"] = reused
+            elif d["k"] == "apply" and d["target"] == later:
+                d["target"] = reused
+        return "".join(json.dumps(d, sort_keys=True) + "\n" for d in recs), reused
+
+    def test_reused_message_id_exits_1(self, tmp_path):
+        cfg = ScenarioConfig(
+            base="ping", procs=2, base_params={"n_msgs": 2},
+            invocations=[{"gid": "record-only", "leader": "p0", "after_step": 1}],
+            seed=1,
+        )
+        text, reused = self._reuse_message_id(trace_text(cfg))
+        trace = tmp_path / "reused.jsonl"
+        trace.write_text(text)
+        r = self.run_cli("verify", str(trace))
+        assert r.returncode == 1
+        assert "Traceback" not in r.stderr
+        assert "well-formed: FAIL" in r.stdout
+        (reason,) = [l for l in r.stdout.splitlines() if l.startswith("rejected:")]
+        assert f"message id {reused} reused" in reason
 
     @staticmethod
     def _epr_run():
@@ -596,6 +646,49 @@ class TestCli:
         assert r.stderr == (f"error: bad seed range {seeds!r}, "
                             "expected LO:HI with LO < HI\n")
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_1_exits_2(self, tmp_path, jobs):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"base": "ping", "procs": 2}))
+        r = self.run_cli("batch", "--config", str(path), "--jobs", jobs)
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert r.stderr == f"error: --jobs must be at least 1, got {jobs}\n"
+
+    @pytest.mark.parametrize("jobs, seeds, cpus, workers", [
+        (100000, "0:3", 8, 3),
+        (100000, "0:6", 4, 4),
+        (2, "0:6", 8, 2),
+        (4, "0:1", 8, None),
+        (8, "0:3", None, None),
+    ])
+    def test_jobs_sizes_the_pool(self, tmp_path, monkeypatch, jobs, seeds, cpus,
+                                 workers):
+        """The pool has min(--jobs, seeds, CPUs) workers, and none when that
+        is 1.  A fake pool records its size and maps in this process."""
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"base": "ping", "procs": 2}))
+        assert cli.main(["batch", "--config", str(path), "--seeds", seeds,
+                         "--jobs", str(jobs)]) == 0
+        assert sizes == ([] if workers is None else [workers])
+
     @pytest.mark.parametrize("config, message", [
         ({"base": "ping", "policy": "lifo"}, "error: unknown policy 'lifo'"),
         ({"base": "ping", "invocations": [{"gid": "nonesuch", "leader": "p0"}]},
@@ -646,6 +739,14 @@ class TestCli:
 # change how they compute a state, but never which outcomes a seed draws:
 # the same seed must give a byte-identical trace.
 GOLDEN_TRACES = {
+    # ROADMAP scenario (c): 1,540 classical events.
+    "ring-classical-long": (
+        dict(base="token-ring", procs=12, base_params={"max_hops": 96},
+             invocations=[{"gid": "record-only", "leader": "p0", "after_step": a}
+                          for a in (2, 7, 12, 17)],
+             seed=3, max_steps=20000),
+        "416d44f5f4801d889c38a68358e62b6b3f552212007fe8811b8950973de4ef5b",
+    ),
     # ROADMAP scenario (a): 44 events, D=4.
     "scenario-a": (
         dict(base="token-ring", procs=2,
@@ -692,6 +793,8 @@ def test_golden_trace(name):
 # and verified: they pin the verdicts, swap counts, event orders and
 # specification events, whatever representation the quantum state has.
 GOLDEN_CERTIFICATES = {
+    "ring-classical-long":
+        "2b5a8d4c221039df412c5316172a9b972e69cfdbfb7c6af845d43c7fc8611ea5",
     "scenario-a": "15aae863b151575092b4cdd2e007846b53299b53f2658a44872bcb973256a854",
     "global-encrypt-d64":
         "3f0ce22269ea942108fb12d862b74d7afd91afdb3c7ec3d207bf44b24568d1ed",
@@ -760,6 +863,34 @@ def test_verify_step_budget(monkeypatch, name):
                    and not e.protocol]
     assert len(base_events) == spec_steps
     assert len(calls) == replays * n + 2 * swaps + spec_steps
+
+
+def test_verify_message_ids_budget(monkeypatch):
+    """``SystemState.message_ids`` builds a set of every message in flight.
+    ``verify`` may build it once per replay (its initial id set) and once
+    per AtomicExecute, never once per Send."""
+    x, _, _ = traceio.parse_run(_golden_trace_text("ring-classical-long"))
+    calls, real_ids, real_replay = [], sysmodel.SystemState.message_ids, executions.replay
+    replays = []
+
+    def message_ids(state):
+        calls.append(state)
+        return real_ids(state)
+
+    def replay(*args, **kwargs):
+        replays.append(args[0])
+        return real_replay(*args, **kwargs)
+
+    monkeypatch.setattr(sysmodel.SystemState, "message_ids", message_ids)
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("qgosim") and \
+                getattr(module, "replay", None) is real_replay:
+            monkeypatch.setattr(module, "replay", replay)
+    cert = verifier.verify(x)
+    assert cert.accepted and cert.swaps == 2968
+    atomics = sum(isinstance(e, executions.AtomicExecute) for e in cert.spec.events)
+    sends = sum(isinstance(e, executions.Send) for e in x.events)
+    assert len(calls) <= len(replays) + atomics < sends
 
 
 def test_verifying_a_wide_trace_builds_no_dense_derived_state():

@@ -46,7 +46,7 @@ class TestSendReceive:
         st, regs = two_proc_state()
         msg = MessageInstance(0, "p0", "p1", classical={"x": 1}, quantum_regs=(regs[0],))
         st2 = sysmodel.send(st, "p0", msg)
-        st3, got = sysmodel.receive(st2, "p1", "p0->p1")
+        st3, got = sysmodel.receive(st2, "p1", "p0->p1", 0)
         assert st3.ownership[regs[0]] == "p1"
         assert st3.classical["p1"]["inbox"] == [["p0->p1", {"x": 1}]]
         assert st3.channels["p0->p1"] == ()
@@ -58,7 +58,7 @@ class TestSendReceive:
             st = sysmodel.send(st, "p0", MessageInstance(i, "p0", "p1", classical=i))
         order = []
         for _ in range(3):
-            st, m = sysmodel.receive(st, "p1", "p0->p1")
+            st, m = sysmodel.receive(st, "p1", "p0->p1", len(order))
             order.append(m.msg_id)
         assert order == [0, 1, 2]
 
@@ -67,12 +67,6 @@ class TestSendReceive:
         bad = MessageInstance(0, "p0", "p1", quantum_regs=(regs[1],))  # p1's register
         with pytest.raises(sysmodel.OwnershipViolation):
             sysmodel.send(st, "p0", bad)
-
-    def test_duplicate_message_id_rejected(self):
-        st, _ = two_proc_state()
-        st = sysmodel.send(st, "p0", MessageInstance(7, "p0", "p1"))
-        with pytest.raises(sysmodel.DuplicateMessage):
-            sysmodel.send(st, "p0", MessageInstance(7, "p0", "p1"))
 
     def test_send_with_pending_outcome_rejected(self):
         st, _ = two_proc_state()
@@ -83,17 +77,24 @@ class TestSendReceive:
         st, _ = two_proc_state()
         st = sysmodel.send(st, "p0", MessageInstance(0, "p0", "p1"))
         with pytest.raises(sysmodel.NotRecipient):
-            sysmodel.receive(st, "p0", "p0->p1")
+            sysmodel.receive(st, "p0", "p0->p1", 0)
 
     def test_receive_empty_channel(self):
         st, _ = two_proc_state()
         with pytest.raises(sysmodel.EmptyChannel):
-            sysmodel.receive(st, "p1", "p0->p1")
+            sysmodel.receive(st, "p1", "p0->p1", 0)
+
+    def test_receive_names_the_head(self):
+        st, _ = two_proc_state()
+        for i in range(2):
+            st = sysmodel.send(st, "p0", MessageInstance(i, "p0", "p1"))
+        with pytest.raises(sysmodel.SysmodelError, match="expected message 1"):
+            sysmodel.receive(st, "p1", "p0->p1", 1)
 
     def test_marker_skips_inbox(self):
         st, _ = two_proc_state()
         st = sysmodel.send(st, "p0", MessageInstance(0, "p0", "p1", marker="g"))
-        st2, _ = sysmodel.receive(st, "p1", "p0->p1")
+        st2, _ = sysmodel.receive(st, "p1", "p0->p1", 0)
         assert st2.classical["p1"]["inbox"] == []
 
 
@@ -115,7 +116,8 @@ class TestApplyLocal:
         msg = MessageInstance(0, "p0", "p1", quantum_regs=(regs[0],))
         st = sysmodel.send(st, "p0", msg)
         op = qcore.standard_basis_measurement([2])
-        st2 = sysmodel.apply_local(st, "p1", op, (regs[0],), (regs[0],), "0", target_msg=0)
+        st2 = sysmodel.apply_local(st, "p1", op, (regs[0],), (regs[0],), "0",
+                                   in_flight=st.find_message(0))
         assert st2.find_message(0).pending == "0"
         # the register still belongs to the message, not to either processor
         assert st2.ownership[regs[0]] == "msg:0"
@@ -125,7 +127,7 @@ class TestStateEquality:
     def test_equal_after_roundtrip(self):
         st, regs = two_proc_state()
         msg = MessageInstance(0, "p0", "p1", quantum_regs=(regs[0],))
-        st2, _ = sysmodel.receive(sysmodel.send(st, "p0", msg), "p1", "p0->p1")
+        st2, _ = sysmodel.receive(sysmodel.send(st, "p0", msg), "p1", "p0->p1", 0)
         assert not sysmodel.states_equal(st, st2, 1e-12)  # ownership moved
         assert sysmodel.states_equal(st2, st2, 0.0)
         assert sysmodel.states_identical(st2, st2)
