@@ -84,7 +84,9 @@ def run_simulation(cfg: ScenarioConfig, decisions=None) -> SimulationResult:
     With ``decisions`` (and policy "replay") the recorded schedule is
     followed exactly; otherwise the policy drives the choices.  Generation
     steps Sends outside ``executions.replay``, so it repeats replay's
-    message-id check: a block that reuses an id raises SchedulerError.
+    message-id check: a block that reuses an id raises SchedulerError.  A
+    block the system model refuses (``SysmodelError``, such as an outcome of
+    zero probability) also raises SchedulerError, naming the step.
     """
     state, base, library = build_scenario(cfg)
     initial = state
@@ -110,18 +112,22 @@ def run_simulation(cfg: ScenarioConfig, decisions=None) -> SimulationResult:
         starved.pop(pick, None)
         chosen.append(list(pick))
 
-        if pick[0] == "invoke":
-            inv = cfg.invocations[pick[1]]
-            block, state = qgo.qgo_invoke(state, inv["leader"], library[inv["gid"]], ctx)
-            next_inv += 1
-        elif pick[0] == "recv":
-            chan = pick[1]
-            dst = sysmodel.chan_endpoints(chan)[1]
-            block, state = qgo.qgo_receive(state, dst, chan, library, ctx)
-        else:
-            block = base.build(state, pick[1], pick[2], ctx)
-            for ev in block:
-                state = executions.step(state, ev)
+        try:
+            if pick[0] == "invoke":
+                inv = cfg.invocations[pick[1]]
+                block, state = qgo.qgo_invoke(state, inv["leader"], library[inv["gid"]],
+                                              ctx)
+                next_inv += 1
+            elif pick[0] == "recv":
+                chan = pick[1]
+                dst = sysmodel.chan_endpoints(chan)[1]
+                block, state = qgo.qgo_receive(state, dst, chan, library, ctx)
+            else:
+                block = base.build(state, pick[1], pick[2], ctx)
+                for ev in block:
+                    state = executions.step(state, ev)
+        except sysmodel.SysmodelError as exc:
+            raise SchedulerError(f"step {steps}: {exc}") from exc
         for ev in block:
             if isinstance(ev, executions.Send):
                 if ev.msg.msg_id in seen_ids:

@@ -6,10 +6,21 @@ trace round-trips to bit-identical states and events.  One matrix codec,
 initial state: an entry whose bits are exactly +0,+0 is the string "0,0",
 and only the other entries are formatted or parsed one by one.  (-0.0 is
 "-0,0", so the test is on bits, not on value.)
+
+The initial state is one ``qrow`` line per row, and in a wide state most
+rows are all "0,0".  So the codec does per-entry work only for the other
+entries.  ``_matrix`` returns every all-zero row as one shared list, and
+``serialize_run`` formats each distinct row list once.  ``_zero_qrow``
+recognises a line that is exactly an all-zero ``qrow`` as ``json.dumps``
+writes it; its contract is that it equals ``json.loads(line)`` or is None,
+and ``parse_run`` calls ``json.loads`` for every other line.
+``_parse_matrix`` parses only the rows holding an entry other than "0,0".
+The bytes of a trace and every check on it are the same either way.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
@@ -48,31 +59,47 @@ def _parse_c(s: str) -> complex:
 
 
 def _matrix(m: np.ndarray) -> list:
+    """The rows of ``m`` as lists of "re,im" strings.  Every all-zero row is
+    one shared list; a row with no zero entry is a slice of the formatted
+    entries."""
     m = np.ascontiguousarray(m, dtype=np.complex128)
-    nonzero = m.view(np.int64).reshape(*m.shape, 2).any(-1)
-    out = []
-    for row, mask in zip(m.tolist(), nonzero):
-        enc = ["0,0"] * m.shape[1]
-        for j in np.flatnonzero(mask).tolist():
-            enc[j] = _c(row[j])
-        out.append(enc)
+    n = m.shape[1]
+    bits = m.view(np.int64).reshape(-1)
+    nonzero = np.flatnonzero(bits[0::2] | bits[1::2])  # row-major, so grouped by row
+    vals = list(map(_c, m.reshape(-1)[nonzero].tolist()))
+    rows, cols = (a.tolist() for a in np.divmod(nonzero, n))
+    zero = ["0,0"] * n
+    out = [zero] * m.shape[0]
+    k = 0
+    while k < len(vals):
+        i = rows[k]
+        if k + n <= len(vals) and rows[k + n - 1] == i:  # all n entries of row i
+            out[i], k = vals[k:k + n], k + n
+            continue
+        enc = out[i] = zero.copy()
+        while k < len(vals) and rows[k] == i:
+            enc[cols[k]] = vals[k]
+            k += 1
     return out
 
 
 def _parse_matrix(rows: list, n: int | None = None) -> np.ndarray:
     """Decode ``rows``; each must be a list of ``n`` entries (default: as
-    many as the first row).  Raises ``ValueError`` naming a bad row."""
+    many as the first row).  Raises ``ValueError`` naming a bad row.  Only
+    a row holding an entry other than "0,0" is parsed entry by entry."""
     if n is None:
         n = len(rows[0]) if rows else 0
-    out = []
+    out, zero = np.zeros((len(rows), n), dtype=np.complex128), ["0,0"] * n
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
             raise ValueError(f"row {i} is not a list of {n} entries")
+        if row == zero:
+            continue
         try:
-            out.append([0j if s == "0,0" else _parse_c(s) for s in row])
+            out[i] = [0j if s == "0,0" else _parse_c(s) for s in row]
         except (AttributeError, ValueError):
             raise ValueError(f'row {i} holds a value that is not "re,im"') from None
-    return np.array(out, dtype=np.complex128).reshape(len(rows), n)
+    return out
 
 
 _KINDS = {int: "an int", str: "a string", bool: "a bool", list: "a list", dict: "an object"}
@@ -384,11 +411,45 @@ def serialize_run(x: Execution, config: ScenarioConfig | None = None,
         "config": config.to_dict() if config is not None else None,
         "decisions": decisions,
     }, sort_keys=True)]
+    row_json = {}  # id of a row list -> its JSON: the shared zero row is formatted once
     for rec in encode_state(x.initial):
-        lines.append(json.dumps(rec, sort_keys=True))
+        if rec["t"] != "qrow":
+            lines.append(json.dumps(rec, sort_keys=True))
+            continue
+        v = rec["v"]
+        if id(v) not in row_json:
+            row_json[id(v)] = json.dumps(v)
+        lines.append(f'{{"i": {rec["i"]}, "t": "qrow", "v": {row_json[id(v)]}}}')
     for ev in x.events:
         lines.append(json.dumps({"t": "ev", **encode_event(ev)}, sort_keys=True))
     return "\n".join(lines) + "\n"
+
+
+_QROW_HEAD, _QROW_MID = '{"i": ', ', "t": "qrow", "v": '
+
+
+@functools.lru_cache(maxsize=4)
+def _zero_row_json(width: int) -> str:
+    return json.dumps(["0,0"] * width)
+
+
+def _zero_qrow(line: str) -> dict | None:
+    """Equals ``json.loads(line)`` or is None: the record of a line that is
+    exactly ``{"i": <i>, "t": "qrow", "v": ["0,0", ..., "0,0"]}`` as
+    ``json.dumps(..., sort_keys=True)`` writes it, found by one comparison
+    with a cached all-zero row; None for any other line."""
+    if not line.startswith(_QROW_HEAD):
+        return None
+    k = line.find(_QROW_MID)
+    i = line[len(_QROW_HEAD):k]
+    start = k + len(_QROW_MID)
+    width, odd = divmod(len(line) - 1 - start, len(', "0,0"'))
+    # i: ASCII digits without a leading zero, short enough for int() to take
+    if not (k > 0 and not odd and i.isascii() and i.isdigit() and len(i) <= 18
+            and (i == "0" or i[0] != "0") and line.endswith("}")
+            and line.startswith(_zero_row_json(width), start)):
+        return None
+    return {"i": int(i), "t": "qrow", "v": ["0,0"] * width}
 
 
 def parse_run(text: str):
@@ -398,10 +459,12 @@ def parse_run(text: str):
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
-        try:
-            d = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceError(f"line {lineno}: {exc}") from exc
+        d = _zero_qrow(line)
+        if d is None:
+            try:
+                d = json.loads(line)
+            except ValueError as exc:  # JSONDecodeError, or an int too long for int()
+                raise TraceError(f"line {lineno}: {exc}") from exc
         if type(d) is not dict:
             raise TraceError(f"line {lineno}: record is not a JSON object")
         t = d.get("t")

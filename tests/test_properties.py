@@ -229,14 +229,27 @@ _parts = st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=True))
 
 @st.composite
 def codec_matrices(draw):
-    """Matrices of 0x0 to 5x5, some as transposed or sliced views."""
-    r, c = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    """Matrices of 0x0 to 64x64, some as transposed or sliced views.  A row
+    of the drawn matrix is all +0 (the shared zero row), all -0.0 (which
+    must still be written "-0,0"), or drawn: every entry when the matrix
+    is at most 5 wide, else a few drawn entries among +0."""
+    r, c = draw(st.integers(0, 64)), draw(st.integers(0, 64))
     view = draw(st.sampled_from(["plain", "transposed", "sliced", "reversed"]))
+    if view == "sliced":
+        r, c = r // 2, c // 2
     shape = {"plain": (r, c), "transposed": (c, r), "sliced": (2 * r, 2 * c),
              "reversed": (r, c)}[view]
-    n = shape[0] * shape[1]
-    z = draw(st.lists(st.builds(complex, _parts, _parts), min_size=n, max_size=n))
-    base = np.array(z, dtype=np.complex128).reshape(shape)
+    entries = st.builds(complex, _parts, _parts)
+    base = np.zeros(shape, dtype=np.complex128)
+    for i in range(shape[0]):
+        kind = draw(st.sampled_from(["zero", "negative-zero", "drawn", "drawn"]))
+        if kind == "negative-zero":
+            base[i] = complex(-0.0, 0.0)
+        elif kind == "drawn" and shape[1] <= 5:
+            base[i] = draw(st.lists(entries, min_size=shape[1], max_size=shape[1]))
+        elif kind == "drawn":
+            for j in draw(st.lists(st.integers(0, shape[1] - 1), max_size=4)):
+                base[i, j] = draw(entries)
     return {"plain": base, "transposed": base.T, "sliced": base[::2, 1::2],
             "reversed": base[::-1, ::-1]}[view]
 
