@@ -21,9 +21,21 @@ EXIT_REJECTED = 1
 EXIT_BAD_INPUT = 2
 
 
+def _read_text(path: str, error: type[Exception]) -> str:
+    """The text of the UTF-8 file ``path``; one that cannot be read raises ``error``."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {path}: {exc}") from None
+
+
 def _load_config(path: str) -> scenarios.ScenarioConfig:
-    with open(path) as fh:
-        return scenarios.ScenarioConfig.from_dict(json.load(fh))
+    try:
+        d = json.loads(_read_text(path, scenarios.ConfigError))
+    except RecursionError as exc:  # nested deeper than json.loads goes
+        raise scenarios.ConfigError(f"config: {exc}") from None
+    return scenarios.ScenarioConfig.from_dict(d)
 
 
 def cmd_run(args) -> int:
@@ -43,8 +55,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    with open(args.trace) as fh:
-        x, _, _ = traceio.parse_run(fh.read())
+    x, _, _ = traceio.parse_run(_read_text(args.trace, traceio.TraceError))
     cert = verifier.verify(x)
     if args.cert:
         with open(args.cert, "w") as fh:
@@ -101,8 +112,7 @@ def cmd_batch(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    with open(args.trace) as fh:
-        x, cfg, _ = traceio.parse_run(fh.read())
+    x, cfg, _ = traceio.parse_run(_read_text(args.trace, traceio.TraceError))
     if cfg is not None:
         print(f"scenario: {cfg.base} procs={cfg.procs} seed={cfg.seed}")
     print(f"{len(x.events)} events, "

@@ -335,6 +335,8 @@ def _decode_state(recs: list[dict]) -> SystemState:
                 raise TraceError("trace has two quantum records")
             quantum = d
         elif t == "qrow":
+            if type(d["i"]) is not int:  # a bool or 1.0 would pass as a row number
+                raise TraceError(f"bad initial state: row index {d['i']!r} is not an int")
             if d["i"] in rows:
                 raise TraceError(f"bad initial state: row {d['i']} is repeated")
             rows[d["i"]] = d["v"]
@@ -463,7 +465,7 @@ def parse_run(text: str):
         if d is None:
             try:
                 d = json.loads(line)
-            except ValueError as exc:  # JSONDecodeError, or an int too long for int()
+            except (ValueError, RecursionError) as exc:  # bad JSON, long int, deep nesting
                 raise TraceError(f"line {lineno}: {exc}") from exc
         if type(d) is not dict:
             raise TraceError(f"line {lineno}: record is not a JSON object")
@@ -476,7 +478,8 @@ def parse_run(text: str):
             try:
                 events.append(decode_event(d))
                 linenos.append(lineno)
-            except (KeyError, TypeError, ValueError, IndexError, qcore.QcoreError) as exc:
+            except (KeyError, TypeError, ValueError, IndexError, RecursionError,
+                    qcore.QcoreError) as exc:
                 raise TraceError(f"line {lineno}: bad event record: {exc}") from exc
         elif t in ("procs", "proc", "chan", "quantum", "qrow"):
             state_recs.append(d)

@@ -12,6 +12,11 @@ every scenario starts from a vector, so r stays 1.  Applying an outcome,
 reading outcome probabilities, permuting registers, tracing out and
 comparing two states cost O(D·r) times the local dimensions, not O(D²) or
 more; the D×D matrix is formed only when ``DensityMatrix.entries`` is read.
+
+A state given by its D×D rows (a parsed trace's initial state) is checked
+and factored over the rows R that hold an entry other than zero, found in
+one read-only pass: ``validate`` and ``_factorize`` cost O(|R|·D) and make
+no D×D temporary.  A dense matrix is the case R = every row.
 """
 
 from __future__ import annotations
@@ -198,7 +203,8 @@ class DensityMatrix:
     @property
     def factor(self) -> np.ndarray:
         if self._factor is None:
-            self._factor = _factorize(self._entries, EPS_VALIDATE)[0]
+            m = self._entries
+            self._factor = _factorize(m, _nonzero_rows(m), EPS_VALIDATE)[0]
         return self._factor
 
     @property
@@ -216,19 +222,27 @@ class DensityMatrix:
         """Raise if the entries are not Hermitian, PSD, and subnormalized.
 
         The PSD test is the factorization: it proves that no eigenvalue is
-        below -eps, or else ``eigh`` finds one (see ``_factorize``).
+        below -eps, or else ``eigh`` finds one (see ``_factorize``).  After
+        one read-only pass that finds the rows R holding an entry other than
+        zero, every check reads only those rows and their columns: O(|R|·D),
+        with temporaries of at most one block of rows.  An entry outside
+        them is 0 - 0 in the Hermitian check, so its maximum is the dense one.
         """
         m = self.entries
-        if not np.isfinite(m).all():
+        d = m.shape[0]
+        rows = _nonzero_rows(m)
+        blocks = list(_row_blocks(rows, d))
+        if not all(np.isfinite(m[r]).all() for r in blocks):
             raise ShapeError("matrix has an entry that is not finite")
-        if np.abs(m - m.conj().T).max() > eps:
+        if max((np.abs(m[r] - m[:, r].conj().T).max() for r in blocks),
+               default=0.0) > eps:
             raise ShapeError("matrix is not Hermitian within tolerance")
-        v, lowest = _factorize(m, eps)
+        v, lowest = _factorize(m, rows, eps)
         if lowest < -eps:
             raise ShapeError(f"matrix has eigenvalue {lowest} below -{eps}")
         if self._factor is None:
             self._factor = v
-        trace = float(np.real(np.trace(m)))
+        trace = float(np.real(np.trace(m)))  # O(D), and summed as the dense trace
         if not (-eps <= trace <= 1 + eps):
             raise ShapeError(f"trace {trace} outside [0, 1]")
 
@@ -261,9 +275,10 @@ class DensityMatrix:
 _BLOCK_ENTRIES = 1 << 18
 
 
-def _row_blocks(d: int):
+def _row_blocks(rows, d: int):
+    """``rows`` (indices of rows of width ``d``) in consecutive blocks."""
     step = max(1, _BLOCK_ENTRIES // d)
-    return (slice(i, i + step) for i in range(0, d, step))
+    return (rows[i:i + step] for i in range(0, len(rows), step))
 
 
 def _gram(v: np.ndarray) -> np.ndarray:
@@ -271,36 +286,48 @@ def _gram(v: np.ndarray) -> np.ndarray:
     return v @ v.conj().T
 
 
-def _factorize(m: np.ndarray, eps: float) -> tuple[np.ndarray, float]:
+def _nonzero_rows(m: np.ndarray) -> np.ndarray:
+    """The indices of the rows of the C-contiguous ``m`` that hold an entry
+    other than zero (a NaN or an inf is one), found without a D×D temporary."""
+    return np.flatnonzero(m.view(np.float64).any(axis=1))
+
+
+def _factorize(m: np.ndarray, rows: np.ndarray, eps: float) -> tuple[np.ndarray, float]:
     """A factor V of the Hermitian ``m`` and a lower bound on its lowest eigenvalue.
 
-    Pivoted Cholesky (Higham 1990) pivots on the largest remaining diagonal
-    entry and stops once none is above D·ε·max diag (the rank tolerance of
-    LAPACK's ?pstrf), so VV† keeps ``m`` to rounding.  It costs O(D²·r) for
-    rank r.  By Weyl's inequality, λ_min(m) ≥ -‖m - VV†‖_F, and that is the
-    bound returned when it is at least -eps.  Otherwise ``eigh`` decides:
-    the bound is the lowest eigenvalue, and the factor holds the
+    ``rows`` are the rows of ``m`` that hold an entry other than zero
+    (``_nonzero_rows``); V is zero on every other row.  Pivoted Cholesky
+    (Higham 1990) on those rows and their columns pivots on the largest
+    remaining diagonal entry and stops once none is above D·ε·max diag (the
+    rank tolerance of LAPACK's ?pstrf), so VV† keeps ``m`` to rounding.  It
+    costs O(|R|²·r) for rank r, and the residual below O(|R|·D·r).  By
+    Weyl's inequality, λ_min(m) ≥ -‖m - VV†‖_F, and that is the bound
+    returned when it is at least -eps.  Otherwise ``eigh`` decides on the
+    dense ``m``: the bound is the lowest eigenvalue, and the factor holds the
     eigenvectors scaled by the square roots of the positive eigenvalues.
     """
     d = m.shape[0]
-    diag = m.diagonal().real.copy()
+    if not rows.size:  # the zero matrix
+        return np.zeros((d, 0), dtype=np.complex128), 0.0
+    diag = m.diagonal().real[rows]
     stop = d * np.finfo(float).eps * max(diag.max(), 0.0)
     cols: list[np.ndarray] = []
     for _ in range(d):
         j = int(diag.argmax())
         if not diag[j] > stop:
             break
-        col = m[:, j].copy()
+        col = m[rows, rows[j]]
         if cols:
             done = np.array(cols).T
             col -= done @ done[j].conj()
         col /= np.sqrt(diag[j])
         diag -= np.abs(col) ** 2
         cols.append(col)
-    v = np.array(cols, dtype=np.complex128).T.reshape(d, len(cols))
+    v = np.zeros((d, len(cols)), dtype=np.complex128, order="F")
+    v[rows] = np.array(cols, dtype=np.complex128).T
     vh = v.conj().T
-    residual = np.sqrt(sum(float(np.sum(np.abs(m[b] - v[b] @ vh) ** 2))
-                           for b in _row_blocks(d)))
+    residual = np.sqrt(sum(float(np.sum(np.abs(m[r] - v[r] @ vh) ** 2))
+                           for r in _row_blocks(rows, d)))
     if residual <= eps:
         return v, -residual
     w, u = np.linalg.eigh(m)
@@ -336,7 +363,7 @@ def states_close(a: DensityMatrix, b: DensityMatrix, tol: float) -> bool:
     left = np.concatenate([v, w], axis=1)
     right = np.concatenate([v, -w], axis=1).conj().T
     return all(np.abs(left[b] @ right).max(initial=0.0) <= tol
-               for b in _row_blocks(left.shape[0]))
+               for b in _row_blocks(range(len(left)), len(left)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -385,6 +386,16 @@ class TestCli:
         return recs
 
     @staticmethod
+    def _bool_row_index(recs):
+        next(d for d in recs if d["t"] == "qrow" and d["i"] == 1)["i"] = True
+        return recs
+
+    @staticmethod
+    def _float_row_index(recs):
+        next(d for d in recs if d["t"] == "qrow" and d["i"] == 1)["i"] = 1.0
+        return recs
+
+    @staticmethod
     def _drop_row(recs):
         return [d for d in recs if not (d["t"] == "qrow" and d["i"] == 1)]
 
@@ -489,6 +500,8 @@ class TestCli:
         ("_repeated_procs", "error: trace has two procs records"),
         ("_repeated_quantum", "error: trace has two quantum records"),
         ("_bad_qrow_value", 'error: bad initial state: row 0 holds a value that is not "re,im"'),
+        ("_bool_row_index", "error: bad initial state: row index True is not an int"),
+        ("_float_row_index", "error: bad initial state: row index 1.0 is not an int"),
         ("_drop_row", "error: quantum state has no row 1"),
         ("_stray_row", "error: bad initial state: row 99 is outside 0..3"),
         ("_repeated_row", "error: bad initial state: row 3 is repeated"),
@@ -512,7 +525,8 @@ class TestCli:
         ("_repeated_proc_name", "error: procs record: names are not distinct strings "
                                 "without '->'"),
     ], ids=["no-quantum", "repeated-procs", "repeated-quantum", "bad-qrow-value",
-            "missing-row", "stray-row", "repeated-row", "short-row", "indefinite-state",
+            "bool-row-index", "float-row-index", "missing-row", "stray-row", "repeated-row",
+            "short-row", "indefinite-state",
             "unowned-register", "ownership-partition", "sigma-not-object",
             "inbox-not-list", "repeated-proc", "unknown-proc", "missing-proc",
             "ext-not-register", "ext-res-list", "unknown-channel", "another-channel",
@@ -526,6 +540,45 @@ class TestCli:
         assert "Traceback" not in r.stderr
         assert len(r.stderr.strip().splitlines()) == 1
         assert r.stderr.startswith(message)
+
+    @pytest.mark.parametrize("case, message", [
+        ("directory", "error: cannot read {path}: [Errno 21] Is a directory"),
+        ("not-utf-8", "error: cannot read {path}: 'utf-8' codec can't decode byte 0xff"),
+        ("too-deep", "maximum recursion depth exceeded"),
+    ], ids=["directory", "not-utf-8", "too-deep"])
+    @pytest.mark.parametrize("cmd", ["verify", "inspect", "run", "batch"])
+    def test_unreadable_input_exits_2(self, tmp_path, capsys, cmd, case, message):
+        """A directory, a file that is not UTF-8, and JSON nested deeper than
+        ``json.loads`` goes: each trace or config is refused with one line."""
+        path = tmp_path / "input"
+        if case == "directory":
+            path.mkdir()
+        elif case == "not-utf-8":
+            path.write_bytes(b'{"t": "\xff"}\n')
+        else:
+            path.write_text("[" * 100_000 + "]" * 100_000 + "\n")
+        argv = [cmd, str(path)] if cmd in ("verify", "inspect") else [cmd, "--config", str(path)]
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ") and message.format(path=path) in out.err
+        assert len(out.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("cmd", ["verify", "inspect"])
+    def test_event_record_nested_too_deep_exits_2(self, tmp_path, capsys, cmd):
+        """``json.loads`` takes update parameters nested 600 deep, but
+        turning them into tuples recurses past the limit."""
+        lines = traceio.serialize_run(*self._epr_run()).splitlines()
+        k = next(i for i, line in enumerate(lines) if json.loads(line).get("update"))
+        rec = json.loads(lines[k])
+        rec["update"][1] = [json.loads("[" * 600 + "]" * 600)]
+        lines[k] = json.dumps(rec, sort_keys=True)
+        trace = tmp_path / "deep.jsonl"
+        trace.write_text("\n".join(lines) + "\n")
+        assert cli.main([cmd, str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {k + 1}: ")
+        assert "maximum recursion depth exceeded" in err and len(err.splitlines()) == 1
 
     def test_null_eid_on_send_exits_2(self, tmp_path):
         lines = traceio.serialize_run(*self._epr_run()).splitlines()
@@ -970,6 +1023,28 @@ def test_verifying_a_wide_trace_builds_no_dense_derived_state():
         assert verifier.verify(x).accepted
 
 
+def test_parsing_a_wide_trace_builds_no_dense_temporary():
+    """Checking the parsed initial state reads only its nonzero rows.
+    Parsing scenario (d) never calls ``eigh``, and ``validate`` of its
+    initial state, a D=1024 basis state whose matrix is 16 MB, peaks below
+    1 MB."""
+    text = _golden_trace_text("ring-quantum-wide")
+    with mock.patch.object(np.linalg, "eigh", side_effect=AssertionError("eigh")):
+        x, _, _ = traceio.parse_run(text)
+    parsed = x.initial.quantum
+    assert parsed.entries.nbytes == 16 << 20
+    assert np.count_nonzero(parsed.entries) == 1
+    rho = qcore.DensityMatrix(parsed.space, parsed.entries)
+    tracemalloc.start()
+    try:
+        rho.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert np.array_equal(rho.factor, parsed.factor)
+
+
 # ---------------------------------------------------------------------------
 # Hostile initial states: any edit of the state records parses and is
 # verified, or is refused with an exit code; nothing escapes.
@@ -990,7 +1065,8 @@ def hostile_traces(draw, kinds=("procs", "proc", "quantum", "qrow")):
     """Scenario (a) with up to three edits inside its records of the given
     kinds (by default procs, proc (name, sigma and ext), quantum (regs and
     own) and qrow): a value replaced, an entry deleted, or a record repeated
-    or dropped."""
+    or dropped.  With qrow among the kinds, a qrow may also get an ``i`` that
+    is a bool, a float or a string."""
     recs = [json.loads(line) for line in _golden_trace_text("scenario-a").splitlines()]
     for _ in range(draw(st.integers(1, 3))):
         targets = [k for k, d in enumerate(recs) if d["t"] in kinds and len(d) > 1]
@@ -1012,6 +1088,11 @@ def hostile_traces(draw, kinds=("procs", "proc", "quantum", "qrow")):
                 del node[key]
             else:
                 node[key] = draw(_json_values)
+    qrows = [d for d in recs if d["t"] == "qrow"]
+    if "qrow" in kinds and qrows and draw(st.booleans()):
+        # a row index that is a bool, a float or a string
+        draw(st.sampled_from(qrows))["i"] = draw(
+            st.booleans() | st.floats(-1, 4) | st.sampled_from(["0", "1", "1.0", ""]))
     # qrow lines as json.dumps writes them take the all-zero row recogniser;
     # compact ones take json.loads
     qrow_separators = draw(st.sampled_from([None, (",", ":")]))

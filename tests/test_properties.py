@@ -189,13 +189,139 @@ def test_row_blocks_cover_every_row():
     b = DensityMatrix(space, factor=np.concatenate([far, far[:, :1] * 0], axis=1))
     for block_entries in range(1, 18 * 18 + 1):
         with mock.patch.object(qcore, "_BLOCK_ENTRIES", block_entries):
-            f, bound = qcore._factorize(m, qcore.EPS_VALIDATE)
+            f, bound = qcore._factorize(m, np.arange(18), qcore.EPS_VALIDATE)
             assert np.abs(f @ f.conj().T - m).max() <= qcore.EPS_EXACT
             assert -qcore.EPS_EXACT <= bound <= 0
-            assert qcore._factorize(indefinite, qcore.EPS_VALIDATE)[1] < -0.1
+            assert qcore._factorize(indefinite, np.arange(18), qcore.EPS_VALIDATE)[1] < -0.1
             assert qcore.states_close(a, DensityMatrix(space, factor=v @ u), qcore.EPS_EXACT)
             assert qcore.states_close(a, b, 2 * gap)
             assert not qcore.states_close(a, b, gap / 2)
+
+
+# ---------------------------------------------------------------------------
+# The row-aware state check against the dense one it replaced
+# ---------------------------------------------------------------------------
+
+def _dense_factorize(m, eps):
+    """Pivoted Cholesky over every row and column of ``m``, with the residual
+    formed as one D×D matrix: the dense ``qcore._factorize``."""
+    d = m.shape[0]
+    diag = m.diagonal().real.copy()
+    stop = d * np.finfo(float).eps * max(diag.max(), 0.0)
+    cols = []
+    for _ in range(d):
+        j = int(diag.argmax())
+        if not diag[j] > stop:
+            break
+        col = m[:, j].copy()
+        if cols:
+            done = np.array(cols).T
+            col -= done @ done[j].conj()
+        col /= np.sqrt(diag[j])
+        diag -= np.abs(col) ** 2
+        cols.append(col)
+    v = np.array(cols, dtype=np.complex128).T.reshape(d, len(cols))
+    residual = np.sqrt(float(np.sum(np.abs(m - v @ v.conj().T) ** 2)))
+    if residual <= eps:
+        return v, -residual
+    w, u = np.linalg.eigh(m)
+    keep = w > 0
+    return u[:, keep] * np.sqrt(w[keep]), float(w.min())
+
+
+def _dense_validate(m, eps=qcore.EPS_VALIDATE):
+    """The dense ``DensityMatrix.validate``: O(D²) work and D×D temporaries
+    on every matrix.  Returns the factor or raises its ``ShapeError``."""
+    if not np.isfinite(m).all():
+        raise qcore.ShapeError("matrix has an entry that is not finite")
+    if np.abs(m - m.conj().T).max() > eps:
+        raise qcore.ShapeError("matrix is not Hermitian within tolerance")
+    v, lowest = _dense_factorize(m, eps)
+    if lowest < -eps:
+        raise qcore.ShapeError(f"matrix has eigenvalue {lowest} below -{eps}")
+    trace = float(np.real(np.trace(m)))
+    if not (-eps <= trace <= 1 + eps):
+        raise qcore.ShapeError(f"trace {trace} outside [0, 1]")
+    return v
+
+
+_ROW_CASES = ["psd", "non-hermitian", "non-finite", "negative-zero",
+              "negative-eigenvalue", "trace-above-1", "zero", "coupled-zero-rows"]
+
+
+@st.composite
+def matrices_with_zero_rows(draw):
+    """A D×D matrix (D ≤ 24) that is a random PSD matrix of trace 1 on the
+    rows and columns of a random set R (empty, some or all rows) and zero
+    elsewhere, edited by one of ``_ROW_CASES``: an entry off Hermitian in a
+    zero row's column, a NaN or inf in a zero row, zero rows of -0.0, a
+    negative eigenvalue, a trace above 1, every entry zero, or one row that
+    only a residual over its full width refuses: Hermitian within
+    EPS_VALIDATE, PSD on its own diagonal entry, and indefinite through its
+    entries in zero rows' columns."""
+    d = draw(st.integers(1, 24))
+    rows = sorted(draw(st.sets(st.integers(0, d - 1))))
+    zero = [i for i in range(d) if i not in rows]
+    case = draw(st.sampled_from(_ROW_CASES))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = np.zeros((d, d), dtype=np.complex128)
+    if rows and case != "zero":
+        a = rng.normal(size=(len(rows), draw(st.integers(1, len(rows))))) * (1 + 0j)
+        a += 1j * rng.normal(size=a.shape)
+        a /= np.linalg.norm(a)
+        m[np.ix_(rows, rows)] = a @ a.conj().T
+    if case == "non-hermitian" and zero:
+        # above EPS_VALIDATE it is refused; below EPS_EXACT it is accepted
+        m[draw(st.integers(0, d - 1)), draw(st.sampled_from(zero))] = draw(
+            st.sampled_from([1.0, 1e-6j, -1e-13, 1e-13j]))
+    elif case == "non-finite" and zero:
+        z = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        m[draw(st.sampled_from(zero)), draw(st.integers(0, d - 1))] = (
+            complex(z, 0) if draw(st.booleans()) else complex(0, z))
+    elif case == "negative-zero":
+        for i in zero:
+            m[i] = draw(st.sampled_from([complex(-0.0, 0.0), complex(0.0, -0.0),
+                                         complex(-0.0, -0.0)]))
+    elif case == "negative-eigenvalue" and rows:
+        e = rng.normal(size=len(rows)) + 1j * rng.normal(size=len(rows))
+        e /= np.linalg.norm(e)
+        m[np.ix_(rows, rows)] -= draw(st.sampled_from([0.5, 2.0])) * np.outer(e, e.conj())
+    elif case == "trace-above-1":
+        m *= draw(st.sampled_from([1 + 1e-8, 1.5, 10.0]))
+    elif case == "coupled-zero-rows" and d >= 5:
+        # eigh reads the lower triangle: its lowest eigenvalue is about -1.8e-9
+        m[:] = 0
+        m[d - 1, d - 1] = 1e-12
+        m[d - 1, :4] = 0.9 * qcore.EPS_VALIDATE
+    return m
+
+
+def _verdict(check, m):
+    try:
+        return check(m), None
+    except qcore.ShapeError as exc:
+        return None, str(exc)
+
+
+@given(matrices_with_zero_rows())
+@settings(max_examples=200, deadline=None)
+def test_row_aware_validate_matches_dense_oracle(m):
+    """``validate`` on the nonzero rows gives the dense verdict and message;
+    an accepted state's factor keeps ``m`` to EPS_EXACT, zero rows and all."""
+    space = RegisterSpace((RegisterId(0, m.shape[0]),))
+
+    def row_aware(m):
+        rho = DensityMatrix(space, m)
+        rho.validate()
+        return rho.factor
+
+    (v, got), (want_v, want) = _verdict(row_aware, m.copy()), _verdict(_dense_validate, m)
+    assert got == want
+    if want is None:
+        assert v.shape[0] == m.shape[0] and v.shape[1] <= m.shape[0]
+        assert np.abs(v @ v.conj().T - m).max(initial=0.0) <= qcore.EPS_EXACT
+        assert np.abs(v @ v.conj().T - want_v @ want_v.conj().T).max(
+            initial=0.0) <= qcore.EPS_EXACT
 
 
 @given(kernel_cases())

@@ -116,6 +116,42 @@ def unmeasured_teleport_message(seed):
     return relabelled_identity(x, 7, x.events[7].outcome)
 
 
+def unitary_pad(cfg, name):
+    """``cfg`` run, with the first ``global-encrypt`` component named ``name``
+    applying the unitary P_k where its Kraus matrix is P_k/2^n, under the
+    same outcome label.  The post-state is the same up to scale: only the
+    history's probability, 1 instead of 4^-n, tells them apart."""
+    x = run_simulation(cfg).execution
+    i = next(k for k, e in enumerate(x.events)
+             if isinstance(e, Apply) and e.name == f"{name}:global-encrypt")
+    e = x.events[i]
+    (kraus,) = e.qop.kraus_by_outcome[e.outcome]
+    unitary = kraus * 2 ** len(e.qop.in_dims)
+    assert np.allclose(unitary @ unitary.conj().T, np.eye(len(unitary)))
+    qop = qcore.QuantumOperation(e.qop.outcome_set,
+                                 {**e.qop.kraus_by_outcome, e.outcome: (unitary,)},
+                                 e.qop.in_dims, e.qop.out_dims)
+    ev = list(x.events)
+    ev[i] = dataclasses.replace(e, qop=qop)
+    return Execution(x.initial, tuple(ev))
+
+
+def unitary_pad_self(seed):
+    """The pad forgery on p0's own component: token ring with an EPR pair."""
+    return unitary_pad(ScenarioConfig(
+        base="token-ring", procs=2, base_params={"epr_pair": True, "max_hops": 6},
+        invocations=[{"gid": "global-encrypt", "leader": "p0", "after_step": 2}],
+        seed=seed), "gop-self")
+
+
+def unitary_pad_msg(seed):
+    """The pad forgery on a recorded message's component: teleport."""
+    return unitary_pad(ScenarioConfig(
+        base="teleport", procs=2,
+        invocations=[{"gid": "global-encrypt", "leader": "p1", "after_step": 1}],
+        seed=seed), "gop-msg")
+
+
 def renamed_operation(text, gid="nonesuch"):
     """A trace whose invocation, markers, records and component names all
     name ``gid``, an operation that does not exist."""
@@ -280,7 +316,10 @@ class TestReject:
     @pytest.mark.parametrize("forge, seeds", [
         (anticorrelated_epr_snapshot, range(20)),
         (unmeasured_teleport_message, [0]),
-    ], ids=["anticorrelated-epr", "unmeasured-teleport-message"])
+        (unitary_pad_self, [3]),
+        (unitary_pad_msg, [0]),
+    ], ids=["anticorrelated-epr", "unmeasured-teleport-message", "unitary-pad-gop-self",
+            "unitary-pad-gop-msg"])
     def test_forged_component_rejected_at_spec_replay(self, forge, seeds):
         for seed in seeds:
             x = forge(seed)
