@@ -1,19 +1,21 @@
-"""Causal order over executions and checked reordering transformations.
+"""Causal order over executions and the checked swap that reorders them.
 
 Causality is the transitive closure of two primitive edge kinds: consecutive
 events carrying the same label, and the send/receive pair of one message.
-The reordering operations (adjacent swap, move-to-end, substitution) verify
-their own postconditions; a postcondition failure raises LemmaViolation,
-which indicates a bug rather than a property of the input.
+A swap of two adjacent events verifies its own postconditions; a failure
+raises LemmaViolation, which indicates a bug rather than a property of the
+input.  ``verify`` sorts with ``swap_in_place``; ``swap_adjacent_cached``,
+its copying form, stays because the benchmark's traced run wraps it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import executions, sysmodel
-from .executions import STEP_ERRORS, Execution, Receive, Send, replay, step
-from .qcore import EPS_CHAIN, EPS_EXACT
+from . import sysmodel
+# ``replay`` is unused here; bench/tests/test_bench.py replays as ``causality.replay``.
+from .executions import STEP_ERRORS, Execution, Receive, Send, replay, step  # noqa: F401
+from .qcore import EPS_EXACT
 
 
 class CausalityError(Exception):
@@ -26,10 +28,6 @@ class CausalDependency(CausalityError):
 
 class NotComparable(CausalityError):
     """Equicausality asked of executions over different event sets."""
-
-
-class SubstitutionMismatch(CausalityError):
-    pass
 
 
 class LemmaViolation(AssertionError):
@@ -113,52 +111,6 @@ def equicausal(x: Execution, y: Execution) -> bool:
     return primitive_edges(x) == primitive_edges(y)
 
 
-def lightcones(x: Execution, eids) -> tuple[set[int], set[int]]:
-    """(past, future) of the event set: everything causally before/after it.
-
-    From the clocks in O(n·L): a is in the past when some event of the set
-    reaches it, so when the set's largest clock entry for a's label does;
-    b is in the future when its clock reaches the set's earliest event of
-    some label.
-    """
-    eids = set(eids)
-    rel = compute_causality(x)
-    reach: dict[str, int] = {}
-    first: dict[str, int] = {}
-    for e in eids & rel.seq.keys():
-        for label, c in rel.clock[e].items():
-            reach[label] = max(c, reach.get(label, 0))
-        label, k = rel.seq[e]
-        first[label] = min(k, first.get(label, k))
-    past = {a for a, (label, k) in rel.seq.items()
-            if a not in eids and k <= reach.get(label, 0)}
-    fut = {b for b, vc in rel.clock.items()
-           if b not in eids and any(vc.get(label, 0) >= k for label, k in first.items())}
-    return past, fut
-
-
-def swap_adjacent(x: Execution, i: int, relation: CausalRelation | None = None) -> Execution:
-    """Swap the causally independent events at positions i and i+1.
-
-    Precondition (CausalDependency otherwise): events[i] does not happen
-    before events[i+1].  Postconditions: those of ``swap_adjacent_cached``,
-    and, by a fresh replay of the result, that it is well formed,
-    equicausal with ``x``, and ends in the same state (within EPS_EXACT).
-    """
-    rel = relation if relation is not None else compute_causality(x)
-    states = replay(x)
-    y, _ = swap_adjacent_cached(x, states, i, rel)
-    try:
-        final_y = replay(y)[-1]
-    except executions.ReplayError as exc:
-        raise LemmaViolation(f"swap produced ill-formed execution: {exc}") from exc
-    if not equicausal(x, y):
-        raise LemmaViolation("swap changed the causal relation")
-    if not sysmodel.states_equal(states[-1], final_y, EPS_EXACT):
-        raise LemmaViolation("swap changed the final state")
-    return y
-
-
 def swap_in_place(events: list, states: list, i: int, relation: CausalRelation) -> None:
     """Swap the causally independent events at positions i and i+1 of
     ``events``, updating ``states``, its replay, to the replay of the result.
@@ -197,58 +149,3 @@ def swap_adjacent_cached(
     events, new_states = list(x.events), list(states)
     swap_in_place(events, new_states, i, relation)
     return Execution(x.initial, events), new_states
-
-
-def move_to_end(x: Execution, i: int, j: int) -> Execution:
-    """Move the event at position i to position j by repeated swaps.
-
-    Precondition: no event in positions i+1..j causally depends on the
-    event at i (each individual swap checks this).
-    """
-    if not (0 <= i <= j < len(x.events)):
-        raise IndexError(f"move bounds {i}:{j} out of range")
-    rel = compute_causality(x)
-    states = replay(x)
-    for k in range(i, j):
-        x, states = swap_adjacent_cached(x, states, k, rel)
-    final = replay(x)[-1]
-    if not sysmodel.states_equal(final, states[-1], EPS_EXACT):
-        raise LemmaViolation("move-to-end drifted from replayed state")
-    return x
-
-
-def substitute(x: Execution, i: int, j: int, y0: Execution) -> Execution:
-    """Replace the fragment at 1-based positions i..j with ``y0``.
-
-    ``y0`` must be equicausal with the fragment it replaces and end in the
-    same state (within EPS_EXACT).
-    """
-    frag = executions.slice_execution(x, i, j)
-    try:
-        if not equicausal(frag, y0):
-            raise SubstitutionMismatch("replacement is not equicausal with fragment")
-    except NotComparable as exc:
-        raise SubstitutionMismatch(str(exc)) from exc
-    if not sysmodel.states_equal(
-        executions.final_state(frag), executions.final_state(y0), EPS_EXACT
-    ):
-        raise SubstitutionMismatch("replacement ends in a different state")
-    if not sysmodel.states_equal(frag.initial, y0.initial, EPS_EXACT):
-        raise SubstitutionMismatch("replacement starts from a different state")
-    events = x.events[: i - 1] + y0.events + x.events[j:]
-    result = Execution(x.initial, events)
-    if not executions.well_formed(result):
-        raise LemmaViolation("substitution produced ill-formed execution")
-    return result
-
-
-def check_equiv_theorem(x: Execution, y: Execution, tol: float = EPS_CHAIN) -> bool:
-    """Equicausal executions from the same initial state end in the same
-    state: the reordering theorem, checked concretely."""
-    if not sysmodel.states_equal(x.initial, y.initial, 0.0):
-        return False
-    if not equicausal(x, y):
-        return False
-    return sysmodel.states_equal(
-        executions.final_state(x), executions.final_state(y), tol
-    )

@@ -1,4 +1,4 @@
-"""Events, executions, fragments, and deterministic replay.
+"""Events, executions, and deterministic replay.
 
 An event records everything needed to reproduce its effect: measurement
 outcomes, the concrete quantum operation, and a named classical-update
@@ -21,10 +21,6 @@ class ReplayError(Exception):
         super().__init__(f"invalid step at index {index}: {reason}")
         self.index = index
         self.reason = reason
-
-
-class ConcatMismatch(Exception):
-    pass
 
 
 class UpdateFailed(sysmodel.SysmodelError):
@@ -171,9 +167,6 @@ class Execution:
         raise KeyError(f"no event with id {eid}")
 
 
-Fragment = Execution
-
-
 # What an invalid step raises: a replay reports any of these as a ReplayError.
 STEP_ERRORS = (sysmodel.SysmodelError, qcore.QcoreError, KeyError)
 # What an update or a predicate raises on a state it cannot read: a refused step.
@@ -256,32 +249,6 @@ def replay(x: Execution, step_fn: Callable | None = None) -> list[SystemState]:
             raise ReplayError(i, str(exc)) from exc
         states.append(state)
     return states
-
-
-def final_state(x: Execution) -> SystemState:
-    return replay(x)[-1]
-
-
-def well_formed(x: Execution) -> bool:
-    try:
-        replay(x)
-        return True
-    except ReplayError:
-        return False
-
-
-def slice_execution(x: Execution, i: int, j: int) -> Fragment:
-    """Fragment covering events i..j (1-based, inclusive)."""
-    if not (1 <= i <= j <= len(x.events)):
-        raise IndexError(f"slice bounds {i}:{j} out of range")
-    states = replay(x)
-    return Execution(states[i - 1], x.events[i - 1:j])
-
-
-def concat(a: Fragment, b: Fragment) -> Fragment:
-    if not sysmodel.states_identical(final_state(a), b.initial):
-        raise ConcatMismatch("final state of first fragment differs from second's initial")
-    return Execution(a.initial, a.events + b.events)
 
 
 # ---------------------------------------------------------------------------

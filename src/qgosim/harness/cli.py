@@ -1,8 +1,9 @@
 """Command line: run scenarios, verify traces, batch over seeds, inspect.
 
 Exit codes: 0 success (verification accepted), 1 verification rejected,
-2 malformed input or usage error.  A trace naming an unknown classical
-update, or one that fails on its state, does not replay: a rejection (exit 1).
+2 malformed input, a path that cannot be read or written, or usage error.
+A trace naming an unknown classical update, or one that fails on its state,
+does not replay: a rejection (exit 1), from ``verify`` and ``inspect`` alike.
 """
 
 from __future__ import annotations
@@ -134,7 +135,11 @@ def cmd_inspect(args) -> int:
     if args.causality:
         rel = causality.compute_causality(x)
         print(f"{rel.pair_count} causal pairs")
-    states = executions.replay(x)
+    try:
+        states = executions.replay(x)
+    except executions.ReplayError as exc:
+        print(f"does not replay: {exc}")
+        return EXIT_REJECTED
     print(f"final trace: {states[-1].quantum.trace:.6g}")
     return EXIT_OK
 
@@ -171,7 +176,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (FileNotFoundError, json.JSONDecodeError, traceio.TraceError,
+    except (OSError, json.JSONDecodeError, traceio.TraceError,
             scenarios.UnknownScenario, scenarios.ConfigError, scheduler.SchedulerError,
             qgo.UnknownGlobalOp, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

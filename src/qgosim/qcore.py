@@ -35,7 +35,6 @@ __all__ = [
     "DensityMatrix",
     "QuantumOperation",
     "RegisterMap",
-    "ValidationReport",
     "IdCollision",
     "UnknownRegister",
     "BadOutcome",
@@ -46,7 +45,6 @@ __all__ = [
     "apply_outcome",
     "outcome_probabilities",
     "draw_outcome",
-    "validate_operation",
     "canonical_form",
     "states_close",
     "standard_basis_measurement",
@@ -260,11 +258,6 @@ class DensityMatrix:
         return cls.from_vector(space, v)
 
     @classmethod
-    def maximally_mixed(cls, space: RegisterSpace) -> "DensityMatrix":
-        d = space.total_dim
-        return cls(space, np.eye(d, dtype=np.complex128) / d)
-
-    @classmethod
     def empty(cls) -> "DensityMatrix":
         """The trivial state over zero registers (a 1x1 matrix holding 1)."""
         return cls.from_vector(RegisterSpace(()), [1.0])
@@ -434,15 +427,6 @@ class RegisterMap:
             raise IdCollision("register map outputs must be injective")
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    valid: bool
-    trace_preserving: bool
-    max_deviation: float
-    completely_positive: bool = True  # Kraus form is CP by construction
-    note: str = ""
-
-
 def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     """Kronecker product of two states; register lists are concatenated.
     V_a ⊗ V_b is a factor of ρ_a ⊗ ρ_b."""
@@ -607,22 +591,6 @@ def draw_outcome(
     probs = outcome_probabilities(rho, op, regmap)
     probs = probs / probs.sum()
     return op.outcome_set[rng.choice(len(op.outcome_set), p=probs)]
-
-
-def validate_operation(op: QuantumOperation, eps: float = EPS_VALIDATE) -> ValidationReport:
-    """Check trace preservation of the summed map.
-
-    Complete positivity holds by construction of the Kraus representation,
-    so only the resolution of identity is tested numerically.
-    """
-    acc = np.zeros((op.in_dim, op.in_dim), dtype=np.complex128)
-    for r in op.outcome_set:
-        for k in op.kraus_by_outcome[r]:
-            acc += k.conj().T @ k
-    dev = float(np.abs(acc - np.eye(op.in_dim)).max())
-    tp = dev <= eps
-    note = "" if tp else f"sum of K†K deviates from identity by {dev:.3e}"
-    return ValidationReport(valid=tp, trace_preserving=tp, max_deviation=dev, note=note)
 
 
 def canonical_form(rho: DensityMatrix) -> DensityMatrix:

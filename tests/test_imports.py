@@ -25,20 +25,24 @@ def module_name(path: Path) -> str:
 MODULES = {module_name(p): p for p in sorted(PKG.rglob("*.py"))}
 
 
+def from_target(node: ast.ImportFrom, module: str, modules=MODULES) -> str:
+    """The absolute name of the module a ``from … import`` in ``module`` reads."""
+    if not node.level:
+        return node.module or ""
+    base = module.split(".")
+    if modules[module].name != "__init__.py":
+        base = base[:-1]
+    base = base[: len(base) - node.level + 1]
+    return ".".join(base + ([node.module] if node.module else []))
+
+
 def imported_modules(node, module: str) -> list[str]:
     """The qgosim modules an import statement in ``module`` names."""
     if isinstance(node, ast.Import):
         return [a.name for a in node.names if a.name.split(".")[0] == "qgosim"]
     if not isinstance(node, ast.ImportFrom):
         return []
-    if node.level:
-        base = module.split(".")
-        if MODULES[module].name != "__init__.py":
-            base = base[:-1]
-        base = base[: len(base) - node.level + 1]
-        target = ".".join(base + ([node.module] if node.module else []))
-    else:
-        target = node.module or ""
+    target = from_target(node, module)
     if target.split(".")[0] != "qgosim":
         return []
     # ``from . import a, b`` names submodules; ``from .a import f`` names a.
@@ -188,6 +192,103 @@ def test_tracer_targets_name_functions(monkeypatch):
     ]
     assert tracer.TARGETS
     assert missing == []
+
+
+def uncalled_functions(modules=MODULES) -> dict[str, ast.FunctionDef]:
+    """The top-level functions of ``modules`` that no code in them refers to
+    outside the function's own body, by ``module.name``.
+
+    Names resolve per module: a top-level def and ``from m import f`` bind
+    ``f`` (an import is not itself a reference); ``import m`` and ``from p
+    import m`` bind a module, so ``m.f`` refers to ``f`` of that module, and
+    a re-export is followed to its source.  An attribute of anything else,
+    such as ``state.validate()``, refers to no module's function.
+    """
+    trees = {m: ast.parse(p.read_text(), filename=str(p)) for m, p in modules.items()}
+    defs, binds = {}, {}
+    for m, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs[f"{m}.{node.name}"] = node
+        bound = {d.rpartition(".")[2]: d for d in defs if d.rpartition(".")[0] == m}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                target = from_target(node, m, modules)
+                bound.update({a.asname or a.name: f"{target}.{a.name}" for a in node.names})
+            elif isinstance(node, ast.Import):
+                bound.update({a.asname: a.name for a in node.names if a.asname})
+                bound.update({a.name.split(".")[0]: a.name.split(".")[0]
+                              for a in node.names if not a.asname})
+        binds[m] = bound
+
+    def resolve(name: str) -> str:
+        while True:
+            module, _, attr = name.rpartition(".")
+            nxt = binds.get(module, {}).get(attr)
+            if nxt is None or nxt == name:
+                return name
+            name = nxt
+
+    def qualify(node, m):
+        if isinstance(node, ast.Name):
+            return resolve(binds[m][node.id]) if node.id in binds[m] else None
+        if isinstance(node, ast.Attribute):
+            owner = qualify(node.value, m)
+            return owner and resolve(f"{owner}.{node.attr}")
+        return None
+
+    referenced = set()
+    for m, tree in trees.items():
+        for top in tree.body:
+            own = f"{m}.{top.name}" if isinstance(top, ast.FunctionDef) else None
+            for node in ast.walk(top):
+                name = qualify(node, m)
+                if name and name != own:
+                    referenced.add(name)
+    return {name: node for name, node in defs.items() if name not in referenced}
+
+
+def registered_update(node: ast.FunctionDef) -> bool:
+    return any(isinstance(d, ast.Call) and getattr(d.func, "id", "") == "register_update"
+               for d in node.decorator_list)
+
+
+def test_every_src_function_has_a_caller(monkeypatch):
+    """Every top-level function in ``src/`` is referenced from ``src/``, so
+    code that only the tests call does not grow back.  Exempt: the classical
+    updates, which the registry calls by name; the functions the benchmark's
+    traced run wraps; and ``executions.validate``, the replay that asks a
+    step predicate about each step, which the tests run on every scenario
+    and ROADMAP item 1 makes the first stage of ``verify``."""
+    tracer = load_tracer(monkeypatch)
+    exempt = {f"{t.module}.{t.func}" for t in tracer.TARGETS} | {"qgosim.executions.validate"}
+    flagged = [name for name, node in uncalled_functions().items()
+               if name not in exempt and not registered_update(node)]
+    assert flagged == []
+
+
+def test_caller_scan_names_an_uncalled_function(tmp_path):
+    """The scan resolves names per module: a method of the same name, a
+    recursive call or an unused import does not make a function called."""
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text("")
+    (pkg / "a.py").write_text(
+        "def used(): pass\n"
+        "def unused(): pass\n"
+        "def recursive(n): return recursive(n - 1)\n"
+        "class State:\n"
+        "    def unused(self): pass\n"
+    )
+    (pkg / "b.py").write_text(
+        "from . import a\n"
+        "from .a import recursive, used as u\n"
+        "def main(): return u(), a.State().unused()\n"
+        "main()\n"
+    )
+    modules = {f"pkg.{p.stem}": p for p in sorted(pkg.glob("*.py"))}
+    modules["pkg"] = modules.pop("pkg.__init__")
+    assert sorted(uncalled_functions(modules)) == ["pkg.a.recursive", "pkg.a.unused"]
 
 
 def all_subclasses(cls):

@@ -222,7 +222,7 @@ class TestAugmentedPredicate:
         cfg = ScenarioConfig.from_dict({**cfg, "seed": seed})
         res = run_simulation(cfg)
         _, base, lib = build_scenario(cfg)
-        return res.execution, qgo.qgo_augment(base, lib)
+        return res.execution, qgo.AugmentedPredicate(base, lib)
 
     # The four batch-small kinds cover scenario seeds 0-399 between them:
     # kind k runs the seeds s with s % 4 == k, as the benchmark does.
@@ -255,7 +255,7 @@ class TestAugmentedPredicate:
             if (case := forge(x, pick, change)) is None:
                 continue
             forged, i = case
-            assert executions.well_formed(forged), seed
+            executions.replay(forged)  # raises ReplayError if it does not replay
             res = executions.validate(pred, forged)
             assert not res and res.first_failure == i, (seed, res)
             forged_runs += 1
@@ -268,7 +268,7 @@ class TestAugmentedPredicate:
         p0 = {**x.initial.classical["p0"], "hops": "0"}
         x = executions.Execution(
             dc_replace(x.initial, classical={**x.initial.classical, "p0": p0}), x.events)
-        assert executions.well_formed(x)
+        executions.replay(x)
         i = next(k for k, e in enumerate(x.events)
                  if e.label == "p0" and not getattr(e, "protocol", False))
         res = executions.validate(pred, x)

@@ -130,7 +130,6 @@ class TestStateEquality:
         st2, _ = sysmodel.receive(sysmodel.send(st, "p0", msg), "p1", "p0->p1", 0)
         assert not sysmodel.states_equal(st, st2, 1e-12)  # ownership moved
         assert sysmodel.states_equal(st2, st2, 0.0)
-        assert sysmodel.states_identical(st2, st2)
 
     def test_quantum_tolerance(self):
         st, _ = two_proc_state()
