@@ -220,31 +220,36 @@ def step(state: SystemState, event: Event) -> SystemState:
     return _run_on(state, proc, event.update, outcome)
 
 
+def checked_step(state: SystemState, event: Event, seen_ids: set,
+                 step_fn: Callable) -> SystemState:
+    """``step_fn(state, event)`` unless the event is a Send that reuses an
+    id of ``seen_ids`` (in flight initially or sent before), which gains the
+    Send's id.  Replay and generation both step here; ``send`` checks no ids."""
+    if isinstance(event, Send):
+        if event.msg.msg_id in seen_ids:
+            raise sysmodel.SysmodelError(f"message id {event.msg.msg_id} reused")
+        seen_ids.add(event.msg.msg_id)
+    return step_fn(state, event)
+
+
 def replay(x: Execution, step_fn: Callable | None = None) -> list[SystemState]:
     """Replay, returning the full state sequence Ψ^0 .. Ψ^n.
 
     ``step_fn`` is the machine's step function: ``step`` unless given, so
-    the specification machine passes its own.  Deterministic: every outcome
-    is fixed inside its event.  Raises ReplayError (with the failing index)
-    on any invalid step, including receive-before-send, FIFO violations,
-    reused message ids, and zero-probability outcomes.
-
-    Replay owns message-id uniqueness, a rule of the whole execution: no
-    Send reuses an id in flight initially or sent before.  ``sysmodel.send``
-    checks no ids; only the scheduler's generation loop repeats this check.
+    the specification machine passes its own.  Each event goes through
+    ``checked_step``.  Deterministic: every outcome is fixed inside its
+    event.  Raises ReplayError (with the failing index) on any invalid step,
+    including receive-before-send, FIFO violations, reused message ids, and
+    zero-probability outcomes.
     """
     if step_fn is None:
         step_fn = step
     states = [x.initial]
-    seen_ids = set(x.initial.message_ids())
+    seen_ids = x.initial.message_ids()
     state = x.initial
     for i, event in enumerate(x.events):
-        if isinstance(event, Send):
-            if event.msg.msg_id in seen_ids:
-                raise ReplayError(i, f"message id {event.msg.msg_id} reused")
-            seen_ids.add(event.msg.msg_id)
         try:
-            state = step_fn(state, event)
+            state = checked_step(state, event, seen_ids, step_fn)
         except STEP_ERRORS as exc:
             raise ReplayError(i, str(exc)) from exc
         states.append(state)

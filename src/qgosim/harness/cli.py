@@ -14,7 +14,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .. import causality, executions, qgo, verifier
+from .. import causality, executions, qcore, qgo, verifier
 from . import scenarios, scheduler, traceio
 
 EXIT_OK = 0
@@ -175,10 +175,11 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        qcore.dim_cap()  # a QGO_DIM_CAP that sets no cap is reported before any work
         return args.fn(args)
     except (OSError, json.JSONDecodeError, traceio.TraceError,
             scenarios.UnknownScenario, scenarios.ConfigError, scheduler.SchedulerError,
-            qgo.UnknownGlobalOp, KeyError) as exc:
+            qgo.UnknownGlobalOp, qcore.CapacityError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -75,16 +75,23 @@ class ScenarioConfig:
         # Each field has the type of its value in a default config.
         types = {f: type(v) for f, v in cls("").to_dict().items()}
         _check_record("config", d, types, ("base",))
-        if d.get("procs", 1) < 1:
+        cfg = cls(**d)
+        if cfg.procs < 1:
             raise ConfigError("config: 'procs' is less than 1")
-        base = BASE_ALGORITHMS.get(d["base"])
+        base = BASE_ALGORITHMS.get(cfg.base)
         if base is not None:  # an unknown base is reported when it is built
-            params = d.get("base_params", {})
-            _check_record("base_params", params, base.params, ())
-            base.check_params(params)
-        for i, inv in enumerate(d.get("invocations", [])):
+            _check_record("base_params", cfg.base_params, base.params, ())
+            negative = [k for k, v in cfg.base_params.items() if type(v) is int and v < 0]
+            if negative:
+                raise ConfigError(f"base_params: {negative[0]!r} is negative")
+            base.check_params(cfg.base_params)
+        procs = proc_names(cfg.procs)
+        for i, inv in enumerate(cfg.invocations):
             _check_record(f"invocation {i}", inv, _INVOCATION_TYPES, ("gid", "leader"))
-        return cls(**d)
+            if inv["leader"] not in procs:
+                raise ConfigError(f"invocation {i}: 'leader' {inv['leader']!r} "
+                                  f"is not a processor")
+        return cfg
 
 
 def proc_names(n: int) -> list[str]:
@@ -205,13 +212,13 @@ class TokenRing(BaseAlgorithm):
         epr = cfg.base_params.get("epr_pair", False) and cfg.procs >= 2
         if epr:
             ownership.update({alloc.fresh(2): "p0", alloc.fresh(2): "p1"})
-        regs = tuple(ownership)
-        vec = np.zeros(int(np.prod([r.dim for r in regs])), complex)
+        space = RegisterSpace(tuple(ownership))  # checks the cap before allocating
+        vec = np.zeros(space.total_dim, complex)
         if epr:  # |0..0> on local qubits, EPR on the last two registers.
             vec[0] = vec[3] = 1 / np.sqrt(2)
         else:
             vec[0] = 1.0
-        quantum = DensityMatrix.from_vector(RegisterSpace(regs), vec)
+        quantum = DensityMatrix.from_vector(space, vec)
         return _initial(procs, sigmas, quantum, ownership)
 
     def enabled(self, state, proc):

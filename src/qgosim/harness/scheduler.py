@@ -82,11 +82,12 @@ def run_simulation(cfg: ScenarioConfig, decisions=None) -> SimulationResult:
     """Generate one execution of the configured scenario.
 
     With ``decisions`` (and policy "replay") the recorded schedule is
-    followed exactly; otherwise the policy drives the choices.  Generation
-    steps Sends outside ``executions.replay``, so it repeats replay's
-    message-id check: a block that reuses an id raises SchedulerError.  A
-    block the system model refuses (``SysmodelError``, such as an outcome of
-    zero probability) also raises SchedulerError, naming the step.
+    followed exactly; otherwise the policy drives the choices.  Each chosen
+    action's block is built on the state before it, by the protocol's
+    builders or the base algorithm's, and each of its events is stepped
+    once through ``executions.checked_step``, as replay steps it.  A block
+    the system model refuses (``SysmodelError``: a reused message id, an
+    outcome of zero probability) raises SchedulerError, naming the step.
     """
     state, base, library = build_scenario(cfg)
     initial = state
@@ -115,24 +116,18 @@ def run_simulation(cfg: ScenarioConfig, decisions=None) -> SimulationResult:
         try:
             if pick[0] == "invoke":
                 inv = cfg.invocations[pick[1]]
-                block, state = qgo.qgo_invoke(state, inv["leader"], library[inv["gid"]],
-                                              ctx)
+                block = qgo.qgo_invoke(state, inv["leader"], library[inv["gid"]], ctx)
                 next_inv += 1
             elif pick[0] == "recv":
                 chan = pick[1]
                 dst = sysmodel.chan_endpoints(chan)[1]
-                block, state = qgo.qgo_receive(state, dst, chan, library, ctx)
+                block = qgo.qgo_receive(state, dst, chan, library, ctx)
             else:
                 block = base.build(state, pick[1], pick[2], ctx)
-                for ev in block:
-                    state = executions.step(state, ev)
+            for ev in block:
+                state = executions.checked_step(state, ev, seen_ids, executions.step)
         except sysmodel.SysmodelError as exc:
             raise SchedulerError(f"step {steps}: {exc}") from exc
-        for ev in block:
-            if isinstance(ev, executions.Send):
-                if ev.msg.msg_id in seen_ids:
-                    raise SchedulerError(f"message id {ev.msg.msg_id} reused")
-                seen_ids.add(ev.msg.msg_id)
         events.extend(block)
     else:
         raise SchedulerError(f"no quiescence within {cfg.max_steps} steps")

@@ -79,9 +79,17 @@ DEFAULT_DIM_CAP = 4096
 def dim_cap() -> int:
     """Global cap on the total dimension of a register space.
 
-    Overridable through the QGO_DIM_CAP environment variable.
+    Overridable through the QGO_DIM_CAP environment variable, a positive
+    int; any other value raises CapacityError.
     """
-    return int(os.environ.get("QGO_DIM_CAP", DEFAULT_DIM_CAP))
+    raw = os.environ.get("QGO_DIM_CAP", str(DEFAULT_DIM_CAP))
+    try:
+        cap = int(raw)
+    except ValueError:  # not an int, or longer than Python converts
+        cap = 0
+    if cap < 1:
+        raise CapacityError(f"QGO_DIM_CAP is not a positive int: {raw!r}")
+    return cap
 
 
 class QcoreError(Exception):
@@ -105,7 +113,7 @@ class ShapeError(QcoreError):
 
 
 class CapacityError(QcoreError):
-    """The configured total-dimension cap would be exceeded."""
+    """The total-dimension cap would be exceeded, or QGO_DIM_CAP sets no cap."""
 
 
 @dataclass(frozen=True, order=True)
@@ -143,10 +151,11 @@ class RegisterSpace:
         ids = [r.id for r in self.registers]
         if len(set(ids)) != len(ids):
             raise IdCollision(f"duplicate register ids in {ids}")
-        if self.total_dim > dim_cap():
-            raise CapacityError(
-                f"total dimension {self.total_dim} exceeds cap {dim_cap()}"
-            )
+        dim = self.total_dim
+        if dim > dim_cap():
+            # A dimension too long to print in decimal is given as a power of 2.
+            shown = dim if dim.bit_length() <= 64 else f"at least 2**{dim.bit_length() - 1}"
+            raise CapacityError(f"total dimension {shown} exceeds cap {dim_cap()}")
 
     @property
     def dims(self) -> tuple[int, ...]:

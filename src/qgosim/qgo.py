@@ -5,8 +5,11 @@ The protocol augments a base algorithm with three procedures: invocation by
 a leader, processing a newly seen global operation (apply the local
 component, open channel records, broadcast markers), and reception handling
 (first marker triggers processing, later markers close channels, messages on
-open channels get the operation applied and recorded).  Each procedure emits
-a block of events that is atomic on its processor.
+open channels get the operation applied and recorded).  Each procedure
+builds a block of events that is atomic on its processor, from the state
+before the block, and steps nothing: the scheduler steps each event once
+through ``executions.checked_step``.  The step predicate rebuilds each
+protocol event with the same builders.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from .executions import (
     Respond,
     Send,
     register_update,
-    step,
 )
 from .qcore import OP_ATOL, OP_RTOL, QuantumOperation, RegisterId, RegisterMap
 from .sysmodel import MessageInstance, SystemState, chan_key, encode_classical
@@ -211,13 +213,15 @@ BUILTIN_GLOBAL_OPS = {
 }
 
 
+def library_op(library: dict, gid):
+    """The entry ``gid`` of ``library``; UnknownGlobalOp if it has none."""
+    if gid not in library:
+        raise UnknownGlobalOp(f"unknown global operation {gid!r}")
+    return library[gid]
+
+
 def global_op_library(gids) -> dict[str, DecomposableGlobalOp]:
-    lib = {}
-    for gid in gids:
-        if gid not in BUILTIN_GLOBAL_OPS:
-            raise UnknownGlobalOp(f"unknown global operation {gid!r}")
-        lib[gid] = BUILTIN_GLOBAL_OPS[gid]()
-    return lib
+    return {gid: library_op(BUILTIN_GLOBAL_OPS, gid)() for gid in gids}
 
 
 # ---------------------------------------------------------------------------
@@ -312,10 +316,15 @@ def gop_self_apply(
     trigger: str | None,
     ctx: GenContext,
 ) -> Apply:
-    """The local component of ``gop`` on ``proc``, opening its records;
-    ``trigger`` is the channel of the marker that started it, if any."""
-    spec = gop.proc_component(state, proc)
+    """The local component of ``gop`` on idle ``proc``, opening its records;
+    ``trigger`` is the incoming channel of the marker that started it, if
+    any."""
+    if is_active(state.ext[proc]):
+        raise AlreadyActive(f"processor {proc} already running {state.ext[proc]['op']}")
     incoming = tuple(incoming_channels(state.procs, proc))
+    if trigger is not None and trigger not in incoming:
+        raise QgoError(f"trigger {trigger!r} is not an incoming channel of {proc}")
+    spec = gop.proc_component(state, proc)
     return Apply(
         eid=ctx.eid(),
         label=proc,
@@ -330,7 +339,11 @@ def gop_self_apply(
     )
 
 
-def marker_send(proc: str, dest: str, gid: str, ctx: GenContext) -> Send:
+def marker_send(proc: str, dest: str, gid: str | None, ctx: GenContext) -> Send:
+    """The marker of operation ``gid`` from ``proc`` to ``dest``; a marker of
+    no operation (``gid`` None, an idle processor's) is refused."""
+    if gid is None:
+        raise QgoError(f"processor {proc} runs no operation to send a marker for")
     msg = MessageInstance(
         msg_id=ctx.msg_id(),
         src=proc,
@@ -343,6 +356,10 @@ def marker_send(proc: str, dest: str, gid: str, ctx: GenContext) -> Send:
 
 def respond(proc: str, ext, ctx: GenContext) -> Respond:
     """The response of ``proc`` once all its channels are closed."""
+    if not is_active(ext):
+        raise QgoError(f"processor {proc} runs no operation to respond to")
+    if ext["waitset"]:
+        raise QgoError(f"processor {proc} still waits on {ext['waitset'][0]}")
     record = response_record(proc, ext["op"], ext["self"], ext["res"])
     return Respond(eid=ctx.eid(), label=proc, record=record,
                    update=ClassicalUpdate("qgo.respond"))
@@ -350,25 +367,16 @@ def respond(proc: str, ext, ctx: GenContext) -> Respond:
 
 class AugmentedPredicate(executions.TransitionPredicate):
     """Step predicate of the base algorithm augmented with the marker
-    protocol: a protocol event must pass its guards on the pre-state and
-    be the event the protocol builds there; everything else must be
-    allowed by the base algorithm."""
+    protocol.  A protocol event (Invoke, Receive, Respond, marker Send,
+    ``gop-self`` Apply) must be the event the protocol's builders build in
+    its place on the pre-state, where a builder that raises ``QgoError``
+    refuses it.  The ``gop-msg`` Apply is checked by its guards alone
+    (ROADMAP item 1).  Every other event must be allowed by the base
+    algorithm."""
 
     def __init__(self, base, library: dict[str, DecomposableGlobalOp]):
         self.base = base
         self.library = library
-
-    def _check_gop_self(self, pre, event) -> bool:
-        gid = event.name.split(":", 1)[1]
-        if gid not in self.library or is_active(pre.ext[event.proc]):
-            return False
-        params = event.update.params if event.update is not None else ()
-        trigger = params[1] if len(params) == 3 else None
-        if trigger is not None and trigger not in incoming_channels(pre.procs, event.proc):
-            return False
-        built = gop_self_apply(pre, event.proc, self.library[gid], trigger,
-                               GenContext.rebuilding(event))
-        return same_event(built, event)
 
     def _check_gop_msg(self, pre, event) -> bool:
         gid = event.name.split(":", 1)[1]
@@ -381,51 +389,35 @@ class AugmentedPredicate(executions.TransitionPredicate):
         (chan,) = u.params
         return chan in ext["waitset"]
 
-    def allows(self, pre, event, post) -> bool:
+    def _rebuild(self, pre, event) -> Event | None:
+        """The protocol event built on ``pre`` in ``event``'s place, with its
+        ids and its outcome; None for an event the protocol never builds."""
+        ctx = GenContext.rebuilding(event)
         if isinstance(event, Invoke):
-            return event.gid in self.library and not any(
-                is_active(pre.ext[p]) for p in pre.procs
-            )
-        if isinstance(event, Respond):
-            ext = pre.ext[event.label]
-            return (
-                is_active(ext)
-                and not ext["waitset"]
-                and same_event(respond(event.label, ext, GenContext.rebuilding(event)), event)
-            )
-        if isinstance(event, Apply) and event.protocol:
-            if event.name.startswith("gop-self:"):
-                return self._check_gop_self(pre, event)
-            if event.name.startswith("gop-msg:"):
-                return self._check_gop_msg(pre, event)
-            return False
-        if isinstance(event, Send) and event.protocol:
-            ext = pre.ext[event.label]
-            if not is_active(ext):
-                return False
-            built = marker_send(event.label, event.msg.dst, ext["op"],
-                                GenContext.rebuilding(event))
-            return same_event(built, event)
+            return qgo_invoke(pre, event.label, library_op(self.library, event.gid), ctx)[0]
         if isinstance(event, Receive):
-            contents = pre.channels.get(event.chan, ())
-            if not contents or contents[0].msg_id != event.msg_id:
-                return False
-            head = contents[0]
-            ext = pre.ext[event.label]
-            if event.protocol:
-                if head.marker is None:
-                    return False
-                if event.update is None:
-                    return not is_active(ext)  # first marker, starts the block
-                return (
-                    event.update == ClassicalUpdate("qgo.marker_close", (event.chan,))
-                    and is_active(ext)
-                    and event.chan in ext["waitset"]
-                )
-            return head.marker is None and event.update is None
-        if getattr(event, "protocol", False):
+            return qgo_receive(pre, event.label, event.chan, self.library, ctx)[0]
+        if isinstance(event, Respond):
+            return respond(event.label, pre.ext[event.label], ctx)
+        if isinstance(event, Send):
+            return marker_send(event.label, event.msg.dst, pre.ext[event.label]["op"], ctx)
+        if isinstance(event, Apply):
+            params = event.update.params if event.update is not None else ()
+            trigger = params[1] if len(params) == 3 else None
+            gop = library_op(self.library, event.name.removeprefix("gop-self:"))
+            return gop_self_apply(pre, event.proc, gop, trigger, ctx)
+        return None
+
+    def allows(self, pre, event, post) -> bool:
+        if isinstance(event, (Apply, Send)) and not event.protocol:
+            return self.base.allows(pre, event, post)
+        if isinstance(event, Apply) and event.name.startswith("gop-msg:"):
+            return self._check_gop_msg(pre, event)
+        try:
+            built = self._rebuild(pre, event)
+        except QgoError:
             return False
-        return self.base.allows(pre, event, post)
+        return built is not None and same_event(built, event)
 
 
 # ---------------------------------------------------------------------------
@@ -438,19 +430,14 @@ def qgo_process_new_global_op(
     gop: DecomposableGlobalOp,
     chan: str | None,
     ctx: GenContext,
-) -> tuple[list[Event], SystemState]:
+) -> list[Event]:
     """Apply the local component, open records, broadcast markers.
 
     ``chan`` is the channel the triggering marker arrived on, or None for
     the invoking leader; that channel's record is closed empty.
     """
-    if is_active(state.ext[proc]):
-        raise AlreadyActive(f"processor {proc} already running {state.ext[proc]['op']}")
-    events: list[Event] = [gop_self_apply(state, proc, gop, chan, ctx)]
-    events += [marker_send(proc, dest, gop.gid, ctx) for dest in sorted(state.procs)]
-    for ev in events:
-        state = step(state, ev)
-    return events, state
+    return [gop_self_apply(state, proc, gop, chan, ctx),
+            *(marker_send(proc, dest, gop.gid, ctx) for dest in sorted(state.procs))]
 
 
 def qgo_invoke(
@@ -458,7 +445,7 @@ def qgo_invoke(
     proc: str,
     gop: DecomposableGlobalOp,
     ctx: GenContext,
-) -> tuple[list[Event], SystemState]:
+) -> list[Event]:
     """Leader invocation: the Invoke event plus the processing block."""
     for p in state.procs:
         if is_active(state.ext[p]):
@@ -466,9 +453,7 @@ def qgo_invoke(
                 f"processor {p} still running {state.ext[p]['op']}"
             )
     invoke = Invoke(eid=ctx.eid(), label=proc, gid=gop.gid)
-    state = step(state, invoke)
-    block, state = qgo_process_new_global_op(state, proc, gop, None, ctx)
-    return [invoke] + block, state
+    return [invoke] + qgo_process_new_global_op(state, proc, gop, None, ctx)
 
 
 def qgo_receive(
@@ -477,53 +462,49 @@ def qgo_receive(
     chan: str,
     library: dict[str, DecomposableGlobalOp],
     ctx: GenContext,
-) -> tuple[list[Event], SystemState]:
+) -> list[Event]:
     """Reception handling for the head of non-empty ``chan``, per the marker
-    protocol; the step of the Receive checks the channel."""
+    protocol; the step of the Receive checks the channel.
+
+    A Receive moves no quantum entries, and a marker's changes no classical
+    state, so the rest of the block is built on ``state`` as well.
+    """
     msg = state.channels[chan][0]
     ext = state.ext[proc]
 
     if msg.marker is not None:
-        gop = library.get(msg.marker)
-        if gop is None:
-            raise UnknownGlobalOp(f"marker names unknown operation {msg.marker!r}")
-        # The first marker starts the operation.  A later one closes its
-        # channel, and the processor responds once all are closed.
-        first = not is_active(ext)
-        close = None if first else ClassicalUpdate("qgo.marker_close", (chan,))
+        gop = library_op(library, msg.marker)
+        if not is_active(ext):  # The first marker starts the operation.
+            recv = Receive(eid=ctx.eid(), label=proc, chan=chan, msg_id=msg.msg_id,
+                           protocol=True)
+            return [recv] + qgo_process_new_global_op(state, proc, gop, chan, ctx)
+        # A later one closes its channel, and the processor responds once
+        # all are closed.
+        if chan not in ext["waitset"]:
+            raise QgoError(f"processor {proc} does not wait for a marker on {chan}")
+        close = ClassicalUpdate("qgo.marker_close", (chan,))
         recv = Receive(eid=ctx.eid(), label=proc, chan=chan, msg_id=msg.msg_id,
                        update=close, protocol=True)
-        state = step(state, recv)
-        if first:
-            block, state = qgo_process_new_global_op(state, proc, gop, chan, ctx)
-            return [recv] + block, state
-        if state.ext[proc]["waitset"]:
-            return [recv], state
-        resp = respond(proc, state.ext[proc], ctx)
-        return [recv, resp], step(state, resp)
+        _, ext = executions.run_update(close, state.classical[proc], ext, None)
+        return [recv, respond(proc, ext, ctx)] if not ext["waitset"] else [recv]
 
     # Regular message.
-    recording = is_active(ext) and chan in ext["waitset"]
     recv = Receive(eid=ctx.eid(), label=proc, chan=chan, msg_id=msg.msg_id)
-    state = step(state, recv)
-    events = [recv]
-    if recording:
-        gop = library[ext["op"]]
-        spec = gop.msg_component(state, msg)
-        outcome = choose_outcome(state, spec, ctx)
-        apply = Apply(
-            eid=ctx.eid(),
-            label=proc,
-            proc=proc,
-            name=f"gop-msg:{gop.gid}",
-            outcome=outcome,
-            qop=spec.qop,
-            in_regs=spec.in_regs,
-            out_regs=spec.out_regs,
-            update=ClassicalUpdate("qgo.record", (chan,)),
-            target_msg=msg.msg_id,
-            protocol=True,
-        )
-        state = step(state, apply)
-        events.append(apply)
-    return events, state
+    if not (is_active(ext) and chan in ext["waitset"]):
+        return [recv]
+    gop = library[ext["op"]]
+    spec = gop.msg_component(state, msg)
+    apply = Apply(
+        eid=ctx.eid(),
+        label=proc,
+        proc=proc,
+        name=f"gop-msg:{gop.gid}",
+        outcome=choose_outcome(state, spec, ctx),
+        qop=spec.qop,
+        in_regs=spec.in_regs,
+        out_regs=spec.out_regs,
+        update=ClassicalUpdate("qgo.record", (chan,)),
+        target_msg=msg.msg_id,
+        protocol=True,
+    )
+    return [recv, apply]

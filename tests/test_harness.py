@@ -239,6 +239,10 @@ class TestTraceIO:
         assert head["verdicts"]["spec-replay"] is True
 
 
+# Token ring of 7 processors with 2 qubits each: D = 2**14, over the default cap.
+OVER_DIM_CAP = {"base": "token-ring", "procs": 7, "base_params": {"qubits_per_proc": 2}}
+
+
 class TestCli:
     def run_cli(self, *args):
         return subprocess.run(
@@ -660,9 +664,22 @@ class TestCli:
         ({"base": "teleport", "procs": 2, "base_params": {"data_state": ["a", 1]}},
          "error: base_params: 'data_state': amplitude 0 is not a finite real or a "
          "[re, im] pair of finite reals"),
+        (OVER_DIM_CAP, "error: total dimension 16384 exceeds cap 4096"),
+        ({"base": "empty", "procs": 2, "base_params": {"qubits_per_proc": 10000}},
+         "error: total dimension at least 2**20000 exceeds cap 4096"),
+        ({"base": "ping", "invocations": [{"gid": "record-only", "leader": "p9"}]},
+         "error: invocation 0: 'leader' 'p9' is not a processor"),
+        ({"base": "token-ring", "base_params": {"qubits_per_proc": -1}},
+         "error: base_params: 'qubits_per_proc' is negative"),
+        ({"base": "token-ring", "base_params": {"max_hops": -2}},
+         "error: base_params: 'max_hops' is negative"),
+        ({"base": "ping", "base_params": {"n_msgs": -1}},
+         "error: base_params: 'n_msgs' is negative"),
     ], ids=["empty", "procs-string", "misspelt-key", "after-step-string", "no-procs",
             "misspelt-param", "param-string", "data-state-one-amplitude",
-            "data-state-zero", "data-state-string"])
+            "data-state-zero", "data-state-string", "over-dim-cap", "far-over-dim-cap",
+            "leader-not-a-proc",
+            "negative-qubits", "negative-hops", "negative-msgs"])
     @pytest.mark.parametrize("cmd", ["run", "batch"])
     def test_malformed_config_exits_2(self, tmp_path, cmd, config, message):
         path = tmp_path / "cfg.json"
@@ -670,6 +687,29 @@ class TestCli:
         r = self.run_cli(cmd, "--config", str(path))
         assert r.returncode == 2
         assert r.stderr == message + "\n"
+
+    def test_config_over_dim_cap_exits_2_from_batch_workers(self, tmp_path):
+        """The cap is exceeded in the worker processes, which pass the error
+        back to the parent."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(OVER_DIM_CAP))
+        r = self.run_cli("batch", "--config", str(path), "--seeds", "0:2", "--jobs", "2")
+        assert r.returncode == 2
+        assert r.stderr == "error: total dimension 16384 exceeds cap 4096\n"
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-4"])
+    @pytest.mark.parametrize("cmd", ["run", "verify"])
+    def test_dim_cap_that_is_not_a_positive_int_exits_2(self, tmp_path, monkeypatch,
+                                                         cmd, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"base": "ping"}))
+        trace = tmp_path / "ping.jsonl"
+        trace.write_text(trace_text(ScenarioConfig(base="ping")))
+        monkeypatch.setenv("QGO_DIM_CAP", value)
+        r = self.run_cli(*(["run", "--config", str(cfg)] if cmd == "run"
+                           else ["verify", str(trace)]))
+        assert r.returncode == 2
+        assert r.stderr == f"error: QGO_DIM_CAP is not a positive int: {value!r}\n"
 
     @pytest.mark.parametrize("cmd", ["verify", "inspect"])
     def test_header_config_without_base_exits_2(self, tmp_path, cmd):

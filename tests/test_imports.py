@@ -303,3 +303,55 @@ def test_no_base_algorithm_restates_its_step_predicate():
     subclasses = list(all_subclasses(BaseAlgorithm))
     assert subclasses
     assert [c.__qualname__ for c in subclasses if "allows" in vars(c)] == []
+
+
+def step_references(source: str, module: str) -> tuple[list[ast.AST], list[ast.AST]]:
+    """In ``source``, read as ``module``: the nodes that bind or read
+    ``executions.step``, and the arguments of its ``executions.checked_step``
+    calls."""
+    refs, checked = [], []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and \
+                from_target(node, module) == "qgosim.executions":
+            refs += [node for a in node.names if a.name == "step"]
+        elif isinstance(node, ast.Attribute) and node.attr == "step" and \
+                getattr(node.value, "id", "") == "executions":
+            refs.append(node)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and \
+                node.func.attr == "checked_step" and \
+                getattr(node.func.value, "id", "") == "executions":
+            checked += node.args
+    return refs, checked
+
+
+def steps_outside_checked_step(source: str, module: str) -> int | None:
+    """How many references to ``executions.step`` in ``source`` are not an
+    argument of ``executions.checked_step``; None if it never calls that."""
+    refs, checked = step_references(source, module)
+    if not checked:
+        return None
+    return sum(not any(ref is arg for arg in checked) for ref in refs)
+
+
+def test_protocol_builders_only_build_and_generation_steps_through_checked_step():
+    """``qgo`` binds no ``executions.step``, so its builders cannot step
+    privately; the scheduler passes ``executions.step`` only to
+    ``executions.checked_step``, the one step with replay's checks."""
+    qgo_source = MODULES["qgosim.qgo"].read_text()
+    assert step_references(qgo_source, "qgosim.qgo")[0] == []
+    sched = MODULES["qgosim.harness.scheduler"].read_text()
+    assert steps_outside_checked_step(sched, "qgosim.harness.scheduler") == 0
+
+
+def test_step_scan_names_a_private_step():
+    """The scan sees a step bound by import, a direct ``executions.step``
+    call, and a scheduler that never uses ``checked_step``."""
+    assert len(step_references("from .executions import Send, step\n", "qgosim.qgo")[0]) == 1
+    assert len(step_references("from . import executions\nexecutions.step(s, e)\n",
+                               "qgosim.qgo")[0]) == 1
+    private = ("from .. import executions\n"
+               "executions.checked_step(s, e, ids, executions.step)\n"
+               "executions.step(s, e)\n")
+    assert steps_outside_checked_step(private, "qgosim.harness.scheduler") == 1
+    assert steps_outside_checked_step("executions.step(s, e)\n",
+                                      "qgosim.harness.scheduler") is None

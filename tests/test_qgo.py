@@ -1,12 +1,13 @@
 import json
+import sys
 from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
 
 from qgosim import executions, qcore, qgo, sysmodel
-from qgosim.executions import Apply, Respond, Send
-from qgosim.harness.scenarios import ScenarioConfig, build_scenario
+from qgosim.executions import Apply, Invoke, Receive, Respond, Send
+from qgosim.harness.scenarios import BASE_ALGORITHMS, ScenarioConfig, build_scenario
 from qgosim.harness.scheduler import run_simulation
 from qgosim.qcore import DensityMatrix, RegisterAllocator, RegisterSpace
 from qgosim.sysmodel import MessageInstance
@@ -27,6 +28,13 @@ def epr_two_procs():
     )
 
 
+def stepped(state, block):
+    """``block`` and the state after it, each event stepped once."""
+    for ev in block:
+        state = executions.step(state, ev)
+    return block, state
+
+
 def drain(state, library, ctx, rng):
     """Deliver channel heads in random order until quiescent."""
     events = []
@@ -35,9 +43,9 @@ def drain(state, library, ctx, rng):
         if not nonempty:
             return events, state
         c = nonempty[rng.integers(len(nonempty))]
-        evs, state = qgo.qgo_receive(
+        evs, state = stepped(state, qgo.qgo_receive(
             state, sysmodel.chan_endpoints(c)[1], c, library, ctx
-        )
+        ))
         events += evs
 
 
@@ -62,7 +70,7 @@ class TestProtocolBlocks:
         st = epr_two_procs()
         ctx = qgo.GenContext(np.random.default_rng(0))
         lib = qgo.global_op_library(["record-only"])
-        events, state = qgo.qgo_invoke(st, "p0", lib["record-only"], ctx)
+        events, state = stepped(st, qgo.qgo_invoke(st, "p0", lib["record-only"], ctx))
         kinds = [type(e).__name__ for e in events]
         assert kinds == ["Invoke", "Apply", "Send", "Send"]
         assert state.ext["p0"]["op"] == "record-only"
@@ -75,7 +83,7 @@ class TestProtocolBlocks:
         st = epr_two_procs()
         ctx = qgo.GenContext(np.random.default_rng(0))
         lib = qgo.global_op_library(["record-only"])
-        _, state = qgo.qgo_invoke(st, "p0", lib["record-only"], ctx)
+        _, state = stepped(st, qgo.qgo_invoke(st, "p0", lib["record-only"], ctx))
         with pytest.raises(qgo.ConcurrentInvocation):
             qgo.qgo_invoke(state, "p1", lib["record-only"], ctx)
 
@@ -83,7 +91,7 @@ class TestProtocolBlocks:
         st = epr_two_procs()
         ctx = qgo.GenContext(np.random.default_rng(1))
         lib = qgo.global_op_library(["snapshot-measure"])
-        events, state = qgo.qgo_invoke(st, "p0", lib["snapshot-measure"], ctx)
+        events, state = stepped(st, qgo.qgo_invoke(st, "p0", lib["snapshot-measure"], ctx))
         more, state = drain(state, lib, ctx, np.random.default_rng(2))
         events += more
         responds = [e for e in events if isinstance(e, Respond)]
@@ -99,7 +107,7 @@ class TestProtocolBlocks:
         st = epr_two_procs()
         ctx = qgo.GenContext(np.random.default_rng(1))
         lib = qgo.global_op_library(["record-only"])
-        events, state = qgo.qgo_invoke(st, "p1", lib["record-only"], ctx)
+        events, state = stepped(st, qgo.qgo_invoke(st, "p1", lib["record-only"], ctx))
         more, _ = drain(state, lib, ctx, np.random.default_rng(0))
         for r in (e for e in events + more if isinstance(e, Respond)):
             assert sorted(r.record["channels"]) == qgo.incoming_channels(
@@ -114,7 +122,7 @@ class TestProtocolBlocks:
         send = Send(eid=ctx.eid(), label="p0", msg=msg)
         state = executions.step(st, send)
         # p1 leads, so it is already recording when the message arrives
-        events, state = qgo.qgo_invoke(state, "p1", lib["record-only"], ctx)
+        events, state = stepped(state, qgo.qgo_invoke(state, "p1", lib["record-only"], ctx))
         more, state = drain(state, lib, ctx, np.random.default_rng(0))
         (resp,) = [e for e in events + more
                    if isinstance(e, Respond) and e.label == "p1"]
@@ -125,7 +133,7 @@ class TestProtocolBlocks:
         st = epr_two_procs()
         ctx = qgo.GenContext(np.random.default_rng(4))
         lib = qgo.global_op_library(["record-only"])
-        events, state = qgo.qgo_invoke(st, "p0", lib["record-only"], ctx)
+        events, state = stepped(st, qgo.qgo_invoke(st, "p0", lib["record-only"], ctx))
         # p0 sends a regular message after its marker on the same channel
         msg = MessageInstance(ctx.msg_id(), "p0", "p1", classical={"late": True})
         state = executions.step(state, Send(eid=ctx.eid(), label="p0", msg=msg))
@@ -139,9 +147,117 @@ class TestProtocolBlocks:
         st = epr_two_procs()
         ctx = qgo.GenContext(np.random.default_rng(0))
         lib = qgo.global_op_library(["record-only"])
-        _, state = qgo.qgo_invoke(st, "p0", lib["record-only"], ctx)
+        _, state = stepped(st, qgo.qgo_invoke(st, "p0", lib["record-only"], ctx))
         with pytest.raises(qgo.UnknownGlobalOp):
             qgo.qgo_receive(state, "p1", "p0->p1", {}, ctx)
+
+
+def count_steps(monkeypatch) -> list:
+    """The events that ``executions.step`` is called with from now on, in
+    order, through every qgosim module that binds it."""
+    calls, real = [], executions.step
+
+    def counted(state, event):
+        calls.append(event)
+        return real(state, event)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qgosim":
+            for attr, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+class TestBuildersOnlyBuild:
+    def test_builders_return_events_and_step_nothing(self, monkeypatch):
+        st = epr_two_procs()
+        lib = qgo.global_op_library(["snapshot-measure"])
+        ctx = qgo.GenContext(np.random.default_rng(0))
+        _, state = stepped(st, qgo.qgo_invoke(st, "p0", lib["snapshot-measure"], ctx))
+        _, state = stepped(state, qgo.qgo_receive(state, "p1", "p0->p1", lib, ctx))
+        calls = count_steps(monkeypatch)
+        blocks = [
+            qgo.qgo_invoke(st, "p0", lib["snapshot-measure"], ctx),
+            qgo.qgo_receive(state, "p0", "p0->p0", lib, ctx),  # a later marker
+            qgo.qgo_receive(state, "p1", "p1->p1", lib, ctx),  # p1's last marker
+        ]
+        assert all(type(b) is list for b in blocks)
+        assert [[type(e).__name__ for e in b] for b in blocks] == [
+            ["Invoke", "Apply", "Send", "Send"], ["Receive"], ["Receive", "Respond"]]
+        assert calls == []
+
+    @pytest.mark.parametrize("cfg", [PURITY_CORPUS[0], PURITY_CORPUS[2]],
+                             ids=["scenario-a", "encrypt-d64"])
+    def test_generation_steps_each_event_once(self, monkeypatch, cfg):
+        calls = count_steps(monkeypatch)
+        events = run_simulation(ScenarioConfig.from_dict(cfg)).execution.events
+        assert len(calls) == len(events)
+        assert all(a is b for a, b in zip(calls, events))
+
+
+class TestBuilderGuards:
+    """A protocol event's guards are its builder's: the builder raises a
+    QgoError, and the predicate refuses the event it cannot build."""
+
+    def invoked(self):
+        """p0 has invoked record-only on the EPR pair: it waits on p0->p0
+        and p1->p0, and p1 is idle."""
+        st = epr_two_procs()
+        lib = qgo.global_op_library(["record-only"])
+        ctx = qgo.GenContext(np.random.default_rng(0))
+        _, state = stepped(st, qgo.qgo_invoke(st, "p0", lib["record-only"], ctx))
+        pred = qgo.AugmentedPredicate(BASE_ALGORITHMS["empty"], lib)
+        return state, lib, ctx, pred
+
+    def test_later_marker_outside_the_waitset(self):
+        state, lib, ctx, pred = self.invoked()
+        _, state = stepped(state, qgo.qgo_receive(state, "p0", "p0->p0", lib, ctx))
+        # A second marker on the channel p0 has just closed.
+        _, state = stepped(state, [qgo.marker_send("p0", "p0", "record-only", ctx)])
+        with pytest.raises(qgo.QgoError, match="does not wait for a marker on p0->p0"):
+            qgo.qgo_receive(state, "p0", "p0->p0", lib, ctx)
+        close = executions.ClassicalUpdate("qgo.marker_close", ("p0->p0",))
+        recv = Receive(eid=ctx.eid(), label="p0", chan="p0->p0",
+                       msg_id=state.channels["p0->p0"][0].msg_id, update=close,
+                       protocol=True)
+        assert not pred.allows(state, recv, None)
+
+    def test_gop_self_on_a_channel_that_is_not_incoming(self):
+        state, lib, ctx, pred = self.invoked()
+        gop = lib["record-only"]
+        with pytest.raises(qgo.QgoError, match="not an incoming channel of p1"):
+            qgo.gop_self_apply(state, "p1", gop, "p1->p0", ctx)
+        built = qgo.gop_self_apply(state, "p1", gop, "p0->p1", ctx)
+        gid, _, incoming = built.update.params
+        forged = dc_replace(built, update=executions.ClassicalUpdate(
+            "qgo.start", (gid, "p1->p0", incoming)))
+        assert pred.allows(state, built, None)
+        assert not pred.allows(state, forged, None)
+
+    def test_gop_self_on_an_active_processor(self):
+        state, lib, ctx, pred = self.invoked()
+        with pytest.raises(qgo.AlreadyActive):
+            qgo.gop_self_apply(state, "p0", lib["record-only"], None, ctx)
+
+    @pytest.mark.parametrize("proc, message", [
+        ("p1", "runs no operation to respond to"), ("p0", "still waits on p0->p0")])
+    def test_respond_while_idle_or_waiting(self, proc, message):
+        state, lib, ctx, pred = self.invoked()
+        with pytest.raises(qgo.QgoError, match=message):
+            qgo.respond(proc, state.ext[proc], ctx)
+        record = qgo.response_record(proc, "record-only", None, {})
+        forged = Respond(eid=ctx.eid(), label=proc, record=record,
+                         update=executions.ClassicalUpdate("qgo.respond"))
+        assert not pred.allows(state, forged, None)
+
+    def test_marker_from_an_idle_processor(self):
+        state, lib, ctx, pred = self.invoked()
+        with pytest.raises(qgo.QgoError, match="p1 runs no operation"):
+            qgo.marker_send("p1", "p0", state.ext["p1"]["op"], ctx)
+        forged = dc_replace(qgo.marker_send("p0", "p0", "record-only", ctx), label="p1")
+        forged = dc_replace(forged, msg=dc_replace(forged.msg, src="p1", dst="p0"))
+        assert not pred.allows(state, forged, None)
 
 
 class TestGlobalOps:
@@ -246,8 +362,12 @@ class TestAugmentedPredicate:
          lambda e: dc_replace(e, record={**e.record, "self": "forged"})),
         (SCENARIO_A, lambda e: isinstance(e, Apply) and e.name.startswith("gop-self:"),
          lambda e: dc_replace(e, name="gop-self:record-only")),
+        (SCENARIO_A, lambda e: isinstance(e, Receive) and e.update is not None,
+         lambda e: dc_replace(e, update=None)),
+        (SCENARIO_A, lambda e: isinstance(e, Invoke),
+         lambda e: dc_replace(e, gid="global-encrypt")),
     ], ids=["identity-correction", "marker-payload", "token-hops", "forged-record",
-            "foreign-gop-self"])
+            "foreign-gop-self", "unclosed-marker", "foreign-invoke"])
     def test_forged_step_rejected_at_its_index(self, cfg, pick, change):
         forged_runs = 0
         for seed in range(10):
