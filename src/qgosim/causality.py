@@ -4,8 +4,9 @@ Causality is the transitive closure of two primitive edge kinds: consecutive
 events carrying the same label, and the send/receive pair of one message.
 A swap of two adjacent events verifies its own postconditions; a failure
 raises LemmaViolation, which indicates a bug rather than a property of the
-input.  ``verify`` sorts with ``swap_in_place``; ``swap_adjacent_cached``,
-its copying form, stays because the benchmark's traced run wraps it.
+input.  ``verify`` swaps each recorded-message operation with its reception
+by ``swap_in_place``; ``swap_adjacent_cached``, its copying form, stays
+because the benchmark's traced run wraps it.
 """
 
 from __future__ import annotations

@@ -160,12 +160,6 @@ class Execution:
     def __post_init__(self):
         object.__setattr__(self, "events", tuple(self.events))
 
-    def index_of(self, eid: int) -> int:
-        for i, e in enumerate(self.events):
-            if e.eid == eid:
-                return i
-        raise KeyError(f"no event with id {eid}")
-
 
 # What an invalid step raises: a replay reports any of these as a ReplayError.
 STEP_ERRORS = (sysmodel.SysmodelError, qcore.QcoreError, KeyError)

@@ -41,8 +41,8 @@ def _load_config(path: str) -> scenarios.ScenarioConfig:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
+    if args.seed is not None:  # checked as the config's own seed is
+        cfg = scenarios.ScenarioConfig.from_dict({**cfg.to_dict(), "seed": args.seed})
     res = scheduler.run_simulation(cfg)
     text = traceio.serialize_run(res.execution, cfg, res.decisions)
     if args.out:
@@ -72,8 +72,7 @@ def cmd_verify(args) -> int:
 
 def _batch_one(arg):
     cfg_dict, seed = arg
-    cfg = scenarios.ScenarioConfig.from_dict(cfg_dict)
-    cfg.seed = seed
+    cfg = scenarios.ScenarioConfig.from_dict({**cfg_dict, "seed": seed})
     try:
         res = scheduler.run_simulation(cfg)
     except scheduler.SchedulerError as exc:
@@ -91,8 +90,8 @@ def cmd_batch(args) -> int:
         lo, hi = (int(v) for v in args.seeds.split(":"))
     except ValueError:
         lo = hi = 0
-    if lo >= hi:
-        print(f"error: bad seed range {args.seeds!r}, expected LO:HI with LO < HI",
+    if not 0 <= lo < hi:
+        print(f"error: bad seed range {args.seeds!r}, expected LO:HI with 0 <= LO < HI",
               file=sys.stderr)
         return EXIT_BAD_INPUT
     work = [(cfg.to_dict(), s) for s in range(lo, hi)]

@@ -51,6 +51,8 @@ def _check_record(what: str, d, types: dict, required: tuple) -> None:
 
 
 _INVOCATION_TYPES = {"gid": str, "leader": str, "after_step": int}
+# Channels grow as procs squared: 256 processors have 65,536 of them.
+MAX_PROCS = 256
 
 
 @dataclass
@@ -76,8 +78,10 @@ class ScenarioConfig:
         types = {f: type(v) for f, v in cls("").to_dict().items()}
         _check_record("config", d, types, ("base",))
         cfg = cls(**d)
-        if cfg.procs < 1:
-            raise ConfigError("config: 'procs' is less than 1")
+        if not 1 <= cfg.procs <= MAX_PROCS:
+            raise ConfigError(f"config: 'procs' is not in 1..{MAX_PROCS}")
+        if cfg.seed < 0:
+            raise ConfigError("config: 'seed' is negative")
         base = BASE_ALGORITHMS.get(cfg.base)
         if base is not None:  # an unknown base is reported when it is built
             _check_record("base_params", cfg.base_params, base.params, ())
@@ -135,8 +139,12 @@ def _initial(procs, sigmas: dict, quantum: DensityMatrix, ownership: dict) -> Sy
 
 def _local_qubits(cfg: ScenarioConfig, procs, alloc: RegisterAllocator) -> dict:
     """``qubits_per_proc`` fresh qubits for each processor, as an ownership
-    map in allocation order."""
+    map in allocation order, once their dimension 2**n is within the cap."""
     per_proc = int(cfg.base_params.get("qubits_per_proc", 0))
+    n, cap = per_proc * len(procs), qcore.dim_cap()
+    if n >= cap.bit_length():  # 2**n > cap
+        shown = 2**n if n < 64 else f"at least 2**{n}"
+        raise qcore.CapacityError(f"total dimension {shown} exceeds cap {cap}")
     return {alloc.fresh(2): p for p in procs for _ in range(per_proc)}
 
 

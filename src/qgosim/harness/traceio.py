@@ -40,7 +40,7 @@ from ..executions import (
 from ..qcore import DensityMatrix, QuantumOperation, RegisterId, RegisterSpace
 from ..sysmodel import MessageInstance, SystemState
 from ..verifier import Certificate
-from .scenarios import ConfigError, ScenarioConfig
+from .scenarios import MAX_PROCS, ConfigError, ScenarioConfig
 
 FORMAT_VERSION = 1
 
@@ -311,9 +311,9 @@ def _decode_state(recs: list[dict]) -> SystemState:
             names = d["names"]
             if not (type(names) is list and all(type(p) is str and "->" not in p
                                                  for p in names)
-                    and len(set(names)) == len(names)):
-                raise TraceError("procs record: names are not distinct strings "
-                                 "without '->'")
+                    and len(set(names)) == len(names) <= MAX_PROCS):
+                raise TraceError(f"procs record: names are not up to {MAX_PROCS} "
+                                 "distinct strings without '->'")
             procs = tuple(names)
         elif t == "proc":
             name, sigma = d["name"], d["sigma"]

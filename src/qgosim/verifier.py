@@ -3,10 +3,11 @@ specification.
 
 For each completed invocation the verifier (1) tripartitions the events
 into pre-snapshot, snapshot-block, and post-snapshot classes, (2) sorts
-them by class using only checked causally-independent adjacent swaps,
-(3) commutes each recorded message's operation back across its reception —
-the one step that changes the causal order, justified by an explicit state
-comparison — and bubbles it to the end of the snapshot region, and (4)
+them by class as one checked permutation of causally independent
+inversions, (3) commutes each recorded message's operation back across its
+reception — the one step that changes the causal order, justified by an
+explicit state comparison — and moves them to the end of the snapshot
+region as a second checked permutation, and (4)
 replaces the snapshot region by a single AtomicExecute event and replays
 the result under the specification machine, which builds every component
 from the named operation and must end where the reordered execution ends.
@@ -39,7 +40,7 @@ from .executions import (
     in_filter,
     replay,
 )
-from .qcore import EPS_CHAIN
+from .qcore import EPS_CHAIN, EPS_EXACT
 
 
 class VerifierError(Exception):
@@ -180,98 +181,95 @@ def classify(x: Execution, frag: FragmentInfo) -> None:
 _RANK = {"pre": 0, "op": 1, "post": 2}
 
 
+def sort_window(
+    x: Execution, states: list, lo: int, hi: int, rank, rel: CausalRelation
+) -> tuple[Execution, list, int]:
+    """Stably sort positions [lo, hi) of ``x`` by ``rank(event)`` as one
+    checked permutation; return it, its states and its inversion count.
+    The first event b that an earlier, higher-ranked event a happens before
+    under ``rel``, x's relation, raises CausalDependency; testing the first
+    a of each (rank, label) suffices.  The sorted window is replayed once
+    from states[lo] (``states`` replays ``x``) and must end in states[hi]
+    within EPS_EXACT, else LemmaViolation; later states are reused.  With
+    no inversion, ``x`` and ``states`` come back as given."""
+    window = x.events[lo:hi]
+    seen: dict = {}  # (rank, label) -> [eid of its first event, its event count]
+    nswaps = 0
+    for b in window:
+        r = rank(b)
+        for (ra, _), (a, count) in seen.items():
+            if ra > r:
+                if rel.prec(a, b.eid):
+                    raise CausalDependency(f"event {a} happens before {b.eid}")
+                nswaps += count
+        seen.setdefault((r, b.label), [b.eid, 0])[1] += 1
+    if nswaps == 0:
+        return x, states, 0
+    events = x.events[:lo] + tuple(sorted(window, key=rank)) + x.events[hi:]
+    new_states = list(states)
+    try:
+        for i in range(lo, hi):
+            new_states[i + 1] = executions.step(new_states[i], events[i])
+    except executions.STEP_ERRORS as exc:
+        raise LemmaViolation(f"sorted window produced invalid step: {exc}") from exc
+    if not sysmodel.states_equal(new_states[hi], states[hi], EPS_EXACT):
+        raise LemmaViolation("sorting changed the state after the window")
+    return Execution(x.initial, events), new_states, nswaps
+
+
 def eliminate_inversions(
     x: Execution, states: list, frag: FragmentInfo, rel: CausalRelation
 ) -> tuple[Execution, list, int]:
-    """Sort the fragment's events by class with adjacent independent swaps.
-
-    One insertion pass: each event moves left past every neighbour of a
-    higher class.  A sort by adjacent swaps of inverted pairs swaps each
-    inverted pair exactly once, so the result is the stable class order and
-    the swap count is the inversion count.  A causal dependency across an
-    inverted pair means the execution does not tripartition and is reported
-    as a ClaimViolation.  ``rel`` is the causal relation of ``x``; valid
-    swaps leave it unchanged.
-
-    ``states`` is the replay of ``x``.  Each swap is checked by
-    ``swap_in_place`` on one copy of the event list and of ``states``;
-    the sorted execution is built once, and with no swap ``x`` and
-    ``states`` come back as given.
-    """
-    events, new_states = list(x.events), list(states)
-    nswaps = 0
-    for j in range(frag.lo + 1, frag.hi + 1):
-        i = j
-        while i > frag.lo and (
-            _RANK[frag.classes[events[i - 1].eid]]
-            > _RANK[frag.classes[events[i].eid]]
-        ):
-            try:
-                swap_in_place(events, new_states, i - 1, rel)
-            except CausalDependency as exc:
-                raise ClaimViolation(
-                    f"cannot sort fragment at {frag.lo}: {exc}"
-                ) from exc
-            nswaps += 1
-            i -= 1
-    if nswaps == 0:
-        return x, states, 0
-    return Execution(x.initial, events), new_states, nswaps
+    """Sort the fragment's events stably by class with ``sort_window``; a
+    dependent inverted pair means the execution does not tripartition (a
+    ClaimViolation).  ``rel``, x's causal relation, survives the sort."""
+    try:
+        return sort_window(x, states, frag.lo, frag.hi + 1,
+                           lambda e: _RANK[frag.classes[e.eid]], rel)
+    except CausalDependency as exc:
+        raise ClaimViolation(f"cannot sort fragment at {frag.lo}: {exc}") from exc
 
 
 def reorder_message_ops(
     x: Execution, states: list, frag: FragmentInfo
 ) -> tuple[Execution, list, int]:
-    """Commute each recorded message's operation before its reception and
-    bubble it back to the end of the snapshot region.
-
-    Relabelling the operation as acting on the message detaches it from the
-    processor's causal chain.  That changes the causal order, so the first
-    swap's state check must justify it: applying the operation in flight,
-    then delivering the message, reaches the same state (within EPS_EXACT)
-    as delivering first and applying after.
-
-    Like ``eliminate_inversions``, it swaps in place on one copy of the
-    event list and of ``states`` (the replay of ``x``), builds the result
-    once, and returns ``x`` and ``states`` as given when it makes no swap.
+    """Commute each recorded message's operation before its reception, then
+    move them all to the end of the class-sorted ``x``'s snapshot region
+    with one ``sort_window``.  Relabelled as acting on its message, an
+    operation leaves its processor's causal chain; that changes the causal
+    order, so each swap with the reception is checked by ``swap_in_place``:
+    applying the operation in flight, then delivering the message, reaches
+    the same state (within EPS_EXACT) as delivering first and applying after.
     """
     if not frag.msg_apply_eids:
         return x, states, 0
     events, new_states = list(x.events), list(states)
-    nswaps = 0
-    op_end = 1 + max(
-        (i for i in range(frag.lo, frag.hi + 1)
-         if frag.classes[events[i].eid] == "op"),
-        default=frag.lo - 1,
-    )
-    for j, apply_eid in enumerate(frag.msg_apply_eids):
-        pos = [e.eid for e in events].index(apply_eid)
-        apply_ev = events[pos]
-        recv = events[pos - 1]
+    moved = set(frag.msg_apply_eids)
+    at = [i for i in range(frag.lo, frag.hi + 1) if events[i].eid in moved]
+    for i in at:
+        apply_ev, recv = events[i], events[i - 1]
         if not (isinstance(recv, Receive) and recv.msg_id == apply_ev.target_msg):
             raise ClaimViolation(
-                f"recorded-message operation {apply_eid} is not adjacent to "
+                f"recorded-message operation {apply_ev.eid} is not adjacent to "
                 f"its reception"
             )
-        events[pos] = dc_replace(apply_ev, label=f"msg:{apply_ev.target_msg}")
-        rel = compute_causality(Execution(x.initial, events))
+        events[i] = dc_replace(apply_ev, label=f"msg:{apply_ev.target_msg}")
+    rel = compute_causality(Execution(x.initial, events))
+    for i in at:
         try:
-            swap_in_place(events, new_states, pos - 1, rel)
+            swap_in_place(events, new_states, i - 1, rel)
         except (CausalDependency, LemmaViolation) as exc:
             raise ClaimViolation(
-                f"applying to message {apply_ev.target_msg} in flight does "
-                f"not commute with its reception: {exc}"
+                f"applying to message {events[i].target_msg} in flight does not "
+                f"commute with its reception: {exc}"
             ) from exc
-        nswaps += 1
-        for k in range(pos - 1, op_end + j, -1):
-            try:
-                swap_in_place(events, new_states, k - 1, rel)
-            except CausalDependency as exc:
-                raise ClaimViolation(
-                    f"cannot move message operation {apply_eid} back: {exc}"
-                ) from exc
-            nswaps += 1
-    return Execution(x.initial, events), new_states, nswaps
+    # Only moved operations carry ``msg:`` labels: the move back crosses no edge.
+    op_end = frag.lo + sum(c != "post" for c in frag.classes.values())
+    z, new_states, nswaps = sort_window(
+        Execution(x.initial, events), new_states, op_end, frag.hi + 1,
+        lambda e: 0 if e.eid in moved else 1, rel,
+    )
+    return z, new_states, len(at) + nswaps
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +305,11 @@ def build_spec_execution(z: Execution, frags: list[FragmentInfo]) -> Execution:
     events, replace each snapshot region by one AtomicExecute that carries
     the outcomes of the region's component applications."""
     next_eid = max((e.eid for e in z.events), default=-1) + 1
+    pos = {e.eid: i for i, e in enumerate(z.events)}
     insert_after: dict[int, AtomicExecute] = {}
     for frag in frags:
-        procs = [z.events[z.index_of(eid)] for _, eid in sorted(frag.proc_apply_eids.items())]
-        msg_pos = [z.index_of(eid) for eid in frag.msg_apply_eids]
+        procs = [z.events[pos[eid]] for _, eid in sorted(frag.proc_apply_eids.items())]
+        msg_pos = [pos[eid] for eid in frag.msg_apply_eids]
         # The atomic point follows the last message operation and the last
         # event of the snapshot blocks, marker broadcasts included.
         last_pos = max(msg_pos + [i for i in range(frag.lo, frag.hi + 1)
@@ -394,7 +393,7 @@ def verify(x: Execution) -> Certificate:
         return fail("sort-classes", str(exc))
     if not equicausal(x, y):
         return fail("sort-classes", "sorted execution is not equicausal")
-    y_final = replay(y)[-1]
+    y_final = states[-1]
     if not sysmodel.states_equal(y_final, x_final, EPS_CHAIN):
         return fail("sort-classes", "sorted execution ends in a different state")
     verdicts["sort-classes"] = True
@@ -406,8 +405,7 @@ def verify(x: Execution) -> Certificate:
             nswaps += n
     except ClaimViolation as exc:
         return fail("move-message-ops", str(exc))
-    # Replay is deterministic: when no operation moved, z is y and ends in y_final.
-    z_final = y_final if z is y else replay(z)[-1]
+    z_final = states[-1]
     if not sysmodel.states_equal(z_final, y_final, EPS_CHAIN):
         return fail("move-message-ops", "moved operations changed the final state")
     if not histories_correspond(history(y), history(z)):

@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgosim import executions, qcore, sysmodel, verifier
+from qgosim import causality, executions, qcore, sysmodel, verifier
 from qgosim.harness import cli, traceio
 from qgosim.harness.scenarios import (
     BASE_ALGORITHMS,
+    MAX_PROCS,
     ConfigError,
     ScenarioConfig,
     build_scenario,
@@ -87,7 +88,10 @@ class TestScenarios:
         ({"base": "ping", "invocations": [{"gid": "record-only", "leader": "p0",
                                            "after": 1}]},
          "invocation 0 has unknown key 'after'"),
-        ({"base": "token-ring", "procs": 0}, "config: 'procs' is less than 1"),
+        ({"base": "token-ring", "procs": 0}, f"config: 'procs' is not in 1..{MAX_PROCS}"),
+        ({"base": "empty", "procs": MAX_PROCS + 1},
+         f"config: 'procs' is not in 1..{MAX_PROCS}"),
+        ({"base": "ping", "seed": -1}, "config: 'seed' is negative"),
         ({"base": "token-ring", "procs": 2, "base_params": {"qubit_per_proc": 2}},
          "base_params has unknown key 'qubit_per_proc'"),
         ({"base": "token-ring", "base_params": {"max_hops": "x"}},
@@ -112,7 +116,8 @@ class TestScenarios:
          "pair of finite reals"),
     ], ids=["not-object", "bool-seed", "params-list", "invocations-object",
             "invocation-string", "no-leader", "invocation-key", "no-procs",
-            "misspelt-param", "param-string", "param-not-bool", "param-of-another-base",
+            "too-many-procs", "negative-seed", "misspelt-param", "param-string",
+            "param-not-bool", "param-of-another-base",
             "data-state-one-amplitude", "data-state-zero", "data-state-string",
             "data-state-bool", "data-state-nan"])
     def test_malformed_config_rejected(self, d, message):
@@ -241,6 +246,26 @@ class TestTraceIO:
 
 # Token ring of 7 processors with 2 qubits each: D = 2**14, over the default cap.
 OVER_DIM_CAP = {"base": "token-ring", "procs": 7, "base_params": {"qubits_per_proc": 2}}
+
+
+@pytest.mark.parametrize("config, error", [
+    ({"base": "empty", "procs": 2, "base_params": {"qubits_per_proc": 40000}},
+     qcore.CapacityError),
+    ({"base": "empty", "procs": MAX_PROCS + 1}, ConfigError),
+], ids=["qubits", "procs"])
+def test_oversized_config_is_refused_before_allocating(config, error):
+    """Too many qubits or processors are refused before a register, a
+    processor name or a channel is built.  Building the 80,000 registers
+    first peaks at about 20 MB traced; the 66,049 channels of 257
+    processors at about 7 MB."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(error):
+            run_simulation(ScenarioConfig.from_dict(config))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 class TestCli:
@@ -500,6 +525,13 @@ class TestCli:
         next(d for d in recs if d["t"] == "procs")["names"] = ["p0", "p1", "p0"]
         return recs
 
+    @staticmethod
+    def _too_many_procs(recs):
+        """Refused at the procs record, before its channels (procs squared) are built."""
+        names = [f"p{i}" for i in range(MAX_PROCS + 1)]
+        next(d for d in recs if d["t"] == "procs")["names"] = names
+        return recs
+
     @pytest.mark.parametrize("mutate, message", [
         ("_drop_quantum", "error: trace has no quantum record"),
         ("_repeated_procs", "error: trace has two procs records"),
@@ -527,15 +559,17 @@ class TestCli:
                                         "'p0->p9'"),
         ("_message_of_another_channel", "error: chan record of 'p0->p1' holds message "
                                         "99 of another channel"),
-        ("_repeated_proc_name", "error: procs record: names are not distinct strings "
-                                "without '->'"),
+        ("_repeated_proc_name", f"error: procs record: names are not up to {MAX_PROCS} "
+                                "distinct strings without '->'"),
+        ("_too_many_procs", f"error: procs record: names are not up to {MAX_PROCS} "
+                            "distinct strings without '->'"),
     ], ids=["no-quantum", "repeated-procs", "repeated-quantum", "bad-qrow-value",
             "bool-row-index", "float-row-index", "missing-row", "stray-row", "repeated-row",
             "short-row", "indefinite-state",
             "unowned-register", "ownership-partition", "sigma-not-object",
             "inbox-not-list", "repeated-proc", "unknown-proc", "missing-proc",
             "ext-not-register", "ext-res-list", "unknown-channel", "another-channel",
-            "repeated-proc-name"])
+            "repeated-proc-name", "too-many-procs"])
     def test_malformed_initial_state_exits_2(self, tmp_path, mutate, message):
         recs = getattr(self, mutate)(self.epr_trace_records())
         trace = tmp_path / "bad.jsonl"
@@ -652,7 +686,10 @@ class TestCli:
         ({"base": "ping", "invocations": [{"gid": "record-only", "leader": "p0",
                                            "after_step": "1"}]},
          "error: invocation 0: 'after_step' is not an int"),
-        ({"base": "token-ring", "procs": 0}, "error: config: 'procs' is less than 1"),
+        ({"base": "token-ring", "procs": 0},
+         f"error: config: 'procs' is not in 1..{MAX_PROCS}"),
+        ({"base": "empty", "procs": MAX_PROCS + 1},
+         f"error: config: 'procs' is not in 1..{MAX_PROCS}"),
         ({"base": "token-ring", "procs": 2, "base_params": {"qubit_per_proc": 2}},
          "error: base_params has unknown key 'qubit_per_proc'"),
         ({"base": "token-ring", "base_params": {"max_hops": "x"}},
@@ -675,11 +712,13 @@ class TestCli:
          "error: base_params: 'max_hops' is negative"),
         ({"base": "ping", "base_params": {"n_msgs": -1}},
          "error: base_params: 'n_msgs' is negative"),
+        ({"base": "ping", "seed": -1}, "error: config: 'seed' is negative"),
     ], ids=["empty", "procs-string", "misspelt-key", "after-step-string", "no-procs",
+            "too-many-procs",
             "misspelt-param", "param-string", "data-state-one-amplitude",
             "data-state-zero", "data-state-string", "over-dim-cap", "far-over-dim-cap",
             "leader-not-a-proc",
-            "negative-qubits", "negative-hops", "negative-msgs"])
+            "negative-qubits", "negative-hops", "negative-msgs", "negative-seed"])
     @pytest.mark.parametrize("cmd", ["run", "batch"])
     def test_malformed_config_exits_2(self, tmp_path, cmd, config, message):
         path = tmp_path / "cfg.json"
@@ -744,15 +783,23 @@ class TestCli:
         assert r.stderr.startswith("error: line 1: Exceeds the limit")
         assert len(r.stderr.splitlines()) == 1
 
-    @pytest.mark.parametrize("seeds", ["5:2", "5:5"], ids=["reversed", "empty"])
+    @pytest.mark.parametrize("seeds", ["5:2", "5:5", "-1:1"],
+                             ids=["reversed", "empty", "negative"])
     def test_empty_seed_range_exits_2(self, tmp_path, seeds):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"base": "ping", "procs": 2}))
-        r = self.run_cli("batch", "--config", str(path), "--seeds", seeds)
+        r = self.run_cli("batch", "--config", str(path), f"--seeds={seeds}")
         assert r.returncode == 2
         assert r.stdout == ""
         assert r.stderr == (f"error: bad seed range {seeds!r}, "
-                            "expected LO:HI with LO < HI\n")
+                            "expected LO:HI with 0 <= LO < HI\n")
+
+    def test_negative_seed_flag_exits_2(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"base": "ping"}))
+        r = self.run_cli("run", "--config", str(path), "--seed", "-3")
+        assert r.returncode == 2
+        assert r.stderr == "error: config: 'seed' is negative\n"
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_1_exits_2(self, tmp_path, jobs):
@@ -995,17 +1042,22 @@ def test_golden_certificate(name):
     assert hashlib.sha256(cert.encode()).hexdigest() == GOLDEN_CERTIFICATES[name]
 
 
-# Calls of ``executions.step`` one ``verify`` makes, as (full replays, events,
-# swaps, specification steps): every full replay takes one step per event,
-# every checked swap two, and the specification replay one per base event.
-# The replay of the message-ops-moved execution is made only when an
-# operation moved; in the golden traces none does.
+# Calls of ``executions.step`` one ``verify`` makes, as (events, swaps,
+# window steps, message operations, specification steps): the one full
+# replay takes one step per event; each sorted window with an inversion (a
+# fragment's class sort, or the move of its message operations back) is
+# replayed once, one step per event in it; each message operation's checked
+# swap with its reception takes two; the specification replay takes one per
+# base event.
 STEP_BUDGETS = {
-    "scenario-a": (2, 44, 8, 18),  # 2*44 + 2*8 + 18 = 122
-    "global-encrypt-d64": (2, 43, 15, 18),  # 2*43 + 2*15 + 18 = 134
-    "ring-quantum-wide": (2, 91, 14, 30),  # 2*91 + 2*14 + 30 = 240
+    "scenario-a": (44, 8, 15, 0, 18),  # 44 + 15 + 18 = 77
+    "global-encrypt-d64": (43, 15, 29, 0, 18),  # 43 + 29 + 18 = 90
+    "ring-quantum-wide": (91, 14, 64, 0, 30),  # 91 + 64 + 30 = 185
     # Teleport, seed 5: p1's snapshot measures the teleported qubit in flight.
-    "moved-message-op": (3, 34, 25, 7),  # 3*34 + 2*25 + 7 = 159
+    # Its fragments sort in windows of 18 and 13 events; the moved operation
+    # lands at the end of the snapshot region, so the move back is no window.
+    "moved-message-op": (34, 25, 31, 1, 7),  # 34 + 31 + 2*1 + 7 = 74
+    "ring-classical-long": (1540, 2968, 1254, 0, 288),  # 1540 + 1254 + 288 = 3082
 }
 MOVED_MESSAGE_OP = dict(
     base="teleport", procs=2,
@@ -1040,16 +1092,25 @@ def test_verify_step_budget(monkeypatch, name):
         res = run_simulation(ScenarioConfig.from_dict(MOVED_MESSAGE_OP))
         text = traceio.serialize_run(res.execution, res.config, res.decisions)
     x, _, _ = traceio.parse_run(text)
-    replays, n, swaps, spec_steps = STEP_BUDGETS[name]
+    n, swaps, window_steps, msg_ops, spec_steps = STEP_BUDGETS[name]
     calls = counting_calls(monkeypatch, executions, "step")
+    replays = counting_calls(monkeypatch, executions, "replay")
+    relations = counting_calls(monkeypatch, causality, "compute_causality")
+    checked_swaps = counting_calls(monkeypatch, causality, "swap_in_place")
     cert = verifier.verify(x)
-    assert cert.accepted and (cert.z is cert.y) == (replays == 2)
+    assert cert.accepted and (cert.z is cert.y) == (msg_ops == 0)
     assert (len(x.events), cert.swaps) == (n, swaps)
     base_events = [e for e in cert.spec.events
                    if isinstance(e, (executions.Apply, executions.Send, executions.Receive))
                    and not e.protocol]
     assert len(base_events) == spec_steps
-    assert len(calls) == replays * n + 2 * swaps + spec_steps
+    assert len(calls) == n + window_steps + 2 * msg_ops + spec_steps
+    # Two replays, of x and of the specification execution; one causal
+    # relation, plus one per fragment that has message operations; one
+    # checked swap per message operation.
+    assert [args[0] for args in replays] == [x, cert.spec]
+    assert len(relations) == 1 + (msg_ops > 0)
+    assert len(checked_swaps) == msg_ops
 
 
 def test_verify_message_ids_budget(monkeypatch):

@@ -1,11 +1,13 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qgosim import causality, executions, qcore, specmachine, sysmodel, verifier
-from qgosim.executions import Apply, Execution, Invoke, Respond, Send
+from qgosim.executions import Apply, Execution, Invoke, Receive, Respond, Send
 from qgosim.harness import traceio
 from qgosim.harness.scenarios import ScenarioConfig
 from qgosim.harness.scheduler import run_simulation
@@ -276,7 +278,7 @@ class TestReject:
             procs, {p: {"inbox": []} for p in procs}, qcore.DensityMatrix.empty(), {},
         )
         # eid 0 (post) and eid 2 (pre) share p0, so 0 happens before 2; the
-        # independent pair (0, 1) is swapped first.
+        # inverted pair (0, 1) is independent, so the sort refuses at 2.
         events = tuple(
             Apply(eid=i, label=p, proc=p, name=f"a{i}", outcome=qcore.NO_OUTCOME)
             for i, p in enumerate(("p0", "p1", "p0"))
@@ -350,3 +352,146 @@ class TestHistories:
         assert not verifier.histories_correspond(h, h[:-1])
         rotated = h[1:] + h[:1]
         assert not verifier.histories_correspond(h, rotated)
+
+
+# ---------------------------------------------------------------------------
+# The class sort against its reference, an insertion sort by checked swaps
+# ---------------------------------------------------------------------------
+
+RANK = {"pre": 0, "op": 1, "post": 2}
+
+
+def insertion_sort(x, states, frag, rel):
+    """The reference class sort: one insertion pass in which each event
+    moves left past every neighbour of a higher class by ``swap_in_place``.
+    A dependent pair raises ClaimViolation, worded as ``eliminate_inversions``
+    words it.  Returns the sorted events and the number of swaps."""
+    events, states = list(x.events), list(states)
+    nswaps = 0
+    for j in range(frag.lo + 1, frag.hi + 1):
+        i = j
+        while i > frag.lo and (RANK[frag.classes[events[i - 1].eid]]
+                               > RANK[frag.classes[events[i].eid]]):
+            try:
+                causality.swap_in_place(events, states, i - 1, rel)
+            except causality.CausalDependency as exc:
+                raise verifier.ClaimViolation(
+                    f"cannot sort fragment at {frag.lo}: {exc}") from exc
+            nswaps += 1
+            i -= 1
+    return events, nswaps
+
+
+def classical_initial(procs):
+    return sysmodel.initial_state(
+        procs, {p: {"inbox": []} for p in procs}, qcore.DensityMatrix.empty(), {},
+    )
+
+
+@st.composite
+def classed_windows(draw):
+    """A classical execution of 2 to 10 events over 2 or 3 processors (local
+    steps, sends, and receptions of the message at the head of a channel),
+    a window [lo, hi] of two events or more, and a random class for each
+    event in the window."""
+    procs = tuple(f"p{i}" for i in range(draw(st.integers(2, 3))))
+    in_flight: dict = {}  # channel -> ids of the messages on it, oldest first
+    events = []
+    for eid in range(draw(st.integers(2, 10))):
+        p = draw(st.sampled_from(procs))
+        ready = [c for c, ids in in_flight.items() if ids and c.endswith(f"->{p}")]
+        kind = draw(st.sampled_from(["apply", "send"] + ["receive"] * bool(ready)))
+        if kind == "apply":
+            events.append(Apply(eid=eid, label=p, proc=p, name=f"a{eid}",
+                                outcome=qcore.NO_OUTCOME))
+        elif kind == "send":
+            msg = sysmodel.MessageInstance(eid, p, draw(st.sampled_from(procs)),
+                                           classical=eid)
+            in_flight.setdefault(msg.channel, []).append(eid)
+            events.append(Send(eid=eid, label=p, msg=msg))
+        else:
+            chan = draw(st.sampled_from(ready))
+            events.append(Receive(eid=eid, label=p, chan=chan,
+                                  msg_id=in_flight[chan].pop(0)))
+    lo = draw(st.integers(0, len(events) - 2))
+    hi = draw(st.integers(lo + 1, len(events) - 1))
+    classes = {e.eid: draw(st.sampled_from(sorted(RANK))) for e in events[lo: hi + 1]}
+    x = Execution(classical_initial(procs), tuple(events))
+    return x, verifier.FragmentInfo(lo=lo, hi=hi, classes=classes)
+
+
+def happens_before(exc):
+    """(a, b) of a refusal that names "event a happens before b"."""
+    a, b = re.search(r"event (\d+) happens before (\d+)$", str(exc)).groups()
+    return int(a), int(b)
+
+
+@given(classed_windows())
+@settings(max_examples=300, deadline=None)
+def test_class_sort_agrees_with_the_insertion_sort(case):
+    """Same order and swap count as the reference; a refusal exactly when it
+    refuses, at the same b, naming an earlier event of a higher class that
+    happens before b."""
+    x, frag = case
+    states, rel = executions.replay(x), causality.compute_causality(x)
+    try:
+        want, want_swaps = insertion_sort(x, states, frag, rel)
+    except verifier.ClaimViolation as exc:
+        with pytest.raises(verifier.ClaimViolation,
+                           match=f"^cannot sort fragment at {frag.lo}: ") as got:
+            verifier.eliminate_inversions(x, states, frag, rel)
+        a, b = happens_before(got.value)
+        assert b == happens_before(exc)[1]
+        pos = {e.eid: i for i, e in enumerate(x.events)}
+        assert pos[a] < pos[b] and rel.prec(a, b)
+        assert RANK[frag.classes[a]] > RANK[frag.classes[b]]
+        return
+    y, y_states, nswaps = verifier.eliminate_inversions(x, states, frag, rel)
+    assert ([e.eid for e in y.events], nswaps) == ([e.eid for e in want], want_swaps)
+    assert (y is x and y_states is states) == (nswaps == 0)
+    assert all(sysmodel.states_equal(s, t, 0.0)
+               for s, t in zip(y_states, executions.replay(y), strict=True))
+
+
+class TestSortWindowChecks:
+    """p0 sends to p1 and steps; p1 receives.  With classes pre, post, pre,
+    the independent pair (1, 2) is the one inversion."""
+
+    def setup_method(self):
+        procs = ("p0", "p1")
+        self.x = Execution(classical_initial(procs), (
+            Send(eid=0, label="p0", msg=sysmodel.MessageInstance(0, "p0", "p1", classical=0)),
+            Apply(eid=1, label="p0", proc="p0", name="a", outcome=qcore.NO_OUTCOME),
+            Receive(eid=2, label="p1", chan="p0->p1", msg_id=0),
+        ))
+        self.states = executions.replay(self.x)
+        self.rel = causality.compute_causality(self.x)
+        self.frag = verifier.FragmentInfo(lo=0, hi=2,
+                                          classes={0: "pre", 1: "post", 2: "pre"})
+
+    def test_sorts_with_one_swap(self):
+        y, _, nswaps = verifier.eliminate_inversions(self.x, self.states, self.frag,
+                                                     self.rel)
+        assert ([e.eid for e in y.events], nswaps) == ([0, 2, 1], 1)
+
+    def test_dependency_carried_by_the_earliest_event_of_a_label(self):
+        """The send (0) happens before the reception (2); the later p0 step (1)
+        does not.  Both are post and 2 is pre, so the sort refuses at 2."""
+        frag = verifier.FragmentInfo(lo=0, hi=2, classes={0: "post", 1: "post", 2: "pre"})
+        with pytest.raises(verifier.ClaimViolation, match="event 0 happens before 2$"):
+            verifier.eliminate_inversions(self.x, self.states, frag, self.rel)
+
+    def test_state_after_the_window_that_does_not_match(self):
+        states = list(self.states)
+        states[3] = states[1]  # the message still in flight
+        with pytest.raises(causality.LemmaViolation,
+                           match="sorting changed the state after the window"):
+            verifier.eliminate_inversions(self.x, states, self.frag, self.rel)
+
+    def test_window_step_that_fails(self):
+        states = list(self.states)
+        states[1] = states[0]  # an empty channel: the reception cannot step
+        frag = verifier.FragmentInfo(lo=1, hi=2, classes={1: "post", 2: "pre"})
+        with pytest.raises(causality.LemmaViolation,
+                           match="sorted window produced invalid step"):
+            verifier.eliminate_inversions(self.x, states, frag, self.rel)
