@@ -8,11 +8,13 @@ fully deterministic and needs no random source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable
 
+import numpy as np
+
 from . import qcore, sysmodel
-from .qcore import ZERO_TRACE, QuantumOperation, RegisterId
+from .qcore import OP_ATOL, OP_RTOL, ZERO_TRACE, QuantumOperation, RegisterId
 from .sysmodel import MessageInstance, SystemState
 
 
@@ -254,11 +256,30 @@ def replay(x: Execution, step_fn: Callable | None = None) -> list[SystemState]:
 # Transition predicates
 # ---------------------------------------------------------------------------
 
-class TransitionPredicate:
-    """A step predicate assembled from per-processor local predicates."""
+def same_operation(a: QuantumOperation | None, b: QuantumOperation | None) -> bool:
+    if a is None or b is None:
+        return a is b
+    if a.outcome_set != b.outcome_set or a.in_dims != b.in_dims or a.out_dims != b.out_dims:
+        return False
+    for r in a.outcome_set:
+        ka, kb = a.kraus_by_outcome[r], b.kraus_by_outcome[r]
+        if len(ka) != len(kb):
+            return False
+        if not all(np.allclose(x, y, rtol=OP_RTOL, atol=OP_ATOL) for x, y in zip(ka, kb)):
+            return False
+    return True
 
-    def allows(self, pre: SystemState, event: Event, post: SystemState) -> bool:
-        raise NotImplementedError
+
+def same_event(a: Event, b: Event) -> bool:
+    """Field-by-field equality, with ``same_operation`` for the quantum
+    operation."""
+    if type(a) is not type(b):
+        return False
+    for f in fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if not (same_operation(x, y) if f.name == "qop" else x == y):
+            return False
+    return True
 
 
 @dataclass
@@ -272,16 +293,40 @@ class ValidationResult:
         return self.valid
 
 
-def validate(predicate: TransitionPredicate, x: Execution) -> ValidationResult:
-    """True iff the execution is well formed and every step is allowed."""
+def _agreeing(block: list[Event], events: tuple[Event, ...], i: int) -> int:
+    """How many leading events of ``block`` equal ``events[i:]``."""
+    n = 0
+    while n < len(block) and i + n < len(events) and same_event(block[n], events[i + n]):
+        n += 1
+    return n
+
+
+def validate(predicate, x: Execution) -> ValidationResult:
+    """True iff the execution is well formed and is a sequence of local
+    steps the step predicate allows.
+
+    A local step is a block of events, atomic on its processor, and
+    contiguous in x.  ``predicate.blocks(pre, x.events, i)`` gives the
+    blocks that may start at event i on its pre-state, built with the ids
+    and outcomes of ``x.events[i:]`` in order; the first one whose events
+    all equal x's next events is taken.  Generation emits each block whole,
+    so its executions always split this way.  A refusal names the first
+    event that differs from the block that agrees longest.
+    """
     try:
         states = replay(x)
     except ReplayError as exc:
         return ValidationResult(False, exc.index, f"not well formed: {exc.reason}")
-    for i, event in enumerate(x.events):
+    i = 0
+    while i < len(x.events):
         try:
-            if not predicate.allows(states[i], event, states[i + 1]):
-                return ValidationResult(False, i, f"step {i} not allowed by predicate")
+            blocks = predicate.blocks(states[i], x.events, i)
         except DATA_ERRORS as exc:
             return ValidationResult(False, i, f"step {i} not allowed by predicate: {exc!r}")
+        agree = [_agreeing(b, x.events, i) for b in blocks]
+        match = next((n for b, n in zip(blocks, agree) if n == len(b) > 0), None)
+        if match is None:
+            j = i + max(agree, default=0)
+            return ValidationResult(False, j, f"step {j} not allowed by predicate")
+        i += match
     return ValidationResult(True, final=states[-1])

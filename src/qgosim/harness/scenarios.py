@@ -2,7 +2,9 @@
 
 A base algorithm exposes the actions each processor can take in a given
 state and builds the corresponding event block; the scheduler picks among
-them, and the step predicate accepts exactly the events they build.
+them, and the step predicate (``qgo.AugmentedPredicate``) accepts exactly
+the blocks they build.  An algorithm states its rules once, in ``enabled``
+and ``build``: it has no predicate of its own.
 Receptions are not base actions — they are driven by the scheduler
 through the marker-protocol reception handler.
 """
@@ -17,7 +19,7 @@ import numpy as np
 from .. import qcore, qgo, sysmodel
 from ..executions import Apply, ClassicalUpdate, Event, Send, register_update
 from ..qcore import NO_OUTCOME, DensityMatrix, RegisterAllocator, RegisterSpace
-from ..qgo import GenContext, LocalOpSpec, choose_outcome, same_event
+from ..qgo import GenContext, LocalOpSpec, choose_outcome
 from ..sysmodel import MessageInstance, SystemState
 
 
@@ -118,17 +120,6 @@ class BaseAlgorithm:
 
     def build(self, state: SystemState, proc: str, action: str, ctx: GenContext) -> list[Event]:
         raise NotImplementedError
-
-    def allows(self, pre: SystemState, event: Event, post: SystemState) -> bool:
-        """Local step predicate: the algorithm permits ``event`` iff one of
-        the actions enabled at its label in ``pre`` builds that event."""
-        if event.label not in pre.procs:
-            return False
-        for action in self.enabled(pre, event.label):
-            block = self.build(pre, event.label, action, GenContext.rebuilding(event))
-            if len(block) == 1 and same_event(block[0], event):
-                return True
-        return False
 
 
 def _initial(procs, sigmas: dict, quantum: DensityMatrix, ownership: dict) -> SystemState:

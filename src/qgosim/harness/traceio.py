@@ -2,20 +2,22 @@
 
 Complex numbers are written as "re,im" with 17 significant digits, so a
 trace round-trips to bit-identical states and events.  One matrix codec,
-``_matrix`` / ``_parse_matrix``, writes Kraus matrices and the rows of the
+``_matrix`` / ``_parse_rows``, writes Kraus matrices and the rows of the
 initial state: an entry whose bits are exactly +0,+0 is the string "0,0",
 and only the other entries are formatted or parsed one by one.  (-0.0 is
 "-0,0", so the test is on bits, not on value.)
 
 The initial state is one ``qrow`` line per row, and in a wide state most
 rows are all "0,0".  So the codec does per-entry work only for the other
-entries.  ``_matrix`` returns every all-zero row as one shared list, and
-``serialize_run`` formats each distinct row list once.  ``_zero_qrow``
-recognises a line that is exactly an all-zero ``qrow`` as ``json.dumps``
-writes it; its contract is that it equals ``json.loads(line)`` or is None,
-and ``parse_run`` calls ``json.loads`` for every other line.
-``_parse_matrix`` parses only the rows holding an entry other than "0,0".
-The bytes of a trace and every check on it are the same either way.
+entries.  ``encode_state`` reads the state a block of rows at a time
+(``DensityMatrix.row_blocks``); ``_matrix`` returns every all-zero row of a
+block as one shared list, and ``serialize_run`` formats each distinct row
+list once.  ``_zero_qrow`` recognises a line that is exactly an all-zero
+``qrow`` as ``json.dumps`` writes it; its contract is that it equals
+``json.loads(line)`` or is None, and ``parse_run`` calls ``json.loads`` for
+every other line.  ``_parse_rows`` parses only the rows holding an entry
+other than "0,0", and the parsed state holds only those rows.  The bytes of
+a trace and every check on it are the same either way.
 """
 
 from __future__ import annotations
@@ -83,22 +85,34 @@ def _matrix(m: np.ndarray) -> list:
     return out
 
 
-def _parse_matrix(rows: list, n: int | None = None) -> np.ndarray:
-    """Decode ``rows``; each must be a list of ``n`` entries (default: as
-    many as the first row).  Raises ``ValueError`` naming a bad row.  Only
-    a row holding an entry other than "0,0" is parsed entry by entry."""
-    if n is None:
-        n = len(rows[0]) if rows else 0
-    out, zero = np.zeros((len(rows), n), dtype=np.complex128), ["0,0"] * n
+def _parse_rows(rows: list, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Decode ``rows``, each a list of ``n`` entries: the indices of the
+    rows other than all "0,0", and those rows.  Raises ``ValueError``
+    naming a bad row.  Only such a row is parsed entry by entry."""
+    zero = _zero_row(n)
+    held, parsed = [], []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
             raise ValueError(f"row {i} is not a list of {n} entries")
-        if row == zero:
+        if row is zero or row == zero:
             continue
         try:
-            out[i] = [0j if s == "0,0" else _parse_c(s) for s in row]
+            parsed.append([0j if s == "0,0" else _parse_c(s) for s in row])
         except (AttributeError, ValueError):
             raise ValueError(f'row {i} holds a value that is not "re,im"') from None
+        held.append(i)
+    block = np.array(parsed, dtype=np.complex128).reshape(len(held), n)
+    return np.array(held, dtype=np.intp), block
+
+
+def _parse_matrix(rows: list, n: int | None = None) -> np.ndarray:
+    """Decode ``rows`` as a matrix (``_parse_rows``); each must be a list of
+    ``n`` entries (default: as many as the first row)."""
+    if n is None:
+        n = len(rows[0]) if rows else 0
+    held, block = _parse_rows(rows, n)
+    out = np.zeros((len(rows), n), dtype=np.complex128)
+    out[held] = block
     return out
 
 
@@ -285,8 +299,9 @@ def encode_state(state: SystemState) -> list[dict]:
         "regs": [_reg(r) for r in state.quantum.space.registers],
         "own": {str(r.id): state.ownership[r] for r in state.quantum.space.registers},
     })
-    for i, row in enumerate(_matrix(state.quantum.entries)):
-        recs.append({"t": "qrow", "i": i, "v": row})
+    for lo, block in state.quantum.row_blocks():
+        for i, row in enumerate(_matrix(block), lo):
+            recs.append({"t": "qrow", "i": i, "v": row})
     return recs
 
 
@@ -363,7 +378,7 @@ def _decode_state(recs: list[dict]) -> SystemState:
     if unowned:
         raise TraceError(f"register {unowned[0]} has no owner")
     try:
-        entries = _parse_matrix([rows[i] for i in range(dim)], dim)
+        nonzero = _parse_rows([rows[i] for i in range(dim)], dim)
     except ValueError as exc:
         raise TraceError(f"bad initial state: {exc}") from None
     full_channels = {c: () for c in sysmodel.all_channels(procs)}
@@ -379,7 +394,7 @@ def _decode_state(recs: list[dict]) -> SystemState:
     state = SystemState(
         procs=procs, classical=classical, ext=ext, channels=full_channels,
         ownership={r: quantum["own"][str(r.id)] for r in regs},
-        quantum=DensityMatrix(space, entries),
+        quantum=DensityMatrix(space, rows=nonzero),
     )
     state.check_ownership_partition()
     return state
@@ -424,7 +439,8 @@ def serialize_run(x: Execution, config: ScenarioConfig | None = None,
         lines.append(f'{{"i": {rec["i"]}, "t": "qrow", "v": {row_json[id(v)]}}}')
     for ev in x.events:
         lines.append(json.dumps({"t": "ev", **encode_event(ev)}, sort_keys=True))
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 _QROW_HEAD, _QROW_MID = '{"i": ', ', "t": "qrow", "v": '
@@ -432,7 +448,14 @@ _QROW_HEAD, _QROW_MID = '{"i": ', ', "t": "qrow", "v": '
 
 @functools.lru_cache(maxsize=4)
 def _zero_row_json(width: int) -> str:
-    return json.dumps(["0,0"] * width)
+    return json.dumps(_zero_row(width))
+
+
+@functools.lru_cache(maxsize=4)
+def _zero_row(width: int) -> list:
+    """The all-zero row of ``width``, one list shared by every record that
+    holds it; a record's row is never mutated."""
+    return ["0,0"] * width
 
 
 def _zero_qrow(line: str) -> dict | None:
@@ -451,7 +474,7 @@ def _zero_qrow(line: str) -> dict | None:
             and (i == "0" or i[0] != "0") and line.endswith("}")
             and line.startswith(_zero_row_json(width), start)):
         return None
-    return {"i": int(i), "t": "qrow", "v": ["0,0"] * width}
+    return {"i": int(i), "t": "qrow", "v": _zero_row(width)}
 
 
 def parse_run(text: str):

@@ -11,12 +11,15 @@ quantum-trajectory picture: every builtin outcome has one Kraus matrix and
 every scenario starts from a vector, so r stays 1.  Applying an outcome,
 reading outcome probabilities, permuting registers, tracing out and
 comparing two states cost O(D·r) times the local dimensions, not O(D²) or
-more; the D×D matrix is formed only when ``DensityMatrix.entries`` is read.
+more.
 
-A state given by its D×D rows (a parsed trace's initial state) is checked
-and factored over the rows R that hold an entry other than zero, found in
-one read-only pass: ``validate`` and ``_factorize`` cost O(|R|·D) and make
-no D×D temporary.  A dense matrix is the case R = every row.
+A state given by its entries (a parsed trace's initial state) holds only
+the rows R whose bits are not all zero.  It is checked and factored over
+the rows that hold an entry other than zero: ``validate`` and
+``_factorize`` cost O(|R|·D).  No D×D matrix is made on the way from a
+vector to a trace and back: ``row_blocks`` gives the rows of either kind
+of state a block at a time, and only ``DensityMatrix.entries`` forms the
+whole matrix.
 """
 
 from __future__ import annotations
@@ -182,43 +185,62 @@ class DensityMatrix:
     """Subnormalized density matrix ρ = V·V† over a register space.
 
     The factor V has one row per basis state and r ≤ D columns, so
-    ``trace`` = ‖V‖_F².  ``entries`` is ρ itself, D×D: a state built from
-    dense rows (``DensityMatrix(space, entries)``, ``from_vector``) keeps
-    those exact rows, any other state computes V·V† once, when asked.  A
-    state built from rows is factored when ``factor`` is first read.
+    ``trace`` = ‖V‖_F².  A state given by its entries
+    (``DensityMatrix(space, entries)``, or ``rows`` parsed from a trace)
+    holds only the rows R whose bits are not all zero, as their indices and
+    an |R|×D block: it keeps those exact rows, and is factored when
+    ``factor`` is first read.  Any other state is its factor.
+    ``row_blocks`` gives ρ a block of rows at a time; ``entries`` forms the
+    whole D×D matrix.
     """
 
-    __slots__ = ("space", "_factor", "_entries")
+    __slots__ = ("space", "_factor", "_rows")
 
     def __init__(self, space: RegisterSpace, entries: np.ndarray | None = None,
-                 factor: np.ndarray | None = None):
+                 factor: np.ndarray | None = None,
+                 rows: tuple[np.ndarray, np.ndarray] | None = None):
         d = space.total_dim
         if entries is not None:
             entries = np.ascontiguousarray(entries, dtype=np.complex128)
             if entries.shape != (d, d):
                 raise ShapeError(f"entries shape {entries.shape} does not match dim {d}")
+            held = np.flatnonzero(entries.view(np.int64).any(axis=1))
+            rows = (held, entries[held])
         if factor is not None:
             factor = np.ascontiguousarray(factor, dtype=np.complex128)
             if factor.ndim != 2 or factor.shape[0] != d:
                 raise ShapeError(f"factor shape {factor.shape} does not match dim {d}")
-        elif entries is None:
+        elif rows is None:
             raise ShapeError("a state needs its entries or its factor")
         self.space = space
         self._factor = factor
-        self._entries = entries
+        self._rows = rows
 
     @property
     def factor(self) -> np.ndarray:
         if self._factor is None:
-            m = self._entries
-            self._factor = _factorize(m, _nonzero_rows(m), EPS_VALIDATE)[0]
+            held, block = self._rows
+            self._factor = _factorize(block, held, EPS_VALIDATE)[0]
         return self._factor
 
     @property
     def entries(self) -> np.ndarray:
-        if self._entries is None:
-            self._entries = _gram(self._factor)
-        return self._entries
+        """ρ as one D×D array."""
+        return np.concatenate([rows for _, rows in self.row_blocks()])
+
+    def row_blocks(self):
+        """(i, rows i.. of ρ), a block of rows at a time, so no D×D array
+        is made."""
+        d = self.space.total_dim
+        step = max(1, _BLOCK_ENTRIES // d)
+        for lo in range(0, d, step):
+            hi = min(lo + step, d)
+            if self._rows is None:
+                yield lo, _gram(self._factor, lo, hi)
+                continue
+            held, block = self._rows
+            a, b = np.searchsorted(held, (lo, hi))
+            yield lo, _scatter(held[a:b] - lo, block[a:b], hi - lo, d)
 
     @property
     def trace(self) -> float:
@@ -229,27 +251,33 @@ class DensityMatrix:
         """Raise if the entries are not Hermitian, PSD, and subnormalized.
 
         The PSD test is the factorization: it proves that no eigenvalue is
-        below -eps, or else ``eigh`` finds one (see ``_factorize``).  After
-        one read-only pass that finds the rows R holding an entry other than
-        zero, every check reads only those rows and their columns: O(|R|·D),
-        with temporaries of at most one block of rows.  An entry outside
-        them is 0 - 0 in the Hermitian check, so its maximum is the dense one.
+        below -eps, or else ``eigh`` finds one (see ``_factorize``).  Every
+        check reads only the rows R holding an entry other than zero, and
+        their columns: O(|R|·D), with temporaries of at most one block of
+        rows.  An entry outside them is 0 - 0 in the Hermitian check, so its
+        maximum is the dense one.
         """
-        m = self.entries
-        d = m.shape[0]
-        rows = _nonzero_rows(m)
-        blocks = list(_row_blocks(rows, d))
-        if not all(np.isfinite(m[r]).all() for r in blocks):
+        d = self.space.total_dim
+        held, block = self._rows or DensityMatrix(self.space, self.entries)._rows
+        m, rows = _nonzero_rows(block, held)
+        blocks = list(_row_blocks(np.arange(len(rows)), d))
+        if not all(np.isfinite(m[p]).all() for p in blocks):
             raise ShapeError("matrix has an entry that is not finite")
-        if max((np.abs(m[r] - m[:, r].conj().T).max() for r in blocks),
-               default=0.0) > eps:
+
+        def asymmetry(p):  # max |ρ[r] - ρ[:, r]†| over the rows r = rows[p]
+            diff = m[p]
+            diff[:, rows] -= m[:, rows[p]].conj().T
+            return np.abs(diff).max()
+        if max(map(asymmetry, blocks), default=0.0) > eps:
             raise ShapeError("matrix is not Hermitian within tolerance")
-        v, lowest = _factorize(m, rows, eps)
+        v, lowest = _factorize(block, held, eps)
         if lowest < -eps:
             raise ShapeError(f"matrix has eigenvalue {lowest} below -{eps}")
         if self._factor is None:
             self._factor = v
-        trace = float(np.real(np.trace(m)))  # O(D), and summed as the dense trace
+        diag = np.zeros(d, dtype=np.complex128)
+        diag[rows] = m[np.arange(len(rows)), rows]
+        trace = float(np.real(diag.sum()))  # O(D), and summed as the dense trace
         if not (-eps <= trace <= 1 + eps):
             raise ShapeError(f"trace {trace} outside [0, 1]")
 
@@ -258,7 +286,7 @@ class DensityMatrix:
         v = np.array(vec, dtype=np.complex128).reshape(-1)  # the factor keeps it
         if v.shape[0] != space.total_dim:
             raise ShapeError("vector length does not match space dimension")
-        return cls(space, np.outer(v, v.conj()), v[:, None])
+        return cls(space, factor=v[:, None])
 
     @classmethod
     def basis_state(cls, space: RegisterSpace, index: int = 0) -> "DensityMatrix":
@@ -283,42 +311,55 @@ def _row_blocks(rows, d: int):
     return (rows[i:i + step] for i in range(0, len(rows), step))
 
 
-def _gram(v: np.ndarray) -> np.ndarray:
-    """V·V†, the dense matrix of a factor."""
-    return v @ v.conj().T
+def _gram(v: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Rows lo:hi of V·V†, the dense matrix of a factor.  A rank-1 factor's
+    rows are those of ``np.outer(v, v.conj())``, one product per entry."""
+    if v.shape[1] == 1:
+        return np.multiply.outer(v[lo:hi, 0], v[:, 0].conj())
+    return v[lo:hi] @ v.conj().T
 
 
-def _nonzero_rows(m: np.ndarray) -> np.ndarray:
-    """The indices of the rows of the C-contiguous ``m`` that hold an entry
-    other than zero (a NaN or an inf is one), found without a D×D temporary."""
-    return np.flatnonzero(m.view(np.float64).any(axis=1))
+def _scatter(held: np.ndarray, block: np.ndarray, n: int, d: int) -> np.ndarray:
+    """The n×d rows that are ``block`` at the indices ``held``, +0 elsewhere."""
+    out = np.zeros((n, d), dtype=np.complex128)
+    out[held] = block
+    return out
 
 
-def _factorize(m: np.ndarray, rows: np.ndarray, eps: float) -> tuple[np.ndarray, float]:
-    """A factor V of the Hermitian ``m`` and a lower bound on its lowest eigenvalue.
+def _nonzero_rows(block: np.ndarray, held: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of ``block`` (rows ``held`` of a matrix) that hold an entry
+    other than zero (a NaN or an inf is one), and their indices."""
+    keep = block.view(np.float64).any(axis=1)
+    return block[keep], held[keep]
 
-    ``rows`` are the rows of ``m`` that hold an entry other than zero
-    (``_nonzero_rows``); V is zero on every other row.  Pivoted Cholesky
-    (Higham 1990) on those rows and their columns pivots on the largest
-    remaining diagonal entry and stops once none is above D·ε·max diag (the
-    rank tolerance of LAPACK's ?pstrf), so VV† keeps ``m`` to rounding.  It
-    costs O(|R|²·r) for rank r, and the residual below O(|R|·D·r).  By
-    Weyl's inequality, λ_min(m) ≥ -‖m - VV†‖_F, and that is the bound
-    returned when it is at least -eps.  Otherwise ``eigh`` decides on the
-    dense ``m``: the bound is the lowest eigenvalue, and the factor holds the
-    eigenvectors scaled by the square roots of the positive eigenvalues.
+
+def _factorize(block: np.ndarray, held: np.ndarray, eps: float) -> tuple[np.ndarray, float]:
+    """A factor V of a Hermitian matrix m and a lower bound on its lowest
+    eigenvalue, from ``block``, its rows ``held``: every other row is zero.
+
+    V is zero outside the rows R that hold an entry other than zero
+    (``_nonzero_rows``).  Pivoted Cholesky (Higham 1990) on those rows and
+    their columns pivots on the largest remaining diagonal entry and stops
+    once none is above D·ε·max diag (the rank tolerance of LAPACK's ?pstrf),
+    so VV† keeps m to rounding.  It costs O(|R|²·r) for rank r, and the
+    residual below O(|R|·D·r).  By Weyl's inequality, λ_min(m) ≥
+    -‖m - VV†‖_F, and that is the bound returned when it is at least -eps.
+    Otherwise ``eigh`` decides on the dense m: the bound is the lowest
+    eigenvalue, and the factor holds the eigenvectors scaled by the square
+    roots of the positive eigenvalues.
     """
-    d = m.shape[0]
+    d = block.shape[1]
+    m, rows = _nonzero_rows(block, held)
     if not rows.size:  # the zero matrix
         return np.zeros((d, 0), dtype=np.complex128), 0.0
-    diag = m.diagonal().real[rows]
+    diag = m[np.arange(len(rows)), rows].real
     stop = d * np.finfo(float).eps * max(diag.max(), 0.0)
     cols: list[np.ndarray] = []
     for _ in range(d):
         j = int(diag.argmax())
         if not diag[j] > stop:
             break
-        col = m[rows, rows[j]]
+        col = m[:, rows[j]].copy()
         if cols:
             done = np.array(cols).T
             col -= done @ done[j].conj()
@@ -328,11 +369,11 @@ def _factorize(m: np.ndarray, rows: np.ndarray, eps: float) -> tuple[np.ndarray,
     v = np.zeros((d, len(cols)), dtype=np.complex128, order="F")
     v[rows] = np.array(cols, dtype=np.complex128).T
     vh = v.conj().T
-    residual = np.sqrt(sum(float(np.sum(np.abs(m[r] - v[r] @ vh) ** 2))
-                           for r in _row_blocks(rows, d)))
+    residual = np.sqrt(sum(float(np.sum(np.abs(m[p] - v[rows[p]] @ vh) ** 2))
+                           for p in _row_blocks(np.arange(len(rows)), d)))
     if residual <= eps:
         return v, -residual
-    w, u = np.linalg.eigh(m)
+    w, u = np.linalg.eigh(_scatter(held, block, d, d))
     keep = w > 0
     return u[:, keep] * np.sqrt(w[keep]), float(w.min())
 

@@ -9,14 +9,17 @@ open channels get the operation applied and recorded).  Each procedure
 builds a block of events that is atomic on its processor, from the state
 before the block, and steps nothing: the scheduler steps each event once
 through ``executions.checked_step``.  The step predicate rebuilds each
-protocol event with the same builders.
+recorded block once, with the same builders, on the state before it, and
+compares it event by event with the record.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
-from dataclasses import dataclass, fields
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +34,7 @@ from .executions import (
     Send,
     register_update,
 )
-from .qcore import OP_ATOL, OP_RTOL, QuantumOperation, RegisterId, RegisterMap
+from .qcore import QuantumOperation, RegisterId, RegisterMap
 from .sysmodel import MessageInstance, SystemState, chan_key, encode_classical
 
 
@@ -228,81 +231,61 @@ def global_op_library(gids) -> dict[str, DecomposableGlobalOp]:
 # Event generation context
 # ---------------------------------------------------------------------------
 
+def _take(it: Iterator, what: str):
+    """The next value of ``it``; QgoError once it is exhausted, which a
+    recorded execution is when it ends inside a block."""
+    try:
+        return next(it)
+    except StopIteration:
+        raise QgoError(f"no {what} left to build the block with") from None
+
+
 @dataclass
 class GenContext:
-    """Counters and the outcome RNG used while generating events.
+    """Where built events take their ids and outcomes from, in order.
 
-    ``outcome`` is set only to rebuild a given event (``rebuilding``); it
-    then replaces the random draw.  Generation leaves it None.
+    Generation counts ids from 0 and draws each outcome with ``rng``.  The
+    step predicate rebuilds a recorded block from ``recorded``, which
+    yields the recorded ids and outcomes instead, so it draws nothing.
     """
 
-    rng: np.random.Generator
-    next_eid: int = 0
-    next_msg_id: int = 0
-    outcome: str | None = None
+    rng: np.random.Generator | None
+    eids: Iterator[int] = field(default_factory=itertools.count)
+    msg_ids: Iterator[int] = field(default_factory=itertools.count)
+    outcomes: Iterator[str | None] = field(default_factory=lambda: itertools.repeat(None))
 
     @classmethod
-    def rebuilding(cls, event: Event) -> "GenContext":
-        """Counters that start at the event's ids, and its outcome forced.
-        The RNG draws only for an outcome the operation cannot give; any
-        draw then differs from the event's."""
-        msg = getattr(event, "msg", None)
+    def recorded(cls, events) -> "GenContext":
+        """The eids of ``events``, the ids of the messages they send and the
+        outcomes of their Applies."""
         return cls(
-            np.random.default_rng(0),
-            next_eid=event.eid,
-            next_msg_id=msg.msg_id if msg is not None else 0,
-            outcome=getattr(event, "outcome", None),
+            None,
+            eids=(e.eid for e in events),
+            msg_ids=(e.msg.msg_id for e in events if isinstance(e, Send)),
+            outcomes=(e.outcome for e in events if isinstance(e, Apply)),
         )
 
     def eid(self) -> int:
-        e = self.next_eid
-        self.next_eid += 1
-        return e
+        return _take(self.eids, "event id")
 
     def msg_id(self) -> int:
-        m = self.next_msg_id
-        self.next_msg_id += 1
-        return m
+        return _take(self.msg_ids, "message id")
 
 
 def choose_outcome(state: SystemState, spec: LocalOpSpec, ctx: GenContext) -> str:
-    """Draw an outcome with its physical probability (or take the fixed one).
-    A forced outcome replaces the draw when the operation can give it."""
+    """The fixed outcome of a classical component; otherwise the context's
+    next outcome, or, where it has none, a draw with its physical
+    probability."""
+    outcome = _take(ctx.outcomes, "outcome")
     if spec.qop is None:
         assert spec.fixed_outcome is not None
         return spec.fixed_outcome
-    if ctx.outcome is not None and ctx.outcome in spec.qop.outcome_set:
-        return ctx.outcome
+    if outcome is not None:
+        return outcome
     if len(spec.qop.outcome_set) == 1:
         return spec.qop.outcome_set[0]
     regmap = RegisterMap(spec.in_regs, spec.out_regs)
     return qcore.draw_outcome(state.quantum, spec.qop, regmap, ctx.rng)
-
-
-def same_operation(a: QuantumOperation | None, b: QuantumOperation | None) -> bool:
-    if a is None or b is None:
-        return a is b
-    if a.outcome_set != b.outcome_set or a.in_dims != b.in_dims or a.out_dims != b.out_dims:
-        return False
-    for r in a.outcome_set:
-        ka, kb = a.kraus_by_outcome[r], b.kraus_by_outcome[r]
-        if len(ka) != len(kb):
-            return False
-        if not all(np.allclose(x, y, rtol=OP_RTOL, atol=OP_ATOL) for x, y in zip(ka, kb)):
-            return False
-    return True
-
-
-def same_event(a: Event, b: Event) -> bool:
-    """Field-by-field equality, with ``same_operation`` for the quantum
-    operation."""
-    if type(a) is not type(b):
-        return False
-    for f in fields(a):
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        if not (same_operation(x, y) if f.name == "qop" else x == y):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -365,59 +348,30 @@ def respond(proc: str, ext, ctx: GenContext) -> Respond:
                    update=ClassicalUpdate("qgo.respond"))
 
 
-class AugmentedPredicate(executions.TransitionPredicate):
+class AugmentedPredicate:
     """Step predicate of the base algorithm augmented with the marker
-    protocol.  A protocol event (Invoke, Receive, Respond, marker Send,
-    ``gop-self`` Apply) must be the event the protocol's builders build in
-    its place on the pre-state, where a builder that raises ``QgoError``
-    refuses it.  The ``gop-msg`` Apply is checked by its guards alone
-    (ROADMAP item 1).  Every other event must be allowed by the base
-    algorithm."""
+    protocol, as the blocks ``executions.validate`` asks for.  An Invoke or
+    a Receive starts the block its procedure builds on the pre-state, where
+    a procedure that raises ``QgoError`` refuses it; any other event starts
+    a block of one of the base algorithm's actions enabled at its label."""
 
     def __init__(self, base, library: dict[str, DecomposableGlobalOp]):
         self.base = base
         self.library = library
 
-    def _check_gop_msg(self, pre, event) -> bool:
-        gid = event.name.split(":", 1)[1]
-        ext = pre.ext[event.proc]
-        if gid not in self.library or not is_active(ext) or ext["op"] != gid:
-            return False
-        u = event.update
-        if u is None or u.name != "qgo.record":
-            return False
-        (chan,) = u.params
-        return chan in ext["waitset"]
-
-    def _rebuild(self, pre, event) -> Event | None:
-        """The protocol event built on ``pre`` in ``event``'s place, with its
-        ids and its outcome; None for an event the protocol never builds."""
-        ctx = GenContext.rebuilding(event)
-        if isinstance(event, Invoke):
-            return qgo_invoke(pre, event.label, library_op(self.library, event.gid), ctx)[0]
-        if isinstance(event, Receive):
-            return qgo_receive(pre, event.label, event.chan, self.library, ctx)[0]
-        if isinstance(event, Respond):
-            return respond(event.label, pre.ext[event.label], ctx)
-        if isinstance(event, Send):
-            return marker_send(event.label, event.msg.dst, pre.ext[event.label]["op"], ctx)
-        if isinstance(event, Apply):
-            params = event.update.params if event.update is not None else ()
-            trigger = params[1] if len(params) == 3 else None
-            gop = library_op(self.library, event.name.removeprefix("gop-self:"))
-            return gop_self_apply(pre, event.proc, gop, trigger, ctx)
-        return None
-
-    def allows(self, pre, event, post) -> bool:
-        if isinstance(event, (Apply, Send)) and not event.protocol:
-            return self.base.allows(pre, event, post)
-        if isinstance(event, Apply) and event.name.startswith("gop-msg:"):
-            return self._check_gop_msg(pre, event)
+    def blocks(self, pre, events, i):
+        event, rest = events[i], events[i:]
         try:
-            built = self._rebuild(pre, event)
+            if isinstance(event, Invoke):
+                gop = library_op(self.library, event.gid)
+                return [qgo_invoke(pre, event.label, gop, GenContext.recorded(rest))]
+            if isinstance(event, Receive):
+                return [qgo_receive(pre, event.label, event.chan, self.library,
+                                    GenContext.recorded(rest))]
         except QgoError:
-            return False
-        return built is not None and same_event(built, event)
+            return []
+        return [self.base.build(pre, event.label, action, GenContext.recorded(rest))
+                for action in self.base.enabled(pre, event.label)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -190,9 +192,9 @@ class TestFilter:
 
 class TestValidate:
     def test_validate_reports_first_failure(self):
-        class RejectApplies(executions.TransitionPredicate):
-            def allows(self, pre, event, post):
-                return not isinstance(event, Apply)
+        class RejectApplies:
+            def blocks(self, pre, events, i):
+                return [] if isinstance(events[i], Apply) else [[events[i]]]
 
         x = quantum_ping()
         res = executions.validate(RejectApplies(), x)
@@ -203,12 +205,28 @@ class TestValidate:
         x = quantum_ping()
         bad = Execution(x.initial, (x.events[1],))
 
-        class Anything(executions.TransitionPredicate):
-            def allows(self, pre, event, post):
-                return True
+        class Anything:
+            def blocks(self, pre, events, i):
+                return [[events[i]]]
 
         res = executions.validate(Anything(), bad)
         assert not res and res.first_failure == 0
+
+    @pytest.mark.parametrize("block, first_failure", [
+        (lambda ev: [ev[0], ev[1]], None),
+        (lambda ev: [ev[0], dataclasses.replace(ev[1], msg_id=7)], 1),
+        (lambda ev: [ev[0], ev[1], ev[2], ev[2]], 3),
+    ], ids=["whole", "second-differs", "longer-than-the-execution"])
+    def test_validate_names_the_first_event_that_differs_from_a_block(
+            self, block, first_failure):
+        x = quantum_ping()
+
+        class FirstTwoThenOne:
+            def blocks(self, pre, events, i):
+                return [block(events)] if i == 0 else [[events[i]]]
+
+        res = executions.validate(FirstTwoThenOne(), x)
+        assert res.first_failure == first_failure and bool(res) == (first_failure is None)
 
 
 # ---------------------------------------------------------------------------

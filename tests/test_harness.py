@@ -1187,6 +1187,29 @@ def test_parsing_a_wide_trace_builds_no_dense_temporary():
     assert np.array_equal(rho.factor, parsed.factor)
 
 
+def test_generating_and_parsing_a_wide_trace_hold_no_dense_matrix():
+    """On scenario (d), where one D×D matrix is 16 MB, no D×D matrix is
+    made: generation allocates below 1 MB at its peak, and parsing the 7 MB
+    trace below 1 MB more than the text.  The parsed state holds only its
+    one nonzero row, and writes the same rows back."""
+    cfg = ScenarioConfig.from_dict(GOLDEN_TRACES["ring-quantum-wide"][0])
+    text = _golden_trace_text("ring-quantum-wide")
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            out = fn()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    _, run_peak = peak(lambda: run_simulation(cfg))
+    (x, config, decisions), parse_peak = peak(lambda: traceio.parse_run(text))
+    assert run_peak < 1 << 20
+    assert parse_peak < len(text) + (1 << 20)
+    assert len(x.initial.quantum._rows[0]) == 1
+    assert traceio.serialize_run(x, config, decisions) == text
+
+
 # ---------------------------------------------------------------------------
 # Hostile initial states: any edit of the state records parses and is
 # verified, or is refused with an exit code; nothing escapes.

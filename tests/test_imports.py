@@ -132,15 +132,16 @@ def test_tolerance_calls_name_both_tolerances():
 
 
 def test_only_qcore_and_traceio_read_dense_entries():
-    """A state is its factor; its D×D ``entries`` are read by ``qcore`` and
-    by the trace serializer, and nowhere else in the package."""
-    readers = set()
+    """A state is its factor or its nonzero rows.  Only ``qcore`` reads its
+    D×D ``entries`` (to check a state held as a factor), and the trace
+    serializer reads it a block of rows at a time."""
+    readers = {}
     for module, path in MODULES.items():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Attribute) and node.attr == "entries":
-                readers.add(module)
-    assert readers <= {"qgosim.qcore", "qgosim.harness.traceio"}
-    assert "qgosim.harness.traceio" in readers
+            if isinstance(node, ast.Attribute) and node.attr in ("entries", "row_blocks"):
+                readers.setdefault(node.attr, set()).add(module)
+    assert readers == {"entries": {"qgosim.qcore"},
+                       "row_blocks": {"qgosim.qcore", "qgosim.harness.traceio"}}
 
 
 STEP_MODULES = ("qgosim.sysmodel", "qgosim.executions", "qgosim.specmachine")
@@ -297,12 +298,21 @@ def all_subclasses(cls):
         yield from all_subclasses(sub)
 
 
+def methods(cls) -> set[str]:
+    return {n for n, v in vars(cls).items()
+            if callable(v) or isinstance(v, (classmethod, property))}
+
+
 def test_no_base_algorithm_restates_its_step_predicate():
-    """``BaseAlgorithm.allows`` rebuilds the event with the algorithm's own
-    ``build``; a subclass that overrides it would restate the rules."""
+    """The step predicate (``qgo.AugmentedPredicate``) rebuilds a base
+    algorithm's blocks with its ``enabled`` and ``build``.  A base algorithm
+    has no method besides those of ``BaseAlgorithm``, which has no predicate
+    method, so no algorithm can state its rules a second time."""
+    interface = {"check_params", "initial", "enabled", "build"}
+    assert methods(BaseAlgorithm) == interface
     subclasses = list(all_subclasses(BaseAlgorithm))
     assert subclasses
-    assert [c.__qualname__ for c in subclasses if "allows" in vars(c)] == []
+    assert [(c.__qualname__, m) for c in subclasses for m in sorted(methods(c) - interface)] == []
 
 
 def step_references(source: str, module: str) -> tuple[list[ast.AST], list[ast.AST]]:

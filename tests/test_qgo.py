@@ -196,6 +196,14 @@ class TestBuildersOnlyBuild:
         assert all(a is b for a, b in zip(calls, events))
 
 
+def refused_at(pred, state, events):
+    """The index at which ``pred`` refuses ``events`` run from ``state``,
+    which they must replay from; None if it allows them."""
+    res = executions.validate(pred, executions.Execution(state, tuple(events)))
+    assert res or res.reason.startswith(f"step {res.first_failure} not allowed"), res
+    return res.first_failure
+
+
 class TestBuilderGuards:
     """A protocol event's guards are its builder's: the builder raises a
     QgoError, and the predicate refuses the event it cannot build."""
@@ -221,19 +229,21 @@ class TestBuilderGuards:
         recv = Receive(eid=ctx.eid(), label="p0", chan="p0->p0",
                        msg_id=state.channels["p0->p0"][0].msg_id, update=close,
                        protocol=True)
-        assert not pred.allows(state, recv, None)
+        assert refused_at(pred, state, [recv]) == 0
 
     def test_gop_self_on_a_channel_that_is_not_incoming(self):
         state, lib, ctx, pred = self.invoked()
         gop = lib["record-only"]
         with pytest.raises(qgo.QgoError, match="not an incoming channel of p1"):
             qgo.gop_self_apply(state, "p1", gop, "p1->p0", ctx)
-        built = qgo.gop_self_apply(state, "p1", gop, "p0->p1", ctx)
-        gid, _, incoming = built.update.params
-        forged = dc_replace(built, update=executions.ClassicalUpdate(
+        # p1's first marker: its Receive, its gop-self Apply, its markers.
+        built = qgo.qgo_receive(state, "p1", "p0->p1", lib, ctx)
+        assert built[1].name == "gop-self:record-only"
+        gid, _, incoming = built[1].update.params
+        forged = dc_replace(built[1], update=executions.ClassicalUpdate(
             "qgo.start", (gid, "p1->p0", incoming)))
-        assert pred.allows(state, built, None)
-        assert not pred.allows(state, forged, None)
+        assert refused_at(pred, state, built) is None
+        assert refused_at(pred, state, [built[0], forged, *built[2:]]) == 1
 
     def test_gop_self_on_an_active_processor(self):
         state, lib, ctx, pred = self.invoked()
@@ -249,7 +259,7 @@ class TestBuilderGuards:
         record = qgo.response_record(proc, "record-only", None, {})
         forged = Respond(eid=ctx.eid(), label=proc, record=record,
                          update=executions.ClassicalUpdate("qgo.respond"))
-        assert not pred.allows(state, forged, None)
+        assert refused_at(pred, state, [forged]) == 0
 
     def test_marker_from_an_idle_processor(self):
         state, lib, ctx, pred = self.invoked()
@@ -257,7 +267,7 @@ class TestBuilderGuards:
             qgo.marker_send("p1", "p0", state.ext["p1"]["op"], ctx)
         forged = dc_replace(qgo.marker_send("p0", "p0", "record-only", ctx), label="p1")
         forged = dc_replace(forged, msg=dc_replace(forged.msg, src="p1", dst="p0"))
-        assert not pred.allows(state, forged, None)
+        assert refused_at(pred, state, [forged]) == 0
 
 
 class TestGlobalOps:
@@ -303,11 +313,26 @@ def is_correction(e):
     return isinstance(e, Apply) and e.name == "tp.fix" and e.outcome != "00"
 
 
-def identity_fix(e):
-    """The teleport correction with the identity in place of its unitary,
-    relabelled to the same bits."""
-    ident = qcore.relabel_outcomes(qcore.identity_operation([2]), lambda _: e.outcome)
+def relabelled_identity(e):
+    """The Apply ``e`` with the identity on its registers in place of its
+    operation, relabelled to the same outcome."""
+    ident = qcore.relabel_outcomes(qcore.identity_operation(e.qop.in_dims),
+                                   lambda _: e.outcome)
     return dc_replace(e, qop=ident)
+
+
+def unitary_pad(e):
+    """The ``global-encrypt`` Apply ``e`` with the unitary P_k in place of
+    its Kraus matrix P_k/2^n under its outcome k."""
+    (kraus,) = e.qop.kraus_by_outcome[e.outcome]
+    kraus_by_outcome = {**e.qop.kraus_by_outcome, e.outcome: (kraus * 2 ** len(e.qop.in_dims),)}
+    return dc_replace(e, qop=qcore.QuantumOperation(
+        e.qop.outcome_set, kraus_by_outcome, e.qop.in_dims, e.qop.out_dims))
+
+
+def is_gop_msg(gid):
+    """Picks a message component of ``gid`` that acts on a qubit in flight."""
+    return lambda e: isinstance(e, Apply) and e.name == f"gop-msg:{gid}" and e.qop is not None
 
 
 def marker_for_another_gid(e):
@@ -326,6 +351,13 @@ TOKEN_RING_EPR = dict(
     base="token-ring", procs=2, base_params={"max_hops": 3, "epr_pair": True},
     invocations=[{"gid": "snapshot-measure", "leader": "p0", "after_step": 2}],
 )
+# Teleport with one global operation invoked by p1 after one step, as in
+# repro 2 of ROADMAP item 1 and its pad.  Receptions are reluctant, so in 9
+# of seeds 0-9 the EPR half is still in flight and gets a message component.
+TELEPORT_SNAPSHOT, TELEPORT_ENCRYPT = (dict(
+    base="teleport", procs=2, policy="channel-delay-biased",
+    invocations=[{"gid": gid, "leader": "p1", "after_step": 1}])
+    for gid in ("snapshot-measure", "global-encrypt"))
 EMPTY_WITH_QUBITS = dict(
     base="empty", procs=3, base_params={"qubits_per_proc": 1},
     invocations=[{"gid": "snapshot-measure", "leader": "p0", "after_step": 0},
@@ -349,13 +381,21 @@ class TestAugmentedPredicate:
     ], ids=["token-ring-epr", "scenario-a", "teleport", "encrypt-d64", "ping", "empty"])
     def test_generated_execution_validates(self, cfg, seeds):
         for seed in seeds:
-            x, pred = self.scenario(cfg, seed)
-            res = executions.validate(pred, x)
-            assert res, (seed, res.reason)
+            cfg_s = ScenarioConfig.from_dict({**cfg, "seed": seed})
+            res = run_simulation(cfg_s)
+            pred = qgo.AugmentedPredicate(*build_scenario(cfg_s)[1:])
+            starts = []
+            blocks = pred.blocks
+            pred.blocks = lambda pre, events, i: starts.append(i) or blocks(pre, events, i)
+            valid = executions.validate(pred, res.execution)
+            assert valid, (seed, valid.reason)
+            # One block per scheduler decision: the predicate splits x as
+            # the scheduler built it.
+            assert len(starts) == len(res.decisions), seed
 
     # Each forged step still replays, so only the predicate can refuse it.
     @pytest.mark.parametrize("cfg, pick, change", [
-        (TELEPORT, is_correction, identity_fix),
+        (TELEPORT, is_correction, relabelled_identity),
         (SCENARIO_A, lambda e: isinstance(e, Send) and e.protocol, marker_for_another_gid),
         (SCENARIO_A, lambda e: isinstance(e, Send) and not e.protocol, token_skipping_a_hop),
         (SCENARIO_A, lambda e: isinstance(e, Respond),
@@ -366,8 +406,11 @@ class TestAugmentedPredicate:
          lambda e: dc_replace(e, update=None)),
         (SCENARIO_A, lambda e: isinstance(e, Invoke),
          lambda e: dc_replace(e, gid="global-encrypt")),
+        (TELEPORT_SNAPSHOT, is_gop_msg("snapshot-measure"), relabelled_identity),
+        (TELEPORT_ENCRYPT, is_gop_msg("global-encrypt"), unitary_pad),
     ], ids=["identity-correction", "marker-payload", "token-hops", "forged-record",
-            "foreign-gop-self", "unclosed-marker", "foreign-invoke"])
+            "foreign-gop-self", "unclosed-marker", "foreign-invoke",
+            "unmeasured-gop-msg", "unitary-pad-gop-msg"])
     def test_forged_step_rejected_at_its_index(self, cfg, pick, change):
         forged_runs = 0
         for seed in range(10):
@@ -394,3 +437,60 @@ class TestAugmentedPredicate:
         res = executions.validate(pred, x)
         assert not res and res.first_failure == i
         assert res.reason.startswith(f"step {i} not allowed by predicate: TypeError(")
+
+    def leader_block(self, seed):
+        """Repro 1's setup (ROADMAP item 1), with ``seed``: the execution,
+        its predicate and the index of the leader's Invoke, whose block is
+        the Invoke, the gop-self Apply and two marker Sends."""
+        x, pred = self.scenario({**TOKEN_RING_EPR, "base_params": {
+            "max_hops": 6, "epr_pair": True}}, seed)
+        i = next(k for k, e in enumerate(x.events) if isinstance(e, Invoke))
+        assert [type(e) for e in x.events[i:i + 4]] == [Invoke, Apply, Send, Send]
+        return x, pred, i
+
+    def test_execution_cut_inside_a_block_is_refused(self):
+        x, pred, i = self.leader_block(7)
+        cut = executions.Execution(x.initial, x.events[:i + 2])
+        res = executions.validate(pred, cut)
+        assert not res and res.first_failure == i, res
+        # The ids run out inside the generator of marker Sends: a QgoError,
+        # not the RuntimeError that a bare StopIteration would become there.
+        pre = executions.replay(cut)[i]
+        with pytest.raises(qgo.QgoError, match="left to build the block"):
+            qgo.qgo_invoke(pre, "p0", pred.library["snapshot-measure"],
+                           qgo.GenContext.recorded(cut.events[i:]))
+
+    def test_event_of_another_processor_inside_a_block_is_refused(self):
+        forged_runs = 0
+        for seed in range(10):
+            x, pred, i = self.leader_block(seed)
+            # p1's next base event, moved between p0's gop-self Apply and its
+            # markers.
+            j = next(k for k in range(i + 4, len(x.events))
+                     if x.events[k].label == "p1" and not x.events[k].protocol)
+            ev = list(x.events)
+            ev.insert(i + 2, ev.pop(j))
+            forged = executions.Execution(x.initial, tuple(ev))
+            try:
+                executions.replay(forged)
+            except executions.ReplayError:
+                continue
+            res = executions.validate(pred, forged)
+            assert not res and res.first_failure == i + 2, (seed, res)
+            forged_runs += 1
+        assert forged_runs >= 5
+
+    @pytest.mark.parametrize("cfg", [
+        dict(base="token-ring", procs=5, base_params={"qubits_per_proc": 2, "max_hops": 10},
+             invocations=[{"gid": "snapshot-measure", "leader": "p0", "after_step": 2}],
+             seed=1),
+        PURITY_CORPUS[2],
+    ], ids=["ring-quantum-wide", "encrypt-d64"])
+    def test_validate_draws_no_outcome(self, cfg, monkeypatch):
+        x, pred = self.scenario(cfg, cfg["seed"])
+
+        def no_draw(*args):
+            raise AssertionError("validate drew an outcome")
+        monkeypatch.setattr(qcore, "draw_outcome", no_draw)
+        res = executions.validate(pred, x)
+        assert res, res.reason
