@@ -29,6 +29,11 @@ class UpdateFailed(sysmodel.SysmodelError):
     """A classical update raised on the state it was given."""
 
 
+class BlockRefused(Exception):
+    """A step predicate refuses the block that starts at an event; the
+    message says why."""
+
+
 # ---------------------------------------------------------------------------
 # Classical updates
 # ---------------------------------------------------------------------------
@@ -212,7 +217,7 @@ def step(state: SystemState, event: Event) -> SystemState:
             record = ClassicalUpdate("qgo.record", (event.chan,))
             state = _run_on(state, proc, record, msg.pending)
     elif not isinstance(event, Respond):
-        raise TypeError(f"unknown event type {type(event)!r}")
+        raise sysmodel.SysmodelError(f"event type {type(event).__name__} cannot be stepped")
     return _run_on(state, proc, event.update, outcome)
 
 
@@ -311,7 +316,8 @@ def validate(predicate, x: Execution) -> ValidationResult:
     and outcomes of ``x.events[i:]`` in order; the first one whose events
     all equal x's next events is taken.  Generation emits each block whole,
     so its executions always split this way.  A refusal names the first
-    event that differs from the block that agrees longest.
+    event that differs from the block that agrees longest, or, where the
+    predicate raises ``BlockRefused``, event i and the predicate's reason.
     """
     try:
         states = replay(x)
@@ -321,6 +327,8 @@ def validate(predicate, x: Execution) -> ValidationResult:
     while i < len(x.events):
         try:
             blocks = predicate.blocks(states[i], x.events, i)
+        except BlockRefused as exc:
+            return ValidationResult(False, i, f"step {i} not allowed by predicate: {exc}")
         except DATA_ERRORS as exc:
             return ValidationResult(False, i, f"step {i} not allowed by predicate: {exc!r}")
         agree = [_agreeing(b, x.events, i) for b in blocks]

@@ -1,9 +1,9 @@
 """Base distributed algorithms and scenario construction.
 
-A base algorithm exposes the actions each processor can take in a given
-state and builds the corresponding event block; the scheduler picks among
-them, and the step predicate (``qgo.AugmentedPredicate``) accepts exactly
-the blocks they build.  An algorithm states its rules once, in ``enabled``
+A base algorithm exposes the actions each processor can take, from its
+classical state alone, and builds the corresponding event block on the
+whole state; the scheduler picks among them, and the step predicate
+(``qgo.AugmentedPredicate``) accepts exactly the blocks they build.  An algorithm states its rules once, in ``enabled``
 and ``build``: it has no predicate of its own.
 Receptions are not base actions — they are driven by the scheduler
 through the marker-protocol reception handler.
@@ -115,7 +115,9 @@ class BaseAlgorithm:
     def initial(self, cfg: ScenarioConfig) -> SystemState:
         raise NotImplementedError
 
-    def enabled(self, state: SystemState, proc: str) -> list[str]:
+    def enabled(self, proc: str, sigma) -> list[str]:
+        """The actions ``proc`` can take when its classical state is
+        ``sigma``: they depend on nothing else."""
         raise NotImplementedError
 
     def build(self, state: SystemState, proc: str, action: str, ctx: GenContext) -> list[Event]:
@@ -170,7 +172,7 @@ class EmptyAlgorithm(BaseAlgorithm):
         quantum = DensityMatrix.basis_state(RegisterSpace(tuple(ownership)))
         return _initial(procs, {p: {"inbox": []} for p in procs}, quantum, ownership)
 
-    def enabled(self, state, proc):
+    def enabled(self, proc, sigma):
         return []
 
     def build(self, state, proc, action, ctx):
@@ -220,8 +222,7 @@ class TokenRing(BaseAlgorithm):
         quantum = DensityMatrix.from_vector(space, vec)
         return _initial(procs, sigmas, quantum, ownership)
 
-    def enabled(self, state, proc):
-        sigma = state.classical[proc]
+    def enabled(self, proc, sigma):
         actions = []
         if sigma.get("has_token") and sigma["hops"] < sigma["max_hops"]:
             actions.append("pass")
@@ -354,8 +355,7 @@ class Teleport(BaseAlgorithm):
         }
         return _initial(("p0", "p1"), sigmas, quantum, {d: "p0", e1: "p0", e2: "p0"})
 
-    def enabled(self, state, proc):
-        sigma = state.classical[proc]
+    def enabled(self, proc, sigma):
         phase = sigma.get("phase")
         if proc == "p0":
             if phase in ("send_half", "measure", "send_fix"):
@@ -429,8 +429,7 @@ class Ping(BaseAlgorithm):
         sigmas["p0"]["n_msgs"] = int(cfg.base_params.get("n_msgs", 1))
         return _initial(procs, sigmas, DensityMatrix.empty(), {})
 
-    def enabled(self, state, proc):
-        sigma = state.classical[proc]
+    def enabled(self, proc, sigma):
         if proc == "p0" and sigma["sent"] < sigma["n_msgs"]:
             return ["ping"]
         return []

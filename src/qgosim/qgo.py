@@ -351,9 +351,11 @@ def respond(proc: str, ext, ctx: GenContext) -> Respond:
 class AugmentedPredicate:
     """Step predicate of the base algorithm augmented with the marker
     protocol, as the blocks ``executions.validate`` asks for.  An Invoke or
-    a Receive starts the block its procedure builds on the pre-state, where
-    a procedure that raises ``QgoError`` refuses it; any other event starts
-    a block of one of the base algorithm's actions enabled at its label."""
+    a Receive starts the block its procedure builds on the pre-state; a
+    procedure that raises ``QgoError`` refuses it, with the error's message
+    as the reason.  Any other event starts a block of one of the base
+    algorithm's actions enabled at its label that the record's ids and
+    outcomes can build."""
 
     def __init__(self, base, library: dict[str, DecomposableGlobalOp]):
         self.base = base
@@ -368,10 +370,15 @@ class AugmentedPredicate:
             if isinstance(event, Receive):
                 return [qgo_receive(pre, event.label, event.chan, self.library,
                                     GenContext.recorded(rest))]
-        except QgoError:
-            return []
-        return [self.base.build(pre, event.label, action, GenContext.recorded(rest))
-                for action in self.base.enabled(pre, event.label)]
+        except QgoError as exc:
+            raise executions.BlockRefused(str(exc)) from exc
+        label, blocks = event.label, []
+        for action in self.base.enabled(label, pre.classical[label]):
+            try:
+                blocks.append(self.base.build(pre, label, action, GenContext.recorded(rest)))
+            except QgoError:  # the record holds no block of this action
+                continue
+        return blocks
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgosim import causality, executions, qcore, sysmodel, verifier
-from qgosim.harness import cli, traceio
+from qgosim import causality, executions, qcore, qgo, sysmodel, verifier
+from qgosim.harness import cli, scheduler, traceio
 from qgosim.harness.scenarios import (
     BASE_ALGORITHMS,
     MAX_PROCS,
@@ -203,6 +203,144 @@ class TestScheduler:
         cfg = ScenarioConfig(base="forged-ping", procs=2, base_params={"n_msgs": 2})
         with pytest.raises(SchedulerError, match="message id 7 reused"):
             run_simulation(cfg)
+
+
+# The scheduler's reference: the enabled actions and the fairness counters
+# enumerated again from the whole state at every step.  The scheduler keeps
+# them up to date block by block, and must offer the same lists.
+
+def reference_enabled_actions(state, base, next_inv, cfg, steps):
+    """Every non-empty channel's receive by sorted channel, every
+    processor's base actions by sorted processor, then the next invocation
+    once every processor is idle and its step has come (or nothing else is
+    enabled)."""
+    actions = [("recv", c) for c in sorted(state.channels) if state.channels[c]]
+    for proc in sorted(state.procs):
+        actions += [("base", proc, a) for a in base.enabled(proc, state.classical[proc])]
+    if next_inv < len(cfg.invocations):
+        idle = all(not qgo.is_active(state.ext[p]) for p in state.procs)
+        after = int(cfg.invocations[next_inv].get("after_step", 0))
+        if idle and (steps >= after or not actions):
+            actions.append(("invoke", next_inv))
+    return actions
+
+
+def reference_run(cfg, decisions=None):
+    """``run_simulation`` on the reference enumeration: its decisions and
+    serialized run, or None and the SchedulerError's message; and the
+    number of steps at which a receive was forced."""
+    state, base, library = build_scenario(cfg)
+    initial = state
+    sched_seed, outcome_seed = np.random.SeedSequence(cfg.seed).spawn(2)
+    policy = scheduler._Policy(cfg, np.random.default_rng(sched_seed), decisions)
+    ctx = qgo.GenContext(np.random.default_rng(outcome_seed))
+    events, chosen, seen_ids = [], [], initial.message_ids()
+    next_inv, starved, forced = 0, {}, 0
+    try:
+        for steps in range(cfg.max_steps):
+            actions = reference_enabled_actions(state, base, next_inv, cfg, steps)
+            if not actions:
+                break
+            # A receive left enabled for more than ``fairness`` steps is forced.
+            recvs = [a for a in actions if a[0] == "recv"]
+            starved = {a: starved.get(a, 0) + 1 for a in recvs}
+            overdue = [a for a in recvs if starved[a] > cfg.fairness]
+            forced += bool(overdue)
+            pick = policy.choose(overdue or actions)
+            starved.pop(pick, None)
+            chosen.append(list(pick))
+            block = scheduler._build(state, pick, cfg, base, library, ctx)
+            next_inv += pick[0] == "invoke"
+            try:
+                for ev in block:
+                    state = executions.checked_step(state, ev, seen_ids, executions.step)
+            except sysmodel.SysmodelError as exc:
+                raise SchedulerError(f"step {steps}: {exc}") from exc
+            events.extend(block)
+        else:
+            raise SchedulerError(f"no quiescence within {cfg.max_steps} steps")
+        if next_inv < len(cfg.invocations):
+            raise SchedulerError("scenario quiesced before all invocations ran")
+    except SchedulerError as exc:
+        return None, str(exc), forced
+    x = executions.Execution(initial, tuple(events))
+    return chosen, traceio.serialize_run(x, cfg, chosen), forced
+
+
+def scheduled_run(cfg, decisions=None):
+    """``run_simulation``'s decisions and serialized run, or None and its
+    SchedulerError's message."""
+    try:
+        res = run_simulation(cfg, decisions)
+    except SchedulerError as exc:
+        return None, str(exc)
+    return res.decisions, traceio.serialize_run(res.execution, res.config, res.decisions)
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _inv(gid, leader, after_step):
+    return {"gid": gid, "leader": leader, "after_step": after_step}
+
+
+# One small config per base algorithm, each with two invocations.
+ORACLE_CONFIGS = {
+    "token-ring": dict(base="token-ring", procs=4, base_params={"max_hops": 8},
+                       invocations=[_inv("record-only", "p0", 2),
+                                    _inv("record-only", "p2", 9)]),
+    "token-ring-epr": dict(base="token-ring", procs=2,
+                           base_params={"epr_pair": True, "max_hops": 6},
+                           invocations=[_inv("snapshot-measure", "p0", 2),
+                                        _inv("global-encrypt", "p1", 6)]),
+    "teleport": dict(base="teleport", procs=2,
+                     invocations=[_inv("snapshot-measure", "p1", 1),
+                                  _inv("global-encrypt", "p0", 3)]),
+    "ping": dict(base="ping", procs=3, base_params={"n_msgs": 6},
+                 invocations=[_inv("record-only", "p2", 2),
+                              _inv("snapshot-measure", "p1", 5)]),
+    "empty": dict(base="empty", procs=3, base_params={"qubits_per_proc": 1},
+                  invocations=[_inv("snapshot-measure", "p1", 0),
+                               _inv("record-only", "p0", 0)]),
+}
+POLICIES = ("uniform-random", "round-robin", "channel-delay-biased")
+
+
+def assert_scheduler_matches_reference(cfg_dict) -> int:
+    """The scheduler and the reference make the same decisions and the same
+    trace, under the config's policy and then replaying its decisions; the
+    number of steps at which a receive was forced."""
+    cfg = ScenarioConfig.from_dict(cfg_dict)
+    decisions, text, forced = reference_run(cfg)
+    ours = scheduled_run(cfg)
+    # Decisions first, and traces by digest: a diff of two long traces
+    # takes minutes to print.
+    assert ours[0] == decisions
+    assert digest(ours[1]) == digest(text)
+    if decisions is not None:
+        replay = ScenarioConfig.from_dict({**cfg_dict, "policy": "replay"})
+        ours, (ref_decisions, ref_text, _) = \
+            scheduled_run(replay, decisions), reference_run(replay, decisions)
+        assert ours[0] == ref_decisions == decisions
+        assert digest(ours[1]) == digest(ref_text)
+    return forced
+
+
+@settings(max_examples=60, deadline=None)
+@given(base=st.sampled_from(sorted(ORACLE_CONFIGS)), policy=st.sampled_from(POLICIES),
+       fairness=st.sampled_from([1, 2, 3, 50]), seed=st.integers(0, 2**32 - 1))
+def test_scheduler_matches_the_reference_enumeration(base, policy, fairness, seed):
+    assert_scheduler_matches_reference(
+        {**ORACLE_CONFIGS[base], "policy": policy, "fairness": fairness, "seed": seed})
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_scheduler_forces_an_overdue_receive_as_the_reference_does(policy):
+    # Four processors flood 16 channels with markers, twice: with fairness
+    # 1 a receive waits at most one step before the policy must take it.
+    cfg = {**ORACLE_CONFIGS["token-ring"], "policy": policy, "fairness": 1, "seed": 4}
+    assert assert_scheduler_matches_reference(cfg) > 0
 
 
 class TestTraceIO:
@@ -1125,6 +1263,23 @@ def test_verify_message_ids_budget(monkeypatch):
     atomics = sum(isinstance(e, executions.AtomicExecute) for e in cert.spec.events)
     sends = sum(isinstance(e, executions.Send) for e in x.events)
     assert len(calls) <= len(replays) + atomics < sends
+
+
+def test_generation_enabled_budget(monkeypatch):
+    """The scheduler asks the base algorithm for a processor's actions once
+    per processor at the start, then only for a processor whose classical
+    state a block replaced: on scenario (c), 12 calls plus one per base
+    event (a token pass, take or receive).  Enumerating them at every step
+    took 12 calls per step, 10,428 over the 869 steps (the last one finds
+    no action)."""
+    cfg = ScenarioConfig.from_dict(GOLDEN_TRACES["ring-classical-long"][0])
+    calls = counting_calls(monkeypatch, type(BASE_ALGORITHMS["token-ring"]), "enabled")
+    res = run_simulation(cfg)
+    base_events = sum(not e.protocol for e in res.execution.events
+                      if isinstance(e, (executions.Apply, executions.Send,
+                                        executions.Receive)))
+    assert (len(res.decisions), cfg.procs, base_events) == (868, 12, 288)
+    assert len(calls) == cfg.procs + base_events == 300
 
 
 def test_trace_codec_work_budget(monkeypatch):

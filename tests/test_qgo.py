@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qgosim import executions, qcore, qgo, sysmodel
-from qgosim.executions import Apply, Invoke, Receive, Respond, Send
+from qgosim.executions import Apply, AtomicExecute, Invoke, Receive, Respond, Send
 from qgosim.harness.scenarios import BASE_ALGORITHMS, ScenarioConfig, build_scenario
 from qgosim.harness.scheduler import run_simulation
 from qgosim.qcore import DensityMatrix, RegisterAllocator, RegisterSpace
@@ -230,6 +230,9 @@ class TestBuilderGuards:
                        msg_id=state.channels["p0->p0"][0].msg_id, update=close,
                        protocol=True)
         assert refused_at(pred, state, [recv]) == 0
+        res = executions.validate(pred, executions.Execution(state, (recv,)))
+        assert res.reason == ("step 0 not allowed by predicate: "
+                              "processor p0 does not wait for a marker on p0->p0")
 
     def test_gop_self_on_a_channel_that_is_not_incoming(self):
         state, lib, ctx, pred = self.invoked()
@@ -453,12 +456,46 @@ class TestAugmentedPredicate:
         cut = executions.Execution(x.initial, x.events[:i + 2])
         res = executions.validate(pred, cut)
         assert not res and res.first_failure == i, res
+        # The builder's reason reaches the refusal, so a cut block is told
+        # apart from a guard's refusal (see the waitset case above).
+        assert res.reason == (f"step {i} not allowed by predicate: "
+                              "no message id left to build the block with")
         # The ids run out inside the generator of marker Sends: a QgoError,
         # not the RuntimeError that a bare StopIteration would become there.
         pre = executions.replay(cut)[i]
         with pytest.raises(qgo.QgoError, match="left to build the block"):
             qgo.qgo_invoke(pre, "p0", pred.library["snapshot-measure"],
                            qgo.GenContext.recorded(cut.events[i:]))
+
+    def test_base_action_the_record_cannot_build_is_no_candidate(self):
+        # p1 starts with a token of its own, so at its take it may also
+        # pass.  The record holds no message id for a pass: building it
+        # raises a QgoError, which makes it no candidate, and the take alone
+        # is the block.
+        cfg = dict(base="token-ring", procs=2, base_params={"max_hops": 2})
+        x, pred = self.scenario(cfg, 0)
+        assert [(type(e), e.label) for e in x.events[:3]] == \
+            [(Send, "p0"), (Receive, "p1"), (Apply, "p1")]
+        p1 = {**x.initial.classical["p1"], "has_token": True}
+        initial = dc_replace(x.initial, classical={**x.initial.classical, "p1": p1})
+        cut = executions.Execution(initial, x.events[:3])
+        assert pred.base.enabled("p1", executions.replay(cut)[2].classical["p1"]) == \
+            ["pass", "take"]
+        assert executions.validate(pred, cut)
+
+    def test_event_that_cannot_be_stepped_is_refused(self):
+        # A specification-only event in x: ``step`` raises a SysmodelError,
+        # so replay reports it and validate refuses x.
+        x, pred = self.scenario(TOKEN_RING_EPR, 0)
+        n = len(x.events)
+        atomic = AtomicExecute(eid=n, label="p0", gid="record-only")
+        forged = executions.Execution(x.initial, x.events + (atomic,))
+        with pytest.raises(executions.ReplayError,
+                           match=f"index {n}: event type AtomicExecute cannot be stepped"):
+            executions.replay(forged)
+        res = executions.validate(pred, forged)
+        assert not res and res.first_failure == n
+        assert res.reason == "not well formed: event type AtomicExecute cannot be stepped"
 
     def test_event_of_another_processor_inside_a_block_is_refused(self):
         forged_runs = 0
