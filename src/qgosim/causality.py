@@ -3,10 +3,10 @@
 Causality is the transitive closure of two primitive edge kinds: consecutive
 events carrying the same label, and the send/receive pair of one message.
 A swap of two adjacent events verifies its own postconditions; a failure
-raises LemmaViolation, which indicates a bug rather than a property of the
-input.  ``verify`` swaps each recorded-message operation with its reception
-by ``swap_in_place``; ``swap_adjacent_cached``, its copying form, stays
-because the benchmark's traced run wraps it.
+raises LemmaViolation.  ``verify`` does not call ``swap_in_place``: its
+reorderings are ``verifier.sort_window``'s checked permutations.  The tests
+state the swap lemma with it, and ``swap_adjacent_cached``, its copying
+form, stays because the benchmark's traced run wraps it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ class NotComparable(CausalityError):
 
 
 class LemmaViolation(AssertionError):
-    """A checked transformation postcondition failed: an internal bug."""
+    """A checked transformation's postcondition failed: the reordered
+    execution does not step, or ends in another state."""
 
 
 @dataclass(frozen=True)
@@ -86,21 +87,24 @@ def primitive_edges(x: Execution) -> set[tuple[int, int]]:
 
 
 def compute_causality(x: Execution) -> CausalRelation:
-    """Vector clocks from the primitive edges in one forward sweep:
-    O(n·L) time and memory for n events over L labels."""
-    preds: dict[int, list[int]] = {}
-    for a, b in primitive_edges(x):
-        preds.setdefault(b, []).append(a)
-    seq, clock, counts = {}, {}, {}
-    for ev in x.events:  # edges point forward: predecessors come first
-        k = counts[ev.label] = counts.get(ev.label, 0) + 1
-        vc: dict[str, int] = {}
-        for a in preds.get(ev.eid, ()):
-            for label, c in clock[a].items():
+    """Vector clocks in one forward sweep: an event's clock is its label's
+    previous clock, at a Receive joined with the clock of the message's
+    Send, and counts the event itself.  O(n·L) time and memory for n events
+    over L labels."""
+    seq, clock = {}, {}
+    last: dict[str, dict] = {}  # label -> clock of its latest event
+    sent: dict[int, dict] = {}  # message id -> clock of its Send
+    for ev in x.events:
+        vc = dict(last.get(ev.label, {}))
+        k = vc.get(ev.label, 0) + 1
+        if isinstance(ev, Receive):
+            for label, c in sent.get(ev.msg_id, {}).items():
                 vc[label] = max(c, vc.get(label, 0))
         vc[ev.label] = k
         seq[ev.eid] = (ev.label, k)
-        clock[ev.eid] = vc
+        clock[ev.eid] = last[ev.label] = vc
+        if isinstance(ev, Send):
+            sent[ev.msg.msg_id] = vc
     return CausalRelation(seq, clock)
 
 

@@ -31,8 +31,8 @@ class ConfigError(ValueError):
     """A scenario config that is not of the documented form."""
 
 
-_TYPE_NAMES = {str: "a string", int: "an int", bool: "a bool", dict: "a JSON object",
-               list: "a list"}
+TYPE_NAMES = {str: "a string", int: "an int", bool: "a bool", dict: "a JSON object",
+              list: "a list"}
 
 
 def _check_record(what: str, d, types: dict, required: tuple) -> None:
@@ -49,7 +49,7 @@ def _check_record(what: str, d, types: dict, required: tuple) -> None:
             raise ConfigError(f"{what} has no {key!r}")
     for key, value in d.items():
         if type(value) is not types[key]:
-            raise ConfigError(f"{what}: {key!r} is not {_TYPE_NAMES[types[key]]}")
+            raise ConfigError(f"{what}: {key!r} is not {TYPE_NAMES[types[key]]}")
 
 
 _INVOCATION_TYPES = {"gid": str, "leader": str, "after_step": int}

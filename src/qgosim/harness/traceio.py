@@ -42,7 +42,7 @@ from ..executions import (
 from ..qcore import DensityMatrix, QuantumOperation, RegisterId, RegisterSpace
 from ..sysmodel import MessageInstance, SystemState
 from ..verifier import Certificate
-from .scenarios import MAX_PROCS, ConfigError, ScenarioConfig
+from .scenarios import MAX_PROCS, TYPE_NAMES, ConfigError, ScenarioConfig
 
 FORMAT_VERSION = 1
 
@@ -116,16 +116,13 @@ def _parse_matrix(rows: list, n: int | None = None) -> np.ndarray:
     return out
 
 
-_KINDS = {int: "an int", str: "a string", bool: "a bool", list: "a list", dict: "an object"}
-
-
 def _field(d: dict, key: str, kind: type, optional: bool = False):
     """``d[key]``, which must be of type ``kind`` exactly (so no bool passes
     as an int), or null when ``optional``; raises ``ValueError``."""
     v = d[key]
     if type(v) is kind or (optional and v is None):
         return v
-    raise ValueError(f"{key!r} is not {_KINDS[kind]}{' or null' if optional else ''}")
+    raise ValueError(f"{key!r} is not {TYPE_NAMES[kind]}{' or null' if optional else ''}")
 
 
 def _reg(r: RegisterId) -> list:

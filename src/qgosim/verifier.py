@@ -4,10 +4,10 @@ specification.
 For each completed invocation the verifier (1) tripartitions the events
 into pre-snapshot, snapshot-block, and post-snapshot classes, (2) sorts
 them by class as one checked permutation of causally independent
-inversions, (3) commutes each recorded message's operation back across its
-reception — the one step that changes the causal order, justified by an
-explicit state comparison — and moves them to the end of the snapshot
-region as a second checked permutation, and (4)
+inversions, (3) moves each recorded message's operation, relabelled as
+acting on its message, to the end of the snapshot region as a second one:
+commuting it back across the reception is the one step that changes the
+causal order, justified by the permutation's state comparison, and (4)
 replaces the snapshot region by a single AtomicExecute event and replays
 the result under the specification machine, which builds every component
 from the named operation and must end where the reordered execution ends.
@@ -26,7 +26,6 @@ from .causality import (
     LemmaViolation,
     compute_causality,
     equicausal,
-    swap_in_place,
 )
 from .executions import (
     Apply,
@@ -188,10 +187,11 @@ def sort_window(
     checked permutation; return it, its states and its inversion count.
     The first event b that an earlier, higher-ranked event a happens before
     under ``rel``, x's relation, raises CausalDependency; testing the first
-    a of each (rank, label) suffices.  The sorted window is replayed once
-    from states[lo] (``states`` replays ``x``) and must end in states[hi]
-    within EPS_EXACT, else LemmaViolation; later states are reused.  With
-    no inversion, ``x`` and ``states`` come back as given."""
+    a of each (rank, label) suffices.  The span the sort changes, from its
+    first to its last moved position, is replayed once from ``states`` (x's
+    replay) and must end in the state after it within EPS_EXACT, else
+    LemmaViolation; the states outside it are reused.  With no inversion,
+    ``x`` and ``states`` come back as given."""
     window = x.events[lo:hi]
     seen: dict = {}  # (rank, label) -> [eid of its first event, its event count]
     nswaps = 0
@@ -205,14 +205,17 @@ def sort_window(
         seen.setdefault((r, b.label), [b.eid, 0])[1] += 1
     if nswaps == 0:
         return x, states, 0
-    events = x.events[:lo] + tuple(sorted(window, key=rank)) + x.events[hi:]
+    order = sorted(window, key=rank)
+    changed = [lo + i for i, (a, b) in enumerate(zip(window, order)) if a is not b]
+    first, end = changed[0], changed[-1] + 1
+    events = x.events[:lo] + tuple(order) + x.events[hi:]
     new_states = list(states)
     try:
-        for i in range(lo, hi):
+        for i in range(first, end):
             new_states[i + 1] = executions.step(new_states[i], events[i])
     except executions.STEP_ERRORS as exc:
         raise LemmaViolation(f"sorted window produced invalid step: {exc}") from exc
-    if not sysmodel.states_equal(new_states[hi], states[hi], EPS_EXACT):
+    if not sysmodel.states_equal(new_states[end], states[end], EPS_EXACT):
         raise LemmaViolation("sorting changed the state after the window")
     return Execution(x.initial, events), new_states, nswaps
 
@@ -231,45 +234,41 @@ def eliminate_inversions(
 
 
 def reorder_message_ops(
-    x: Execution, states: list, frag: FragmentInfo
+    y: Execution, states: list, frags: list[FragmentInfo]
 ) -> tuple[Execution, list, int]:
-    """Commute each recorded message's operation before its reception, then
-    move them all to the end of the class-sorted ``x``'s snapshot region
-    with one ``sort_window``.  Relabelled as acting on its message, an
-    operation leaves its processor's causal chain; that changes the causal
-    order, so each swap with the reception is checked by ``swap_in_place``:
-    applying the operation in flight, then delivering the message, reaches
-    the same state (within EPS_EXACT) as delivering first and applying after.
-    """
-    if not frag.msg_apply_eids:
-        return x, states, 0
-    events, new_states = list(x.events), list(states)
-    moved = set(frag.msg_apply_eids)
-    at = [i for i in range(frag.lo, frag.hi + 1) if events[i].eid in moved]
-    for i in at:
-        apply_ev, recv = events[i], events[i - 1]
-        if not (isinstance(recv, Receive) and recv.msg_id == apply_ev.target_msg):
-            raise ClaimViolation(
-                f"recorded-message operation {apply_ev.eid} is not adjacent to "
-                f"its reception"
-            )
-        events[i] = dc_replace(apply_ev, label=f"msg:{apply_ev.target_msg}")
-    rel = compute_causality(Execution(x.initial, events))
-    for i in at:
+    """Relabel each recorded message's operation in the class-sorted ``y``
+    as ``msg:<id>``, acting on its message, so that it has no causal past;
+    then move each fragment's to the end of its snapshot region with one
+    ``sort_window`` over its post class.  Crossing its message's reception
+    changes the causal order: the sort's replay checks that applying the
+    operation in flight, then delivering, reaches the same state (within
+    EPS_EXACT) as delivering first and applying after."""
+    moved = {eid for frag in frags for eid in frag.msg_apply_eids}
+    if not moved:
+        return y, states, 0
+    events = list(y.events)
+    for i, ev in enumerate(events):
+        if ev.eid in moved:
+            recv = events[i - 1]
+            if not (isinstance(recv, Receive) and recv.msg_id == ev.target_msg):
+                raise ClaimViolation(
+                    f"recorded-message operation {ev.eid} is not adjacent to its reception"
+                )
+            events[i] = dc_replace(ev, label=f"msg:{ev.target_msg}")
+    z, nswaps = Execution(y.initial, tuple(events)), 0
+    rel = compute_causality(z)
+    for frag in frags:
+        op_end = frag.lo + sum(c != "post" for c in frag.classes.values())
         try:
-            swap_in_place(events, new_states, i - 1, rel)
+            z, states, n = sort_window(z, states, op_end, frag.hi + 1,
+                                       lambda e: 0 if e.eid in moved else 1, rel)
         except (CausalDependency, LemmaViolation) as exc:
             raise ClaimViolation(
-                f"applying to message {events[i].target_msg} in flight does not "
-                f"commute with its reception: {exc}"
+                f"a message operation of the fragment at {frag.lo} applied in flight "
+                f"does not commute with its reception: {exc}"
             ) from exc
-    # Only moved operations carry ``msg:`` labels: the move back crosses no edge.
-    op_end = frag.lo + sum(c != "post" for c in frag.classes.values())
-    z, new_states, nswaps = sort_window(
-        Execution(x.initial, events), new_states, op_end, frag.hi + 1,
-        lambda e: 0 if e.eid in moved else 1, rel,
-    )
-    return z, new_states, len(at) + nswaps
+        nswaps += n
+    return z, states, nswaps
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +388,7 @@ def verify(x: Execution) -> Certificate:
         for frag in frags:
             y, states, n = eliminate_inversions(y, states, frag, rel)
             nswaps += n
-    except ClaimViolation as exc:
+    except (ClaimViolation, LemmaViolation) as exc:
         return fail("sort-classes", str(exc))
     if not equicausal(x, y):
         return fail("sort-classes", "sorted execution is not equicausal")
@@ -398,11 +397,9 @@ def verify(x: Execution) -> Certificate:
         return fail("sort-classes", "sorted execution ends in a different state")
     verdicts["sort-classes"] = True
 
-    z = y
     try:
-        for frag in frags:
-            z, states, n = reorder_message_ops(z, states, frag)
-            nswaps += n
+        z, states, n = reorder_message_ops(y, states, frags)
+        nswaps += n
     except ClaimViolation as exc:
         return fail("move-message-ops", str(exc))
     z_final = states[-1]

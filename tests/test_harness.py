@@ -24,7 +24,9 @@ from qgosim.harness.scenarios import (
 )
 from qgosim.harness.scheduler import SchedulerError, run_simulation
 from test_qcore import trace_preserving
-from test_verifier import REFUSED_ATOMIC_STEPS, trace_text
+from test_verifier import (
+    FORGED_IN_FLIGHT, REFUSED_ATOMIC_STEPS, forged_apply_in_flight, trace_text,
+)
 
 
 class TestScenarios:
@@ -1042,6 +1044,15 @@ class TestCli:
         (line,) = [l for l in r.stdout.splitlines() if l.startswith("rejected:")]
         assert reason in line
 
+    def test_failed_class_sort_replay_exits_1(self, tmp_path):
+        trace = tmp_path / "forged.jsonl"
+        trace.write_text(traceio.serialize_run(forged_apply_in_flight(), FORGED_IN_FLIGHT, None))
+        r = self.run_cli("verify", str(trace))
+        assert (r.returncode, r.stderr) == (1, "")
+        assert "sort-classes: FAIL" in r.stdout
+        (line,) = [l for l in r.stdout.splitlines() if l.startswith("rejected:")]
+        assert "not owned by p1" in line
+
     @pytest.mark.parametrize("cmd", ["run", "verify"])
     def test_unwritable_output_exits_2(self, tmp_path, capsys, cmd):
         """``run --out`` and ``verify --cert`` that name a directory."""
@@ -1183,19 +1194,19 @@ def test_golden_certificate(name):
 # Calls of ``executions.step`` one ``verify`` makes, as (events, swaps,
 # window steps, message operations, specification steps): the one full
 # replay takes one step per event; each sorted window with an inversion (a
-# fragment's class sort, or the move of its message operations back) is
-# replayed once, one step per event in it; each message operation's checked
-# swap with its reception takes two; the specification replay takes one per
-# base event.
+# fragment's class sort, or the move of its message operations to the end
+# of its snapshot region) replays only the span from the first to the last
+# position the sort changes, one step per event in it; the specification
+# replay takes one per base event.
 STEP_BUDGETS = {
-    "scenario-a": (44, 8, 15, 0, 18),  # 44 + 15 + 18 = 77
-    "global-encrypt-d64": (43, 15, 29, 0, 18),  # 43 + 29 + 18 = 90
-    "ring-quantum-wide": (91, 14, 64, 0, 30),  # 91 + 64 + 30 = 185
+    "scenario-a": (44, 8, 10, 0, 18),  # 44 + 10 + 18 = 72
+    "global-encrypt-d64": (43, 15, 17, 0, 18),  # 43 + 17 + 18 = 78
+    "ring-quantum-wide": (91, 14, 9, 0, 30),  # 91 + 9 + 30 = 130
     # Teleport, seed 5: p1's snapshot measures the teleported qubit in flight.
-    # Its fragments sort in windows of 18 and 13 events; the moved operation
-    # lands at the end of the snapshot region, so the move back is no window.
-    "moved-message-op": (34, 25, 31, 1, 7),  # 34 + 31 + 2*1 + 7 = 74
-    "ring-classical-long": (1540, 2968, 1254, 0, 288),  # 1540 + 1254 + 288 = 3082
+    # Its fragments' class sorts change spans of 13 and 5 events; the moved
+    # operation's one inversion is the swap with its reception, a span of 2.
+    "moved-message-op": (34, 25, 20, 1, 7),  # 34 + 20 + 7 = 61
+    "ring-classical-long": (1540, 2968, 504, 0, 288),  # 1540 + 504 + 288 = 2332
 }
 MOVED_MESSAGE_OP = dict(
     base="teleport", procs=2,
@@ -1242,13 +1253,13 @@ def test_verify_step_budget(monkeypatch, name):
                    if isinstance(e, (executions.Apply, executions.Send, executions.Receive))
                    and not e.protocol]
     assert len(base_events) == spec_steps
-    assert len(calls) == n + window_steps + 2 * msg_ops + spec_steps
+    assert len(calls) == n + window_steps + spec_steps
     # Two replays, of x and of the specification execution; one causal
-    # relation, plus one per fragment that has message operations; one
-    # checked swap per message operation.
+    # relation, plus one of the execution with its message operations
+    # relabelled if there are any; no checked swap.
     assert [args[0] for args in replays] == [x, cert.spec]
     assert len(relations) == 1 + (msg_ops > 0)
-    assert len(checked_swaps) == msg_ops
+    assert checked_swaps == []
 
 
 def test_verify_message_ids_budget(monkeypatch):

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qgosim import causality, executions, qcore, specmachine, sysmodel, verifier
+from qgosim import causality, executions, qcore, qgo, specmachine, sysmodel, verifier
 from qgosim.executions import Apply, Execution, Invoke, Receive, Respond, Send
 from qgosim.harness import traceio
-from qgosim.harness.scenarios import ScenarioConfig
+from qgosim.harness.scenarios import ScenarioConfig, build_scenario
 from qgosim.harness.scheduler import run_simulation
 from qgosim.qgo import outcome_label
 from qgosim.sysmodel import encode_classical
@@ -152,6 +152,40 @@ def unitary_pad_msg(seed):
         base="teleport", procs=2,
         invocations=[{"gid": "global-encrypt", "leader": "p1", "after_step": 1}],
         seed=seed), "gop-msg")
+
+
+FORGED_IN_FLIGHT = ScenarioConfig(
+    base="teleport", procs=2,
+    invocations=[{"gid": "snapshot-measure", "leader": "p0", "after_step": 1}], seed=0,
+)
+
+
+def forged_apply_in_flight():
+    """Teleport, snapshot-measured by p0, which then sends the EPR half; p1,
+    not yet in the operation, applies a forged identity to the half in
+    flight, and every channel is drained.  The execution replays, but the
+    class sort moves p1's Apply before the Send, onto a register p0 owns."""
+    state, base, library = build_scenario(FORGED_IN_FLIGHT)
+    ctx = qgo.GenContext(np.random.default_rng(0))
+    events = []
+
+    def step(block):
+        nonlocal state
+        for ev in block:
+            state = executions.step(state, ev)
+            events.append(ev)
+
+    step(qgo.qgo_invoke(state, "p0", library["snapshot-measure"], ctx))
+    step(base.build(state, "p0", "send_half", ctx))
+    half = events[-1].msg
+    identity = qcore.identity_operation((2,))
+    step([Apply(eid=ctx.eid(), label="p1", proc="p1", name="forged",
+                outcome=identity.outcome_set[0], qop=identity,
+                in_regs=half.quantum_regs, out_regs=half.quantum_regs,
+                target_msg=half.msg_id)])
+    while chans := [c for c, msgs in sorted(state.channels.items()) if msgs]:
+        step(qgo.qgo_receive(state, chans[0].split("->")[1], chans[0], library, ctx))
+    return Execution(build_scenario(FORGED_IN_FLIGHT)[0], tuple(events))
 
 
 def renamed_operation(text, gid="nonesuch"):
@@ -330,6 +364,14 @@ class TestReject:
             assert cert.verdicts["spec-replay"] is False, (seed, cert.verdicts)
             assert all(cert.verdicts[k] for k in cert.verdicts if k != "spec-replay")
 
+    def test_failed_class_sort_replay_is_a_rejection(self):
+        x = forged_apply_in_flight()
+        assert len(executions.replay(x)) == len(x.events) + 1 == 17
+        cert = verifier.verify(x)
+        assert cert.verdicts["sort-classes"] is False
+        assert cert.reason.startswith("sorted window produced invalid step: ")
+        assert "not owned by p1" in cert.reason
+
     @REFUSED_ATOMIC_STEPS
     def test_atomic_step_the_operation_refuses(self, edit, cfg, reason):
         x, _, _ = traceio.parse_run(edit(trace_text(cfg)))
@@ -480,6 +522,26 @@ class TestSortWindowChecks:
         frag = verifier.FragmentInfo(lo=0, hi=2, classes={0: "post", 1: "post", 2: "pre"})
         with pytest.raises(verifier.ClaimViolation, match="event 0 happens before 2$"):
             verifier.eliminate_inversions(self.x, self.states, frag, self.rel)
+
+    def test_replays_only_the_span_the_sort_changes(self, monkeypatch):
+        """A post p1 step (3) after the window's one inversion stays in place:
+        only positions 1 and 2 are replayed, and the states before and after
+        them are reused."""
+        x = Execution(self.x.initial, self.x.events + (
+            Apply(eid=3, label="p1", proc="p1", name="b", outcome=qcore.NO_OUTCOME),))
+        states = executions.replay(x)
+        frag = verifier.FragmentInfo(lo=0, hi=3,
+                                     classes={0: "pre", 1: "post", 2: "pre", 3: "post"})
+        steps = []
+        real = executions.step
+        monkeypatch.setattr(executions, "step",
+                            lambda *args: steps.append(args) or real(*args))
+        y, y_states, nswaps = verifier.eliminate_inversions(
+            x, states, frag, causality.compute_causality(x))
+        assert ([e.eid for e in y.events], nswaps) == ([0, 2, 1, 3], 1)
+        assert [args[1].eid for args in steps] == [2, 1]
+        assert y_states[0] is states[0] and y_states[1] is states[1]
+        assert y_states[4] is states[4]
 
     def test_state_after_the_window_that_does_not_match(self):
         states = list(self.states)
