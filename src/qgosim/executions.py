@@ -8,6 +8,7 @@ fully deterministic and needs no random source.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Any, Callable
 
@@ -187,7 +188,11 @@ def step(state: SystemState, event: Event) -> SystemState:
     """Apply a single event under the distributed-algorithm semantics.
 
     Each event's own classical update runs once, at the end, on the
-    processor named by its label (an Apply's ``proc``).
+    processor named by its label (an Apply's ``proc``).  An Apply acts on a
+    message in flight only under the message's own label, ``msg:<id>``,
+    which no parsed or generated event carries: so only the verifier's
+    reordered execution, whose recorded-message operations bear it, parks an
+    outcome on a message and files it at the Receive.
     """
     if isinstance(event, Invoke):
         # Invocation touches only the extension state; the bookkeeping is
@@ -199,11 +204,18 @@ def step(state: SystemState, event: Event) -> SystemState:
         proc, outcome = event.proc, event.outcome
         in_flight = (None if event.target_msg is None
                      else state.find_message(event.target_msg))
+        if in_flight is not None and event.label != in_flight.owner_token:
+            raise sysmodel.SysmodelError(
+                f"event {event.eid} acts on message {event.target_msg} in flight")
         state = sysmodel.apply_local(
             state, proc, event.qop, event.in_regs, event.out_regs, outcome, in_flight,
         )
-        if event.qop is not None and state.quantum.trace < ZERO_TRACE:
-            raise sysmodel.SysmodelError(f"outcome {outcome!r} has zero probability")
+        if event.qop is not None:
+            prob = state.quantum.trace
+            if not math.isfinite(prob):
+                raise sysmodel.SysmodelError(f"outcome {outcome!r} has probability {prob}")
+            if prob < ZERO_TRACE:
+                raise sysmodel.SysmodelError(f"outcome {outcome!r} has zero probability")
         if in_flight is not None:
             # Outcome parked in the message's pending slot; it is filed in
             # the receiver's channel record when the message is received.

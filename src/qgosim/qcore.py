@@ -441,6 +441,9 @@ class QuantumOperation:
                         f"Kraus matrix shape {k.shape} incompatible with "
                         f"in dim {din}, out dim {dout}"
                     )
+                if not np.isfinite(k).all():
+                    raise ShapeError(f"Kraus matrix of outcome {r!r} has an entry "
+                                     f"that is not finite")
             fixed[r] = ks
         object.__setattr__(self, "kraus_by_outcome", fixed)
 

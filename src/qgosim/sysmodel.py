@@ -99,12 +99,19 @@ class SystemState:
     quantum: DensityMatrix
 
     def check_ownership_partition(self) -> None:
+        """Every live register has one owner: a processor, or the token of
+        the in-flight message that carries it.  No processor is named like a
+        token (``msg:<id>``)."""
+        tokens = [p for p in self.procs if p.startswith("msg:")]
+        if tokens:
+            raise OwnershipViolation(f"processor {tokens[0]!r} is named like a message")
         owned = set(self.ownership)
         live = set(self.quantum.space.registers)
         if owned != live:
             raise OwnershipViolation(
                 f"ownership keys {owned} do not partition live registers {live}"
             )
+        carried = set()
         for chan in self.channels.values():
             for msg in chan:
                 for reg in msg.quantum_regs:
@@ -113,6 +120,12 @@ class SystemState:
                             f"register {reg} of message {msg.msg_id} owned by "
                             f"{self.ownership.get(reg)}"
                         )
+                    carried.add(reg)
+        for reg, owner in self.ownership.items():
+            if reg not in carried and owner not in self.procs:
+                raise OwnershipViolation(
+                    f"register {reg} owned by {owner!r}, neither a processor nor "
+                    f"a message that carries it")
 
     def owned_by(self, owner: str) -> tuple[RegisterId, ...]:
         regs = [r for r in self.quantum.space.registers if self.ownership[r] == owner]

@@ -133,6 +133,16 @@ class TestReplay:
             replay(Execution(st, events))
         assert err.value.index == 1
 
+    def test_probability_that_is_not_finite(self):
+        """A Kraus matrix of finite but huge entries overflows the trace."""
+        st, r0, _ = make_state()
+        huge = qcore.unitary_channel(np.eye(2) * 1e200)
+        ev = Apply(eid=0, label="p0", proc="p0", name="huge", outcome=NO_OUTCOME,
+                   qop=huge, in_regs=(r0,), out_regs=(r0,))
+        with pytest.raises(ReplayError, match="^invalid step at index 0: outcome '⊥' "
+                                              "has probability inf$"):
+            replay(Execution(st, (ev,)))
+
     def test_unknown_update_name(self):
         st, *_ = make_state()
         ev = Apply(eid=0, label="p0", proc="p0", name="nop", outcome=NO_OUTCOME,
@@ -165,7 +175,7 @@ class TestInFlightRecord:
         msg = MessageInstance(0, "p0", "p1", classical={"kind": "half"}, quantum_regs=(r1,))
         send = Send(eid=0, label="p0", msg=msg)
         recv = Receive(eid=1, label="p1", chan="p0->p1", msg_id=0)
-        apply = Apply(eid=2, label="p1", proc="p1", name="gop-msg:g", outcome="1",
+        apply = Apply(eid=2, label="msg:0", proc="p1", name="gop-msg:g", outcome="1",
                       qop=qcore.standard_basis_measurement([2]),
                       in_regs=(r1,), out_regs=(r1,),
                       update=ClassicalUpdate("qgo.record", ("p0->p1",)),

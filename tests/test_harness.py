@@ -25,7 +25,8 @@ from qgosim.harness.scenarios import (
 from qgosim.harness.scheduler import SchedulerError, run_simulation
 from test_qcore import trace_preserving
 from test_verifier import (
-    FORGED_IN_FLIGHT, REFUSED_ATOMIC_STEPS, forged_apply_in_flight, trace_text,
+    FORGED_IN_FLIGHT, FORGED_IN_FLIGHT_CASES, REFUSED_ATOMIC_STEPS, SNAPSHOT_RING,
+    break_steps_after_the_replay, forged_apply_in_flight, in_flight_refusal, trace_text,
 )
 
 
@@ -649,6 +650,16 @@ class TestCli:
         return recs[:k] + [{"t": "chan", "key": "p0->p1", "msgs": [msg]}] + recs[k:]
 
     @staticmethod
+    def _processor_named_like_a_message(recs):
+        """p1 renamed msg:0 everywhere, its events and channels included."""
+        return json.loads(json.dumps(recs).replace("p1", "msg:0"))
+
+    @staticmethod
+    def _ghost_owner(recs):
+        next(d for d in recs if d["t"] == "quantum")["own"]["1"] = "ghost"
+        return recs
+
+    @staticmethod
     def _message_on_unknown_channel(recs):
         msg = {"id": 99, "src": "p0", "dst": "p9", "classical": None,
                "regs": [], "marker": None, "pending": None}
@@ -686,6 +697,11 @@ class TestCli:
         ("_indefinite_state", "error: bad initial state: ShapeError('matrix has eigenvalue -1"),
         ("_unowned_register", "error: register 1 has no owner"),
         ("_message_register_owned_by_proc", "error: bad initial state: OwnershipViolation("),
+        ("_processor_named_like_a_message", "error: bad initial state: OwnershipViolation("
+                                            "\"processor 'msg:0' is named like a message\")"),
+        ("_ghost_owner", "error: bad initial state: OwnershipViolation(\"register "
+                         "RegisterId(id=1, dim=2) owned by 'ghost', neither a processor nor "
+                         "a message that carries it\")"),
         ("_sigma_not_object", "error: proc record of 'p1': sigma is not a JSON object"),
         ("_inbox_not_list", "error: proc record of 'p1': inbox is not a list"),
         ("_repeated_proc", "error: trace has two proc records for 'p0'"),
@@ -706,7 +722,8 @@ class TestCli:
     ], ids=["no-quantum", "repeated-procs", "repeated-quantum", "bad-qrow-value",
             "bool-row-index", "float-row-index", "missing-row", "stray-row", "repeated-row",
             "short-row", "indefinite-state",
-            "unowned-register", "ownership-partition", "sigma-not-object",
+            "unowned-register", "ownership-partition", "processor-named-like-a-message",
+            "ghost-owner", "sigma-not-object",
             "inbox-not-list", "repeated-proc", "unknown-proc", "missing-proc",
             "ext-not-register", "ext-res-list", "unknown-channel", "another-channel",
             "repeated-proc-name", "too-many-procs"])
@@ -772,6 +789,26 @@ class TestCli:
         assert "Traceback" not in r.stderr
         assert r.stderr.strip() == (
             f"error: line {k + 1}: bad event record: 'eid' is not an int")
+
+    def test_kraus_entry_that_is_not_finite_exits_2(self, tmp_path):
+        """Teleport's Bell measurement with NaN in the Kraus matrix of its
+        recorded outcome: refused where it is read, not replayed to a NaN
+        state."""
+        cfg = ScenarioConfig(base="teleport", procs=2, seed=0)
+        lines = trace_text(cfg).splitlines()
+        k = next(i for i, line in enumerate(lines)
+                 if json.loads(line).get("name") == "tp.bell")
+        rec = json.loads(lines[k])
+        (kraus,) = rec["qop"]["kraus"][rec["outcome"]]
+        row = next(r for r in kraus if set(r) != {"0,0"})
+        row[next(j for j, v in enumerate(row) if v != "0,0")] = "nan,0"
+        lines[k] = json.dumps(rec, sort_keys=True)
+        trace = tmp_path / "nan.jsonl"
+        trace.write_text("\n".join(lines) + "\n")
+        r = self.run_cli("verify", str(trace))
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr == (f"error: line {k + 1}: bad event record: Kraus matrix of "
+                            f"outcome {rec['outcome']!r} has an entry that is not finite\n")
 
     @pytest.mark.parametrize("kind, path, value, message", [
         ("send", ["label"], "p9", "names unknown processor 'p9'"),
@@ -1044,14 +1081,27 @@ class TestCli:
         (line,) = [l for l in r.stdout.splitlines() if l.startswith("rejected:")]
         assert reason in line
 
-    def test_failed_class_sort_replay_exits_1(self, tmp_path):
+    def test_failed_class_sort_replay_exits_1(self, tmp_path, monkeypatch, capsys):
+        trace = tmp_path / "ring.jsonl"
+        trace.write_text(trace_text(SNAPSHOT_RING))
+        break_steps_after_the_replay(monkeypatch)
+        assert cli.main(["verify", str(trace)]) == 1
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert "sort-classes: FAIL" in out.out
+        (line,) = [l for l in out.out.splitlines() if l.startswith("rejected:")]
+        assert line.startswith("rejected: sorted window produced invalid step: "
+                               "injected failure at event ")
+
+    @FORGED_IN_FLIGHT_CASES
+    def test_apply_to_a_message_in_flight_exits_1(self, tmp_path, drained):
+        x = forged_apply_in_flight(drained)
         trace = tmp_path / "forged.jsonl"
-        trace.write_text(traceio.serialize_run(forged_apply_in_flight(), FORGED_IN_FLIGHT, None))
+        trace.write_text(traceio.serialize_run(x, FORGED_IN_FLIGHT, None))
         r = self.run_cli("verify", str(trace))
         assert (r.returncode, r.stderr) == (1, "")
-        assert "sort-classes: FAIL" in r.stdout
-        (line,) = [l for l in r.stdout.splitlines() if l.startswith("rejected:")]
-        assert "not owned by p1" in line
+        assert r.stdout.splitlines() == ["  well-formed: FAIL",
+                                         f"rejected: {in_flight_refusal(x)}"]
 
     @pytest.mark.parametrize("cmd", ["run", "verify"])
     def test_unwritable_output_exits_2(self, tmp_path, capsys, cmd):
@@ -1192,21 +1242,21 @@ def test_golden_certificate(name):
 
 
 # Calls of ``executions.step`` one ``verify`` makes, as (events, swaps,
-# window steps, message operations, specification steps): the one full
-# replay takes one step per event; each sorted window with an inversion (a
-# fragment's class sort, or the move of its message operations to the end
-# of its snapshot region) replays only the span from the first to the last
-# position the sort changes, one step per event in it; the specification
-# replay takes one per base event.
+# window steps, message operations, specification steps, inverting
+# windows): the one full replay takes one step per event; each sorted window
+# with an inversion (a fragment's class sort, or the move of its message
+# operations to the end of its snapshot region) replays only the span from
+# the first to the last position the sort changes, one step per event in
+# it; the specification replay takes one per base event.
 STEP_BUDGETS = {
-    "scenario-a": (44, 8, 10, 0, 18),  # 44 + 10 + 18 = 72
-    "global-encrypt-d64": (43, 15, 17, 0, 18),  # 43 + 17 + 18 = 78
-    "ring-quantum-wide": (91, 14, 9, 0, 30),  # 91 + 9 + 30 = 130
+    "scenario-a": (44, 8, 10, 0, 18, 1),  # 44 + 10 + 18 = 72
+    "global-encrypt-d64": (43, 15, 17, 0, 18, 1),  # 43 + 17 + 18 = 78
+    "ring-quantum-wide": (91, 14, 9, 0, 30, 1),  # 91 + 9 + 30 = 130
     # Teleport, seed 5: p1's snapshot measures the teleported qubit in flight.
     # Its fragments' class sorts change spans of 13 and 5 events; the moved
     # operation's one inversion is the swap with its reception, a span of 2.
-    "moved-message-op": (34, 25, 20, 1, 7),  # 34 + 20 + 7 = 61
-    "ring-classical-long": (1540, 2968, 504, 0, 288),  # 1540 + 504 + 288 = 2332
+    "moved-message-op": (34, 25, 20, 1, 7, 3),  # 34 + 20 + 7 = 61
+    "ring-classical-long": (1540, 2968, 504, 0, 288, 4),  # 1540 + 504 + 288 = 2332
 }
 MOVED_MESSAGE_OP = dict(
     base="teleport", procs=2,
@@ -1241,11 +1291,12 @@ def test_verify_step_budget(monkeypatch, name):
         res = run_simulation(ScenarioConfig.from_dict(MOVED_MESSAGE_OP))
         text = traceio.serialize_run(res.execution, res.config, res.decisions)
     x, _, _ = traceio.parse_run(text)
-    n, swaps, window_steps, msg_ops, spec_steps = STEP_BUDGETS[name]
+    n, swaps, window_steps, msg_ops, spec_steps, windows = STEP_BUDGETS[name]
     calls = counting_calls(monkeypatch, executions, "step")
     replays = counting_calls(monkeypatch, executions, "replay")
     relations = counting_calls(monkeypatch, causality, "compute_causality")
     checked_swaps = counting_calls(monkeypatch, causality, "swap_in_place")
+    compares = counting_calls(monkeypatch, sysmodel, "states_equal")
     cert = verifier.verify(x)
     assert cert.accepted and (cert.z is cert.y) == (msg_ops == 0)
     assert (len(x.events), cert.swaps) == (n, swaps)
@@ -1255,11 +1306,12 @@ def test_verify_step_budget(monkeypatch, name):
     assert len(base_events) == spec_steps
     assert len(calls) == n + window_steps + spec_steps
     # Two replays, of x and of the specification execution; one causal
-    # relation, plus one of the execution with its message operations
-    # relabelled if there are any; no checked swap.
+    # relation, x's; no checked swap.  One state comparison per sorted
+    # window with an inversion, and one of the specification's final state.
     assert [args[0] for args in replays] == [x, cert.spec]
-    assert len(relations) == 1 + (msg_ops > 0)
+    assert [args[0] for args in relations] == [x]
     assert checked_swaps == []
+    assert len(compares) == windows + 1
 
 
 def test_verify_message_ids_budget(monkeypatch):

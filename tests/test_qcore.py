@@ -280,6 +280,14 @@ class TestValidateOperation:
     def test_pauli_pad_valid(self):
         assert trace_preserving(qcore.pauli_pad_operation(2))
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_kraus_entry_that_is_not_finite(self, entry):
+        k = np.eye(2, dtype=complex)
+        k[1, 0] = entry
+        with pytest.raises(qcore.ShapeError, match="Kraus matrix of outcome '⊥' has an "
+                                                   "entry that is not finite"):
+            unitary_channel(k)
+
 
 class TestValidateState:
     SPACE = RegisterSpace((RegisterId(0, 2), RegisterId(1, 2)))

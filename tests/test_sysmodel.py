@@ -23,6 +23,25 @@ def two_proc_state(n_qubits_each=1):
     ), regs
 
 
+class TestOwnershipPartition:
+    def test_processor_named_like_a_message(self):
+        st, _ = two_proc_state()
+        with pytest.raises(sysmodel.OwnershipViolation,
+                           match="processor 'msg:0' is named like a message"):
+            sysmodel.initial_state(("p0", "msg:0"), st.classical, st.quantum,
+                                   st.ownership)
+
+    @pytest.mark.parametrize("owner", ["ghost", "msg:0"])
+    def test_register_owned_by_no_processor_or_carrying_message(self, owner):
+        """Neither a name that is no processor's nor the token of a message
+        that does not carry the register owns it."""
+        st, regs = two_proc_state()
+        with pytest.raises(sysmodel.OwnershipViolation,
+                           match=f"owned by '{owner}', neither a processor nor"):
+            sysmodel.initial_state(st.procs, st.classical, st.quantum,
+                                   {**st.ownership, regs[1]: owner})
+
+
 class TestChannels:
     def test_all_channels_include_self(self):
         chans = sysmodel.all_channels(("a", "b"))

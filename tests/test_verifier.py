@@ -160,11 +160,14 @@ FORGED_IN_FLIGHT = ScenarioConfig(
 )
 
 
-def forged_apply_in_flight():
-    """Teleport, snapshot-measured by p0, which then sends the EPR half; p1,
-    not yet in the operation, applies a forged identity to the half in
-    flight, and every channel is drained.  The execution replays, but the
-    class sort moves p1's Apply before the Send, onto a register p0 owns."""
+def forged_apply_in_flight(drained=False):
+    """Teleport, snapshot-measured by p0, which then sends the EPR half; p1
+    applies a forged operation to the half in flight, and every channel is
+    drained.  By default p0 sends before any marker is received and p1's
+    operation is the identity; ``drained`` completes the snapshot before the
+    send, and p1 applies X.  The forged Apply is built on the state it
+    leaves under the message's own label, the only one that may act in
+    flight, so that the events after it can be built at all."""
     state, base, library = build_scenario(FORGED_IN_FLIGHT)
     ctx = qgo.GenContext(np.random.default_rng(0))
     events = []
@@ -175,17 +178,53 @@ def forged_apply_in_flight():
             state = executions.step(state, ev)
             events.append(ev)
 
+    def drain():
+        while chans := [c for c, msgs in sorted(state.channels.items()) if msgs]:
+            step(qgo.qgo_receive(state, chans[0].split("->")[1], chans[0], library, ctx))
+
     step(qgo.qgo_invoke(state, "p0", library["snapshot-measure"], ctx))
+    if drained:
+        drain()
     step(base.build(state, "p0", "send_half", ctx))
     half = events[-1].msg
-    identity = qcore.identity_operation((2,))
-    step([Apply(eid=ctx.eid(), label="p1", proc="p1", name="forged",
-                outcome=identity.outcome_set[0], qop=identity,
-                in_regs=half.quantum_regs, out_regs=half.quantum_regs,
-                target_msg=half.msg_id)])
-    while chans := [c for c, msgs in sorted(state.channels.items()) if msgs]:
-        step(qgo.qgo_receive(state, chans[0].split("->")[1], chans[0], library, ctx))
+    qop = (qcore.unitary_channel(np.array([[0, 1], [1, 0]])) if drained
+           else qcore.identity_operation((2,)))
+    forged = Apply(eid=ctx.eid(), label="p1", proc="p1", name="forged",
+                   outcome=qop.outcome_set[0], qop=qop, in_regs=half.quantum_regs,
+                   out_regs=half.quantum_regs, target_msg=half.msg_id)
+    state = executions.step(state, dataclasses.replace(forged, label=half.owner_token))
+    events.append(forged)
+    drain()
     return Execution(build_scenario(FORGED_IN_FLIGHT)[0], tuple(events))
+
+
+def in_flight_refusal(x):
+    """The reason replay refuses ``x``'s forged Apply, naming its position
+    and the event."""
+    i, ev = next((i, e) for i, e in enumerate(x.events) if getattr(e, "name", "") == "forged")
+    return (f"invalid step at index {i}: event {ev.eid} acts on message "
+            f"{ev.target_msg} in flight")
+
+
+FORGED_IN_FLIGHT_CASES = pytest.mark.parametrize(
+    "drained", [False, True], ids=["before-the-markers", "after-the-snapshot"])
+
+
+def break_steps_after_the_replay(monkeypatch):
+    """From the moment ``verify``'s one full replay of x returns, every
+    ``executions.step`` fails: so the first reordering that replays a span
+    fails, as a forged trace would make it."""
+    real = executions.replay
+
+    def broken(state, ev):
+        raise sysmodel.SysmodelError(f"injected failure at event {ev.eid}")
+
+    def replay_then_break(x):
+        states = real(x)
+        monkeypatch.setattr(executions, "step", broken)
+        return states
+
+    monkeypatch.setattr(verifier, "replay", replay_then_break)
 
 
 def renamed_operation(text, gid="nonesuch"):
@@ -364,13 +403,20 @@ class TestReject:
             assert cert.verdicts["spec-replay"] is False, (seed, cert.verdicts)
             assert all(cert.verdicts[k] for k in cert.verdicts if k != "spec-replay")
 
-    def test_failed_class_sort_replay_is_a_rejection(self):
-        x = forged_apply_in_flight()
-        assert len(executions.replay(x)) == len(x.events) + 1 == 17
+    def test_failed_class_sort_replay_is_a_rejection(self, monkeypatch):
+        x = generate(seed=11)
+        break_steps_after_the_replay(monkeypatch)
         cert = verifier.verify(x)
-        assert cert.verdicts["sort-classes"] is False
-        assert cert.reason.startswith("sorted window produced invalid step: ")
-        assert "not owned by p1" in cert.reason
+        assert cert.verdicts == {"well-formed": True, "decompose": True,
+                                 "sort-classes": False}
+        assert re.fullmatch(r"sorted window produced invalid step: "
+                            r"injected failure at event \d+", cert.reason)
+
+    @FORGED_IN_FLIGHT_CASES
+    def test_apply_to_a_message_in_flight_is_not_well_formed(self, drained):
+        x = forged_apply_in_flight(drained)
+        cert = verifier.verify(x)
+        assert (cert.verdicts, cert.reason) == ({"well-formed": False}, in_flight_refusal(x))
 
     @REFUSED_ATOMIC_STEPS
     def test_atomic_step_the_operation_refuses(self, edit, cfg, reason):
