@@ -2,6 +2,8 @@
 
 Causality is the transitive closure of two primitive edge kinds: consecutive
 events carrying the same label, and the send/receive pair of one message.
+``predecessors`` yields both, and the vector clocks and the edge set are
+built from it alone.
 A swap of two adjacent events verifies its own postconditions; a failure
 raises LemmaViolation.  ``verify`` does not call ``swap_in_place``: its
 reorderings are ``verifier.sort_window``'s checked permutations.  The tests
@@ -71,40 +73,40 @@ class CausalRelation:
         )
 
 
-def primitive_edges(x: Execution) -> set[tuple[int, int]]:
-    edges: set[tuple[int, int]] = set()
-    last_by_label: dict[str, int] = {}
-    send_of_msg: dict[int, int] = {}
-    for ev in x.events:
-        if ev.label in last_by_label:
-            edges.add((last_by_label[ev.label], ev.eid))
-        last_by_label[ev.label] = ev.eid
+def predecessors(x: Execution):
+    """Each event of ``x`` in order, with the positions of its immediate
+    causal predecessors, None where it has none: the previous event of its
+    label, and, for a Receive, its message's Send."""
+    last: dict[str, int] = {}  # label -> position of its latest event
+    sent: dict[int, int] = {}  # message id -> position of its Send
+    for i, ev in enumerate(x.events):
+        send = sent.get(ev.msg_id) if isinstance(ev, Receive) else None
+        yield ev, last.get(ev.label), send
+        last[ev.label] = i
         if isinstance(ev, Send):
-            send_of_msg[ev.msg.msg_id] = ev.eid
-        elif isinstance(ev, Receive) and ev.msg_id in send_of_msg:
-            edges.add((send_of_msg[ev.msg_id], ev.eid))
-    return edges
+            sent[ev.msg.msg_id] = i
+
+
+def primitive_edges(x: Execution) -> set[tuple[int, int]]:
+    return {(x.events[p].eid, ev.eid)
+            for ev, *preds in predecessors(x) for p in preds if p is not None}
 
 
 def compute_causality(x: Execution) -> CausalRelation:
-    """Vector clocks in one forward sweep: an event's clock is its label's
-    previous clock, at a Receive joined with the clock of the message's
-    Send, and counts the event itself.  O(n·L) time and memory for n events
-    over L labels."""
-    seq, clock = {}, {}
-    last: dict[str, dict] = {}  # label -> clock of its latest event
-    sent: dict[int, dict] = {}  # message id -> clock of its Send
-    for ev in x.events:
-        vc = dict(last.get(ev.label, {}))
-        k = vc.get(ev.label, 0) + 1
-        if isinstance(ev, Receive):
-            for label, c in sent.get(ev.msg_id, {}).items():
+    """Vector clocks in one forward sweep: an event's clock joins the clocks
+    of its predecessors and counts the event itself.  O(n·L) time and
+    memory for n events over L labels."""
+    seq, clock, clocks = {}, {}, []
+    for ev, prev, send in predecessors(x):
+        vc = {} if prev is None else dict(clocks[prev])
+        if send is not None:
+            for label, c in clocks[send].items():
                 vc[label] = max(c, vc.get(label, 0))
+        k = vc.get(ev.label, 0) + 1
         vc[ev.label] = k
         seq[ev.eid] = (ev.label, k)
-        clock[ev.eid] = last[ev.label] = vc
-        if isinstance(ev, Send):
-            sent[ev.msg.msg_id] = vc
+        clock[ev.eid] = vc
+        clocks.append(vc)
     return CausalRelation(seq, clock)
 
 

@@ -15,7 +15,7 @@ from typing import Any, Callable
 import numpy as np
 
 from . import qcore, sysmodel
-from .qcore import OP_ATOL, OP_RTOL, ZERO_TRACE, QuantumOperation, RegisterId
+from .qcore import ZERO_TRACE, QuantumOperation, RegisterId
 from .sysmodel import MessageInstance, SystemState
 
 
@@ -274,6 +274,9 @@ def replay(x: Execution, step_fn: Callable | None = None) -> list[SystemState]:
 # ---------------------------------------------------------------------------
 
 def same_operation(a: QuantumOperation | None, b: QuantumOperation | None) -> bool:
+    """Same outcomes, dimensions and Kraus matrices, bit for bit: a trace
+    round-trips its matrices exactly, and a rebuilt block's operation comes
+    from the same deterministic builder, so any difference is a forgery."""
     if a is None or b is None:
         return a is b
     if a.outcome_set != b.outcome_set or a.in_dims != b.in_dims or a.out_dims != b.out_dims:
@@ -282,7 +285,7 @@ def same_operation(a: QuantumOperation | None, b: QuantumOperation | None) -> bo
         ka, kb = a.kraus_by_outcome[r], b.kraus_by_outcome[r]
         if len(ka) != len(kb):
             return False
-        if not all(np.allclose(x, y, rtol=OP_RTOL, atol=OP_ATOL) for x, y in zip(ka, kb)):
+        if not all(np.array_equal(x, y) for x, y in zip(ka, kb)):
             return False
     return True
 

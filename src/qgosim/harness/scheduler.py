@@ -67,7 +67,7 @@ class _Enabled:
     def __init__(self, state: sysmodel.SystemState, base):
         self.base = base
         self.procs = sorted(state.procs)
-        self.recvs = [("recv", c) for c in sorted(state.channels) if state.channels[c]]
+        self.recvs = [("recv", c) for c in sorted(state.channels)]
         # Each enabled receive is either waiting, under the step since which
         # it has been enabled and not picked, in insertion order (so oldest
         # first), or late: overdue, in sorted order.
@@ -105,7 +105,7 @@ class _Enabled:
         self._update_procs(state, procs)
         picked = pick[1] if pick[0] == "recv" else None
         for chan in chans:
-            key, enabled = ("recv", chan), bool(state.channels[chan])
+            key, enabled = ("recv", chan), bool(state.queue(chan))
             if chan == picked or not enabled:
                 if self.waiting.pop(chan, None) is None:
                     _discard(self.late, key)

@@ -287,10 +287,8 @@ def encode_state(state: SystemState) -> list[dict]:
     for p in state.procs:
         recs.append({"t": "proc", "name": p, "sigma": state.classical[p],
                      "ext": state.ext[p]})
-    for key in sorted(state.channels):
-        if state.channels[key]:
-            recs.append({"t": "chan", "key": key,
-                         "msgs": [_msg(m) for m in state.channels[key]]})
+    for key, msgs in sorted(state.channels.items()):
+        recs.append({"t": "chan", "key": key, "msgs": [_msg(m) for m in msgs]})
     recs.append({
         "t": "quantum",
         "regs": [_reg(r) for r in state.quantum.space.registers],
@@ -378,30 +376,22 @@ def _decode_state(recs: list[dict]) -> SystemState:
         nonzero = _parse_rows([rows[i] for i in range(dim)], dim)
     except ValueError as exc:
         raise TraceError(f"bad initial state: {exc}") from None
-    full_channels = {c: () for c in sysmodel.all_channels(procs)}
     for key, msgs in channels.items():
-        if key not in full_channels:
+        if not sysmodel.is_channel(procs, key):
             raise TraceError(f"chan record names unknown channel {key!r}")
-        stray = [m.msg_id for m in msgs
-                 if (m.src, m.dst) != sysmodel.chan_endpoints(key)]
+        stray = [m.msg_id for m in msgs if m.channel != key]
         if stray:
             raise TraceError(f"chan record of {key!r} holds message {stray[0]} "
                              f"of another channel")
-    full_channels.update(channels)
-    state = SystemState(
-        procs=procs, classical=classical, ext=ext, channels=full_channels,
-        ownership={r: quantum["own"][str(r.id)] for r in regs},
-        quantum=DensityMatrix(space, rows=nonzero),
-    )
-    state.check_ownership_partition()
-    return state
+    return sysmodel.initial_state(
+        procs, classical, DensityMatrix(space, rows=nonzero),
+        {r: quantum["own"][str(r.id)] for r in regs}, ext, channels)
 
 
 def _check_names(procs: tuple, events: list, linenos: list) -> None:
     """Refuse an event that names a processor or a channel the trace does
     not have: its label, an Apply's ``proc``, a sent message's ends, a
     Receive's channel."""
-    channels = set(sysmodel.all_channels(procs))
     for lineno, ev in zip(linenos, events):
         names = [ev.label]
         if isinstance(ev, Apply):
@@ -412,7 +402,7 @@ def _check_names(procs: tuple, events: list, linenos: list) -> None:
         if unknown:
             raise TraceError(f"line {lineno}: event {ev.eid} names unknown "
                              f"processor {unknown[0]!r}")
-        if isinstance(ev, Receive) and ev.chan not in channels:
+        if isinstance(ev, Receive) and not sysmodel.is_channel(procs, ev.chan):
             raise TraceError(f"line {lineno}: event {ev.eid} names unknown "
                              f"channel {ev.chan!r}")
 

@@ -70,11 +70,6 @@ EPS_CHAIN = 1e-9
 # A state whose trace (its history's probability) is below this is an
 # impossible history: replay and the atomic step refuse it.
 ZERO_TRACE = 1e-15
-# Relative tolerance of same_operation: Kraus entries a, b agree when
-# |a - b| <= OP_ATOL + OP_RTOL * |b| (numpy's allclose defaults).
-OP_RTOL = 1e-5
-# Absolute tolerance of same_operation: the bound's floor for entries near zero.
-OP_ATOL = 1e-8
 
 DEFAULT_DIM_CAP = 4096
 
@@ -170,12 +165,6 @@ class RegisterSpace:
         for r in self.registers:
             d *= r.dim
         return d
-
-    def index_of(self, reg: RegisterId) -> int:
-        try:
-            return self.registers.index(reg)
-        except ValueError:
-            raise UnknownRegister(f"register {reg} not in space") from None
 
     def __contains__(self, reg: RegisterId) -> bool:
         return reg in self.registers

@@ -430,7 +430,7 @@ def qgo_receive(
     A Receive moves no quantum entries, and a marker's changes no classical
     state, so the rest of the block is built on ``state`` as well.
     """
-    msg = state.channels[chan][0]
+    msg = state.queue(chan)[0]
     ext = state.ext[proc]
 
     if msg.marker is not None:

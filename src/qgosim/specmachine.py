@@ -73,7 +73,7 @@ def apply_atomic(state: SystemState, event: AtomicExecute) -> SystemState:
     msg_outcome = dict(event.msg_outcomes)
     ext = {}
     for p in state.procs:
-        channels = {c: [msg_outcome[m.msg_id] for m in state.channels[c]]
+        channels = {c: [msg_outcome[m.msg_id] for m in state.queue(c)]
                     for c in incoming_channels(state.procs, p)}
         record = response_record(p, event.gid, self_outcome[p], channels)
         ext[p] = {"phase": "executed", "gid": event.gid, "record": record}

@@ -5,6 +5,11 @@ JSON-able value) and zero or more quantum registers.  The quantum state of
 the whole system is a single density matrix; ownership of its registers is
 tracked explicitly, so sending and receiving relabel registers without ever
 touching the matrix entries.
+
+Every ordered pair of processors, self-pairs included, is a FIFO channel,
+but a state holds only the queues of messages in transit: ``initial_state``
+drops empty queues, ``send`` opens one and ``receive`` deletes the one it
+empties.  Other modules read a queue through ``SystemState.queue``.
 """
 
 from __future__ import annotations
@@ -48,9 +53,10 @@ def chan_endpoints(key: ChannelKey) -> tuple[str, str]:
     return src, dst
 
 
-def all_channels(procs) -> list[ChannelKey]:
-    """Every ordered pair of processors, including self-channels."""
-    return [chan_key(p, q) for p in procs for q in procs]
+def is_channel(procs, key) -> bool:
+    """Whether ``key`` names a channel of ``procs``, self-channels included."""
+    ends = key.split("->") if isinstance(key, str) else ()
+    return len(ends) == 2 and ends[0] in procs and ends[1] in procs
 
 
 def encode_classical(value: Any) -> str:
@@ -85,8 +91,9 @@ class SystemState:
 
     ``classical`` maps processor name to its base-algorithm state (a dict
     holding at least an "inbox" list).  ``ext`` holds the per-processor
-    protocol or specification extension state.  ``ownership`` maps every
-    register of ``quantum`` to a processor name or a message owner token.
+    protocol or specification extension state.  ``channels`` holds only the
+    non-empty queues.  ``ownership`` maps every register of ``quantum`` to a
+    processor name or a message owner token.
     Nothing mutates a state's values: steps and classical updates build new
     ones, so states, events and messages share structure without copies.
     """
@@ -127,6 +134,10 @@ class SystemState:
                     f"register {reg} owned by {owner!r}, neither a processor nor "
                     f"a message that carries it")
 
+    def queue(self, key: ChannelKey) -> tuple[MessageInstance, ...]:
+        """The messages in transit on channel ``key``, oldest first."""
+        return self.channels.get(key, ())
+
     def owned_by(self, owner: str) -> tuple[RegisterId, ...]:
         regs = [r for r in self.quantum.space.registers if self.ownership[r] == owner]
         return tuple(sorted(regs, key=lambda r: r.id))
@@ -142,14 +153,15 @@ class SystemState:
         return None
 
 
-def initial_state(procs, classical, quantum, ownership, ext=None) -> SystemState:
+def initial_state(procs, classical, quantum, ownership, ext=None,
+                  channels=None) -> SystemState:
+    """A first state; the caller checks the keys of ``channels`` (``is_channel``)."""
     procs = tuple(procs)
-    channels = {c: () for c in all_channels(procs)}
     state = SystemState(
         procs=procs,
         classical=dict(classical),
         ext=dict(ext) if ext is not None else {p: None for p in procs},
-        channels=channels,
+        channels={k: q for k, q in (channels or {}).items() if q},
         ownership=dict(ownership),
         quantum=quantum,
     )
@@ -175,10 +187,10 @@ def evolve(state: SystemState, *, classical=None, ext=None, channels=None,
 def send(state: SystemState, sender: str, msg: MessageInstance) -> SystemState:
     """Append ``msg`` to the channel sender->dst, moving register ownership.
 
-    Checks that ``sender`` is the source, that no outcome is pending (only
-    an operation applied in flight sets one) and that ``sender`` owns each
-    register sent.  Ids are not checked here: see ``executions.replay``.
-    The quantum matrix entries are unchanged; only ownership labels move.
+    Checks that ``sender`` is the source, that the channel exists, that no
+    outcome is pending (only an operation applied in flight sets one) and
+    that ``sender`` owns each register sent; ``executions.replay`` checks
+    ids.  The quantum matrix entries are unchanged; only ownership labels move.
     """
     if msg.src != sender:
         raise OwnershipViolation(f"message src {msg.src} does not match sender {sender}")
@@ -190,11 +202,13 @@ def send(state: SystemState, sender: str, msg: MessageInstance) -> SystemState:
                 f"register {reg} not owned by sender {sender}"
             )
     key = msg.channel
+    queue = state.channels.get(key)
+    if queue is None and not is_channel(state.procs, key):
+        raise SysmodelError(f"no channel {key!r}")
     ownership = dict(state.ownership)
     for reg in msg.quantum_regs:
         ownership[reg] = msg.owner_token
-    channels = dict(state.channels)
-    channels[key] = channels[key] + (msg,)
+    channels = {**state.channels, key: (queue or ()) + (msg,)}
     return evolve(state, channels=channels, ownership=ownership)
 
 
@@ -209,7 +223,7 @@ def receive(state: SystemState, receiver: str, chan: ChannelKey,
     caller files any pending outcome it carries.
     """
     contents = state.channels.get(chan)
-    if contents is None:
+    if contents is None and not is_channel(state.procs, chan):
         raise SysmodelError(f"no channel {chan!r}")
     if chan_endpoints(chan)[1] != receiver:
         raise NotRecipient(f"channel {chan} does not end at {receiver}")
@@ -222,8 +236,9 @@ def receive(state: SystemState, receiver: str, chan: ChannelKey,
     ownership = dict(state.ownership)
     for reg in msg.quantum_regs:
         ownership[reg] = receiver
-    channels = dict(state.channels)
-    channels[chan] = rest
+    channels = {**state.channels, chan: rest}
+    if not rest:
+        del channels[chan]
 
     classical = dict(state.classical)
     if msg.marker is None:

@@ -344,7 +344,7 @@ def test_acceptance_7_classical_snapshot():
                 assert recorded_sigma == snap.classical[p]
                 for chan, outs in rec["channels"].items():
                     recorded = [json.loads(json.loads(o)["c"]) for o in outs]
-                    assert recorded == [m.classical for m in snap.channels[chan]]
+                    assert recorded == [m.classical for m in snap.queue(chan)]
 
 
 # ---------------------------------------------------------------------------

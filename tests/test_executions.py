@@ -119,6 +119,14 @@ class TestReplay:
         assert err.value.index == 1
         assert isinstance(err.value.__cause__, sysmodel.SysmodelError)
 
+    def test_send_on_no_channel(self):
+        """A Send to a processor the state does not have opens no queue."""
+        st, *_ = make_state()
+        send = Send(eid=0, label="p0", msg=MessageInstance(0, "p0", "p9"))
+        with pytest.raises(ReplayError, match="no channel 'p0->p9'") as err:
+            replay(Execution(st, (send,)))
+        assert err.value.index == 0
+
     def test_zero_probability_outcome(self):
         st, r0, r1 = make_state()
         # project r0 to |0> then demand outcome 1 on the correlated r1
@@ -301,3 +309,20 @@ def test_replay_never_mutates_an_earlier_state(monkeypatch):
         check(cert.z, executions.step)
         check(cert.spec, specmachine.spec_step)
     assert ran == set(executions._UPDATES)
+
+
+# ROADMAP scenario (c): 1,540 classical events over 144 channels.
+RING_CLASSICAL_LONG = dict(
+    base="token-ring", procs=12, base_params={"max_hops": 96},
+    invocations=[_inv("record-only", "p0", a) for a in (2, 7, 12, 17)],
+    seed=3, max_steps=20000)
+
+
+@pytest.mark.parametrize("cfg", [*PURITY_CORPUS, RING_CLASSICAL_LONG],
+                         ids=["scenario-a", "teleport", "encrypt-d64", "ping", "ring-c"])
+def test_no_state_holds_an_empty_queue(cfg):
+    """A state's channel map holds the messages in transit and nothing else."""
+    x = run_simulation(ScenarioConfig.from_dict(cfg)).execution
+    states = replay(x)
+    assert all(all(st.channels.values()) for st in states)
+    assert any(st.channels for st in states)

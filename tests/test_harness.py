@@ -370,6 +370,28 @@ class TestTraceIO:
         assert a.quantum.space.registers == b.quantum.space.registers
         assert sysmodel.states_equal(a, b, 0.0)
 
+    def test_empty_chan_record_is_no_queue(self):
+        """An explicit empty queue parses to the state without it, so the
+        trace verifies as the one without that record.  Receiving p0's
+        marker to itself deletes the queue of p0->p0, and the specification
+        never sends on it, so a state that kept the empty queue would end
+        unlike the specification's."""
+        cfg = ScenarioConfig(
+            base="token-ring", procs=2, base_params={"epr_pair": True, "max_hops": 6},
+            invocations=[{"gid": "snapshot-measure", "leader": "p0", "after_step": 2}],
+            seed=7)
+        text = trace_text(cfg)
+        lines = text.splitlines(keepends=True)
+        k = next(i for i, line in enumerate(lines) if json.loads(line)["t"] == "quantum")
+        lines.insert(k, '{"key": "p0->p0", "msgs": [], "t": "chan"}\n')
+        x, cfg_x, dec = traceio.parse_run("".join(lines))
+        assert x.initial.channels == {}
+        assert traceio.serialize_run(x, cfg_x, dec) == text
+        certificate = traceio.serialize_certificate(verifier.verify(x))
+        assert certificate == traceio.serialize_certificate(
+            verifier.verify(traceio.parse_run(text)[0]))
+        assert '"accepted": true' in certificate
+
     def test_malformed_trace_rejected(self):
         with pytest.raises(traceio.TraceError):
             traceio.parse_run("not json\n")

@@ -149,12 +149,13 @@ STEP_MODULES = ("qgosim.sysmodel", "qgosim.executions", "qgosim.specmachine")
 
 def test_step_path_builds_states_with_one_helper():
     """The modules of the replay step never call ``dataclasses.replace``,
-    and build a ``SystemState`` only in ``sysmodel.initial_state`` and in
-    ``sysmodel.evolve``, the one constructor of every step's next state."""
+    and no module builds a ``SystemState`` but in ``sysmodel.initial_state``,
+    the one constructor of a first state, and in ``sysmodel.evolve``, the
+    one constructor of every step's next state."""
     found = []
-    for module in STEP_MODULES:
+    for module in MODULES:
         tree = ast.parse(MODULES[module].read_text())
-        for node in ast.walk(tree):
+        for node in ast.walk(tree) if module in STEP_MODULES else ():
             if isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
                 found += [f"{module}:{node.lineno} imports replace"
                           for a in node.names if a.name == "replace"]
@@ -197,13 +198,17 @@ def test_tracer_targets_name_functions(monkeypatch):
 
 def uncalled_functions(modules=MODULES) -> dict[str, ast.FunctionDef]:
     """The top-level functions of ``modules`` that no code in them refers to
-    outside the function's own body, by ``module.name``.
+    outside the function's own body, by ``module.name``, and the methods and
+    properties of their top-level classes whose name no code in them reads
+    as an attribute, by ``module.Class.name``.
 
     Names resolve per module: a top-level def and ``from m import f`` bind
     ``f`` (an import is not itself a reference); ``import m`` and ``from p
     import m`` bind a module, so ``m.f`` refers to ``f`` of that module, and
     a re-export is followed to its source.  An attribute of anything else,
-    such as ``state.validate()``, refers to no module's function.
+    such as ``state.validate()``, refers to no module's function, but it
+    calls every method named ``validate``.  Dunder methods are called by
+    the language, so none is listed.
     """
     trees = {m: ast.parse(p.read_text(), filename=str(p)) for m, p in modules.items()}
     defs, binds = {}, {}
@@ -246,7 +251,14 @@ def uncalled_functions(modules=MODULES) -> dict[str, ast.FunctionDef]:
                 name = qualify(node, m)
                 if name and name != own:
                     referenced.add(name)
-    return {name: node for name, node in defs.items() if name not in referenced}
+    methods = {f"{m}.{top.name}.{node.name}": node
+               for m, tree in trees.items() for top in tree.body
+               if isinstance(top, ast.ClassDef) for node in top.body
+               if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return {**{name: node for name, node in defs.items() if name not in referenced},
+            **{name: node for name, node in methods.items() if node.name not in read}}
 
 
 def registered_update(node: ast.FunctionDef) -> bool:
@@ -255,14 +267,17 @@ def registered_update(node: ast.FunctionDef) -> bool:
 
 
 def test_every_src_function_has_a_caller(monkeypatch):
-    """Every top-level function in ``src/`` is referenced from ``src/``, so
+    """Every top-level function in ``src/`` is referenced from ``src/``, and
+    every method or property of a ``src/`` class is read there by name, so
     code that only the tests call does not grow back.  Exempt: the classical
     updates, which the registry calls by name; the functions the benchmark's
-    traced run wraps; and ``executions.validate``, the replay that asks a
-    step predicate about each step, which the tests run on every scenario
-    and ROADMAP item 1 makes the first stage of ``verify``."""
+    traced run wraps; ``CausalRelation.pairs``, which its tracer reads; and
+    ``executions.validate``, the replay that asks a step predicate about
+    each step, which the tests run on every scenario and ROADMAP item 1
+    makes the first stage of ``verify``."""
     tracer = load_tracer(monkeypatch)
-    exempt = {f"{t.module}.{t.func}" for t in tracer.TARGETS} | {"qgosim.executions.validate"}
+    exempt = {f"{t.module}.{t.func}" for t in tracer.TARGETS} | {
+        "qgosim.executions.validate", "qgosim.causality.CausalRelation.pairs"}
     flagged = [name for name, node in uncalled_functions().items()
                if name not in exempt and not registered_update(node)]
     assert flagged == []
@@ -270,7 +285,8 @@ def test_every_src_function_has_a_caller(monkeypatch):
 
 def test_caller_scan_names_an_uncalled_function(tmp_path):
     """The scan resolves names per module: a method of the same name, a
-    recursive call or an unused import does not make a function called."""
+    recursive call or an unused import does not make a function called.  A
+    method or property is called when some module reads its name."""
     pkg = tmp_path / "pkg"
     pkg.mkdir()
     (pkg / "__init__.py").write_text("")
@@ -280,6 +296,10 @@ def test_caller_scan_names_an_uncalled_function(tmp_path):
         "def recursive(n): return recursive(n - 1)\n"
         "class State:\n"
         "    def unused(self): pass\n"
+        "    def idle(self): return self.size\n"
+        "    @property\n"
+        "    def size(self): return 0\n"
+        "    def __len__(self): return 0\n"
     )
     (pkg / "b.py").write_text(
         "from . import a\n"
@@ -289,7 +309,8 @@ def test_caller_scan_names_an_uncalled_function(tmp_path):
     )
     modules = {f"pkg.{p.stem}": p for p in sorted(pkg.glob("*.py"))}
     modules["pkg"] = modules.pop("pkg.__init__")
-    assert sorted(uncalled_functions(modules)) == ["pkg.a.recursive", "pkg.a.unused"]
+    assert sorted(uncalled_functions(modules)) == [
+        "pkg.a.State.idle", "pkg.a.recursive", "pkg.a.unused"]
 
 
 def all_subclasses(cls):

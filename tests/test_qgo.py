@@ -324,6 +324,18 @@ def relabelled_identity(e):
     return dc_replace(e, qop=ident)
 
 
+def perturbed_entry(e):
+    """The Apply ``e`` with one nonzero entry of its recorded outcome's Kraus
+    matrix scaled by 1 + 1e-9: within numpy's ``allclose`` tolerances, but
+    another operation."""
+    (kraus,) = e.qop.kraus_by_outcome[e.outcome]
+    kraus = kraus.copy()
+    kraus.flat[np.flatnonzero(kraus)[0]] *= 1 + 1e-9
+    return dc_replace(e, qop=qcore.QuantumOperation(
+        e.qop.outcome_set, {**e.qop.kraus_by_outcome, e.outcome: (kraus,)},
+        e.qop.in_dims, e.qop.out_dims))
+
+
 def unitary_pad(e):
     """The ``global-encrypt`` Apply ``e`` with the unitary P_k in place of
     its Kraus matrix P_k/2^n under its outcome k."""
@@ -411,9 +423,10 @@ class TestAugmentedPredicate:
          lambda e: dc_replace(e, gid="global-encrypt")),
         (TELEPORT_SNAPSHOT, is_gop_msg("snapshot-measure"), relabelled_identity),
         (TELEPORT_ENCRYPT, is_gop_msg("global-encrypt"), unitary_pad),
+        (TELEPORT, lambda e: isinstance(e, Apply) and e.name == "tp.bell", perturbed_entry),
     ], ids=["identity-correction", "marker-payload", "token-hops", "forged-record",
             "foreign-gop-self", "unclosed-marker", "foreign-invoke",
-            "unmeasured-gop-msg", "unitary-pad-gop-msg"])
+            "unmeasured-gop-msg", "unitary-pad-gop-msg", "perturbed-kraus-entry"])
     def test_forged_step_rejected_at_its_index(self, cfg, pick, change):
         forged_runs = 0
         for seed in range(10):

@@ -44,8 +44,9 @@ class TestOwnershipPartition:
 
 class TestChannels:
     def test_all_channels_include_self(self):
-        chans = sysmodel.all_channels(("a", "b"))
-        assert set(chans) == {"a->a", "a->b", "b->a", "b->b"}
+        procs = ("a", "b")
+        assert all(sysmodel.is_channel(procs, c) for c in ("a->a", "a->b", "b->a", "b->b"))
+        assert not any(sysmodel.is_channel(procs, c) for c in ("a->c", "a", "a->b->a", 1))
 
     def test_endpoints_roundtrip(self):
         assert sysmodel.chan_endpoints(chan_key("p0", "p1")) == ("p0", "p1")
@@ -68,7 +69,7 @@ class TestSendReceive:
         st3, got = sysmodel.receive(st2, "p1", "p0->p1", 0)
         assert st3.ownership[regs[0]] == "p1"
         assert st3.classical["p1"]["inbox"] == [["p0->p1", {"x": 1}]]
-        assert st3.channels["p0->p1"] == ()
+        assert st3.queue("p0->p1") == ()
         assert got.msg_id == 0
 
     def test_fifo_order(self):
