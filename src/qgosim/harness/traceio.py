@@ -12,12 +12,15 @@ rows are all "0,0".  So the codec does per-entry work only for the other
 entries.  ``encode_state`` reads the state a block of rows at a time
 (``DensityMatrix.row_blocks``); ``_matrix`` returns every all-zero row of a
 block as one shared list, and ``serialize_run`` formats each distinct row
-list once.  ``_zero_qrow`` recognises a line that is exactly an all-zero
-``qrow`` as ``json.dumps`` writes it; its contract is that it equals
-``json.loads(line)`` or is None, and ``parse_run`` calls ``json.loads`` for
-every other line.  ``_parse_rows`` parses only the rows holding an entry
-other than "0,0", and the parsed state holds only those rows.  The bytes of
-a trace and every check on it are the same either way.
+list once, into one list of pieces that is joined once: no line is built
+per row.  Nor is one copied on reading: ``_records`` slices and splits
+only the runs of lines between all-zero rows, and ``_zero_qrow`` recognises
+in place a line that is exactly an all-zero ``qrow`` as ``json.dumps``
+writes it; its contract is that it equals ``json.loads`` of the line or is
+None.  ``_parse_rows``
+parses only the rows holding an entry other than "0,0", and the parsed
+state holds only those rows.  The bytes of a trace and every check on it
+are the same either way.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from ..verifier import Certificate
 from .scenarios import MAX_PROCS, TYPE_NAMES, ConfigError, ScenarioConfig
 
 FORMAT_VERSION = 1
+_ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps makes one per call
 
 
 class TraceError(Exception):
@@ -409,25 +413,24 @@ def _check_names(procs: tuple, events: list, linenos: list) -> None:
 
 def serialize_run(x: Execution, config: ScenarioConfig | None = None,
                   decisions=None) -> str:
-    lines = [json.dumps({
+    out = [_ENCODER.encode({
         "t": "header",
         "version": FORMAT_VERSION,
         "config": config.to_dict() if config is not None else None,
         "decisions": decisions,
-    }, sort_keys=True)]
+    }), "\n"]
     row_json = {}  # id of a row list -> its JSON: the shared zero row is formatted once
     for rec in encode_state(x.initial):
         if rec["t"] != "qrow":
-            lines.append(json.dumps(rec, sort_keys=True))
+            out += (_ENCODER.encode(rec), "\n")
             continue
         v = rec["v"]
         if id(v) not in row_json:
-            row_json[id(v)] = json.dumps(v)
-        lines.append(f'{{"i": {rec["i"]}, "t": "qrow", "v": {row_json[id(v)]}}}')
+            row_json[id(v)] = _ENCODER.encode(v)
+        out += (_QROW_HEAD, str(rec["i"]), _QROW_MID, row_json[id(v)], "}\n")
     for ev in x.events:
-        lines.append(json.dumps({"t": "ev", **encode_event(ev)}, sort_keys=True))
-    lines.append("")  # the final newline, without a second copy of the text
-    return "\n".join(lines)
+        out += (_ENCODER.encode({"t": "ev", **encode_event(ev)}), "\n")
+    return "".join(out)
 
 
 _QROW_HEAD, _QROW_MID = '{"i": ', ', "t": "qrow", "v": '
@@ -445,38 +448,63 @@ def _zero_row(width: int) -> list:
     return ["0,0"] * width
 
 
-def _zero_qrow(line: str) -> dict | None:
-    """Equals ``json.loads(line)`` or is None: the record of a line that is
-    exactly ``{"i": <i>, "t": "qrow", "v": ["0,0", ..., "0,0"]}`` as
-    ``json.dumps(..., sort_keys=True)`` writes it, found by one comparison
-    with a cached all-zero row; None for any other line."""
-    if not line.startswith(_QROW_HEAD):
+def _zero_qrow(text: str, pos: int, end: int) -> dict | None:
+    """Equals ``json.loads(text[pos:end])`` or is None: the record of a line
+    that is exactly ``{"i": <i>, "t": "qrow", "v": ["0,0", ..., "0,0"]}`` as
+    ``json.dumps(..., sort_keys=True)`` writes it, found in place by one
+    comparison with a cached all-zero row; None for any other line."""
+    if not text.startswith(_QROW_HEAD, pos, end):
         return None
-    k = line.find(_QROW_MID)
-    i = line[len(_QROW_HEAD):k]
+    head = pos + len(_QROW_HEAD)
+    # i: at most 18 ASCII digits without a leading zero, so int() takes it
+    k = text.find(_QROW_MID, head, min(end, head + 18 + len(_QROW_MID)))
+    if k < 0:
+        return None
+    i = text[head:k]
     start = k + len(_QROW_MID)
-    width, odd = divmod(len(line) - 1 - start, len(', "0,0"'))
-    # i: ASCII digits without a leading zero, short enough for int() to take
-    if not (k > 0 and not odd and i.isascii() and i.isdigit() and len(i) <= 18
-            and (i == "0" or i[0] != "0") and line.endswith("}")
-            and line.startswith(_zero_row_json(width), start)):
+    width, odd = divmod(end - 1 - start, len(', "0,0"'))
+    if not (not odd and i.isascii() and i.isdigit()
+            and (i == "0" or i[0] != "0") and text.startswith("}", end - 1, end)
+            and text.startswith(_zero_row_json(width), start, end)):
         return None
     return {"i": int(i), "t": "qrow", "v": _zero_row(width)}
+
+
+def _records(text: str):
+    """(line number, record) of each line of ``text`` that is not blank,
+    numbered as in ``text.splitlines()``.  An all-zero row is matched in
+    place.  The lines from any other line up to the next one that starts
+    like a ``qrow`` are sliced with their last line feed and split by
+    ``str.splitlines``, so each line boundary in them ends a line there."""
+    lineno, pos, size = 0, 0, len(text)
+    while pos < size:
+        end = text.find("\n", pos)
+        if end < 0:
+            end = size
+        d = _zero_qrow(text, pos, end)
+        if d is not None:  # its bytes are fixed, so it holds no line boundary
+            lineno += 1
+            yield lineno, d
+            pos = end + 1
+            continue
+        stop = text.find("\n" + _QROW_HEAD, end) + 1 or size
+        for line in text[pos:stop].splitlines():
+            lineno += 1
+            if not line.strip():
+                continue
+            try:
+                d = json.loads(line)
+            except (ValueError, RecursionError) as exc:  # bad JSON, long int, deep nesting
+                raise TraceError(f"line {lineno}: {exc}") from exc
+            yield lineno, d
+        pos = stop
 
 
 def parse_run(text: str):
     """Parse a trace; returns (execution, config or None, decisions or None)."""
     state_recs, events, linenos = [], [], []
     header = None
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        d = _zero_qrow(line)
-        if d is None:
-            try:
-                d = json.loads(line)
-            except (ValueError, RecursionError) as exc:  # bad JSON, long int, deep nesting
-                raise TraceError(f"line {lineno}: {exc}") from exc
+    for lineno, d in _records(text):
         if type(d) is not dict:
             raise TraceError(f"line {lineno}: record is not a JSON object")
         t = d.get("t")
@@ -513,21 +541,19 @@ def parse_run(text: str):
 
 
 def serialize_certificate(cert: Certificate) -> str:
-    lines = [json.dumps({
+    lines = [_ENCODER.encode({
         "t": "certificate",
         "version": FORMAT_VERSION,
         "accepted": cert.accepted,
         "verdicts": cert.verdicts,
         "reason": cert.reason,
         "swaps": cert.swaps,
-    }, sort_keys=True)]
+    })]
     for which, x in (("sorted", cert.y), ("message-ops-moved", cert.z)):
         if x is not None:
-            lines.append(json.dumps(
-                {"t": "order", "which": which, "eids": [e.eid for e in x.events]},
-                sort_keys=True))
+            lines.append(_ENCODER.encode(
+                {"t": "order", "which": which, "eids": [e.eid for e in x.events]}))
     if cert.spec is not None:
         for ev in cert.spec.events:
-            lines.append(json.dumps(
-                {"t": "spec-ev", **encode_event(ev)}, sort_keys=True))
+            lines.append(_ENCODER.encode({"t": "spec-ev", **encode_event(ev)}))
     return "\n".join(lines) + "\n"

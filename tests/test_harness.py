@@ -1429,8 +1429,9 @@ def test_parsing_a_wide_trace_builds_no_dense_temporary():
 
 def test_generating_and_parsing_a_wide_trace_hold_no_dense_matrix():
     """On scenario (d), where one D×D matrix is 16 MB, no D×D matrix is
-    made: generation allocates below 1 MB at its peak, and parsing the 7 MB
-    trace below 1 MB more than the text.  The parsed state holds only its
+    made: generation allocates below 1 MB at its peak, parsing the 7 MB
+    trace below 1 MB (no copy of its lines), and writing it back below 4 MB
+    more than the text (no line per row).  The parsed state holds only its
     one nonzero row, and writes the same rows back."""
     cfg = ScenarioConfig.from_dict(GOLDEN_TRACES["ring-quantum-wide"][0])
     text = _golden_trace_text("ring-quantum-wide")
@@ -1444,10 +1445,12 @@ def test_generating_and_parsing_a_wide_trace_hold_no_dense_matrix():
             tracemalloc.stop()
     _, run_peak = peak(lambda: run_simulation(cfg))
     (x, config, decisions), parse_peak = peak(lambda: traceio.parse_run(text))
+    written, serialize_peak = peak(lambda: traceio.serialize_run(x, config, decisions))
     assert run_peak < 1 << 20
-    assert parse_peak < len(text) + (1 << 20)
+    assert parse_peak < 1 << 20
+    assert serialize_peak < len(text) + (4 << 20)
     assert len(x.initial.quantum._rows[0]) == 1
-    assert traceio.serialize_run(x, config, decisions) == text
+    assert written == text
 
 
 # ---------------------------------------------------------------------------
@@ -1584,10 +1587,12 @@ def _loads_or_none(line):
         return None
 
 
-@given(qrow_lines())
+@given(qrow_lines(), qrow_lines(), qrow_lines())
 @settings(max_examples=300, deadline=None)
-def test_zero_qrow_recogniser_equals_json_loads_or_none(line):
-    got, want = traceio._zero_qrow(line), _loads_or_none(line)
+def test_zero_qrow_recogniser_equals_json_loads_or_none(line, before, after):
+    """On the line alone, and in place between two other lines with the
+    bounds of that line."""
+    got, want = traceio._zero_qrow(line, 0, len(line)), _loads_or_none(line)
     if got is not None:
         assert repr(got) == repr(want)
     canonical = (type(want) is dict and want.keys() == {"i", "t", "v"}
@@ -1595,12 +1600,26 @@ def test_zero_qrow_recogniser_equals_json_loads_or_none(line):
                  and len(want["v"]) >= 1 and all(s == "0,0" for s in want["v"])
                  and json.dumps(want, sort_keys=True) == line)
     assert (got is not None) == canonical
+    text = f"{before}\n{line}\n{after}"
+    pos = len(before) + 1
+    assert repr(traceio._zero_qrow(text, pos, pos + len(line))) == repr(got)
+
+
+@pytest.mark.parametrize("digits,matched", [(18, True), (19, False)])
+def test_zero_qrow_takes_an_index_of_at_most_18_digits(digits, matched):
+    """A longer index is left to ``json.loads``, which reads the same record."""
+    line = json.dumps({"i": int("9" * digits), "t": "qrow", "v": ["0,0"] * 3},
+                      sort_keys=True)
+    got = traceio._zero_qrow(line, 0, len(line))
+    assert (got is not None) == matched
+    if matched:
+        assert got == json.loads(line)
 
 
 def _reference_parse_run(text):
     """``parse_run`` calling ``json.loads`` on every line, as it did before
     the all-zero row recogniser."""
-    with mock.patch.object(traceio, "_zero_qrow", lambda line: None):
+    with mock.patch.object(traceio, "_zero_qrow", lambda text, pos, end: None):
         return _parse_outcome(text)
 
 
@@ -1620,10 +1639,53 @@ def test_parse_run_with_an_edited_zero_row_matches_the_reference(data):
     same execution or the same error as the reference."""
     lines = _golden_trace_text("scenario-a").splitlines()
     zero_rows = [k for k, line in enumerate(lines)
-                 if traceio._zero_qrow(line) is not None]
+                 if traceio._zero_qrow(line, 0, len(line)) is not None]
     assert len(zero_rows) == 2
     k = data.draw(st.sampled_from(zero_rows))
     lines[k] = data.draw(qrow_lines(i=st.just(json.loads(lines[k])["i"]),
                                     width=st.just(4)))
     text = "\n".join(lines) + "\n"
     assert _parse_outcome(text) == _reference_parse_run(text)
+
+
+# Every character ``str.splitlines`` ends a line at, alone or as "\r\n", and
+# line feeds that make blank lines.
+_LINE_BOUNDARIES = ["\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                    "\u2028", "\u2029", "\n", "\n\n"]
+
+
+def _splitlines_records(text):
+    """``traceio._records`` as the loop it replaced: every line of
+    ``enumerate(text.splitlines(), 1)`` that is not blank, read by
+    ``json.loads``."""
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            d = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            raise traceio.TraceError(f"line {lineno}: {exc}") from exc
+        yield lineno, d
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_parse_run_with_line_boundaries_numbers_lines_as_splitlines(data):
+    """Scenario (a) and the D=64 trace, with line boundaries inserted, all
+    zero rows included, and their lines ended by line feeds, CRLFs or
+    carriage returns: the same execution, or the same error with the same
+    line number, as a parse of ``text.splitlines()``."""
+    lines = _golden_trace_text(data.draw(st.sampled_from(
+        ["scenario-a", "global-encrypt-d64"]))).splitlines()
+    zero_rows = [k for k, line in enumerate(lines)
+                 if traceio._zero_qrow(line, 0, len(line)) is not None]
+    assert zero_rows
+    for _ in range(data.draw(st.integers(1, 3))):
+        k = data.draw(st.sampled_from(zero_rows) | st.integers(0, len(lines) - 1))
+        at = data.draw(st.sampled_from([0, len(lines[k])]) | st.integers(0, len(lines[k])))
+        lines[k] = lines[k][:at] + data.draw(st.sampled_from(_LINE_BOUNDARIES)) + lines[k][at:]
+    ending = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = ending.join(lines) + data.draw(st.sampled_from([ending, ""]))
+    want = _parse_outcome(text)
+    with mock.patch.object(traceio, "_records", _splitlines_records):
+        assert _parse_outcome(text) == want
