@@ -1226,6 +1226,15 @@ GOLDEN_TRACES = {
              seed=1),
         "8e642da8520d03b949852f4800aa83285ae447f6aca17f3e9c360b31729104a2",
     ),
+    # Teleport, seed 17: the move applies p1's snapshot measurement of
+    # register 2 to the teleported qubit while it is in flight (28 swaps).
+    "teleport-in-flight": (
+        dict(base="teleport", procs=2,
+             invocations=[{"gid": "snapshot-measure", "leader": "p1", "after_step": 1},
+                          {"gid": "global-encrypt", "leader": "p0", "after_step": 3}],
+             seed=17),
+        "fece2ebf36ab4ce3a93f5e03c2ab69a18d93f5948a1ed419bcffd6629de0b284",
+    ),
 }
 
 
@@ -1253,6 +1262,8 @@ GOLDEN_CERTIFICATES = {
         "3f0ce22269ea942108fb12d862b74d7afd91afdb3c7ec3d207bf44b24568d1ed",
     "ring-quantum-wide":
         "49aeabe1047e233491f8d3d44d302b5e44f9c0e91f6267a4ba8daf6452d9c646",
+    "teleport-in-flight":
+        "852d6177e7e1de2bad0b188f9ad8647f84473207fc4a79faa50717aea924a8ac",
 }
 
 
