@@ -188,11 +188,13 @@ def step(state: SystemState, event: Event) -> SystemState:
     """Apply a single event under the distributed-algorithm semantics.
 
     Each event's own classical update runs once, at the end, on the
-    processor named by its label (an Apply's ``proc``).  An Apply acts on a
-    message in flight only under the message's own label, ``msg:<id>``,
-    which no parsed or generated event carries: so only the verifier's
-    reordered execution, whose recorded-message operations bear it, parks an
-    outcome on a message and files it at the Receive.
+    processor named by its label (an Apply's ``proc``).  An Apply whose
+    ``target_msg`` is still in flight is a local step of the message's
+    owner token instead: it must carry the token, ``msg:<id>``, as its
+    label, which no parsed or generated event does, so only the verifier's
+    reordered execution has one.  Its registers must belong to the token,
+    and its outcome is filed in the receiver's record of the channel in the
+    same step, as the atomic step files it; its own update does not run.
     """
     if isinstance(event, Invoke):
         # Invocation touches only the extension state; the bookkeeping is
@@ -202,32 +204,25 @@ def step(state: SystemState, event: Event) -> SystemState:
     proc, outcome = event.label, None
     if isinstance(event, Apply):
         proc, outcome = event.proc, event.outcome
-        in_flight = (None if event.target_msg is None
-                     else state.find_message(event.target_msg))
-        if in_flight is not None and event.label != in_flight.owner_token:
+        msg = None if event.target_msg is None else state.find_message(event.target_msg)
+        if msg is not None and event.label != msg.owner_token:
             raise sysmodel.SysmodelError(
                 f"event {event.eid} acts on message {event.target_msg} in flight")
-        state = sysmodel.apply_local(
-            state, proc, event.qop, event.in_regs, event.out_regs, outcome, in_flight,
-        )
+        state = sysmodel.apply_local(state, proc if msg is None else msg.owner_token,
+                                     event.qop, event.in_regs, event.out_regs, outcome)
         if event.qop is not None:
             prob = state.quantum.trace
             if not math.isfinite(prob):
                 raise sysmodel.SysmodelError(f"outcome {outcome!r} has probability {prob}")
             if prob < ZERO_TRACE:
                 raise sysmodel.SysmodelError(f"outcome {outcome!r} has zero probability")
-        if in_flight is not None:
-            # Outcome parked in the message's pending slot; it is filed in
-            # the receiver's channel record when the message is received.
-            return state
+        if msg is not None:
+            record = ClassicalUpdate("qgo.record", (msg.channel,))
+            return _run_on(state, msg.dst, record, outcome)
     elif isinstance(event, Send):
         state = sysmodel.send(state, proc, event.msg)
     elif isinstance(event, Receive):
-        state, msg = sysmodel.receive(state, proc, event.chan, event.msg_id)
-        if msg.pending is not None:
-            # The outcome recorded in flight, filed as if recorded now.
-            record = ClassicalUpdate("qgo.record", (event.chan,))
-            state = _run_on(state, proc, record, msg.pending)
+        state = sysmodel.receive(state, proc, event.chan, event.msg_id)
     elif not isinstance(event, Respond):
         raise sysmodel.SysmodelError(f"event type {type(event).__name__} cannot be stepped")
     return _run_on(state, proc, event.update, outcome)

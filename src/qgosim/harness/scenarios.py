@@ -82,8 +82,9 @@ class ScenarioConfig:
         cfg = cls(**d)
         if not 1 <= cfg.procs <= MAX_PROCS:
             raise ConfigError(f"config: 'procs' is not in 1..{MAX_PROCS}")
-        if cfg.seed < 0:
-            raise ConfigError("config: 'seed' is negative")
+        negative = [k for k in ("seed", "fairness", "max_steps") if getattr(cfg, k) < 0]
+        if negative:
+            raise ConfigError(f"config: {negative[0]!r} is negative")
         base = BASE_ALGORITHMS.get(cfg.base)
         if base is not None:  # an unknown base is reported when it is built
             _check_record("base_params", cfg.base_params, base.params, ())

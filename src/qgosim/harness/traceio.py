@@ -200,16 +200,18 @@ def _msg(m: MessageInstance) -> dict:
         "classical": m.classical,
         "regs": [_reg(r) for r in m.quantum_regs],
         "marker": m.marker,
-        "pending": m.pending,
+        "pending": None,  # no message carries an outcome; kept so traces keep their bytes
     }
 
 
 def _parse_msg(d: dict) -> MessageInstance:
     if type(d) is not dict:
         raise ValueError(f"message {d!r} is not an object")
-    marker, pending = d.get("marker"), d.get("pending")
-    if not all(v is None or type(v) is str for v in (marker, pending)):
-        raise ValueError("a message's 'marker' or 'pending' is not a string or null")
+    if d.get("pending") is not None:
+        raise ValueError(f"message {d.get('id')!r} carries a pending outcome")
+    marker = d.get("marker")
+    if not (marker is None or type(marker) is str):
+        raise ValueError("a message's 'marker' is not a string or null")
     return MessageInstance(
         msg_id=_field(d, "id", int),
         src=_field(d, "src", str),
@@ -217,7 +219,6 @@ def _parse_msg(d: dict) -> MessageInstance:
         classical=d["classical"],
         quantum_regs=tuple(_parse_reg(r) for r in _field(d, "regs", list)),
         marker=marker,
-        pending=pending,
     )
 
 
@@ -313,11 +314,12 @@ def _is_initial_ext(ext) -> bool:
         and all(type(ext[k]) is type(v) for k, v in idle.items()))
 
 
-def _decode_state(recs: list[dict]) -> SystemState:
+def _decode_state(recs: list[tuple[int, dict]]) -> SystemState:
+    """The initial state from its (line number, record) pairs."""
     procs, classical, ext = None, {}, {}
     channels = {}
     quantum, rows = None, {}
-    for d in recs:
+    for lineno, d in recs:
         t = d["t"]
         if t == "procs":
             if procs is not None:
@@ -343,7 +345,10 @@ def _decode_state(recs: list[dict]) -> SystemState:
             classical[name] = sigma
             ext[name] = d["ext"]
         elif t == "chan":
-            channels[d["key"]] = tuple(_parse_msg(m) for m in d["msgs"])
+            try:
+                channels[d["key"]] = tuple(_parse_msg(m) for m in d["msgs"])
+            except ValueError as exc:
+                raise TraceError(f"line {lineno}: bad chan record: {exc}") from None
         elif t == "quantum":
             if quantum is not None:
                 raise TraceError("trace has two quantum records")
@@ -520,7 +525,7 @@ def parse_run(text: str):
                     qcore.QcoreError) as exc:
                 raise TraceError(f"line {lineno}: bad event record: {exc}") from exc
         elif t in ("procs", "proc", "chan", "quantum", "qrow"):
-            state_recs.append(d)
+            state_recs.append((lineno, d))
         else:
             raise TraceError(f"line {lineno}: unknown record type {t!r}")
     if header is None:

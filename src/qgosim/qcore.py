@@ -30,33 +30,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-__all__ = [
-    "NO_OUTCOME",
-    "RegisterId",
-    "RegisterAllocator",
-    "RegisterSpace",
-    "DensityMatrix",
-    "QuantumOperation",
-    "RegisterMap",
-    "IdCollision",
-    "UnknownRegister",
-    "BadOutcome",
-    "ShapeError",
-    "CapacityError",
-    "tensor_product",
-    "partial_trace",
-    "apply_outcome",
-    "outcome_probabilities",
-    "draw_outcome",
-    "canonical_form",
-    "states_close",
-    "standard_basis_measurement",
-    "unitary_channel",
-    "identity_operation",
-    "relabel_outcomes",
-    "dim_cap",
-]
-
 # Outcome label meaning "no measurement was performed".
 NO_OUTCOME = "⊥"
 

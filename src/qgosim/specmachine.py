@@ -24,7 +24,7 @@ from .executions import (
 )
 from .qcore import ZERO_TRACE
 from .qgo import QgoError, global_op_library, incoming_channels, response_record
-from .sysmodel import SysmodelError, SystemState, apply_quantum, evolve
+from .sysmodel import SysmodelError, SystemState, apply_local, evolve
 
 
 class SpecViolation(SysmodelError):
@@ -42,7 +42,7 @@ def apply_atomic(state: SystemState, event: AtomicExecute) -> SystemState:
     component must be one the component can give."""
     leader = event.label
     if state.ext.get(leader) != {"phase": "invoked", "gid": event.gid}:
-        raise SpecViolation(f"leader {leader} has no pending invocation of {event.gid}")
+        raise SpecViolation(f"leader {leader} has no open invocation of {event.gid}")
     for p in state.procs:
         if p != leader and state.ext.get(p) is not None:
             raise SpecViolation(f"processor {p} busy during atomic execution")
@@ -65,7 +65,7 @@ def apply_atomic(state: SystemState, event: AtomicExecute) -> SystemState:
         outcomes = spec.qop.outcome_set if spec.qop is not None else (spec.fixed_outcome,)
         if outcome not in outcomes:
             raise SpecViolation(f"{event.gid} on {owner} cannot give outcome {outcome!r}")
-        state = apply_quantum(state, spec.qop, spec.in_regs, spec.out_regs, outcome, owner)
+        state = apply_local(state, owner, spec.qop, spec.in_regs, spec.out_regs, outcome)
     if state.quantum.trace < ZERO_TRACE:
         raise SpecViolation("atomic outcome combination has zero probability")
 

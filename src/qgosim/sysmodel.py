@@ -4,7 +4,10 @@ Each processor and each in-flight message has a classical part (a plain
 JSON-able value) and zero or more quantum registers.  The quantum state of
 the whole system is a single density matrix; ownership of its registers is
 tracked explicitly, so sending and receiving relabel registers without ever
-touching the matrix entries.
+touching the matrix entries.  Every quantum step is ``apply_local`` by the
+owner of its input registers: a processor, or a message in flight under its
+token ``msg:<id>``.  Both the distributed and the specification machine
+step through it.
 
 Every ordered pair of processors, self-pairs included, is a FIFO channel,
 but a state holds only the queues of messages in transit: ``initial_state``
@@ -72,9 +75,6 @@ class MessageInstance:
     classical: Any = None
     quantum_regs: tuple[RegisterId, ...] = ()
     marker: str | None = None
-    # Transient slot for the outcome of a global operation applied to this
-    # message while it is still in flight; filed on reception.
-    pending: str | None = None
 
     @property
     def channel(self) -> ChannelKey:
@@ -187,15 +187,12 @@ def evolve(state: SystemState, *, classical=None, ext=None, channels=None,
 def send(state: SystemState, sender: str, msg: MessageInstance) -> SystemState:
     """Append ``msg`` to the channel sender->dst, moving register ownership.
 
-    Checks that ``sender`` is the source, that the channel exists, that no
-    outcome is pending (only an operation applied in flight sets one) and
-    that ``sender`` owns each register sent; ``executions.replay`` checks
-    ids.  The quantum matrix entries are unchanged; only ownership labels move.
+    Checks that ``sender`` is the source, that the channel exists and that
+    ``sender`` owns each register sent; ``executions.replay`` checks ids.
+    The quantum matrix entries are unchanged; only ownership labels move.
     """
     if msg.src != sender:
         raise OwnershipViolation(f"message src {msg.src} does not match sender {sender}")
-    if msg.pending is not None:
-        raise SysmodelError(f"message {msg.msg_id} is sent with a pending outcome")
     for reg in msg.quantum_regs:
         if state.ownership.get(reg) != sender:
             raise OwnershipViolation(
@@ -213,14 +210,13 @@ def send(state: SystemState, sender: str, msg: MessageInstance) -> SystemState:
 
 
 def receive(state: SystemState, receiver: str, chan: ChannelKey,
-            msg_id: int) -> tuple[SystemState, MessageInstance]:
+            msg_id: int) -> SystemState:
     """Pop message ``msg_id``, the head of ``chan``, and deliver it to ``receiver``.
 
     Checks that ``chan`` is a channel of ``state``, ends at ``receiver`` and
     is not empty, and that its head is ``msg_id``.  Ownership of the
     message's registers moves to the receiver; non-marker classical contents
-    join its inbox.  The message is returned as it left the channel, so the
-    caller files any pending outcome it carries.
+    join its inbox.
     """
     contents = state.channels.get(chan)
     if contents is None and not is_channel(state.procs, chan):
@@ -245,22 +241,32 @@ def receive(state: SystemState, receiver: str, chan: ChannelKey,
         sigma = classical[receiver]
         inbox = sigma.get("inbox", []) + [[chan, msg.classical]]
         classical[receiver] = {**sigma, "inbox": inbox}
-    return evolve(state, classical=classical, channels=channels, ownership=ownership), msg
+    return evolve(state, classical=classical, channels=channels, ownership=ownership)
 
 
-def apply_quantum(
+def apply_local(
     state: SystemState,
+    owner: str,
     qop: QuantumOperation | None,
     in_regs: tuple[RegisterId, ...],
     out_regs: tuple[RegisterId, ...],
     outcome: str,
-    owner: str,
 ) -> SystemState:
-    """Apply one outcome of ``qop`` with no locality check.
+    """Apply one outcome of ``qop`` as a local step of ``owner``: a
+    processor, or the token of a message in flight (``msg:<id>``).
 
-    Ownership follows the register change: consumed registers are dropped
-    and created ones go to ``owner``.  A None ``qop`` leaves the state as is.
+    ``owner`` must own every input register.  Ownership follows the
+    register change: consumed registers are dropped and created ones go to
+    ``owner``.  A None ``qop`` leaves the state as is.  Classical updates
+    are applied by the caller, which knows the event's classical-update
+    descriptor.
     """
+    for reg in in_regs:
+        if state.ownership.get(reg) != owner:
+            raise LocalityViolation(
+                f"register {reg} not owned by {owner} (owner: "
+                f"{state.ownership.get(reg)})"
+            )
     if qop is None:
         return state
     regmap = RegisterMap(tuple(in_regs), tuple(out_regs))
@@ -273,43 +279,6 @@ def apply_quantum(
         if reg not in in_regs:
             ownership[reg] = owner
     return evolve(state, quantum=quantum, ownership=ownership)
-
-
-def apply_local(
-    state: SystemState,
-    proc: str,
-    qop: QuantumOperation | None,
-    in_regs: tuple[RegisterId, ...],
-    out_regs: tuple[RegisterId, ...],
-    outcome: str,
-    in_flight: MessageInstance | None = None,
-) -> SystemState:
-    """Apply one outcome of a local operation and update the quantum state.
-
-    When ``in_flight`` is given (a message of ``state``'s channels), the
-    operation acts on that message's registers and the outcome is parked in
-    its pending slot; otherwise the registers must belong to ``proc``.
-    Classical updates are applied by the caller, which knows the event's
-    classical-update descriptor.
-    """
-    required_owner = proc if in_flight is None else in_flight.owner_token
-    for reg in in_regs:
-        if state.ownership.get(reg) != required_owner:
-            raise LocalityViolation(
-                f"register {reg} not owned by {required_owner} (owner: "
-                f"{state.ownership.get(reg)})"
-            )
-
-    new_state = apply_quantum(state, qop, in_regs, out_regs, outcome, required_owner)
-    if in_flight is not None:
-        msg = in_flight
-        parked = MessageInstance(msg.msg_id, msg.src, msg.dst, msg.classical,
-                                 msg.quantum_regs, msg.marker, pending=outcome)
-        queue = new_state.channels[msg.channel]
-        channels = {**new_state.channels,
-                    msg.channel: tuple(parked if m is msg else m for m in queue)}
-        new_state = evolve(new_state, channels=channels)
-    return new_state
 
 
 def states_equal(a: SystemState, b: SystemState, tol: float) -> bool:

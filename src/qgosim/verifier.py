@@ -249,9 +249,12 @@ def reorder_message_ops(
     The relabelled operation is the only event of its label and no Receive,
     so it has no causal past and no dependency test could refuse the move.
     Crossing its message's reception changes the causal order, and the one
-    proof of the move is the sort's replay: applying the operation in
-    flight, then delivering, must reach the same state (within EPS_EXACT) as
-    delivering first and applying after."""
+    proof of the move is the sort's replay: applying the operation in flight
+    as a step of the message's token, which files the outcome in the
+    receiver's record at once, then delivering, must reach the same state
+    (within EPS_EXACT) as delivering first and applying after.  The
+    reception is always inside the replayed span, since the operation
+    overtakes it."""
     moved = {eid for frag in frags for eid in frag.msg_apply_eids}
     if not moved:
         return y, states, 0

@@ -173,8 +173,9 @@ class TestSliceConcat:
 
 class TestInFlightRecord:
     def test_apply_in_flight_then_receive_matches_receive_then_apply(self):
-        """An outcome parked on an in-flight message is filed in the
-        receiver's channel record at reception, as if recorded after it."""
+        """An operation on a message in flight files its outcome in the
+        receiver's channel record in the same step, and the state after the
+        reception is the one the opposite order reaches."""
         st, r0, r1 = make_state()
         recording = dict(qgo.idle_ext(), op="g", res={"p0->p1": []},
                          waitset=["p0->p1"])
@@ -190,8 +191,8 @@ class TestInFlightRecord:
                       target_msg=0)
         after = replay(Execution(st, (send, recv, apply)))
         before = replay(Execution(st, (send, apply, recv)))
-        assert before[2].find_message(0).pending == "1"
-        assert before[2].ext["p1"]["res"] == {"p0->p1": []}
+        assert before[2].ext["p1"]["res"] == {"p0->p1": ["1"]}
+        assert before[2].find_message(0) == msg
         assert after[-1].ext["p1"]["res"] == {"p0->p1": ["1"]}
         assert before[-1].ext == after[-1].ext
         assert sysmodel.states_equal(before[-1], after[-1], qcore.EPS_EXACT)

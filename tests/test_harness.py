@@ -95,6 +95,8 @@ class TestScenarios:
         ({"base": "empty", "procs": MAX_PROCS + 1},
          f"config: 'procs' is not in 1..{MAX_PROCS}"),
         ({"base": "ping", "seed": -1}, "config: 'seed' is negative"),
+        ({"base": "ping", "fairness": -3}, "config: 'fairness' is negative"),
+        ({"base": "ping", "max_steps": -1}, "config: 'max_steps' is negative"),
         ({"base": "token-ring", "procs": 2, "base_params": {"qubit_per_proc": 2}},
          "base_params has unknown key 'qubit_per_proc'"),
         ({"base": "token-ring", "base_params": {"max_hops": "x"}},
@@ -119,7 +121,8 @@ class TestScenarios:
          "pair of finite reals"),
     ], ids=["not-object", "bool-seed", "params-list", "invocations-object",
             "invocation-string", "no-leader", "invocation-key", "no-procs",
-            "too-many-procs", "negative-seed", "misspelt-param", "param-string",
+            "too-many-procs", "negative-seed", "negative-fairness", "negative-max-steps",
+            "misspelt-param", "param-string",
             "param-not-bool", "param-of-another-base",
             "data-state-one-amplitude", "data-state-zero", "data-state-string",
             "data-state-bool", "data-state-nan"])
@@ -501,28 +504,45 @@ class TestCli:
         assert "Traceback" not in r.stderr
         assert r.stderr.strip() == "error: unknown event kind 'atomic'"
 
-    def test_send_with_forged_pending_outcome_rejected(self, tmp_path):
+    @staticmethod
+    def _ping_trace_lines():
         cfg = ScenarioConfig(
             base="ping", procs=2, base_params={"n_msgs": 1},
             invocations=[{"gid": "record-only", "leader": "p0", "after_step": 1}],
             seed=0,
         )
         res = run_simulation(cfg)
-        lines = traceio.serialize_run(res.execution, cfg, res.decisions).splitlines()
+        return traceio.serialize_run(res.execution, cfg, res.decisions).splitlines()
+
+    def assert_refused_at_line(self, tmp_path, lines, message):
+        trace = tmp_path / "pending.jsonl"
+        trace.write_text("\n".join(lines) + "\n")
+        r = self.run_cli("verify", str(trace))
+        assert r.returncode == 2
+        assert "Traceback" not in r.stderr
+        assert r.stderr.strip() == message
+
+    def test_send_with_forged_pending_outcome_rejected(self, tmp_path):
+        lines = self._ping_trace_lines()
         k = next(i for i, line in enumerate(lines)
                  if json.loads(line).get("k") == "send"
                  and not json.loads(line)["protocol"])
         rec = json.loads(lines[k])
         rec["msg"]["pending"] = "forged"
         lines[k] = json.dumps(rec, sort_keys=True)
-        trace = tmp_path / "pending.jsonl"
-        trace.write_text("\n".join(lines) + "\n")
-        r = self.run_cli("verify", str(trace))
-        assert r.returncode == 1
-        assert "Traceback" not in r.stderr
-        assert "well-formed: FAIL" in r.stdout
-        (reason,) = [l for l in r.stdout.splitlines() if l.startswith("rejected:")]
-        assert "sent with a pending outcome" in reason
+        self.assert_refused_at_line(
+            tmp_path, lines, f"error: line {k + 1}: bad event record: message "
+                             f"{rec['msg']['id']} carries a pending outcome")
+
+    def test_message_in_flight_with_forged_pending_outcome_rejected(self, tmp_path):
+        """The same refusal for a message of a ``chan`` record in the initial state."""
+        lines = self._ping_trace_lines()
+        msg = {"id": 99, "src": "p0", "dst": "p1", "classical": None,
+               "regs": [], "marker": None, "pending": "forged"}
+        lines.insert(1, json.dumps({"t": "chan", "key": "p0->p1", "msgs": [msg]}))
+        self.assert_refused_at_line(
+            tmp_path, lines, "error: line 2: bad chan record: message 99 carries "
+                             "a pending outcome")
 
     @staticmethod
     def _reuse_message_id(text):
@@ -912,12 +932,15 @@ class TestCli:
         ({"base": "ping", "base_params": {"n_msgs": -1}},
          "error: base_params: 'n_msgs' is negative"),
         ({"base": "ping", "seed": -1}, "error: config: 'seed' is negative"),
+        ({"base": "ping", "fairness": -3}, "error: config: 'fairness' is negative"),
+        ({"base": "ping", "max_steps": -1}, "error: config: 'max_steps' is negative"),
     ], ids=["empty", "procs-string", "misspelt-key", "after-step-string", "no-procs",
             "too-many-procs",
             "misspelt-param", "param-string", "data-state-one-amplitude",
             "data-state-zero", "data-state-string", "over-dim-cap", "far-over-dim-cap",
             "leader-not-a-proc",
-            "negative-qubits", "negative-hops", "negative-msgs", "negative-seed"])
+            "negative-qubits", "negative-hops", "negative-msgs", "negative-seed",
+            "negative-fairness", "negative-max-steps"])
     @pytest.mark.parametrize("cmd", ["run", "batch"])
     def test_malformed_config_exits_2(self, tmp_path, cmd, config, message):
         path = tmp_path / "cfg.json"

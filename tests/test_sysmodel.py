@@ -66,32 +66,26 @@ class TestSendReceive:
         st, regs = two_proc_state()
         msg = MessageInstance(0, "p0", "p1", classical={"x": 1}, quantum_regs=(regs[0],))
         st2 = sysmodel.send(st, "p0", msg)
-        st3, got = sysmodel.receive(st2, "p1", "p0->p1", 0)
+        st3 = sysmodel.receive(st2, "p1", "p0->p1", 0)
         assert st3.ownership[regs[0]] == "p1"
         assert st3.classical["p1"]["inbox"] == [["p0->p1", {"x": 1}]]
         assert st3.queue("p0->p1") == ()
-        assert got.msg_id == 0
 
     def test_fifo_order(self):
         st, _ = two_proc_state()
         for i in range(3):
             st = sysmodel.send(st, "p0", MessageInstance(i, "p0", "p1", classical=i))
-        order = []
-        for _ in range(3):
-            st, m = sysmodel.receive(st, "p1", "p0->p1", len(order))
-            order.append(m.msg_id)
-        assert order == [0, 1, 2]
+        inbox = []
+        for i in range(3):
+            st = sysmodel.receive(st, "p1", "p0->p1", i)
+            inbox.append(st.classical["p1"]["inbox"][-1][1])
+        assert inbox == [0, 1, 2]
 
     def test_send_unowned_register_rejected(self):
         st, regs = two_proc_state()
         bad = MessageInstance(0, "p0", "p1", quantum_regs=(regs[1],))  # p1's register
         with pytest.raises(sysmodel.OwnershipViolation):
             sysmodel.send(st, "p0", bad)
-
-    def test_send_with_pending_outcome_rejected(self):
-        st, _ = two_proc_state()
-        with pytest.raises(sysmodel.SysmodelError):
-            sysmodel.send(st, "p0", MessageInstance(0, "p0", "p1", pending="0"))
 
     def test_receive_wrong_recipient(self):
         st, _ = two_proc_state()
@@ -114,7 +108,7 @@ class TestSendReceive:
     def test_marker_skips_inbox(self):
         st, _ = two_proc_state()
         st = sysmodel.send(st, "p0", MessageInstance(0, "p0", "p1", marker="g"))
-        st2, _ = sysmodel.receive(st, "p1", "p0->p1", 0)
+        st2 = sysmodel.receive(st, "p1", "p0->p1", 0)
         assert st2.classical["p1"]["inbox"] == []
 
 
@@ -131,23 +125,29 @@ class TestApplyLocal:
         st2 = sysmodel.apply_local(st, "p0", op, (regs[0],), (regs[0],), "0")
         assert st2.quantum.trace == pytest.approx(1.0)
 
-    def test_in_flight_apply_parks_outcome(self):
+    def test_message_token_owns_its_registers_in_flight(self):
+        """An operation on a message in flight is a local step of its token:
+        the token may apply it, a processor, the receiver included, may not."""
         st, regs = two_proc_state()
         msg = MessageInstance(0, "p0", "p1", quantum_regs=(regs[0],))
         st = sysmodel.send(st, "p0", msg)
         op = qcore.standard_basis_measurement([2])
-        st2 = sysmodel.apply_local(st, "p1", op, (regs[0],), (regs[0],), "0",
-                                   in_flight=st.find_message(0))
-        assert st2.find_message(0).pending == "0"
+        for proc in ("p0", "p1"):
+            with pytest.raises(sysmodel.LocalityViolation,
+                               match=f"not owned by {proc} \\(owner: msg:0\\)"):
+                sysmodel.apply_local(st, proc, op, (regs[0],), (regs[0],), "0")
+        st2 = sysmodel.apply_local(st, "msg:0", op, (regs[0],), (regs[0],), "0")
+        assert st2.quantum.trace == pytest.approx(1.0)
         # the register still belongs to the message, not to either processor
         assert st2.ownership[regs[0]] == "msg:0"
+        assert st2.find_message(0) == msg
 
 
 class TestStateEquality:
     def test_equal_after_roundtrip(self):
         st, regs = two_proc_state()
         msg = MessageInstance(0, "p0", "p1", quantum_regs=(regs[0],))
-        st2, _ = sysmodel.receive(sysmodel.send(st, "p0", msg), "p1", "p0->p1", 0)
+        st2 = sysmodel.receive(sysmodel.send(st, "p0", msg), "p1", "p0->p1", 0)
         assert not sysmodel.states_equal(st, st2, 1e-12)  # ownership moved
         assert sysmodel.states_equal(st2, st2, 0.0)
 

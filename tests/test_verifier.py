@@ -388,6 +388,28 @@ class TestReject:
         assert "in flight does not commute with its reception" in cert.reason
         assert "not owned by msg:" in cert.reason
 
+    def test_record_between_the_moved_operation_and_its_reception(self):
+        """The moved operation files its outcome where it now stands, so a
+        forged record of the receiver's on the same channel, just before the
+        reception, lands in the other order than in x."""
+        x = run_simulation(ScenarioConfig(
+            base="teleport", procs=2,
+            invocations=[{"gid": "snapshot-measure", "leader": "p1", "after_step": 1},
+                         {"gid": "global-encrypt", "leader": "p0", "after_step": 3}],
+            seed=17)).execution
+        ev = list(x.events)
+        i = next(k for k, e in enumerate(ev)
+                 if isinstance(e, Apply) and e.name.startswith("gop-msg:"))
+        recv = ev[i - 1]
+        ev.insert(i - 1, Apply(eid=max(e.eid for e in ev) + 1, label=recv.label,
+                               proc=recv.label, name="forged", outcome=qcore.NO_OUTCOME,
+                               update=executions.ClassicalUpdate("qgo.record", (recv.chan,)),
+                               protocol=True))
+        cert = verifier.verify(Execution(x.initial, tuple(ev)))
+        assert cert.verdicts == {"well-formed": True, "decompose": True,
+                                 "sort-classes": True, "move-message-ops": False}
+        assert cert.reason.endswith("sorting changed the state after the window")
+
     @pytest.mark.parametrize("forge, seeds", [
         (anticorrelated_epr_snapshot, range(20)),
         (unmeasured_teleport_message, [0]),
