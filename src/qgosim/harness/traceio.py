@@ -369,7 +369,8 @@ def _decode_state(recs: list[tuple[int, dict]]) -> SystemState:
         raise TraceError(f"trace has no proc record for {absent[0]!r}")
     if quantum is None:
         raise TraceError("trace has no quantum record")
-    regs = [_parse_reg(r) for r in quantum["regs"]]
+    regs = [_parse_reg(r) for r in _field(quantum, "regs", list)]
+    owners = _field(quantum, "own", dict)
     space = RegisterSpace(tuple(regs))
     dim = space.total_dim
     stray = [i for i in rows if i not in range(dim)]
@@ -378,7 +379,7 @@ def _decode_state(recs: list[tuple[int, dict]]) -> SystemState:
     missing = [i for i in range(dim) if i not in rows]
     if missing:
         raise TraceError(f"quantum state has no row {missing[0]}")
-    unowned = [r.id for r in regs if str(r.id) not in quantum["own"]]
+    unowned = [r.id for r in regs if str(r.id) not in owners]
     if unowned:
         raise TraceError(f"register {unowned[0]} has no owner")
     try:
@@ -394,13 +395,14 @@ def _decode_state(recs: list[tuple[int, dict]]) -> SystemState:
                              f"of another channel")
     return sysmodel.initial_state(
         procs, classical, DensityMatrix(space, rows=nonzero),
-        {r: quantum["own"][str(r.id)] for r in regs}, ext, channels)
+        {r: owners[str(r.id)] for r in regs}, ext, channels)
 
 
 def _check_names(procs: tuple, events: list, linenos: list) -> None:
     """Refuse an event that names a processor or a channel the trace does
     not have: its label, an Apply's ``proc``, a sent message's ends, a
-    Receive's channel."""
+    Receive's channel.  Also refuse an Apply whose ``proc``, the processor
+    whose state it changes, is not its label, the chain that orders it."""
     for lineno, ev in zip(linenos, events):
         names = [ev.label]
         if isinstance(ev, Apply):
@@ -411,6 +413,9 @@ def _check_names(procs: tuple, events: list, linenos: list) -> None:
         if unknown:
             raise TraceError(f"line {lineno}: event {ev.eid} names unknown "
                              f"processor {unknown[0]!r}")
+        if isinstance(ev, Apply) and ev.proc != ev.label:
+            raise TraceError(f"line {lineno}: event {ev.eid} is labelled "
+                             f"{ev.label!r} but applies on {ev.proc!r}")
         if isinstance(ev, Receive) and not sysmodel.is_channel(procs, ev.chan):
             raise TraceError(f"line {lineno}: event {ev.eid} names unknown "
                              f"channel {ev.chan!r}")
@@ -514,7 +519,7 @@ def parse_run(text: str):
             raise TraceError(f"line {lineno}: record is not a JSON object")
         t = d.get("t")
         if t == "header":
-            if d.get("version") != FORMAT_VERSION:
+            if type(d.get("version")) is not int or d["version"] != FORMAT_VERSION:
                 raise TraceError(f"unsupported trace version {d.get('version')}")
             header = d
         elif t == "ev":

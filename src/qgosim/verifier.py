@@ -111,7 +111,7 @@ def decompose(x: Execution) -> list[FragmentInfo]:
                 open_frag.hi = i
                 frags.append(open_frag)
                 open_frag = None
-        elif getattr(ev, "protocol", False) and open_frag is None:
+        elif ev.protocol and open_frag is None:
             raise HypothesisViolation(f"protocol event at {i} outside any invocation")
     if open_frag is not None:
         raise HypothesisViolation(f"invocation at {open_frag.lo} never completes")
@@ -335,8 +335,7 @@ def build_spec_execution(z: Execution, frags: list[FragmentInfo]) -> Execution:
 
     out: list[Event] = []
     for i, ev in enumerate(z.events):
-        keep = isinstance(ev, (Invoke, Respond)) or not getattr(ev, "protocol", False)
-        if keep:
+        if in_filter(ev):
             out.append(ev)
         if i in insert_after:
             out.append(insert_after[i])

@@ -21,8 +21,10 @@ from qgosim.harness.scenarios import (
     build_scenario,
     correction_unitary,
     bell_measurement,
+    proc_names,
 )
 from qgosim.harness.scheduler import SchedulerError, run_simulation
+from test_executions import PURITY_CORPUS
 from test_qcore import trace_preserving
 from test_verifier import (
     FORGED_IN_FLIGHT, FORGED_IN_FLIGHT_CASES, REFUSED_ATOMIC_STEPS, SNAPSHOT_RING,
@@ -401,6 +403,28 @@ class TestTraceIO:
         with pytest.raises(traceio.TraceError):
             traceio.parse_run('{"t": "ev", "k": "invoke"}\n')  # no header
 
+    @pytest.mark.parametrize("cfg", PURITY_CORPUS[:2], ids=["scenario-a", "teleport"])
+    def test_apply_labelled_with_another_processor_is_refused(self, cfg):
+        """Every Apply, of the base algorithm and of the protocol alike,
+        relabelled to each other processor.  ``step`` changes the state of
+        its ``proc``, but ``causality`` orders it on its label's chain, so
+        the record is refused where it is read."""
+        cfg = ScenarioConfig.from_dict(cfg)
+        lines = trace_text(cfg).splitlines()
+        refused = set()
+        for k, line in enumerate(lines):
+            rec = json.loads(line)
+            for other in proc_names(cfg.procs) if rec.get("k") == "apply" else ():
+                if other == rec["label"]:
+                    continue
+                forged = lines[:k] + [json.dumps({**rec, "label": other})] + lines[k + 1:]
+                with pytest.raises(traceio.TraceError) as err:
+                    traceio.parse_run("\n".join(forged) + "\n")
+                assert str(err.value) == (f"line {k + 1}: event {rec['eid']} is labelled "
+                                          f"{other!r} but applies on {rec['proc']!r}")
+                refused.add(rec["protocol"])
+        assert refused == {False, True}
+
     def test_certificate_serializes(self):
         res = self.any_run()
         cert = verifier.verify(res.execution)
@@ -725,7 +749,39 @@ class TestCli:
         next(d for d in recs if d["t"] == "procs")["names"] = names
         return recs
 
+    @staticmethod
+    def _bool_version(recs):
+        """True == 1, the format's version."""
+        next(d for d in recs if d["t"] == "header")["version"] = True
+        return recs
+
+    @staticmethod
+    def _ping_quantum_record(field, value):
+        """The ping config's records, which hold no register, with one
+        field of the quantum record set to ``value``."""
+        cfg = ScenarioConfig(base="ping", procs=2, base_params={"n_msgs": 1}, seed=0)
+        recs = [json.loads(line) for line in trace_text(cfg).splitlines()]
+        next(d for d in recs if d["t"] == "quantum")[field] = value
+        return recs
+
+    @classmethod
+    def _regs_empty_string(cls, recs):
+        return cls._ping_quantum_record("regs", "")
+
+    @classmethod
+    def _regs_empty_object(cls, recs):
+        return cls._ping_quantum_record("regs", {})
+
+    @classmethod
+    def _null_owners_of_no_register(cls, recs):
+        return cls._ping_quantum_record("own", None)
+
     @pytest.mark.parametrize("mutate, message", [
+        ("_bool_version", "error: unsupported trace version True"),
+        ("_regs_empty_string", "error: bad initial state: ValueError(\"'regs' is not a list\")"),
+        ("_regs_empty_object", "error: bad initial state: ValueError(\"'regs' is not a list\")"),
+        ("_null_owners_of_no_register", "error: bad initial state: ValueError(\"'own' is "
+                                        "not a JSON object\")"),
         ("_drop_quantum", "error: trace has no quantum record"),
         ("_repeated_procs", "error: trace has two procs records"),
         ("_repeated_quantum", "error: trace has two quantum records"),
@@ -761,7 +817,8 @@ class TestCli:
                                 "distinct strings without '->'"),
         ("_too_many_procs", f"error: procs record: names are not up to {MAX_PROCS} "
                             "distinct strings without '->'"),
-    ], ids=["no-quantum", "repeated-procs", "repeated-quantum", "bad-qrow-value",
+    ], ids=["bool-version", "regs-empty-string", "regs-empty-object", "null-owners",
+            "no-quantum", "repeated-procs", "repeated-quantum", "bad-qrow-value",
             "bool-row-index", "float-row-index", "missing-row", "stray-row", "repeated-row",
             "short-row", "indefinite-state",
             "unowned-register", "ownership-partition", "processor-named-like-a-message",
@@ -858,7 +915,9 @@ class TestCli:
         ("apply", ["proc"], "p9", "names unknown processor 'p9'"),
         ("send", ["msg", "dst"], "p9", "names unknown processor 'p9'"),
         ("receive", ["chan"], "p0->p9", "names unknown channel 'p0->p9'"),
-    ], ids=["send-label", "receive-label", "apply-proc", "message-dst", "receive-chan"])
+        ("apply", ["proc"], "p0", "is labelled 'p1' but applies on 'p0'"),
+    ], ids=["send-label", "receive-label", "apply-proc", "message-dst", "receive-chan",
+            "apply-proc-not-label"])
     def test_event_naming_no_processor_or_channel_exits_2(self, tmp_path, kind, path,
                                                           value, message):
         lines = traceio.serialize_run(*self._epr_run()).splitlines()

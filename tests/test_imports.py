@@ -196,11 +196,22 @@ def test_tracer_targets_name_functions(monkeypatch):
     assert missing == []
 
 
-def uncalled_functions(modules=MODULES) -> dict[str, ast.FunctionDef]:
-    """The top-level functions of ``modules`` that no code in them refers to
-    outside the function's own body, by ``module.name``, and the methods and
-    properties of their top-level classes whose name no code in them reads
-    as an attribute, by ``module.Class.name``.
+def constants(node: ast.stmt) -> list[str]:
+    """The names a top-level assignment binds, tuple targets included;
+    dunders such as ``__version__`` are read by the language or by tools,
+    so none is listed."""
+    targets = node.targets if isinstance(node, ast.Assign) else \
+        [node.target] if isinstance(node, ast.AnnAssign) else []
+    names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def uncalled_functions(modules=MODULES) -> dict[str, ast.AST]:
+    """The top-level functions and constants of ``modules`` that no code in
+    them refers to outside the function's own body, by ``module.name``, and
+    the methods and properties of their top-level classes whose name no code
+    in them reads as an attribute, by ``module.Class.name``.  A constant is
+    a name bound by a top-level assignment; binding it again is no read.
 
     Names resolve per module: a top-level def and ``from m import f`` bind
     ``f`` (an import is not itself a reference); ``import m`` and ``from p
@@ -216,6 +227,7 @@ def uncalled_functions(modules=MODULES) -> dict[str, ast.FunctionDef]:
         for node in tree.body:
             if isinstance(node, ast.FunctionDef):
                 defs[f"{m}.{node.name}"] = node
+            defs.update({f"{m}.{name}": node for name in constants(node)})
         bound = {d.rpartition(".")[2]: d for d in defs if d.rpartition(".")[0] == m}
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
@@ -248,6 +260,8 @@ def uncalled_functions(modules=MODULES) -> dict[str, ast.FunctionDef]:
         for top in tree.body:
             own = f"{m}.{top.name}" if isinstance(top, ast.FunctionDef) else None
             for node in ast.walk(top):
+                if isinstance(getattr(node, "ctx", None), ast.Store):
+                    continue
                 name = qualify(node, m)
                 if name and name != own:
                     referenced.add(name)
@@ -261,15 +275,15 @@ def uncalled_functions(modules=MODULES) -> dict[str, ast.FunctionDef]:
             **{name: node for name, node in methods.items() if node.name not in read}}
 
 
-def registered_update(node: ast.FunctionDef) -> bool:
-    return any(isinstance(d, ast.Call) and getattr(d.func, "id", "") == "register_update"
+def registered_update(node: ast.AST) -> bool:
+    return isinstance(node, ast.FunctionDef) and any(isinstance(d, ast.Call) and getattr(d.func, "id", "") == "register_update"
                for d in node.decorator_list)
 
 
 def test_every_src_function_has_a_caller(monkeypatch):
-    """Every top-level function in ``src/`` is referenced from ``src/``, and
-    every method or property of a ``src/`` class is read there by name, so
-    code that only the tests call does not grow back.  Exempt: the classical
+    """Every top-level function and constant in ``src/`` is referenced from
+    ``src/``, and every method or property of a ``src/`` class is read there
+    by name, so code or a setting that only the tests use does not grow back.  Exempt: the classical
     updates, which the registry calls by name; the functions the benchmark's
     traced run wraps; ``CausalRelation.pairs``, which its tracer reads; and
     ``executions.validate``, the replay that asks a step predicate about
@@ -286,12 +300,20 @@ def test_every_src_function_has_a_caller(monkeypatch):
 def test_caller_scan_names_an_uncalled_function(tmp_path):
     """The scan resolves names per module: a method of the same name, a
     recursive call or an unused import does not make a function called.  A
-    method or property is called when some module reads its name."""
+    method or property is called when some module reads its name.  A
+    constant is read by name or as a module's attribute, each name of a
+    tuple target on its own; binding it again is no read, and a dunder is
+    never listed."""
     pkg = tmp_path / "pkg"
     pkg.mkdir()
     (pkg / "__init__.py").write_text("")
     (pkg / "a.py").write_text(
-        "def used(): pass\n"
+        "__version__ = '1'\n"
+        "LIMIT = 3\n"
+        "_HEAD, (_MID, _TAIL) = 'a', ('b', 'c')\n"
+        "UNREAD: int = 0\n"
+        "UNREAD = 1\n"
+        "def used(): return _HEAD, _TAIL\n"
         "def unused(): pass\n"
         "def recursive(n): return recursive(n - 1)\n"
         "class State:\n"
@@ -304,13 +326,13 @@ def test_caller_scan_names_an_uncalled_function(tmp_path):
     (pkg / "b.py").write_text(
         "from . import a\n"
         "from .a import recursive, used as u\n"
-        "def main(): return u(), a.State().unused()\n"
+        "def main(): return u(), a.State().unused(), a.LIMIT\n"
         "main()\n"
     )
     modules = {f"pkg.{p.stem}": p for p in sorted(pkg.glob("*.py"))}
     modules["pkg"] = modules.pop("pkg.__init__")
     assert sorted(uncalled_functions(modules)) == [
-        "pkg.a.State.idle", "pkg.a.recursive", "pkg.a.unused"]
+        "pkg.a.State.idle", "pkg.a.UNREAD", "pkg.a._MID", "pkg.a.recursive", "pkg.a.unused"]
 
 
 def all_subclasses(cls):
