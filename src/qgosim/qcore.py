@@ -453,7 +453,7 @@ def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
 
 
 def _tensor(rho: DensityMatrix) -> np.ndarray:
-    """The factor as a tensor: an axis per register in space order, then r."""
+    """The factor as a tensor: an axis per register in space order, then the columns."""
     v = rho.factor
     return v.reshape(*rho.space.dims, v.shape[1])
 
