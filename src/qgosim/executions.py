@@ -149,8 +149,6 @@ def in_filter(event: Event) -> bool:
     """The history filter: invocations, responses, and base-algorithm events."""
     if isinstance(event, (Invoke, Respond)):
         return True
-    if isinstance(event, AtomicExecute):
-        return False
     return not event.protocol
 
 

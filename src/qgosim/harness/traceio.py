@@ -9,15 +9,17 @@ and only the other entries are formatted or parsed one by one.  (-0.0 is
 
 The initial state is one ``qrow`` line per row, and in a wide state most
 rows are all "0,0".  So the codec does per-entry work only for the other
-entries.  ``encode_state`` reads the state a block of rows at a time
-(``DensityMatrix.row_blocks``); ``_matrix`` returns every all-zero row of a
-block as one shared list, and ``serialize_run`` formats each distinct row
-list once, into one list of pieces that is joined once: no line is built
-per row.  Nor is one copied on reading: ``_records`` slices and splits
-only the runs of lines between all-zero rows, and ``_zero_qrow`` recognises
-in place a line that is exactly an all-zero ``qrow`` as ``json.dumps``
-writes it; its contract is that it equals ``json.loads`` of the line or is
-None.  ``_parse_rows``
+entries.  ``encode_state`` reads only the state's distinct rows
+(``DensityMatrix.distinct_rows``: two for a basis state, whatever D), a
+block at a time, formats each with ``_matrix`` once, and points the
+``qrow`` record of every row at its distinct row's list.  ``_matrix``
+returns every all-zero row of a block as one shared list, and
+``serialize_run`` writes the JSON of each row list once, into one list of
+pieces that is joined once: no line is built per row.  Nor is one copied
+on reading: ``_records`` slices and splits only the runs of lines between
+all-zero rows, and ``_zero_qrow`` recognises in place a line that is
+exactly an all-zero ``qrow`` as ``json.dumps`` writes it; its contract is
+that it equals ``json.loads`` of the line or is None.  ``_parse_rows``
 parses only the rows holding an entry other than "0,0", and the parsed
 state holds only those rows.  The bytes of a trace and every check on it
 are the same either way.
@@ -299,9 +301,9 @@ def encode_state(state: SystemState) -> list[dict]:
         "regs": [_reg(r) for r in state.quantum.space.registers],
         "own": {str(r.id): state.ownership[r] for r in state.quantum.space.registers},
     })
-    for lo, block in state.quantum.row_blocks():
-        for i, row in enumerate(_matrix(block), lo):
-            recs.append({"t": "qrow", "i": i, "v": row})
+    index, blocks = state.quantum.distinct_rows()
+    rows = [row for block in blocks for row in _matrix(block)]
+    recs += ({"t": "qrow", "i": i, "v": rows[k]} for i, k in enumerate(index))
     return recs
 
 
@@ -346,9 +348,12 @@ def _decode_state(recs: list[tuple[int, dict]]) -> SystemState:
             ext[name] = d["ext"]
         elif t == "chan":
             try:
-                channels[d["key"]] = tuple(_parse_msg(m) for m in d["msgs"])
+                msgs = tuple(_parse_msg(m) for m in d["msgs"])
             except ValueError as exc:
                 raise TraceError(f"line {lineno}: bad chan record: {exc}") from None
+            if d["key"] in channels:
+                raise TraceError(f"trace has two chan records for {d['key']!r}")
+            channels[d["key"]] = msgs
         elif t == "quantum":
             if quantum is not None:
                 raise TraceError("trace has two quantum records")
@@ -521,6 +526,8 @@ def parse_run(text: str):
         if t == "header":
             if type(d.get("version")) is not int or d["version"] != FORMAT_VERSION:
                 raise TraceError(f"unsupported trace version {d.get('version')}")
+            if header is not None:
+                raise TraceError("trace has two header records")
             header = d
         elif t == "ev":
             try:

@@ -17,9 +17,11 @@ A state given by its entries (a parsed trace's initial state) holds only
 the rows R whose bits are not all zero.  It is checked and factored over
 the rows that hold an entry other than zero: ``validate`` and
 ``_factorize`` cost O(|R|·D).  No D×D matrix is made on the way from a
-vector to a trace and back: ``row_blocks`` gives the rows of either kind
-of state a block at a time, and only ``DensityMatrix.entries`` forms the
-whole matrix.
+vector to a trace and back: ``distinct_rows`` maps each row of either kind
+of state to one of its distinct rows, and gives those a block at a time.
+A vector with two distinct entry values, such as a basis state, has two
+distinct rows, whatever D.  Only ``DensityMatrix.entries`` forms the whole
+matrix.
 """
 
 from __future__ import annotations
@@ -152,8 +154,8 @@ class DensityMatrix:
     holds only the rows R whose bits are not all zero, as their indices and
     an |R|×D block: it keeps those exact rows, and is factored when
     ``factor`` is first read.  Any other state is its factor.
-    ``row_blocks`` gives ρ a block of rows at a time; ``entries`` forms the
-    whole D×D matrix.
+    ``distinct_rows`` gives ρ's distinct rows, a block at a time, and which
+    of them each row is; ``entries`` forms the whole D×D matrix.
     """
 
     __slots__ = ("space", "_factor", "_rows")
@@ -188,21 +190,37 @@ class DensityMatrix:
     @property
     def entries(self) -> np.ndarray:
         """ρ as one D×D array."""
-        return np.concatenate([rows for _, rows in self.row_blocks()])
+        index, blocks = self.distinct_rows()
+        return np.concatenate([*blocks])[index]
 
-    def row_blocks(self):
-        """(i, rows i.. of ρ), a block of rows at a time, so no D×D array
-        is made."""
+    def distinct_rows(self) -> tuple[Sequence[int], Iterable[np.ndarray]]:
+        """(index, blocks): row i of ρ is distinct row ``index[i]``, and
+        ``blocks`` gives the distinct rows in order, a block of rows at a
+        time (``_row_blocks``), so no D×D array is made.
+
+        A state held by its rows gives them, then one zero row, the row of
+        every index it does not hold.  A rank-1 factor v gives one row per
+        distinct bit pattern of its entries: row i is v[i]·v†, and the one
+        ufunc loop over the same v† gives rows of entries with the same
+        bits the same bits, signed zeros included (only a NaN's sign may
+        differ from one block to another).  A factor of any other rank
+        gives every row.
+        """
         d = self.space.total_dim
-        step = max(1, _BLOCK_ENTRIES // d)
-        for lo in range(0, d, step):
-            hi = min(lo + step, d)
-            if self._rows is None:
-                yield lo, _gram(self._factor, lo, hi)
-                continue
+        if self._rows is not None:
             held, block = self._rows
-            a, b = np.searchsorted(held, (lo, hi))
-            yield lo, _scatter(held[a:b] - lo, block[a:b], hi - lo, d)
+            index = np.full(d, len(held))
+            index[held] = np.arange(len(held))
+            zero = np.zeros((1, d), dtype=np.complex128)
+            return index.tolist(), (*_row_blocks(block, d), zero)
+        u = v = self._factor
+        index = range(d)
+        if v.shape[1] == 1:
+            first = {}  # an entry's 16 bytes -> its distinct row
+            index = [first.setdefault(bits, len(first))
+                     for bits in np.ascontiguousarray(v[:, 0]).view("V16").tolist()]
+            u = np.frombuffer(b"".join(first), dtype=np.complex128)[:, None]
+        return index, (_gram(rows, v) for rows in _row_blocks(u, d))
 
     @property
     def trace(self) -> float:
@@ -268,24 +286,19 @@ _BLOCK_ENTRIES = 1 << 18
 
 
 def _row_blocks(rows, d: int):
-    """``rows`` (indices of rows of width ``d``) in consecutive blocks."""
+    """``rows`` (rows of width ``d``, or their indices) in consecutive
+    blocks of at most ``_BLOCK_ENTRIES`` entries, or of one row."""
     step = max(1, _BLOCK_ENTRIES // d)
     return (rows[i:i + step] for i in range(0, len(rows), step))
 
 
-def _gram(v: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """Rows lo:hi of V·V†, the dense matrix of a factor.  A rank-1 factor's
-    rows are those of ``np.outer(v, v.conj())``, one product per entry."""
+def _gram(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The rows of V·V†, the dense matrix of a factor, whose rows of V are
+    ``rows``.  A rank-1 factor's rows are those of ``np.outer(v, v.conj())``,
+    one product per entry."""
     if v.shape[1] == 1:
-        return np.multiply.outer(v[lo:hi, 0], v[:, 0].conj())
-    return v[lo:hi] @ v.conj().T
-
-
-def _scatter(held: np.ndarray, block: np.ndarray, n: int, d: int) -> np.ndarray:
-    """The n×d rows that are ``block`` at the indices ``held``, +0 elsewhere."""
-    out = np.zeros((n, d), dtype=np.complex128)
-    out[held] = block
-    return out
+        return np.multiply.outer(rows[:, 0], v[:, 0].conj())
+    return rows @ v.conj().T
 
 
 def _nonzero_rows(block: np.ndarray, held: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -335,7 +348,9 @@ def _factorize(block: np.ndarray, held: np.ndarray, eps: float) -> tuple[np.ndar
                            for p in _row_blocks(np.arange(len(rows)), d)))
     if residual <= eps:
         return v, -residual
-    w, u = np.linalg.eigh(_scatter(held, block, d, d))
+    dense = np.zeros((d, d), dtype=np.complex128)
+    dense[held] = block
+    w, u = np.linalg.eigh(dense)
     keep = w > 0
     return u[:, keep] * np.sqrt(w[keep]), float(w.min())
 

@@ -646,6 +646,12 @@ class TestCli:
         return recs + [{"t": "procs", "names": ["p1", "p0"]}]
 
     @staticmethod
+    def _repeated_header(recs):
+        """A later header would win: the trace would parse with seed 999."""
+        header = next(d for d in recs if d["t"] == "header")
+        return recs + [{**header, "config": {**header["config"], "seed": 999}}]
+
+    @staticmethod
     def _repeated_quantum(recs):
         quantum = next(d for d in recs if d["t"] == "quantum")
         return recs + [{**quantum, "own": {"0": "p1", "1": "p0"}}]
@@ -756,13 +762,30 @@ class TestCli:
         return recs
 
     @staticmethod
-    def _ping_quantum_record(field, value):
-        """The ping config's records, which hold no register, with one
-        field of the quantum record set to ``value``."""
+    def _ping_records():
+        """The records of a 2-proc ping trace, which holds no register."""
         cfg = ScenarioConfig(base="ping", procs=2, base_params={"n_msgs": 1}, seed=0)
-        recs = [json.loads(line) for line in trace_text(cfg).splitlines()]
+        return [json.loads(line) for line in trace_text(cfg).splitlines()]
+
+    @classmethod
+    def _ping_quantum_record(cls, field, value):
+        """The ping config's records with one field of the quantum record
+        set to ``value``."""
+        recs = cls._ping_records()
         next(d for d in recs if d["t"] == "quantum")[field] = value
         return recs
+
+    @classmethod
+    def _repeated_chan(cls, recs):
+        """Message 900 in flight on p0->p1, then an empty p0->p1 record: a
+        later record would win, and the trace would parse with no message
+        in flight."""
+        recs = cls._ping_records()
+        msg = {"id": 900, "src": "p0", "dst": "p1", "classical": None,
+               "regs": [], "marker": None, "pending": None}
+        k = next(i for i, d in enumerate(recs) if d["t"] == "quantum")
+        return recs[:k] + [{"t": "chan", "key": "p0->p1", "msgs": [msg]},
+                           {"t": "chan", "key": "p0->p1", "msgs": []}] + recs[k:]
 
     @classmethod
     def _regs_empty_string(cls, recs):
@@ -784,6 +807,8 @@ class TestCli:
                                         "not a JSON object\")"),
         ("_drop_quantum", "error: trace has no quantum record"),
         ("_repeated_procs", "error: trace has two procs records"),
+        ("_repeated_header", "error: trace has two header records"),
+        ("_repeated_chan", "error: trace has two chan records for 'p0->p1'"),
         ("_repeated_quantum", "error: trace has two quantum records"),
         ("_bad_qrow_value", 'error: bad initial state: row 0 holds a value that is not "re,im"'),
         ("_bool_row_index", "error: bad initial state: row index True is not an int"),
@@ -818,7 +843,8 @@ class TestCli:
         ("_too_many_procs", f"error: procs record: names are not up to {MAX_PROCS} "
                             "distinct strings without '->'"),
     ], ids=["bool-version", "regs-empty-string", "regs-empty-object", "null-owners",
-            "no-quantum", "repeated-procs", "repeated-quantum", "bad-qrow-value",
+            "no-quantum", "repeated-procs", "repeated-header", "repeated-chan",
+            "repeated-quantum", "bad-qrow-value",
             "bool-row-index", "float-row-index", "missing-row", "stray-row", "repeated-row",
             "short-row", "indefinite-state",
             "unowned-register", "ownership-partition", "processor-named-like-a-message",
@@ -1485,6 +1511,19 @@ def test_trace_codec_work_budget(monkeypatch):
     c = counting_calls(monkeypatch, traceio, "_c")
     assert traceio.serialize_run(x, config, decisions) == text
     assert len(c) == nonzero
+
+
+def test_serializing_a_generated_wide_state_formats_its_distinct_rows(monkeypatch):
+    """Scenario (d)'s generated initial state is a D=1024 basis vector, so
+    its 1,024 rows are two distinct rows: the one holding its 1, and zero.
+    Serializing the generated execution passes those two rows to
+    ``_matrix``, not 1,024, and writes the golden trace."""
+    cfg, digest = GOLDEN_TRACES["ring-quantum-wide"]
+    res = run_simulation(ScenarioConfig.from_dict(cfg))
+    matrices = counting_calls(monkeypatch, traceio, "_matrix")
+    text = traceio.serialize_run(res.execution, res.config, res.decisions)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert sum(len(m) for m, in matrices if m.shape[1] == 1024) == 2
 
 
 def test_verifying_a_wide_trace_builds_no_dense_derived_state():

@@ -134,14 +134,14 @@ def test_tolerance_calls_name_both_tolerances():
 def test_only_qcore_and_traceio_read_dense_entries():
     """A state is its factor or its nonzero rows.  Only ``qcore`` reads its
     D×D ``entries`` (to check a state held as a factor), and the trace
-    serializer reads it a block of rows at a time."""
+    serializer reads only its distinct rows, a block at a time."""
     readers = {}
     for module, path in MODULES.items():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Attribute) and node.attr in ("entries", "row_blocks"):
+            if isinstance(node, ast.Attribute) and node.attr in ("entries", "distinct_rows"):
                 readers.setdefault(node.attr, set()).add(module)
     assert readers == {"entries": {"qgosim.qcore"},
-                       "row_blocks": {"qgosim.qcore", "qgosim.harness.traceio"}}
+                       "distinct_rows": {"qgosim.qcore", "qgosim.harness.traceio"}}
 
 
 STEP_MODULES = ("qgosim.sysmodel", "qgosim.executions", "qgosim.specmachine")

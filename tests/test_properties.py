@@ -393,6 +393,50 @@ def test_matrix_codec_matches_per_entry_oracle(m):
 
 
 # ---------------------------------------------------------------------------
+# A state's trace rows, read as distinct rows, against the block path
+# ---------------------------------------------------------------------------
+
+def _block_path_rows(v):
+    """The ``qrow`` rows of a rank-1 factor ``v`` as they were written
+    before distinct rows: every row of V·V†, a block of
+    ``_BLOCK_ENTRIES`` entries at a time (the rank-1 ``_gram``), each block
+    through ``_matrix``."""
+    step = max(1, qcore._BLOCK_ENTRIES // len(v))
+    return [row for lo in range(0, len(v), step)
+            for row in traceio._matrix(np.multiply.outer(v[lo:lo + step], v.conj()))]
+
+
+_ROW_PARTS = [0.0, -0.0, 1e-300, -1e-300, float("nan"), -float("nan"), 0.5]
+
+
+@st.composite
+def rank1_factors(draw):
+    """A vector of D = 1..64 entries drawn from a pool of at most four, so
+    that rows repeat, with signed zero, tiny and NaN parts; and a block size
+    that may split its rows."""
+    parts = st.one_of(st.sampled_from(_ROW_PARTS), st.floats(-2, 2))
+    entries = st.builds(complex, parts, parts)
+    pool = draw(st.lists(entries, min_size=1, max_size=4))
+    d = draw(st.integers(1, 64))
+    v = np.array(draw(st.lists(st.sampled_from(pool), min_size=d, max_size=d)),
+                 dtype=np.complex128)
+    return v, draw(st.integers(1, d * d))
+
+
+@given(rank1_factors())
+@settings(max_examples=200, deadline=None)
+def test_state_rows_match_the_block_path(case):
+    v, block_entries = case
+    space = RegisterSpace((RegisterId(0, len(v)),))
+    rho = DensityMatrix.from_vector(space, v)
+    state = sysmodel.initial_state(("p0",), {"p0": {}}, rho, {space.registers[0]: "p0"})
+    with mock.patch.object(qcore, "_BLOCK_ENTRIES", block_entries):
+        rows = [d["v"] for d in traceio.encode_state(state) if d["t"] == "qrow"]
+        assert rows == _block_path_rows(v)
+        assert traceio._matrix(rho.entries) == rows
+
+
+# ---------------------------------------------------------------------------
 # The factored state against the dense kernel it replaced
 # ---------------------------------------------------------------------------
 
