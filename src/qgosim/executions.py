@@ -9,10 +9,8 @@ fully deterministic and needs no random source.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Callable
-
-import numpy as np
 
 from . import qcore, sysmodel
 from .qcore import ZERO_TRACE, QuantumOperation, RegisterId
@@ -94,11 +92,10 @@ class Respond:
     protocol: bool = False
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Apply:
     eid: int
     label: str
-    proc: str
     name: str
     outcome: str
     qop: QuantumOperation | None = None
@@ -109,7 +106,7 @@ class Apply:
     protocol: bool = False
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Send:
     eid: int
     label: str
@@ -185,14 +182,16 @@ def _run_on(state: SystemState, proc: str, update, outcome) -> SystemState:
 def step(state: SystemState, event: Event) -> SystemState:
     """Apply a single event under the distributed-algorithm semantics.
 
-    Each event's own classical update runs once, at the end, on the
-    processor named by its label (an Apply's ``proc``).  An Apply whose
-    ``target_msg`` is still in flight is a local step of the message's
-    owner token instead: it must carry the token, ``msg:<id>``, as its
-    label, which no parsed or generated event does, so only the verifier's
-    reordered execution has one.  Its registers must belong to the token,
-    and its outcome is filed in the receiver's record of the channel in the
-    same step, as the atomic step files it; its own update does not run.
+    Every event runs on its label: an Apply's input registers must belong
+    to it, and each event's own classical update runs once, at the end, on
+    its state.  An Apply whose ``target_msg`` is still in flight must carry
+    the message's owner token, ``msg:<id>``, as its label, which no parsed
+    or generated event does, so only the verifier's reordered execution has
+    one.  Its outcome is filed in the receiver's record of the channel in
+    the same step, as the atomic step files it; its own update does not
+    run.  Once the message is received, the token owns no register and has
+    no classical state, so such an Apply is refused if it reads a register
+    (by the locality check) or runs an update.
     """
     if isinstance(event, Invoke):
         # Invocation touches only the extension state; the bookkeeping is
@@ -201,13 +200,13 @@ def step(state: SystemState, event: Event) -> SystemState:
 
     proc, outcome = event.label, None
     if isinstance(event, Apply):
-        proc, outcome = event.proc, event.outcome
+        outcome = event.outcome
         msg = None if event.target_msg is None else state.find_message(event.target_msg)
-        if msg is not None and event.label != msg.owner_token:
+        if msg is not None and proc != msg.owner_token:
             raise sysmodel.SysmodelError(
                 f"event {event.eid} acts on message {event.target_msg} in flight")
-        state = sysmodel.apply_local(state, proc if msg is None else msg.owner_token,
-                                     event.qop, event.in_regs, event.out_regs, outcome)
+        state = sysmodel.apply_local(state, proc, event.qop, event.in_regs,
+                                     event.out_regs, outcome)
         if event.qop is not None:
             prob = state.quantum.trace
             if not math.isfinite(prob):
@@ -266,35 +265,6 @@ def replay(x: Execution, step_fn: Callable | None = None) -> list[SystemState]:
 # Transition predicates
 # ---------------------------------------------------------------------------
 
-def same_operation(a: QuantumOperation | None, b: QuantumOperation | None) -> bool:
-    """Same outcomes, dimensions and Kraus matrices, bit for bit: a trace
-    round-trips its matrices exactly, and a rebuilt block's operation comes
-    from the same deterministic builder, so any difference is a forgery."""
-    if a is None or b is None:
-        return a is b
-    if a.outcome_set != b.outcome_set or a.in_dims != b.in_dims or a.out_dims != b.out_dims:
-        return False
-    for r in a.outcome_set:
-        ka, kb = a.kraus_by_outcome[r], b.kraus_by_outcome[r]
-        if len(ka) != len(kb):
-            return False
-        if not all(np.array_equal(x, y) for x, y in zip(ka, kb)):
-            return False
-    return True
-
-
-def same_event(a: Event, b: Event) -> bool:
-    """Field-by-field equality, with ``same_operation`` for the quantum
-    operation."""
-    if type(a) is not type(b):
-        return False
-    for f in fields(a):
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        if not (same_operation(x, y) if f.name == "qop" else x == y):
-            return False
-    return True
-
-
 @dataclass
 class ValidationResult:
     valid: bool
@@ -309,7 +279,7 @@ class ValidationResult:
 def _agreeing(block: list[Event], events: tuple[Event, ...], i: int) -> int:
     """How many leading events of ``block`` equal ``events[i:]``."""
     n = 0
-    while n < len(block) and i + n < len(events) and same_event(block[n], events[i + n]):
+    while n < len(block) and i + n < len(events) and block[n] == events[i + n]:
         n += 1
     return n
 

@@ -32,9 +32,10 @@ def _read_text(path: str, error: type[Exception]) -> str:
 
 
 def _load_config(path: str) -> scenarios.ScenarioConfig:
+    text = _read_text(path, scenarios.ConfigError)
     try:
-        d = json.loads(_read_text(path, scenarios.ConfigError))
-    except RecursionError as exc:  # nested deeper than json.loads goes
+        d = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad JSON, long int, deep nesting
         raise scenarios.ConfigError(f"config: {exc}") from None
     return scenarios.ScenarioConfig.from_dict(d)
 
@@ -176,7 +177,7 @@ def main(argv=None) -> int:
     try:
         qcore.dim_cap()  # a QGO_DIM_CAP that sets no cap is reported before any work
         return args.fn(args)
-    except (OSError, json.JSONDecodeError, traceio.TraceError,
+    except (OSError, traceio.TraceError,
             scenarios.UnknownScenario, scenarios.ConfigError, scheduler.SchedulerError,
             qgo.UnknownGlobalOp, qcore.CapacityError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

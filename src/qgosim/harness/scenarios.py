@@ -243,7 +243,7 @@ class TokenRing(BaseAlgorithm):
             return [Send(eid=ctx.eid(), label=proc, msg=msg,
                          update=ClassicalUpdate("token.pass"))]
         if action == "take":
-            return [Apply(eid=ctx.eid(), label=proc, proc=proc, name="token.take",
+            return [Apply(eid=ctx.eid(), label=proc, name="token.take",
                           outcome=NO_OUTCOME, update=ClassicalUpdate("token.take"))]
         raise UnknownScenario(f"token ring has no action {action!r}")
 
@@ -383,7 +383,7 @@ class Teleport(BaseAlgorithm):
             regs = state.owned_by("p0")[:2]
             spec = LocalOpSpec(bell_measurement(), regs, regs)
             outcome = choose_outcome(state, spec, ctx)
-            return [Apply(eid=ctx.eid(), label="p0", proc="p0", name="tp.bell",
+            return [Apply(eid=ctx.eid(), label="p0", name="tp.bell",
                           outcome=outcome, qop=spec.qop, in_regs=regs, out_regs=regs,
                           update=ClassicalUpdate("tp.measured"))]
         if action == "send_fix":
@@ -394,7 +394,7 @@ class Teleport(BaseAlgorithm):
             return [Send(eid=ctx.eid(), label="p0", msg=msg,
                          update=ClassicalUpdate("tp.sent_fix"))]
         if action == "consume_half":
-            return [Apply(eid=ctx.eid(), label="p1", proc="p1", name="tp.got_half",
+            return [Apply(eid=ctx.eid(), label="p1", name="tp.got_half",
                           outcome=NO_OUTCOME, update=ClassicalUpdate("tp.got_half"))]
         if action == "apply_fix":
             bits = _inbox_entries(sigma, "fix")[0][1]["bits"]
@@ -402,7 +402,7 @@ class Teleport(BaseAlgorithm):
             qop = qcore.relabel_outcomes(
                 qcore.unitary_channel(correction_unitary(bits), [2]), lambda _: bits
             )
-            return [Apply(eid=ctx.eid(), label="p1", proc="p1", name="tp.fix",
+            return [Apply(eid=ctx.eid(), label="p1", name="tp.fix",
                           outcome=bits, qop=qop, in_regs=regs, out_regs=regs,
                           update=ClassicalUpdate("tp.fixed"))]
         raise UnknownScenario(f"teleport has no action {action!r}")

@@ -97,7 +97,7 @@ class _Enabled:
         """Take in the block of ``pick``, stepped at ``steps`` into ``state``."""
         procs, chans = set(), set()
         for ev in block:
-            procs.add(getattr(ev, "proc", ev.label))  # an Apply runs on its proc
+            procs.add(ev.label)
             if isinstance(ev, Send):
                 chans.add(ev.msg.channel)
             elif isinstance(ev, Receive):

@@ -234,7 +234,7 @@ def encode_event(ev: Event) -> dict:
         }
     if isinstance(ev, Apply):
         return {
-            "k": "apply", "eid": ev.eid, "label": ev.label, "proc": ev.proc,
+            "k": "apply", "eid": ev.eid, "label": ev.label, "proc": ev.label,
             "name": ev.name, "outcome": ev.outcome, "qop": _qop(ev.qop),
             "in": [_reg(r) for r in ev.in_regs],
             "out": [_reg(r) for r in ev.out_regs],
@@ -259,7 +259,8 @@ def encode_event(ev: Event) -> dict:
 
 def decode_event(d: dict) -> Event:
     """The event of an ``ev`` record; a field of the wrong type raises
-    ``ValueError`` (``KeyError`` when it is missing)."""
+    ``ValueError`` (``KeyError`` when it is missing).  An Apply record's
+    ``proc`` is only checked: ``_check_names`` holds it to the label."""
     k = d["k"]
     if k not in ("invoke", "respond", "apply", "send", "receive"):
         raise TraceError(f"unknown event kind {k!r}")
@@ -271,8 +272,9 @@ def decode_event(d: dict) -> Event:
         return Respond(eid=eid, label=label, record=d["record"], update=update)
     protocol = _field(d, "protocol", bool)
     if k == "apply":
+        _field(d, "proc", str)
         return Apply(
-            eid=eid, label=label, proc=_field(d, "proc", str),
+            eid=eid, label=label,
             name=_field(d, "name", str), outcome=_field(d, "outcome", str),
             qop=_parse_qop(_field(d, "qop", dict, optional=True)),
             in_regs=tuple(_parse_reg(r) for r in _field(d, "in", list)),
@@ -403,24 +405,26 @@ def _decode_state(recs: list[tuple[int, dict]]) -> SystemState:
         {r: owners[str(r.id)] for r in regs}, ext, channels)
 
 
-def _check_names(procs: tuple, events: list, linenos: list) -> None:
+def _check_names(procs: tuple, events: list, linenos: list, applies_on: list) -> None:
     """Refuse an event that names a processor or a channel the trace does
-    not have: its label, an Apply's ``proc``, a sent message's ends, a
-    Receive's channel.  Also refuse an Apply whose ``proc``, the processor
-    whose state it changes, is not its label, the chain that orders it."""
-    for lineno, ev in zip(linenos, events):
+    not have: its label, an Apply record's ``proc`` (its entry of
+    ``applies_on``), a sent message's ends, a Receive's channel.  Also
+    refuse an Apply record whose ``proc`` is not its label: an Apply runs
+    on its label, the chain that orders it, so a record naming another
+    processor is a forgery."""
+    for lineno, ev, proc in zip(linenos, events, applies_on):
         names = [ev.label]
         if isinstance(ev, Apply):
-            names.append(ev.proc)
+            names.append(proc)
         elif isinstance(ev, Send):
             names += [ev.msg.src, ev.msg.dst]
         unknown = [p for p in names if p not in procs]
         if unknown:
             raise TraceError(f"line {lineno}: event {ev.eid} names unknown "
                              f"processor {unknown[0]!r}")
-        if isinstance(ev, Apply) and ev.proc != ev.label:
+        if isinstance(ev, Apply) and proc != ev.label:
             raise TraceError(f"line {lineno}: event {ev.eid} is labelled "
-                             f"{ev.label!r} but applies on {ev.proc!r}")
+                             f"{ev.label!r} but applies on {proc!r}")
         if isinstance(ev, Receive) and not sysmodel.is_channel(procs, ev.chan):
             raise TraceError(f"line {lineno}: event {ev.eid} names unknown "
                              f"channel {ev.chan!r}")
@@ -517,7 +521,7 @@ def _records(text: str):
 
 def parse_run(text: str):
     """Parse a trace; returns (execution, config or None, decisions or None)."""
-    state_recs, events, linenos = [], [], []
+    state_recs, events, linenos, applies_on = [], [], [], []
     header = None
     for lineno, d in _records(text):
         if type(d) is not dict:
@@ -533,6 +537,7 @@ def parse_run(text: str):
             try:
                 events.append(decode_event(d))
                 linenos.append(lineno)
+                applies_on.append(d.get("proc"))
             except (KeyError, TypeError, ValueError, IndexError, RecursionError,
                     qcore.QcoreError) as exc:
                 raise TraceError(f"line {lineno}: bad event record: {exc}") from exc
@@ -548,7 +553,7 @@ def parse_run(text: str):
     except (KeyError, TypeError, ValueError, IndexError,
             qcore.QcoreError, sysmodel.SysmodelError) as exc:
         raise TraceError(f"bad initial state: {exc!r}") from exc
-    _check_names(initial.procs, events, linenos)
+    _check_names(initial.procs, events, linenos, applies_on)
     cfg = header.get("config")
     try:
         config = ScenarioConfig.from_dict(cfg) if cfg is not None else None

@@ -394,6 +394,11 @@ class QuantumOperation:
     ``r``; the sum over all outcomes must be trace preserving.  ``in_dims`` and
     ``out_dims`` are the local dimensions of the operation's input and output
     slots; they may differ, letting an operation grow or shrink the system.
+
+    Operations are equal when their outcomes, dimensions and Kraus matrices
+    are, entry for entry by value (-0.0 equals 0.0; no entry is NaN or
+    infinite): traces round-trip matrices and builders are deterministic,
+    so any difference is a forgery.  An operation cannot be hashed.
     """
 
     outcome_set: tuple[str, ...]
@@ -423,6 +428,16 @@ class QuantumOperation:
                                      f"that is not finite")
             fixed[r] = ks
         object.__setattr__(self, "kraus_by_outcome", fixed)
+
+    def __eq__(self, other):
+        if not isinstance(other, QuantumOperation):
+            return NotImplemented
+        # kraus_by_outcome holds the outcomes in outcome_set order
+        mine, theirs = self.kraus_by_outcome.values(), other.kraus_by_outcome.values()
+        return ((self.outcome_set, self.in_dims, self.out_dims)
+                == (other.outcome_set, other.in_dims, other.out_dims)
+                and all(len(a) == len(b) and all(map(np.array_equal, a, b))
+                        for a, b in zip(mine, theirs)))
 
     @property
     def in_dim(self) -> int:

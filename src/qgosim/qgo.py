@@ -311,7 +311,6 @@ def gop_self_apply(
     return Apply(
         eid=ctx.eid(),
         label=proc,
-        proc=proc,
         name=f"gop-self:{gop.gid}",
         outcome=choose_outcome(state, spec, ctx),
         qop=spec.qop,
@@ -458,7 +457,6 @@ def qgo_receive(
     apply = Apply(
         eid=ctx.eid(),
         label=proc,
-        proc=proc,
         name=f"gop-msg:{gop.gid}",
         outcome=choose_outcome(state, spec, ctx),
         qop=spec.qop,

@@ -133,9 +133,9 @@ def classify(x: Execution, frag: FragmentInfo) -> None:
     apply_pos: dict[str, int] = {}
     for i, ev in enumerate(events):
         if isinstance(ev, Apply) and ev.name.startswith("gop-self:"):
-            if ev.proc in apply_pos:
-                raise ProtocolIncomplete(f"{ev.proc} applies the operation twice")
-            apply_pos[ev.proc] = i
+            if ev.label in apply_pos:
+                raise ProtocolIncomplete(f"{ev.label} applies the operation twice")
+            apply_pos[ev.label] = i
     missing = set(procs) - set(apply_pos)
     if missing:
         raise ProtocolIncomplete(f"no local application on {sorted(missing)}")
@@ -328,7 +328,7 @@ def build_spec_execution(z: Execution, frags: list[FragmentInfo]) -> Execution:
             eid=next_eid,
             label=frag.leader,
             gid=frag.gid,
-            proc_outcomes=tuple((e.proc, e.outcome) for e in procs),
+            proc_outcomes=tuple((e.label, e.outcome) for e in procs),
             msg_outcomes=tuple((z.events[i].target_msg, z.events[i].outcome) for i in msg_pos),
         )
         next_eid += 1
@@ -355,7 +355,6 @@ class Certificate:
     accepted: bool
     verdicts: dict
     reason: str = ""
-    x: Execution | None = None
     y: Execution | None = None  # class-sorted
     z: Execution | None = None  # message operations moved
     spec: Execution | None = None  # atomic specification execution
@@ -372,7 +371,7 @@ def verify(x: Execution) -> Certificate:
 
     def fail(stage: str, reason: str) -> Certificate:
         verdicts[stage] = False
-        return Certificate(False, verdicts, reason=reason, x=x)
+        return Certificate(False, verdicts, reason=reason)
 
     try:
         states = replay(x)
@@ -429,6 +428,4 @@ def verify(x: Execution) -> Certificate:
         return fail("histories", "histories of execution and specification differ")
     verdicts["histories"] = True
 
-    return Certificate(
-        True, verdicts, x=x, y=y, z=z, spec=spec_x, swaps=nswaps
-    )
+    return Certificate(True, verdicts, y=y, z=z, spec=spec_x, swaps=nswaps)

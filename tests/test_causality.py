@@ -96,10 +96,10 @@ def three_proc_execution():
     )
     events = (
         Send(eid=0, label="p0", msg=MessageInstance(0, "p0", "p1", classical=0)),
-        Apply(eid=1, label="p2", proc="p2", name="a", outcome=NO_OUTCOME),
+        Apply(eid=1, label="p2", name="a", outcome=NO_OUTCOME),
         Receive(eid=2, label="p1", chan="p0->p1", msg_id=0),
         Send(eid=3, label="p1", msg=MessageInstance(1, "p1", "p2", classical=1)),
-        Apply(eid=4, label="p0", proc="p0", name="b", outcome=NO_OUTCOME),
+        Apply(eid=4, label="p0", name="b", outcome=NO_OUTCOME),
         Receive(eid=5, label="p2", chan="p1->p2", msg_id=1),
     )
     return Execution(st, events)

@@ -42,7 +42,7 @@ def quantum_ping() -> Execution:
     events = (
         Send(eid=0, label="p0", msg=msg),
         Receive(eid=1, label="p1", chan="p0->p1", msg_id=0),
-        Apply(eid=2, label="p1", proc="p1", name="measure", outcome="0",
+        Apply(eid=2, label="p1", name="measure", outcome="0",
               qop=meas, in_regs=(r1,), out_regs=(r1,)),
     )
     return Execution(st, events)
@@ -132,9 +132,9 @@ class TestReplay:
         # project r0 to |0> then demand outcome 1 on the correlated r1
         meas = qcore.standard_basis_measurement([2])
         events = (
-            Apply(eid=0, label="p0", proc="p0", name="m0", outcome="0",
+            Apply(eid=0, label="p0", name="m0", outcome="0",
                   qop=meas, in_regs=(r0,), out_regs=(r0,)),
-            Apply(eid=1, label="p0", proc="p0", name="m1", outcome="1",
+            Apply(eid=1, label="p0", name="m1", outcome="1",
                   qop=meas, in_regs=(r1,), out_regs=(r1,)),
         )
         with pytest.raises(ReplayError) as err:
@@ -145,7 +145,7 @@ class TestReplay:
         """A Kraus matrix of finite but huge entries overflows the trace."""
         st, r0, _ = make_state()
         huge = qcore.unitary_channel(np.eye(2) * 1e200)
-        ev = Apply(eid=0, label="p0", proc="p0", name="huge", outcome=NO_OUTCOME,
+        ev = Apply(eid=0, label="p0", name="huge", outcome=NO_OUTCOME,
                    qop=huge, in_regs=(r0,), out_regs=(r0,))
         with pytest.raises(ReplayError, match="^invalid step at index 0: outcome '⊥' "
                                               "has probability inf$"):
@@ -153,7 +153,7 @@ class TestReplay:
 
     def test_unknown_update_name(self):
         st, *_ = make_state()
-        ev = Apply(eid=0, label="p0", proc="p0", name="nop", outcome=NO_OUTCOME,
+        ev = Apply(eid=0, label="p0", name="nop", outcome=NO_OUTCOME,
                    update=ClassicalUpdate("no-such-update"))
         with pytest.raises(ReplayError):
             replay(Execution(st, (ev,)))
@@ -172,10 +172,9 @@ class TestSliceConcat:
 
 
 class TestInFlightRecord:
-    def test_apply_in_flight_then_receive_matches_receive_then_apply(self):
-        """An operation on a message in flight files its outcome in the
-        receiver's channel record in the same step, and the state after the
-        reception is the one the opposite order reaches."""
+    def in_flight_ping(self):
+        """A state where p1 records channel p0->p1, the Send of a message
+        carrying r1, its reception, and the receiver's recording Apply."""
         st, r0, r1 = make_state()
         recording = dict(qgo.idle_ext(), op="g", res={"p0->p1": []},
                          waitset=["p0->p1"])
@@ -184,18 +183,37 @@ class TestInFlightRecord:
         msg = MessageInstance(0, "p0", "p1", classical={"kind": "half"}, quantum_regs=(r1,))
         send = Send(eid=0, label="p0", msg=msg)
         recv = Receive(eid=1, label="p1", chan="p0->p1", msg_id=0)
-        apply = Apply(eid=2, label="msg:0", proc="p1", name="gop-msg:g", outcome="1",
+        apply = Apply(eid=2, label="p1", name="gop-msg:g", outcome="1",
                       qop=qcore.standard_basis_measurement([2]),
                       in_regs=(r1,), out_regs=(r1,),
                       update=ClassicalUpdate("qgo.record", ("p0->p1",)),
                       target_msg=0)
+        return st, msg, send, recv, apply
+
+    def test_apply_in_flight_then_receive_matches_receive_then_apply(self):
+        """An operation on a message in flight, relabelled with the
+        message's token as the verifier's move relabels it, files its
+        outcome in the receiver's channel record in the same step, and the
+        state after the reception is the one the receiver's own Apply after
+        the reception reaches."""
+        st, msg, send, recv, apply = self.in_flight_ping()
+        in_flight = dataclasses.replace(apply, label="msg:0")
         after = replay(Execution(st, (send, recv, apply)))
-        before = replay(Execution(st, (send, apply, recv)))
+        before = replay(Execution(st, (send, in_flight, recv)))
         assert before[2].ext["p1"]["res"] == {"p0->p1": ["1"]}
         assert before[2].find_message(0) == msg
         assert after[-1].ext["p1"]["res"] == {"p0->p1": ["1"]}
         assert before[-1].ext == after[-1].ext
         assert sysmodel.states_equal(before[-1], after[-1], qcore.EPS_EXACT)
+
+    def test_token_apply_after_the_reception_is_refused(self):
+        """Once its message is received, the token owns no register, so an
+        Apply labelled with it does not run."""
+        st, msg, send, recv, apply = self.in_flight_ping()
+        in_flight = dataclasses.replace(apply, label="msg:0")
+        with pytest.raises(ReplayError, match=r"not owned by msg:0 \(owner: p1\)") as exc:
+            replay(Execution(st, (send, recv, in_flight)))
+        assert exc.value.index == 2
 
 
 class TestFilter:

@@ -866,16 +866,23 @@ class TestCli:
         ("directory", "error: cannot read {path}: [Errno 21] Is a directory"),
         ("not-utf-8", "error: cannot read {path}: 'utf-8' codec can't decode byte 0xff"),
         ("too-deep", "maximum recursion depth exceeded"),
-    ], ids=["directory", "not-utf-8", "too-deep"])
+        pytest.param("long-int", "Exceeds the limit", marks=pytest.mark.skipif(
+            not hasattr(sys, "get_int_max_str_digits"),
+            reason="this Python converts ints of any length")),
+    ], ids=["directory", "not-utf-8", "too-deep", "long-int"])
     @pytest.mark.parametrize("cmd", ["verify", "inspect", "run", "batch"])
     def test_unreadable_input_exits_2(self, tmp_path, capsys, cmd, case, message):
-        """A directory, a file that is not UTF-8, and JSON nested deeper than
-        ``json.loads`` goes: each trace or config is refused with one line."""
+        """A directory, a file that is not UTF-8, JSON nested deeper than
+        ``json.loads`` goes, and an int longer than Python converts (a
+        plain ``ValueError``): each trace or config is refused with one
+        line."""
         path = tmp_path / "input"
         if case == "directory":
             path.mkdir()
         elif case == "not-utf-8":
             path.write_bytes(b'{"t": "\xff"}\n')
+        elif case == "long-int":
+            path.write_text('{"base": "ping", "seed": ' + "1" * 5_000 + "}\n")
         else:
             path.write_text("[" * 100_000 + "]" * 100_000 + "\n")
         argv = [cmd, str(path)] if cmd in ("verify", "inspect") else [cmd, "--config", str(path)]

@@ -206,20 +206,33 @@ def constants(node: ast.stmt) -> list[str]:
     return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
 
 
+def member(node: ast.stmt, cls: ast.ClassDef) -> str | None:
+    """The name that ``node`` of ``cls``'s body defines for code to read as
+    an attribute: a method or property (a dunder is called by the
+    language), or a field when ``cls`` is decorated with ``dataclass``."""
+    if isinstance(node, ast.FunctionDef):
+        return None if node.name.startswith("__") else node.name
+    dataclass = any(getattr(d.func if isinstance(d, ast.Call) else d, "id", "") == "dataclass"
+                    for d in cls.decorator_list)
+    return node.target.id if dataclass and isinstance(node, ast.AnnAssign) else None
+
+
 def uncalled_functions(modules=MODULES) -> dict[str, ast.AST]:
     """The top-level functions and constants of ``modules`` that no code in
     them refers to outside the function's own body, by ``module.name``, and
-    the methods and properties of their top-level classes whose name no code
-    in them reads as an attribute, by ``module.Class.name``.  A constant is
-    a name bound by a top-level assignment; binding it again is no read.
+    the methods, properties and dataclass fields of their top-level classes
+    whose name no code in them reads as an attribute, by
+    ``module.Class.name``.  A constant is a name bound by a top-level
+    assignment; binding it again is no read.
 
     Names resolve per module: a top-level def and ``from m import f`` bind
     ``f`` (an import is not itself a reference); ``import m`` and ``from p
     import m`` bind a module, so ``m.f`` refers to ``f`` of that module, and
     a re-export is followed to its source.  An attribute of anything else,
     such as ``state.validate()``, refers to no module's function, but it
-    calls every method named ``validate``.  Dunder methods are called by
-    the language, so none is listed.
+    calls every method named ``validate``, and ``cert.swaps`` reads every
+    field named ``swaps``.  Dunder methods are called by the language, so
+    none is listed.
     """
     trees = {m: ast.parse(p.read_text(), filename=str(p)) for m, p in modules.items()}
     defs, binds = {}, {}
@@ -265,14 +278,15 @@ def uncalled_functions(modules=MODULES) -> dict[str, ast.AST]:
                 name = qualify(node, m)
                 if name and name != own:
                     referenced.add(name)
-    methods = {f"{m}.{top.name}.{node.name}": node
+    members = {f"{m}.{top.name}.{attr}": node
                for m, tree in trees.items() for top in tree.body
                if isinstance(top, ast.ClassDef) for node in top.body
-               if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")}
+               if (attr := member(node, top))}
     read = {node.attr for tree in trees.values() for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     return {**{name: node for name, node in defs.items() if name not in referenced},
-            **{name: node for name, node in methods.items() if node.name not in read}}
+            **{name: node for name, node in members.items()
+               if name.rpartition(".")[2] not in read}}
 
 
 def registered_update(node: ast.AST) -> bool:
@@ -282,16 +296,20 @@ def registered_update(node: ast.AST) -> bool:
 
 def test_every_src_function_has_a_caller(monkeypatch):
     """Every top-level function and constant in ``src/`` is referenced from
-    ``src/``, and every method or property of a ``src/`` class is read there
-    by name, so code or a setting that only the tests use does not grow back.  Exempt: the classical
-    updates, which the registry calls by name; the functions the benchmark's
-    traced run wraps; ``CausalRelation.pairs``, which its tracer reads; and
+    ``src/``, and every method, property or dataclass field of a ``src/``
+    class is read there by name, so code, a setting or stored data that
+    only the tests use does not grow back.  Exempt: the classical updates,
+    which the registry calls by name; the functions the benchmark's traced
+    run wraps; ``CausalRelation.pairs``, which its tracer reads;
     ``executions.validate``, the replay that asks a step predicate about
     each step, which the tests run on every scenario and ROADMAP item 1
-    makes the first stage of ``verify``."""
+    makes the first stage of ``verify``; and ``SimulationResult.final_state``,
+    the generator's own last state, which the tests hold a replay's last
+    state against as an oracle."""
     tracer = load_tracer(monkeypatch)
     exempt = {f"{t.module}.{t.func}" for t in tracer.TARGETS} | {
-        "qgosim.executions.validate", "qgosim.causality.CausalRelation.pairs"}
+        "qgosim.executions.validate", "qgosim.causality.CausalRelation.pairs",
+        "qgosim.harness.scheduler.SimulationResult.final_state"}
     flagged = [name for name, node in uncalled_functions().items()
                if name not in exempt and not registered_update(node)]
     assert flagged == []
@@ -300,7 +318,8 @@ def test_every_src_function_has_a_caller(monkeypatch):
 def test_caller_scan_names_an_uncalled_function(tmp_path):
     """The scan resolves names per module: a method of the same name, a
     recursive call or an unused import does not make a function called.  A
-    method or property is called when some module reads its name.  A
+    method, property or dataclass field is used when some module reads its
+    name; an annotated attribute of another class is not a field.  A
     constant is read by name or as a module's attribute, each name of a
     tuple target on its own; binding it again is no read, and a dunder is
     never listed."""
@@ -308,6 +327,7 @@ def test_caller_scan_names_an_uncalled_function(tmp_path):
     pkg.mkdir()
     (pkg / "__init__.py").write_text("")
     (pkg / "a.py").write_text(
+        "from dataclasses import dataclass\n"
         "__version__ = '1'\n"
         "LIMIT = 3\n"
         "_HEAD, (_MID, _TAIL) = 'a', ('b', 'c')\n"
@@ -316,7 +336,12 @@ def test_caller_scan_names_an_uncalled_function(tmp_path):
         "def used(): return _HEAD, _TAIL\n"
         "def unused(): pass\n"
         "def recursive(n): return recursive(n - 1)\n"
+        "@dataclass(frozen=True)\n"
+        "class Point:\n"
+        "    x: int\n"
+        "    unread: int = 0\n"
         "class State:\n"
+        "    cap: int = 3\n"
         "    def unused(self): pass\n"
         "    def idle(self): return self.size\n"
         "    @property\n"
@@ -326,13 +351,14 @@ def test_caller_scan_names_an_uncalled_function(tmp_path):
     (pkg / "b.py").write_text(
         "from . import a\n"
         "from .a import recursive, used as u\n"
-        "def main(): return u(), a.State().unused(), a.LIMIT\n"
+        "def main(): return u(), a.State().unused(), a.LIMIT, a.Point(1).x\n"
         "main()\n"
     )
     modules = {f"pkg.{p.stem}": p for p in sorted(pkg.glob("*.py"))}
     modules["pkg"] = modules.pop("pkg.__init__")
     assert sorted(uncalled_functions(modules)) == [
-        "pkg.a.State.idle", "pkg.a.UNREAD", "pkg.a._MID", "pkg.a.recursive", "pkg.a.unused"]
+        "pkg.a.Point.unread", "pkg.a.State.idle", "pkg.a.UNREAD", "pkg.a._MID",
+        "pkg.a.recursive", "pkg.a.unused"]
 
 
 def all_subclasses(cls):

@@ -289,6 +289,49 @@ class TestValidateOperation:
             unitary_channel(k)
 
 
+
+class TestOperationEquality:
+    @staticmethod
+    def operation(kraus, dims=(2,)):
+        return qcore.QuantumOperation((NO_OUTCOME,), {NO_OUTCOME: kraus}, dims, dims)
+
+    @staticmethod
+    def halves():
+        """The two Kraus matrices of a channel that flips a qubit half the time."""
+        return [np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * np.array([[0, 1], [1, 0]])]
+
+    def test_rebuilt_operation_is_equal(self):
+        op = self.operation(self.halves())
+        assert op == self.operation(self.halves())
+        assert op == qcore.relabel_outcomes(op, lambda r: r)
+        assert standard_basis_measurement([2]) == standard_basis_measurement([2])
+
+    def test_signed_zero_equals_zero(self):
+        """Entries compare by value, so -0.0 equals +0.0."""
+        signed = self.halves()
+        signed[0][0, 1] = -0.0
+        assert self.operation(signed) == self.operation(self.halves())
+
+    @pytest.mark.parametrize("change", ["ulp", "dropped", "dims", "outcomes"])
+    def test_changed_operation_is_unequal(self, change):
+        op = self.operation(self.halves())
+        kraus, dims = self.halves(), (2,)
+        if change == "ulp":
+            kraus[1][0, 1] = np.nextafter(kraus[1][0, 1].real, 1.0)
+        elif change == "dropped":
+            kraus = kraus[:1]
+        elif change == "dims":
+            dims = (2, 1)
+        other = (standard_basis_measurement([2]) if change == "outcomes"
+                 else self.operation(kraus, dims))
+        assert op != other and not op == other
+
+    def test_operation_is_not_none_and_not_hashable(self):
+        op = standard_basis_measurement([2])
+        assert op != None and not op == None  # noqa: E711
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(op)
+
 class TestValidateState:
     SPACE = RegisterSpace((RegisterId(0, 2), RegisterId(1, 2)))
 

@@ -95,7 +95,7 @@ def anticorrelated_epr_snapshot(seed):
     )
     x = run_simulation(cfg).execution
     i = next(k for k, e in enumerate(x.events)
-             if isinstance(e, Apply) and e.name.startswith("gop-self:") and e.proc == "p0")
+             if isinstance(e, Apply) and e.name.startswith("gop-self:") and e.label == "p0")
     label = json.loads(x.events[i].outcome)
     flipped = json.dumps({**label, "q": "1" if label["q"] == "0" else "0"}, sort_keys=True)
     x = relabelled_identity(x, i, flipped)
@@ -189,7 +189,7 @@ def forged_apply_in_flight(drained=False):
     half = events[-1].msg
     qop = (qcore.unitary_channel(np.array([[0, 1], [1, 0]])) if drained
            else qcore.identity_operation((2,)))
-    forged = Apply(eid=ctx.eid(), label="p1", proc="p1", name="forged",
+    forged = Apply(eid=ctx.eid(), label="p1", name="forged",
                    outcome=qop.outcome_set[0], qop=qop, in_regs=half.quantum_regs,
                    out_regs=half.quantum_regs, target_msg=half.msg_id)
     state = executions.step(state, dataclasses.replace(forged, label=half.owner_token))
@@ -338,7 +338,7 @@ class TestReject:
         for i, e in enumerate(ev):
             if isinstance(e, Apply) and e.name.startswith("gop-self:") and e.qop:
                 other = next(o for o in e.qop.outcome_set if o != e.outcome)
-                ev[i] = Apply(eid=e.eid, label=e.label, proc=e.proc, name=e.name,
+                ev[i] = Apply(eid=e.eid, label=e.label, name=e.name,
                               outcome=other, qop=e.qop, in_regs=e.in_regs,
                               out_regs=e.out_regs, update=e.update, protocol=True)
                 break
@@ -353,7 +353,7 @@ class TestReject:
         # eid 0 (post) and eid 2 (pre) share p0, so 0 happens before 2; the
         # inverted pair (0, 1) is independent, so the sort refuses at 2.
         events = tuple(
-            Apply(eid=i, label=p, proc=p, name=f"a{i}", outcome=qcore.NO_OUTCOME)
+            Apply(eid=i, label=p, name=f"a{i}", outcome=qcore.NO_OUTCOME)
             for i, p in enumerate(("p0", "p1", "p0"))
         )
         x = Execution(st, events)
@@ -378,7 +378,7 @@ class TestReject:
         ev = list(x.events)
         i = next(k for k, e in enumerate(ev)
                  if isinstance(e, Apply) and e.name.startswith("gop-msg:"))
-        reg = next(r for r, p in x.initial.ownership.items() if p == ev[i].proc)
+        reg = next(r for r, p in x.initial.ownership.items() if p == ev[i].label)
         qop = qcore.relabel_outcomes(qcore.identity_operation((2,)),
                                      lambda _: ev[i].outcome)
         ev[i] = dataclasses.replace(ev[i], qop=qop, in_regs=(reg,), out_regs=(reg,))
@@ -402,7 +402,7 @@ class TestReject:
                  if isinstance(e, Apply) and e.name.startswith("gop-msg:"))
         recv = ev[i - 1]
         ev.insert(i - 1, Apply(eid=max(e.eid for e in ev) + 1, label=recv.label,
-                               proc=recv.label, name="forged", outcome=qcore.NO_OUTCOME,
+                               name="forged", outcome=qcore.NO_OUTCOME,
                                update=executions.ClassicalUpdate("qgo.record", (recv.chan,)),
                                protocol=True))
         cert = verifier.verify(Execution(x.initial, tuple(ev)))
@@ -512,7 +512,7 @@ def classed_windows(draw):
         ready = [c for c, ids in in_flight.items() if ids and c.endswith(f"->{p}")]
         kind = draw(st.sampled_from(["apply", "send"] + ["receive"] * bool(ready)))
         if kind == "apply":
-            events.append(Apply(eid=eid, label=p, proc=p, name=f"a{eid}",
+            events.append(Apply(eid=eid, label=p, name=f"a{eid}",
                                 outcome=qcore.NO_OUTCOME))
         elif kind == "send":
             msg = sysmodel.MessageInstance(eid, p, draw(st.sampled_from(procs)),
@@ -571,7 +571,7 @@ class TestSortWindowChecks:
         procs = ("p0", "p1")
         self.x = Execution(classical_initial(procs), (
             Send(eid=0, label="p0", msg=sysmodel.MessageInstance(0, "p0", "p1", classical=0)),
-            Apply(eid=1, label="p0", proc="p0", name="a", outcome=qcore.NO_OUTCOME),
+            Apply(eid=1, label="p0", name="a", outcome=qcore.NO_OUTCOME),
             Receive(eid=2, label="p1", chan="p0->p1", msg_id=0),
         ))
         self.states = executions.replay(self.x)
@@ -596,7 +596,7 @@ class TestSortWindowChecks:
         only positions 1 and 2 are replayed, and the states before and after
         them are reused."""
         x = Execution(self.x.initial, self.x.events + (
-            Apply(eid=3, label="p1", proc="p1", name="b", outcome=qcore.NO_OUTCOME),))
+            Apply(eid=3, label="p1", name="b", outcome=qcore.NO_OUTCOME),))
         states = executions.replay(x)
         frag = verifier.FragmentInfo(lo=0, hi=3,
                                      classes={0: "pre", 1: "post", 2: "pre", 3: "post"})
