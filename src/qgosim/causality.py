@@ -2,8 +2,9 @@
 
 Causality is the transitive closure of two primitive edge kinds: consecutive
 events carrying the same label, and the send/receive pair of one message.
-``predecessors`` yields both, and the vector clocks and the edge set are
-built from it alone.
+``predecessors`` yields both over any events; ``verify`` reads only it,
+over each sorted window.  The vector clocks and the edge set, built from it
+alone, serve ``inspect --causality``, the benchmark's tracer and the tests.
 A swap of two adjacent events verifies its own postconditions; a failure
 raises LemmaViolation.  ``verify`` does not call ``swap_in_place``: its
 reorderings are ``verifier.sort_window``'s checked permutations.  The tests
@@ -73,13 +74,13 @@ class CausalRelation:
         )
 
 
-def predecessors(x: Execution):
-    """Each event of ``x`` in order, with the positions of its immediate
-    causal predecessors, None where it has none: the previous event of its
-    label, and, for a Receive, its message's Send."""
+def predecessors(events):
+    """Each of ``events`` in order, with the positions in ``events`` of its
+    immediate causal predecessors among them, None where it has none: the
+    previous event of its label, and, for a Receive, its message's Send."""
     last: dict[str, int] = {}  # label -> position of its latest event
     sent: dict[int, int] = {}  # message id -> position of its Send
-    for i, ev in enumerate(x.events):
+    for i, ev in enumerate(events):
         send = sent.get(ev.msg_id) if isinstance(ev, Receive) else None
         yield ev, last.get(ev.label), send
         last[ev.label] = i
@@ -89,7 +90,7 @@ def predecessors(x: Execution):
 
 def primitive_edges(x: Execution) -> set[tuple[int, int]]:
     return {(x.events[p].eid, ev.eid)
-            for ev, *preds in predecessors(x) for p in preds if p is not None}
+            for ev, *preds in predecessors(x.events) for p in preds if p is not None}
 
 
 def compute_causality(x: Execution) -> CausalRelation:
@@ -97,7 +98,7 @@ def compute_causality(x: Execution) -> CausalRelation:
     of its predecessors and counts the event itself.  O(n·L) time and
     memory for n events over L labels."""
     seq, clock, clocks = {}, {}, []
-    for ev, prev, send in predecessors(x):
+    for ev, prev, send in predecessors(x.events):
         vc = {} if prev is None else dict(clocks[prev])
         if send is not None:
             for label, c in clocks[send].items():

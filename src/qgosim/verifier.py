@@ -12,9 +12,10 @@ the reordered execution ends.  The histories (invocations, responses, base
 events) of the original and the specification execution correspond event
 for event.
 
-Each reordering is proved once.  x's causal relation, the one built,
-proves that the class sort inverts only independent pairs; ``equicausal``
-cross-checks the sorted execution by another algorithm.  Each sort replays
+Each reordering is proved once.  The class sort inverts no dependent
+pair, which it checks on the primitive causal edges inside its own window
+(``sort_window``); then x and the sorted execution have the same edges, so
+the same happens-before, and no vector clock is built.  Each sort replays
 the span it changes and compares the state after it at EPS_EXACT: for the
 move, whose crossing of the reception is the one step that changes the
 causal order, that comparison is the whole proof.  So the sorted and moved
@@ -27,13 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace as dc_replace
 
 from . import executions, specmachine, sysmodel
-from .causality import (
-    CausalDependency,
-    CausalRelation,
-    LemmaViolation,
-    compute_causality,
-    equicausal,
-)
+from .causality import CausalDependency, LemmaViolation, predecessors
+# ``compute_causality`` is unused here; bench/tests/test_bench.py asserts
+# ``verifier.compute_causality is causality.compute_causality``.
+from .causality import compute_causality  # noqa: F401
 from .executions import (
     Apply,
     AtomicExecute,
@@ -88,13 +86,13 @@ class FragmentInfo:
 def decompose(x: Execution) -> list[FragmentInfo]:
     """Split into main fragments, one per completed invocation.
 
-    Raises HypothesisViolation if invocations overlap, are incomplete, or
-    protocol events occur outside any invocation.
+    Raises HypothesisViolation if invocations overlap or are incomplete
+    (each processor responds once), or protocol events occur outside any.
     """
     procs = x.initial.procs
     frags: list[FragmentInfo] = []
     open_frag: FragmentInfo | None = None
-    responds = 0
+    responded: set[str] = set()
     for i, ev in enumerate(x.events):
         if isinstance(ev, Invoke):
             if open_frag is not None:
@@ -102,12 +100,15 @@ def decompose(x: Execution) -> list[FragmentInfo]:
                     f"invocation at {i} overlaps the one at {open_frag.lo}"
                 )
             open_frag = FragmentInfo(lo=i, hi=i, gid=ev.gid, leader=ev.label)
-            responds = 0
+            responded = set()
         elif isinstance(ev, Respond):
             if open_frag is None:
                 raise HypothesisViolation(f"response at {i} outside any invocation")
-            responds += 1
-            if responds == len(procs):
+            if ev.label in responded:
+                raise HypothesisViolation(
+                    f"{ev.label} responds twice to the invocation at {open_frag.lo}")
+            responded.add(ev.label)
+            if len(responded) == len(procs):
                 open_frag.hi = i
                 frags.append(open_frag)
                 open_frag = None
@@ -168,7 +169,6 @@ def classify(x: Execution, frag: FragmentInfo) -> None:
     ]
 
     classes: dict[int, str] = {}
-    pos_in_proc: dict[str, int] = {}
     for i, ev in enumerate(events):
         if ev.eid in op_eids:
             classes[ev.eid] = "op"
@@ -188,28 +188,38 @@ _RANK = {"pre": 0, "op": 1, "post": 2}
 
 
 def sort_window(
-    x: Execution, states: list, lo: int, hi: int, rank, rel: CausalRelation | None = None
+    x: Execution, states: list, lo: int, hi: int, rank
 ) -> tuple[Execution, list, int]:
     """Stably sort positions [lo, hi) of ``x`` by ``rank(event)`` as one
     checked permutation; return it, its states and its inversion count.
-    Given ``rel``, x's relation, the first event b that an earlier,
-    higher-ranked event a happens before raises CausalDependency; testing
-    the first a of each (rank, label) suffices.  The span the sort changes,
-    from its first to its last moved position, is replayed once from
-    ``states`` (x's replay) and must end in the state after it within
-    EPS_EXACT, else LemmaViolation; the states outside it are reused.  With
-    no inversion, ``x`` and ``states`` come back as given."""
+
+    The first event b with a higher-ranked immediate predecessor a in the
+    window (``causality.predecessors`` over the window alone) raises
+    CausalDependency.  That is the whole dependency test: happens-before
+    respects position, so a causal path between two events of the window
+    stays inside it.  Take the first b that an earlier, higher-ranked a
+    happens before, and the last edge c -> b of a path from a.  Were
+    rank(c) <= rank(b), c would be an earlier such b.  So an inverted
+    dependent pair exists iff an edge in the window drops in rank, and
+    both tests stop at the same first b.  With no edge dropping, each label
+    keeps its order and each message its Send before its Receive, so the
+    sorted execution has x's primitive edges, hence x's happens-before.
+
+    The span the sort changes, from its first to its last moved position,
+    is replayed once from ``states`` (x's replay) and must end in the state
+    after it within EPS_EXACT, else LemmaViolation; the states outside it
+    are reused.  With no inversion, ``x`` and ``states`` come back as
+    given."""
     window = x.events[lo:hi]
-    seen: dict = {}  # (rank, label) -> [eid of its first event, its event count]
+    ranks = [rank(e) for e in window]
+    seen: dict = {}  # rank -> the number of its events before b
     nswaps = 0
-    for b in window:
-        r = rank(b)
-        for (ra, _), (a, count) in seen.items():
-            if ra > r:
-                if rel is not None and rel.prec(a, b.eid):
-                    raise CausalDependency(f"event {a} happens before {b.eid}")
-                nswaps += count
-        seen.setdefault((r, b.label), [b.eid, 0])[1] += 1
+    for (b, *preds), r in zip(predecessors(window), ranks):
+        for a in preds:
+            if a is not None and ranks[a] > r:
+                raise CausalDependency(f"event {window[a].eid} happens before {b.eid}")
+        nswaps += sum(count for ra, count in seen.items() if ra > r)
+        seen[r] = seen.get(r, 0) + 1
     if nswaps == 0:
         return x, states, 0
     order = sorted(window, key=rank)
@@ -228,14 +238,14 @@ def sort_window(
 
 
 def eliminate_inversions(
-    x: Execution, states: list, frag: FragmentInfo, rel: CausalRelation
+    x: Execution, states: list, frag: FragmentInfo
 ) -> tuple[Execution, list, int]:
     """Sort the fragment's events stably by class with ``sort_window``; a
     dependent inverted pair means the execution does not tripartition (a
-    ClaimViolation).  ``rel``, x's causal relation, survives the sort."""
+    ClaimViolation)."""
     try:
         return sort_window(x, states, frag.lo, frag.hi + 1,
-                           lambda e: _RANK[frag.classes[e.eid]], rel)
+                           lambda e: _RANK[frag.classes[e.eid]])
     except CausalDependency as exc:
         raise ClaimViolation(f"cannot sort fragment at {frag.lo}: {exc}") from exc
 
@@ -246,8 +256,9 @@ def reorder_message_ops(
     """Relabel each recorded message's operation in the class-sorted ``y``
     as ``msg:<id>``, acting on its message; then move each fragment's to the
     end of its snapshot region with one ``sort_window`` over its post class.
-    The relabelled operation is the only event of its label and no Receive,
-    so it has no causal past and no dependency test could refuse the move.
+    ``sort_window``'s dependency test cannot refuse the move: the
+    relabelled operations are the only events with ``msg:<id>`` labels, all
+    of rank 0, and none is a Receive, so no edge enters one from rank 1.
     Crossing its message's reception changes the causal order, and the one
     proof of the move is the sort's replay: applying the operation in flight
     as a step of the message's token, which files the outcome in the
@@ -291,23 +302,10 @@ def history(x: Execution) -> list[Event]:
 
 
 def histories_correspond(h1: list[Event], h2: list[Event]) -> bool:
-    """Pointwise correspondence: invocations and responses match by label
-    and content, base events are the same events."""
-    if len(h1) != len(h2):
-        return False
-    for a, b in zip(h1, h2):
-        if isinstance(a, Invoke) and isinstance(b, Invoke):
-            if (a.label, a.gid) != (b.label, b.gid):
-                return False
-        elif isinstance(a, Respond) and isinstance(b, Respond):
-            if a.label != b.label or a.record != b.record:
-                return False
-        elif type(a) is type(b):
-            if a.eid != b.eid:
-                return False
-        else:
-            return False
-    return True
+    """Pointwise correspondence: the same events, field for field, in the
+    same order.  ``verify`` builds every history it compares from the same
+    event objects, so an event differs only where a stage changed it."""
+    return h1 == h2
 
 
 def build_spec_execution(z: Execution, frags: list[FragmentInfo]) -> Execution:
@@ -391,15 +389,12 @@ def verify(x: Execution) -> Certificate:
 
     y = x
     nswaps = 0
-    rel = compute_causality(x)
     try:
         for frag in frags:
-            y, states, n = eliminate_inversions(y, states, frag, rel)
+            y, states, n = eliminate_inversions(y, states, frag)
             nswaps += n
     except (ClaimViolation, LemmaViolation) as exc:
         return fail("sort-classes", str(exc))
-    if not equicausal(x, y):
-        return fail("sort-classes", "sorted execution is not equicausal")
     verdicts["sort-classes"] = True
 
     try:

@@ -361,6 +361,49 @@ def test_caller_scan_names_an_uncalled_function(tmp_path):
         "pkg.a.recursive", "pkg.a.unused"]
 
 
+def unused_imports(modules=MODULES) -> list[str]:
+    """The names that a module of ``modules`` binds by import and never
+    reads, by ``module.name``.  ``import a.b`` binds ``a``; a ``__future__``
+    import is a directive and binds nothing."""
+    found = []
+    for m, path in modules.items():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        read = {n.id for n in ast.walk(tree)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                found += [f"{m}.{name}" for a in node.names
+                          if (name := a.asname or a.name.split(".")[0]) not in read]
+    return sorted(found)
+
+
+def test_every_src_import_is_read():
+    """No ``src/`` module imports a name it never reads.  Exempt: the two
+    bindings the benchmark's tests read through a module that does not use
+    them.  ``bench/tests/test_bench.py::
+    test_replay_counts_every_step_through_by_name_bindings`` replays as
+    ``causality.replay`` and asserts that ``verifier.compute_causality`` is
+    ``causality.compute_causality``."""
+    exempt = ["qgosim.causality.replay", "qgosim.verifier.compute_causality"]
+    assert [name for name in unused_imports() if name not in exempt] == []
+
+
+def test_import_scan_names_an_unused_import(tmp_path):
+    """A name read anywhere in its module, in an annotation or as the base
+    of an attribute, is used; a ``__future__`` import is never listed."""
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as js\n"
+        "from typing import Any, Callable\n"
+        "from dataclasses import dataclass, field as fld\n"
+        "def f(x: Any) -> str: return os.path.join(x)\n"
+    )
+    assert unused_imports({"pkg.a": tmp_path / "a.py"}) == [
+        "pkg.a.Callable", "pkg.a.dataclass", "pkg.a.fld", "pkg.a.js"]
+
+
 def all_subclasses(cls):
     for sub in cls.__subclasses__():
         yield sub

@@ -295,6 +295,25 @@ class TestDecompose:
         with pytest.raises(verifier.HypothesisViolation):
             verifier.decompose(truncated)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_second_response_from_one_processor_rejected(self, seed):
+        """The invocation's second Respond becomes a second one of the first
+        responder's: the fragment must not close until every processor has
+        responded, so decompose refuses, naming the processor."""
+        x = generate(seed=seed, procs=2 + seed % 2)
+        ev = list(x.events)
+        first, second = [i for i, e in enumerate(ev) if isinstance(e, Respond)][:2]
+        ev[second] = dataclasses.replace(ev[first], eid=ev[second].eid)
+        forged = Execution(x.initial, tuple(ev))
+        executions.replay(forged)  # raises ReplayError if it does not replay
+        (f, *_) = verifier.decompose(x)
+        with pytest.raises(verifier.HypothesisViolation,
+                           match=f"^{ev[first].label} responds twice to the "
+                                 f"invocation at {f.lo}$"):
+            verifier.decompose(forged)
+        cert = verifier.verify(forged)
+        assert cert.verdicts == {"well-formed": True, "decompose": False}
+
     def test_protocol_event_outside_invocation_rejected(self):
         x = generate(seed=2)
         (f,) = verifier.decompose(x)
@@ -359,9 +378,7 @@ class TestReject:
         x = Execution(st, events)
         frag = verifier.FragmentInfo(lo=0, hi=2, classes={0: "post", 1: "pre", 2: "pre"})
         with pytest.raises(verifier.ClaimViolation, match="event 0 happens before 2"):
-            verifier.eliminate_inversions(
-                x, executions.replay(x), frag, causality.compute_causality(x)
-            )
+            verifier.eliminate_inversions(x, executions.replay(x), frag)
 
     def test_repeated_event_id(self):
         x = generate(seed=4)
@@ -447,6 +464,24 @@ class TestReject:
         assert cert.verdicts["spec-replay"] is False, cert.verdicts
         assert reason in cert.reason
 
+    @pytest.mark.parametrize("seed", [5, 17])
+    def test_moved_operation_in_the_history(self, seed):
+        """A recorded message's operation that claims to be a base event
+        enters the history; relabelled by the move, it no longer matches."""
+        x = run_simulation(ScenarioConfig(
+            base="teleport", procs=2,
+            invocations=[{"gid": "snapshot-measure", "leader": "p1", "after_step": 1},
+                         {"gid": "global-encrypt", "leader": "p0", "after_step": 3}],
+            seed=seed)).execution
+        ev = list(x.events)
+        i = next(k for k, e in enumerate(ev)
+                 if isinstance(e, Apply) and e.name.startswith("gop-msg:"))
+        ev[i] = dataclasses.replace(ev[i], protocol=False)
+        cert = verifier.verify(Execution(x.initial, tuple(ev)))
+        assert cert.verdicts == {"well-formed": True, "decompose": True,
+                                 "sort-classes": True, "move-message-ops": False}
+        assert cert.reason == "moving operations changed the history"
+
     def test_ill_formed_input(self):
         x = generate(seed=4)
         cert = verifier.verify(Execution(x.initial, x.events[::-1]))
@@ -462,6 +497,15 @@ class TestHistories:
         assert not verifier.histories_correspond(h, h[:-1])
         rotated = h[1:] + h[:1]
         assert not verifier.histories_correspond(h, rotated)
+
+    @pytest.mark.parametrize("field, value", [("label", "p1"), ("outcome", "forged")])
+    def test_a_base_event_corresponds_only_to_itself(self, field, value):
+        """A base event with the same eid but another label or outcome is
+        another event."""
+        h = verifier.history(generate(seed=8))
+        i = next(k for k, e in enumerate(h) if isinstance(e, Apply) and e.label == "p0")
+        other = h[:i] + [dataclasses.replace(h[i], **{field: value})] + h[i + 1:]
+        assert not verifier.histories_correspond(h, other)
 
 
 # ---------------------------------------------------------------------------
@@ -541,7 +585,7 @@ def happens_before(exc):
 def test_class_sort_agrees_with_the_insertion_sort(case):
     """Same order and swap count as the reference; a refusal exactly when it
     refuses, at the same b, naming an earlier event of a higher class that
-    happens before b."""
+    happens before b.  A sorted window keeps x's happens-before."""
     x, frag = case
     states, rel = executions.replay(x), causality.compute_causality(x)
     try:
@@ -549,15 +593,16 @@ def test_class_sort_agrees_with_the_insertion_sort(case):
     except verifier.ClaimViolation as exc:
         with pytest.raises(verifier.ClaimViolation,
                            match=f"^cannot sort fragment at {frag.lo}: ") as got:
-            verifier.eliminate_inversions(x, states, frag, rel)
+            verifier.eliminate_inversions(x, states, frag)
         a, b = happens_before(got.value)
         assert b == happens_before(exc)[1]
         pos = {e.eid: i for i, e in enumerate(x.events)}
         assert pos[a] < pos[b] and rel.prec(a, b)
         assert RANK[frag.classes[a]] > RANK[frag.classes[b]]
         return
-    y, y_states, nswaps = verifier.eliminate_inversions(x, states, frag, rel)
+    y, y_states, nswaps = verifier.eliminate_inversions(x, states, frag)
     assert ([e.eid for e in y.events], nswaps) == ([e.eid for e in want], want_swaps)
+    assert causality.equicausal(x, y)
     assert (y is x and y_states is states) == (nswaps == 0)
     assert all(sysmodel.states_equal(s, t, 0.0)
                for s, t in zip(y_states, executions.replay(y), strict=True))
@@ -575,13 +620,11 @@ class TestSortWindowChecks:
             Receive(eid=2, label="p1", chan="p0->p1", msg_id=0),
         ))
         self.states = executions.replay(self.x)
-        self.rel = causality.compute_causality(self.x)
         self.frag = verifier.FragmentInfo(lo=0, hi=2,
                                           classes={0: "pre", 1: "post", 2: "pre"})
 
     def test_sorts_with_one_swap(self):
-        y, _, nswaps = verifier.eliminate_inversions(self.x, self.states, self.frag,
-                                                     self.rel)
+        y, _, nswaps = verifier.eliminate_inversions(self.x, self.states, self.frag)
         assert ([e.eid for e in y.events], nswaps) == ([0, 2, 1], 1)
 
     def test_dependency_carried_by_the_earliest_event_of_a_label(self):
@@ -589,7 +632,7 @@ class TestSortWindowChecks:
         does not.  Both are post and 2 is pre, so the sort refuses at 2."""
         frag = verifier.FragmentInfo(lo=0, hi=2, classes={0: "post", 1: "post", 2: "pre"})
         with pytest.raises(verifier.ClaimViolation, match="event 0 happens before 2$"):
-            verifier.eliminate_inversions(self.x, self.states, frag, self.rel)
+            verifier.eliminate_inversions(self.x, self.states, frag)
 
     def test_replays_only_the_span_the_sort_changes(self, monkeypatch):
         """A post p1 step (3) after the window's one inversion stays in place:
@@ -604,8 +647,7 @@ class TestSortWindowChecks:
         real = executions.step
         monkeypatch.setattr(executions, "step",
                             lambda *args: steps.append(args) or real(*args))
-        y, y_states, nswaps = verifier.eliminate_inversions(
-            x, states, frag, causality.compute_causality(x))
+        y, y_states, nswaps = verifier.eliminate_inversions(x, states, frag)
         assert ([e.eid for e in y.events], nswaps) == ([0, 2, 1, 3], 1)
         assert [args[1].eid for args in steps] == [2, 1]
         assert y_states[0] is states[0] and y_states[1] is states[1]
@@ -616,7 +658,7 @@ class TestSortWindowChecks:
         states[3] = states[1]  # the message still in flight
         with pytest.raises(causality.LemmaViolation,
                            match="sorting changed the state after the window"):
-            verifier.eliminate_inversions(self.x, states, self.frag, self.rel)
+            verifier.eliminate_inversions(self.x, states, self.frag)
 
     def test_window_step_that_fails(self):
         states = list(self.states)
@@ -624,4 +666,4 @@ class TestSortWindowChecks:
         frag = verifier.FragmentInfo(lo=1, hi=2, classes={1: "post", 2: "pre"})
         with pytest.raises(causality.LemmaViolation,
                            match="sorted window produced invalid step"):
-            verifier.eliminate_inversions(self.x, states, frag, self.rel)
+            verifier.eliminate_inversions(self.x, states, frag)
