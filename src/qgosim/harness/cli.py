@@ -132,6 +132,9 @@ def cmd_inspect(args) -> int:
         elif isinstance(ev, executions.Invoke):
             extra = ev.gid
         print(f"  {i:4d} eid={ev.eid:<4d} {ev.label:<8s} {kind:<8s} {extra}")
+    if len({ev.eid for ev in x.events}) != len(x.events):  # the clocks key on eids
+        print("event ids are not unique")
+        return EXIT_REJECTED
     if args.causality:
         rel = causality.compute_causality(x)
         print(f"{rel.pair_count} causal pairs")
@@ -175,7 +178,6 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        qcore.dim_cap()  # a QGO_DIM_CAP that sets no cap is reported before any work
         return args.fn(args)
     except (OSError, traceio.TraceError,
             scenarios.UnknownScenario, scenarios.ConfigError, scheduler.SchedulerError,

@@ -135,10 +135,10 @@ def _local_qubits(cfg: ScenarioConfig, procs, alloc: RegisterAllocator) -> dict:
     """``qubits_per_proc`` fresh qubits for each processor, as an ownership
     map in allocation order, once their dimension 2**n is within the cap."""
     per_proc = int(cfg.base_params.get("qubits_per_proc", 0))
-    n, cap = per_proc * len(procs), qcore.dim_cap()
-    if n >= cap.bit_length():  # 2**n > cap
+    n = per_proc * len(procs)
+    if n >= qcore.DIM_CAP.bit_length():  # 2**n > cap
         shown = 2**n if n < 64 else f"at least 2**{n}"
-        raise qcore.CapacityError(f"total dimension {shown} exceeds cap {cap}")
+        raise qcore.CapacityError(f"total dimension {shown} exceeds cap {qcore.DIM_CAP}")
     return {alloc.fresh(2): p for p in procs for _ in range(per_proc)}
 
 

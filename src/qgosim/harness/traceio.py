@@ -111,11 +111,10 @@ def _parse_rows(rows: list, n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(held, dtype=np.intp), block
 
 
-def _parse_matrix(rows: list, n: int | None = None) -> np.ndarray:
+def _parse_matrix(rows: list) -> np.ndarray:
     """Decode ``rows`` as a matrix (``_parse_rows``); each must be a list of
-    ``n`` entries (default: as many as the first row)."""
-    if n is None:
-        n = len(rows[0]) if rows else 0
+    as many entries as the first row."""
+    n = len(rows[0]) if rows else 0
     held, block = _parse_rows(rows, n)
     out = np.zeros((len(rows), n), dtype=np.complex128)
     out[held] = block

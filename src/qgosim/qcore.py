@@ -26,7 +26,6 @@ matrix.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -46,23 +45,8 @@ EPS_CHAIN = 1e-9
 # impossible history: replay and the atomic step refuse it.
 ZERO_TRACE = 1e-15
 
-DEFAULT_DIM_CAP = 4096
-
-
-def dim_cap() -> int:
-    """Global cap on the total dimension of a register space.
-
-    Overridable through the QGO_DIM_CAP environment variable, a positive
-    int; any other value raises CapacityError.
-    """
-    raw = os.environ.get("QGO_DIM_CAP", str(DEFAULT_DIM_CAP))
-    try:
-        cap = int(raw)
-    except ValueError:  # not an int, or longer than Python converts
-        cap = 0
-    if cap < 1:
-        raise CapacityError(f"QGO_DIM_CAP is not a positive int: {raw!r}")
-    return cap
+# Cap on a space's total dimension D; it limits the input: a trace is O(D²) bytes.
+DIM_CAP = 4096
 
 
 class QcoreError(Exception):
@@ -86,7 +70,7 @@ class ShapeError(QcoreError):
 
 
 class CapacityError(QcoreError):
-    """The total-dimension cap would be exceeded, or QGO_DIM_CAP sets no cap."""
+    """A register space's total dimension would exceed ``DIM_CAP``."""
 
 
 @dataclass(frozen=True, order=True)
@@ -104,8 +88,8 @@ class RegisterId:
 class RegisterAllocator:
     """Hands out register ids from a monotonic counter; ids are never reused."""
 
-    def __init__(self, start: int = 0):
-        self._next = start
+    def __init__(self):
+        self._next = 0
 
     def fresh(self, dim: int) -> RegisterId:
         reg = RegisterId(self._next, dim)
@@ -125,10 +109,10 @@ class RegisterSpace:
         if len(set(ids)) != len(ids):
             raise IdCollision(f"duplicate register ids in {ids}")
         dim = self.total_dim
-        if dim > dim_cap():
+        if dim > DIM_CAP:
             # A dimension too long to print in decimal is given as a power of 2.
             shown = dim if dim.bit_length() <= 64 else f"at least 2**{dim.bit_length() - 1}"
-            raise CapacityError(f"total dimension {shown} exceeds cap {dim_cap()}")
+            raise CapacityError(f"total dimension {shown} exceeds cap {DIM_CAP}")
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -184,7 +168,7 @@ class DensityMatrix:
     def factor(self) -> np.ndarray:
         if self._factor is None:
             held, block = self._rows
-            self._factor = _factorize(block, held, EPS_VALIDATE)[0]
+            self._factor = _factorize(block, held)[0]
         return self._factor
 
     @property
@@ -227,15 +211,16 @@ class DensityMatrix:
         v = self.factor
         return float(np.vdot(v, v).real)
 
-    def validate(self, eps: float = EPS_VALIDATE) -> None:
-        """Raise if the entries are not Hermitian, PSD, and subnormalized.
+    def validate(self) -> None:
+        """Raise if the entries are not Hermitian, PSD, and subnormalized,
+        each within ``EPS_VALIDATE``.
 
         The PSD test is the factorization: it proves that no eigenvalue is
-        below -eps, or else ``eigh`` finds one (see ``_factorize``).  Every
-        check reads only the rows R holding an entry other than zero, and
-        their columns: O(|R|·D), with temporaries of at most one block of
-        rows.  An entry outside them is 0 - 0 in the Hermitian check, so its
-        maximum is the dense one.
+        below -EPS_VALIDATE, or else ``eigh`` finds one (see ``_factorize``).
+        Every check reads only the rows R holding an entry other than zero,
+        and their columns: O(|R|·D), with temporaries of at most one block
+        of rows.  An entry outside them is 0 - 0 in the Hermitian check, so
+        its maximum is the dense one.
         """
         d = self.space.total_dim
         held, block = self._rows or DensityMatrix(self.space, self.entries)._rows
@@ -248,17 +233,17 @@ class DensityMatrix:
             diff = m[p]
             diff[:, rows] -= m[:, rows[p]].conj().T
             return np.abs(diff).max()
-        if max(map(asymmetry, blocks), default=0.0) > eps:
+        if max(map(asymmetry, blocks), default=0.0) > EPS_VALIDATE:
             raise ShapeError("matrix is not Hermitian within tolerance")
-        v, lowest = _factorize(block, held, eps)
-        if lowest < -eps:
-            raise ShapeError(f"matrix has eigenvalue {lowest} below -{eps}")
+        v, lowest = _factorize(block, held)
+        if lowest < -EPS_VALIDATE:
+            raise ShapeError(f"matrix has eigenvalue {lowest} below -{EPS_VALIDATE}")
         if self._factor is None:
             self._factor = v
         diag = np.zeros(d, dtype=np.complex128)
         diag[rows] = m[np.arange(len(rows)), rows]
         trace = float(np.real(diag.sum()))  # O(D), and summed as the dense trace
-        if not (-eps <= trace <= 1 + eps):
+        if not (-EPS_VALIDATE <= trace <= 1 + EPS_VALIDATE):
             raise ShapeError(f"trace {trace} outside [0, 1]")
 
     @classmethod
@@ -269,9 +254,9 @@ class DensityMatrix:
         return cls(space, factor=v[:, None])
 
     @classmethod
-    def basis_state(cls, space: RegisterSpace, index: int = 0) -> "DensityMatrix":
+    def basis_state(cls, space: RegisterSpace) -> "DensityMatrix":
         v = np.zeros(space.total_dim, dtype=np.complex128)
-        v[index] = 1.0
+        v[0] = 1.0
         return cls.from_vector(space, v)
 
     @classmethod
@@ -308,7 +293,7 @@ def _nonzero_rows(block: np.ndarray, held: np.ndarray) -> tuple[np.ndarray, np.n
     return block[keep], held[keep]
 
 
-def _factorize(block: np.ndarray, held: np.ndarray, eps: float) -> tuple[np.ndarray, float]:
+def _factorize(block: np.ndarray, held: np.ndarray) -> tuple[np.ndarray, float]:
     """A factor V of a Hermitian matrix m and a lower bound on its lowest
     eigenvalue, from ``block``, its rows ``held``: every other row is zero.
 
@@ -318,10 +303,10 @@ def _factorize(block: np.ndarray, held: np.ndarray, eps: float) -> tuple[np.ndar
     once none is above D·ε·max diag (the rank tolerance of LAPACK's ?pstrf),
     so VV† keeps m to rounding.  It costs O(|R|²·r) for rank r, and the
     residual below O(|R|·D·r).  By Weyl's inequality, λ_min(m) ≥
-    -‖m - VV†‖_F, and that is the bound returned when it is at least -eps.
-    Otherwise ``eigh`` decides on the dense m: the bound is the lowest
-    eigenvalue, and the factor holds the eigenvectors scaled by the square
-    roots of the positive eigenvalues.
+    -‖m - VV†‖_F, and that is the bound returned when it is at least
+    -EPS_VALIDATE.  Otherwise ``eigh`` decides on the dense m: the bound is
+    the lowest eigenvalue, and the factor holds the eigenvectors scaled by
+    the square roots of the positive eigenvalues.
     """
     d = block.shape[1]
     m, rows = _nonzero_rows(block, held)
@@ -346,7 +331,7 @@ def _factorize(block: np.ndarray, held: np.ndarray, eps: float) -> tuple[np.ndar
     vh = v.conj().T
     residual = np.sqrt(sum(float(np.sum(np.abs(m[p] - v[rows[p]] @ vh) ** 2))
                            for p in _row_blocks(np.arange(len(rows)), d)))
-    if residual <= eps:
+    if residual <= EPS_VALIDATE:
         return v, -residual
     dense = np.zeros((d, d), dtype=np.complex128)
     dense[held] = block

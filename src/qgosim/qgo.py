@@ -132,15 +132,20 @@ class LocalOpSpec:
 
 
 class DecomposableGlobalOp:
-    """A global operation factoring into per-processor and per-message parts."""
+    """A global operation factoring into per-processor and per-message parts:
+    each is the one local operation ``local`` states for a component's
+    classical state and registers."""
 
     gid: str
 
-    def proc_component(self, state: SystemState, proc: str) -> LocalOpSpec:
+    def local(self, classical, regs: tuple[RegisterId, ...]) -> LocalOpSpec:
         raise NotImplementedError
 
+    def proc_component(self, state: SystemState, proc: str) -> LocalOpSpec:
+        return self.local(state.classical[proc], state.owned_by(proc))
+
     def msg_component(self, state: SystemState, msg: MessageInstance) -> LocalOpSpec:
-        raise NotImplementedError
+        return self.local(msg.classical, msg.quantum_regs)
 
 
 def outcome_label(classical_part, quantum_part) -> str:
@@ -153,18 +158,13 @@ class SnapshotMeasure(DecomposableGlobalOp):
 
     gid = "snapshot-measure"
 
-    def _component(self, enc, regs):
+    def local(self, classical, regs):
+        enc = encode_classical(classical)
         if not regs:
             return LocalOpSpec(None, fixed_outcome=outcome_label(enc, None))
         meas = qcore.standard_basis_measurement([r.dim for r in regs])
         meas = qcore.relabel_outcomes(meas, lambda q: outcome_label(enc, q))
-        return LocalOpSpec(meas, tuple(regs), tuple(regs))
-
-    def proc_component(self, state, proc):
-        return self._component(encode_classical(state.classical[proc]), state.owned_by(proc))
-
-    def msg_component(self, state, msg):
-        return self._component(encode_classical(msg.classical), msg.quantum_regs)
+        return LocalOpSpec(meas, regs, regs)
 
 
 class RecordOnly(DecomposableGlobalOp):
@@ -173,13 +173,8 @@ class RecordOnly(DecomposableGlobalOp):
 
     gid = "record-only"
 
-    def proc_component(self, state, proc):
-        enc = encode_classical(state.classical[proc])
-        return LocalOpSpec(None, fixed_outcome=outcome_label(enc, None))
-
-    def msg_component(self, state, msg):
-        enc = encode_classical(msg.classical)
-        return LocalOpSpec(None, fixed_outcome=outcome_label(enc, None))
+    def local(self, classical, regs):
+        return LocalOpSpec(None, fixed_outcome=outcome_label(encode_classical(classical), None))
 
 
 class GlobalEncrypt(DecomposableGlobalOp):
@@ -195,18 +190,12 @@ class GlobalEncrypt(DecomposableGlobalOp):
         pad = qcore.pauli_pad_operation(n_qubits)
         return qcore.relabel_outcomes(pad, lambda k: outcome_label(None, k))
 
-    def _component(self, regs):
+    def local(self, classical, regs):
         if any(r.dim != 2 for r in regs):
             raise QgoError("pauli pad requires qubit registers")
         if not regs:
             return LocalOpSpec(None, fixed_outcome=outcome_label(None, ""))
-        return LocalOpSpec(self._pad(len(regs)), tuple(regs), tuple(regs))
-
-    def proc_component(self, state, proc):
-        return self._component(state.owned_by(proc))
-
-    def msg_component(self, state, msg):
-        return self._component(msg.quantum_regs)
+        return LocalOpSpec(self._pad(len(regs)), regs, regs)
 
 
 BUILTIN_GLOBAL_OPS = {

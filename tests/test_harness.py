@@ -1050,19 +1050,14 @@ class TestCli:
         assert r.returncode == 2
         assert r.stderr == "error: total dimension 16384 exceeds cap 4096\n"
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-4"])
-    @pytest.mark.parametrize("cmd", ["run", "verify"])
-    def test_dim_cap_that_is_not_a_positive_int_exits_2(self, tmp_path, monkeypatch,
-                                                         cmd, value):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"base": "ping"}))
-        trace = tmp_path / "ping.jsonl"
-        trace.write_text(trace_text(ScenarioConfig(base="ping")))
-        monkeypatch.setenv("QGO_DIM_CAP", value)
-        r = self.run_cli(*(["run", "--config", str(cfg)] if cmd == "run"
-                           else ["verify", str(trace)]))
+    def test_dim_cap_is_no_setting(self, tmp_path, monkeypatch):
+        """The cap is a constant: no environment variable raises it."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(OVER_DIM_CAP))
+        monkeypatch.setenv("QGO_DIM_CAP", "100000")
+        r = self.run_cli("run", "--config", str(path))
         assert r.returncode == 2
-        assert r.stderr == f"error: QGO_DIM_CAP is not a positive int: {value!r}\n"
+        assert r.stderr == "error: total dimension 16384 exceeds cap 4096\n"
 
     @pytest.mark.parametrize("cmd", ["verify", "inspect"])
     def test_header_config_without_base_exits_2(self, tmp_path, cmd):
@@ -1279,6 +1274,28 @@ class TestCli:
                              f"channel {events[send].chan} is empty")
         r = self.run_cli("verify", str(trace))
         assert r.returncode == 1 and "well-formed: FAIL" in r.stdout
+
+    @pytest.mark.parametrize("flags", [[], ["--causality"]], ids=["plain", "causality"])
+    def test_inspect_of_a_trace_with_a_repeated_event_id_exits_1(self, tmp_path, capsys,
+                                                                 flags):
+        """A ping trace whose last receive takes the first receive's eid.
+        The clocks are keyed by eid, so a pair count would merge the two."""
+        cfg = ScenarioConfig(base="ping", procs=2, base_params={"n_msgs": 3}, seed=0)
+        x = run_simulation(cfg).execution
+        events = list(x.events)
+        first, *_, last = [i for i, e in enumerate(events)
+                           if isinstance(e, executions.Receive)]
+        events[last] = dataclasses.replace(events[last], eid=events[first].eid)
+        trace = tmp_path / "t.jsonl"
+        trace.write_text(traceio.serialize_run(executions.Execution(x.initial, tuple(events)),
+                                               cfg, None))
+        assert cli.main(["inspect", str(trace), *flags]) == 1
+        printed = capsys.readouterr()
+        lines = printed.out.splitlines()
+        assert (printed.err, len(lines)) == ("", 2 + len(events) + 1)
+        assert lines[-1] == "event ids are not unique"
+        assert cli.main(["verify", str(trace)]) == 1
+        assert capsys.readouterr().out.endswith("rejected: event ids are not unique\n")
 
     def test_bad_input_exit_code(self, tmp_path):
         junk = tmp_path / "junk.jsonl"

@@ -1,7 +1,8 @@
 """The package's own import graph: every qgosim import is at module level,
 and no chain of imports leads from a module back to itself.  Also a scan
 of the package's tolerance calls and of how the replay step builds states,
-and the names the benchmark's tooling and the step predicates rely on."""
+the names the benchmark's tooling and the step predicates rely on, and the
+package's unread names and unpassed parameters."""
 
 import ast
 import importlib
@@ -477,3 +478,98 @@ def test_step_scan_names_a_private_step():
     assert steps_outside_checked_step(private, "qgosim.harness.scheduler") == 1
     assert steps_outside_checked_step("executions.step(s, e)\n",
                                       "qgosim.harness.scheduler") is None
+
+
+def passes(call: ast.Call, position: int | None, param: str) -> bool:
+    """Whether ``call`` passes the parameter ``param``, at ``position``
+    among the positional ones (None for a keyword-only one): by position,
+    by keyword, or through ``*`` (a positional one) or ``**`` unpacking."""
+    if any(k.arg is None or k.arg == param for k in call.keywords):
+        return True
+    return position is not None and (position < len(call.args) or
+                                     any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def unpassed_parameters(modules=MODULES) -> list[str]:
+    """The parameters with a default, of the top-level functions of
+    ``modules`` and the methods of their top-level classes, that no call in
+    ``modules`` passes, by ``module.function.param`` or
+    ``module.Class.method.param``.  Calls match by name: ``f(…)`` and
+    ``x.f(…)`` both call every ``f``, and a class's name calls its
+    ``__init__``.  A method's ``self`` or ``cls`` takes no position of a
+    call.  Other dunders are called by the language, so none is listed."""
+    trees = {m: ast.parse(p.read_text(), filename=str(p)) for m, p in modules.items()}
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                calls.setdefault(name, []).append(node)
+    defs = []  # (qualified name, the name calls use, the def, positions self takes)
+    for m, tree in trees.items():
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef):
+                defs.append((f"{m}.{top.name}", top.name, top, 0))
+            for node in top.body if isinstance(top, ast.ClassDef) else ():
+                if isinstance(node, ast.FunctionDef) and \
+                        (node.name == "__init__" or not node.name.startswith("__")):
+                    static = any(getattr(d, "id", "") == "staticmethod"
+                                 for d in node.decorator_list)
+                    defs.append((f"{m}.{top.name}.{node.name}",
+                                 top.name if node.name == "__init__" else node.name,
+                                 node, 0 if static else 1))
+    found = []
+    for qualname, called_as, fn, skip in defs:
+        args = fn.args
+        positional = [*args.posonlyargs, *args.args]
+        first = len(positional) - len(args.defaults)
+        defaulted = [(k - skip, p.arg) for k, p in enumerate(positional) if k >= first]
+        defaulted += [(None, p.arg) for p, d in zip(args.kwonlyargs, args.kw_defaults)
+                      if d is not None]
+        found += [f"{qualname}.{param}" for position, param in defaulted
+                  if not any(passes(c, position, param) for c in calls.get(called_as, ()))]
+    return sorted(found)
+
+
+def test_every_src_parameter_is_passed():
+    """Every parameter with a default in ``src/`` is passed by some ``src/``
+    call, so no setting that only the tests set grows back.  Exempt:
+    ``cli.main``'s ``argv``, through which the tests drive the command line,
+    and ``run_simulation``'s ``decisions``, through which the benchmark
+    replays its pinned schedules."""
+    exempt = ["qgosim.harness.cli.main.argv",
+              "qgosim.harness.scheduler.run_simulation.decisions"]
+    assert [name for name in unpassed_parameters() if name not in exempt] == []
+
+
+def test_parameter_scan_names_an_unpassed_parameter(tmp_path):
+    """A parameter is passed by position, by keyword, or by ``*``/``**``
+    unpacking, by any call of its function's name; ``self`` and ``cls``
+    take no position, a static method's first parameter does, a class's
+    name calls its ``__init__``, and a nested function is not scanned."""
+    (tmp_path / "a.py").write_text(
+        "def f(a, b=1, c=2, *, d=3, e=4): pass\n"
+        "def g(a=1, b=2): pass\n"
+        "def h(a=1): pass\n"
+        "def outer():\n"
+        "    def inner(a=1): pass\n"
+        "class C:\n"
+        "    def __init__(self, start=0): pass\n"
+        "    def m(self, a, b=1): pass\n"
+        "    @classmethod\n"
+        "    def make(cls, a, b=1): pass\n"
+        "    @staticmethod\n"
+        "    def s(a=1): pass\n"
+        "    def __eq__(self, other=None): pass\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "f(0, 1, d=2)\n"
+        "g(*[1])\n"
+        "h(**{})\n"
+        "C().m(0, 1)\n"
+        "C.make(0)\n"
+        "C.s(0)\n"
+    )
+    assert unpassed_parameters({"pkg.a": tmp_path / "a.py", "pkg.b": tmp_path / "b.py"}) == [
+        "pkg.a.C.__init__.start", "pkg.a.C.make.b", "pkg.a.f.c", "pkg.a.f.e"]

@@ -189,10 +189,10 @@ def test_row_blocks_cover_every_row():
     b = DensityMatrix(space, factor=np.concatenate([far, far[:, :1] * 0], axis=1))
     for block_entries in range(1, 18 * 18 + 1):
         with mock.patch.object(qcore, "_BLOCK_ENTRIES", block_entries):
-            f, bound = qcore._factorize(m, np.arange(18), qcore.EPS_VALIDATE)
+            f, bound = qcore._factorize(m, np.arange(18))
             assert np.abs(f @ f.conj().T - m).max() <= qcore.EPS_EXACT
             assert -qcore.EPS_EXACT <= bound <= 0
-            assert qcore._factorize(indefinite, np.arange(18), qcore.EPS_VALIDATE)[1] < -0.1
+            assert qcore._factorize(indefinite, np.arange(18))[1] < -0.1
             assert qcore.states_close(a, DensityMatrix(space, factor=v @ u), qcore.EPS_EXACT)
             assert qcore.states_close(a, b, 2 * gap)
             assert not qcore.states_close(a, b, gap / 2)

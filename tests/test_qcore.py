@@ -79,8 +79,8 @@ class TestTensorProduct:
     def test_basis_projectors(self):
         s0 = RegisterSpace(qubits(1))
         s1 = RegisterSpace(qubits(1, start=1))
-        a = DensityMatrix.basis_state(s0, 0)
-        b = DensityMatrix.basis_state(s1, 1)
+        a = DensityMatrix.basis_state(s0)
+        b = DensityMatrix.from_vector(s1, [0, 1])
         out = tensor_product(a, b)
         expected = np.zeros((4, 4))
         expected[1, 1] = 1
@@ -415,6 +415,6 @@ class TestSpaceInvariants:
             RegisterSpace((RegisterId(0, 2), RegisterId(0, 2)))
 
     def test_dim_cap(self, monkeypatch):
-        monkeypatch.setenv("QGO_DIM_CAP", "4")
+        monkeypatch.setattr(qcore, "DIM_CAP", 4)
         with pytest.raises(qcore.CapacityError):
             RegisterSpace(qubits(3))

@@ -270,6 +270,54 @@ REFUSED_ATOMIC_STEPS = pytest.mark.parametrize("edit, cfg, reason", [
 ], ids=["unknown-gid", "outcome-outside-component"])
 
 
+def noop(eid, label, protocol=False, **kw):
+    return Apply(eid=eid, label=label, name="noop", outcome=qcore.NO_OUTCOME,
+                 protocol=protocol, **kw)
+
+
+def decompose_forgery(kind):
+    """``generate(seed=4)``, a two-processor snapshot, with one edit that
+    replays but breaks the shape ``decompose`` or ``classify`` expects: the
+    edited execution, the exception it raises and its reason."""
+    x = generate(seed=4)
+    ev = list(x.events)
+    eid = max(e.eid for e in ev) + 1
+    (f,) = verifier.decompose(x)
+    i = next(k for k, e in enumerate(ev) if isinstance(e, Apply)
+             and e.name.startswith("gop-self:") and e.label == "p1")
+    send = next(k for k, e in enumerate(ev) if isinstance(e, Send) and not e.protocol
+                and k > f.lo)
+    msg = ev[send].msg
+    respond = max(k for k, e in enumerate(ev) if isinstance(e, Respond))
+    hv, pi = verifier.HypothesisViolation, verifier.ProtocolIncomplete
+    events, exc, reason = {
+        "applies-twice": (ev[:i + 1] + [dataclasses.replace(ev[i], eid=eid)] + ev[i + 1:],
+                          pi, "p1 applies the operation twice"),
+        "no-local-application": (ev[:i] + [dataclasses.replace(ev[i], name="local")] +
+                                 ev[i + 1:], pi, "no local application on ['p1']"),
+        "no-trigger": (ev[:i] + [noop(eid, "p1")] + ev[i:], pi,
+                       "local application on p1 is not preceded by its trigger"),
+        "broadcast-broken": (ev[:i + 1] + [noop(eid, "p1")] + ev[i + 1:], pi,
+                             "marker broadcast on p1 is not contiguous"),
+        "unknown-label": (ev[:send + 1] + [noop(eid, msg.owner_token, target_msg=msg.msg_id)] +
+                          ev[send + 1:], pi,
+                          f"event with unknown label '{msg.owner_token}' in fragment"),
+        "overlap": (ev[:f.lo + 1] + [Invoke(eid=eid, label="p1", gid="record-only")] +
+                    ev[f.lo + 1:], hv, f"invocation at {f.lo + 1} overlaps the one at {f.lo}"),
+        "response-outside": (ev + [dataclasses.replace(ev[respond], eid=eid)], hv,
+                             f"response at {len(ev)} outside any invocation"),
+        "protocol-outside": (ev + [noop(eid, "p0", protocol=True)], hv,
+                             f"protocol event at {len(ev)} outside any invocation"),
+        "never-completes": (ev[:respond], hv, f"invocation at {f.lo} never completes"),
+    }[kind]
+    return Execution(x.initial, tuple(events)), exc, reason
+
+
+DECOMPOSE_FORGERIES = ["applies-twice", "no-local-application", "no-trigger",
+                       "broadcast-broken", "unknown-label", "overlap", "response-outside",
+                       "protocol-outside", "never-completes"]
+
+
 class TestDecompose:
     def test_fragment_bounds(self):
         x = generate(seed=2)
@@ -330,14 +378,30 @@ class TestDecompose:
         with pytest.raises(verifier.HypothesisViolation):
             verifier.decompose(bad)
 
+    @pytest.mark.parametrize("kind", DECOMPOSE_FORGERIES)
+    def test_refusal_names_its_stage_and_reason(self, kind):
+        """Every refusal of ``decompose`` and ``classify`` is reached by an
+        execution that replays, so ``verify`` reports it at ``decompose``."""
+        x, exc, reason = decompose_forgery(kind)
+        executions.replay(x)  # raises ReplayError if it does not replay
+        cert = verifier.verify(x)
+        assert (cert.verdicts, cert.reason) == ({"well-formed": True, "decompose": False},
+                                                reason)
+        with pytest.raises(exc, match=f"^{re.escape(reason)}$"):
+            for frag in verifier.decompose(x):
+                verifier.classify(x, frag)
+
 
 class TestReject:
     def test_missing_marker_send(self):
+        """p0's marker to itself is never sent, so its reception finds the
+        channel empty."""
         x = generate(seed=4)
         drop = next(e for e in x.events if isinstance(e, Send) and e.protocol)
         bad = Execution(x.initial, tuple(e for e in x.events if e is not drop))
         cert = verifier.verify(bad)
-        assert not cert.accepted
+        assert (cert.verdicts, cert.reason) == (
+            {"well-formed": False}, "invalid step at index 7: channel p0->p0 is empty")
 
     def test_forged_response_record(self):
         x = generate(seed=4)
