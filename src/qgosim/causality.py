@@ -1,24 +1,24 @@
-"""Causal order over executions and the checked swap that reorders them.
+"""Causal order over executions and the one checked reordering.
 
 Causality is the transitive closure of two primitive edge kinds: consecutive
 events carrying the same label, and the send/receive pair of one message.
-``predecessors`` yields both over any events; ``verify`` reads only it,
-over each sorted window.  The vector clocks and the edge set, built from it
-alone, serve ``inspect --causality``, the benchmark's tracer and the tests.
-A swap of two adjacent events verifies its own postconditions; a failure
-raises LemmaViolation.  ``verify`` does not call ``swap_in_place``: its
-reorderings are ``verifier.sort_window``'s checked permutations.  The tests
-state the swap lemma with it, and ``swap_adjacent_cached``, its copying
-form, stays because the benchmark's traced run wraps it.
+``predecessors`` yields both over any events.  ``sort_window`` permutes a
+window of an execution by rank, refuses a dependent inverted pair on those
+edges inside the window, and replays the span it changes; a failed
+postcondition raises LemmaViolation.  ``verify`` runs it, and
+``swap_adjacent_cached`` is its two-event case, with which the tests state
+the paper's swap lemma.  No ``src/`` path builds the vector clocks or the
+edge set: they serve the benchmark's tracer and the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import sysmodel
-# ``replay`` is unused here; bench/tests/test_bench.py replays as ``causality.replay``.
-from .executions import STEP_ERRORS, Execution, Receive, Send, replay, step  # noqa: F401
+from . import executions, sysmodel
+# ``replay`` and ``step`` are unused here; bench/tests/test_bench.py replays
+# as ``causality.replay`` and asserts ``causality.step is executions.step``.
+from .executions import Execution, Receive, Send, replay, step  # noqa: F401
 from .qcore import EPS_EXACT
 
 
@@ -53,11 +53,6 @@ class CausalRelation:
     def prec(self, a: int, b: int) -> bool:
         label, k = self.seq[a]
         return a != b and self.clock[b].get(label, 0) >= k
-
-    @property
-    def pair_count(self) -> int:
-        """len(pairs) in O(n·L): clock[b] sums to b's causal past plus b."""
-        return sum(sum(vc.values()) for vc in self.clock.values()) - len(self.clock)
 
     @property
     def pairs(self) -> frozenset:
@@ -119,31 +114,54 @@ def equicausal(x: Execution, y: Execution) -> bool:
     return primitive_edges(x) == primitive_edges(y)
 
 
-def swap_in_place(events: list, states: list, i: int, relation: CausalRelation) -> None:
-    """Swap the causally independent events at positions i and i+1 of
-    ``events``, updating ``states``, its replay, to the replay of the result.
+def sort_window(
+    x: Execution, states: list, lo: int, hi: int, rank
+) -> tuple[Execution, list, int]:
+    """Stably sort positions [lo, hi) of ``x`` by ``rank(event)`` as one
+    checked permutation; return it, its states and its inversion count.
 
-    The checks come first and mutate nothing: events[i] does not happen
-    before events[i+1] (CausalDependency otherwise), and both steps of the
-    swapped pair are valid from states[i] and end in states[i+2] within
-    EPS_EXACT (LemmaViolation otherwise).  So a raise leaves both lists as
-    they were.  Only the two events and the two states after them change;
-    the later states are reused (they agree with a fresh replay to
-    floating-point noise, far below EPS_EXACT).  A valid swap leaves the
-    causal relation unchanged, so ``relation`` stays usable.
-    """
-    a, b = events[i], events[i + 1]
-    if relation.prec(a.eid, b.eid):
-        raise CausalDependency(f"event {a.eid} happens before {b.eid}")
+    The first event b with a higher-ranked immediate predecessor a in the
+    window (``predecessors`` over the window alone) raises
+    CausalDependency.  That is the whole dependency test: happens-before
+    respects position, so a causal path between two events of the window
+    stays inside it.  Take the first b that an earlier, higher-ranked a
+    happens before, and the last edge c -> b of a path from a.  Were
+    rank(c) <= rank(b), c would be an earlier such b.  So an inverted
+    dependent pair exists iff an edge in the window drops in rank, and
+    both tests stop at the same first b.  With no edge dropping, each label
+    keeps its order and each message its Send before its Receive, so the
+    sorted execution has x's primitive edges, hence x's happens-before.
+
+    The span the sort changes, from its first to its last moved position,
+    is replayed once from ``states`` (x's replay) and must end in the state
+    after it within EPS_EXACT, else LemmaViolation; the states outside it
+    are reused.  With no inversion, ``x`` and ``states`` come back as
+    given."""
+    window = x.events[lo:hi]
+    ranks = [rank(e) for e in window]
+    seen: dict = {}  # rank -> the number of its events before b
+    nswaps = 0
+    for (b, *preds), r in zip(predecessors(window), ranks):
+        for a in preds:
+            if a is not None and ranks[a] > r:
+                raise CausalDependency(f"event {window[a].eid} happens before {b.eid}")
+        nswaps += sum(count for ra, count in seen.items() if ra > r)
+        seen[r] = seen.get(r, 0) + 1
+    if nswaps == 0:
+        return x, states, 0
+    order = sorted(window, key=rank)
+    changed = [lo + i for i, (a, b) in enumerate(zip(window, order)) if a is not b]
+    first, end = changed[0], changed[-1] + 1
+    events = x.events[:lo] + tuple(order) + x.events[hi:]
+    new_states = list(states)
     try:
-        mid = step(states[i], b)
-        end = step(mid, a)
-    except STEP_ERRORS as exc:
-        raise LemmaViolation(f"swap produced invalid step: {exc}") from exc
-    if not sysmodel.states_equal(end, states[i + 2], EPS_EXACT):
-        raise LemmaViolation("swap changed the state after the pair")
-    events[i], events[i + 1] = b, a
-    states[i + 1], states[i + 2] = mid, end
+        for i in range(first, end):
+            new_states[i + 1] = executions.step(new_states[i], events[i])
+    except executions.STEP_ERRORS as exc:
+        raise LemmaViolation(f"sorted window produced invalid step: {exc}") from exc
+    if not sysmodel.states_equal(new_states[end], states[end], EPS_EXACT):
+        raise LemmaViolation("sorting changed the state after the window")
+    return Execution(x.initial, events), new_states, nswaps
 
 
 def swap_adjacent_cached(
@@ -152,8 +170,10 @@ def swap_adjacent_cached(
     i: int,
     relation: CausalRelation,
 ) -> tuple[Execution, list]:
-    """``swap_in_place`` on copies: the swapped execution and its replay,
-    leaving ``x`` and ``states`` (the replay of ``x``) as they were."""
-    events, new_states = list(x.events), list(states)
-    swap_in_place(events, new_states, i, relation)
-    return Execution(x.initial, events), new_states
+    """Swap the events at positions i and i+1 of ``x``: ``sort_window`` over
+    [i, i+2) with the later event ranked first.  Returns the swapped
+    execution and its replay, leaving ``x`` and ``states`` (the replay of
+    ``x``) as they were.  The window reads its own edges, so ``relation``
+    is not read; the benchmark's tests call this four-argument form."""
+    later = x.events[i + 1]
+    return sort_window(x, states, i, i + 2, lambda e: e is not later)[:2]

@@ -14,7 +14,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .. import causality, executions, qcore, qgo, verifier
+from .. import executions, qcore, qgo, verifier
 from . import scenarios, scheduler, traceio
 
 EXIT_OK = 0
@@ -132,12 +132,9 @@ def cmd_inspect(args) -> int:
         elif isinstance(ev, executions.Invoke):
             extra = ev.gid
         print(f"  {i:4d} eid={ev.eid:<4d} {ev.label:<8s} {kind:<8s} {extra}")
-    if len({ev.eid for ev in x.events}) != len(x.events):  # the clocks key on eids
+    if len({ev.eid for ev in x.events}) != len(x.events):  # refused at verify's well-formed
         print("event ids are not unique")
         return EXIT_REJECTED
-    if args.causality:
-        rel = causality.compute_causality(x)
-        print(f"{rel.pair_count} causal pairs")
     try:
         states = executions.replay(x)
     except executions.ReplayError as exc:
@@ -173,7 +170,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("inspect", help="print a human-readable trace summary")
     p.add_argument("trace")
-    p.add_argument("--causality", action="store_true")
     p.set_defaults(fn=cmd_inspect)
 
     args = parser.parse_args(argv)

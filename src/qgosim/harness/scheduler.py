@@ -39,7 +39,6 @@ class SchedulerError(Exception):
 @dataclass
 class SimulationResult:
     execution: Execution
-    config: ScenarioConfig
     decisions: list  # chosen action keys, in order
     final_state: sysmodel.SystemState
 
@@ -234,7 +233,6 @@ def run_simulation(cfg: ScenarioConfig, decisions=None) -> SimulationResult:
         raise SchedulerError("scenario quiesced before all invocations ran")
     return SimulationResult(
         execution=Execution(initial, tuple(events)),
-        config=cfg,
         decisions=chosen,
         final_state=state,
     )

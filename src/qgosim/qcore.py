@@ -35,7 +35,8 @@ import numpy as np
 NO_OUTCOME = "⊥"
 
 # Numeric tolerances, all in one place.
-# Validation of accumulated quantities: hermiticity, PSD, trace preservation.
+# Validation of accumulated quantities: a density matrix's hermiticity, PSD
+# and trace.  No operation is checked for trace preservation (ROADMAP item 12).
 EPS_VALIDATE = 1e-9
 # One freshly computed algebraic identity, such as a single checked swap.
 EPS_EXACT = 1e-12
@@ -376,9 +377,11 @@ class QuantumOperation:
     """A quantum operation with a classical outcome set, in Kraus form.
 
     ``kraus_by_outcome[r]`` lists the Kraus matrices of the CP map for outcome
-    ``r``; the sum over all outcomes must be trace preserving.  ``in_dims`` and
-    ``out_dims`` are the local dimensions of the operation's input and output
-    slots; they may differ, letting an operation grow or shrink the system.
+    ``r``.  ``in_dims`` and ``out_dims`` are the local dimensions of the
+    operation's input and output slots; they may differ, letting an operation
+    grow or shrink the system.  Construction checks each matrix's shape and
+    that its entries are finite.  It does not check that the sum over all
+    outcomes is trace preserving: that is ROADMAP item 12's check.
 
     Operations are equal when their outcomes, dimensions and Kraus matrices
     are, entry for entry by value (-0.0 equals 0.0; no entry is NaN or

@@ -12,15 +12,15 @@ the reordered execution ends.  The histories (invocations, responses, base
 events) of the original and the specification execution correspond event
 for event.
 
-Each reordering is proved once.  The class sort inverts no dependent
-pair, which it checks on the primitive causal edges inside its own window
-(``sort_window``); then x and the sorted execution have the same edges, so
-the same happens-before, and no vector clock is built.  Each sort replays
-the span it changes and compares the state after it at EPS_EXACT: for the
-move, whose crossing of the reception is the one step that changes the
-causal order, that comparison is the whole proof.  So the sorted and moved
-executions end where x ends, and the only final state compared is the
-specification's.
+Each reordering is proved once, by ``causality.sort_window``.  The class
+sort inverts no dependent pair, which the window checks on the primitive
+causal edges inside it; then x and the sorted execution have the same
+edges, so the same happens-before, and no vector clock is built.  Each
+sort replays the span it changes and compares the state after it at
+EPS_EXACT: for the move, whose crossing of the reception is the one step
+that changes the causal order, that comparison is the whole proof.  So the
+sorted and moved executions end where x ends, and the only final state
+compared is the specification's.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace as dc_replace
 
 from . import executions, specmachine, sysmodel
-from .causality import CausalDependency, LemmaViolation, predecessors
+from .causality import CausalDependency, LemmaViolation, sort_window
 # ``compute_causality`` is unused here; bench/tests/test_bench.py asserts
 # ``verifier.compute_causality is causality.compute_causality``.
 from .causality import compute_causality  # noqa: F401
@@ -44,7 +44,7 @@ from .executions import (
     in_filter,
     replay,
 )
-from .qcore import EPS_CHAIN, EPS_EXACT
+from .qcore import EPS_CHAIN
 
 
 class VerifierError(Exception):
@@ -185,56 +185,6 @@ def classify(x: Execution, frag: FragmentInfo) -> None:
 # ---------------------------------------------------------------------------
 
 _RANK = {"pre": 0, "op": 1, "post": 2}
-
-
-def sort_window(
-    x: Execution, states: list, lo: int, hi: int, rank
-) -> tuple[Execution, list, int]:
-    """Stably sort positions [lo, hi) of ``x`` by ``rank(event)`` as one
-    checked permutation; return it, its states and its inversion count.
-
-    The first event b with a higher-ranked immediate predecessor a in the
-    window (``causality.predecessors`` over the window alone) raises
-    CausalDependency.  That is the whole dependency test: happens-before
-    respects position, so a causal path between two events of the window
-    stays inside it.  Take the first b that an earlier, higher-ranked a
-    happens before, and the last edge c -> b of a path from a.  Were
-    rank(c) <= rank(b), c would be an earlier such b.  So an inverted
-    dependent pair exists iff an edge in the window drops in rank, and
-    both tests stop at the same first b.  With no edge dropping, each label
-    keeps its order and each message its Send before its Receive, so the
-    sorted execution has x's primitive edges, hence x's happens-before.
-
-    The span the sort changes, from its first to its last moved position,
-    is replayed once from ``states`` (x's replay) and must end in the state
-    after it within EPS_EXACT, else LemmaViolation; the states outside it
-    are reused.  With no inversion, ``x`` and ``states`` come back as
-    given."""
-    window = x.events[lo:hi]
-    ranks = [rank(e) for e in window]
-    seen: dict = {}  # rank -> the number of its events before b
-    nswaps = 0
-    for (b, *preds), r in zip(predecessors(window), ranks):
-        for a in preds:
-            if a is not None and ranks[a] > r:
-                raise CausalDependency(f"event {window[a].eid} happens before {b.eid}")
-        nswaps += sum(count for ra, count in seen.items() if ra > r)
-        seen[r] = seen.get(r, 0) + 1
-    if nswaps == 0:
-        return x, states, 0
-    order = sorted(window, key=rank)
-    changed = [lo + i for i, (a, b) in enumerate(zip(window, order)) if a is not b]
-    first, end = changed[0], changed[-1] + 1
-    events = x.events[:lo] + tuple(order) + x.events[hi:]
-    new_states = list(states)
-    try:
-        for i in range(first, end):
-            new_states[i + 1] = executions.step(new_states[i], events[i])
-    except executions.STEP_ERRORS as exc:
-        raise LemmaViolation(f"sorted window produced invalid step: {exc}") from exc
-    if not sysmodel.states_equal(new_states[end], states[end], EPS_EXACT):
-        raise LemmaViolation("sorting changed the state after the window")
-    return Execution(x.initial, events), new_states, nswaps
 
 
 def eliminate_inversions(

@@ -165,10 +165,11 @@ class TestScheduler:
         return ScenarioConfig(**base)
 
     def test_same_seed_same_run(self):
-        a = run_simulation(self.cfg())
-        b = run_simulation(self.cfg())
-        t1 = traceio.serialize_run(a.execution, a.config, a.decisions)
-        t2 = traceio.serialize_run(b.execution, b.config, b.decisions)
+        cfg = self.cfg()
+        a = run_simulation(cfg)
+        b = run_simulation(cfg)
+        t1 = traceio.serialize_run(a.execution, cfg, a.decisions)
+        t2 = traceio.serialize_run(b.execution, cfg, b.decisions)
         assert t1 == t2
 
     def test_different_seeds_diverge(self):
@@ -282,7 +283,7 @@ def scheduled_run(cfg, decisions=None):
         res = run_simulation(cfg, decisions)
     except SchedulerError as exc:
         return None, str(exc)
-    return res.decisions, traceio.serialize_run(res.execution, res.config, res.decisions)
+    return res.decisions, traceio.serialize_run(res.execution, cfg, res.decisions)
 
 
 def digest(text: str) -> str:
@@ -353,22 +354,23 @@ def test_scheduler_forces_an_overdue_receive_as_the_reference_does(policy):
 
 class TestTraceIO:
     def any_run(self, seed=0, gid="snapshot-measure"):
+        """A generated teleport run and its config."""
         cfg = ScenarioConfig(
             base="teleport", procs=2,
             invocations=[{"gid": gid, "leader": "p1", "after_step": 1}],
             seed=seed,
         )
-        return run_simulation(cfg)
+        return run_simulation(cfg), cfg
 
     def test_roundtrip_is_byte_identical(self):
-        res = self.any_run()
-        text = traceio.serialize_run(res.execution, res.config, res.decisions)
+        res, cfg = self.any_run()
+        text = traceio.serialize_run(res.execution, cfg, res.decisions)
         x, cfg, dec = traceio.parse_run(text)
         assert traceio.serialize_run(x, cfg, dec) == text
 
     def test_roundtrip_replays_identically(self):
-        res = self.any_run(seed=3, gid="global-encrypt")
-        text = traceio.serialize_run(res.execution, res.config, res.decisions)
+        res, cfg = self.any_run(seed=3, gid="global-encrypt")
+        text = traceio.serialize_run(res.execution, cfg, res.decisions)
         x, _, _ = traceio.parse_run(text)
         a = executions.replay(res.execution)[-1]
         b = executions.replay(x)[-1]
@@ -426,7 +428,7 @@ class TestTraceIO:
         assert refused == {False, True}
 
     def test_certificate_serializes(self):
-        res = self.any_run()
+        res, _ = self.any_run()
         cert = verifier.verify(res.execution)
         text = traceio.serialize_certificate(cert)
         head = json.loads(text.splitlines()[0])
@@ -502,7 +504,7 @@ class TestCli:
     def test_trace_without_procs_record_exits_2(self, tmp_path):
         cfg = ScenarioConfig(base="ping", procs=2, base_params={"n_msgs": 1}, seed=0)
         res = run_simulation(cfg)
-        text = traceio.serialize_run(res.execution, res.config, res.decisions)
+        text = traceio.serialize_run(res.execution, cfg, res.decisions)
         trace = tmp_path / "noprocs.jsonl"
         trace.write_text("".join(l for l in text.splitlines(keepends=True)
                                  if '"t": "procs"' not in l))
@@ -1275,11 +1277,11 @@ class TestCli:
         r = self.run_cli("verify", str(trace))
         assert r.returncode == 1 and "well-formed: FAIL" in r.stdout
 
-    @pytest.mark.parametrize("flags", [[], ["--causality"]], ids=["plain", "causality"])
+    @pytest.mark.parametrize("flags", [[]], ids=["plain"])
     def test_inspect_of_a_trace_with_a_repeated_event_id_exits_1(self, tmp_path, capsys,
                                                                  flags):
         """A ping trace whose last receive takes the first receive's eid.
-        The clocks are keyed by eid, so a pair count would merge the two."""
+        ``verify`` refuses it at ``well-formed``, and ``inspect`` says so too."""
         cfg = ScenarioConfig(base="ping", procs=2, base_params={"n_msgs": 3}, seed=0)
         x = run_simulation(cfg).execution
         events = list(x.events)
@@ -1313,7 +1315,7 @@ class TestCli:
         trace = tmp_path / "t.jsonl"
         assert self.run_cli("run", "--config", str(cfg), "--out",
                             str(trace)).returncode == 0
-        r = self.run_cli("inspect", str(trace), "--causality")
+        r = self.run_cli("inspect", str(trace))
         assert r.returncode == 0 and "events" in r.stdout
         r = self.run_cli("batch", "--config", str(cfg), "--seeds", "0:4")
         assert r.returncode == 0
@@ -1373,8 +1375,9 @@ GOLDEN_TRACES = {
 @functools.cache
 def _golden_trace_text(name):
     cfg, _ = GOLDEN_TRACES[name]
-    res = run_simulation(ScenarioConfig.from_dict(cfg))
-    return traceio.serialize_run(res.execution, res.config, res.decisions)
+    cfg = ScenarioConfig.from_dict(cfg)
+    res = run_simulation(cfg)
+    return traceio.serialize_run(res.execution, cfg, res.decisions)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_TRACES))
@@ -1453,15 +1456,16 @@ def test_verify_step_budget(monkeypatch, name):
     if name in GOLDEN_TRACES:
         text = _golden_trace_text(name)
     else:
-        res = run_simulation(ScenarioConfig.from_dict(MOVED_MESSAGE_OP))
-        text = traceio.serialize_run(res.execution, res.config, res.decisions)
+        cfg = ScenarioConfig.from_dict(MOVED_MESSAGE_OP)
+        res = run_simulation(cfg)
+        text = traceio.serialize_run(res.execution, cfg, res.decisions)
     x, _, _ = traceio.parse_run(text)
     n, swaps, window_steps, msg_ops, spec_steps, windows = STEP_BUDGETS[name]
     calls = counting_calls(monkeypatch, executions, "step")
     replays = counting_calls(monkeypatch, executions, "replay")
     relations = counting_calls(monkeypatch, causality, "compute_causality")
     equicausal = counting_calls(monkeypatch, causality, "equicausal")
-    checked_swaps = counting_calls(monkeypatch, causality, "swap_in_place")
+    checked_swaps = counting_calls(monkeypatch, causality, "swap_adjacent_cached")
     compares = counting_calls(monkeypatch, sysmodel, "states_equal")
     cert = verifier.verify(x)
     assert cert.accepted and (cert.z is cert.y) == (msg_ops == 0)
@@ -1472,7 +1476,7 @@ def test_verify_step_budget(monkeypatch, name):
     assert len(base_events) == spec_steps
     assert len(calls) == n + window_steps + spec_steps
     # Two replays, of x and of the specification execution; no causal
-    # relation, no equicausality check and no checked swap.  One state
+    # relation, no equicausality check and no adjacent swap.  One state
     # comparison per sorted window with an inversion, and one of the
     # specification's final state.
     assert [args[0] for args in replays] == [x, cert.spec]
@@ -1545,9 +1549,10 @@ def test_serializing_a_generated_wide_state_formats_its_distinct_rows(monkeypatc
     Serializing the generated execution passes those two rows to
     ``_matrix``, not 1,024, and writes the golden trace."""
     cfg, digest = GOLDEN_TRACES["ring-quantum-wide"]
-    res = run_simulation(ScenarioConfig.from_dict(cfg))
+    cfg = ScenarioConfig.from_dict(cfg)
+    res = run_simulation(cfg)
     matrices = counting_calls(monkeypatch, traceio, "_matrix")
-    text = traceio.serialize_run(res.execution, res.config, res.decisions)
+    text = traceio.serialize_run(res.execution, cfg, res.decisions)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert sum(len(m) for m, in matrices if m.shape[1] == 1024) == 2
 

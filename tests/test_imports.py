@@ -184,6 +184,55 @@ def load_tracer(monkeypatch):
     return module
 
 
+# Each ``src/`` name kept only because a benchmark file reads it, with that
+# file.  The caller and unused-import rules exempt these names, and
+# ``test_every_bench_pin_is_still_read`` checks that each file still reads
+# its name, so an exemption cannot outlive its reader.
+BENCH_PINS = {
+    "qgosim.causality.CausalRelation.pairs": "bench/tracer.py",
+    "qgosim.causality.CausalRelation.prec": "bench/tests/test_bench.py",
+    "qgosim.causality.replay": "bench/tests/test_bench.py",
+    "qgosim.causality.step": "bench/tests/test_bench.py",
+    "qgosim.verifier.compute_causality": "bench/tests/test_bench.py",
+}
+
+
+def loads_attribute(source: str, owner: str | None, attr: str) -> bool:
+    """Whether ``source`` reads ``attr`` of the module bound as ``owner``,
+    or of anything at all when ``owner`` is None."""
+    return any(isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+               and node.attr == attr
+               and (owner is None or getattr(node.value, "id", None) == owner)
+               for node in ast.walk(ast.parse(source)))
+
+
+def test_every_bench_pin_is_still_read():
+    """Each ``BENCH_PINS`` file reads its name: a module's name through the
+    module (``causality.replay``), a class member on any object
+    (``rel.prec``).  The files are parsed, not imported, so nothing is
+    written under ``bench``."""
+    unread = []
+    for name, path in BENCH_PINS.items():
+        owner, _, attr = name.rpartition(".")
+        short = owner.rpartition(".")[2] if owner in MODULES else None
+        if not loads_attribute((ROOT / path).read_text(), short, attr):
+            unread.append(name)
+    assert unread == []
+
+
+def test_pin_scan_names_an_unread_attribute():
+    """A store, a call through another module and a bare name are no read."""
+    source = ("import causality, verifier\n"
+              "causality.step = None\n"
+              "verifier.replay(x)\n"
+              "prec(a, b)\n")
+    assert not loads_attribute(source, "causality", "step")
+    assert not loads_attribute(source, "causality", "replay")
+    assert not loads_attribute(source, None, "prec")
+    assert loads_attribute(source, "verifier", "replay")
+    assert loads_attribute(source, None, "replay")
+
+
 def test_tracer_targets_name_functions(monkeypatch):
     """Every function the benchmark's traced run wraps still exists under
     its name, so a refactor cannot silently drop a layer from
@@ -301,16 +350,15 @@ def test_every_src_function_has_a_caller(monkeypatch):
     class is read there by name, so code, a setting or stored data that
     only the tests use does not grow back.  Exempt: the classical updates,
     which the registry calls by name; the functions the benchmark's traced
-    run wraps; ``CausalRelation.pairs``, which its tracer reads;
+    run wraps; the names in ``BENCH_PINS``, which a benchmark file reads;
     ``executions.validate``, the replay that asks a step predicate about
     each step, which the tests run on every scenario and ROADMAP item 1
     makes the first stage of ``verify``; and ``SimulationResult.final_state``,
     the generator's own last state, which the tests hold a replay's last
     state against as an oracle."""
     tracer = load_tracer(monkeypatch)
-    exempt = {f"{t.module}.{t.func}" for t in tracer.TARGETS} | {
-        "qgosim.executions.validate", "qgosim.causality.CausalRelation.pairs",
-        "qgosim.harness.scheduler.SimulationResult.final_state"}
+    exempt = {f"{t.module}.{t.func}" for t in tracer.TARGETS} | set(BENCH_PINS) | {
+        "qgosim.executions.validate", "qgosim.harness.scheduler.SimulationResult.final_state"}
     flagged = [name for name, node in uncalled_functions().items()
                if name not in exempt and not registered_update(node)]
     assert flagged == []
@@ -380,14 +428,10 @@ def unused_imports(modules=MODULES) -> list[str]:
 
 
 def test_every_src_import_is_read():
-    """No ``src/`` module imports a name it never reads.  Exempt: the two
-    bindings the benchmark's tests read through a module that does not use
-    them.  ``bench/tests/test_bench.py::
-    test_replay_counts_every_step_through_by_name_bindings`` replays as
-    ``causality.replay`` and asserts that ``verifier.compute_causality`` is
-    ``causality.compute_causality``."""
-    exempt = ["qgosim.causality.replay", "qgosim.verifier.compute_causality"]
-    assert [name for name in unused_imports() if name not in exempt] == []
+    """No ``src/`` module imports a name it never reads.  Exempt: the
+    bindings in ``BENCH_PINS``, which a benchmark file reads through a
+    module that does not use them."""
+    assert [name for name in unused_imports() if name not in BENCH_PINS] == []
 
 
 def test_import_scan_names_an_unused_import(tmp_path):
