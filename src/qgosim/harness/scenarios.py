@@ -11,6 +11,7 @@ through the marker-protocol reception handler.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .. import qcore, qgo, sysmodel
 from ..executions import Apply, ClassicalUpdate, Event, Send, register_update
-from ..qcore import NO_OUTCOME, DensityMatrix, RegisterAllocator, RegisterSpace
+from ..qcore import NO_OUTCOME, DensityMatrix, RegisterId, RegisterSpace
 from ..qgo import GenContext, LocalOpSpec, choose_outcome
 from ..sysmodel import MessageInstance, SystemState
 
@@ -131,15 +132,15 @@ def _initial(procs, sigmas: dict, quantum: DensityMatrix, ownership: dict) -> Sy
                                   ext={p: qgo.idle_ext() for p in procs})
 
 
-def _local_qubits(cfg: ScenarioConfig, procs, alloc: RegisterAllocator) -> dict:
-    """``qubits_per_proc`` fresh qubits for each processor, as an ownership
-    map in allocation order, once their dimension 2**n is within the cap."""
+def _local_qubits(cfg: ScenarioConfig, procs, ids: itertools.count) -> dict:
+    """``qubits_per_proc`` qubits for each processor, numbered by ``ids``, as
+    an ownership map in that order, once their dimension 2**n is within the cap."""
     per_proc = int(cfg.base_params.get("qubits_per_proc", 0))
     n = per_proc * len(procs)
     if n >= qcore.DIM_CAP.bit_length():  # 2**n > cap
         shown = 2**n if n < 64 else f"at least 2**{n}"
         raise qcore.CapacityError(f"total dimension {shown} exceeds cap {qcore.DIM_CAP}")
-    return {alloc.fresh(2): p for p in procs for _ in range(per_proc)}
+    return {RegisterId(next(ids), 2): p for p in procs for _ in range(per_proc)}
 
 
 def _is_kind(entry, kind: str) -> bool:
@@ -169,7 +170,7 @@ class EmptyAlgorithm(BaseAlgorithm):
 
     def initial(self, cfg):
         procs = proc_names(cfg.procs)
-        ownership = _local_qubits(cfg, procs, RegisterAllocator())
+        ownership = _local_qubits(cfg, procs, itertools.count())
         quantum = DensityMatrix.basis_state(RegisterSpace(tuple(ownership)))
         return _initial(procs, {p: {"inbox": []} for p in procs}, quantum, ownership)
 
@@ -209,11 +210,11 @@ class TokenRing(BaseAlgorithm):
             p: {"inbox": [], "has_token": p == "p0", "hops": 0, "max_hops": max_hops}
             for p in procs
         }
-        alloc = RegisterAllocator()
-        ownership = _local_qubits(cfg, procs, alloc)
+        ids = itertools.count()
+        ownership = _local_qubits(cfg, procs, ids)
         epr = cfg.base_params.get("epr_pair", False) and cfg.procs >= 2
         if epr:
-            ownership.update({alloc.fresh(2): "p0", alloc.fresh(2): "p1"})
+            ownership.update({RegisterId(next(ids), 2): p for p in ("p0", "p1")})
         space = RegisterSpace(tuple(ownership))  # checks the cap before allocating
         vec = np.zeros(space.total_dim, complex)
         if epr:  # |0..0> on local qubits, EPR on the last two registers.
@@ -343,8 +344,7 @@ class Teleport(BaseAlgorithm):
     def initial(self, cfg):
         if cfg.procs != 2:
             raise UnknownScenario("teleport needs exactly 2 processors")
-        alloc = RegisterAllocator()
-        d, e1, e2 = alloc.fresh(2), alloc.fresh(2), alloc.fresh(2)
+        d, e1, e2 = RegisterId(0, 2), RegisterId(1, 2), RegisterId(2, 2)
         psi = _data_state(cfg.base_params.get("data_state", _DATA_STATE))
         epr = np.zeros(4, complex)
         epr[0] = epr[3] = 1 / np.sqrt(2)

@@ -13,19 +13,20 @@ reading outcome probabilities, permuting registers, tracing out and
 comparing two states cost O(D·r) times the local dimensions, not O(D²) or
 more.
 
-A state given by its entries (a parsed trace's initial state) holds only
-the rows R whose bits are not all zero.  It is checked and factored over
-the rows that hold an entry other than zero: ``validate`` and
-``_factorize`` cost O(|R|·D).  No D×D matrix is made on the way from a
-vector to a trace and back: ``distinct_rows`` maps each row of either kind
-of state to one of its distinct rows, and gives those a block at a time.
-A vector with two distinct entry values, such as a basis state, has two
-distinct rows, whatever D.  Only ``DensityMatrix.entries`` forms the whole
-matrix.
+A state given by its rows (a parsed trace's initial state) holds only the
+rows R whose bits are not all zero.  It is checked and factored over the
+rows that hold an entry other than zero: ``validate`` and ``_factorize``
+cost O(|R|·D).  No D×D matrix is made on the way from a vector to a trace
+and back: ``distinct_rows`` maps each row of either kind of state to one
+of its distinct rows, and gives those a block at a time.  A vector with
+two distinct entry values, such as a basis state, has two distinct rows,
+whatever D.  Only ``_factorize``'s ``eigh`` fallback forms a D×D matrix,
+for a state that pivoted Cholesky does not factor within ``EPS_VALIDATE``.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -86,18 +87,6 @@ class RegisterId:
             raise ShapeError(f"register dimension must be >= 1, got {self.dim}")
 
 
-class RegisterAllocator:
-    """Hands out register ids from a monotonic counter; ids are never reused."""
-
-    def __init__(self):
-        self._next = 0
-
-    def fresh(self, dim: int) -> RegisterId:
-        reg = RegisterId(self._next, dim)
-        self._next += 1
-        return reg
-
-
 @dataclass(frozen=True)
 class RegisterSpace:
     """An ordered list of registers; the joint space is their tensor product."""
@@ -134,33 +123,25 @@ class DensityMatrix:
     """Subnormalized density matrix ρ = V·V† over a register space.
 
     The factor V has one row per basis state and r ≤ D columns, so
-    ``trace`` = ‖V‖_F².  A state given by its entries
-    (``DensityMatrix(space, entries)``, or ``rows`` parsed from a trace)
-    holds only the rows R whose bits are not all zero, as their indices and
-    an |R|×D block: it keeps those exact rows, and is factored when
-    ``factor`` is first read.  Any other state is its factor.
+    ``trace`` = ‖V‖_F².  A state is made from its ``factor``, or from
+    ``rows`` parsed from a trace: the rows R whose bits are not all zero,
+    as their indices and an |R|×D block.  Made from its rows, it keeps them
+    exactly, and is factored when ``factor`` is first read.
     ``distinct_rows`` gives ρ's distinct rows, a block at a time, and which
-    of them each row is; ``entries`` forms the whole D×D matrix.
+    of them each row is.
     """
 
     __slots__ = ("space", "_factor", "_rows")
 
-    def __init__(self, space: RegisterSpace, entries: np.ndarray | None = None,
-                 factor: np.ndarray | None = None,
+    def __init__(self, space: RegisterSpace, factor: np.ndarray | None = None,
                  rows: tuple[np.ndarray, np.ndarray] | None = None):
         d = space.total_dim
-        if entries is not None:
-            entries = np.ascontiguousarray(entries, dtype=np.complex128)
-            if entries.shape != (d, d):
-                raise ShapeError(f"entries shape {entries.shape} does not match dim {d}")
-            held = np.flatnonzero(entries.view(np.int64).any(axis=1))
-            rows = (held, entries[held])
         if factor is not None:
             factor = np.ascontiguousarray(factor, dtype=np.complex128)
             if factor.ndim != 2 or factor.shape[0] != d:
                 raise ShapeError(f"factor shape {factor.shape} does not match dim {d}")
         elif rows is None:
-            raise ShapeError("a state needs its entries or its factor")
+            raise ShapeError("a state needs its factor or its rows")
         self.space = space
         self._factor = factor
         self._rows = rows
@@ -171,12 +152,6 @@ class DensityMatrix:
             held, block = self._rows
             self._factor = _factorize(block, held)[0]
         return self._factor
-
-    @property
-    def entries(self) -> np.ndarray:
-        """ρ as one D×D array."""
-        index, blocks = self.distinct_rows()
-        return np.concatenate([*blocks])[index]
 
     def distinct_rows(self) -> tuple[Sequence[int], Iterable[np.ndarray]]:
         """(index, blocks): row i of ρ is distinct row ``index[i]``, and
@@ -213,8 +188,8 @@ class DensityMatrix:
         return float(np.vdot(v, v).real)
 
     def validate(self) -> None:
-        """Raise if the entries are not Hermitian, PSD, and subnormalized,
-        each within ``EPS_VALIDATE``.
+        """Raise if the entries of a state given by its rows are not
+        Hermitian, PSD, and subnormalized, each within ``EPS_VALIDATE``.
 
         The PSD test is the factorization: it proves that no eigenvalue is
         below -EPS_VALIDATE, or else ``eigh`` finds one (see ``_factorize``).
@@ -224,7 +199,7 @@ class DensityMatrix:
         its maximum is the dense one.
         """
         d = self.space.total_dim
-        held, block = self._rows or DensityMatrix(self.space, self.entries)._rows
+        held, block = self._rows
         m, rows = _nonzero_rows(block, held)
         blocks = list(_row_blocks(np.arange(len(rows)), d))
         if not all(np.isfinite(m[p]).all() for p in blocks):
@@ -267,7 +242,7 @@ class DensityMatrix:
 
 
 # Row blocks of D×D products hold about this many entries (4 MB), so no
-# D×D temporary is made besides a result that is asked for.
+# D×D temporary is made.
 _BLOCK_ENTRIES = 1 << 18
 
 
@@ -436,30 +411,6 @@ class QuantumOperation:
         return int(np.prod(self.out_dims)) if self.out_dims else 1
 
 
-@dataclass(frozen=True)
-class RegisterMap:
-    """Assignment of an operation's slots to registers of a space.
-
-    ``in_regs`` name the registers the operation consumes, in slot order.
-    ``out_regs`` name the registers that replace them; they default to the
-    inputs when the operation does not change dimensions.
-    """
-
-    in_regs: tuple[RegisterId, ...]
-    out_regs: tuple[RegisterId, ...] = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        object.__setattr__(self, "in_regs", tuple(self.in_regs))
-        if self.out_regs is None:
-            object.__setattr__(self, "out_regs", self.in_regs)
-        else:
-            object.__setattr__(self, "out_regs", tuple(self.out_regs))
-        if len({r.id for r in self.in_regs}) != len(self.in_regs):
-            raise IdCollision("register map inputs must be injective")
-        if len({r.id for r in self.out_regs}) != len(self.out_regs):
-            raise IdCollision("register map outputs must be injective")
-
-
 def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     """Kronecker product of two states; register lists are concatenated.
     V_a ⊗ V_b is a factor of ρ_a ⊗ ρ_b."""
@@ -496,31 +447,42 @@ def partial_trace(rho: DensityMatrix, discard: Iterable[RegisterId]) -> DensityM
     return DensityMatrix(RegisterSpace(keep), factor=_capped(_fold(rho, keep)))
 
 
-def _check_regmap(rho: DensityMatrix, op: QuantumOperation, regmap: RegisterMap) -> None:
-    if tuple(r.dim for r in regmap.in_regs) != op.in_dims:
+def _check_regmap(rho: DensityMatrix, op: QuantumOperation,
+                  in_regs: tuple[RegisterId, ...], out_regs: tuple[RegisterId, ...]) -> None:
+    """Raise unless ``in_regs`` name the operation's input slots, in slot
+    order, and ``out_regs`` the registers that replace them: each list
+    without a repeated id and of the slots' dims, every input in the space
+    and every output either an input or new to it."""
+    if len({r.id for r in in_regs}) != len(in_regs):
+        raise IdCollision("register map inputs must be injective")
+    if len({r.id for r in out_regs}) != len(out_regs):
+        raise IdCollision("register map outputs must be injective")
+    if tuple(r.dim for r in in_regs) != op.in_dims:
         raise ShapeError("mapped register dims do not match operation input dims")
-    if tuple(r.dim for r in regmap.out_regs) != op.out_dims:
+    if tuple(r.dim for r in out_regs) != op.out_dims:
         raise ShapeError("output register dims do not match operation output dims")
-    for reg in regmap.in_regs:
+    for reg in in_regs:
         if reg not in rho.space:
             raise UnknownRegister(f"register {reg} not in space")
-    for reg in regmap.out_regs:
-        if reg not in regmap.in_regs and reg in rho.space:
+    for reg in out_regs:
+        if reg not in in_regs and reg in rho.space:
             raise IdCollision(f"output register {reg} already present in space")
 
 
 def apply_outcome(
     rho: DensityMatrix,
     op: QuantumOperation,
-    regmap: RegisterMap,
+    in_regs: Sequence[RegisterId],
+    out_regs: Sequence[RegisterId],
     outcome: str,
 ) -> DensityMatrix:
-    """Apply the CP map for one outcome to the mapped registers.
+    """Apply the CP map for one outcome to the registers ``in_regs``, in
+    slot order (see ``_check_regmap``).
 
     The result is subnormalized: its trace is the probability of the outcome
-    given ``rho``.  Output registers replace the inputs; when dimensions are
-    unchanged the register order of the space is preserved exactly, otherwise
-    the output registers are placed first followed by the untouched rest.
+    given ``rho``.  The registers ``out_regs`` replace the inputs; when they
+    are the inputs the register order of the space is preserved exactly,
+    otherwise the outputs are placed first followed by the untouched rest.
 
     The outcome's Kraus matrices K₁…Kₖ map the factor V to [K₁V, …, KₖV].
     Each K, as a tensor over its output then input slots, is contracted
@@ -535,13 +497,14 @@ def apply_outcome(
     """
     if outcome not in op.outcome_set:
         raise BadOutcome(f"outcome {outcome!r} not in {op.outcome_set}")
-    _check_regmap(rho, op, regmap)
+    in_regs, out_regs = tuple(in_regs), tuple(out_regs)
+    _check_regmap(rho, op, in_regs, out_regs)
 
     regs = rho.space.registers
-    pos = [regs.index(r) for r in regmap.in_regs]
-    same = regmap.out_regs == regmap.in_regs
+    pos = [regs.index(r) for r in in_regs]
+    same = out_regs == in_regs
     space = rho.space if same else RegisterSpace(
-        regmap.out_regs + tuple(r for r in regs if r not in regmap.in_regs))
+        out_regs + tuple(r for r in regs if r not in in_regs))
     v = _tensor(rho)
     n_out = len(op.out_dims)
     cols = [np.empty((space.total_dim, 0), dtype=np.complex128)]  # for k = 0
@@ -555,17 +518,21 @@ def apply_outcome(
 
 
 def outcome_probabilities(
-    rho: DensityMatrix, op: QuantumOperation, regmap: RegisterMap
+    rho: DensityMatrix,
+    op: QuantumOperation,
+    in_regs: Sequence[RegisterId],
+    out_regs: Sequence[RegisterId],
 ) -> np.ndarray:
     """p(r) = Σ_K tr(K ρ_A K†) for each outcome r, in outcome-set order.
 
-    ρ_A = M·M† is the reduced state on the mapped registers (see ``_fold``),
-    so no outcome is applied to the whole state: the cost is O(D·r·d_in)
-    for ρ_A plus O(d_in²·d_out) per Kraus matrix.  Each p(r) equals the
-    trace of ``apply_outcome(rho, op, regmap, r)`` and is clipped at 0.
+    ρ_A = M·M† is the reduced state on ``in_regs`` (see ``_fold``), so no
+    outcome is applied to the whole state: the cost is O(D·r·d_in) for ρ_A
+    plus O(d_in²·d_out) per Kraus matrix.  Each p(r) equals the trace of
+    ``apply_outcome(rho, op, in_regs, out_regs, r)`` and is clipped at 0.
     """
-    _check_regmap(rho, op, regmap)
-    m = _fold(rho, regmap.in_regs)
+    in_regs, out_regs = tuple(in_regs), tuple(out_regs)
+    _check_regmap(rho, op, in_regs, out_regs)
+    m = _fold(rho, in_regs)
     rho_a = m @ m.conj().T
     return np.array([
         max(sum(float(np.vdot(k, k @ rho_a).real) for k in op.kraus_by_outcome[r]), 0.0)
@@ -576,11 +543,12 @@ def outcome_probabilities(
 def draw_outcome(
     rho: DensityMatrix,
     op: QuantumOperation,
-    regmap: RegisterMap,
+    in_regs: Sequence[RegisterId],
+    out_regs: Sequence[RegisterId],
     rng: np.random.Generator,
 ) -> str:
     """Draw an outcome label with its physical probability; nothing is applied."""
-    probs = outcome_probabilities(rho, op, regmap)
+    probs = outcome_probabilities(rho, op, in_regs, out_regs)
     probs = probs / probs.sum()
     return op.outcome_set[rng.choice(len(op.outcome_set), p=probs)]
 
@@ -604,21 +572,11 @@ def standard_basis_measurement(dims: Sequence[int]) -> QuantumOperation:
     "01" for a two-qubit measurement.
     """
     dims = tuple(dims)
-    total = int(np.prod(dims)) if dims else 1
-    outcomes = []
-    kraus = {}
-    for flat in range(total):
-        digits = []
-        rem = flat
-        for d in reversed(dims):
-            digits.append(rem % d)
-            rem //= d
-        label = "".join(str(x) for x in reversed(digits))
-        proj = np.zeros((total, total), dtype=np.complex128)
-        proj[flat, flat] = 1.0
-        outcomes.append(label)
-        kraus[label] = (proj,)
-    return QuantumOperation(tuple(outcomes), kraus, dims, dims)
+    outcomes = tuple("".join(map(str, digits))
+                     for digits in itertools.product(*map(range, dims)))
+    eye = np.eye(len(outcomes), dtype=np.complex128)
+    kraus = {label: (np.diag(eye[flat]),) for flat, label in enumerate(outcomes)}
+    return QuantumOperation(outcomes, kraus, dims, dims)
 
 
 def unitary_channel(u: np.ndarray, dims: Sequence[int] | None = None) -> QuantumOperation:
@@ -668,9 +626,7 @@ def pauli_pad_operation(n_qubits: int) -> QuantumOperation:
     """
     if n_qubits == 0:
         return identity_operation(())
-    keys = [""]
-    for _ in range(n_qubits):
-        keys = [k + p for k in keys for p in "IXYZ"]
+    keys = ["".join(k) for k in itertools.product("IXYZ", repeat=n_qubits)]
     scale = 1.0 / (2 ** n_qubits)
     kraus = {k: (scale * pauli_string_matrix(k),) for k in keys}
     dims = (2,) * n_qubits

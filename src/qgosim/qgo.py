@@ -34,7 +34,7 @@ from .executions import (
     Send,
     register_update,
 )
-from .qcore import QuantumOperation, RegisterId, RegisterMap
+from .qcore import QuantumOperation, RegisterId
 from .sysmodel import MessageInstance, SystemState, chan_key, encode_classical
 
 
@@ -273,13 +273,24 @@ def choose_outcome(state: SystemState, spec: LocalOpSpec, ctx: GenContext) -> st
         return outcome
     if len(spec.qop.outcome_set) == 1:
         return spec.qop.outcome_set[0]
-    regmap = RegisterMap(spec.in_regs, spec.out_regs)
-    return qcore.draw_outcome(state.quantum, spec.qop, regmap, ctx.rng)
+    return qcore.draw_outcome(state.quantum, spec.qop, spec.in_regs, spec.out_regs, ctx.rng)
 
 
 # ---------------------------------------------------------------------------
 # The protocol's events, built once for generation and for the predicate
 # ---------------------------------------------------------------------------
+
+def _component_apply(state: SystemState, proc: str, kind: str, gop: DecomposableGlobalOp,
+                     spec: LocalOpSpec, update: ClassicalUpdate, target: int | None,
+                     ctx: GenContext) -> Apply:
+    """The Apply on ``proc`` of ``gop``'s ``kind`` component ("self" or
+    "msg", on message ``target``), built by the caller as ``spec``; it
+    takes its eid from ``ctx``, then its outcome."""
+    return Apply(eid=ctx.eid(), label=proc, name=f"gop-{kind}:{gop.gid}",
+                 outcome=choose_outcome(state, spec, ctx), qop=spec.qop,
+                 in_regs=spec.in_regs, out_regs=spec.out_regs, update=update,
+                 target_msg=target, protocol=True)
+
 
 def gop_self_apply(
     state: SystemState,
@@ -297,17 +308,8 @@ def gop_self_apply(
     if trigger is not None and trigger not in incoming:
         raise QgoError(f"trigger {trigger!r} is not an incoming channel of {proc}")
     spec = gop.proc_component(state, proc)
-    return Apply(
-        eid=ctx.eid(),
-        label=proc,
-        name=f"gop-self:{gop.gid}",
-        outcome=choose_outcome(state, spec, ctx),
-        qop=spec.qop,
-        in_regs=spec.in_regs,
-        out_regs=spec.out_regs,
-        update=ClassicalUpdate("qgo.start", (gop.gid, trigger, incoming)),
-        protocol=True,
-    )
+    start = ClassicalUpdate("qgo.start", (gop.gid, trigger, incoming))
+    return _component_apply(state, proc, "self", gop, spec, start, None, ctx)
 
 
 def marker_send(proc: str, dest: str, gid: str | None, ctx: GenContext) -> Send:
@@ -443,16 +445,5 @@ def qgo_receive(
         return [recv]
     gop = library[ext["op"]]
     spec = gop.msg_component(state, msg)
-    apply = Apply(
-        eid=ctx.eid(),
-        label=proc,
-        name=f"gop-msg:{gop.gid}",
-        outcome=choose_outcome(state, spec, ctx),
-        qop=spec.qop,
-        in_regs=spec.in_regs,
-        out_regs=spec.out_regs,
-        update=ClassicalUpdate("qgo.record", (chan,)),
-        target_msg=msg.msg_id,
-        protocol=True,
-    )
-    return [recv, apply]
+    record = ClassicalUpdate("qgo.record", (chan,))
+    return [recv, _component_apply(state, proc, "msg", gop, spec, record, msg.msg_id, ctx)]

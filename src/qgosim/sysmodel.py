@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from . import qcore
-from .qcore import DensityMatrix, RegisterId, RegisterMap, QuantumOperation
+from .qcore import DensityMatrix, RegisterId, QuantumOperation
 
 ChannelKey = str  # "src->dst"
 
@@ -269,8 +269,7 @@ def apply_local(
             )
     if qop is None:
         return state
-    regmap = RegisterMap(tuple(in_regs), tuple(out_regs))
-    quantum = qcore.apply_outcome(state.quantum, qop, regmap, outcome)
+    quantum = qcore.apply_outcome(state.quantum, qop, in_regs, out_regs, outcome)
     ownership = dict(state.ownership)
     for reg in in_regs:
         if reg not in out_regs:

@@ -19,13 +19,9 @@ from qgosim.executions import Execution
 from qgosim.harness import traceio
 from qgosim.harness.scenarios import ScenarioConfig
 from qgosim.harness.scheduler import run_simulation
-from qgosim.qcore import (
-    DensityMatrix,
-    RegisterAllocator,
-    RegisterId,
-    RegisterMap,
-    RegisterSpace,
-)
+from qgosim.qcore import DensityMatrix, RegisterId, RegisterSpace
+
+from dense import dense
 from test_causality import assert_reordering, moved, substituted
 
 
@@ -55,14 +51,14 @@ def test_acceptance_1_epr_example():
         rho, r0, r1 = epr_density()
         meas = qcore.standard_basis_measurement([2])
         for out in ("0", "1"):
-            post = qcore.apply_outcome(rho, meas, RegisterMap((r0,)), out)
+            post = qcore.apply_outcome(rho, meas, (r0,), (r0,), out)
             assert abs(post.trace - 0.5) < 1e-12
             expect = np.zeros((4, 4), complex)
             idx = 0 if out == "0" else 3
             expect[idx, idx] = 0.5
-            assert np.allclose(post.entries, expect, atol=1e-12)
+            assert np.allclose(dense(post), expect, atol=1e-12)
         reduced = qcore.partial_trace(rho, [r1])
-        assert np.allclose(reduced.entries, np.eye(2) / 2, atol=1e-12)
+        assert np.allclose(dense(reduced), np.eye(2) / 2, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -101,16 +97,16 @@ def test_acceptance_2_disjoint_commutation():
             outa = opa.outcome_set[rng.integers(len(opa.outcome_set))]
             outb = opb.outcome_set[rng.integers(len(opb.outcome_set))]
             ab = qcore.apply_outcome(
-                qcore.apply_outcome(rho, opa, RegisterMap(ra), outa),
-                opb, RegisterMap(rb), outb,
+                qcore.apply_outcome(rho, opa, ra, ra, outa),
+                opb, rb, rb, outb,
             )
             ba = qcore.apply_outcome(
-                qcore.apply_outcome(rho, opb, RegisterMap(rb), outb),
-                opa, RegisterMap(ra), outa,
+                qcore.apply_outcome(rho, opb, rb, rb, outb),
+                opa, ra, ra, outa,
             )
             ca, cb = qcore.canonical_form(ab), qcore.canonical_form(ba)
             assert ca.space.registers == cb.space.registers
-            assert np.allclose(ca.entries, cb.entries, atol=1e-12)
+            assert np.allclose(dense(ca), dense(cb), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -387,14 +383,14 @@ def test_acceptance_8_encrypt_roundtrip():
                     qcore.pauli_string_matrix(key), [r.dim for r in pad.in_regs]
                 )
                 rho = qcore.apply_outcome(
-                    rho, undo, RegisterMap(pad.in_regs), qcore.NO_OUTCOME
+                    rho, undo, pad.in_regs, pad.in_regs, qcore.NO_OUTCOME
                 )
             a = qcore.canonical_form(rho)
             b = qcore.canonical_form(plain.final_state.quantum)
             assert a.space.registers == b.space.registers
             # encryption subnormalizes by the key probability; compare the
             # physical (renormalized) states
-            assert np.allclose(a.entries / a.trace, b.entries / b.trace,
+            assert np.allclose(dense(a) / a.trace, dense(b) / b.trace,
                                atol=1e-9)
 
 

@@ -18,7 +18,7 @@ from qgosim.qcore import (
     EPS_EXACT,
     NO_OUTCOME,
     DensityMatrix,
-    RegisterAllocator,
+    RegisterId,
     RegisterSpace,
 )
 from qgosim.sysmodel import MessageInstance
@@ -84,8 +84,7 @@ def closure_oracle(x):
 
 
 def three_proc_execution():
-    alloc = RegisterAllocator()
-    regs = [alloc.fresh(2) for _ in range(3)]
+    regs = [RegisterId(i, 2) for i in range(3)]
     quantum = DensityMatrix.basis_state(RegisterSpace(tuple(regs)))
     procs = ("p0", "p1", "p2")
     st = sysmodel.initial_state(

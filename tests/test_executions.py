@@ -15,13 +15,12 @@ from qgosim.executions import (
 )
 from qgosim.harness.scenarios import ScenarioConfig
 from qgosim.harness.scheduler import run_simulation
-from qgosim.qcore import NO_OUTCOME, DensityMatrix, RegisterAllocator, RegisterSpace
+from qgosim.qcore import NO_OUTCOME, DensityMatrix, RegisterId, RegisterSpace
 from qgosim.sysmodel import MessageInstance
 
 
 def make_state():
-    alloc = RegisterAllocator()
-    r0, r1 = alloc.fresh(2), alloc.fresh(2)
+    r0, r1 = RegisterId(0, 2), RegisterId(1, 2)
     vec = np.zeros(4, complex)
     vec[0] = vec[3] = 1 / np.sqrt(2)
     quantum = DensityMatrix.from_vector(RegisterSpace((r0, r1)), vec)

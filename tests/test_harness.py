@@ -24,6 +24,7 @@ from qgosim.harness.scenarios import (
     proc_names,
 )
 from qgosim.harness.scheduler import SchedulerError, run_simulation
+from dense import dense, dense_state
 from test_executions import PURITY_CORPUS
 from test_qcore import trace_preserving
 from test_verifier import (
@@ -56,7 +57,7 @@ class TestScenarios:
             (reg,) = st.owned_by("p1")
             others = [r for r in st.quantum.space.registers if r != reg]
             reduced = qcore.partial_trace(st.quantum, others)
-            rho = reduced.entries / reduced.entries.trace()
+            rho = dense(reduced) / dense(reduced).trace()
             psi = np.array([0.6, 0.8j])
             assert np.allclose(rho, np.outer(psi, psi.conj()), atol=1e-9)
 
@@ -139,7 +140,7 @@ class TestScenarios:
         cfg = ScenarioConfig.from_dict(
             {"base": "teleport", "procs": 2, "base_params": {"data_state": amps}})
         rho = build_scenario(cfg)[0].quantum
-        assert np.isfinite(rho.entries).all()
+        assert np.isfinite(dense(rho)).all()
         assert abs(rho.trace - 1) < 1e-12
 
     def test_scheduled_invocation_runs_even_without_base_activity(self):
@@ -1227,6 +1228,21 @@ class TestCli:
         assert line.startswith("rejected: sorted window produced invalid step: "
                                "injected failure at event ")
 
+    def test_apply_with_a_repeated_register_exits_1(self, tmp_path):
+        """The teleport Bell measurement names its first register twice, as
+        input and as output; the replay refuses the step."""
+        recs = [json.loads(line) for line in
+                trace_text(ScenarioConfig.from_dict(PURITY_CORPUS[1])).splitlines()]
+        (bell,) = [d for d in recs if d.get("name") == "tp.bell"]
+        bell["in"] = bell["out"] = [bell["in"][0]] * 2
+        trace = tmp_path / "repeated.jsonl"
+        trace.write_text("".join(json.dumps(d, sort_keys=True) + "\n" for d in recs))
+        r = self.run_cli("verify", str(trace))
+        assert (r.returncode, r.stderr) == (1, "")
+        assert r.stdout.splitlines() == [
+            "  well-formed: FAIL",
+            "rejected: invalid step at index 11: register map inputs must be injective"]
+
     @FORGED_IN_FLIGHT_CASES
     def test_apply_to_a_message_in_flight_exits_1(self, tmp_path, drained):
         x = forged_apply_in_flight(drained)
@@ -1577,9 +1593,9 @@ def test_parsing_a_wide_trace_builds_no_dense_temporary():
     with mock.patch.object(np.linalg, "eigh", side_effect=AssertionError("eigh")):
         x, _, _ = traceio.parse_run(text)
     parsed = x.initial.quantum
-    assert parsed.entries.nbytes == 16 << 20
-    assert np.count_nonzero(parsed.entries) == 1
-    rho = qcore.DensityMatrix(parsed.space, parsed.entries)
+    assert dense(parsed).nbytes == 16 << 20
+    assert np.count_nonzero(dense(parsed)) == 1
+    rho = dense_state(parsed.space, dense(parsed))
     tracemalloc.start()
     try:
         rho.validate()

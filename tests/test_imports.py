@@ -133,16 +133,17 @@ def test_tolerance_calls_name_both_tolerances():
 
 
 def test_only_qcore_and_traceio_read_dense_entries():
-    """A state is its factor or its nonzero rows.  Only ``qcore`` reads its
-    D×D ``entries`` (to check a state held as a factor), and the trace
-    serializer reads only its distinct rows, a block at a time."""
+    """A state is its factor or its nonzero rows.  No module reads a D×D
+    ``entries``, and only ``qcore`` and the trace serializer read a state's
+    distinct rows, a block at a time."""
     readers = {}
     for module, path in MODULES.items():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Attribute) and node.attr in ("entries", "distinct_rows"):
                 readers.setdefault(node.attr, set()).add(module)
-    assert readers == {"entries": {"qgosim.qcore"},
-                       "distinct_rows": {"qgosim.qcore", "qgosim.harness.traceio"}}
+    assert "entries" not in readers
+    assert "qgosim.harness.traceio" in readers["distinct_rows"]
+    assert readers["distinct_rows"] <= {"qgosim.qcore", "qgosim.harness.traceio"}
 
 
 STEP_MODULES = ("qgosim.sysmodel", "qgosim.executions", "qgosim.specmachine")

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from qgosim import qcore, sysmodel
 from qgosim.harness import traceio
-from qgosim.qcore import DensityMatrix, RegisterId, RegisterMap, RegisterSpace
+from qgosim.qcore import DensityMatrix, RegisterId, RegisterSpace
+
+from dense import dense, dense_state
 
 amplitudes = st.lists(
     st.tuples(st.floats(-1, 1, allow_nan=False), st.floats(-1, 1, allow_nan=False)),
@@ -32,7 +34,7 @@ def test_outcome_traces_sum_to_input_trace(amps):
     reg = rho.space.registers[0]
     meas = qcore.standard_basis_measurement([2])
     total = sum(
-        qcore.apply_outcome(rho, meas, RegisterMap((reg,)), r).trace
+        qcore.apply_outcome(rho, meas, (reg,), (reg,), r).trace
         for r in meas.outcome_set
     )
     assert abs(total - rho.trace) < 1e-10
@@ -57,7 +59,7 @@ def test_canonical_form_idempotent_and_sorted(amps):
     assert list(once.space.registers) == sorted(once.space.registers,
                                                 key=lambda r: r.id)
     assert once.space.registers == twice.space.registers
-    assert np.array_equal(once.entries, twice.entries)
+    assert np.array_equal(dense(once), dense(twice))
 
 
 @given(st.dictionaries(st.text(max_size=5), st.integers(-5, 5), max_size=4))
@@ -78,7 +80,7 @@ def test_channel_key_roundtrip(src, dst):
 # The local-contraction kernel against the Kronecker-product definition
 # ---------------------------------------------------------------------------
 
-def _oracle_apply(rho, op, regmap, outcome):
+def _oracle_apply(rho, op, in_regs, out_regs, outcome):
     """kron(K, I_rest) · ρ · kron(K, I_rest)† on the full basis: O(D³), kept
     here as the reference definition of ``apply_outcome``."""
     regs = list(rho.space.registers)
@@ -90,22 +92,22 @@ def _oracle_apply(rho, op, regmap, outcome):
         idx = np.arange(int(np.prod(dims))).reshape(dims)
         return np.transpose(idx, order).reshape(-1)
 
-    positions = [regs.index(r) for r in regmap.in_regs]
+    positions = [regs.index(r) for r in in_regs]
     rest = [i for i in range(len(regs)) if i not in positions]
     perm = perm_of(dims, positions + rest)
-    front = rho.entries[np.ix_(perm, perm)]
+    front = dense(rho)[np.ix_(perm, perm)]
     rest_regs = [regs[i] for i in rest]
     eye = np.eye(int(np.prod([r.dim for r in rest_regs])))
     out = np.zeros((op.out_dim * len(eye),) * 2, dtype=complex)
     for k in op.kraus_by_outcome[outcome]:
         big = np.kron(k, eye)
         out = out + big @ front @ big.conj().T
-    cur = list(regmap.out_regs) + rest_regs
-    if regmap.out_regs == regmap.in_regs:
+    cur = list(out_regs) + rest_regs
+    if out_regs == in_regs:
         order = [cur.index(r) for r in regs]
         perm = perm_of([r.dim for r in cur], order)
-        return DensityMatrix(rho.space, out[np.ix_(perm, perm)])
-    return DensityMatrix(RegisterSpace(tuple(cur)), out)
+        return dense_state(rho.space, out[np.ix_(perm, perm)])
+    return dense_state(RegisterSpace(tuple(cur)), out)
 
 
 @st.composite
@@ -138,7 +140,7 @@ def kernel_cases(draw):
     a = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
     a /= np.linalg.norm(a)
     if draw(st.booleans()):
-        rho = DensityMatrix(RegisterSpace(regs), a @ a.conj().T)
+        rho = dense_state(RegisterSpace(regs), a @ a.conj().T)
     else:
         rho = DensityMatrix(RegisterSpace(regs), factor=a)
     in_dims = tuple(r.dim for r in in_regs)
@@ -152,18 +154,18 @@ def kernel_cases(draw):
         for r, c in zip(outcomes, n_kraus)
     }
     op = qcore.QuantumOperation(outcomes, kraus, in_dims, out_dims)
-    return rho, op, RegisterMap(in_regs, out_regs)
+    return rho, op, in_regs, out_regs
 
 
 @given(kernel_cases())
 @settings(max_examples=150, deadline=None)
 def test_apply_outcome_matches_kronecker_oracle(case):
-    rho, op, regmap = case
+    rho, op, *regs = case
     for r in op.outcome_set:
-        got = qcore.apply_outcome(rho, op, regmap, r)
-        want = _oracle_apply(rho, op, regmap, r)
+        got = qcore.apply_outcome(rho, op, *regs, r)
+        want = _oracle_apply(rho, op, *regs, r)
         assert got.space.registers == want.space.registers
-        assert np.allclose(got.entries, want.entries, atol=qcore.EPS_EXACT, rtol=0)
+        assert np.allclose(dense(got), dense(want), atol=qcore.EPS_EXACT, rtol=0)
 
 
 def test_row_blocks_cover_every_row():
@@ -311,7 +313,7 @@ def test_row_aware_validate_matches_dense_oracle(m):
     space = RegisterSpace((RegisterId(0, m.shape[0]),))
 
     def row_aware(m):
-        rho = DensityMatrix(space, m)
+        rho = dense_state(space, m)
         rho.validate()
         return rho.factor
 
@@ -327,11 +329,11 @@ def test_row_aware_validate_matches_dense_oracle(m):
 @given(kernel_cases())
 @settings(max_examples=150, deadline=None)
 def test_outcome_probabilities_are_outcome_traces(case):
-    rho, op, regmap = case
-    probs = qcore.outcome_probabilities(rho, op, regmap)
+    rho, op, *regs = case
+    probs = qcore.outcome_probabilities(rho, op, *regs)
     assert probs.shape == (len(op.outcome_set),)
     for i, r in enumerate(op.outcome_set):
-        assert abs(probs[i] - qcore.apply_outcome(rho, op, regmap, r).trace) \
+        assert abs(probs[i] - qcore.apply_outcome(rho, op, *regs, r).trace) \
             < qcore.EPS_EXACT
 
 
@@ -433,7 +435,7 @@ def test_state_rows_match_the_block_path(case):
     with mock.patch.object(qcore, "_BLOCK_ENTRIES", block_entries):
         rows = [d["v"] for d in traceio.encode_state(state) if d["t"] == "qrow"]
         assert rows == _block_path_rows(v)
-        assert traceio._matrix(rho.entries) == rows
+        assert traceio._matrix(dense(rho)) == rows
 
 
 # ---------------------------------------------------------------------------
@@ -457,22 +459,22 @@ def _dense_reduced(rho, regs):
     cols = [n + i if i in slot else i for i in range(n)]
     keep = [i for _, i in sorted((slot[i], i) for i in slot)]
     d = int(np.prod([r.dim for r in regs]))
-    t = rho.entries.reshape(list(dims) * 2)
+    t = dense(rho).reshape(list(dims) * 2)
     return np.einsum(t, list(range(n)) + cols, keep + [n + i for i in keep]).reshape(d, d)
 
 
-def _dense_apply(rho, op, regmap, outcome):
+def _dense_apply(rho, op, in_regs, out_regs, outcome):
     """The D×D local-contraction kernel: each Kraus matrix K contracts the
     middle factor of a (p, d_in, s) split of the row index, and K̄ the
     matching factor of the column index; returns (registers, entries)."""
     regs, dims = rho.space.registers, rho.space.dims
-    pos = [regs.index(r) for r in regmap.in_regs]
+    pos = [regs.index(r) for r in in_regs]
     slots = sorted(range(len(pos)), key=pos.__getitem__)
     first = pos[slots[0]] if pos else 0
     before = [i for i in range(first) if i not in pos]
     after = [i for i in range(first, len(regs)) if i not in pos]
-    mat = _dense_permute(rho.entries, dims, before + sorted(pos) + after)
-    same = regmap.out_regs == regmap.in_regs
+    mat = _dense_permute(dense(rho), dims, before + sorted(pos) + after)
+    same = out_regs == in_regs
     out_slots = slots if same else list(range(len(op.out_dims)))
     axes = out_slots + [len(op.out_dims) + j for j in slots]
     p = int(np.prod([dims[i] for i in before]))
@@ -484,9 +486,9 @@ def _dense_apply(rho, op, regmap, outcome):
         k = k.reshape(op.out_dims + op.in_dims).transpose(axes).reshape(dout, din)
         rows = np.matmul(k, mat.reshape(p, din, s * d)).reshape(p * dout * s, d)
         out += np.matmul(k.conj(), rows.reshape(-1, din, s)).reshape(p, dout, s, d_new)
-    cur = ([regs[i] for i in before] + [regmap.out_regs[j] for j in out_slots]
+    cur = ([regs[i] for i in before] + [out_regs[j] for j in out_slots]
            + [regs[i] for i in after])
-    target = list(regs) if same else list(regmap.out_regs) + [regs[i] for i in before + after]
+    target = list(regs) if same else list(out_regs) + [regs[i] for i in before + after]
     out = _dense_permute(out.reshape(d_new, d_new), [r.dim for r in cur],
                          [cur.index(r) for r in target])
     return tuple(target), out
@@ -506,28 +508,28 @@ def _close(a, b):
 def test_factored_state_matches_dense_kernel(case, data):
     """apply_outcome, outcome_probabilities, canonical_form, partial_trace
     and the states_equal verdicts agree with the dense kernel at EPS_EXACT."""
-    rho, op, regmap = case
-    probs = qcore.outcome_probabilities(rho, op, regmap)
-    rho_a = _dense_reduced(rho, regmap.in_regs)
+    rho, op, in_regs, out_regs = case
+    probs = qcore.outcome_probabilities(rho, op, in_regs, out_regs)
+    rho_a = _dense_reduced(rho, in_regs)
     for i, r in enumerate(op.outcome_set):
         want = sum((float(np.vdot(k, k @ rho_a).real) for k in op.kraus_by_outcome[r]), 0.0)
         assert abs(probs[i] - max(want, 0.0)) <= qcore.EPS_EXACT
-        got = qcore.apply_outcome(rho, op, regmap, r)
-        regs, entries = _dense_apply(rho, op, regmap, r)
+        got = qcore.apply_outcome(rho, op, in_regs, out_regs, r)
+        regs, entries = _dense_apply(rho, op, in_regs, out_regs, r)
         assert got.space.registers == regs
         assert got.factor.shape[1] <= got.space.total_dim
-        assert _close(got.entries, entries)
+        assert _close(dense(got), entries)
 
     canon = qcore.canonical_form(got)
     assert list(canon.space.registers) == sorted(regs, key=lambda reg: reg.id)
     order = [regs.index(reg) for reg in canon.space.registers]
-    assert _close(canon.entries, _dense_permute(entries, [reg.dim for reg in regs], order))
+    assert _close(dense(canon), _dense_permute(entries, [reg.dim for reg in regs], order))
 
     keep = [reg for reg in rho.space.registers if data.draw(st.booleans())]
     reduced = qcore.partial_trace(rho, [reg for reg in rho.space.registers if reg not in keep])
     assert reduced.space.registers == tuple(keep)
     assert reduced.factor.shape[1] <= reduced.space.total_dim
-    assert _close(reduced.entries, _dense_reduced(rho, keep))
+    assert _close(dense(reduced), _dense_reduced(rho, keep))
 
     # The same state from another factor (mixed columns, one more zero
     # column) and in another register order: equal, by the exact branch.
@@ -542,7 +544,7 @@ def test_factored_state_matches_dense_kernel(case, data):
     noise = np.random.default_rng(1).normal(size=v.shape) * data.draw(
         st.sampled_from([1e-4, 1e-7, 1e-10]))
     other = DensityMatrix(got.space, factor=v + noise)
-    gap = np.abs(got.entries - other.entries).max()
+    gap = np.abs(dense(got) - dense(other)).max()
     if gap > 1e-13:
         for tol in (gap / 2, 2 * gap):
             assert sysmodel.states_equal(_system(got), _system(other), tol) == (gap <= tol)

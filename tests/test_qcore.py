@@ -7,9 +7,7 @@ from qgosim.qcore import (
     BadOutcome,
     DensityMatrix,
     IdCollision,
-    RegisterAllocator,
     RegisterId,
-    RegisterMap,
     RegisterSpace,
     UnknownRegister,
     apply_outcome,
@@ -20,6 +18,8 @@ from qgosim.qcore import (
     tensor_product,
     unitary_channel,
 )
+
+from dense import dense, dense_state
 
 
 def qubits(n, start=0):
@@ -37,7 +37,7 @@ def random_state(space, rng):
     d = space.total_dim
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     m = a @ a.conj().T
-    return DensityMatrix(space, m / np.trace(m))
+    return dense_state(space, m / np.trace(m))
 
 
 def partial_trace_oracle(mat, dims, keep):
@@ -71,10 +71,10 @@ def partial_trace_oracle(mat, dims, keep):
 
 class TestTensorProduct:
     def test_identity_case(self):
-        a = DensityMatrix(RegisterSpace(qubits(1)), np.eye(2) / 2)
-        b = DensityMatrix(RegisterSpace(qubits(1, start=1)), np.eye(2) / 2)
+        a = dense_state(RegisterSpace(qubits(1)), np.eye(2) / 2)
+        b = dense_state(RegisterSpace(qubits(1, start=1)), np.eye(2) / 2)
         out = tensor_product(a, b)
-        assert np.allclose(out.entries, np.eye(4) / 4)
+        assert np.allclose(dense(out), np.eye(4) / 4)
 
     def test_basis_projectors(self):
         s0 = RegisterSpace(qubits(1))
@@ -84,17 +84,17 @@ class TestTensorProduct:
         out = tensor_product(a, b)
         expected = np.zeros((4, 4))
         expected[1, 1] = 1
-        assert np.allclose(out.entries, expected)
+        assert np.allclose(dense(out), expected)
 
     def test_epr_corners(self):
         rho = epr_state()
         expected = np.zeros((4, 4))
         for i, j in [(0, 0), (0, 3), (3, 0), (3, 3)]:
             expected[i, j] = 0.5
-        assert np.allclose(rho.entries, expected)
+        assert np.allclose(dense(rho), expected)
 
     def test_id_collision(self):
-        a = DensityMatrix(RegisterSpace(qubits(1)), np.eye(2) / 2)
+        a = dense_state(RegisterSpace(qubits(1)), np.eye(2) / 2)
         with pytest.raises(IdCollision):
             tensor_product(a, a)
 
@@ -103,7 +103,7 @@ class TestPartialTrace:
     def test_epr_reduced(self):
         rho = epr_state()
         out = partial_trace(rho, [rho.space.registers[1]])
-        assert np.allclose(out.entries, np.eye(2) / 2, atol=1e-12)
+        assert np.allclose(dense(out), np.eye(2) / 2, atol=1e-12)
 
     def test_product_state(self):
         rng = np.random.default_rng(1)
@@ -111,15 +111,15 @@ class TestPartialTrace:
         b = random_state(RegisterSpace(qubits(1, start=1)), rng)
         joint = tensor_product(a, b)
         out = partial_trace(joint, b.space.registers)
-        assert np.allclose(out.entries, a.entries * b.trace, atol=1e-12)
+        assert np.allclose(dense(out), dense(a) * b.trace, atol=1e-12)
 
     def test_random_three_qubit_against_oracle(self):
         rng = np.random.default_rng(7)
         space = RegisterSpace(qubits(3))
         rho = random_state(space, rng)
         out = partial_trace(rho, [space.registers[1]])
-        expected = partial_trace_oracle(rho.entries, [2, 2, 2], keep=[0, 2])
-        assert np.allclose(out.entries, expected, atol=1e-12)
+        expected = partial_trace_oracle(dense(rho), [2, 2, 2], keep=[0, 2])
+        assert np.allclose(dense(out), expected, atol=1e-12)
 
     def test_trace_preserved(self):
         rng = np.random.default_rng(3)
@@ -138,11 +138,11 @@ class TestApplyOutcome:
     def test_epr_measurement_outcome_zero(self):
         rho = epr_state()
         meas = standard_basis_measurement([2])
-        regmap = RegisterMap((rho.space.registers[0],))
-        out = apply_outcome(rho, meas, regmap, "0")
+        reg = (rho.space.registers[0],)
+        out = apply_outcome(rho, meas, reg, reg, "0")
         expected = np.zeros((4, 4))
         expected[0, 0] = 0.5
-        assert np.allclose(out.entries, expected, atol=1e-12)
+        assert np.allclose(dense(out), expected, atol=1e-12)
         assert abs(out.trace - 0.5) < 1e-12
 
     def test_identity_leaves_state(self):
@@ -152,19 +152,20 @@ class TestApplyOutcome:
         out = apply_outcome(
             rho,
             qcore.identity_operation((2,)),
-            RegisterMap((space.registers[1],)),
+            (space.registers[1],),
+            (space.registers[1],),
             NO_OUTCOME,
         )
-        assert np.allclose(out.entries, rho.entries, atol=1e-12)
+        assert np.allclose(dense(out), dense(rho), atol=1e-12)
 
     def test_outcome_traces_sum_to_state_trace(self):
         rng = np.random.default_rng(11)
         space = RegisterSpace(qubits(2))
         rho = random_state(space, rng)
         meas = standard_basis_measurement([2, 2])
-        regmap = RegisterMap(space.registers)
+        regs = space.registers
         total = sum(
-            apply_outcome(rho, meas, regmap, r).trace for r in meas.outcome_set
+            apply_outcome(rho, meas, regs, regs, r).trace for r in meas.outcome_set
         )
         assert abs(total - rho.trace) < 1e-12
 
@@ -173,21 +174,22 @@ class TestApplyOutcome:
         space = RegisterSpace(qubits(2))
         rho = random_state(space, rng)
         meas = standard_basis_measurement([2])
-        out = apply_outcome(rho, meas, RegisterMap((space.registers[0],)), "1")
-        evals = np.linalg.eigvalsh(out.entries)
+        reg = (space.registers[0],)
+        out = apply_outcome(rho, meas, reg, reg, "1")
+        evals = np.linalg.eigvalsh(dense(out))
         assert evals.min() >= -1e-9
 
     def test_bad_outcome(self):
         rho = epr_state()
         meas = standard_basis_measurement([2])
         with pytest.raises(BadOutcome):
-            apply_outcome(rho, meas, RegisterMap((rho.space.registers[0],)), "7")
+            apply_outcome(rho, meas, rho.space.registers[:1], rho.space.registers[:1], "7")
 
     def test_dim_mismatch(self):
         rho = epr_state()
         meas = standard_basis_measurement([2, 2])
         with pytest.raises(qcore.ShapeError):
-            apply_outcome(rho, meas, RegisterMap((rho.space.registers[0],)), "00")
+            apply_outcome(rho, meas, rho.space.registers[:1], rho.space.registers[:1], "00")
 
     def test_shrinking_operation(self):
         # Trace-out expressed as an operation with fewer output slots.
@@ -199,10 +201,38 @@ class TestApplyOutcome:
         discard = qcore.QuantumOperation(
             (NO_OUTCOME,), {NO_OUTCOME: (bra0, bra1)}, (2,), ()
         )
-        regmap = RegisterMap((space.registers[0],), ())
-        out = apply_outcome(rho, discard, regmap, NO_OUTCOME)
+        out = apply_outcome(rho, discard, (space.registers[0],), (), NO_OUTCOME)
         expected = partial_trace(rho, [space.registers[0]])
-        assert np.allclose(out.entries, expected.entries, atol=1e-12)
+        assert np.allclose(dense(out), dense(expected), atol=1e-12)
+
+    R0, R1 = qubits(2)
+    IDENTITY = qcore.identity_operation((2,))
+
+    @pytest.mark.parametrize("op, in_regs, out_regs, error, message", [
+        (qcore.identity_operation((2, 2)), (R0, R0), (RegisterId(5, 2), RegisterId(6, 2)),
+         IdCollision, "register map inputs must be injective"),
+        (qcore.identity_operation((2, 2)), (R0, R1), (RegisterId(5, 2), RegisterId(5, 2)),
+         IdCollision, "register map outputs must be injective"),
+        (IDENTITY, (R0, R1), (R0,),
+         qcore.ShapeError, "mapped register dims do not match operation input dims"),
+        (IDENTITY, (R0,), (RegisterId(7, 3),),
+         qcore.ShapeError, "output register dims do not match operation output dims"),
+        (IDENTITY, (RegisterId(9, 2),), (RegisterId(9, 2),),
+         UnknownRegister, "register RegisterId(id=9, dim=2) not in space"),
+        (IDENTITY, (R0,), (R1,),
+         IdCollision, "output register RegisterId(id=1, dim=2) already present in space"),
+    ], ids=["repeated-input", "repeated-output", "input-dims", "output-dims",
+            "unknown-input", "present-output"])
+    @pytest.mark.parametrize("kernel", ["apply_outcome", "outcome_probabilities"])
+    def test_bad_register_list_refused(self, kernel, op, in_regs, out_regs, error, message):
+        """Each register list with one fault is refused with its own text."""
+        args = (epr_state(), op, in_regs, out_regs)
+        with pytest.raises(error) as refused:
+            if kernel == "apply_outcome":
+                apply_outcome(*args, NO_OUTCOME)
+            else:
+                qcore.outcome_probabilities(*args)
+        assert str(refused.value) == message
 
     def test_disjoint_operations_commute(self):
         # 500 random pairs on disjoint registers, both orders equal.
@@ -211,43 +241,42 @@ class TestApplyOutcome:
         meas = standard_basis_measurement([2])
         for _ in range(50):
             rho = random_state(space, rng)
-            m_a = RegisterMap((space.registers[0],))
-            m_b = RegisterMap((space.registers[2],))
+            a, b = (space.registers[0],), (space.registers[2],)
             ra = str(rng.integers(2))
             rb = str(rng.integers(2))
-            ab = apply_outcome(apply_outcome(rho, meas, m_a, ra), meas, m_b, rb)
-            ba = apply_outcome(apply_outcome(rho, meas, m_b, rb), meas, m_a, ra)
-            assert np.allclose(ab.entries, ba.entries, atol=1e-12)
+            ab = apply_outcome(apply_outcome(rho, meas, a, a, ra), meas, b, b, rb)
+            ba = apply_outcome(apply_outcome(rho, meas, b, b, rb), meas, a, a, ra)
+            assert np.allclose(dense(ab), dense(ba), atol=1e-12)
 
 
 class TestSampleOutcome:
     def test_epr_frequency(self):
         rho = epr_state()
         meas = standard_basis_measurement([2])
-        regmap = RegisterMap((rho.space.registers[0],))
+        reg = (rho.space.registers[0],)
         rng = np.random.default_rng(42)
         zeros = sum(
-            draw_outcome(rho, meas, regmap, rng) == "0" for _ in range(10000)
+            draw_outcome(rho, meas, reg, reg, rng) == "0" for _ in range(10000)
         )
         assert 0.48 <= zeros / 10000 <= 0.52
 
     def test_single_outcome(self):
         rho = epr_state()
         op = qcore.identity_operation((2,))
-        regmap = RegisterMap((rho.space.registers[0],))
-        r = draw_outcome(rho, op, regmap, np.random.default_rng(0))
+        reg = (rho.space.registers[0],)
+        r = draw_outcome(rho, op, reg, reg, np.random.default_rng(0))
         assert r == NO_OUTCOME
-        out = apply_outcome(rho, op, regmap, r)
-        assert np.allclose(out.entries, rho.entries)
+        out = apply_outcome(rho, op, reg, reg, r)
+        assert np.allclose(dense(out), dense(rho))
 
     def test_seed_determinism(self):
         rho = epr_state()
         meas = standard_basis_measurement([2])
-        regmap = RegisterMap((rho.space.registers[0],))
+        reg = (rho.space.registers[0],)
 
         def run():
             rng = np.random.default_rng(777)
-            return [draw_outcome(rho, meas, regmap, rng) for _ in range(50)]
+            return [draw_outcome(rho, meas, reg, reg, rng) for _ in range(50)]
 
         assert run() == run()
 
@@ -279,6 +308,23 @@ class TestValidateOperation:
 
     def test_pauli_pad_valid(self):
         assert trace_preserving(qcore.pauli_pad_operation(2))
+
+    def test_mixed_dimension_measurement_labels_and_projectors(self):
+        """Outcomes are big-endian digit strings in basis order, and each
+        projects on its own basis state."""
+        meas = standard_basis_measurement([2, 3])
+        labels = ("00", "01", "02", "10", "11", "12")
+        assert meas.outcome_set == labels
+        assert (meas.in_dims, meas.out_dims) == ((2, 3), (2, 3))
+        for flat, label in enumerate(labels):
+            (proj,) = meas.kraus_by_outcome[label]
+            assert np.array_equal(proj, np.diag(np.eye(6)[flat]))
+
+    def test_pauli_pad_keys_in_order(self):
+        pad = qcore.pauli_pad_operation(2)
+        assert pad.outcome_set == tuple(a + b for a in "IXYZ" for b in "IXYZ")
+        (k,) = pad.kraus_by_outcome["XZ"]
+        assert np.array_equal(k, np.kron(qcore.PAULIS["X"], qcore.PAULIS["Z"]) / 4)
 
     @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0, -np.inf)])
     def test_kraus_entry_that_is_not_finite(self, entry):
@@ -338,13 +384,14 @@ class TestValidateState:
     def state(self, diag):
         # the diagonal, rotated by a random unitary
         q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)) + 0j)
-        return DensityMatrix(self.SPACE, q @ np.diag(diag) @ q.conj().T)
+        return dense_state(self.SPACE, q @ np.diag(diag) @ q.conj().T)
 
     def test_states_within_tolerance_pass(self):
-        epr_state().validate()
+        epr = epr_state()
+        dense_state(epr.space, dense(epr)).validate()
         self.state([0.5, 0.5, 0.0, 0.0]).validate()
         self.state([0.5, 0.5, -0.5e-9, 0.0]).validate()
-        DensityMatrix(self.SPACE, np.zeros((4, 4))).validate()
+        dense_state(self.SPACE, np.zeros((4, 4))).validate()
 
     @pytest.mark.parametrize("diag, message", [
         ([2.0, -1.0, 0.0, 0.0], r"eigenvalue -(0\.99|1)"),
@@ -364,7 +411,7 @@ class TestValidateState:
         a = np.diag([0.5, 0.5, 0, 0]).astype(complex)
         a[0, 1] = a[1, 0] = entry
         with pytest.raises(qcore.ShapeError, match=message):
-            DensityMatrix(self.SPACE, a).validate()
+            dense_state(self.SPACE, a).validate()
 
 
 class TestCanonicalForm:
@@ -372,7 +419,7 @@ class TestCanonicalForm:
         rho = epr_state()
         out = canonical_form(rho)
         assert out.space == rho.space
-        assert np.array_equal(out.entries, rho.entries)
+        assert np.array_equal(dense(out), dense(rho))
 
     def test_swap_conjugates(self):
         space = RegisterSpace((RegisterId(1, 2), RegisterId(0, 2)))
@@ -382,7 +429,7 @@ class TestCanonicalForm:
         swap = np.array(
             [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
         )
-        assert np.allclose(out.entries, swap @ rho.entries @ swap)
+        assert np.allclose(dense(out), swap @ dense(rho) @ swap)
 
     def test_tensor_order_irrelevant(self):
         # Brute-force permutation oracle on small dims.
@@ -392,7 +439,7 @@ class TestCanonicalForm:
         ab = canonical_form(tensor_product(a, b))
         ba = canonical_form(tensor_product(b, a))
         assert ab.space == ba.space
-        assert np.allclose(ab.entries, ba.entries, atol=1e-12)
+        assert np.allclose(dense(ab), dense(ba), atol=1e-12)
 
     def test_idempotent(self):
         rng = np.random.default_rng(37)
@@ -400,16 +447,10 @@ class TestCanonicalForm:
         rho = random_state(space, rng)
         once = canonical_form(rho)
         twice = canonical_form(once)
-        assert np.array_equal(once.entries, twice.entries)
+        assert np.array_equal(dense(once), dense(twice))
 
 
 class TestSpaceInvariants:
-    def test_allocator_monotonic(self):
-        alloc = RegisterAllocator()
-        a = alloc.fresh(2)
-        b = alloc.fresh(3)
-        assert b.id > a.id
-
     def test_duplicate_ids_rejected(self):
         with pytest.raises(IdCollision):
             RegisterSpace((RegisterId(0, 2), RegisterId(0, 2)))

@@ -9,14 +9,13 @@ from qgosim import executions, qcore, qgo, sysmodel
 from qgosim.executions import Apply, AtomicExecute, Invoke, Receive, Respond, Send
 from qgosim.harness.scenarios import BASE_ALGORITHMS, ScenarioConfig, build_scenario
 from qgosim.harness.scheduler import run_simulation
-from qgosim.qcore import DensityMatrix, RegisterAllocator, RegisterSpace
+from qgosim.qcore import DensityMatrix, RegisterId, RegisterSpace
 from qgosim.sysmodel import MessageInstance
 from test_executions import PURITY_CORPUS
 
 
 def epr_two_procs():
-    alloc = RegisterAllocator()
-    r0, r1 = alloc.fresh(2), alloc.fresh(2)
+    r0, r1 = RegisterId(0, 2), RegisterId(1, 2)
     vec = np.zeros(4, complex)
     vec[0] = vec[3] = 1 / np.sqrt(2)
     quantum = DensityMatrix.from_vector(RegisterSpace((r0, r1)), vec)

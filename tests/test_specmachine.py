@@ -3,7 +3,7 @@ import pytest
 
 from qgosim import executions, qcore, specmachine, sysmodel
 from qgosim.executions import AtomicExecute, Execution, Invoke, Receive, Respond, Send
-from qgosim.qcore import DensityMatrix, RegisterAllocator, RegisterSpace
+from qgosim.qcore import DensityMatrix, RegisterId, RegisterSpace
 from qgosim.qgo import outcome_label
 from qgosim.specmachine import SpecViolation, spec_step, validate_spec_execution
 from qgosim.sysmodel import MessageInstance, encode_classical
@@ -15,8 +15,7 @@ MSG_CLASSICAL = {"h": 1}
 def spec_state(with_msg=False, dims=(2, 2)):
     """An EPR pair (|00> + |11>) on r0 (p0's) and r1 (p1's, or p0's when
     it is to be sent)."""
-    alloc = RegisterAllocator()
-    r0, r1 = alloc.fresh(dims[0]), alloc.fresh(dims[1])
+    r0, r1 = RegisterId(0, dims[0]), RegisterId(1, dims[1])
     vec = np.zeros(dims[0] * dims[1], complex)
     vec[0] = vec[dims[1] + 1] = 1 / np.sqrt(2)
     quantum = DensityMatrix.from_vector(RegisterSpace((r0, r1)), vec)

@@ -2,16 +2,17 @@ import numpy as np
 import pytest
 
 from qgosim import qcore, sysmodel
-from qgosim.qcore import DensityMatrix, RegisterAllocator, RegisterSpace
+from qgosim.qcore import DensityMatrix, RegisterId, RegisterSpace
 from qgosim.sysmodel import MessageInstance, chan_key
+
+from dense import dense, dense_state
 
 
 def two_proc_state(n_qubits_each=1):
-    alloc = RegisterAllocator()
     regs, ownership = [], {}
     for p in ("p0", "p1"):
         for _ in range(n_qubits_each):
-            r = alloc.fresh(2)
+            r = RegisterId(len(regs), 2)
             regs.append(r)
             ownership[r] = p
     quantum = DensityMatrix.basis_state(RegisterSpace(tuple(regs)))
@@ -58,7 +59,7 @@ class TestSendReceive:
         msg = MessageInstance(0, "p0", "p1", classical={"x": 1}, quantum_regs=(regs[0],))
         st2 = sysmodel.send(st, "p0", msg)
         assert st2.ownership[regs[0]] == "msg:0"
-        assert np.array_equal(st2.quantum.entries, st.quantum.entries)
+        assert np.array_equal(dense(st2.quantum), dense(st.quantum))
         assert st2.channels["p0->p1"][0].msg_id == 0
         st2.check_ownership_partition()
 
@@ -153,9 +154,9 @@ class TestStateEquality:
 
     def test_quantum_tolerance(self):
         st, _ = two_proc_state()
-        bumped = st.quantum.entries.copy()
+        bumped = dense(st.quantum).copy()
         bumped[0, 0] += 1e-13
         from dataclasses import replace
-        st2 = replace(st, quantum=DensityMatrix(st.quantum.space, bumped))
+        st2 = replace(st, quantum=dense_state(st.quantum.space, bumped))
         assert sysmodel.states_equal(st, st2, 1e-12)
         assert not sysmodel.states_equal(st, st2, 1e-14)
