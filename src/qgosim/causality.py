@@ -22,15 +22,11 @@ from .executions import Execution, Receive, Send, replay, step  # noqa: F401
 from .qcore import EPS_EXACT
 
 
-class CausalityError(Exception):
-    pass
-
-
-class CausalDependency(CausalityError):
+class CausalDependency(Exception):
     """A reordering was attempted across a causal edge."""
 
 
-class NotComparable(CausalityError):
+class NotComparable(Exception):
     """Equicausality asked of executions over different event sets."""
 
 

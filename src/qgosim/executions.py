@@ -58,10 +58,8 @@ def register_update(name: str):
     return deco
 
 
-def run_update(update: ClassicalUpdate | None, sigma, ext, outcome):
+def run_update(update: ClassicalUpdate, sigma, ext, outcome):
     """Apply a pure update (see ``register_update``) to (sigma, ext) as given."""
-    if update is None:
-        return sigma, ext
     fn = _UPDATES.get(update.name)
     if fn is None:
         raise KeyError(f"unknown classical update {update.name!r}")

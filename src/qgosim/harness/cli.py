@@ -177,7 +177,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (OSError, traceio.TraceError,
             scenarios.UnknownScenario, scenarios.ConfigError, scheduler.SchedulerError,
-            qgo.UnknownGlobalOp, qcore.CapacityError, KeyError) as exc:
+            qgo.UnknownGlobalOp, qcore.CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

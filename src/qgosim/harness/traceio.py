@@ -388,6 +388,10 @@ def _decode_state(recs: list[tuple[int, dict]]) -> SystemState:
     unowned = [r.id for r in regs if str(r.id) not in owners]
     if unowned:
         raise TraceError(f"register {unowned[0]} has no owner")
+    held = {str(r.id) for r in regs}
+    ghosts = [k for k in owners if k not in held]
+    if ghosts:
+        raise TraceError(f"register {ghosts[0]} has an owner but is not in the state")
     try:
         nonzero = _parse_rows([rows[i] for i in range(dim)], dim)
     except ValueError as exc:

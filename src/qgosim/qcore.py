@@ -77,14 +77,12 @@ class CapacityError(QcoreError):
 
 @dataclass(frozen=True, order=True)
 class RegisterId:
-    """A stable, globally unique label for one tensor factor."""
+    """A stable, globally unique label for one tensor factor, of dimension
+    ``dim`` >= 1: ``scenarios`` makes qubits, and the trace parser refuses
+    a smaller dimension."""
 
     id: int
     dim: int
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ShapeError(f"register dimension must be >= 1, got {self.dim}")
 
 
 @dataclass(frozen=True)
@@ -579,18 +577,10 @@ def standard_basis_measurement(dims: Sequence[int]) -> QuantumOperation:
     return QuantumOperation(outcomes, kraus, dims, dims)
 
 
-def unitary_channel(u: np.ndarray, dims: Sequence[int] | None = None) -> QuantumOperation:
-    """Deterministic operation applying a unitary; single outcome ⊥."""
+def unitary_channel(u: np.ndarray, dims: Sequence[int]) -> QuantumOperation:
+    """Deterministic operation applying a unitary on slots ``dims``; single outcome ⊥."""
     u = np.asarray(u, dtype=np.complex128)
-    if dims is None:
-        dims = (u.shape[0],)
     return QuantumOperation((NO_OUTCOME,), {NO_OUTCOME: (u,)}, tuple(dims), tuple(dims))
-
-
-def identity_operation(dims: Sequence[int]) -> QuantumOperation:
-    dims = tuple(dims)
-    total = int(np.prod(dims)) if dims else 1
-    return unitary_channel(np.eye(total, dtype=np.complex128), dims)
 
 
 def relabel_outcomes(op: QuantumOperation, fn) -> QuantumOperation:
@@ -619,13 +609,11 @@ def pauli_string_matrix(s: str) -> np.ndarray:
 
 
 def pauli_pad_operation(n_qubits: int) -> QuantumOperation:
-    """Uniformly random Pauli one-time pad on ``n_qubits`` qubits.
+    """Uniformly random Pauli one-time pad on ``n_qubits`` >= 1 qubits.
 
     Each outcome is a Pauli string (the sampled key); every key occurs with
     probability 4^-n, carried by the 2^-n scaling of the Kraus matrices.
     """
-    if n_qubits == 0:
-        return identity_operation(())
     keys = ["".join(k) for k in itertools.product("IXYZ", repeat=n_qubits)]
     scale = 1.0 / (2 ** n_qubits)
     kraus = {k: (scale * pauli_string_matrix(k),) for k in keys}

@@ -264,15 +264,14 @@ class GenContext:
 def choose_outcome(state: SystemState, spec: LocalOpSpec, ctx: GenContext) -> str:
     """The fixed outcome of a classical component; otherwise the context's
     next outcome, or, where it has none, a draw with its physical
-    probability."""
+    probability (every builtin component with an operation has at least
+    two outcomes)."""
     outcome = _take(ctx.outcomes, "outcome")
     if spec.qop is None:
         assert spec.fixed_outcome is not None
         return spec.fixed_outcome
     if outcome is not None:
         return outcome
-    if len(spec.qop.outcome_set) == 1:
-        return spec.qop.outcome_set[0]
     return qcore.draw_outcome(state.quantum, spec.qop, spec.in_regs, spec.out_regs, ctx.rng)
 
 

@@ -106,18 +106,15 @@ class SystemState:
     quantum: DensityMatrix
 
     def check_ownership_partition(self) -> None:
-        """Every live register has one owner: a processor, or the token of
-        the in-flight message that carries it.  No processor is named like a
-        token (``msg:<id>``)."""
+        """Every owner is a processor, or the token of the in-flight message
+        that carries the register.  No processor is named like a token
+        (``msg:<id>``).  That the ownership keys are the live registers is
+        the callers' part: ``scenarios`` builds the space from the map's
+        keys, and the trace parser refuses a register without an owner and
+        an owner without a register."""
         tokens = [p for p in self.procs if p.startswith("msg:")]
         if tokens:
             raise OwnershipViolation(f"processor {tokens[0]!r} is named like a message")
-        owned = set(self.ownership)
-        live = set(self.quantum.space.registers)
-        if owned != live:
-            raise OwnershipViolation(
-                f"ownership keys {owned} do not partition live registers {live}"
-            )
         carried = set()
         for chan in self.channels.values():
             for msg in chan:
@@ -283,9 +280,10 @@ def apply_local(
 def states_equal(a: SystemState, b: SystemState, tol: float) -> bool:
     """Structural equality of the classical side, quantum within ``tol``
     (``qcore.states_close``: max absolute difference of the density
-    matrices; a NaN or infinite entry never compares equal)."""
-    if a.procs != b.procs:
-        return False
+    matrices; a NaN or infinite entry never compares equal).  ``a`` and
+    ``b`` share their ``procs``, as the states of an execution and of its
+    reorderings do.  The ownership keys are the live registers, so equal
+    ownership means equal registers in canonical order."""
     if a.classical != b.classical:
         return False
     if a.ext != b.ext:
@@ -294,8 +292,5 @@ def states_equal(a: SystemState, b: SystemState, tol: float) -> bool:
         return False
     if a.ownership != b.ownership:
         return False
-    ca = qcore.canonical_form(a.quantum)
-    cb = qcore.canonical_form(b.quantum)
-    if ca.space.registers != cb.space.registers:
-        return False
-    return qcore.states_close(ca, cb, tol)
+    return qcore.states_close(qcore.canonical_form(a.quantum),
+                              qcore.canonical_form(b.quantum), tol)

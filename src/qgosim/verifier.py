@@ -47,20 +47,16 @@ from .executions import (
 from .qcore import EPS_CHAIN
 
 
-class VerifierError(Exception):
-    pass
-
-
-class HypothesisViolation(VerifierError):
+class HypothesisViolation(Exception):
     """The input execution does not satisfy the verifier's hypotheses
     (sequential, completed invocations)."""
 
 
-class ProtocolIncomplete(VerifierError):
+class ProtocolIncomplete(Exception):
     """An invocation's protocol events are missing or malformed."""
 
 
-class ClaimViolation(VerifierError):
+class ClaimViolation(Exception):
     """A reordering step the construction relies on failed: the execution
     does not implement the atomic specification."""
 
@@ -307,9 +303,6 @@ class Certificate:
     z: Execution | None = None  # message operations moved
     spec: Execution | None = None  # atomic specification execution
     swaps: int = 0
-
-    def __bool__(self):
-        return self.accepted
 
 
 def verify(x: Execution) -> Certificate:

@@ -1,9 +1,9 @@
-"""Dense forms of a state, for the tests' oracles: a state from its D×D
-entries, and the D×D matrix of a state.  ``qcore`` makes neither."""
+"""Test-side forms that ``qcore`` does not make: a state from its D×D
+entries, the D×D matrix of a state, and the identity operation."""
 
 import numpy as np
 
-from qgosim.qcore import DensityMatrix, ShapeError
+from qgosim.qcore import DensityMatrix, QuantumOperation, ShapeError, unitary_channel
 
 
 def dense_state(space, m) -> DensityMatrix:
@@ -20,3 +20,9 @@ def dense(rho: DensityMatrix) -> np.ndarray:
     """ρ as one D×D array, from its distinct rows."""
     index, blocks = rho.distinct_rows()
     return np.concatenate([*blocks])[index]
+
+
+def identity_operation(dims) -> QuantumOperation:
+    """The identity on slots ``dims``, with the one outcome ⊥."""
+    dims = tuple(dims)
+    return unitary_channel(np.eye(int(np.prod(dims)), dtype=np.complex128), dims)

@@ -143,7 +143,7 @@ class TestReplay:
     def test_probability_that_is_not_finite(self):
         """A Kraus matrix of finite but huge entries overflows the trace."""
         st, r0, _ = make_state()
-        huge = qcore.unitary_channel(np.eye(2) * 1e200)
+        huge = qcore.unitary_channel(np.eye(2) * 1e200, (2,))
         ev = Apply(eid=0, label="p0", name="huge", outcome=NO_OUTCOME,
                    qop=huge, in_regs=(r0,), out_regs=(r0,))
         with pytest.raises(ReplayError, match="^invalid step at index 0: outcome '⊥' "
@@ -289,6 +289,11 @@ PURITY_CORPUS = [
          invocations=[_inv("record-only", "p2", 2),
                       _inv("snapshot-measure", "p1", 5)], seed=3),
 ]
+
+
+def batch_small(seed: int) -> ScenarioConfig:
+    """Item ``seed`` of the batch-small workload: its kind's config with that seed."""
+    return ScenarioConfig.from_dict({**PURITY_CORPUS[seed % 4], "seed": seed})
 
 
 def _encoded(state):

@@ -25,7 +25,7 @@ from qgosim.harness.scenarios import (
 )
 from qgosim.harness.scheduler import SchedulerError, run_simulation
 from dense import dense, dense_state
-from test_executions import PURITY_CORPUS
+from test_executions import PURITY_CORPUS, batch_small
 from test_qcore import trace_preserving
 from test_verifier import (
     FORGED_IN_FLIGHT, FORGED_IN_FLIGHT_CASES, REFUSED_ATOMIC_STEPS, SNAPSHOT_RING,
@@ -194,6 +194,11 @@ class TestScheduler:
         cfg = self.cfg(policy="replay")
         with pytest.raises(SchedulerError):
             run_simulation(cfg, [["recv", "p0->p1"]])
+
+    def test_replay_refuses_a_script_that_ends_early(self):
+        res = run_simulation(self.cfg())
+        with pytest.raises(SchedulerError, match="^recorded decisions exhausted$"):
+            run_simulation(self.cfg(policy="replay"), res.decisions[:-1])
 
     def test_unknown_policy(self):
         with pytest.raises(SchedulerError):
@@ -403,8 +408,8 @@ class TestTraceIO:
     def test_malformed_trace_rejected(self):
         with pytest.raises(traceio.TraceError):
             traceio.parse_run("not json\n")
-        with pytest.raises(traceio.TraceError):
-            traceio.parse_run('{"t": "ev", "k": "invoke"}\n')  # no header
+        with pytest.raises(traceio.TraceError, match="^trace has no header$"):
+            traceio.parse_run('{"eid": 0, "gid": "g", "k": "invoke", "label": "p0", "t": "ev"}\n')
 
     @pytest.mark.parametrize("cfg", PURITY_CORPUS[:2], ids=["scenario-a", "teleport"])
     def test_apply_labelled_with_another_processor_is_refused(self, cfg):
@@ -427,6 +432,20 @@ class TestTraceIO:
                                           f"{other!r} but applies on {rec['proc']!r}")
                 refused.add(rec["protocol"])
         assert refused == {False, True}
+
+    def test_initial_state_with_messages_in_flight(self):
+        """A ping run taken up after both of p0's Sends: its initial state
+        holds both messages in flight, in one ``chan`` record."""
+        cfg = ScenarioConfig(base="ping", procs=2, base_params={"n_msgs": 2}, seed=0)
+        x = run_simulation(cfg).execution
+        assert [type(e) for e in x.events[:2]] == [executions.Send] * 2
+        text = traceio.serialize_run(executions.Execution(executions.replay(x)[2],
+                                                          x.events[2:]))
+        chans = [d for d in map(json.loads, text.splitlines()) if d["t"] == "chan"]
+        assert [(d["key"], len(d["msgs"])) for d in chans] == [("p0->p1", 2)]
+        parsed, _, _ = traceio.parse_run(text)
+        assert traceio.serialize_run(parsed) == text
+        assert verifier.verify(parsed).accepted
 
     def test_certificate_serializes(self):
         res, _ = self.any_run()
@@ -645,6 +664,13 @@ class TestCli:
         return recs
 
     @staticmethod
+    def _owner_of_no_register(recs):
+        """An owner for register 77, which the state does not hold; the
+        parser dropped it, so the trace verified and re-serialized without it."""
+        next(d for d in recs if d["t"] == "quantum")["own"]["77"] = "p0"
+        return recs
+
+    @staticmethod
     def _repeated_procs(recs):
         return recs + [{"t": "procs", "names": ["p1", "p0"]}]
 
@@ -822,6 +848,7 @@ class TestCli:
         ("_short_row", "error: bad initial state: row 2 is not a list of 4 entries"),
         ("_indefinite_state", "error: bad initial state: ShapeError('matrix has eigenvalue -1"),
         ("_unowned_register", "error: register 1 has no owner"),
+        ("_owner_of_no_register", "error: register 77 has an owner but is not in the state"),
         ("_message_register_owned_by_proc", "error: bad initial state: OwnershipViolation("),
         ("_processor_named_like_a_message", "error: bad initial state: OwnershipViolation("
                                             "\"processor 'msg:0' is named like a message\")"),
@@ -850,7 +877,8 @@ class TestCli:
             "repeated-quantum", "bad-qrow-value",
             "bool-row-index", "float-row-index", "missing-row", "stray-row", "repeated-row",
             "short-row", "indefinite-state",
-            "unowned-register", "ownership-partition", "processor-named-like-a-message",
+            "unowned-register", "owner-of-no-register", "ownership-partition",
+            "processor-named-like-a-message",
             "ghost-owner", "sigma-not-object",
             "inbox-not-list", "repeated-proc", "unknown-proc", "missing-proc",
             "ext-not-register", "ext-res-list", "unknown-channel", "another-channel",
@@ -944,6 +972,72 @@ class TestCli:
         assert (r.returncode, r.stdout) == (2, "")
         assert r.stderr == (f"error: line {k + 1}: bad event record: Kraus matrix of "
                             f"outcome {rec['outcome']!r} has an entry that is not finite\n")
+
+    @pytest.mark.parametrize("seed, edit, code, printed", [
+        (0, "_drop_header", 2, "error: trace has no header\n"),
+        (1, "_zero_in_dim", 2, "error: line 17: bad event record: dims [0, 2] are not a "
+                               "list of ints >= 1\n"),
+        (1, "_outcome_not_a_string", 2, "error: line 17: bad event record: 'outs' holds an "
+                                        "outcome that is not a string\n"),
+        (1, "_kraus_of_another_shape", 2, "error: line 17: bad event record: Kraus matrix "
+                                          "shape (1, 1) incompatible with in dim 2, out dim 2\n"),
+        (0, "_marker_not_a_string", 2, "error: line 10: bad event record: a message's "
+                                       "'marker' is not a string or null\n"),
+        (0, "_message_not_an_object", 2, "error: line 10: bad event record: message 3 is not "
+                                         "an object\n"),
+        (0, "_message_from_another_sender", 1, "  well-formed: FAIL\nrejected: invalid step "
+                                               "at index 0: message src p1 does not match "
+                                               "sender p0\n"),
+    ], ids=["no-header", "zero-in-dim", "outcome-not-a-string", "kraus-of-another-shape",
+            "marker-not-a-string", "message-not-an-object", "message-from-another-sender"])
+    def test_edited_batch_small_trace(self, tmp_path, capsys, seed, edit, code, printed):
+        """One edit to a batch-small trace, verified in process: exit 2 and
+        one line for a record the parser refuses, exit 1 for a step the
+        replay refuses."""
+        recs = [json.loads(line) for line in trace_text(batch_small(seed)).splitlines()]
+        getattr(self, edit)(recs)
+        trace = tmp_path / "edited.jsonl"
+        trace.write_text("".join(json.dumps(d, sort_keys=True) + "\n" for d in recs))
+        assert cli.main(["verify", str(trace)]) == code
+        out = capsys.readouterr()
+        assert out.out + out.err == printed
+
+    @staticmethod
+    def _first_qop(recs):
+        return next(d for d in recs if d.get("k") == "apply" and d["qop"])["qop"]
+
+    @staticmethod
+    def _first_send(recs):
+        return next(d for d in recs if d.get("k") == "send")
+
+    @staticmethod
+    def _drop_header(recs):
+        recs.remove(next(d for d in recs if d["t"] == "header"))
+
+    @classmethod
+    def _zero_in_dim(cls, recs):
+        cls._first_qop(recs)["in_dims"] = [0, 2]
+
+    @classmethod
+    def _outcome_not_a_string(cls, recs):
+        cls._first_qop(recs)["outs"][0] = 1
+
+    @classmethod
+    def _kraus_of_another_shape(cls, recs):
+        qop = cls._first_qop(recs)
+        qop["kraus"][qop["outs"][0]] = [[["1,0"]]]
+
+    @classmethod
+    def _marker_not_a_string(cls, recs):
+        cls._first_send(recs)["msg"]["marker"] = 3
+
+    @classmethod
+    def _message_not_an_object(cls, recs):
+        cls._first_send(recs)["msg"] = 3
+
+    @staticmethod
+    def _message_from_another_sender(recs):
+        next(d for d in recs if d.get("k") == "send" and not d["protocol"])["msg"]["src"] = "p1"
 
     @pytest.mark.parametrize("kind, path, value, message", [
         ("send", ["label"], "p9", "names unknown processor 'p9'"),
@@ -1095,8 +1189,8 @@ class TestCli:
         assert r.stderr.startswith("error: line 1: Exceeds the limit")
         assert len(r.stderr.splitlines()) == 1
 
-    @pytest.mark.parametrize("seeds", ["5:2", "5:5", "-1:1"],
-                             ids=["reversed", "empty", "negative"])
+    @pytest.mark.parametrize("seeds", ["5:2", "5:5", "-1:1", "a:b"],
+                             ids=["reversed", "empty", "negative", "not-ints"])
     def test_empty_seed_range_exits_2(self, tmp_path, seeds):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"base": "ping", "procs": 2}))
@@ -1160,7 +1254,13 @@ class TestCli:
         ({"base": "ping", "policy": "lifo"}, "error: unknown policy 'lifo'"),
         ({"base": "ping", "invocations": [{"gid": "nonesuch", "leader": "p0"}]},
          "error: unknown global operation 'nonesuch'"),
-    ], ids=["unknown-policy", "unknown-gid"])
+        ({"base": "ping", "policy": "replay"},
+         "error: replay policy needs a recorded decision list"),
+        ({"base": "token-ring", "max_steps": 1}, "error: no quiescence within 1 steps"),
+        ({"base": "teleport", "procs": 3}, "error: teleport needs exactly 2 processors"),
+        ({"base": "nope"}, "error: unknown base algorithm 'nope'"),
+    ], ids=["unknown-policy", "unknown-gid", "replay-without-decisions", "no-quiescence",
+            "teleport-procs", "unknown-base"])
     def test_config_that_cannot_run_exits_2(self, tmp_path, config, message):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(config))
@@ -1252,6 +1352,25 @@ class TestCli:
         assert (r.returncode, r.stderr) == (1, "")
         assert r.stdout.splitlines() == ["  well-formed: FAIL",
                                          f"rejected: {in_flight_refusal(x)}"]
+
+    def test_run_without_out_writes_the_trace_to_stdout(self, tmp_path, capsys):
+        cfg = batch_small(3)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg.to_dict()))
+        assert cli.main(["run", "--config", str(path)]) == 0
+        printed = capsys.readouterr()
+        assert printed.out == trace_text(cfg)
+        n = len(traceio.parse_run(printed.out)[0].events)
+        assert printed.err == f"generated {n} events (seed 3, base ping)\n"
+
+    def test_verify_writes_the_certificate(self, tmp_path, capsys):
+        text = trace_text(batch_small(1))
+        trace, cert = tmp_path / "t.jsonl", tmp_path / "cert.jsonl"
+        trace.write_text(text)
+        assert cli.main(["verify", str(trace), "--cert", str(cert)]) == 0
+        expected = verifier.verify(traceio.parse_run(text)[0])
+        assert cert.read_text() == traceio.serialize_certificate(expected)
+        assert capsys.readouterr().out.endswith(f"accepted ({expected.swaps} swaps)\n")
 
     @pytest.mark.parametrize("cmd", ["run", "verify"])
     def test_unwritable_output_exits_2(self, tmp_path, capsys, cmd):

@@ -1,10 +1,12 @@
 """The package's own import graph: every qgosim import is at module level,
 and no chain of imports leads from a module back to itself.  Also a scan
 of the package's tolerance calls and of how the replay step builds states,
-the names the benchmark's tooling and the step predicates rely on, and the
-package's unread names and unpassed parameters."""
+the names the benchmark's tooling and the step predicates rely on, the
+package's unread names and unpassed parameters, and its exception classes
+that nothing raises or catches."""
 
 import ast
+import builtins
 import importlib
 import importlib.util
 import inspect
@@ -618,3 +620,91 @@ def test_parameter_scan_names_an_unpassed_parameter(tmp_path):
     )
     assert unpassed_parameters({"pkg.a": tmp_path / "a.py", "pkg.b": tmp_path / "b.py"}) == [
         "pkg.a.C.__init__.start", "pkg.a.C.make.b", "pkg.a.f.c", "pkg.a.f.e"]
+
+
+def unnamed_exceptions(modules=MODULES) -> list[str]:
+    """The exception classes at the top level of ``modules`` that no code
+    in them raises or catches by name, by ``module.Class``.  A class is
+    named by a ``raise`` of it or of a call to it, and by an ``except``
+    clause that reads it alone, in a tuple, or through a top-level tuple
+    constant such as ``executions.STEP_ERRORS``; a name and a module's
+    attribute both count.  A class is an exception class when one of its
+    bases is a builtin exception or another such class of ``modules``."""
+    trees = {m: ast.parse(p.read_text(), filename=str(p)) for m, p in modules.items()}
+
+    def name(node) -> str:
+        node = node.func if isinstance(node, ast.Call) else node
+        return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+
+    classes = {f"{m}.{top.name}": top for m, tree in trees.items() for top in tree.body
+               if isinstance(top, ast.ClassDef)}
+    errors = {n for n in dir(builtins)
+              if isinstance(getattr(builtins, n), type) and
+              issubclass(getattr(builtins, n), BaseException)}
+    grown = True
+    while grown:
+        found = {q.rpartition(".")[2] for q, c in classes.items()
+                 if any(name(b) in errors for b in c.bases)}
+        grown = not found <= errors
+        errors |= found
+    tuples = {t.id: node.value.elts for tree in trees.values() for node in tree.body
+              if isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple)
+              for t in node.targets if isinstance(t, ast.Name)}
+
+    def caught(node) -> list[str]:
+        if isinstance(node, ast.Tuple):
+            return [n for e in node.elts for n in caught(e)]
+        if name(node) in tuples:
+            return [n for e in tuples[name(node)] for n in caught(e)]
+        return [name(node)]
+
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                named.add(name(node.exc))
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                named.update(caught(node.type))
+    return sorted(q for q in classes
+                  if q.rpartition(".")[2] in errors and q.rpartition(".")[2] not in named)
+
+
+def test_every_src_exception_is_raised_or_caught():
+    """Every exception class in ``src/`` is raised or caught by name, so no
+    class stands only as a base that nothing catches."""
+    assert unnamed_exceptions() == []
+
+
+def test_exception_scan_names_an_unused_class(tmp_path):
+    """A base class whose subclasses alone are raised is not named; a class
+    caught in a tuple, through a tuple constant or as a module's attribute
+    is; a class that is no exception is never listed."""
+    (tmp_path / "a.py").write_text(
+        "class BaseError(Exception): pass\n"
+        "class Raised(BaseError): pass\n"
+        "class Caught(BaseError): pass\n"
+        "class InTuple(ValueError): pass\n"
+        "class Constant(KeyError): pass\n"
+        "class Attribute(Exception): pass\n"
+        "class Unused(Raised): pass\n"
+        "class Plain: pass\n"
+        "ERRORS = (Constant, TypeError)\n"
+        "def f():\n"
+        "    try:\n"
+        "        raise Raised('x')\n"
+        "    except Caught:\n"
+        "        pass\n"
+        "    except (InTuple, OSError):\n"
+        "        pass\n"
+        "    except ERRORS:\n"
+        "        raise\n"
+    )
+    (tmp_path / "b.py").write_text(
+        "from . import a\n"
+        "try:\n"
+        "    pass\n"
+        "except a.Attribute:\n"
+        "    pass\n"
+    )
+    assert unnamed_exceptions({"pkg.a": tmp_path / "a.py", "pkg.b": tmp_path / "b.py"}) == [
+        "pkg.a.BaseError", "pkg.a.Unused"]

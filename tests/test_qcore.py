@@ -19,7 +19,7 @@ from qgosim.qcore import (
     unitary_channel,
 )
 
-from dense import dense, dense_state
+from dense import dense, dense_state, identity_operation
 
 
 def qubits(n, start=0):
@@ -151,7 +151,7 @@ class TestApplyOutcome:
         rho = random_state(space, rng)
         out = apply_outcome(
             rho,
-            qcore.identity_operation((2,)),
+            identity_operation((2,)),
             (space.registers[1],),
             (space.registers[1],),
             NO_OUTCOME,
@@ -206,12 +206,12 @@ class TestApplyOutcome:
         assert np.allclose(dense(out), dense(expected), atol=1e-12)
 
     R0, R1 = qubits(2)
-    IDENTITY = qcore.identity_operation((2,))
+    IDENTITY = identity_operation((2,))
 
     @pytest.mark.parametrize("op, in_regs, out_regs, error, message", [
-        (qcore.identity_operation((2, 2)), (R0, R0), (RegisterId(5, 2), RegisterId(6, 2)),
+        (identity_operation((2, 2)), (R0, R0), (RegisterId(5, 2), RegisterId(6, 2)),
          IdCollision, "register map inputs must be injective"),
-        (qcore.identity_operation((2, 2)), (R0, R1), (RegisterId(5, 2), RegisterId(5, 2)),
+        (identity_operation((2, 2)), (R0, R1), (RegisterId(5, 2), RegisterId(5, 2)),
          IdCollision, "register map outputs must be injective"),
         (IDENTITY, (R0, R1), (R0,),
          qcore.ShapeError, "mapped register dims do not match operation input dims"),
@@ -262,7 +262,7 @@ class TestSampleOutcome:
 
     def test_single_outcome(self):
         rho = epr_state()
-        op = qcore.identity_operation((2,))
+        op = identity_operation((2,))
         reg = (rho.space.registers[0],)
         r = draw_outcome(rho, op, reg, reg, np.random.default_rng(0))
         assert r == NO_OUTCOME
@@ -332,7 +332,7 @@ class TestValidateOperation:
         k[1, 0] = entry
         with pytest.raises(qcore.ShapeError, match="Kraus matrix of outcome '⊥' has an "
                                                    "entry that is not finite"):
-            unitary_channel(k)
+            unitary_channel(k, (2,))
 
 
 

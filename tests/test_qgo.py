@@ -11,6 +11,8 @@ from qgosim.harness.scenarios import BASE_ALGORITHMS, ScenarioConfig, build_scen
 from qgosim.harness.scheduler import run_simulation
 from qgosim.qcore import DensityMatrix, RegisterId, RegisterSpace
 from qgosim.sysmodel import MessageInstance
+
+from dense import identity_operation
 from test_executions import PURITY_CORPUS
 
 
@@ -318,7 +320,7 @@ def is_correction(e):
 def relabelled_identity(e):
     """The Apply ``e`` with the identity on its registers in place of its
     operation, relabelled to the same outcome."""
-    ident = qcore.relabel_outcomes(qcore.identity_operation(e.qop.in_dims),
+    ident = qcore.relabel_outcomes(identity_operation(e.qop.in_dims),
                                    lambda _: e.outcome)
     return dc_replace(e, qop=ident)
 

@@ -8,11 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from qgosim import causality, executions, qcore, qgo, specmachine, sysmodel, verifier
 from qgosim.executions import Apply, Execution, Invoke, Receive, Respond, Send
-from qgosim.harness import traceio
+from qgosim.harness import cli, traceio
 from qgosim.harness.scenarios import ScenarioConfig, build_scenario
 from qgosim.harness.scheduler import run_simulation
+from qgosim.qcore import RegisterId
 from qgosim.qgo import outcome_label
 from qgosim.sysmodel import encode_classical
+
+from dense import identity_operation
+from test_executions import batch_small
 
 
 def generate(seed=0, base="token-ring", gid="snapshot-measure", invocations=1,
@@ -71,12 +75,28 @@ class TestAccept:
                      params={"max_hops": 5})
         assert verifier.verify(x).accepted
 
+    def test_base_apply_that_replaces_a_register(self, tmp_path):
+        """A base identity Apply that consumes p0's register 0 and creates
+        register 9, after the snapshot: ownership follows the change, and
+        the specification steps the same event."""
+        x = generate(params=ONE_QUBIT_RING)
+        r0, r9 = RegisterId(0, 2), RegisterId(9, 2)
+        replace = Apply(eid=len(x.events), label="p0", name="replace",
+                        outcome=qcore.NO_OUTCOME, qop=identity_operation((2,)),
+                        in_regs=(r0,), out_regs=(r9,))
+        y = Execution(x.initial, x.events + (replace,))
+        assert executions.replay(y)[-1].ownership == {r9: "p0", RegisterId(1, 2): "p1"}
+        assert verifier.verify(y).accepted
+        trace = tmp_path / "replace.jsonl"
+        trace.write_text(traceio.serialize_run(y))
+        assert cli.main(["verify", str(trace)]) == 0
+
 
 def relabelled_identity(x, i, outcome):
     """``x`` with event ``i``, an Apply, replaced by the identity on its
     registers that gives ``outcome``."""
     ev = list(x.events)
-    qop = qcore.relabel_outcomes(qcore.identity_operation(ev[i].qop.in_dims),
+    qop = qcore.relabel_outcomes(identity_operation(ev[i].qop.in_dims),
                                  lambda _: outcome)
     ev[i] = dataclasses.replace(ev[i], qop=qop, outcome=outcome)
     return Execution(x.initial, tuple(ev))
@@ -187,8 +207,8 @@ def forged_apply_in_flight(drained=False):
         drain()
     step(base.build(state, "p0", "send_half", ctx))
     half = events[-1].msg
-    qop = (qcore.unitary_channel(np.array([[0, 1], [1, 0]])) if drained
-           else qcore.identity_operation((2,)))
+    qop = (qcore.unitary_channel(np.array([[0, 1], [1, 0]]), (2,)) if drained
+           else identity_operation((2,)))
     forged = Apply(eid=ctx.eid(), label="p1", name="forged",
                    outcome=qop.outcome_set[0], qop=qop, in_regs=half.quantum_regs,
                    out_regs=half.quantum_regs, target_msg=half.msg_id)
@@ -247,6 +267,10 @@ def forged_fixed_outcome(text):
         if d.get("k") == "respond" and d["label"] == apply["proc"]:
             d["record"]["self"] = forged
     return "".join(json.dumps(d, sort_keys=True) + "\n" for d in recs)
+
+
+# A two-processor token ring with one qubit each and no EPR pair.
+ONE_QUBIT_RING = {"qubits_per_proc": 1, "max_hops": 2}
 
 
 def trace_text(cfg):
@@ -460,7 +484,7 @@ class TestReject:
         i = next(k for k, e in enumerate(ev)
                  if isinstance(e, Apply) and e.name.startswith("gop-msg:"))
         reg = next(r for r, p in x.initial.ownership.items() if p == ev[i].label)
-        qop = qcore.relabel_outcomes(qcore.identity_operation((2,)),
+        qop = qcore.relabel_outcomes(identity_operation((2,)),
                                      lambda _: ev[i].outcome)
         ev[i] = dataclasses.replace(ev[i], qop=qop, in_regs=(reg,), out_regs=(reg,))
         cert = verifier.verify(Execution(x.initial, tuple(ev)))
@@ -545,6 +569,101 @@ class TestReject:
         assert cert.verdicts == {"well-formed": True, "decompose": True,
                                  "sort-classes": True, "move-message-ops": False}
         assert cert.reason == "moving operations changed the history"
+
+    def test_message_operation_away_from_its_reception(self):
+        """Batch-small item 11's ``gop-msg`` Apply, at position 21, swapped with
+        the next event: it no longer follows the reception of its message."""
+        x = run_simulation(batch_small(11)).execution
+        ev = list(x.events)
+        assert ev[21].name.startswith("gop-msg:")
+        ev[21], ev[22] = ev[22], ev[21]
+        cert = verifier.verify(Execution(x.initial, tuple(ev)))
+        assert cert.verdicts == {"well-formed": True, "decompose": True,
+                                 "sort-classes": True, "move-message-ops": False}
+        assert cert.reason == "recorded-message operation 21 is not adjacent to its reception"
+
+    def test_base_marker_message(self):
+        """A base Send from p0 to p1 that carries a marker, and its reception,
+        after batch-small item 3's last invocation: the protocol never sent it."""
+        x = run_simulation(batch_small(3)).execution
+        eid = len(x.events)
+        msg_id = 1 + max(e.msg.msg_id for e in x.events if isinstance(e, Send))
+        msg = sysmodel.MessageInstance(msg_id, "p0", "p1", marker="record-only")
+        y = Execution(x.initial, x.events + (
+            Send(eid=eid, label="p0", msg=msg),
+            Receive(eid=eid + 1, label="p1", chan="p0->p1", msg_id=msg_id)))
+        cert = verifier.verify(y)
+        assert cert.verdicts["spec-replay"] is False
+        assert cert.reason == ("specification machine rejects step 22: marker message "
+                               "in a specification execution")
+
+    def test_response_before_the_atomic_step(self):
+        """Batch-small item 3's first Respond, p1's, moved to position 11, before the
+        invocation's atomic point."""
+        x = run_simulation(batch_small(3)).execution
+        ev = list(x.events)
+        k = next(i for i, e in enumerate(ev) if isinstance(e, Respond))
+        ev.insert(11, ev.pop(k))
+        cert = verifier.verify(Execution(x.initial, tuple(ev)))
+        assert cert.verdicts["spec-replay"] is False
+        assert cert.reason == ("specification machine rejects step 6: p1 has nothing "
+                               "to respond with")
+
+    def test_local_application_that_claims_to_be_a_base_event(self):
+        """p1's ``gop-self`` Apply marked as a base event stays in the
+        history, between the invocation and the atomic step, and its
+        ``qgo.start`` update makes p1 busy there."""
+        x = generate(seed=4)
+        ev = list(x.events)
+        i = next(k for k, e in enumerate(ev) if isinstance(e, Apply)
+                 and e.name.startswith("gop-self:") and e.label == "p1")
+        ev[i] = dataclasses.replace(ev[i], protocol=False)
+        cert = verifier.verify(Execution(x.initial, tuple(ev)))
+        assert cert.verdicts["spec-replay"] is False
+        assert cert.reason == ("specification machine rejects step 6: processor p1 busy "
+                               "during atomic execution")
+
+    def test_component_that_replaces_its_register(self):
+        """p0's snapshot measurement writes its outcome to a new register 9:
+        x ends with another ownership than the specification."""
+        x = generate(params=ONE_QUBIT_RING)
+        ev = list(x.events)
+        i = next(k for k, e in enumerate(ev) if isinstance(e, Apply)
+                 and e.name.startswith("gop-self:") and e.label == "p0")
+        ev[i] = dataclasses.replace(ev[i], out_regs=(RegisterId(9, 2),))
+        cert = verifier.verify(Execution(x.initial, tuple(ev)))
+        assert cert.verdicts == {"well-formed": True, "decompose": True,
+                                 "sort-classes": True, "move-message-ops": True,
+                                 "spec-replay": False}
+        assert cert.reason == "specification ends in a different state"
+
+    def test_snapshot_whose_digit_labels_collide(self, tmp_path, capsys):
+        """p0 owns registers of dimensions 12 and 11 when the snapshot
+        measures them: the digit strings of (1, 10) and (11, 0) are both
+        "110", so the measurement has no injective labelling.  p0's recorded
+        component is the identity with its recorded outcome; the
+        specification rebuilds the measurement and refuses it."""
+        x = run_simulation(ScenarioConfig(
+            base="empty", procs=2, base_params={"qubits_per_proc": 2},
+            invocations=[{"gid": "snapshot-measure", "leader": "p0", "after_step": 0}],
+        )).execution
+        big = (RegisterId(0, 12), RegisterId(1, 11))
+        regs = big + (RegisterId(2, 2), RegisterId(3, 2))
+        init = x.initial
+        state = sysmodel.initial_state(
+            init.procs, init.classical,
+            qcore.DensityMatrix.basis_state(qcore.RegisterSpace(regs)),
+            {r: "p0" if r in big else "p1" for r in regs}, ext=init.ext)
+        ev = list(x.events)
+        assert ev[1].name == "gop-self:snapshot-measure" and ev[1].label == "p0"
+        qop = qcore.relabel_outcomes(identity_operation((12, 11)), lambda _: ev[1].outcome)
+        ev[1] = dataclasses.replace(ev[1], qop=qop, in_regs=big, out_regs=big)
+        trace = tmp_path / "collide.jsonl"
+        trace.write_text(traceio.serialize_run(Execution(state, tuple(ev))))
+        assert cli.main(["verify", str(trace)]) == 1
+        assert capsys.readouterr().out.endswith(
+            "  spec-replay: FAIL\nrejected: specification machine rejects step 1: "
+            "relabeling must be injective\n")
 
     def test_ill_formed_input(self):
         x = generate(seed=4)
