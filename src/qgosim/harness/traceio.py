@@ -16,13 +16,18 @@ block at a time, formats each with ``_matrix`` once, and points the
 returns every all-zero row of a block as one shared list, and
 ``serialize_run`` writes the JSON of each row list once, into one list of
 pieces that is joined once: no line is built per row.  Nor is one copied
-on reading: ``_records`` slices and splits only the runs of lines between
-all-zero rows, and ``_zero_qrow`` recognises in place a line that is
+or decoded on reading.  ``_zero_qrow`` recognises in place a line that is
 exactly an all-zero ``qrow`` as ``json.dumps`` writes it; its contract is
-that it equals ``json.loads`` of the line or is None.  ``_parse_rows``
-parses only the rows holding an entry other than "0,0", and the parsed
-state holds only those rows.  The bytes of a trace and every check on it
-are the same either way.
+that it equals ``json.loads`` of the line or is None.  ``_records`` then
+takes each following line that is the same line for the next row index,
+ended by a line feed, by a compare of its index and one compare with a
+tail shared by the run, and yields the run as one record whose ``i`` is
+the ``range`` of its rows.  ``_decode_state`` files and checks a run as
+one span, and ``_parse_rows`` parses only the rows holding an entry other
+than "0,0"; the parsed state holds only those rows.  ``_records`` slices
+and splits only the stretches of other lines.  The bytes of a trace, and
+every check on it with its message and line number, are the same as when
+every line is read by ``json.loads``.
 """
 
 from __future__ import annotations
@@ -91,13 +96,14 @@ def _matrix(m: np.ndarray) -> list:
     return out
 
 
-def _parse_rows(rows: list, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Decode ``rows``, each a list of ``n`` entries: the indices of the
-    rows other than all "0,0", and those rows.  Raises ``ValueError``
-    naming a bad row.  Only such a row is parsed entry by entry."""
+def _parse_rows(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Decode ``rows``, (index, row) pairs in index order, each row a list
+    of ``n`` entries: the indices of the rows other than all "0,0", and
+    those rows.  Raises ``ValueError`` naming the first bad row.  Only such
+    a row is parsed entry by entry."""
     zero = _zero_row(n)
     held, parsed = [], []
-    for i, row in enumerate(rows):
+    for i, row in rows:
         if not isinstance(row, list) or len(row) != n:
             raise ValueError(f"row {i} is not a list of {n} entries")
         if row is zero or row == zero:
@@ -115,7 +121,7 @@ def _parse_matrix(rows: list) -> np.ndarray:
     """Decode ``rows`` as a matrix (``_parse_rows``); each must be a list of
     as many entries as the first row."""
     n = len(rows[0]) if rows else 0
-    held, block = _parse_rows(rows, n)
+    held, block = _parse_rows(enumerate(rows), n)
     out = np.zeros((len(rows), n), dtype=np.complex128)
     out[held] = block
     return out
@@ -318,10 +324,13 @@ def _is_initial_ext(ext) -> bool:
 
 
 def _decode_state(recs: list[tuple[int, dict]]) -> SystemState:
-    """The initial state from its (line number, record) pairs."""
+    """The initial state from its (line number, record) pairs.  A qrow
+    record's ``i`` is a row index, or a ``range`` for a run of all-zero rows
+    that ``_records`` read as one record; a run is filed by its range, and
+    every check below reads it as one span, not row by row."""
     procs, classical, ext = None, {}, {}
     channels = {}
-    quantum, rows = None, {}
+    quantum, filed, spans = None, set(), []  # spans: (range, row) in file order
     for lineno, d in recs:
         t = d["t"]
         if t == "procs":
@@ -360,11 +369,16 @@ def _decode_state(recs: list[tuple[int, dict]]) -> SystemState:
                 raise TraceError("trace has two quantum records")
             quantum = d
         elif t == "qrow":
-            if type(d["i"]) is not int:  # a bool or 1.0 would pass as a row number
-                raise TraceError(f"bad initial state: row index {d['i']!r} is not an int")
-            if d["i"] in rows:
-                raise TraceError(f"bad initial state: row {d['i']} is repeated")
-            rows[d["i"]] = d["v"]
+            span = d["i"]
+            if type(span) is int:  # a bool or 1.0 would pass as a row number
+                span = range(span, span + 1)
+            elif type(span) is not range:  # no JSON value is a range
+                raise TraceError(f"bad initial state: row index {span!r} is not an int")
+            if not filed.isdisjoint(span):
+                repeated = next(i for i in span if i in filed)
+                raise TraceError(f"bad initial state: row {repeated} is repeated")
+            filed.update(span)
+            spans.append((span, d["v"]))
     if procs is None:
         raise TraceError("trace has no procs record")
     unknown = [p for p in classical if p not in procs]
@@ -379,12 +393,14 @@ def _decode_state(recs: list[tuple[int, dict]]) -> SystemState:
     owners = _field(quantum, "own", dict)
     space = RegisterSpace(tuple(regs))
     dim = space.total_dim
-    stray = [i for i in rows if i not in range(dim)]
+    # a span's first row outside 0..dim-1 is its first row, or else row dim
+    stray = [i for span, _ in spans for i in (span.start, dim)
+             if i in span and i not in range(dim)]
     if stray:
         raise TraceError(f"bad initial state: row {stray[0]!r} is outside 0..{dim - 1}")
-    missing = [i for i in range(dim) if i not in rows]
-    if missing:
-        raise TraceError(f"quantum state has no row {missing[0]}")
+    if len(filed) < dim:  # the rows are distinct and none is outside 0..dim-1
+        missing = next(i for i in range(dim) if i not in filed)
+        raise TraceError(f"quantum state has no row {missing}")
     unowned = [r.id for r in regs if str(r.id) not in owners]
     if unowned:
         raise TraceError(f"register {unowned[0]} has no owner")
@@ -393,7 +409,8 @@ def _decode_state(recs: list[tuple[int, dict]]) -> SystemState:
     if ghosts:
         raise TraceError(f"register {ghosts[0]} has an owner but is not in the state")
     try:
-        nonzero = _parse_rows([rows[i] for i in range(dim)], dim)
+        # a run's rows are one shared row, so its first row stands for it
+        nonzero = _parse_rows(sorted((span.start, row) for span, row in spans), dim)
     except ValueError as exc:
         raise TraceError(f"bad initial state: {exc}") from None
     for key, msgs in channels.items():
@@ -494,10 +511,14 @@ def _zero_qrow(text: str, pos: int, end: int) -> dict | None:
 
 def _records(text: str):
     """(line number, record) of each line of ``text`` that is not blank,
-    numbered as in ``text.splitlines()``.  An all-zero row is matched in
-    place.  The lines from any other line up to the next one that starts
-    like a ``qrow`` are sliced with their last line feed and split by
-    ``str.splitlines``, so each line boundary in them ends a line there."""
+    numbered as in ``text.splitlines()``, but for runs of all-zero rows.
+    An all-zero row is matched in place by ``_zero_qrow``, and so is each
+    following line that is the same line for the next row index, ended by a
+    line feed: the run is one record, numbered by its first line, whose
+    ``i`` is the ``range`` of its row indices.  The lines from any other
+    line up to the next one that starts like a ``qrow`` are sliced with
+    their last line feed and split by ``str.splitlines``, so each line
+    boundary in them ends a line there."""
     lineno, pos, size = 0, 0, len(text)
     while pos < size:
         end = text.find("\n", pos)
@@ -505,9 +526,19 @@ def _records(text: str):
             end = size
         d = _zero_qrow(text, pos, end)
         if d is not None:  # its bytes are fixed, so it holds no line boundary
-            lineno += 1
-            yield lineno, d
+            first = last = d["i"]
+            tail = f"{_QROW_MID}{_zero_row_json(len(d['v']))}}}\n"
             pos = end + 1
+            while True:  # the next row's line, ended by a line feed
+                head = f"{_QROW_HEAD}{last + 1}"
+                if not (text.startswith(head, pos)
+                        and text.startswith(tail, pos + len(head))):
+                    break
+                pos += len(head) + len(tail)
+                last += 1
+            lineno += 1
+            yield lineno, {"i": range(first, last + 1), "t": "qrow", "v": d["v"]}
+            lineno += last - first
             continue
         stop = text.find("\n" + _QROW_HEAD, end) + 1 or size
         for line in text[pos:stop].splitlines():

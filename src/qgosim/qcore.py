@@ -352,9 +352,10 @@ class QuantumOperation:
     ``kraus_by_outcome[r]`` lists the Kraus matrices of the CP map for outcome
     ``r``.  ``in_dims`` and ``out_dims`` are the local dimensions of the
     operation's input and output slots; they may differ, letting an operation
-    grow or shrink the system.  Construction checks each matrix's shape and
-    that its entries are finite.  It does not check that the sum over all
-    outcomes is trace preserving: that is ROADMAP item 12's check.
+    grow or shrink the system.  Construction refuses an outcome listed
+    twice, and checks each matrix's shape and that its entries are finite.
+    It does not check that the sum over all outcomes is trace preserving:
+    that is ROADMAP item 12's check.
 
     Operations are equal when their outcomes, dimensions and Kraus matrices
     are, entry for entry by value (-0.0 equals 0.0; no entry is NaN or
@@ -374,6 +375,8 @@ class QuantumOperation:
         din, dout = self.in_dim, self.out_dim
         fixed = {}
         for r in self.outcome_set:
+            if r in fixed:
+                raise BadOutcome(f"outcome {r!r} is repeated")
             ks = tuple(
                 np.ascontiguousarray(k, dtype=np.complex128)
                 for k in self.kraus_by_outcome[r]
@@ -584,10 +587,9 @@ def unitary_channel(u: np.ndarray, dims: Sequence[int]) -> QuantumOperation:
 
 
 def relabel_outcomes(op: QuantumOperation, fn) -> QuantumOperation:
-    """Rename outcome labels with ``fn``; the maps themselves are unchanged."""
+    """Rename outcome labels with ``fn``; the maps themselves are unchanged.
+    Two outcomes ``fn`` maps to one label raise ``BadOutcome``."""
     outcomes = tuple(fn(r) for r in op.outcome_set)
-    if len(set(outcomes)) != len(outcomes):
-        raise BadOutcome("relabeling must be injective")
     kraus = {fn(r): op.kraus_by_outcome[r] for r in op.outcome_set}
     return QuantumOperation(outcomes, kraus, op.in_dims, op.out_dims)
 

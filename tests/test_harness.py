@@ -973,6 +973,21 @@ class TestCli:
         assert r.stderr == (f"error: line {k + 1}: bad event record: Kraus matrix of "
                             f"outcome {rec['outcome']!r} has an entry that is not finite\n")
 
+    def test_outcome_listed_twice_exits_2(self, tmp_path, capsys):
+        """The first operation of batch-small item 0 (eid 3) with its first
+        outcome listed again in ``qop.outs``: refused where it is read."""
+        recs = [json.loads(line) for line in trace_text(batch_small(0)).splitlines()]
+        qop = self._first_qop(recs)
+        qop["outs"].append(qop["outs"][0])
+        k = next(n for n, d in enumerate(recs, 1) if d.get("qop") is qop)
+        trace = tmp_path / "outs.jsonl"
+        trace.write_text("".join(json.dumps(d, sort_keys=True) + "\n" for d in recs))
+        assert cli.main(["verify", str(trace)]) == 2
+        out = capsys.readouterr()
+        assert (recs[k - 1]["eid"], out.out) == (3, "")
+        assert out.err == (f"error: line {k}: bad event record: outcome "
+                           f"{qop['outs'][0]!r} is repeated\n")
+
     @pytest.mark.parametrize("seed, edit, code, printed", [
         (0, "_drop_header", 2, "error: trace has no header\n"),
         (1, "_zero_in_dim", 2, "error: line 17: bad event record: dims [0, 2] are not a "
@@ -1656,7 +1671,12 @@ def test_trace_codec_work_budget(monkeypatch):
     On scenario (d), D=1024 with one nonzero initial entry, ``parse_run``
     calls ``json.loads`` at most once per line that is not a qrow plus once
     per qrow holding an entry other than "0,0"; ``_parse_c`` runs once per
-    such entry, and ``serialize_run`` calls ``_c`` once per nonzero entry."""
+    such entry, and ``serialize_run`` calls ``_c`` once per nonzero entry.
+    Its 1,023 all-zero rows, lines 10 to 1,032, are one run: ``_records``
+    calls the all-zero row recogniser once for the run and once for each
+    stretch of other lines (lines 1-8, the nonzero row 0 on line 9, the
+    events), and ``_decode_state`` gets one record for the run, nine in all
+    (procs, five proc, quantum, row 0, the run)."""
     text = _golden_trace_text("ring-quantum-wide")
     recs = [json.loads(line) for line in text.splitlines()]
     qrows = [d["v"] for d in recs if d["t"] == "qrow"]
@@ -1670,9 +1690,16 @@ def test_trace_codec_work_budget(monkeypatch):
 
     loads = counting_calls(monkeypatch, json, "loads")
     parse_c = counting_calls(monkeypatch, traceio, "_parse_c")
+    recogniser = counting_calls(monkeypatch, traceio, "_zero_qrow")
+    decoded = counting_calls(monkeypatch, traceio, "_decode_state")
     x, config, decisions = traceio.parse_run(text)
     assert len(loads) <= loads_budget
     assert len(parse_c) == nonzero
+    assert len(recogniser) == 4
+    ((state_recs,),) = decoded
+    assert [(lineno, d["i"]) for lineno, d in state_recs if d["t"] == "qrow"] == [
+        (9, 0), (10, range(1, 1024))]
+    assert len(state_recs) == 9
     c = counting_calls(monkeypatch, traceio, "_c")
     assert traceio.serialize_run(x, config, decisions) == text
     assert len(c) == nonzero
@@ -1768,12 +1795,14 @@ _json_values = st.recursive(
 
 @st.composite
 def hostile_traces(draw, kinds=("procs", "proc", "quantum", "qrow")):
-    """Scenario (a) with up to three edits inside its records of the given
+    """Scenario (a) or the D=64 trace, whose rows 1-63 are one run of
+    all-zero rows, with up to three edits inside its records of the given
     kinds (by default procs, proc (name, sigma and ext), quantum (regs and
     own) and qrow): a value replaced, an entry deleted, or a record repeated
     or dropped.  With qrow among the kinds, a qrow may also get an ``i`` that
     is a bool, a float or a string."""
-    recs = [json.loads(line) for line in _golden_trace_text("scenario-a").splitlines()]
+    name = draw(st.sampled_from(["scenario-a", "global-encrypt-d64"]))
+    recs = [json.loads(line) for line in _golden_trace_text(name).splitlines()]
     for _ in range(draw(st.integers(1, 3))):
         targets = [k for k, d in enumerate(recs) if d["t"] in kinds and len(d) > 1]
         if not targets:
@@ -1799,8 +1828,8 @@ def hostile_traces(draw, kinds=("procs", "proc", "quantum", "qrow")):
         # a row index that is a bool, a float or a string
         draw(st.sampled_from(qrows))["i"] = draw(
             st.booleans() | st.floats(-1, 4) | st.sampled_from(["0", "1", "1.0", ""]))
-    # qrow lines as json.dumps writes them take the all-zero row recogniser;
-    # compact ones take json.loads
+    # qrow lines as json.dumps writes them take the all-zero row recogniser
+    # and the run scanner; compact ones take json.loads
     qrow_separators = draw(st.sampled_from([None, (",", ":")]))
     return "".join(json.dumps(d, sort_keys=True,
                               separators=qrow_separators if d["t"] == "qrow" else None)
@@ -1930,20 +1959,102 @@ def _parse_outcome(text):
         return f"TraceError: {exc}"
 
 
+def test_without_the_recogniser_no_line_is_read_as_a_run():
+    """The reference patches the all-zero row recogniser to None, and that
+    turns the run scanner off: every line is read by ``json.loads``."""
+    text = _golden_trace_text("global-encrypt-d64")
+    with mock.patch.object(traceio, "_zero_qrow", lambda text, pos, end: None):
+        assert list(traceio._records(text)) == list(_splitlines_records(text))
+
+
 @given(st.data())
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_parse_run_with_an_edited_zero_row_matches_the_reference(data):
-    """Scenario (a), D=4, with one of its all-zero qrow lines edited: the
-    same execution or the same error as the reference."""
-    lines = _golden_trace_text("scenario-a").splitlines()
+    """Scenario (a), D=4, and the D=64 trace, whose rows 1-63 are one run of
+    all-zero rows, with one of those qrow lines edited by ``qrow_lines``,
+    given another index (out of order, repeated or outside the state),
+    ended by "\\r\\n", or made the last line, with no line feed; or with
+    that row and every zero row after it moved two indices up, or one entry
+    narrower: the same execution or the same error as the reference."""
+    name = data.draw(st.sampled_from(["scenario-a", "global-encrypt-d64"]))
+    lines = _golden_trace_text(name).splitlines()
     zero_rows = [k for k, line in enumerate(lines)
                  if traceio._zero_qrow(line, 0, len(line)) is not None]
-    assert len(zero_rows) == 2
+    assert len(zero_rows) == {"scenario-a": 2, "global-encrypt-d64": 63}[name]
     k = data.draw(st.sampled_from(zero_rows))
-    lines[k] = data.draw(qrow_lines(i=st.just(json.loads(lines[k])["i"]),
-                                    width=st.just(4)))
-    text = "\n".join(lines) + "\n"
+    row, ending = json.loads(lines[k]), "\n"
+    edit = data.draw(st.sampled_from(["qrow_lines", "qrow_lines", "index", "crlf",
+                                      "last", "shift", "narrow"]))
+    if edit == "qrow_lines":
+        lines[k] = data.draw(qrow_lines(i=st.just(row["i"]), width=st.just(len(row["v"]))))
+    elif edit == "index":
+        row["i"] = data.draw(st.integers(-1, len(row["v"]) + 2))
+        lines[k] = json.dumps(row, sort_keys=True)
+    elif edit == "crlf":
+        lines[k] += "\r"
+    elif edit == "last":
+        del lines[k + 1:]
+        ending = ""
+    else:
+        for j in zero_rows[zero_rows.index(k):]:
+            row = json.loads(lines[j])
+            if edit == "shift":
+                row["i"] += 2
+            else:
+                row["v"].pop()
+            lines[j] = json.dumps(row, sort_keys=True)
+    text = "\n".join(lines) + ending
     assert _parse_outcome(text) == _reference_parse_run(text)
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_zero_row_run_takes_only_canonical_lines(data):
+    """A canonical all-zero qrow line, then lines for the next row indices,
+    each canonical or edited by ``qrow_lines``, some given the index before
+    or after or a wider row, ended by "\\n" or "\\r\\n", the last maybe by
+    nothing.  Each line a run takes is ``json.loads`` of that line, exactly
+    as ``json.dumps`` writes it, ended by a line feed (or, for its first
+    line, by the end of the text).  The run stops at the first line that is
+    not the next one, and leaves it to the general path: expanded row by
+    row, the records are those of a parse of every line."""
+    width, first = data.draw(st.integers(1, 5)), data.draw(st.integers(0, 12))
+    lines = [json.dumps({"i": first, "t": "qrow", "v": ["0,0"] * width}, sort_keys=True)]
+    for j in range(1, data.draw(st.integers(1, 6))):
+        i = first + j + data.draw(st.sampled_from([0] * 6 + [-1, 1]))
+        w = data.draw(st.sampled_from([width] * 5 + [width + 1]))
+        lines.append(data.draw(st.just(json.dumps({"i": i, "t": "qrow", "v": ["0,0"] * w},
+                                                  sort_keys=True))
+                               | qrow_lines(i=st.just(i), width=st.just(w))))
+    endings = [data.draw(st.sampled_from(["\n"] * 4 + ["\r\n"])) for _ in lines]
+    endings[-1] = data.draw(st.sampled_from(["\n", "\r\n", ""]))
+    text = "".join(line + end for line, end in zip(lines, endings))
+
+    def expanded():
+        for lineno, d in traceio._records(text):
+            if type(d.get("i")) is not range:
+                yield lineno, d
+                continue
+            runs.append((lineno, d["i"], len(d["v"])))
+            for k, i in enumerate(d["i"]):
+                yield lineno + k, {"i": i, "t": "qrow", "v": d["v"]}
+
+    def outcome(records):
+        try:
+            return list(records)
+        except traceio.TraceError as exc:
+            return f"TraceError: {exc}"
+
+    runs = []
+    assert outcome(expanded()) == outcome(_splitlines_records(text))
+    ended = text.splitlines(keepends=True)
+    for lineno, span, w in runs:
+        canonical = [json.dumps({"i": i, "t": "qrow", "v": ["0,0"] * w}, sort_keys=True)
+                     for i in range(span.start, span.stop + 1)]
+        taken = ended[lineno - 1:lineno - 1 + len(span)]
+        assert taken[0] in (canonical[0] + "\n", canonical[0])
+        assert taken[1:] == [line + "\n" for line in canonical[1:-1]]
+        assert ended[lineno - 1 + len(span):][:1] != [canonical[-1] + "\n"]
 
 
 # Every character ``str.splitlines`` ends a line at, alone or as "\r\n", and

@@ -326,6 +326,18 @@ class TestValidateOperation:
         (k,) = pad.kraus_by_outcome["XZ"]
         assert np.array_equal(k, np.kron(qcore.PAULIS["X"], qcore.PAULIS["Z"]) / 4)
 
+    @pytest.mark.parametrize("build, label", [
+        (lambda: qcore.QuantumOperation(("0", "1", "0"), standard_basis_measurement(
+            [2]).kraus_by_outcome, (2,), (2,)), "0"),
+        (lambda: qcore.relabel_outcomes(standard_basis_measurement([2]), lambda _: "r"), "r"),
+        (lambda: standard_basis_measurement([12, 11]), "110"),
+    ], ids=["listed-twice", "relabelled-to-one", "digit-labels-collide"])
+    def test_outcome_listed_twice(self, build, label):
+        """An outcome set may not list a label twice: a repeated label would
+        keep the Kraus matrices of only one of its outcomes."""
+        with pytest.raises(BadOutcome, match=f"^outcome '{label}' is repeated$"):
+            build()
+
     @pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0, -np.inf)])
     def test_kraus_entry_that_is_not_finite(self, entry):
         k = np.eye(2, dtype=complex)

@@ -640,9 +640,10 @@ class TestReject:
     def test_snapshot_whose_digit_labels_collide(self, tmp_path, capsys):
         """p0 owns registers of dimensions 12 and 11 when the snapshot
         measures them: the digit strings of (1, 10) and (11, 0) are both
-        "110", so the measurement has no injective labelling.  p0's recorded
+        "110", so the measurement lists that outcome twice.  p0's recorded
         component is the identity with its recorded outcome; the
-        specification rebuilds the measurement and refuses it."""
+        specification rebuilds the measurement, and its constructor refuses
+        it."""
         x = run_simulation(ScenarioConfig(
             base="empty", procs=2, base_params={"qubits_per_proc": 2},
             invocations=[{"gid": "snapshot-measure", "leader": "p0", "after_step": 0}],
@@ -663,7 +664,7 @@ class TestReject:
         assert cli.main(["verify", str(trace)]) == 1
         assert capsys.readouterr().out.endswith(
             "  spec-replay: FAIL\nrejected: specification machine rejects step 1: "
-            "relabeling must be injective\n")
+            "outcome '110' is repeated\n")
 
     def test_ill_formed_input(self):
         x = generate(seed=4)
