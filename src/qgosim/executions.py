@@ -263,17 +263,6 @@ def replay(x: Execution, step_fn: Callable | None = None) -> list[SystemState]:
 # Transition predicates
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ValidationResult:
-    valid: bool
-    first_failure: int | None = None
-    reason: str = ""
-    final: SystemState | None = None  # the replay's last state, once it completed
-
-    def __bool__(self):
-        return self.valid
-
-
 def _agreeing(block: list[Event], events: tuple[Event, ...], i: int) -> int:
     """How many leading events of ``block`` equal ``events[i:]``."""
     n = 0
@@ -282,9 +271,10 @@ def _agreeing(block: list[Event], events: tuple[Event, ...], i: int) -> int:
     return n
 
 
-def validate(predicate, x: Execution) -> ValidationResult:
-    """True iff the execution is well formed and is a sequence of local
-    steps the step predicate allows.
+def validate(predicate, x: Execution) -> SystemState:
+    """The final state of ``x`` if it is well formed and is a sequence of
+    local steps the step predicate allows; else a ReplayError, as ``replay``
+    raises, with the index of the step refused.
 
     A local step is a block of events, atomic on its processor, and
     contiguous in x.  ``predicate.blocks(pre, x.events, i)`` gives the
@@ -298,19 +288,19 @@ def validate(predicate, x: Execution) -> ValidationResult:
     try:
         states = replay(x)
     except ReplayError as exc:
-        return ValidationResult(False, exc.index, f"not well formed: {exc.reason}")
+        raise ReplayError(exc.index, f"not well formed: {exc.reason}") from exc
     i = 0
     while i < len(x.events):
         try:
             blocks = predicate.blocks(states[i], x.events, i)
         except BlockRefused as exc:
-            return ValidationResult(False, i, f"step {i} not allowed by predicate: {exc}")
+            raise ReplayError(i, f"step {i} not allowed by predicate: {exc}") from exc
         except DATA_ERRORS as exc:
-            return ValidationResult(False, i, f"step {i} not allowed by predicate: {exc!r}")
+            raise ReplayError(i, f"step {i} not allowed by predicate: {exc!r}") from exc
         agree = [_agreeing(b, x.events, i) for b in blocks]
         match = next((n for b, n in zip(blocks, agree) if n == len(b) > 0), None)
         if match is None:
             j = i + max(agree, default=0)
-            return ValidationResult(False, j, f"step {j} not allowed by predicate")
+            raise ReplayError(j, f"step {j} not allowed by predicate")
         i += match
-    return ValidationResult(True, final=states[-1])
+    return states[-1]

@@ -73,8 +73,7 @@ def _parse_c(s: str) -> complex:
 
 def _matrix(m: np.ndarray) -> list:
     """The rows of ``m`` as lists of "re,im" strings.  Every all-zero row is
-    one shared list; a row with no zero entry is a slice of the formatted
-    entries."""
+    one shared list."""
     m = np.ascontiguousarray(m, dtype=np.complex128)
     n = m.shape[1]
     bits = m.view(np.int64).reshape(-1)
@@ -86,9 +85,6 @@ def _matrix(m: np.ndarray) -> list:
     k = 0
     while k < len(vals):
         i = rows[k]
-        if k + n <= len(vals) and rows[k + n - 1] == i:  # all n entries of row i
-            out[i], k = vals[k:k + n], k + n
-            continue
         enc = out[i] = zero.copy()
         while k < len(vals) and rows[k] == i:
             enc[cols[k]] = vals[k]
@@ -219,7 +215,7 @@ def _parse_msg(d: dict) -> MessageInstance:
     marker = d.get("marker")
     if not (marker is None or type(marker) is str):
         raise ValueError("a message's 'marker' is not a string or null")
-    return MessageInstance(
+    msg = MessageInstance(
         msg_id=_field(d, "id", int),
         src=_field(d, "src", str),
         dst=_field(d, "dst", str),
@@ -227,6 +223,10 @@ def _parse_msg(d: dict) -> MessageInstance:
         quantum_regs=tuple(_parse_reg(r) for r in _field(d, "regs", list)),
         marker=marker,
     )
+    # a marker's gid is stored once: its classical part only repeats it
+    if marker is not None and msg.classical != {"kind": "marker", "gid": marker}:
+        raise ValueError(f"marker message {msg.msg_id} does not carry exactly its gid")
+    return msg
 
 
 def encode_event(ev: Event) -> dict:
@@ -421,7 +421,7 @@ def _decode_state(recs: list[tuple[int, dict]]) -> SystemState:
             raise TraceError(f"chan record of {key!r} holds message {stray[0]} "
                              f"of another channel")
     return sysmodel.initial_state(
-        procs, classical, DensityMatrix(space, rows=nonzero),
+        procs, classical, DensityMatrix.from_rows(space, *nonzero),
         {r: owners[str(r.id)] for r in regs}, ext, channels)
 
 
@@ -583,7 +583,6 @@ def parse_run(text: str):
         raise TraceError("trace has no header")
     try:
         initial = _decode_state(state_recs)
-        initial.quantum.validate()
     except (KeyError, TypeError, ValueError, IndexError,
             qcore.QcoreError, sysmodel.SysmodelError) as exc:
         raise TraceError(f"bad initial state: {exc!r}") from exc

@@ -13,14 +13,14 @@ reading outcome probabilities, permuting registers, tracing out and
 comparing two states cost O(D·r) times the local dimensions, not O(D²) or
 more.
 
-A state given by its rows (a parsed trace's initial state) holds only the
-rows R whose bits are not all zero.  It is checked and factored over the
-rows that hold an entry other than zero: ``validate`` and ``_factorize``
-cost O(|R|·D).  No D×D matrix is made on the way from a vector to a trace
-and back: ``distinct_rows`` maps each row of either kind of state to one
-of its distinct rows, and gives those a block at a time.  A vector with
-two distinct entry values, such as a basis state, has two distinct rows,
-whatever D.  Only ``_factorize``'s ``eigh`` fallback forms a D×D matrix,
+A state made from its rows (``DensityMatrix.from_rows``, a parsed trace's
+initial state) holds only the rows R whose bits are not all zero.  It is
+checked and factored as it is made, over the rows that hold an entry other
+than zero, in O(|R|·D).  No D×D matrix is made on the way from a vector to
+a trace and back: ``distinct_rows`` maps each row of either kind of state
+to one of its distinct rows, and gives those a block at a time.  A vector
+with two distinct entry values, such as a basis state, has two distinct
+rows, whatever D.  Only ``_factorize``'s ``eigh`` fallback forms a D×D matrix,
 for a state that pivoted Cholesky does not factor within ``EPS_VALIDATE``.
 """
 
@@ -121,42 +121,68 @@ class DensityMatrix:
     """Subnormalized density matrix ρ = V·V† over a register space.
 
     The factor V has one row per basis state and r ≤ D columns, so
-    ``trace`` = ‖V‖_F².  A state is made from its ``factor``, or from
-    ``rows`` parsed from a trace: the rows R whose bits are not all zero,
-    as their indices and an |R|×D block.  Made from its rows, it keeps them
-    exactly, and is factored when ``factor`` is first read.
-    ``distinct_rows`` gives ρ's distinct rows, a block at a time, and which
-    of them each row is.
+    ``trace`` = ‖V‖_F².  A state is made from its ``factor``, or by
+    ``from_rows`` from the rows parsed from a trace, which checks and
+    factors them and keeps them exactly.  ``distinct_rows`` gives ρ's
+    distinct rows, a block at a time, and which of them each row is.
     """
 
-    __slots__ = ("space", "_factor", "_rows")
+    __slots__ = ("space", "factor", "_rows")
 
-    def __init__(self, space: RegisterSpace, factor: np.ndarray | None = None,
-                 rows: tuple[np.ndarray, np.ndarray] | None = None):
+    def __init__(self, space: RegisterSpace, factor: np.ndarray):
         d = space.total_dim
-        if factor is not None:
-            factor = np.ascontiguousarray(factor, dtype=np.complex128)
-            if factor.ndim != 2 or factor.shape[0] != d:
-                raise ShapeError(f"factor shape {factor.shape} does not match dim {d}")
-        elif rows is None:
-            raise ShapeError("a state needs its factor or its rows")
+        factor = np.ascontiguousarray(factor, dtype=np.complex128)
+        if factor.ndim != 2 or factor.shape[0] != d:
+            raise ShapeError(f"factor shape {factor.shape} does not match dim {d}")
         self.space = space
-        self._factor = factor
-        self._rows = rows
+        self.factor = factor
+        self._rows = None
 
-    @property
-    def factor(self) -> np.ndarray:
-        if self._factor is None:
-            held, block = self._rows
-            self._factor = _factorize(block, held)[0]
-        return self._factor
+    @classmethod
+    def from_rows(cls, space: RegisterSpace, held: np.ndarray,
+                  block: np.ndarray) -> "DensityMatrix":
+        """The state whose rows ``held`` are ``block`` (|R|×D) and whose
+        other rows are zero, once its entries are Hermitian, PSD, and
+        subnormalized, each within ``EPS_VALIDATE``; raises ``ShapeError``.
+
+        The PSD test is the factorization: it proves that no eigenvalue is
+        below -EPS_VALIDATE, or else ``eigh`` finds one (see ``_factorize``).
+        Every check reads only the rows R holding an entry other than zero,
+        and their columns: O(|R|·D), with temporaries of at most one block
+        of rows.  An entry outside them is 0 - 0 in the Hermitian check, so
+        its maximum is the dense one.
+        """
+        d = space.total_dim
+        keep = block.view(np.float64).any(axis=1)  # a NaN or an inf is nonzero
+        m, rows = block[keep], held[keep]
+        blocks = list(_row_blocks(np.arange(len(rows)), d))
+        if not all(np.isfinite(m[p]).all() for p in blocks):
+            raise ShapeError("matrix has an entry that is not finite")
+
+        def asymmetry(p):  # max |ρ[r] - ρ[:, r]†| over the rows r = rows[p]
+            diff = m[p]
+            diff[:, rows] -= m[:, rows[p]].conj().T
+            return np.abs(diff).max()
+        if max(map(asymmetry, blocks), default=0.0) > EPS_VALIDATE:
+            raise ShapeError("matrix is not Hermitian within tolerance")
+        v, lowest = _factorize(m, rows)
+        if lowest < -EPS_VALIDATE:
+            raise ShapeError(f"matrix has eigenvalue {lowest} below -{EPS_VALIDATE}")
+        diag = np.zeros(d, dtype=np.complex128)
+        diag[rows] = m[np.arange(len(rows)), rows]
+        trace = float(np.real(diag.sum()))  # O(D), and summed as the dense trace
+        if not (-EPS_VALIDATE <= trace <= 1 + EPS_VALIDATE):
+            raise ShapeError(f"trace {trace} outside [0, 1]")
+        rho = cls(space, v)
+        rho._rows = held, block
+        return rho
 
     def distinct_rows(self) -> tuple[Sequence[int], Iterable[np.ndarray]]:
         """(index, blocks): row i of ρ is distinct row ``index[i]``, and
         ``blocks`` gives the distinct rows in order, a block of rows at a
         time (``_row_blocks``), so no D×D array is made.
 
-        A state held by its rows gives them, then one zero row, the row of
+        A state made from its rows gives them, then one zero row, the row of
         every index it does not hold.  A rank-1 factor v gives one row per
         distinct bit pattern of its entries: row i is v[i]·v†, and the one
         ufunc loop over the same v† gives rows of entries with the same
@@ -171,7 +197,7 @@ class DensityMatrix:
             index[held] = np.arange(len(held))
             zero = np.zeros((1, d), dtype=np.complex128)
             return index.tolist(), (*_row_blocks(block, d), zero)
-        u = v = self._factor
+        u = v = self.factor
         index = range(d)
         if v.shape[1] == 1:
             first = {}  # an entry's 16 bytes -> its distinct row
@@ -185,47 +211,12 @@ class DensityMatrix:
         v = self.factor
         return float(np.vdot(v, v).real)
 
-    def validate(self) -> None:
-        """Raise if the entries of a state given by its rows are not
-        Hermitian, PSD, and subnormalized, each within ``EPS_VALIDATE``.
-
-        The PSD test is the factorization: it proves that no eigenvalue is
-        below -EPS_VALIDATE, or else ``eigh`` finds one (see ``_factorize``).
-        Every check reads only the rows R holding an entry other than zero,
-        and their columns: O(|R|·D), with temporaries of at most one block
-        of rows.  An entry outside them is 0 - 0 in the Hermitian check, so
-        its maximum is the dense one.
-        """
-        d = self.space.total_dim
-        held, block = self._rows
-        m, rows = _nonzero_rows(block, held)
-        blocks = list(_row_blocks(np.arange(len(rows)), d))
-        if not all(np.isfinite(m[p]).all() for p in blocks):
-            raise ShapeError("matrix has an entry that is not finite")
-
-        def asymmetry(p):  # max |ρ[r] - ρ[:, r]†| over the rows r = rows[p]
-            diff = m[p]
-            diff[:, rows] -= m[:, rows[p]].conj().T
-            return np.abs(diff).max()
-        if max(map(asymmetry, blocks), default=0.0) > EPS_VALIDATE:
-            raise ShapeError("matrix is not Hermitian within tolerance")
-        v, lowest = _factorize(block, held)
-        if lowest < -EPS_VALIDATE:
-            raise ShapeError(f"matrix has eigenvalue {lowest} below -{EPS_VALIDATE}")
-        if self._factor is None:
-            self._factor = v
-        diag = np.zeros(d, dtype=np.complex128)
-        diag[rows] = m[np.arange(len(rows)), rows]
-        trace = float(np.real(diag.sum()))  # O(D), and summed as the dense trace
-        if not (-EPS_VALIDATE <= trace <= 1 + EPS_VALIDATE):
-            raise ShapeError(f"trace {trace} outside [0, 1]")
-
     @classmethod
     def from_vector(cls, space: RegisterSpace, vec: Sequence[complex]) -> "DensityMatrix":
         v = np.array(vec, dtype=np.complex128).reshape(-1)  # the factor keeps it
         if v.shape[0] != space.total_dim:
             raise ShapeError("vector length does not match space dimension")
-        return cls(space, factor=v[:, None])
+        return cls(space, v[:, None])
 
     @classmethod
     def basis_state(cls, space: RegisterSpace) -> "DensityMatrix":
@@ -260,30 +251,22 @@ def _gram(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
     return rows @ v.conj().T
 
 
-def _nonzero_rows(block: np.ndarray, held: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of ``block`` (rows ``held`` of a matrix) that hold an entry
-    other than zero (a NaN or an inf is one), and their indices."""
-    keep = block.view(np.float64).any(axis=1)
-    return block[keep], held[keep]
+def _factorize(m: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, float]:
+    """A factor V of a Hermitian matrix and a lower bound on its lowest
+    eigenvalue, from ``m``, its rows ``rows``: the rows R that hold an
+    entry other than zero.
 
-
-def _factorize(block: np.ndarray, held: np.ndarray) -> tuple[np.ndarray, float]:
-    """A factor V of a Hermitian matrix m and a lower bound on its lowest
-    eigenvalue, from ``block``, its rows ``held``: every other row is zero.
-
-    V is zero outside the rows R that hold an entry other than zero
-    (``_nonzero_rows``).  Pivoted Cholesky (Higham 1990) on those rows and
+    V is zero outside R.  Pivoted Cholesky (Higham 1990) on those rows and
     their columns pivots on the largest remaining diagonal entry and stops
     once none is above D·ε·max diag (the rank tolerance of LAPACK's ?pstrf),
-    so VV† keeps m to rounding.  It costs O(|R|²·r) for rank r, and the
-    residual below O(|R|·D·r).  By Weyl's inequality, λ_min(m) ≥
+    so VV† keeps the matrix to rounding.  It costs O(|R|²·r) for rank r, and
+    the residual below O(|R|·D·r).  By Weyl's inequality, λ_min ≥
     -‖m - VV†‖_F, and that is the bound returned when it is at least
-    -EPS_VALIDATE.  Otherwise ``eigh`` decides on the dense m: the bound is
-    the lowest eigenvalue, and the factor holds the eigenvectors scaled by
-    the square roots of the positive eigenvalues.
+    -EPS_VALIDATE.  Otherwise ``eigh`` decides on the dense matrix: the
+    bound is the lowest eigenvalue, and the factor holds the eigenvectors
+    scaled by the square roots of the positive eigenvalues.
     """
-    d = block.shape[1]
-    m, rows = _nonzero_rows(block, held)
+    d = m.shape[1]
     if not rows.size:  # the zero matrix
         return np.zeros((d, 0), dtype=np.complex128), 0.0
     diag = m[np.arange(len(rows)), rows].real
@@ -300,7 +283,7 @@ def _factorize(block: np.ndarray, held: np.ndarray) -> tuple[np.ndarray, float]:
         col /= np.sqrt(diag[j])
         diag -= np.abs(col) ** 2
         cols.append(col)
-    v = np.zeros((d, len(cols)), dtype=np.complex128, order="F")
+    v = np.zeros((d, len(cols)), dtype=np.complex128)
     v[rows] = np.array(cols, dtype=np.complex128).T
     vh = v.conj().T
     residual = np.sqrt(sum(float(np.sum(np.abs(m[p] - v[rows[p]] @ vh) ** 2))
@@ -308,7 +291,7 @@ def _factorize(block: np.ndarray, held: np.ndarray) -> tuple[np.ndarray, float]:
     if residual <= EPS_VALIDATE:
         return v, -residual
     dense = np.zeros((d, d), dtype=np.complex128)
-    dense[held] = block
+    dense[rows] = m
     w, u = np.linalg.eigh(dense)
     keep = w > 0
     return u[:, keep] * np.sqrt(w[keep]), float(w.min())
@@ -419,7 +402,7 @@ def tensor_product(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     if shared:
         raise IdCollision(f"register ids {sorted(shared)} appear on both sides")
     space = RegisterSpace(a.space.registers + b.space.registers)
-    return DensityMatrix(space, factor=np.kron(a.factor, b.factor))
+    return DensityMatrix(space, np.kron(a.factor, b.factor))
 
 
 def _tensor(rho: DensityMatrix) -> np.ndarray:
@@ -445,7 +428,7 @@ def partial_trace(rho: DensityMatrix, discard: Iterable[RegisterId]) -> DensityM
         if reg not in rho.space:
             raise UnknownRegister(f"register {reg} not in space")
     keep = tuple(r for r in rho.space.registers if r not in discard)
-    return DensityMatrix(RegisterSpace(keep), factor=_capped(_fold(rho, keep)))
+    return DensityMatrix(RegisterSpace(keep), _capped(_fold(rho, keep)))
 
 
 def _check_regmap(rho: DensityMatrix, op: QuantumOperation,
@@ -515,7 +498,7 @@ def apply_outcome(
         if same:
             y = np.moveaxis(y, range(n_out), pos)
         cols.append(y.reshape(space.total_dim, v.shape[-1]))
-    return DensityMatrix(space, factor=_capped(np.concatenate(cols, axis=1)))
+    return DensityMatrix(space, _capped(np.concatenate(cols, axis=1)))
 
 
 def outcome_probabilities(
@@ -563,17 +546,21 @@ def canonical_form(rho: DensityMatrix) -> DensityMatrix:
         return rho
     t = np.moveaxis(_tensor(rho), order, range(len(regs)))
     return DensityMatrix(RegisterSpace(tuple(regs[i] for i in order)),
-                         factor=t.reshape(rho.factor.shape))
+                         t.reshape(rho.factor.shape))
 
 
 def standard_basis_measurement(dims: Sequence[int]) -> QuantumOperation:
     """Projective measurement of every slot in the computational basis.
 
     Outcomes are big-endian digit strings over the slot dimensions, e.g.
-    "01" for a two-qubit measurement.
+    "01" for a two-qubit measurement.  Where a slot's dimension is above
+    10, a digit may take two characters, so the digits are joined by ","
+    ("1,10" and "11,0" for dimensions 12 and 11), and every label stays
+    distinct.
     """
     dims = tuple(dims)
-    outcomes = tuple("".join(map(str, digits))
+    sep = "," if any(d > 10 for d in dims) else ""
+    outcomes = tuple(sep.join(map(str, digits))
                      for digits in itertools.product(*map(range, dims)))
     eye = np.eye(len(outcomes), dtype=np.complex128)
     kraus = {label: (np.diag(eye[flat]),) for flat, label in enumerate(outcomes)}

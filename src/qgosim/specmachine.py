@@ -20,7 +20,6 @@ from .executions import (
     Receive,
     Respond,
     Send,
-    ValidationResult,
 )
 from .qcore import ZERO_TRACE
 from .qgo import QgoError, global_op_library, incoming_channels, response_record
@@ -114,14 +113,12 @@ def spec_step(state: SystemState, event: Event) -> SystemState:
     raise SpecViolation(f"event type {type(event).__name__} not allowed here")
 
 
-def validate_spec_execution(x: Execution) -> ValidationResult:
-    """Replay under the specification machine, reporting the first failure;
-    a valid result carries the final state."""
-    try:
-        state = executions.replay(x, spec_step)[-1]
-    except executions.ReplayError as exc:
-        return ValidationResult(False, exc.index, exc.reason)
+def validate_spec_execution(x: Execution) -> SystemState:
+    """Replay under the specification machine: the final state, or a
+    ReplayError at the first failure.  An operation still open at the end
+    fails at step n, after the last event."""
+    state = executions.replay(x, spec_step)[-1]
     for p in x.initial.procs:
         if state.ext.get(p) is not None:
-            return ValidationResult(False, None, f"{p} ends with an open operation")
-    return ValidationResult(True, final=state)
+            raise executions.ReplayError(len(x.events), f"{p} ends with an open operation")
+    return state

@@ -67,7 +67,9 @@ class ClaimViolation(Exception):
 
 @dataclass
 class FragmentInfo:
-    """One completed invocation: its position range and event classes."""
+    """One completed invocation: its position range, and what ``classify``
+    finds in it: its event classes, where the snapshot region ends once
+    they are sorted, and the outcomes the atomic step carries."""
 
     lo: int
     hi: int  # inclusive
@@ -75,8 +77,9 @@ class FragmentInfo:
     leader: str = ""
     # eid -> "pre" | "op" | "post"
     classes: dict = field(default_factory=dict)
-    proc_apply_eids: dict = field(default_factory=dict)  # proc -> eid
-    msg_apply_eids: list = field(default_factory=list)
+    op_end: int = 0  # the first post position once the classes are sorted
+    proc_outcomes: tuple = ()  # (proc, outcome) of each local application, by proc
+    msg_ops: tuple = ()  # the gop-msg Applies, in order
 
 
 def decompose(x: Execution) -> list[FragmentInfo]:
@@ -121,8 +124,8 @@ def classify(x: Execution, frag: FragmentInfo) -> None:
     The op class is each processor's snapshot block: the event that made it
     join the operation (the invocation or the first marker reception), the
     local-component application, and the marker broadcast.  Recorded-message
-    operations start in post, adjacent to their reception, and are moved
-    into the snapshot region later.
+    operations must come after their processor's local application, so
+    they start in post, and are moved into the snapshot region later.
     """
     events = x.events[frag.lo: frag.hi + 1]
     procs = x.initial.procs
@@ -136,7 +139,7 @@ def classify(x: Execution, frag: FragmentInfo) -> None:
     missing = set(procs) - set(apply_pos)
     if missing:
         raise ProtocolIncomplete(f"no local application on {sorted(missing)}")
-    frag.proc_apply_eids = {p: events[i].eid for p, i in apply_pos.items()}
+    frag.proc_outcomes = tuple((p, events[i].outcome) for p, i in sorted(apply_pos.items()))
 
     op_eids: set[int] = set()
     for p, i in sorted(apply_pos.items()):
@@ -158,12 +161,6 @@ def classify(x: Execution, frag: FragmentInfo) -> None:
         block += [s.eid for s in sends]
         op_eids |= set(block)
 
-    frag.msg_apply_eids = [
-        ev.eid
-        for ev in events
-        if isinstance(ev, Apply) and ev.name.startswith("gop-msg:")
-    ]
-
     classes: dict[int, str] = {}
     for i, ev in enumerate(events):
         if ev.eid in op_eids:
@@ -173,7 +170,17 @@ def classify(x: Execution, frag: FragmentInfo) -> None:
         if p not in apply_pos:
             raise ProtocolIncomplete(f"event with unknown label {p!r} in fragment")
         classes[ev.eid] = "pre" if i < apply_pos[p] else "post"
+    frag.msg_ops = tuple(ev for ev in events if _is_msg_op(ev))
+    for ev in frag.msg_ops:
+        if classes[ev.eid] == "pre":
+            raise ProtocolIncomplete(f"recorded-message operation {ev.eid} comes before "
+                                     f"the local application on {ev.label}")
     frag.classes = classes
+    frag.op_end = frag.lo + sum(c != "post" for c in classes.values())
+
+
+def _is_msg_op(ev: Event) -> bool:
+    return isinstance(ev, Apply) and ev.name.startswith("gop-msg:")
 
 
 # ---------------------------------------------------------------------------
@@ -211,25 +218,26 @@ def reorder_message_ops(
     receiver's record at once, then delivering, must reach the same state
     (within EPS_EXACT) as delivering first and applying after.  The
     reception is always inside the replayed span, since the operation
-    overtakes it."""
-    moved = {eid for frag in frags for eid in frag.msg_apply_eids}
-    if not moved:
+    overtakes it.  ``classify`` puts every such operation of a fragment in
+    its post class, so only the post classes are scanned."""
+    if not any(frag.msg_ops for frag in frags):
         return y, states, 0
-    events = list(y.events)
-    for i, ev in enumerate(events):
-        if ev.eid in moved:
-            recv = events[i - 1]
-            if not (isinstance(recv, Receive) and recv.msg_id == ev.target_msg):
-                raise ClaimViolation(
-                    f"recorded-message operation {ev.eid} is not adjacent to its reception"
-                )
-            events[i] = dc_replace(ev, label=f"msg:{ev.target_msg}")
-    z, nswaps = Execution(y.initial, tuple(events)), 0
+    events, nswaps = list(y.events), 0
     for frag in frags:
-        op_end = frag.lo + sum(c != "post" for c in frag.classes.values())
+        for i in range(frag.op_end, frag.hi + 1):
+            ev = events[i]
+            if _is_msg_op(ev):
+                recv = events[i - 1]
+                if not (isinstance(recv, Receive) and recv.msg_id == ev.target_msg):
+                    raise ClaimViolation(
+                        f"recorded-message operation {ev.eid} is not adjacent to its reception"
+                    )
+                events[i] = dc_replace(ev, label=f"msg:{ev.target_msg}")
+    z = Execution(y.initial, tuple(events))
+    for frag in frags:
         try:
-            z, states, n = sort_window(z, states, op_end, frag.hi + 1,
-                                       lambda e: 0 if e.eid in moved else 1)
+            z, states, n = sort_window(z, states, frag.op_end, frag.hi + 1,
+                                       lambda e: 0 if _is_msg_op(e) else 1)
         except LemmaViolation as exc:
             raise ClaimViolation(
                 f"a message operation of the fragment at {frag.lo} applied in flight "
@@ -259,21 +267,16 @@ def build_spec_execution(z: Execution, frags: list[FragmentInfo]) -> Execution:
     events, replace each snapshot region by one AtomicExecute that carries
     the outcomes of the region's component applications."""
     next_eid = max((e.eid for e in z.events), default=-1) + 1
-    pos = {e.eid: i for i, e in enumerate(z.events)}
     insert_after: dict[int, AtomicExecute] = {}
     for frag in frags:
-        procs = [z.events[pos[eid]] for _, eid in sorted(frag.proc_apply_eids.items())]
-        msg_pos = [pos[eid] for eid in frag.msg_apply_eids]
-        # The atomic point follows the last message operation and the last
-        # event of the snapshot blocks, marker broadcasts included.
-        last_pos = max(msg_pos + [i for i in range(frag.lo, frag.hi + 1)
-                                  if frag.classes.get(z.events[i].eid) == "op"])
-        insert_after[last_pos] = AtomicExecute(
+        # The atomic point follows the snapshot blocks, marker broadcasts
+        # included, and the message operations moved after them.
+        insert_after[frag.op_end + len(frag.msg_ops) - 1] = AtomicExecute(
             eid=next_eid,
             label=frag.leader,
             gid=frag.gid,
-            proc_outcomes=tuple((e.label, e.outcome) for e in procs),
-            msg_outcomes=tuple((z.events[i].target_msg, z.events[i].outcome) for i in msg_pos),
+            proc_outcomes=frag.proc_outcomes,
+            msg_outcomes=tuple((e.target_msg, e.outcome) for e in frag.msg_ops),
         )
         next_eid += 1
 
@@ -350,15 +353,14 @@ def verify(x: Execution) -> Certificate:
     verdicts["move-message-ops"] = True
 
     spec_x = build_spec_execution(z, frags)
-    res = specmachine.validate_spec_execution(spec_x)
-    if not res:
-        return fail(
-            "spec-replay",
-            f"specification machine rejects step {res.first_failure}: {res.reason}",
-        )
+    try:
+        spec_final = specmachine.validate_spec_execution(spec_x)
+    except executions.ReplayError as exc:
+        return fail("spec-replay",
+                    f"specification machine rejects step {exc.index}: {exc.reason}")
     # Each machine keeps its own phases in ext; the rest of the state must agree.
     z_final = states[-1]
-    if not sysmodel.states_equal(dc_replace(res.final, ext=z_final.ext), z_final, EPS_CHAIN):
+    if not sysmodel.states_equal(dc_replace(spec_final, ext=z_final.ext), z_final, EPS_CHAIN):
         return fail("spec-replay", "specification ends in a different state")
     verdicts["spec-replay"] = True
 

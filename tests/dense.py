@@ -8,12 +8,12 @@ from qgosim.qcore import DensityMatrix, QuantumOperation, ShapeError, unitary_ch
 
 def dense_state(space, m) -> DensityMatrix:
     """The state whose entries are ``m``, held by its rows whose bits are
-    not all zero, as a parsed trace holds it."""
+    not all zero, as a parsed trace holds it; ``from_rows`` checks it."""
     m = np.ascontiguousarray(m, dtype=np.complex128)
     if m.shape != (space.total_dim,) * 2:
         raise ShapeError(f"entries shape {m.shape} does not match dim {space.total_dim}")
     held = np.flatnonzero(m.view(np.int64).any(axis=1))
-    return DensityMatrix(space, rows=(held, m[held]))
+    return DensityMatrix.from_rows(space, held, m[held])
 
 
 def dense(rho: DensityMatrix) -> np.ndarray:

@@ -233,9 +233,9 @@ class TestValidate:
                 return [] if isinstance(events[i], Apply) else [[events[i]]]
 
         x = quantum_ping()
-        res = executions.validate(RejectApplies(), x)
-        assert not res
-        assert res.first_failure == 2
+        with pytest.raises(ReplayError) as err:
+            executions.validate(RejectApplies(), x)
+        assert (err.value.index, err.value.reason) == (2, "step 2 not allowed by predicate")
 
     def test_validate_ill_formed(self):
         x = quantum_ping()
@@ -245,8 +245,10 @@ class TestValidate:
             def blocks(self, pre, events, i):
                 return [[events[i]]]
 
-        res = executions.validate(Anything(), bad)
-        assert not res and res.first_failure == 0
+        with pytest.raises(ReplayError) as err:
+            executions.validate(Anything(), bad)
+        assert (err.value.index, err.value.reason) == (
+            0, "not well formed: channel p0->p1 is empty")
 
     @pytest.mark.parametrize("block, first_failure", [
         (lambda ev: [ev[0], ev[1]], None),
@@ -255,14 +257,22 @@ class TestValidate:
     ], ids=["whole", "second-differs", "longer-than-the-execution"])
     def test_validate_names_the_first_event_that_differs_from_a_block(
             self, block, first_failure):
+        """An allowed execution gives its final state; a refused one raises
+        at the first event that differs from the block."""
         x = quantum_ping()
 
         class FirstTwoThenOne:
             def blocks(self, pre, events, i):
                 return [block(events)] if i == 0 else [[events[i]]]
 
-        res = executions.validate(FirstTwoThenOne(), x)
-        assert res.first_failure == first_failure and bool(res) == (first_failure is None)
+        if first_failure is None:
+            final = executions.validate(FirstTwoThenOne(), x)
+            assert sysmodel.states_equal(final, replay(x)[-1], 0.0)
+            return
+        with pytest.raises(ReplayError) as err:
+            executions.validate(FirstTwoThenOne(), x)
+        assert (err.value.index, err.value.reason) == (
+            first_failure, f"step {first_failure} not allowed by predicate")
 
 
 # ---------------------------------------------------------------------------

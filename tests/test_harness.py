@@ -24,7 +24,7 @@ from qgosim.harness.scenarios import (
     proc_names,
 )
 from qgosim.harness.scheduler import SchedulerError, run_simulation
-from dense import dense, dense_state
+from dense import dense
 from test_executions import PURITY_CORPUS, batch_small
 from test_qcore import trace_preserving
 from test_verifier import (
@@ -1000,11 +1000,14 @@ class TestCli:
                                        "'marker' is not a string or null\n"),
         (0, "_message_not_an_object", 2, "error: line 10: bad event record: message 3 is not "
                                          "an object\n"),
+        (0, "_marker_of_another_gid", 2, "error: line 14: bad event record: marker message "
+                                         "1 does not carry exactly its gid\n"),
         (0, "_message_from_another_sender", 1, "  well-formed: FAIL\nrejected: invalid step "
                                                "at index 0: message src p1 does not match "
                                                "sender p0\n"),
     ], ids=["no-header", "zero-in-dim", "outcome-not-a-string", "kraus-of-another-shape",
-            "marker-not-a-string", "message-not-an-object", "message-from-another-sender"])
+            "marker-not-a-string", "message-not-an-object", "marker-of-another-gid",
+            "message-from-another-sender"])
     def test_edited_batch_small_trace(self, tmp_path, capsys, seed, edit, code, printed):
         """One edit to a batch-small trace, verified in process: exit 2 and
         one line for a record the parser refuses, exit 1 for a step the
@@ -1045,6 +1048,12 @@ class TestCli:
     @classmethod
     def _marker_not_a_string(cls, recs):
         cls._first_send(recs)["msg"]["marker"] = 3
+
+    @staticmethod
+    def _marker_of_another_gid(recs):
+        """A marker's gid is stored once: its classical part only repeats it."""
+        msg = next(d["msg"] for d in recs if d.get("k") == "send" and d["msg"]["marker"])
+        msg["classical"]["gid"] = "record-only"
 
     @classmethod
     def _message_not_an_object(cls, recs):
@@ -1559,6 +1568,27 @@ def test_golden_certificate(name):
     assert hashlib.sha256(cert.encode()).hexdigest() == GOLDEN_CERTIFICATES[name]
 
 
+# sha256 over each batch-small item's trace, the trace parsed and written
+# back, and its certificate, for items 0..399.  A change that keeps traces
+# and certificates byte-identical keeps it; one that changes certificates
+# on purpose re-pins it.
+BATCH_SMALL_DIGEST = "08b1e93aaee3d2cf3c2bc75b175d6389f653c5b6a487fa0cdfdb46c6c3542b66"
+
+
+def test_batch_small_traces_and_certificates_are_byte_identical():
+    h = hashlib.sha256()
+    for seed in range(400):
+        cfg = batch_small(seed)
+        res = run_simulation(cfg)
+        text = traceio.serialize_run(res.execution, cfg, res.decisions)
+        parsed = traceio.parse_run(text)
+        cert = verifier.verify(parsed[0])
+        for part in (text, traceio.serialize_run(*parsed),
+                     traceio.serialize_certificate(cert)):
+            h.update(part.encode())
+    assert h.hexdigest() == BATCH_SMALL_DIGEST
+
+
 # Calls of ``executions.step`` one ``verify`` makes, as (events, swaps,
 # window steps, message operations, specification steps, inverting
 # windows): the one full replay takes one step per event; each sorted window
@@ -1732,19 +1762,21 @@ def test_verifying_a_wide_trace_builds_no_dense_derived_state():
 
 def test_parsing_a_wide_trace_builds_no_dense_temporary():
     """Checking the parsed initial state reads only its nonzero rows.
-    Parsing scenario (d) never calls ``eigh``, and ``validate`` of its
-    initial state, a D=1024 basis state whose matrix is 16 MB, peaks below
-    1 MB."""
+    Parsing scenario (d) never calls ``eigh``, and making its initial state,
+    a D=1024 basis state whose matrix is 16 MB, from its rows (which checks
+    it) peaks below 1 MB."""
     text = _golden_trace_text("ring-quantum-wide")
     with mock.patch.object(np.linalg, "eigh", side_effect=AssertionError("eigh")):
         x, _, _ = traceio.parse_run(text)
     parsed = x.initial.quantum
-    assert dense(parsed).nbytes == 16 << 20
-    assert np.count_nonzero(dense(parsed)) == 1
-    rho = dense_state(parsed.space, dense(parsed))
+    m = dense(parsed)
+    assert m.nbytes == 16 << 20
+    assert np.count_nonzero(m) == 1
+    held = np.flatnonzero(m.view(np.int64).any(axis=1))  # as ``dense_state`` holds it
+    block = m[held]
     tracemalloc.start()
     try:
-        rho.validate()
+        rho = qcore.DensityMatrix.from_rows(parsed.space, held, block)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

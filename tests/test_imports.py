@@ -282,8 +282,8 @@ def uncalled_functions(modules=MODULES) -> dict[str, ast.AST]:
     ``f`` (an import is not itself a reference); ``import m`` and ``from p
     import m`` bind a module, so ``m.f`` refers to ``f`` of that module, and
     a re-export is followed to its source.  An attribute of anything else,
-    such as ``state.validate()``, refers to no module's function, but it
-    calls every method named ``validate``, and ``cert.swaps`` reads every
+    such as ``rho.distinct_rows()``, refers to no module's function, but it
+    calls every method named ``distinct_rows``, and ``cert.swaps`` reads every
     field named ``swaps``.  Dunder methods are called by the language, so
     none is listed.
     """

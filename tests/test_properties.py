@@ -82,7 +82,9 @@ def test_channel_key_roundtrip(src, dst):
 
 def _oracle_apply(rho, op, in_regs, out_regs, outcome):
     """kron(K, I_rest) · ρ · kron(K, I_rest)† on the full basis: O(D³), kept
-    here as the reference definition of ``apply_outcome``."""
+    here as the reference definition of ``apply_outcome``.  Returns the
+    space and the matrix, not a state: arbitrary Kraus lists can give a
+    trace above 1, which a state made from its rows refuses."""
     regs = list(rho.space.registers)
     dims = [r.dim for r in regs]
 
@@ -106,8 +108,8 @@ def _oracle_apply(rho, op, in_regs, out_regs, outcome):
     if out_regs == in_regs:
         order = [cur.index(r) for r in regs]
         perm = perm_of([r.dim for r in cur], order)
-        return dense_state(rho.space, out[np.ix_(perm, perm)])
-    return dense_state(RegisterSpace(tuple(cur)), out)
+        return rho.space, out[np.ix_(perm, perm)]
+    return RegisterSpace(tuple(cur)), out
 
 
 @st.composite
@@ -163,9 +165,9 @@ def test_apply_outcome_matches_kronecker_oracle(case):
     rho, op, *regs = case
     for r in op.outcome_set:
         got = qcore.apply_outcome(rho, op, *regs, r)
-        want = _oracle_apply(rho, op, *regs, r)
-        assert got.space.registers == want.space.registers
-        assert np.allclose(dense(got), dense(want), atol=qcore.EPS_EXACT, rtol=0)
+        space, want = _oracle_apply(rho, op, *regs, r)
+        assert got.space.registers == space.registers
+        assert np.allclose(dense(got), want, atol=qcore.EPS_EXACT, rtol=0)
 
 
 def test_row_blocks_cover_every_row():
@@ -232,8 +234,9 @@ def _dense_factorize(m, eps):
 
 
 def _dense_validate(m, eps=qcore.EPS_VALIDATE):
-    """The dense ``DensityMatrix.validate``: O(D²) work and D×D temporaries
-    on every matrix.  Returns the factor or raises its ``ShapeError``."""
+    """The dense checks of ``DensityMatrix.from_rows``: O(D²) work and D×D
+    temporaries on every matrix.  Returns the factor or raises its
+    ``ShapeError``."""
     if not np.isfinite(m).all():
         raise qcore.ShapeError("matrix has an entry that is not finite")
     if np.abs(m - m.conj().T).max() > eps:
@@ -308,14 +311,12 @@ def _verdict(check, m):
 @given(matrices_with_zero_rows())
 @settings(max_examples=200, deadline=None)
 def test_row_aware_validate_matches_dense_oracle(m):
-    """``validate`` on the nonzero rows gives the dense verdict and message;
+    """``from_rows`` on the nonzero rows gives the dense verdict and message;
     an accepted state's factor keeps ``m`` to EPS_EXACT, zero rows and all."""
     space = RegisterSpace((RegisterId(0, m.shape[0]),))
 
     def row_aware(m):
-        rho = dense_state(space, m)
-        rho.validate()
-        return rho.factor
+        return dense_state(space, m).factor
 
     (v, got), (want_v, want) = _verdict(row_aware, m.copy()), _verdict(_dense_validate, m)
     assert got == want

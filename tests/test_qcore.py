@@ -330,11 +330,19 @@ class TestValidateOperation:
         (lambda: qcore.QuantumOperation(("0", "1", "0"), standard_basis_measurement(
             [2]).kraus_by_outcome, (2,), (2,)), "0"),
         (lambda: qcore.relabel_outcomes(standard_basis_measurement([2]), lambda _: "r"), "r"),
-        (lambda: standard_basis_measurement([12, 11]), "110"),
+        (lambda: standard_basis_measurement([12, 11]), None),
     ], ids=["listed-twice", "relabelled-to-one", "digit-labels-collide"])
     def test_outcome_listed_twice(self, build, label):
         """An outcome set may not list a label twice: a repeated label would
-        keep the Kraus matrices of only one of its outcomes."""
+        keep the Kraus matrices of only one of its outcomes.  The digits of
+        (1, 10) and (11, 0) over dimensions 12 and 11 would both read "110",
+        so there they are joined by commas, and no label is repeated."""
+        if label is None:
+            meas = build()
+            assert len(set(meas.outcome_set)) == len(meas.outcome_set) == 12 * 11
+            assert meas.outcome_set.index("1,10") == 21
+            assert meas.outcome_set.index("11,0") == 121
+            return
         with pytest.raises(BadOutcome, match=f"^outcome '{label}' is repeated$"):
             build()
 
@@ -400,10 +408,10 @@ class TestValidateState:
 
     def test_states_within_tolerance_pass(self):
         epr = epr_state()
-        dense_state(epr.space, dense(epr)).validate()
-        self.state([0.5, 0.5, 0.0, 0.0]).validate()
-        self.state([0.5, 0.5, -0.5e-9, 0.0]).validate()
-        dense_state(self.SPACE, np.zeros((4, 4))).validate()
+        dense_state(epr.space, dense(epr))
+        self.state([0.5, 0.5, 0.0, 0.0])
+        self.state([0.5, 0.5, -0.5e-9, 0.0])
+        dense_state(self.SPACE, np.zeros((4, 4)))
 
     @pytest.mark.parametrize("diag, message", [
         ([2.0, -1.0, 0.0, 0.0], r"eigenvalue -(0\.99|1)"),
@@ -412,7 +420,7 @@ class TestValidateState:
     ])
     def test_indefinite_or_overfull_state_rejected(self, diag, message):
         with pytest.raises(qcore.ShapeError, match=message):
-            self.state(diag).validate()
+            self.state(diag)
 
     @pytest.mark.parametrize("entry, message", [
         (0.1j, "not Hermitian"),
@@ -423,7 +431,7 @@ class TestValidateState:
         a = np.diag([0.5, 0.5, 0, 0]).astype(complex)
         a[0, 1] = a[1, 0] = entry
         with pytest.raises(qcore.ShapeError, match=message):
-            dense_state(self.SPACE, a).validate()
+            dense_state(self.SPACE, a)
 
 
 class TestCanonicalForm:

@@ -200,9 +200,12 @@ class TestBuildersOnlyBuild:
 def refused_at(pred, state, events):
     """The index at which ``pred`` refuses ``events`` run from ``state``,
     which they must replay from; None if it allows them."""
-    res = executions.validate(pred, executions.Execution(state, tuple(events)))
-    assert res or res.reason.startswith(f"step {res.first_failure} not allowed"), res
-    return res.first_failure
+    try:
+        executions.validate(pred, executions.Execution(state, tuple(events)))
+    except executions.ReplayError as exc:
+        assert exc.reason.startswith(f"step {exc.index} not allowed"), exc
+        return exc.index
+    return None
 
 
 class TestBuilderGuards:
@@ -231,9 +234,10 @@ class TestBuilderGuards:
                        msg_id=state.channels["p0->p0"][0].msg_id, update=close,
                        protocol=True)
         assert refused_at(pred, state, [recv]) == 0
-        res = executions.validate(pred, executions.Execution(state, (recv,)))
-        assert res.reason == ("step 0 not allowed by predicate: "
-                              "processor p0 does not wait for a marker on p0->p0")
+        with pytest.raises(executions.ReplayError) as err:
+            executions.validate(pred, executions.Execution(state, (recv,)))
+        assert err.value.reason == ("step 0 not allowed by predicate: "
+                                    "processor p0 does not wait for a marker on p0->p0")
 
     def test_gop_self_on_a_channel_that_is_not_incoming(self):
         state, lib, ctx, pred = self.invoked()
@@ -403,8 +407,7 @@ class TestAugmentedPredicate:
             starts = []
             blocks = pred.blocks
             pred.blocks = lambda pre, events, i: starts.append(i) or blocks(pre, events, i)
-            valid = executions.validate(pred, res.execution)
-            assert valid, (seed, valid.reason)
+            executions.validate(pred, res.execution)  # raises ReplayError if refused
             # One block per scheduler decision: the predicate splits x as
             # the scheduler built it.
             assert len(starts) == len(res.decisions), seed
@@ -436,8 +439,9 @@ class TestAugmentedPredicate:
                 continue
             forged, i = case
             executions.replay(forged)  # raises ReplayError if it does not replay
-            res = executions.validate(pred, forged)
-            assert not res and res.first_failure == i, (seed, res)
+            with pytest.raises(executions.ReplayError) as err:
+                executions.validate(pred, forged)
+            assert err.value.index == i, (seed, err.value.reason)
             forged_runs += 1
         assert forged_runs >= 5
 
@@ -451,9 +455,10 @@ class TestAugmentedPredicate:
         executions.replay(x)
         i = next(k for k, e in enumerate(x.events)
                  if e.label == "p0" and not getattr(e, "protocol", False))
-        res = executions.validate(pred, x)
-        assert not res and res.first_failure == i
-        assert res.reason.startswith(f"step {i} not allowed by predicate: TypeError(")
+        with pytest.raises(executions.ReplayError) as err:
+            executions.validate(pred, x)
+        assert err.value.index == i
+        assert err.value.reason.startswith(f"step {i} not allowed by predicate: TypeError(")
 
     def leader_block(self, seed):
         """Repro 1's setup (ROADMAP item 1), with ``seed``: the execution,
@@ -468,12 +473,13 @@ class TestAugmentedPredicate:
     def test_execution_cut_inside_a_block_is_refused(self):
         x, pred, i = self.leader_block(7)
         cut = executions.Execution(x.initial, x.events[:i + 2])
-        res = executions.validate(pred, cut)
-        assert not res and res.first_failure == i, res
+        with pytest.raises(executions.ReplayError) as err:
+            executions.validate(pred, cut)
+        assert err.value.index == i
         # The builder's reason reaches the refusal, so a cut block is told
         # apart from a guard's refusal (see the waitset case above).
-        assert res.reason == (f"step {i} not allowed by predicate: "
-                              "no message id left to build the block with")
+        assert err.value.reason == (f"step {i} not allowed by predicate: "
+                                    "no message id left to build the block with")
         # The ids run out inside the generator of marker Sends: a QgoError,
         # not the RuntimeError that a bare StopIteration would become there.
         pre = executions.replay(cut)[i]
@@ -495,7 +501,7 @@ class TestAugmentedPredicate:
         cut = executions.Execution(initial, x.events[:3])
         assert pred.base.enabled("p1", executions.replay(cut)[2].classical["p1"]) == \
             ["pass", "take"]
-        assert executions.validate(pred, cut)
+        executions.validate(pred, cut)  # raises ReplayError if refused
 
     def test_event_that_cannot_be_stepped_is_refused(self):
         # A specification-only event in x: ``step`` raises a SysmodelError,
@@ -507,9 +513,10 @@ class TestAugmentedPredicate:
         with pytest.raises(executions.ReplayError,
                            match=f"index {n}: event type AtomicExecute cannot be stepped"):
             executions.replay(forged)
-        res = executions.validate(pred, forged)
-        assert not res and res.first_failure == n
-        assert res.reason == "not well formed: event type AtomicExecute cannot be stepped"
+        with pytest.raises(executions.ReplayError) as err:
+            executions.validate(pred, forged)
+        assert (err.value.index, err.value.reason) == (
+            n, "not well formed: event type AtomicExecute cannot be stepped")
 
     def test_event_of_another_processor_inside_a_block_is_refused(self):
         forged_runs = 0
@@ -526,8 +533,9 @@ class TestAugmentedPredicate:
                 executions.replay(forged)
             except executions.ReplayError:
                 continue
-            res = executions.validate(pred, forged)
-            assert not res and res.first_failure == i + 2, (seed, res)
+            with pytest.raises(executions.ReplayError) as err:
+                executions.validate(pred, forged)
+            assert err.value.index == i + 2, (seed, err.value.reason)
             forged_runs += 1
         assert forged_runs >= 5
 
@@ -543,5 +551,4 @@ class TestAugmentedPredicate:
         def no_draw(*args):
             raise AssertionError("validate drew an outcome")
         monkeypatch.setattr(qcore, "draw_outcome", no_draw)
-        res = executions.validate(pred, x)
-        assert res, res.reason
+        executions.validate(pred, x)  # raises ReplayError if refused

@@ -155,23 +155,24 @@ class TestSpecValidation:
             Respond(eid=5, label="p1", record=mid.ext["p1"]["record"]),
             Receive(eid=6, label="p1", chan="p0->p1", msg_id=0),
         )
-        res = validate_spec_execution(Execution(st, head + tail))
-        assert res
-        # the result carries the final state: the pair measured as 11, and
-        # its second half delivered to p1
+        final = validate_spec_execution(Execution(st, head + tail))
+        # the final state: the pair measured as 11, and its second half
+        # delivered to p1
         r0, r1 = st.quantum.space.registers
-        assert res.final.ownership == {r0: "p0", r1: "p1"}
+        assert final.ownership == {r0: "p0", r1: "p1"}
         ket11 = np.zeros(4, complex)
         ket11[3] = 1 / np.sqrt(2)
         expect = DensityMatrix.from_vector(st.quantum.space, ket11)
-        assert qcore.states_close(res.final.quantum, expect, qcore.EPS_EXACT)
+        assert qcore.states_close(final.quantum, expect, qcore.EPS_EXACT)
 
     def test_protocol_event_rejected(self):
         st, *_ = spec_state()
         marker = MessageInstance(0, "p0", "p1", marker="record-only")
         x = Execution(st, (Send(eid=0, label="p0", msg=marker, protocol=True),))
-        res = validate_spec_execution(x)
-        assert not res and res.first_failure == 0
+        with pytest.raises(executions.ReplayError) as err:
+            validate_spec_execution(x)
+        assert (err.value.index, err.value.reason) == (
+            0, "protocol event in a specification execution")
 
     def test_violation_is_a_replay_error_with_its_index(self):
         st, *_ = spec_state()
@@ -181,11 +182,15 @@ class TestSpecValidation:
             executions.replay(x, spec_step)
         assert err.value.index == 1
         assert isinstance(err.value.__cause__, SpecViolation)
-        res = validate_spec_execution(x)
-        assert not res and res.first_failure == 1
+        with pytest.raises(executions.ReplayError) as err:
+            validate_spec_execution(x)
+        assert (err.value.index, err.value.reason) == (
+            1, "invocation while p0 has an operation in progress")
 
     def test_open_operation_at_end_rejected(self):
+        """An operation still open after the last event fails at step n."""
         st, *_ = spec_state()
         x = Execution(st, (Invoke(eid=0, label="p0", gid="record-only"),))
-        res = validate_spec_execution(x)
-        assert not res
+        with pytest.raises(executions.ReplayError) as err:
+            validate_spec_execution(x)
+        assert (err.value.index, err.value.reason) == (1, "p0 ends with an open operation")

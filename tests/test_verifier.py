@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from qgosim import causality, executions, qcore, qgo, specmachine, sysmodel, verifier
 from qgosim.executions import Apply, Execution, Invoke, Receive, Respond, Send
-from qgosim.harness import cli, traceio
+from qgosim.harness import cli, scenarios, traceio
 from qgosim.harness.scenarios import ScenarioConfig, build_scenario
 from qgosim.harness.scheduler import run_simulation
 from qgosim.qcore import RegisterId
@@ -50,7 +50,7 @@ class TestAccept:
         assert verifier.histories_correspond(
             verifier.history(cert.z), verifier.history(cert.spec)
         )
-        assert specmachine.validate_spec_execution(cert.spec)
+        specmachine.validate_spec_execution(cert.spec)  # raises ReplayError if it fails
 
     def test_spec_execution_has_one_atomic_per_invocation(self):
         x = generate(seed=3, invocations=2, gid="record-only")
@@ -333,13 +333,17 @@ def decompose_forgery(kind):
         "protocol-outside": (ev + [noop(eid, "p0", protocol=True)], hv,
                              f"protocol event at {len(ev)} outside any invocation"),
         "never-completes": (ev[:respond], hv, f"invocation at {f.lo} never completes"),
+        "early-message-operation": (
+            ev[:i - 1] + [dataclasses.replace(noop(eid, "p1"), name="gop-msg:snapshot-measure")]
+            + ev[i - 1:], pi,
+            f"recorded-message operation {eid} comes before the local application on p1"),
     }[kind]
     return Execution(x.initial, tuple(events)), exc, reason
 
 
 DECOMPOSE_FORGERIES = ["applies-twice", "no-local-application", "no-trigger",
                        "broadcast-broken", "unknown-label", "overlap", "response-outside",
-                       "protocol-outside", "never-completes"]
+                       "protocol-outside", "never-completes", "early-message-operation"]
 
 
 class TestDecompose:
@@ -357,7 +361,7 @@ class TestDecompose:
         verifier.classify(x, f)
         assert set(f.classes) == {e.eid for e in x.events[f.lo: f.hi + 1]}
         assert set(f.classes.values()) <= {"pre", "op", "post"}
-        assert len(f.proc_apply_eids) == len(x.initial.procs)
+        assert [p for p, _ in f.proc_outcomes] == sorted(x.initial.procs)
 
     def test_incomplete_invocation_rejected(self):
         x = generate(seed=2)
@@ -637,34 +641,35 @@ class TestReject:
                                  "spec-replay": False}
         assert cert.reason == "specification ends in a different state"
 
-    def test_snapshot_whose_digit_labels_collide(self, tmp_path, capsys):
-        """p0 owns registers of dimensions 12 and 11 when the snapshot
-        measures them: the digit strings of (1, 10) and (11, 0) are both
-        "110", so the measurement lists that outcome twice.  p0's recorded
-        component is the identity with its recorded outcome; the
-        specification rebuilds the measurement, and its constructor refuses
-        it."""
-        x = run_simulation(ScenarioConfig(
-            base="empty", procs=2, base_params={"qubits_per_proc": 2},
-            invocations=[{"gid": "snapshot-measure", "leader": "p0", "after_step": 0}],
-        )).execution
+    def test_snapshot_whose_digit_labels_collide(self, tmp_path, monkeypatch):
+        """p0 owns registers of dimensions 12 and 11, in an equal
+        superposition of (1, 10) and (11, 0), whose digit strings would both
+        read "110".  The snapshot measures them as "1,10" or "11,0", and the
+        trace verifies.  Seeds 0 and 1 record one outcome each."""
         big = (RegisterId(0, 12), RegisterId(1, 11))
         regs = big + (RegisterId(2, 2), RegisterId(3, 2))
-        init = x.initial
-        state = sysmodel.initial_state(
-            init.procs, init.classical,
-            qcore.DensityMatrix.basis_state(qcore.RegisterSpace(regs)),
-            {r: "p0" if r in big else "p1" for r in regs}, ext=init.ext)
-        ev = list(x.events)
-        assert ev[1].name == "gop-self:snapshot-measure" and ev[1].label == "p0"
-        qop = qcore.relabel_outcomes(identity_operation((12, 11)), lambda _: ev[1].outcome)
-        ev[1] = dataclasses.replace(ev[1], qop=qop, in_regs=big, out_regs=big)
-        trace = tmp_path / "collide.jsonl"
-        trace.write_text(traceio.serialize_run(Execution(state, tuple(ev))))
-        assert cli.main(["verify", str(trace)]) == 1
-        assert capsys.readouterr().out.endswith(
-            "  spec-replay: FAIL\nrejected: specification machine rejects step 1: "
-            "outcome '110' is repeated\n")
+        vec = np.zeros(12 * 11 * 2 * 2)
+        vec[[(1 * 11 + 10) * 4, (11 * 11 + 0) * 4]] = np.sqrt(0.5)
+        procs = ("p0", "p1")
+        initial = sysmodel.initial_state(
+            procs, {p: {"inbox": []} for p in procs},
+            qcore.DensityMatrix.from_vector(qcore.RegisterSpace(regs), vec),
+            {r: "p0" if r in big else "p1" for r in regs},
+            ext={p: qgo.idle_ext() for p in procs})
+        monkeypatch.setattr(scenarios.EmptyAlgorithm, "initial", lambda self, cfg: initial)
+        seen = set()
+        for seed in range(2):
+            x = run_simulation(ScenarioConfig(
+                base="empty", procs=2,
+                invocations=[{"gid": "snapshot-measure", "leader": "p0", "after_step": 0}],
+                seed=seed)).execution
+            assert x.events[1].name == "gop-self:snapshot-measure"
+            assert x.events[1].label == "p0"
+            seen.add(json.loads(x.events[1].outcome)["q"])
+            trace = tmp_path / f"big-{seed}.jsonl"
+            trace.write_text(traceio.serialize_run(x))
+            assert cli.main(["verify", str(trace)]) == 0
+        assert seen == {"1,10", "11,0"}
 
     def test_ill_formed_input(self):
         x = generate(seed=4)
