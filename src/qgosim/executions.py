@@ -182,7 +182,8 @@ def step(state: SystemState, event: Event) -> SystemState:
 
     Every event runs on its label: an Apply's input registers must belong
     to it, and each event's own classical update runs once, at the end, on
-    its state.  An Apply whose ``target_msg`` is still in flight must carry
+    its state, with an Apply's outcome or a Respond's record as the update's
+    outcome.  An Apply whose ``target_msg`` is still in flight must carry
     the message's owner token, ``msg:<id>``, as its label, which no parsed
     or generated event does, so only the verifier's reordered execution has
     one.  Its outcome is filed in the receiver's record of the channel in
@@ -218,7 +219,9 @@ def step(state: SystemState, event: Event) -> SystemState:
         state = sysmodel.send(state, proc, event.msg)
     elif isinstance(event, Receive):
         state = sysmodel.receive(state, proc, event.chan, event.msg_id)
-    elif not isinstance(event, Respond):
+    elif isinstance(event, Respond):
+        outcome = event.record
+    else:
         raise sysmodel.SysmodelError(f"event type {type(event).__name__} cannot be stepped")
     return _run_on(state, proc, event.update, outcome)
 

@@ -3,10 +3,11 @@
 A base algorithm exposes the actions each processor can take, from its
 classical state alone, and builds the corresponding event block on the
 whole state; the scheduler picks among them, and the step predicate
-(``qgo.AugmentedPredicate``) accepts exactly the blocks they build.  An algorithm states its rules once, in ``enabled``
-and ``build``: it has no predicate of its own.
-Receptions are not base actions — they are driven by the scheduler
-through the marker-protocol reception handler.
+(``qgo.AugmentedPredicate``) accepts exactly the blocks they build, each
+through ``qgo.build``.  An algorithm states its rules once, in
+``enabled`` and ``build``: it has no predicate of its own.  Receptions
+are not base actions — they are driven by the scheduler through the
+marker-protocol reception handler.
 """
 
 from __future__ import annotations

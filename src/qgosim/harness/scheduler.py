@@ -4,7 +4,7 @@ At each step the scheduler offers the enabled actions — deliverable
 channel heads by sorted channel, base-algorithm actions by sorted
 processor, and the next scheduled invocation — and picks one according to
 the configured policy.  The chosen action keys are recorded so a run can be
-replayed exactly from its trace.
+replayed exactly from its trace; ``qgo.build`` builds each pick's block.
 
 The enabled actions are kept up to date from each block stepped, not
 enumerated again at every step, so a step costs the size of its block and
@@ -171,17 +171,6 @@ class _Policy:
         return actions[self.rng.integers(len(actions))]
 
 
-def _build(state, pick, cfg: ScenarioConfig, base, library, ctx: GenContext) -> list[Event]:
-    """The block of action ``pick``, built on ``state``."""
-    if pick[0] == "invoke":
-        inv = cfg.invocations[pick[1]]
-        return qgo.qgo_invoke(state, inv["leader"], library[inv["gid"]], ctx)
-    if pick[0] == "recv":
-        dst = sysmodel.chan_endpoints(pick[1])[1]
-        return qgo.qgo_receive(state, dst, pick[1], library, ctx)
-    return base.build(state, pick[1], pick[2], ctx)
-
-
 def run_simulation(cfg: ScenarioConfig, decisions=None) -> SimulationResult:
     """Generate one execution of the configured scenario.
 
@@ -189,13 +178,13 @@ def run_simulation(cfg: ScenarioConfig, decisions=None) -> SimulationResult:
     followed exactly; otherwise the policy drives the choices.  A receive
     enabled and not picked for more than ``cfg.fairness`` steps is overdue,
     and the policy then picks among the overdue receives only.  Each chosen
-    action's block is built on the state before it, by the protocol's
-    builders or the base algorithm's, and each of its events is stepped
-    once through ``executions.checked_step``, as replay steps it.  The
-    enabled actions are then updated from the block's processors and
-    channels alone (see the module docstring).  A block the system model
-    refuses (``SysmodelError``: a reused message id, an outcome of zero
-    probability) raises SchedulerError, naming the step.
+    action's block is built on the state before it by ``qgo.build``, an
+    invocation's from its entry of ``cfg.invocations``, and each of its
+    events is stepped once through ``executions.checked_step``, as replay
+    steps it.  The enabled actions are then updated from the block's
+    processors and channels alone (see the module docstring).  A block the
+    system model refuses (``SysmodelError``: a reused message id, an
+    outcome of zero probability) raises SchedulerError, naming the step.
     """
     state, base, library = build_scenario(cfg)
     initial = state
@@ -216,9 +205,11 @@ def run_simulation(cfg: ScenarioConfig, decisions=None) -> SimulationResult:
             break
         pick = policy.choose(actions)
         chosen.append(list(pick))
-
+        if pick[0] == "invoke":  # the decisions record its index
+            inv = cfg.invocations[pick[1]]
+            pick = ("invoke", inv["leader"], inv["gid"])
         try:
-            block = _build(state, pick, cfg, base, library, ctx)
+            block = qgo.build(state, pick, base, library, ctx)
             for ev in block:
                 state = executions.checked_step(state, ev, seen_ids, executions.step)
         except sysmodel.SysmodelError as exc:

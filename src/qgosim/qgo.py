@@ -8,9 +8,9 @@ component, open channel records, broadcast markers), and reception handling
 open channels get the operation applied and recorded).  Each procedure
 builds a block of events that is atomic on its processor, from the state
 before the block, and steps nothing: the scheduler steps each event once
-through ``executions.checked_step``.  The step predicate rebuilds each
-recorded block once, with the same builders, on the state before it, and
-compares it event by event with the record.
+through ``executions.checked_step``.  ``build`` maps each action to its
+block, for generation and for the step predicate, which rebuilds each
+recorded block on its pre-state and compares it with the record.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .executions import (
     register_update,
 )
 from .qcore import QuantumOperation, RegisterId
-from .sysmodel import MessageInstance, SystemState, chan_key, encode_classical
+from .sysmodel import MessageInstance, SystemState, chan_endpoints, chan_key, encode_classical
 
 
 class QgoError(Exception):
@@ -109,6 +109,12 @@ def _qgo_record(sigma, ext, outcome, params):
 
 @register_update("qgo.respond")
 def _qgo_respond(sigma, ext, outcome, params):
+    """The response rule: ``outcome`` is the Respond's record, which must be
+    the processor's own once it waits on no channel."""
+    if ext["waitset"]:
+        raise ValueError(f"processor still waits on {ext['waitset'][0]}")
+    if outcome != response_record(outcome["proc"], ext["op"], ext["self"], ext["res"]):
+        raise ValueError("response record differs from the processor's record")
     return sigma, idle_ext()
 
 
@@ -244,14 +250,15 @@ class GenContext:
     outcomes: Iterator[str | None] = field(default_factory=lambda: itertools.repeat(None))
 
     @classmethod
-    def recorded(cls, events) -> "GenContext":
-        """The eids of ``events``, the ids of the messages they send and the
-        outcomes of their Applies."""
+    def recorded(cls, events, i: int) -> "GenContext":
+        """The eids of ``events[i:]``, the ids of the messages they send and
+        the outcomes of their Applies, read in place."""
+        at, rest = events.__getitem__, range(i, len(events))
         return cls(
             None,
-            eids=(e.eid for e in events),
-            msg_ids=(e.msg.msg_id for e in events if isinstance(e, Send)),
-            outcomes=(e.outcome for e in events if isinstance(e, Apply)),
+            eids=(at(k).eid for k in rest),
+            msg_ids=(e.msg.msg_id for e in map(at, rest) if isinstance(e, Send)),
+            outcomes=(e.outcome for e in map(at, rest) if isinstance(e, Apply)),
         )
 
     def eid(self) -> int:
@@ -327,46 +334,51 @@ def marker_send(proc: str, dest: str, gid: str | None, ctx: GenContext) -> Send:
 
 
 def respond(proc: str, ext, ctx: GenContext) -> Respond:
-    """The response of ``proc`` once all its channels are closed."""
-    if not is_active(ext):
-        raise QgoError(f"processor {proc} runs no operation to respond to")
-    if ext["waitset"]:
-        raise QgoError(f"processor {proc} still waits on {ext['waitset'][0]}")
+    """The response of ``proc`` from its ``ext``; the update refuses it
+    while ``proc`` still waits on a channel."""
     record = response_record(proc, ext["op"], ext["self"], ext["res"])
     return Respond(eid=ctx.eid(), label=proc, record=record,
                    update=ClassicalUpdate("qgo.respond"))
 
 
+def build(state: SystemState, action: tuple, base, library, ctx: GenContext) -> list[Event]:
+    """The block of ``action`` on ``state``: ``("invoke", leader, gid)``,
+    ``("recv", chan)`` by the channel's receiver, or ``("base", proc, act)``
+    by the base algorithm."""
+    if action[0] == "invoke":
+        return qgo_invoke(state, action[1], library_op(library, action[2]), ctx)
+    if action[0] == "recv":
+        return qgo_receive(state, chan_endpoints(action[1])[1], action[1], library, ctx)
+    return base.build(state, action[1], action[2], ctx)
+
+
 class AugmentedPredicate:
     """Step predicate of the base algorithm augmented with the marker
-    protocol, as the blocks ``executions.validate`` asks for.  An Invoke or
-    a Receive starts the block its procedure builds on the pre-state; a
-    procedure that raises ``QgoError`` refuses it, with the error's message
-    as the reason.  Any other event starts a block of one of the base
-    algorithm's actions enabled at its label that the record's ids and
-    outcomes can build."""
+    protocol, as the blocks ``executions.validate`` asks for, each made by
+    ``build`` from the record's ids and outcomes.  An Invoke or a Receive
+    starts the block of its own action, which a ``QgoError`` refuses, with
+    its message as the reason.  Any other event starts a block of a base
+    action enabled at its label that the record can build."""
 
     def __init__(self, base, library: dict[str, DecomposableGlobalOp]):
         self.base = base
         self.library = library
 
     def blocks(self, pre, events, i):
-        event, rest = events[i], events[i:]
-        try:
-            if isinstance(event, Invoke):
-                gop = library_op(self.library, event.gid)
-                return [qgo_invoke(pre, event.label, gop, GenContext.recorded(rest))]
-            if isinstance(event, Receive):
-                return [qgo_receive(pre, event.label, event.chan, self.library,
-                                    GenContext.recorded(rest))]
-        except QgoError as exc:
-            raise executions.BlockRefused(str(exc)) from exc
-        label, blocks = event.label, []
-        for action in self.base.enabled(label, pre.classical[label]):
+        event, blocks = events[i], []
+        if isinstance(event, (Invoke, Receive)):
+            actions = [("invoke", event.label, event.gid) if isinstance(event, Invoke)
+                       else ("recv", event.chan)]
+        else:
+            actions = [("base", event.label, a)
+                       for a in self.base.enabled(event.label, pre.classical[event.label])]
+        for action in actions:
             try:
-                blocks.append(self.base.build(pre, label, action, GenContext.recorded(rest)))
-            except QgoError:  # the record holds no block of this action
-                continue
+                blocks.append(build(pre, action, self.base, self.library,
+                                    GenContext.recorded(events, i)))
+            except QgoError as exc:  # a base action the record cannot build is no candidate
+                if action[0] != "base":
+                    raise executions.BlockRefused(str(exc)) from exc
         return blocks
 
 

@@ -62,6 +62,11 @@ def is_channel(procs, key) -> bool:
     return len(ends) == 2 and ends[0] in procs and ends[1] in procs
 
 
+def msg_token(msg_id) -> str:
+    """The owner token of message ``msg_id``; ``msg_token("")`` is its prefix."""
+    return f"msg:{msg_id}"
+
+
 def encode_classical(value: Any) -> str:
     """Deterministic structural encoding of a classical value."""
     return json.dumps(value, sort_keys=True, separators=(",", ":"))
@@ -82,7 +87,7 @@ class MessageInstance:
 
     @property
     def owner_token(self) -> str:
-        return f"msg:{self.msg_id}"
+        return msg_token(self.msg_id)
 
 
 @dataclass(frozen=True)
@@ -112,7 +117,7 @@ class SystemState:
         the callers' part: ``scenarios`` builds the space from the map's
         keys, and the trace parser refuses a register without an owner and
         an owner without a register."""
-        tokens = [p for p in self.procs if p.startswith("msg:")]
+        tokens = [p for p in self.procs if p.startswith(msg_token(""))]
         if tokens:
             raise OwnershipViolation(f"processor {tokens[0]!r} is named like a message")
         carried = set()

@@ -232,7 +232,7 @@ def reorder_message_ops(
                     raise ClaimViolation(
                         f"recorded-message operation {ev.eid} is not adjacent to its reception"
                     )
-                events[i] = dc_replace(ev, label=f"msg:{ev.target_msg}")
+                events[i] = dc_replace(ev, label=sysmodel.msg_token(ev.target_msg))
     z = Execution(y.initial, tuple(events))
     for frag in frags:
         try:

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import subprocess
 import sys
@@ -29,7 +30,9 @@ from test_executions import PURITY_CORPUS, batch_small
 from test_qcore import trace_preserving
 from test_verifier import (
     FORGED_IN_FLIGHT, FORGED_IN_FLIGHT_CASES, REFUSED_ATOMIC_STEPS, SNAPSHOT_RING,
-    break_steps_after_the_replay, forged_apply_in_flight, in_flight_refusal, trace_text,
+    break_steps_after_the_replay, forged_apply_in_flight,
+    forged_record_after_the_message_operation, in_flight_refusal,
+    response_before_its_last_closing_marker, trace_text,
 )
 
 
@@ -242,14 +245,16 @@ def reference_enabled_actions(state, base, next_inv, cfg, steps):
 
 def reference_run(cfg, decisions=None):
     """``run_simulation`` on the reference enumeration: its decisions and
-    serialized run, or None and the SchedulerError's message; and the
-    number of steps at which a receive was forced."""
+    serialized run, or None and the SchedulerError's message; the action
+    list offered at each step; and the number of steps at which a receive
+    was forced.  Each block is built by ``qgo.build``, an invocation from
+    its entry of ``cfg.invocations``."""
     state, base, library = build_scenario(cfg)
     initial = state
     sched_seed, outcome_seed = np.random.SeedSequence(cfg.seed).spawn(2)
     policy = scheduler._Policy(cfg, np.random.default_rng(sched_seed), decisions)
     ctx = qgo.GenContext(np.random.default_rng(outcome_seed))
-    events, chosen, seen_ids = [], [], initial.message_ids()
+    events, chosen, offered, seen_ids = [], [], [], initial.message_ids()
     next_inv, starved, forced = 0, {}, 0
     try:
         for steps in range(cfg.max_steps):
@@ -261,10 +266,15 @@ def reference_run(cfg, decisions=None):
             starved = {a: starved.get(a, 0) + 1 for a in recvs}
             overdue = [a for a in recvs if starved[a] > cfg.fairness]
             forced += bool(overdue)
-            pick = policy.choose(overdue or actions)
+            offered.append(overdue or actions)
+            pick = policy.choose(offered[-1])
             starved.pop(pick, None)
             chosen.append(list(pick))
-            block = scheduler._build(state, pick, cfg, base, library, ctx)
+            action = pick
+            if pick[0] == "invoke":
+                inv = cfg.invocations[pick[1]]
+                action = ("invoke", inv["leader"], inv["gid"])
+            block = qgo.build(state, action, base, library, ctx)
             next_inv += pick[0] == "invoke"
             try:
                 for ev in block:
@@ -277,19 +287,34 @@ def reference_run(cfg, decisions=None):
         if next_inv < len(cfg.invocations):
             raise SchedulerError("scenario quiesced before all invocations ran")
     except SchedulerError as exc:
-        return None, str(exc), forced
+        return None, str(exc), offered, forced
     x = executions.Execution(initial, tuple(events))
-    return chosen, traceio.serialize_run(x, cfg, chosen), forced
+    return chosen, traceio.serialize_run(x, cfg, chosen), offered, forced
 
 
 def scheduled_run(cfg, decisions=None):
     """``run_simulation``'s decisions and serialized run, or None and its
-    SchedulerError's message."""
-    try:
-        res = run_simulation(cfg, decisions)
-    except SchedulerError as exc:
-        return None, str(exc)
-    return res.decisions, traceio.serialize_run(res.execution, cfg, res.decisions)
+    SchedulerError's message; and the action list its policy was offered
+    at each step."""
+    offered, choose = [], scheduler._Policy.choose
+
+    def offer(policy, actions):
+        offered.append(list(actions))  # the scheduler reuses its lists
+        return choose(policy, actions)
+
+    with mock.patch.object(scheduler._Policy, "choose", offer):
+        try:
+            res = run_simulation(cfg, decisions)
+        except SchedulerError as exc:
+            return None, str(exc), offered
+    return res.decisions, traceio.serialize_run(res.execution, cfg, res.decisions), offered
+
+
+def first_difference(ours: list, ref: list):
+    """The first step at which two lists of offered actions differ, with
+    what each offered there; None if they agree."""
+    return next(((k, a, b) for k, (a, b) in enumerate(itertools.zip_longest(ours, ref))
+                 if a != b), None)
 
 
 def digest(text: str) -> str:
@@ -323,20 +348,23 @@ POLICIES = ("uniform-random", "round-robin", "channel-delay-biased")
 
 
 def assert_scheduler_matches_reference(cfg_dict) -> int:
-    """The scheduler and the reference make the same decisions and the same
-    trace, under the config's policy and then replaying its decisions; the
-    number of steps at which a receive was forced."""
+    """The scheduler and the reference offer the same actions at every
+    step, and make the same decisions and the same trace, under the
+    config's policy and then replaying its decisions; the number of steps
+    at which a receive was forced."""
     cfg = ScenarioConfig.from_dict(cfg_dict)
-    decisions, text, forced = reference_run(cfg)
+    decisions, text, offered, forced = reference_run(cfg)
     ours = scheduled_run(cfg)
-    # Decisions first, and traces by digest: a diff of two long traces
-    # takes minutes to print.
+    # Offers by their first difference, and traces by digest: a diff of
+    # two long traces takes minutes to print.
+    assert first_difference(ours[2], offered) is None
     assert ours[0] == decisions
     assert digest(ours[1]) == digest(text)
     if decisions is not None:
         replay = ScenarioConfig.from_dict({**cfg_dict, "policy": "replay"})
-        ours, (ref_decisions, ref_text, _) = \
+        ours, (ref_decisions, ref_text, ref_offered, _) = \
             scheduled_run(replay, decisions), reference_run(replay, decisions)
+        assert first_difference(ours[2], ref_offered) is None
         assert ours[0] == ref_decisions == decisions
         assert digest(ours[1]) == digest(ref_text)
     return forced
@@ -1376,6 +1404,20 @@ class TestCli:
         assert (r.returncode, r.stderr) == (1, "")
         assert r.stdout.splitlines() == ["  well-formed: FAIL",
                                          f"rejected: {in_flight_refusal(x)}"]
+
+    @pytest.mark.parametrize("forge, seed", [
+        (forged_record_after_the_message_operation, 3),
+        (response_before_its_last_closing_marker, 0),
+    ], ids=["forged-channel-record", "early-response"])
+    def test_response_rule_exits_1(self, tmp_path, capsys, forge, seed):
+        """Each forgery breaks the response rule, which the replay checks."""
+        x, reason = forge(seed)
+        trace = tmp_path / "forged.jsonl"
+        trace.write_text(traceio.serialize_run(x, batch_small(seed), None))
+        assert cli.main(["verify", str(trace)]) == 1
+        printed = capsys.readouterr()
+        assert printed.err == ""
+        assert printed.out.splitlines() == ["  well-formed: FAIL", f"rejected: {reason}"]
 
     def test_run_without_out_writes_the_trace_to_stdout(self, tmp_path, capsys):
         cfg = batch_small(3)

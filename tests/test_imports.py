@@ -1,9 +1,10 @@
 """The package's own import graph: every qgosim import is at module level,
 and no chain of imports leads from a module back to itself.  Also a scan
 of the package's tolerance calls and of how the replay step builds states,
-the names the benchmark's tooling and the step predicates rely on, the
-package's unread names and unpassed parameters, and its exception classes
-that nothing raises or catches."""
+of the one module that maps an action to its block, the names the
+benchmark's tooling and the step predicates rely on, the package's unread
+names and unpassed parameters, and its exception classes that nothing
+raises or catches."""
 
 import ast
 import builtins
@@ -473,6 +474,51 @@ def test_no_base_algorithm_restates_its_step_predicate():
     subclasses = list(all_subclasses(BaseAlgorithm))
     assert subclasses
     assert [(c.__qualname__, m) for c in subclasses for m in sorted(methods(c) - interface)] == []
+
+
+PROTOCOL_BUILDERS = ("qgo_invoke", "qgo_receive")
+
+
+def builder_uses(source: str) -> list[int]:
+    """The lines of ``source`` that import or read a protocol builder
+    (``qgo_invoke``, ``qgo_receive``), or call a ``build`` method of
+    anything but the module bound as ``qgo``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [node.lineno for a in node.names if a.name in PROTOCOL_BUILDERS]
+        elif isinstance(node, ast.Name) and node.id in PROTOCOL_BUILDERS or \
+                isinstance(node, ast.Attribute) and node.attr in PROTOCOL_BUILDERS:
+            found.append(node.lineno)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and \
+                node.func.attr == "build" and getattr(node.func.value, "id", "") != "qgo":
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_only_qgo_maps_an_action_to_its_block():
+    """``qgo.build`` is the one map from an action to its block, for
+    generation and for the step predicate alike: outside ``qgo``, no
+    ``src/`` module reads ``qgo_invoke`` or ``qgo_receive`` or calls a base
+    algorithm's ``build``."""
+    found = [f"{m}:{line}" for m, path in MODULES.items() if m != "qgosim.qgo"
+             for line in builder_uses(path.read_text())]
+    assert found == []
+    assert builder_uses(MODULES["qgosim.qgo"].read_text())
+
+
+def test_builder_scan_names_a_dispatch():
+    """The scan sees a builder imported, read through its module, and a
+    ``build`` called on a base algorithm; ``qgo.build`` and a definition
+    named ``build`` are no dispatch."""
+    source = ("from .qgo import GenContext, qgo_receive\n"
+              "from . import qgo\n"
+              "qgo.qgo_invoke(s, p, g, c)\n"
+              "base.build(s, p, a, c)\n"
+              "self.base.build(s, p, a, c)\n"
+              "qgo.build(s, a, b, lib, c)\n"
+              "def build(s, p, a, c): return qgo_receive\n")
+    assert builder_uses(source) == [1, 3, 4, 5, 7]
 
 
 def step_references(source: str, module: str) -> tuple[list[ast.AST], list[ast.AST]]:

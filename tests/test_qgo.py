@@ -210,7 +210,8 @@ def refused_at(pred, state, events):
 
 class TestBuilderGuards:
     """A protocol event's guards are its builder's: the builder raises a
-    QgoError, and the predicate refuses the event it cannot build."""
+    QgoError, and the predicate refuses the event it cannot build.  The
+    response rule alone is an update's, which every replay runs."""
 
     def invoked(self):
         """p0 has invoked record-only on the EPR pair: it waits on p0->p0
@@ -258,16 +259,22 @@ class TestBuilderGuards:
         with pytest.raises(qgo.AlreadyActive):
             qgo.gop_self_apply(state, "p0", lib["record-only"], None, ctx)
 
-    @pytest.mark.parametrize("proc, message", [
-        ("p1", "runs no operation to respond to"), ("p0", "still waits on p0->p0")])
-    def test_respond_while_idle_or_waiting(self, proc, message):
+    @pytest.mark.parametrize("proc, rule", [
+        ("p1", "response record differs from the processor's record"),
+        ("p0", "processor still waits on p0->p0")],
+        ids=["p1-runs no operation to respond to", "p0-still waits on p0->p0"])
+    def test_respond_while_idle_or_waiting(self, proc, rule):
+        """The response rule is the ``qgo.respond`` update's, so a forged
+        Respond is refused by the replay, before the predicate sees it: idle
+        p1 has no record of ``record-only``, and p0 still waits on p0->p0."""
         state, lib, ctx, pred = self.invoked()
-        with pytest.raises(qgo.QgoError, match=message):
-            qgo.respond(proc, state.ext[proc], ctx)
         record = qgo.response_record(proc, "record-only", None, {})
         forged = Respond(eid=ctx.eid(), label=proc, record=record,
                          update=executions.ClassicalUpdate("qgo.respond"))
-        assert refused_at(pred, state, [forged]) == 0
+        with pytest.raises(executions.ReplayError) as err:
+            executions.validate(pred, executions.Execution(state, (forged,)))
+        assert (err.value.index, err.value.reason) == (0, (
+            f"not well formed: classical update 'qgo.respond' failed: ValueError({rule!r})"))
 
     def test_marker_from_an_idle_processor(self):
         state, lib, ctx, pred = self.invoked()
@@ -365,6 +372,19 @@ def token_skipping_a_hop(e):
     return dc_replace(e, msg=dc_replace(e.msg, classical={"kind": "token", "hops": hops + 1}))
 
 
+def forged_response_self(e):
+    return dc_replace(e, record={**e.record, "self": "forged"})
+
+
+def unclosed_marker(e):
+    return dc_replace(e, update=None)
+
+
+# Forgeries that break the response rule, which the replay refuses at the
+# forged processor's next Respond, before the predicate sees them.
+BREAK_THE_RESPONSE_RULE = (forged_response_self, unclosed_marker)
+
+
 # Scenario (a) and the teleport configuration of the batch-small benchmark.
 SCENARIO_A, TELEPORT = PURITY_CORPUS[0], PURITY_CORPUS[1]
 TOKEN_RING_EPR = dict(
@@ -412,17 +432,18 @@ class TestAugmentedPredicate:
             # the scheduler built it.
             assert len(starts) == len(res.decisions), seed
 
-    # Each forged step still replays, so only the predicate can refuse it.
+    # Each forged step still replays, so only the predicate can refuse it,
+    # but those of ``BREAK_THE_RESPONSE_RULE``.
     @pytest.mark.parametrize("cfg, pick, change", [
         (TELEPORT, is_correction, relabelled_identity),
         (SCENARIO_A, lambda e: isinstance(e, Send) and e.protocol, marker_for_another_gid),
         (SCENARIO_A, lambda e: isinstance(e, Send) and not e.protocol, token_skipping_a_hop),
         (SCENARIO_A, lambda e: isinstance(e, Respond),
-         lambda e: dc_replace(e, record={**e.record, "self": "forged"})),
+         forged_response_self),
         (SCENARIO_A, lambda e: isinstance(e, Apply) and e.name.startswith("gop-self:"),
          lambda e: dc_replace(e, name="gop-self:record-only")),
         (SCENARIO_A, lambda e: isinstance(e, Receive) and e.update is not None,
-         lambda e: dc_replace(e, update=None)),
+         unclosed_marker),
         (SCENARIO_A, lambda e: isinstance(e, Invoke),
          lambda e: dc_replace(e, gid="global-encrypt")),
         (TELEPORT_SNAPSHOT, is_gop_msg("snapshot-measure"), relabelled_identity),
@@ -438,10 +459,19 @@ class TestAugmentedPredicate:
             if (case := forge(x, pick, change)) is None:
                 continue
             forged, i = case
-            executions.replay(forged)  # raises ReplayError if it does not replay
+            rule = change in BREAK_THE_RESPONSE_RULE
+            if rule:  # refused at the processor's next Respond
+                i = next(k for k in range(i, len(forged.events))
+                         if isinstance(e := forged.events[k], Respond)
+                         and e.label == forged.events[i].label)
+            else:
+                executions.replay(forged)  # raises ReplayError if it does not replay
             with pytest.raises(executions.ReplayError) as err:
                 executions.validate(pred, forged)
             assert err.value.index == i, (seed, err.value.reason)
+            assert err.value.reason.startswith(
+                "not well formed: classical update 'qgo.respond' failed"
+                if rule else f"step {i} not allowed by predicate")
             forged_runs += 1
         assert forged_runs >= 5
 
@@ -485,7 +515,7 @@ class TestAugmentedPredicate:
         pre = executions.replay(cut)[i]
         with pytest.raises(qgo.QgoError, match="left to build the block"):
             qgo.qgo_invoke(pre, "p0", pred.library["snapshot-measure"],
-                           qgo.GenContext.recorded(cut.events[i:]))
+                           qgo.GenContext.recorded(cut.events, i))
 
     def test_base_action_the_record_cannot_build_is_no_candidate(self):
         # p1 starts with a token of its own, so at its take it may also

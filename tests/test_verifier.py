@@ -299,10 +299,61 @@ def noop(eid, label, protocol=False, **kw):
                  protocol=protocol, **kw)
 
 
+def response_rule_refusal(index, rule="response record differs from the processor's record"):
+    """``verify``'s reason for a Respond at ``index`` that breaks the
+    ``qgo.respond`` update's rule."""
+    return (f"invalid step at index {index}: classical update 'qgo.respond' failed: "
+            f"ValueError({rule!r})")
+
+
+def forged_record_after_the_message_operation(seed):
+    """Batch-small item ``seed`` whose receiver files a forged outcome in its
+    channel record, by a protocol no-op run right after its first message
+    operation, and the reason ``verify`` refuses it: the record its Respond
+    hands out is no longer the processor's."""
+    x = run_simulation(batch_small(seed)).execution
+    ev = list(x.events)
+    i = next(k for k, e in enumerate(ev)
+             if isinstance(e, Apply) and e.name.startswith("gop-msg:"))
+    recv = ev[i - 1]
+    ev.insert(i + 1, noop(max(e.eid for e in ev) + 1, recv.label, protocol=True,
+                          update=executions.ClassicalUpdate("qgo.record", (recv.chan,))))
+    j = next(k for k in range(i, len(ev))
+             if isinstance(ev[k], Respond) and ev[k].label == recv.label)
+    return Execution(x.initial, tuple(ev)), response_rule_refusal(j)
+
+
+def response_before_its_last_closing_marker(seed):
+    """Batch-small item ``seed`` with its first Respond swapped with the
+    reception, right before it, of the marker that closes its processor's
+    last channel, and the reason ``verify`` refuses it: the processor still
+    waits on that channel."""
+    x = run_simulation(batch_small(seed)).execution
+    ev = list(x.events)
+    k = next(i for i, e in enumerate(ev) if isinstance(e, Respond))
+    close = ev[k - 1]
+    assert isinstance(close, Receive) and close.update.name == "qgo.marker_close"
+    ev[k - 1], ev[k] = ev[k], close
+    return Execution(x.initial, tuple(ev)), response_rule_refusal(
+        k - 1, f"processor still waits on {close.chan}")
+
+
+def restarted(proc, gid, eid, protocol):
+    """A no-op whose forged ``qgo.start`` makes ``proc`` run ``gid`` again,
+    waiting on no channel, and the Respond that closes it: the pair keeps
+    the response rule, so it replays wherever ``proc`` is idle."""
+    start = executions.ClassicalUpdate("qgo.start", (gid, None, ()))
+    record = qgo.response_record(proc, gid, qcore.NO_OUTCOME, {})
+    return [noop(eid, proc, protocol=protocol, update=start),
+            Respond(eid=eid + 1, label=proc, record=record,
+                    update=executions.ClassicalUpdate("qgo.respond"))]
+
+
 def decompose_forgery(kind):
     """``generate(seed=4)``, a two-processor snapshot, with one edit that
-    replays but breaks the shape ``decompose`` or ``classify`` expects: the
-    edited execution, the exception it raises and its reason."""
+    breaks the shape ``decompose`` or ``classify`` expects: the edited
+    execution, the exception it raises and its reason.  Every edit but
+    those of ``RESPONSE_RULE_FORGERIES`` replays."""
     x = generate(seed=4)
     ev = list(x.events)
     eid = max(e.eid for e in ev) + 1
@@ -312,7 +363,7 @@ def decompose_forgery(kind):
     send = next(k for k, e in enumerate(ev) if isinstance(e, Send) and not e.protocol
                 and k > f.lo)
     msg = ev[send].msg
-    respond = max(k for k, e in enumerate(ev) if isinstance(e, Respond))
+    first, respond = [k for k, e in enumerate(ev) if isinstance(e, Respond)]
     hv, pi = verifier.HypothesisViolation, verifier.ProtocolIncomplete
     events, exc, reason = {
         "applies-twice": (ev[:i + 1] + [dataclasses.replace(ev[i], eid=eid)] + ev[i + 1:],
@@ -323,13 +374,20 @@ def decompose_forgery(kind):
                        "local application on p1 is not preceded by its trigger"),
         "broadcast-broken": (ev[:i + 1] + [noop(eid, "p1")] + ev[i + 1:], pi,
                              "marker broadcast on p1 is not contiguous"),
-        "unknown-label": (ev[:send + 1] + [noop(eid, msg.owner_token, target_msg=msg.msg_id)] +
-                          ev[send + 1:], pi,
+        "unknown-label": (ev[:send + 1] + [noop(eid, msg.owner_token)] + ev[send + 1:], pi,
                           f"event with unknown label '{msg.owner_token}' in fragment"),
+        "record-in-flight": (ev[:send + 1] + [noop(eid, msg.owner_token, target_msg=msg.msg_id)]
+                             + ev[send + 1:], pi,
+                             f"event with unknown label '{msg.owner_token}' in fragment"),
         "overlap": (ev[:f.lo + 1] + [Invoke(eid=eid, label="p1", gid="record-only")] +
                     ev[f.lo + 1:], hv, f"invocation at {f.lo + 1} overlaps the one at {f.lo}"),
-        "response-outside": (ev + [dataclasses.replace(ev[respond], eid=eid)], hv,
-                             f"response at {len(ev)} outside any invocation"),
+        "response-outside": (ev + restarted("p0", f.gid, eid, protocol=False), hv,
+                             f"response at {len(ev) + 1} outside any invocation"),
+        "idle-response": (ev + [dataclasses.replace(ev[respond], eid=eid)], hv,
+                          f"response at {len(ev)} outside any invocation"),
+        "responds-twice": (ev[:first + 1] + restarted(ev[first].label, f.gid, eid, protocol=True)
+                           + ev[first + 1:], hv,
+                           f"{ev[first].label} responds twice to the invocation at {f.lo}"),
         "protocol-outside": (ev + [noop(eid, "p0", protocol=True)], hv,
                              f"protocol event at {len(ev)} outside any invocation"),
         "never-completes": (ev[:respond], hv, f"invocation at {f.lo} never completes"),
@@ -343,7 +401,13 @@ def decompose_forgery(kind):
 
 DECOMPOSE_FORGERIES = ["applies-twice", "no-local-application", "no-trigger",
                        "broadcast-broken", "unknown-label", "overlap", "response-outside",
-                       "protocol-outside", "never-completes", "early-message-operation"]
+                       "responds-twice", "protocol-outside", "never-completes",
+                       "early-message-operation"]
+# Edits that replayed before the response rule: a no-op on a message in
+# flight files a record in its receiver's channel, and the last Respond
+# repeated by a processor that is idle again.  The rule refuses each at the
+# Respond whose record it falsifies: p0's, at 19, and the copy, at 23.
+RESPONSE_RULE_FORGERIES = {"record-in-flight": 19, "idle-response": 23}
 
 
 class TestDecompose:
@@ -375,20 +439,23 @@ class TestDecompose:
     def test_second_response_from_one_processor_rejected(self, seed):
         """The invocation's second Respond becomes a second one of the first
         responder's: the fragment must not close until every processor has
-        responded, so decompose refuses, naming the processor."""
+        responded, so decompose refuses, naming the processor.  The first
+        responder is idle by then, so the response rule refuses the copy
+        first, at ``well-formed``; ``responds-twice`` above still reaches
+        decompose, by restarting the processor."""
         x = generate(seed=seed, procs=2 + seed % 2)
         ev = list(x.events)
         first, second = [i for i, e in enumerate(ev) if isinstance(e, Respond)][:2]
         ev[second] = dataclasses.replace(ev[first], eid=ev[second].eid)
         forged = Execution(x.initial, tuple(ev))
-        executions.replay(forged)  # raises ReplayError if it does not replay
         (f, *_) = verifier.decompose(x)
         with pytest.raises(verifier.HypothesisViolation,
                            match=f"^{ev[first].label} responds twice to the "
                                  f"invocation at {f.lo}$"):
             verifier.decompose(forged)
         cert = verifier.verify(forged)
-        assert cert.verdicts == {"well-formed": True, "decompose": False}
+        assert (cert.verdicts, cert.reason) == ({"well-formed": False},
+                                                response_rule_refusal(second))
 
     def test_protocol_event_outside_invocation_rejected(self):
         x = generate(seed=2)
@@ -419,6 +486,18 @@ class TestDecompose:
             for frag in verifier.decompose(x):
                 verifier.classify(x, frag)
 
+    @pytest.mark.parametrize("kind", sorted(RESPONSE_RULE_FORGERIES))
+    def test_response_rule_refuses_first(self, kind):
+        """The edit still breaks the fragment's shape, but the replay
+        refuses it first, so ``verify`` reports it at ``well-formed``."""
+        x, exc, reason = decompose_forgery(kind)
+        cert = verifier.verify(x)
+        assert (cert.verdicts, cert.reason) == (
+            {"well-formed": False}, response_rule_refusal(RESPONSE_RULE_FORGERIES[kind]))
+        with pytest.raises(exc, match=f"^{re.escape(reason)}$"):
+            for frag in verifier.decompose(x):
+                verifier.classify(x, frag)
+
 
 class TestReject:
     def test_missing_marker_send(self):
@@ -432,6 +511,8 @@ class TestReject:
             {"well-formed": False}, "invalid step at index 7: channel p0->p0 is empty")
 
     def test_forged_response_record(self):
+        """Every Respond reports a forged outcome of its own: the response
+        rule refuses the first, at ``well-formed``."""
         x = generate(seed=4)
         ev = []
         for e in x.events:
@@ -440,8 +521,23 @@ class TestReject:
                             record={**e.record, "self": "forged"}, update=e.update)
             ev.append(e)
         cert = verifier.verify(Execution(x.initial, tuple(ev)))
-        assert not cert.accepted
-        assert cert.verdicts.get("spec-replay") is False
+        first = next(i for i, e in enumerate(ev) if isinstance(e, Respond))
+        assert (cert.verdicts, cert.reason) == ({"well-formed": False},
+                                                response_rule_refusal(first))
+
+    @pytest.mark.parametrize("seed", [3, 4, 5, 6, 12])
+    def test_forged_record_after_the_message_operation(self, seed):
+        x, reason = forged_record_after_the_message_operation(seed)
+        cert = verifier.verify(x)
+        assert (cert.verdicts, cert.reason) == ({"well-formed": False}, reason)
+
+    @pytest.mark.parametrize("seeds", [range(k, 120, 4) for k in range(4)],
+                             ids=["scenario-a", "teleport", "encrypt-d64", "ping"])
+    def test_response_before_its_last_closing_marker(self, seeds):
+        for seed in seeds:
+            x, reason = response_before_its_last_closing_marker(seed)
+            cert = verifier.verify(x)
+            assert (cert.verdicts, cert.reason) == ({"well-formed": False}, reason), seed
 
     def test_tampered_local_outcome(self):
         x = generate(seed=6, gid="global-encrypt")
@@ -498,9 +594,12 @@ class TestReject:
         assert "not owned by msg:" in cert.reason
 
     def test_record_between_the_moved_operation_and_its_reception(self):
-        """The moved operation files its outcome where it now stands, so a
-        forged record of the receiver's on the same channel, just before the
-        reception, lands in the other order than in x."""
+        """A forged record of the receiver's on the message's channel, just
+        before the reception, changes the record that its Respond must hand
+        out, so the response rule refuses that Respond.  Made to agree, the
+        Respond keeps the forgery to the move: the moved operation files its
+        outcome where it now stands, so the forged record lands in the other
+        order than in x."""
         x = run_simulation(ScenarioConfig(
             base="teleport", procs=2,
             invocations=[{"gid": "snapshot-measure", "leader": "p1", "after_step": 1},
@@ -514,6 +613,14 @@ class TestReject:
                                name="forged", outcome=qcore.NO_OUTCOME,
                                update=executions.ClassicalUpdate("qgo.record", (recv.chan,)),
                                protocol=True))
+        j = next(k for k in range(i, len(ev))
+                 if isinstance(ev[k], Respond) and ev[k].label == recv.label)
+        cert = verifier.verify(Execution(x.initial, tuple(ev)))
+        assert (cert.verdicts, cert.reason) == ({"well-formed": False},
+                                                response_rule_refusal(j))
+        ext = executions.replay(Execution(x.initial, tuple(ev[:j])))[-1].ext[recv.label]
+        ev[j] = dataclasses.replace(ev[j], record=qgo.response_record(
+            recv.label, ext["op"], ext["self"], ext["res"]))
         cert = verifier.verify(Execution(x.initial, tuple(ev)))
         assert cert.verdicts == {"well-formed": True, "decompose": True,
                                  "sort-classes": True, "move-message-ops": False}
@@ -603,12 +710,21 @@ class TestReject:
 
     def test_response_before_the_atomic_step(self):
         """Batch-small item 3's first Respond, p1's, moved to position 11, before the
-        invocation's atomic point."""
+        invocation's atomic point: p1 has not joined there, so the response
+        rule refuses it.  Restarted there by a forged ``qgo.start``, with its
+        own Respond dropped, p1 keeps the rule, and the specification
+        machine refuses its response."""
         x = run_simulation(batch_small(3)).execution
         ev = list(x.events)
         k = next(i for i, e in enumerate(ev) if isinstance(e, Respond))
-        ev.insert(11, ev.pop(k))
-        cert = verifier.verify(Execution(x.initial, tuple(ev)))
+        moved = ev[:k] + ev[k + 1:]
+        moved.insert(11, ev[k])
+        cert = verifier.verify(Execution(x.initial, tuple(moved)))
+        assert (cert.verdicts, cert.reason) == ({"well-formed": False},
+                                                response_rule_refusal(11))
+        forged = ev[:11] + restarted("p1", "record-only", len(ev), protocol=True) + \
+            ev[11:k] + ev[k + 1:]
+        cert = verifier.verify(Execution(x.initial, tuple(forged)))
         assert cert.verdicts["spec-replay"] is False
         assert cert.reason == ("specification machine rejects step 6: p1 has nothing "
                                "to respond with")
