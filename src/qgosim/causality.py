@@ -2,13 +2,16 @@
 
 Causality is the transitive closure of two primitive edge kinds: consecutive
 events carrying the same label, and the send/receive pair of one message.
-``predecessors`` yields both over any events.  ``sort_window`` permutes a
-window of an execution by rank, refuses a dependent inverted pair on those
-edges inside the window, and replays the span it changes; a failed
-postcondition raises LemmaViolation.  ``verify`` runs it, and
-``swap_adjacent_cached`` is its two-event case, with which the tests state
-the paper's swap lemma.  No ``src/`` path builds the vector clocks or the
-edge set: they serve the benchmark's tracer and the tests.
+``predecessors`` yields both over any events.  A checked sort has two
+halves.  ``plan_window`` permutes a window of an execution by rank and
+refuses a dependent inverted pair on those edges inside the window, reading
+no state; ``replay_span`` replays the span the sort changes from the state
+before it, and a failed postcondition raises LemmaViolation.  ``verify``
+plans every sort before its one replay of the execution, so it keeps only
+the states the spans read.  ``swap_adjacent_cached`` joins the halves for
+a window of two events on a full replay; with it the tests state the
+paper's swap lemma.  No ``src/`` path builds the vector clocks or the edge
+set: they serve the benchmark's tracer and the tests.
 """
 
 from __future__ import annotations
@@ -110,11 +113,11 @@ def equicausal(x: Execution, y: Execution) -> bool:
     return primitive_edges(x) == primitive_edges(y)
 
 
-def sort_window(
-    x: Execution, states: list, lo: int, hi: int, rank
-) -> tuple[Execution, list, int]:
-    """Stably sort positions [lo, hi) of ``x`` by ``rank(event)`` as one
-    checked permutation; return it, its states and its inversion count.
+def plan_window(x: Execution, lo: int, hi: int, rank) -> tuple[Execution, range, int]:
+    """Stably sort positions [lo, hi) of ``x`` by ``rank(event)``, reading
+    no state: the sorted execution, the span of positions it changes (from
+    its first to its last moved position; empty, with ``x`` itself, when it
+    inverts nothing) and its inversion count.
 
     The first event b with a higher-ranked immediate predecessor a in the
     window (``predecessors`` over the window alone) raises
@@ -126,13 +129,7 @@ def sort_window(
     dependent pair exists iff an edge in the window drops in rank, and
     both tests stop at the same first b.  With no edge dropping, each label
     keeps its order and each message its Send before its Receive, so the
-    sorted execution has x's primitive edges, hence x's happens-before.
-
-    The span the sort changes, from its first to its last moved position,
-    is replayed once from ``states`` (x's replay) and must end in the state
-    after it within EPS_EXACT, else LemmaViolation; the states outside it
-    are reused.  With no inversion, ``x`` and ``states`` come back as
-    given."""
+    sorted execution has x's primitive edges, hence x's happens-before."""
     window = x.events[lo:hi]
     ranks = [rank(e) for e in window]
     seen: dict = {}  # rank -> the number of its events before b
@@ -144,20 +141,31 @@ def sort_window(
         nswaps += sum(count for ra, count in seen.items() if ra > r)
         seen[r] = seen.get(r, 0) + 1
     if nswaps == 0:
-        return x, states, 0
+        return x, range(0), 0
     order = sorted(window, key=rank)
     changed = [lo + i for i, (a, b) in enumerate(zip(window, order)) if a is not b]
-    first, end = changed[0], changed[-1] + 1
     events = x.events[:lo] + tuple(order) + x.events[hi:]
-    new_states = list(states)
+    return Execution(x.initial, events), range(changed[0], changed[-1] + 1), nswaps
+
+
+def replay_span(y: Execution, span: range, pre, post, keep) -> dict:
+    """The checked half of a sort: replay the events of the sorted ``y`` in
+    ``span`` from ``pre``, the state before it, and require the state
+    reached to equal ``post``, the unsorted execution's state after it,
+    within EPS_EXACT, else LemmaViolation.  Outside the span the sorted
+    execution steps as the unsorted one does.  Returns the states reached
+    at the positions in ``keep``, after the span's first, up to its end."""
+    state, reached = pre, {}
     try:
-        for i in range(first, end):
-            new_states[i + 1] = executions.step(new_states[i], events[i])
+        for i in span:
+            state = executions.step(state, y.events[i])
+            if i + 1 in keep:
+                reached[i + 1] = state
     except executions.STEP_ERRORS as exc:
         raise LemmaViolation(f"sorted window produced invalid step: {exc}") from exc
-    if not sysmodel.states_equal(new_states[end], states[end], EPS_EXACT):
+    if not sysmodel.states_equal(state, post, EPS_EXACT):
         raise LemmaViolation("sorting changed the state after the window")
-    return Execution(x.initial, events), new_states, nswaps
+    return reached
 
 
 def swap_adjacent_cached(
@@ -166,10 +174,13 @@ def swap_adjacent_cached(
     i: int,
     relation: CausalRelation,
 ) -> tuple[Execution, list]:
-    """Swap the events at positions i and i+1 of ``x``: ``sort_window`` over
-    [i, i+2) with the later event ranked first.  Returns the swapped
-    execution and its replay, leaving ``x`` and ``states`` (the replay of
-    ``x``) as they were.  The window reads its own edges, so ``relation``
-    is not read; the benchmark's tests call this four-argument form."""
+    """Swap the events at positions i and i+1 of ``x``: the checked sort of
+    the window [i, i+2) with the later event ranked first, on ``states``,
+    the full replay of ``x``.  Returns the swapped execution and its full
+    replay, leaving ``x`` and ``states`` as they were.  The window reads
+    its own edges, so ``relation`` is not read; the benchmark's tests call
+    this four-argument form."""
     later = x.events[i + 1]
-    return sort_window(x, states, i, i + 2, lambda e: e is not later)[:2]
+    y, span, _ = plan_window(x, i, i + 2, lambda e: e is not later)
+    reached = replay_span(y, span, states[span.start], states[span.stop], range(len(states)))
+    return y, [reached.get(k, state) for k, state in enumerate(states)]

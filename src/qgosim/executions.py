@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from . import qcore, sysmodel
 from .qcore import ZERO_TRACE, QuantumOperation, RegisterId
@@ -238,8 +238,9 @@ def checked_step(state: SystemState, event: Event, seen_ids: set,
     return step_fn(state, event)
 
 
-def replay(x: Execution, step_fn: Callable | None = None) -> list[SystemState]:
-    """Replay, returning the full state sequence Ψ^0 .. Ψ^n.
+def walk(x: Execution, step_fn: Callable | None = None) -> Iterator[SystemState]:
+    """Replay ``x``, yielding the states Ψ^0 .. Ψ^n one at a time, so that a
+    caller keeps only the states it reads.
 
     ``step_fn`` is the machine's step function: ``step`` unless given, so
     the specification machine passes its own.  Each event goes through
@@ -250,16 +251,21 @@ def replay(x: Execution, step_fn: Callable | None = None) -> list[SystemState]:
     """
     if step_fn is None:
         step_fn = step
-    states = [x.initial]
     seen_ids = x.initial.message_ids()
     state = x.initial
+    yield state
     for i, event in enumerate(x.events):
         try:
             state = checked_step(state, event, seen_ids, step_fn)
         except STEP_ERRORS as exc:
             raise ReplayError(i, str(exc)) from exc
-        states.append(state)
-    return states
+        yield state
+
+
+def replay(x: Execution) -> list[SystemState]:
+    """``walk``'s states under ``step`` as one list, Ψ^0 .. Ψ^n, for a
+    caller that reads them by position."""
+    return list(walk(x))
 
 
 # ---------------------------------------------------------------------------

@@ -204,9 +204,9 @@ def send(state: SystemState, sender: str, msg: MessageInstance) -> SystemState:
     queue = state.channels.get(key)
     if queue is None and not is_channel(state.procs, key):
         raise SysmodelError(f"no channel {key!r}")
-    ownership = dict(state.ownership)
-    for reg in msg.quantum_regs:
-        ownership[reg] = msg.owner_token
+    ownership = None  # shared with ``state`` unless a register moves
+    if msg.quantum_regs:
+        ownership = {**state.ownership, **dict.fromkeys(msg.quantum_regs, msg.owner_token)}
     channels = {**state.channels, key: (queue or ()) + (msg,)}
     return evolve(state, channels=channels, ownership=ownership)
 
@@ -231,18 +231,16 @@ def receive(state: SystemState, receiver: str, chan: ChannelKey,
     if msg.msg_id != msg_id:
         raise SysmodelError(f"expected message {msg_id} at head of {chan}, "
                             f"found {msg.msg_id}")
-    ownership = dict(state.ownership)
-    for reg in msg.quantum_regs:
-        ownership[reg] = receiver
+    ownership = classical = None  # shared with ``state`` unless they change
+    if msg.quantum_regs:
+        ownership = {**state.ownership, **dict.fromkeys(msg.quantum_regs, receiver)}
     channels = {**state.channels, chan: rest}
     if not rest:
         del channels[chan]
-
-    classical = dict(state.classical)
     if msg.marker is None:
-        sigma = classical[receiver]
+        sigma = state.classical[receiver]
         inbox = sigma.get("inbox", []) + [[chan, msg.classical]]
-        classical[receiver] = {**sigma, "inbox": inbox}
+        classical = {**state.classical, receiver: {**sigma, "inbox": inbox}}
     return evolve(state, classical=classical, channels=channels, ownership=ownership)
 
 

@@ -12,15 +12,18 @@ the reordered execution ends.  The histories (invocations, responses, base
 events) of the original and the specification execution correspond event
 for event.
 
-Each reordering is proved once, by ``causality.sort_window``.  The class
-sort inverts no dependent pair, which the window checks on the primitive
-causal edges inside it; then x and the sorted execution have the same
-edges, so the same happens-before, and no vector clock is built.  Each
-sort replays the span it changes and compares the state after it at
+Each reordering is proved once, in two halves.  ``causality.plan_window``
+sorts a window on its events alone: the class sort inverts no dependent
+pair, which the window checks on the primitive causal edges inside it;
+then x and the sorted execution have the same edges, so the same
+happens-before, and no vector clock is built.  ``causality.replay_span``
+replays the span a sort changes and compares the state after it at
 EPS_EXACT: for the move, whose crossing of the reception is the one step
 that changes the causal order, that comparison is the whole proof.  So the
 sorted and moved executions end where x ends, and the only final state
-compared is the specification's.
+compared is the specification's.  Every sort is planned before x's one
+replay, which therefore keeps only the states the spans and the final
+comparison read, not all n+1.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace as dc_replace
 
 from . import executions, specmachine, sysmodel
-from .causality import CausalDependency, LemmaViolation, sort_window
+from .causality import CausalDependency, LemmaViolation, plan_window, replay_span
 # ``compute_causality`` is unused here; bench/tests/test_bench.py asserts
 # ``verifier.compute_causality is causality.compute_causality``.
 from .causality import compute_causality  # noqa: F401
@@ -42,7 +45,7 @@ from .executions import (
     Respond,
     Send,
     in_filter,
-    replay,
+    walk,
 )
 from .qcore import EPS_CHAIN
 
@@ -190,39 +193,38 @@ def _is_msg_op(ev: Event) -> bool:
 _RANK = {"pre": 0, "op": 1, "post": 2}
 
 
-def eliminate_inversions(
-    x: Execution, states: list, frag: FragmentInfo
-) -> tuple[Execution, list, int]:
-    """Sort the fragment's events stably by class with ``sort_window``; a
-    dependent inverted pair means the execution does not tripartition (a
-    ClaimViolation)."""
+def eliminate_inversions(x: Execution, frag: FragmentInfo) -> tuple[Execution, range, int]:
+    """Plan the stable sort of the fragment's events by class with
+    ``plan_window``; a dependent inverted pair means the execution does not
+    tripartition (a ClaimViolation)."""
     try:
-        return sort_window(x, states, frag.lo, frag.hi + 1,
-                           lambda e: _RANK[frag.classes[e.eid]])
+        return plan_window(x, frag.lo, frag.hi + 1, lambda e: _RANK[frag.classes[e.eid]])
     except CausalDependency as exc:
         raise ClaimViolation(f"cannot sort fragment at {frag.lo}: {exc}") from exc
 
 
 def reorder_message_ops(
-    y: Execution, states: list, frags: list[FragmentInfo]
-) -> tuple[Execution, list, int]:
+    y: Execution, frags: list[FragmentInfo]
+) -> tuple[Execution, list[range], int]:
     """Relabel each recorded message's operation in the class-sorted ``y``
-    as ``msg:<id>``, acting on its message; then move each fragment's to the
-    end of its snapshot region with one ``sort_window`` over its post class.
-    ``sort_window``'s dependency test cannot refuse the move: the
+    as ``msg:<id>``, acting on its message; then plan the move of each
+    fragment's to the end of its snapshot region with one ``plan_window``
+    over its post class.  Returns the moved execution, the span each
+    fragment's move changes (none when no fragment records a message) and
+    the inversion count.  The dependency test cannot refuse the move: the
     relabelled operations are the only events with ``msg:<id>`` labels, all
     of rank 0, and none is a Receive, so no edge enters one from rank 1.
     Crossing its message's reception changes the causal order, and the one
-    proof of the move is the sort's replay: applying the operation in flight
-    as a step of the message's token, which files the outcome in the
-    receiver's record at once, then delivering, must reach the same state
-    (within EPS_EXACT) as delivering first and applying after.  The
-    reception is always inside the replayed span, since the operation
+    proof of the move is the replay of its span in ``verify``: applying the
+    operation in flight as a step of the message's token, which files the
+    outcome in the receiver's record at once, then delivering, must reach
+    the same state (within EPS_EXACT) as delivering first and applying
+    after.  The reception is always inside the span, since the operation
     overtakes it.  ``classify`` puts every such operation of a fragment in
     its post class, so only the post classes are scanned."""
     if not any(frag.msg_ops for frag in frags):
-        return y, states, 0
-    events, nswaps = list(y.events), 0
+        return y, [], 0
+    events, spans, nswaps = list(y.events), [], 0
     for frag in frags:
         for i in range(frag.op_end, frag.hi + 1):
             ev = events[i]
@@ -235,16 +237,11 @@ def reorder_message_ops(
                 events[i] = dc_replace(ev, label=sysmodel.msg_token(ev.target_msg))
     z = Execution(y.initial, tuple(events))
     for frag in frags:
-        try:
-            z, states, n = sort_window(z, states, frag.op_end, frag.hi + 1,
-                                       lambda e: 0 if _is_msg_op(e) else 1)
-        except LemmaViolation as exc:
-            raise ClaimViolation(
-                f"a message operation of the fragment at {frag.lo} applied in flight "
-                f"does not commute with its reception: {exc}"
-            ) from exc
+        z, span, n = plan_window(z, frag.op_end, frag.hi + 1,
+                                 lambda e: 0 if _is_msg_op(e) else 1)
+        spans.append(span)
         nswaps += n
-    return z, states, nswaps
+    return z, spans, nswaps
 
 
 # ---------------------------------------------------------------------------
@@ -310,44 +307,79 @@ class Certificate:
 
 def verify(x: Execution) -> Certificate:
     """Check that ``x`` implements the atomic specification of each of its
-    invocations; every transformation step is individually validated."""
+    invocations; every transformation step is individually validated.
+
+    Every reordering is planned on the events alone before ``x`` is
+    replayed, so its one replay keeps only the states that a span's replay
+    or the final comparison reads: each sorted span's first and end
+    position, and position n.  A refusal met while planning is held and
+    reported at its own stage, once the stages before it pass, so each
+    rejection keeps the stage and the reason it has on its own."""
     verdicts: dict = {}
 
     def fail(stage: str, reason: str) -> Certificate:
         verdicts[stage] = False
         return Certificate(False, verdicts, reason=reason)
 
+    # ``stage`` ends where planning stopped: the stage of ``held``, or the last.
+    frags, class_spans, move_spans, nswaps = [], [], [], 0
+    y = z = x
+    stage, held = "decompose", None
     try:
-        states = replay(x)
+        frags = decompose(x)
+        for frag in frags:
+            classify(x, frag)
+        stage = "sort-classes"
+        for frag in frags:
+            y, span, swaps = eliminate_inversions(y, frag)
+            class_spans.append(span)
+            nswaps += swaps
+        stage = "move-message-ops"
+        z, move_spans, swaps = reorder_message_ops(y, frags)
+        nswaps += swaps
+    except (HypothesisViolation, ProtocolIncomplete, ClaimViolation) as exc:
+        held = (stage, str(exc))
+
+    n = len(x.events)
+    kept = dict.fromkeys([n] + [i for span in class_spans + move_spans if span
+                                for i in (span.start, span.stop)])
+    try:
+        for i, state in enumerate(walk(x)):
+            if i in kept:
+                kept[i] = state
     except executions.ReplayError as exc:
         return fail("well-formed", str(exc))
     if len({e.eid for e in x.events}) != len(x.events):
         return fail("well-formed", "event ids are not unique")
     verdicts["well-formed"] = True
 
-    try:
-        frags = decompose(x)
-        for frag in frags:
-            classify(x, frag)
-    except (HypothesisViolation, ProtocolIncomplete) as exc:
-        return fail("decompose", str(exc))
+    def check(w: Execution, span: range) -> None:
+        # A span's states replace x's at the kept positions, as a later span reads them.
+        if span:
+            kept.update(replay_span(w, span, kept[span.start], kept[span.stop], kept))
+
+    if stage == "decompose":
+        return fail(*held)
     verdicts["decompose"] = True
 
-    y = x
-    nswaps = 0
     try:
-        for frag in frags:
-            y, states, n = eliminate_inversions(y, states, frag)
-            nswaps += n
-    except (ClaimViolation, LemmaViolation) as exc:
+        for span in class_spans:
+            check(y, span)
+    except LemmaViolation as exc:
         return fail("sort-classes", str(exc))
+    if stage == "sort-classes":
+        return fail(*held)
     verdicts["sort-classes"] = True
 
-    try:
-        z, states, n = reorder_message_ops(y, states, frags)
-        nswaps += n
-    except ClaimViolation as exc:
-        return fail("move-message-ops", str(exc))
+    if held:
+        return fail(*held)
+    for frag, span in zip(frags, move_spans):
+        try:
+            check(z, span)
+        except LemmaViolation as exc:
+            return fail("move-message-ops",
+                        f"a message operation of the fragment at {frag.lo} applied in "
+                        f"flight does not commute with its reception: {exc}")
     if not histories_correspond(history(y), history(z)):
         return fail("move-message-ops", "moving operations changed the history")
     verdicts["move-message-ops"] = True
@@ -359,7 +391,7 @@ def verify(x: Execution) -> Certificate:
         return fail("spec-replay",
                     f"specification machine rejects step {exc.index}: {exc.reason}")
     # Each machine keeps its own phases in ext; the rest of the state must agree.
-    z_final = states[-1]
+    z_final = kept[n]
     if not sysmodel.states_equal(dc_replace(spec_final, ext=z_final.ext), z_final, EPS_CHAIN):
         return fail("spec-replay", "specification ends in a different state")
     verdicts["spec-replay"] = True

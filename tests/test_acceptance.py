@@ -23,6 +23,7 @@ from qgosim.qcore import DensityMatrix, RegisterId, RegisterSpace
 
 from dense import dense
 from test_causality import assert_reordering, moved, substituted
+from test_verifier import class_sort
 
 
 @contextmanager
@@ -269,7 +270,7 @@ def test_class_sort_is_stable_with_one_swap_per_inversion(corpus):
             eids = [e.eid for e in y.events[frag.lo: frag.hi + 1]]
             inversions = sum(rank[a] > rank[b]
                              for a, b in itertools.combinations(before, 2))
-            y, states, nswaps = verifier.eliminate_inversions(y, states, frag)
+            y, states, nswaps = class_sort(y, states, frag)
             assert nswaps == inversions
             assert [e.eid for e in y.events[frag.lo: frag.hi + 1]] == sorted(
                 eids, key=lambda eid: rank[frag.classes[eid]])
@@ -334,7 +335,7 @@ def test_acceptance_7_classical_snapshot():
             x = run_simulation(cfg).execution
             cert = verifier.verify(x)
             assert cert.accepted
-            states = executions.replay(cert.spec, specmachine.spec_step)
+            states = list(executions.walk(cert.spec, specmachine.spec_step))
             pos = next(i for i, e in enumerate(cert.spec.events)
                        if isinstance(e, executions.AtomicExecute))
             snap = states[pos + 1]

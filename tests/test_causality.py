@@ -37,7 +37,7 @@ def assert_reordering(x, y, tol=EPS_CHAIN):
 
 def moved(x, i, j):
     """The move lemma: the event at position i moved to position j by the
-    checked swaps ``verify`` runs, two-event ``sort_window``s
+    checked swaps ``verify`` runs, two-event ``plan_window``s
     (``CausalDependency`` if it crosses a successor); the swap lemma is the
     case j = i + 1.  The window reads its own edges, so no relation is
     passed."""

@@ -329,7 +329,7 @@ def test_replay_never_mutates_an_earlier_state(monkeypatch):
             seen.append((new, _encoded(new)))
             return new
 
-        replay(x, step_fn=recording_step)
+        list(executions.walk(x, recording_step))
         assert len(seen) == len(x.events) + 1
         for i, (state, encoded) in enumerate(seen):
             assert _encoded(state) == encoded, f"state {i} changed after it was built"

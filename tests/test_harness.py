@@ -1633,7 +1633,7 @@ def test_batch_small_traces_and_certificates_are_byte_identical():
 
 # Calls of ``executions.step`` one ``verify`` makes, as (events, swaps,
 # window steps, message operations, specification steps, inverting
-# windows): the one full replay takes one step per event; each sorted window
+# windows): the one pass over x takes one step per event; each sorted window
 # with an inversion (a fragment's class sort, or the move of its message
 # operations to the end of its snapshot region) replays only the span from
 # the first to the last position the sort changes, one step per event in
@@ -1684,6 +1684,7 @@ def test_verify_step_budget(monkeypatch, name):
     x, _, _ = traceio.parse_run(text)
     n, swaps, window_steps, msg_ops, spec_steps, windows = STEP_BUDGETS[name]
     calls = counting_calls(monkeypatch, executions, "step")
+    walks = counting_calls(monkeypatch, executions, "walk")
     replays = counting_calls(monkeypatch, executions, "replay")
     relations = counting_calls(monkeypatch, causality, "compute_causality")
     equicausal = counting_calls(monkeypatch, causality, "equicausal")
@@ -1697,11 +1698,12 @@ def test_verify_step_budget(monkeypatch, name):
                    and not e.protocol]
     assert len(base_events) == spec_steps
     assert len(calls) == n + window_steps + spec_steps
-    # Two replays, of x and of the specification execution; no causal
-    # relation, no equicausality check and no adjacent swap.  One state
-    # comparison per sorted window with an inversion, and one of the
-    # specification's final state.
-    assert [args[0] for args in replays] == [x, cert.spec]
+    # Two passes, over x and over the specification execution, and no full
+    # list of states; no causal relation, no equicausality check and no
+    # adjacent swap.  One state comparison per sorted window with an
+    # inversion, and one of the specification's final state.
+    assert [args[0] for args in walks] == [x, cert.spec]
+    assert replays == []
     assert relations == [] and equicausal == []
     assert checked_swaps == []
     assert len(compares) == windows + 1
@@ -1709,16 +1711,18 @@ def test_verify_step_budget(monkeypatch, name):
 
 def test_verify_message_ids_budget(monkeypatch):
     """``SystemState.message_ids`` builds a set of every message in flight.
-    ``verify`` may build it once per replay (its initial id set) and once
-    per AtomicExecute, never once per Send."""
+    ``verify`` may build it once per pass (its initial id set), over x and
+    over the specification execution, and once per AtomicExecute, never
+    once per Send."""
     x, _, _ = traceio.parse_run(_golden_trace_text("ring-classical-long"))
     calls = counting_calls(monkeypatch, sysmodel.SystemState, "message_ids")
-    replays = counting_calls(monkeypatch, executions, "replay")
+    walks = counting_calls(monkeypatch, executions, "walk")
     cert = verifier.verify(x)
     assert cert.accepted and cert.swaps == 2968
     atomics = sum(isinstance(e, executions.AtomicExecute) for e in cert.spec.events)
     sends = sum(isinstance(e, executions.Send) for e in x.events)
-    assert len(calls) <= len(replays) + atomics < sends
+    assert len(walks) == 2
+    assert len(calls) <= len(walks) + atomics < sends
 
 
 def test_generation_enabled_budget(monkeypatch):
@@ -1824,6 +1828,29 @@ def test_parsing_a_wide_trace_builds_no_dense_temporary():
         tracemalloc.stop()
     assert peak < 1 << 20
     assert np.array_equal(rho.factor, parsed.factor)
+
+
+@pytest.mark.parametrize("procs", [8, 16, 32])
+def test_verify_memory_is_bounded_by_the_trace_bytes(procs):
+    """On a token ring of P processors (``max_hops`` 4, one ``record-only``
+    by p0), n ≈ 2P² events and each state holds O(P) channels.  ``verify``
+    keeps only the states its span replays and its final comparison read,
+    so its traced peak stays within 4× the trace's bytes.  Holding all n+1
+    states peaked at 8.9×, 28.6× and 102× the trace for P = 8, 16 and 32."""
+    cfg = ScenarioConfig.from_dict(dict(
+        base="token-ring", procs=procs, base_params={"max_hops": 4},
+        invocations=[{"gid": "record-only", "leader": "p0", "after_step": 1}], seed=0))
+    res = run_simulation(cfg)
+    text = traceio.serialize_run(res.execution, cfg, res.decisions)
+    x, _, _ = traceio.parse_run(text)
+    tracemalloc.start()
+    try:
+        cert = verifier.verify(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.accepted
+    assert peak <= 4 * len(text.encode())
 
 
 def test_generating_and_parsing_a_wide_trace_hold_no_dense_matrix():

@@ -1,10 +1,10 @@
 """The package's own import graph: every qgosim import is at module level,
 and no chain of imports leads from a module back to itself.  Also a scan
 of the package's tolerance calls and of how the replay step builds states,
-of the one module that maps an action to its block, the names the
-benchmark's tooling and the step predicates rely on, the package's unread
-names and unpassed parameters, and its exception classes that nothing
-raises or catches."""
+of the one module that maps an action to its block, the modules that may
+read a replay's full list of states, the names the benchmark's tooling and
+the step predicates rely on, the package's unread names and unpassed
+parameters, and its exception classes that nothing raises or catches."""
 
 import ast
 import builtins
@@ -571,6 +571,46 @@ def test_step_scan_names_a_private_step():
     assert steps_outside_checked_step(private, "qgosim.harness.scheduler") == 1
     assert steps_outside_checked_step("executions.step(s, e)\n",
                                       "qgosim.harness.scheduler") is None
+
+
+def full_replay_reads(source: str, module: str) -> list[int]:
+    """The lines of ``source``, read as ``module``, that import ``replay``
+    from ``executions`` or read ``executions.replay``: the full list of a
+    replay's states."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and \
+                from_target(node, module) == "qgosim.executions":
+            found += [node.lineno for a in node.names if a.name == "replay"]
+        elif isinstance(node, ast.Attribute) and node.attr == "replay" and \
+                getattr(node.value, "id", "") == "executions":
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_verify_and_the_specification_replay_keep_no_full_replay():
+    """``verify`` and the specification replay step through
+    ``executions.walk`` and keep only the states they read: neither
+    ``verifier`` nor ``specmachine`` reads ``executions.replay``, whose list
+    of all n+1 states ``validate`` and the tests read.  ``causality`` still
+    binds it, for the benchmark's tests (``BENCH_PINS``)."""
+    found = [f"{m}:{line}" for m in ("qgosim.verifier", "qgosim.specmachine")
+             for line in full_replay_reads(MODULES[m].read_text(), m)]
+    assert found == []
+    assert full_replay_reads(MODULES["qgosim.causality"].read_text(), "qgosim.causality")
+
+
+def test_replay_scan_names_a_full_replay():
+    """The scan sees ``replay`` imported from ``executions`` and read through
+    it; ``walk``, a definition named ``replay`` and another module's
+    ``replay`` are no full replay."""
+    source = ("from .executions import Execution, replay\n"
+              "from . import executions\n"
+              "executions.replay(x)\n"
+              "executions.walk(x)\n"
+              "def replay(w, span): return causality.replay\n"
+              "from .causality import replay\n")
+    assert full_replay_reads(source, "qgosim.verifier") == [1, 3]
 
 
 def passes(call: ast.Call, position: int | None, param: str) -> bool:

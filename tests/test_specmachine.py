@@ -61,7 +61,7 @@ class TestAtomicExecute:
 
     def test_records_assigned(self):
         x = self.full_exec()
-        states = executions.replay(x, spec_step)
+        states = list(executions.walk(x, spec_step))
         final = states[-1]
         assert final.quantum.trace == pytest.approx(0.5)
         r0rec = final.ext["p0"]["record"]
@@ -75,14 +75,14 @@ class TestAtomicExecute:
         # Both halves of the pair are measured, so they cannot disagree,
         # whatever operation an execution claims it applied.
         st, head = in_flight_head()
-        before = executions.replay(Execution(st, head), spec_step)[-1]
+        before = list(executions.walk(Execution(st, head), spec_step))[-1]
         assert spec_step(before, measure_both("1", "1")).quantum.trace == pytest.approx(0.5)
         with pytest.raises(SpecViolation, match="zero probability"):
             spec_step(before, measure_both("0", "1"))
 
     def test_responds_must_match_records(self):
         x = self.full_exec()
-        final = executions.replay(x, spec_step)[-1]
+        final = list(executions.walk(x, spec_step))[-1]
         good = Respond(eid=3, label="p0", record=final.ext["p0"]["record"])
         spec_step(final, good)
         bad = Respond(eid=3, label="p0", record={"forged": True})
@@ -106,7 +106,7 @@ class TestAtomicExecute:
     def test_message_components_must_cover_in_flight(self):
         st, head = in_flight_head()
         incomplete = atomic(procs=measure_both().proc_outcomes, msgs=())
-        before = executions.replay(Execution(st, head), spec_step)[-1]
+        before = list(executions.walk(Execution(st, head), spec_step))[-1]
         with pytest.raises(SpecViolation, match="in-flight messages"):
             spec_step(before, incomplete)
 
@@ -149,7 +149,7 @@ class TestSpecValidation:
     def test_complete_execution_validates(self):
         st, head = in_flight_head()
         head += (measure_both("1", "1"),)
-        mid = executions.replay(Execution(st, head), spec_step)[-1]
+        mid = list(executions.walk(Execution(st, head), spec_step))[-1]
         tail = (
             Respond(eid=4, label="p0", record=mid.ext["p0"]["record"]),
             Respond(eid=5, label="p1", record=mid.ext["p1"]["record"]),
@@ -179,7 +179,7 @@ class TestSpecValidation:
         x = Execution(st, (Invoke(eid=0, label="p0", gid="record-only"),
                            Invoke(eid=1, label="p1", gid="record-only")))
         with pytest.raises(executions.ReplayError) as err:
-            executions.replay(x, spec_step)
+            list(executions.walk(x, spec_step))
         assert err.value.index == 1
         assert isinstance(err.value.__cause__, SpecViolation)
         with pytest.raises(executions.ReplayError) as err:

@@ -231,20 +231,32 @@ FORGED_IN_FLIGHT_CASES = pytest.mark.parametrize(
 
 
 def break_steps_after_the_replay(monkeypatch):
-    """From the moment ``verify``'s one full replay of x returns, every
+    """From the moment ``verify``'s one pass over x ends, every
     ``executions.step`` fails: so the first reordering that replays a span
     fails, as a forged trace would make it."""
-    real = executions.replay
+    real = executions.walk
 
     def broken(state, ev):
         raise sysmodel.SysmodelError(f"injected failure at event {ev.eid}")
 
-    def replay_then_break(x):
-        states = real(x)
+    def walk_then_break(x):
+        yield from real(x)
         monkeypatch.setattr(executions, "step", broken)
-        return states
 
-    monkeypatch.setattr(verifier, "replay", replay_then_break)
+    monkeypatch.setattr(verifier, "walk", walk_then_break)
+
+
+def class_sort(x, states, frag):
+    """``verify``'s class sort of one fragment on ``states``, x's full
+    replay: the plan, then the checked replay of its span.  Returns the
+    sorted execution, its full replay and the inversion count; with no
+    inversion, ``x`` and ``states`` as given."""
+    y, span, nswaps = verifier.eliminate_inversions(x, frag)
+    if not span:
+        return x, states, nswaps
+    reached = causality.replay_span(y, span, states[span.start], states[span.stop],
+                                    range(len(states)))
+    return y, [reached.get(k, s) for k, s in enumerate(states)], nswaps
 
 
 def renamed_operation(text, gid="nonesuch"):
@@ -566,7 +578,7 @@ class TestReject:
         x = Execution(st, events)
         frag = verifier.FragmentInfo(lo=0, hi=2, classes={0: "post", 1: "pre", 2: "pre"})
         with pytest.raises(verifier.ClaimViolation, match="event 0 happens before 2"):
-            verifier.eliminate_inversions(x, executions.replay(x), frag)
+            verifier.eliminate_inversions(x, frag)
 
     def test_repeated_event_id(self):
         x = generate(seed=4)
@@ -645,6 +657,42 @@ class TestReject:
         x = generate(seed=11)
         break_steps_after_the_replay(monkeypatch)
         cert = verifier.verify(x)
+        assert cert.verdicts == {"well-formed": True, "decompose": True,
+                                 "sort-classes": False}
+        assert re.fullmatch(r"sorted window produced invalid step: "
+                            r"injected failure at event \d+", cert.reason)
+
+    def test_planning_first_keeps_a_replay_refusal_at_well_formed(self):
+        """``verify`` plans its reorderings before it replays x.  A second
+        Invoke inside the first invocation, then a Receive of a message never
+        sent: ``decompose`` refuses the overlap, but the rejection is still
+        the replay's, at ``well-formed``."""
+        x = generate(seed=11)
+        ev = list(x.events)
+        i = next(k for k, e in enumerate(ev) if isinstance(e, Invoke))
+        eid = max(e.eid for e in ev) + 1
+        ev[i + 1: i + 1] = [dataclasses.replace(ev[i], eid=eid),
+                            Receive(eid=eid + 1, label="p1", chan="p0->p1", msg_id=999)]
+        forged = Execution(x.initial, tuple(ev))
+        with pytest.raises(verifier.HypothesisViolation, match="overlaps"):
+            verifier.decompose(forged)
+        with pytest.raises(executions.ReplayError) as refusal:
+            executions.replay(forged)
+        assert refusal.value.index == i + 2
+        cert = verifier.verify(forged)
+        assert (cert.verdicts, cert.reason) == ({"well-formed": False}, str(refusal.value))
+
+    def test_planning_first_keeps_a_failed_class_sort_before_a_move_refusal(
+            self, monkeypatch):
+        """Batch-small item 11 with its ``gop-msg`` Apply moved off its
+        reception, as in ``test_message_operation_away_from_its_reception``:
+        planning refuses the move, but a class sort whose replay fails is
+        still the rejection, at ``sort-classes``."""
+        x = run_simulation(batch_small(11)).execution
+        ev = list(x.events)
+        ev[21], ev[22] = ev[22], ev[21]
+        break_steps_after_the_replay(monkeypatch)
+        cert = verifier.verify(Execution(x.initial, tuple(ev)))
         assert cert.verdicts == {"well-formed": True, "decompose": True,
                                  "sort-classes": False}
         assert re.fullmatch(r"sorted window produced invalid step: "
@@ -927,14 +975,14 @@ def test_class_sort_agrees_with_the_insertion_sort(case):
     except verifier.ClaimViolation as exc:
         with pytest.raises(verifier.ClaimViolation,
                            match=f"^cannot sort fragment at {frag.lo}: ") as got:
-            verifier.eliminate_inversions(x, states, frag)
+            verifier.eliminate_inversions(x, frag)
         a, b = happens_before(got.value)
         assert b == happens_before(exc)[1]
         pos = {e.eid: i for i, e in enumerate(x.events)}
         assert pos[a] < pos[b] and rel.prec(a, b)
         assert RANK[frag.classes[a]] > RANK[frag.classes[b]]
         return
-    y, y_states, nswaps = verifier.eliminate_inversions(x, states, frag)
+    y, y_states, nswaps = class_sort(x, states, frag)
     assert ([e.eid for e in y.events], nswaps) == ([e.eid for e in want], want_swaps)
     assert causality.equicausal(x, y)
     assert (y is x and y_states is states) == (nswaps == 0)
@@ -958,7 +1006,7 @@ class TestSortWindowChecks:
                                           classes={0: "pre", 1: "post", 2: "pre"})
 
     def test_sorts_with_one_swap(self):
-        y, _, nswaps = verifier.eliminate_inversions(self.x, self.states, self.frag)
+        y, _, nswaps = class_sort(self.x, self.states, self.frag)
         assert ([e.eid for e in y.events], nswaps) == ([0, 2, 1], 1)
 
     def test_dependency_carried_by_the_earliest_event_of_a_label(self):
@@ -966,7 +1014,7 @@ class TestSortWindowChecks:
         does not.  Both are post and 2 is pre, so the sort refuses at 2."""
         frag = verifier.FragmentInfo(lo=0, hi=2, classes={0: "post", 1: "post", 2: "pre"})
         with pytest.raises(verifier.ClaimViolation, match="event 0 happens before 2$"):
-            verifier.eliminate_inversions(self.x, self.states, frag)
+            verifier.eliminate_inversions(self.x, frag)
 
     def test_replays_only_the_span_the_sort_changes(self, monkeypatch):
         """A post p1 step (3) after the window's one inversion stays in place:
@@ -981,7 +1029,7 @@ class TestSortWindowChecks:
         real = executions.step
         monkeypatch.setattr(executions, "step",
                             lambda *args: steps.append(args) or real(*args))
-        y, y_states, nswaps = verifier.eliminate_inversions(x, states, frag)
+        y, y_states, nswaps = class_sort(x, states, frag)
         assert ([e.eid for e in y.events], nswaps) == ([0, 2, 1, 3], 1)
         assert [args[1].eid for args in steps] == [2, 1]
         assert y_states[0] is states[0] and y_states[1] is states[1]
@@ -992,7 +1040,7 @@ class TestSortWindowChecks:
         states[3] = states[1]  # the message still in flight
         with pytest.raises(causality.LemmaViolation,
                            match="sorting changed the state after the window"):
-            verifier.eliminate_inversions(self.x, states, self.frag)
+            class_sort(self.x, states, self.frag)
 
     def test_window_step_that_fails(self):
         states = list(self.states)
@@ -1000,4 +1048,4 @@ class TestSortWindowChecks:
         frag = verifier.FragmentInfo(lo=1, hi=2, classes={1: "post", 2: "pre"})
         with pytest.raises(causality.LemmaViolation,
                            match="sorted window produced invalid step"):
-            verifier.eliminate_inversions(self.x, states, frag)
+            class_sort(self.x, states, frag)
